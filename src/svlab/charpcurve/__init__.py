@@ -1,11 +1,10 @@
-"""Finite-field Laurent-series kernel and the catalogued curve families.
+"""Prime-field Laurent-series kernel and the catalogued curve families.
 
-Submodules: ``gf`` (exact arithmetic in GF(p^d)), ``series`` (Laurent
-series with precision tracking), ``families`` (curve families, local
-expansions at infinity, and the invariant certificates built from
+Submodules: ``series`` (Laurent series over GF(p) with precision
+tracking, roots by Newton iteration), ``families`` (curve families,
+local expansions at infinity, and the invariant certificates built from
 them)."""
 
-from .gf import FieldElement, GaloisField
 from .series import LaurentSeries, PrecisionError, SeriesError
 from .families import (
     ArtinSchreier,
@@ -33,8 +32,6 @@ __all__ = [
     "ArtinSchreier",
     "CertificateError",
     "FamilyParameterError",
-    "FieldElement",
-    "GaloisField",
     "Hyperelliptic",
     "InfinityChart",
     "LaurentSeries",

@@ -12,6 +12,7 @@ import sys
 from ..charpcurve.families import certify_tango
 from ..construct import build_package, verify_package
 from ..kltcalc import is_klt
+from ..lattice import format_class
 from ..nonvanish import classify, decide
 from . import schema
 from .report import (
@@ -20,7 +21,6 @@ from .report import (
     SKIP,
     Report,
     check,
-    format_class,
     render_machine,
     render_text,
 )

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..lattice import DivisorClass
+from ..lattice import DivisorClass, format_class
 
 FORMAT_VERSION = "svlab/1"
 
@@ -40,19 +40,6 @@ def check(name: str, status: str, *pairs) -> CheckLine:
     """Build a line, rendering every detail value to its exact string."""
     detail = tuple((key, render_value(value)) for key, value in pairs)
     return CheckLine(name, status, detail)
-
-
-def format_class(cls: DivisorClass) -> str:
-    names = ["E", "F"] + [f"e{i}" for i in range(len(cls.coeffs) - 2)]
-    parts = []
-    for c, name in zip(cls.coeffs, names):
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        body = name if mag == 1 else f"({mag}){name}"
-        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-    return " ".join(parts) if parts else "0"
 
 
 def render_value(value) -> str:

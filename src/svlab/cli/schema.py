@@ -28,9 +28,8 @@ from ..kltcalc import (
 )
 from ..lattice import DivisorClass, RuledModel
 from ..nonvanish import RULED, Scenario
+from .report import FORMAT_VERSION
 from .sweep import SweepRequest
-
-FORMAT_VERSION = "svlab/1"
 
 REQUESTS = ("classify", "klt", "tango", "construct", "verify-package",
             "sweep")

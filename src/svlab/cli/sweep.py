@@ -2,9 +2,10 @@
 
 For each integral D = aE + bF in the requested box, the polarization
 D - K - cC' is put through the strict positivity certifier; certified
-entries then run the product certificate and the generic Riemann-Roch
-oracle side by side.  Any disagreement, or a non-positive value, is a
-counterexample to the formulas' equivalence and fails the run.
+entries then run the product certificate, which checks itself against
+the generic Riemann-Roch oracle.  Any disagreement, or a non-positive
+value, is a counterexample to the formulas' equivalence and fails the
+run.
 
 Entries are independent, so the box may fan out over processes; the
 report is assembled in box order no matter what finished first.
@@ -14,9 +15,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..lattice import CERTIFIED, RuledModel, certify_positivity, \
-    riemann_roch_chi
-from ..nonvanish import PreconditionError, chi_product_certificate
+from ..lattice import CERTIFIED, RuledModel, certify_positivity
+from ..nonvanish import (
+    InconsistentScenario,
+    PreconditionError,
+    chi_product_certificate,
+)
 
 CERTIFIED_ENTRY = "certified"
 SKIPPED_ENTRY = "skipped"
@@ -64,19 +68,11 @@ def sweep_entry(request: SweepRequest, a: int, b: int) -> SweepEntry:
         )
     except PreconditionError as ex:
         return SweepEntry(a, b, SKIPPED_ENTRY, None, str(ex))
-    chi = verdict.certificate["chi"]
-    oracle = riemann_roch_chi(model, divisor)
-    if chi != oracle:
-        return SweepEntry(
-            a, b, DISAGREEMENT, chi,
-            f"product gives {chi}, riemann-roch gives {oracle}",
-        )
-    if chi <= 0:
-        return SweepEntry(
-            a, b, DISAGREEMENT, chi,
-            "euler characteristic is not positive on a certified entry",
-        )
-    return SweepEntry(a, b, CERTIFIED_ENTRY, chi, "")
+    except InconsistentScenario as ex:
+        return SweepEntry(a, b, DISAGREEMENT, None, str(ex))
+    return SweepEntry(
+        a, b, CERTIFIED_ENTRY, verdict.certificate["chi"], ""
+    )
 
 
 def _entry_star(args) -> SweepEntry:

@@ -35,6 +35,7 @@ from .lattice import (
     adjunction_pa,
     candidate_curve_constraints,
     certify_positivity,
+    format_class,
     riemann_roch_chi,
 )
 
@@ -113,19 +114,6 @@ class PackageVerification:
     package: CounterexamplePackage
     results: tuple[CheckResult, ...] = field(default=())
     valid: bool = False
-
-
-def _fmt(cls: DivisorClass) -> str:
-    names = ["E", "F"] + [f"e{i}" for i in range(len(cls.coeffs) - 2)]
-    parts = []
-    for c, name in zip(cls.coeffs, names):
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        body = name if mag == 1 else f"({mag})" + name
-        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-    return " ".join(parts) if parts else "0"
 
 
 def _admit(cert: TangoCertificate, allow_asserted: bool) -> None:
@@ -413,20 +401,21 @@ def _checklist(
     results.append(CheckResult(
         "class-identity",
         residue == pkg.h_class,
-        f"D - K - B = {_fmt(residue)}, H = {_fmt(pkg.h_class)}",
+        f"D - K - B = {format_class(residue)},"
+        f" H = {format_class(pkg.h_class)}",
     ))
     if pkg.kind == KIND_KOLLAR:
         twist = model.divisor(0, pkg.base_twist_degree)
         results.append(CheckResult(
             "base-twist-matches",
             pkg.h_class == twist,
-            f"D - K - B is the pulled-back twist {_fmt(twist)}",
+            f"D - K - B is the pulled-back twist {format_class(twist)}",
         ))
 
     results.append(CheckResult(
         "divisor-integral",
         pkg.divisor.is_integral(),
-        f"D = {_fmt(pkg.divisor)}",
+        f"D = {format_class(pkg.divisor)}",
     ))
 
     if pkg.kind == KIND_KV:
@@ -456,8 +445,8 @@ def _checklist(
         results.append(CheckResult(
             "boundary-member",
             True,
-            f"general member of |{_fmt(2 * pkg.h_class)}| joined with"
-            f" coefficient {pkg.member_coefficient}; transversality"
+            f"general member of |{format_class(2 * pkg.h_class)}| joined"
+            f" with coefficient {pkg.member_coefficient}; transversality"
             " assumed, not derived",
         ))
 
@@ -501,7 +490,8 @@ def _checklist(
         results.append(CheckResult(
             "shifted-degrees",
             pkg.shifted_divisor == expected_shift and fiber_deg >= 0,
-            f"D' = D - ({2 * g - 2})F = {_fmt(pkg.shifted_divisor)},"
+            f"D' = D - ({2 * g - 2})F ="
+            f" {format_class(pkg.shifted_divisor)},"
             f" fiber degree {fiber_deg} >= 0",
         ))
         value = pkg.shifted_divisor.dot(c_prime)

@@ -265,6 +265,20 @@ class DivisorClass:
     __rmul__ = scaled
 
 
+def format_class(cls: DivisorClass) -> str:
+    """The class as a signed sum over the basis names E, F, e0, e1, ..."""
+    names = ["E", "F"] + [f"e{i}" for i in range(len(cls.coeffs) - 2)]
+    parts = []
+    for c, name in zip(cls.coeffs, names):
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        body = name if mag == 1 else f"({mag}){name}"
+        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
+    return " ".join(parts) if parts else "0"
+
+
 def intersect(d1: DivisorClass, d2: DivisorClass) -> Fraction:
     return d1.dot(d2)
 

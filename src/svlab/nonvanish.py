@@ -304,12 +304,13 @@ def _require_case(s: Scenario, *labels: str) -> str:
     return label
 
 
-def _ample_status(model: RuledModel, cls: DivisorClass):
-    """Strict positivity certificate where the rules can decide; None on
-    blown-up lattices, where no rule applies."""
+def _positivity_status(model: RuledModel, cls: DivisorClass, strict: bool):
+    """Positivity certificate (ample when ``strict``, nef otherwise)
+    where the rules can decide; None on blown-up lattices, where no rule
+    applies."""
     if not model.is_pure:
         return None
-    return certify_positivity(model, cls, strict=True)
+    return certify_positivity(model, cls, strict=strict)
 
 
 def case_a_chi(s: Scenario) -> Fraction:
@@ -325,7 +326,7 @@ def case_a_chi(s: Scenario) -> Fraction:
             "irregularity 0 with negative Kodaira dimension forces"
             " chi(O) = 1"
         )
-    status = _ample_status(s.model, s.h_class())
+    status = _positivity_status(s.model, s.h_class(), strict=True)
     if status is not None and status.status == VIOLATED:
         raise PreconditionError(
             f"the polarization fails ampleness: {status.note}"
@@ -342,10 +343,10 @@ def case_b_chi(s: Scenario) -> Fraction:
         )
     if s.chi_o < 0:
         raise InconsistentScenario("these cases carry chi(O) >= 0")
-    nef = _nef_status(s.model, s.divisor)
+    nef = _positivity_status(s.model, s.divisor, strict=False)
     if nef is not None and nef.status == VIOLATED:
         raise PreconditionError(f"the divisor is not nef: {nef.note}")
-    amp = _ample_status(s.model, s.h_class())
+    amp = _positivity_status(s.model, s.h_class(), strict=True)
     if amp is not None and amp.status == VIOLATED:
         raise PreconditionError(
             f"the polarization fails ampleness: {amp.note}"
@@ -362,19 +363,13 @@ def case_b_chi(s: Scenario) -> Fraction:
     return chi
 
 
-def _nef_status(model: RuledModel, cls: DivisorClass):
-    if not model.is_pure:
-        return None
-    return certify_positivity(model, cls, strict=False)
-
-
 def h2_vanishes(s: Scenario) -> bool:
     """Vanishing above the divisor, certified by (K-D).H < 0 against the
     ample polarization."""
     if not s.is_lattice:
         raise PreconditionError("needs intersection data")
     h = s.h_class()
-    status = _ample_status(s.model, h)
+    status = _positivity_status(s.model, h, strict=True)
     if status is not None and status.status == VIOLATED:
         raise PreconditionError(
             f"the polarization fails ampleness: {status.note}"
@@ -528,7 +523,11 @@ def chi_product_certificate(
     chi = (a + 1) * (slope + 1 - g)
     if chi <= 0:
         raise InconsistentScenario("the product must be positive here")
-    assert chi == riemann_roch_chi(model, model.divisor(a, b))
+    oracle = riemann_roch_chi(model, model.divisor(a, b))
+    if chi != oracle:
+        raise InconsistentScenario(
+            f"product gives {chi}, riemann-roch gives {oracle}"
+        )
     return Verdict(
         CASE_C_M,
         GUARANTEED_M1,
@@ -778,7 +777,11 @@ def decide(s: Scenario) -> Verdict:
                 "positive chi failed to certify; the scenario data is"
                 " contradictory"
             )
-        assert verdict.certificate["chi"] == chi
+        if verdict.certificate["chi"] != chi:
+            raise InconsistentScenario(
+                f"the intersection formula gives chi = {chi}, riemann-roch"
+                f" gives {verdict.certificate['chi']}"
+            )
         return verdict
     if label in (CASE_C, CASE_C_M):
         verdict = fiber_threshold(s)

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from svlab.cli.main import main
+from svlab.lattice import riemann_roch_chi
 
 _TOKEN = re.compile(r'([\w-]+)=("(?:[^"\\]|\\.)*"|\S+)')
 
@@ -608,6 +609,26 @@ class TestSweep:
         for entry in checks(out, "entry"):
             certified = entry["status"] == "PASS"
             assert certified == (int(entry["b"]) > 5)
+
+    def test_riemann_roch_disagreement_fails_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "svlab.nonvanish.riemann_roch_chi",
+            lambda model, d: riemann_roch_chi(model, d) + 1,
+        )
+        code, out, _ = run(
+            capsys, "sweep", "--format", "machine",
+            "--in", write_doc(tmp_path, "d.json", SWEEP_DOC),
+        )
+        assert code == 1
+        (summary,) = checks(out, "summary")
+        assert summary["status"] == "FAIL"
+        assert summary["disagreements"] == "90"
+        failed = [f for f in checks(out, "entry") if f["status"] == "FAIL"]
+        assert len(failed) == 90
+        assert failed[0]["reason"].startswith("product gives ")
+        assert all("riemann-roch gives" in f["reason"] for f in failed)
 
     def test_empty_box(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SWEEP_DOC))

@@ -271,6 +271,18 @@ class TestCaseB:
         assert v.certificate["chi"] == 4
         assert v.certificate["chi"] == riemann_roch_chi(m, s.divisor)
 
+    def test_decide_refuses_a_riemann_roch_disagreement(self, monkeypatch):
+        m = RuledModel(2, 0, 0)
+        s = ruled_scenario(
+            m, m.divisor(1, 1), kodaira=0, q=0, relatively_minimal=True
+        )
+        monkeypatch.setattr(
+            "svlab.nonvanish.riemann_roch_chi",
+            lambda model, d: riemann_roch_chi(model, d) + 1,
+        )
+        with pytest.raises(InconsistentScenario, match="chi = 4"):
+            decide(s)
+
     def test_decide_elliptic_base(self):
         m = RuledModel(3, 1, 0)
         s = ruled_scenario(m, m.fiber_class())

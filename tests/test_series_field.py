@@ -1,10 +1,9 @@
-"""Finite-field and Laurent-series kernel."""
+"""Prime-field Laurent-series kernel."""
 
 import random
 
 import pytest
 
-from svlab.charpcurve.gf import FieldError, GaloisField
 from svlab.charpcurve.series import (
     LaurentSeries,
     PrecisionError,
@@ -16,13 +15,13 @@ from svlab.charpcurve.families import (
 )
 
 
-def random_series(rng, field, exact=False):
+def random_series(rng, p, exact=False):
     val = rng.randrange(-6, 4)
     n = rng.randrange(1, 10)
-    coeffs = [rng.randrange(field.p) for _ in range(n)]
-    coeffs[0] = rng.randrange(1, field.p)
+    coeffs = [rng.randrange(p) for _ in range(n)]
+    coeffs[0] = rng.randrange(1, p)
     trunc = None if exact else val + n
-    return LaurentSeries.make(field, val, coeffs, trunc)
+    return LaurentSeries.make(p, val, coeffs, trunc)
 
 
 def assert_agree(a, b):
@@ -38,167 +37,121 @@ def assert_agree(a, b):
         assert a.coefficient(k) == b.coefficient(k), f"differ at t^{k}"
 
 
-class TestGaloisField:
-    def test_prime_field_arithmetic(self):
-        k = GaloisField(5)
-        two, three = k.element(2), k.element(3)
-        assert (two + three).is_zero()
-        assert (two * three) == k.one()
-        assert two.inverse() == three
-        assert (two / three) * three == two
-
-    def test_characteristic_must_be_prime(self):
-        with pytest.raises(FieldError):
-            GaloisField(4)
-
-    def test_extension_field_size_and_closure(self):
-        k = GaloisField(2, 3)
-        elems = list(k.elements())
-        assert len(elems) == 8
-        assert len(set(e.coeffs for e in elems)) == 8
-        for e in elems:
-            assert e ** 8 == e
-
-    def test_multiplicative_group_order(self):
-        k = GaloisField(3, 2)
-        for e in k.elements():
-            if not e.is_zero():
-                assert e ** 8 == k.one()
-
-    def test_frobenius_is_a_ring_map(self):
-        rng = random.Random(20260815)
-        for p, d in [(2, 4), (3, 2), (5, 2), (7, 1)]:
-            k = GaloisField(p, d)
-            pool = list(k.elements()) if k.order <= 81 else [
-                k.element([rng.randrange(p) for _ in range(d)])
-                for _ in range(20)
-            ]
-            for _ in range(40):
-                a, b = rng.choice(pool), rng.choice(pool)
-                assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-                assert (a * b).frobenius() == a.frobenius() * b.frobenius()
-
-    def test_modulus_deterministic(self):
-        assert GaloisField(2, 5).modulus == GaloisField(2, 5).modulus
-
-
 class TestSeriesRing:
     def test_normalization(self):
-        k = GaloisField(5)
-        s = LaurentSeries.make(k, -3, [0, 0, 2, 1], 4)
+        p = 5
+        s = LaurentSeries.make(p, -3, [0, 0, 2, 1], 4)
         assert s.valuation == -1
-        assert s.coefficient(-1) == k.element(2)
-        assert s.coefficient(3) == k.zero()
+        assert s.coefficient(-1) == 2
+        assert s.coefficient(3) == 0
         with pytest.raises(PrecisionError):
             s.coefficient(4)
 
     def test_mul_precision_rule(self):
-        k = GaloisField(5)
-        a = LaurentSeries.make(k, -2, [1, 1], 3)   # O(t^3)
-        b = LaurentSeries.make(k, 1, [1], 6)       # O(t^6)
+        p = 5
+        a = LaurentSeries.make(p, -2, [1, 1], 3)   # O(t^3)
+        b = LaurentSeries.make(p, 1, [1], 6)       # O(t^6)
         prod = a * b
         assert prod.valuation == -1
         assert prod.truncation == min(3 + 1, 6 - 2)
 
     def test_exact_times_exact_stays_exact(self):
-        k = GaloisField(3)
-        a = LaurentSeries.from_terms(k, {-2: 1, 0: 2})
-        b = LaurentSeries.from_terms(k, {1: 1})
+        p = 3
+        a = LaurentSeries.from_terms(p, {-2: 1, 0: 2})
+        b = LaurentSeries.from_terms(p, {1: 1})
         assert (a * b).truncation is None
 
     def test_inverse_of_one_plus_t(self):
-        k = GaloisField(5)
-        s = LaurentSeries.make(k, 0, [1, 1], 5)
+        p = 5
+        s = LaurentSeries.make(p, 0, [1, 1], 5)
         inv = s.inverse()
-        assert [inv.coefficient(i).coeffs for i in range(5)] == [
-            (1,), (4,), (1,), (4,), (1,)
-        ]
-        assert_agree(s * inv, LaurentSeries.monomial(k, 0))
+        assert [inv.coefficient(i) for i in range(5)] == [1, 4, 1, 4, 1]
+        assert_agree(s * inv, LaurentSeries.monomial(p, 0))
 
     def test_inverse_random(self):
         rng = random.Random(20260816)
         for _ in range(80):
-            k = GaloisField(rng.choice([2, 3, 5, 7]))
-            s = random_series(rng, k)
-            assert_agree(s * s.inverse(), LaurentSeries.monomial(k, 0))
+            p = rng.choice([2, 3, 5, 7])
+            s = random_series(rng, p)
+            assert_agree(s * s.inverse(), LaurentSeries.monomial(p, 0))
 
     def test_exact_monomial_inverse_is_exact(self):
-        k = GaloisField(3)
-        inv = LaurentSeries.monomial(k, -2).inverse()
+        p = 3
+        inv = LaurentSeries.monomial(p, -2).inverse()
         assert inv.truncation is None
         assert inv.valuation == 2
 
     def test_inverse_of_exact_needs_window(self):
-        k = GaloisField(3)
-        s = LaurentSeries.from_terms(k, {0: 1, 1: 1})
+        p = 3
+        s = LaurentSeries.from_terms(p, {0: 1, 1: 1})
         with pytest.raises(PrecisionError):
             s.inverse()
         assert s.inverse(terms=4).truncation == 4
 
     def test_derivative_drops_p_multiples(self):
-        k3 = GaloisField(3)
-        cubed = LaurentSeries.from_terms(k3, {3: 1})
+        p = 3
+        cubed = LaurentSeries.from_terms(p, {3: 1})
         assert cubed.derivative().is_exact_zero()
-        k5 = GaloisField(5)
-        s = LaurentSeries.from_terms(k5, {3: 1})
+        p = 5
+        s = LaurentSeries.from_terms(p, {3: 1})
         ds = s.derivative()
-        assert ds.valuation == 2 and ds.coefficient(2) == k5.element(3)
+        assert ds.valuation == 2 and ds.coefficient(2) == 3
 
     def test_derivative_lowers_valuation_unless_p_divides(self):
         rng = random.Random(20260817)
         for _ in range(100):
-            k = GaloisField(rng.choice([2, 3, 5]))
-            s = random_series(rng, k)
+            p = rng.choice([2, 3, 5])
+            s = random_series(rng, p)
             ds = s.derivative()
-            if s.valuation % k.p != 0:
+            if s.valuation % p != 0:
                 assert ds.valuation == s.valuation - 1
 
     def test_frobenius_kills_derivative(self):
         rng = random.Random(20260818)
         for _ in range(60):
-            k = GaloisField(rng.choice([2, 3, 5]))
-            s = random_series(rng, k, exact=True)
-            assert (s ** k.p).derivative().is_exact_zero()
+            p = rng.choice([2, 3, 5])
+            s = random_series(rng, p, exact=True)
+            assert (s ** p).derivative().is_exact_zero()
 
     def test_leibniz(self):
         rng = random.Random(20260819)
         for _ in range(100):
-            k = GaloisField(rng.choice([2, 3, 5]))
-            s, u = random_series(rng, k), random_series(rng, k)
+            p = rng.choice([2, 3, 5])
+            s, u = random_series(rng, p), random_series(rng, p)
             lhs = (s * u).derivative()
             rhs = s.derivative() * u + s * u.derivative()
             assert_agree(lhs, rhs)
 
     def test_pow_negative(self):
-        k = GaloisField(5)
-        s = LaurentSeries.make(k, 1, [1, 1], 7)
-        assert_agree((s ** -2) * s * s, LaurentSeries.monomial(k, 0))
+        p = 5
+        s = LaurentSeries.make(p, 1, [1, 1], 7)
+        assert_agree((s ** -2) * s * s, LaurentSeries.monomial(p, 0))
 
 
 class TestRoots:
     def test_sqrt_squares_back(self):
-        k = GaloisField(3)
-        u = LaurentSeries.from_terms(k, {0: 1, 10: 1, 18: 1})
+        p = 3
+        u = LaurentSeries.from_terms(p, {0: 1, 10: 1, 18: 1})
         w = u.sqrt_unit(terms=22)
         assert_agree(w * w, u)
-        assert w.coefficient(0) == k.one()
-        assert w.coefficient(10) == k.element(2)  # 1/2 = 2 mod 3
+        assert w.coefficient(0) == 1
+        assert w.coefficient(10) == 2  # 1/2 = 2 mod 3
 
     def test_sqrt_needs_odd_p(self):
-        k = GaloisField(2)
-        u = LaurentSeries.from_terms(k, {0: 1, 2: 1})
+        p = 2
+        u = LaurentSeries.from_terms(p, {0: 1, 2: 1})
         with pytest.raises(SeriesError):
             u.sqrt_unit(terms=5)
 
     def test_nth_root_powers_back(self):
-        k = GaloisField(2)
-        u = LaurentSeries.from_terms(k, {0: 1, 9: 1})
+        p = 2
+        u = LaurentSeries.from_terms(p, {0: 1, 9: 1})
         w = u.nth_root_unit(9, terms=24)
         assert_agree(w ** 9, u)
 
     def test_root_index_coprime_to_p(self):
-        k = GaloisField(3)
-        u = LaurentSeries.from_terms(k, {0: 1, 1: 1})
+        p = 3
+        u = LaurentSeries.from_terms(p, {0: 1, 1: 1})
         with pytest.raises(SeriesError):
             u.nth_root_unit(6, terms=5)
 
@@ -206,17 +159,16 @@ class TestRoots:
         rng = random.Random(20260820)
         for _ in range(40):
             p = rng.choice([2, 3, 5])
-            k = GaloisField(p)
             m = rng.choice([i for i in range(2, 8) if i % p != 0])
             n = rng.randrange(6, 15)
             coeffs = [1] + [rng.randrange(p) for _ in range(n - 1)]
-            u = LaurentSeries.make(k, 0, coeffs, n)
+            u = LaurentSeries.make(p, 0, coeffs, n)
             w = u.nth_root_unit(m)
             assert_agree(w ** m, u)
 
     def test_precision_doubling_stability(self):
-        k = GaloisField(3)
-        u = LaurentSeries.from_terms(k, {0: 1, 10: 1, 18: 1})
+        p = 3
+        u = LaurentSeries.from_terms(p, {0: 1, 10: 1, 18: 1})
         w1 = u.sqrt_unit(terms=20)
         w2 = u.sqrt_unit(terms=40)
         assert_agree(w1, w2)
@@ -224,24 +176,24 @@ class TestRoots:
 
 class TestDifferentialValuation:
     def test_visible_leading_term(self):
-        k = GaloisField(5)
-        s = LaurentSeries.make(k, -3, [1, 0, 0, 0, 1, 1], 5)
+        p = 5
+        s = LaurentSeries.make(p, -3, [1, 0, 0, 0, 1, 1], 5)
         assert differential_valuation(s, 10) == -4
 
     def test_pth_power_is_rejected(self):
-        k = GaloisField(3)
-        s = LaurentSeries.from_terms(k, {0: 1, 3: 1, 6: 2})
+        p = 3
+        s = LaurentSeries.from_terms(p, {0: 1, 3: 1, 6: 2})
         with pytest.raises(NotSeparatingError):
             differential_valuation(s, 10)
 
     def test_all_zero_window_past_horizon_rejected(self):
-        k = GaloisField(3)
-        s = LaurentSeries.make(k, 0, [1, 0, 0, 1], 20)  # d/dt kills both
+        p = 3
+        s = LaurentSeries.make(p, 0, [1, 0, 0, 1], 20)  # d/dt kills both
         with pytest.raises(NotSeparatingError):
             differential_valuation(s, 10)
 
     def test_short_window_raises_precision(self):
-        k = GaloisField(3)
-        s = LaurentSeries.make(k, 0, [1, 0, 0, 1], 5)
+        p = 3
+        s = LaurentSeries.make(p, 0, [1, 0, 0, 1], 5)
         with pytest.raises(PrecisionError):
             differential_valuation(s, 10)
