@@ -45,7 +45,7 @@ class LaurentSeries:
         clips to the truncation window, canonicalizes empty windows."""
         cs = [c % p for c in coeffs]
         if truncation is not None and valuation + len(cs) > truncation:
-            cs = cs[: truncation - valuation]
+            cs = cs[: max(0, truncation - valuation)]
         while cs and cs[0] == 0:
             cs.pop(0)
             valuation += 1

@@ -33,6 +33,7 @@ from .lattice import (
     DivisorClass,
     RuledModel,
     adjunction_pa,
+    boundary_sum,
     candidate_curve_constraints,
     certify_positivity,
     format_class,
@@ -313,9 +314,7 @@ def _require_star(cert: TangoCertificate) -> None:
 
 
 def _require_identity(model, divisor, boundary, h_class) -> None:
-    total = model.zero_class()
-    for cls, coeff in boundary:
-        total = total + cls * coeff
+    total = boundary_sum(model, boundary)
     if divisor - model.canonical_class() - total != h_class:
         raise PackageError("class identity D - K - B = H broke; the"
                            " package data was transcribed wrong")
@@ -394,10 +393,7 @@ def _checklist(
     k = model.canonical_class()
     results: list[CheckResult] = []
 
-    total = model.zero_class()
-    for cls, coeff in pkg.boundary:
-        total = total + cls * coeff
-    residue = pkg.divisor - k - total
+    residue = pkg.divisor - k - boundary_sum(model, pkg.boundary)
     results.append(CheckResult(
         "class-identity",
         residue == pkg.h_class,

@@ -149,12 +149,9 @@ def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
     coefficient < 1.
     """
     arr.validate()
-    budget = _node_count(arr.clusters)
     records: list[BlowupRecord] = []
 
     def resolve(node: ClusterNode, label: str, parent_coeff) -> None:
-        if len(records) >= budget:
-            raise ArrangementError("resolution exceeded the declared forest")
         coeffs = [arr.branch(bid).coefficient for bid in node.branch_ids]
         if parent_coeff is not None:
             coeffs.append(parent_coeff)
@@ -182,7 +179,3 @@ def snc_klt_shortcut(arr: ClusterArrangement) -> bool | None:
         if len(node.branch_ids) != 2 or node.children:
             return None
     return all(b.coefficient < 1 for b in arr.branches)
-
-
-def _node_count(nodes: tuple[ClusterNode, ...]) -> int:
-    return sum(1 + _node_count(n.children) for n in nodes)

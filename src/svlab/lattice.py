@@ -3,20 +3,33 @@
 The ambient lattice is the numerical class group of a P^1-bundle over a
 curve of genus g, blown up in a chain of (possibly infinitely near)
 points.  Basis: E (a section with E^2 = -e), F (a fiber), and the strict
-transforms e_1..e_k of the exceptional curves.  Proximity relations
-between the blown-up points feed the Gram matrix through the standard
-proximity-matrix convention, so e_i.e_j = 1 exactly when point j is
-proximate to point i.
+transforms e_1..e_k of the exceptional curves; point j is proximate to
+point i when it lies on the strict transform of e_i.
 
-Everything is exact: coefficients are ``fractions.Fraction``, the Gram
-matrix is integral, and no floating point appears anywhere.
+The intersection form is never stored as a matrix.  Total transforms of
+the exceptional curves are pairwise orthogonal with square -1 and
+orthogonal to the pulled-back E and F (Hartshorne, Algebraic Geometry,
+V.3), and the strict transform e_j is the total transform of point j
+minus those of the points proximate to it (Casas-Alvero, Singularities
+of Plane Curves, on proximity).  So in total-transform coordinates
+u_j = x_j - sum of x_i over the points i that point j is proximate to,
+the exceptional part of the form is diagonal:
+
+    (a, b, x).(a', b', x') = -e a a' + a b' + a' b - sum_j u_j u'_j
+
+Stored coordinates stay in the strict-transform basis, which is what
+documents and reports use.
+
+Everything is exact: coefficients are ``fractions.Fraction`` and no
+floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import lcm
+from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
 
@@ -95,62 +108,6 @@ class RuledModel:
     def is_pure(self) -> bool:
         return not self.exceptionals
 
-    def gram_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Gram matrix on the basis {E, F, e_1..e_k}."""
-        k = len(self.exceptionals)
-        n = 2 + k
-        g = [[0] * n for _ in range(n)]
-        g[0][0] = -self.invariant_e
-        g[0][1] = g[1][0] = 1
-        # Strict exceptional block is -(M M^T) where M is unit upper
-        # triangular with M[i][j] = -1 when point j is proximate to i.
-        m = [[0] * k for _ in range(k)]
-        for i in range(k):
-            m[i][i] = 1
-        for j, pt in enumerate(self.exceptionals):
-            for i in pt.proximate_to:
-                m[i][j] = -1
-        for i in range(k):
-            for j in range(i, k):
-                v = -sum(m[i][l] * m[j][l] for l in range(k))
-                g[2 + i][2 + j] = g[2 + j][2 + i] = v
-        return tuple(tuple(row) for row in g)
-
-    def signature(self) -> tuple[int, int]:
-        """Inertia (positives, negatives) of the Gram matrix, computed by
-        exact congruent diagonalization.  Always (1, rank - 1)."""
-        a = [[Fraction(v) for v in row] for row in self.gram_matrix()]
-        n = len(a)
-        pos = neg = 0
-        for k in range(n):
-            if a[k][k] == 0:
-                j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-                if j is not None:
-                    for row in a:
-                        row[k], row[j] = row[j], row[k]
-                    a[k], a[j] = a[j], a[k]
-                else:
-                    j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                    if j is None:
-                        raise LatticeError("degenerate intersection form")
-                    for l in range(n):
-                        a[k][l] += a[j][l]
-                    for l in range(n):
-                        a[l][k] += a[l][j]
-            piv = a[k][k]
-            if piv > 0:
-                pos += 1
-            else:
-                neg += 1
-            for i in range(k + 1, n):
-                f = a[i][k] / piv
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-            for i in range(k + 1, n):
-                a[i][k] = Fraction(0)
-                a[k][i] = Fraction(0)
-        return pos, neg
-
     # -- class constructors -------------------------------------------
 
     def divisor(self, *coeffs: Rational) -> "DivisorClass":
@@ -228,17 +185,20 @@ class DivisorClass:
         return all(c == 0 for c in self.coeffs)
 
     def dot(self, other: "DivisorClass") -> Fraction:
+        """The diagonal form of the module docstring, read off the
+        proximity data in O(rank + number of proximities).  Both
+        operands are scaled to integers first, so the sum runs on ints
+        and one Fraction is built at the end."""
         if other.model != self.model:
             raise ModelMismatch("classes live on different models")
-        g = self.model.gram_matrix()
-        n = self.model.rank
-        total = Fraction(0)
-        for i in range(n):
-            ci = self.coeffs[i]
-            if ci == 0:
-                continue
-            total += ci * sum(g[i][j] * other.coeffs[j] for j in range(n))
-        return total
+        dx, (a, b, *x) = _cleared(self.coeffs)
+        dy, (a2, b2, *y) = _cleared(other.coeffs)
+        total = -self.model.invariant_e * a * a2 + a * b2 + a2 * b
+        for j, pt in enumerate(self.model.exceptionals):
+            u = x[j] - sum(x[i] for i in pt.proximate_to)
+            v = y[j] - sum(y[i] for i in pt.proximate_to)
+            total -= u * v
+        return Fraction(total, dx * dy)
 
     def self_intersection(self) -> Fraction:
         return self.dot(self)
@@ -265,6 +225,12 @@ class DivisorClass:
     __rmul__ = scaled
 
 
+def _cleared(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """A common denominator d and the integers d * c."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
 def format_class(cls: DivisorClass) -> str:
     """The class as a signed sum over the basis names E, F, e0, e1, ..."""
     names = ["E", "F"] + [f"e{i}" for i in range(len(cls.coeffs) - 2)]
@@ -277,6 +243,14 @@ def format_class(cls: DivisorClass) -> str:
         body = name if mag == 1 else f"({mag}){name}"
         parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
     return " ".join(parts) if parts else "0"
+
+
+def boundary_sum(model: RuledModel, boundary) -> DivisorClass:
+    """B = sum of c C over the (class C, coefficient c) pairs."""
+    total = model.zero_class()
+    for cls, c in boundary:
+        total = total + cls.scaled(c)
+    return total
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> Fraction:

@@ -29,11 +29,11 @@ from .fibered import FiberedModel, minimality_audit, reduce_model
 from .lattice import (
     VIOLATED,
     DivisorClass,
+    PositivityVerdict,
     RuledModel,
+    boundary_sum,
     candidate_curve_constraints,
     certify_positivity,
-    contract_exceptional,
-    pushforward_contraction,
     riemann_roch_chi,
 )
 
@@ -76,10 +76,6 @@ class InconsistentScenario(ScenarioError):
 
 class PreconditionError(ScenarioError):
     """An operation was invoked outside its certified domain."""
-
-
-class ContractionRefused(ScenarioError):
-    """Contracting this curve would change sections of the divisor."""
 
 
 @dataclass(frozen=True)
@@ -209,30 +205,7 @@ class Scenario:
         return self.model.characteristic
 
     def boundary_class(self) -> DivisorClass:
-        total = self.model.zero_class()
-        for cls, c in self.boundary:
-            total = total + cls.scaled(c)
-        return total
-
-    def h_class(self) -> DivisorClass:
-        """H = D - (K + B), the ample polarization of the scenario."""
-        return (
-            self.divisor
-            - self.model.canonical_class()
-            - self.boundary_class()
-        )
-
-    def fiber_degree(self) -> Fraction:
-        if self.is_lattice:
-            return self.divisor.dot(self.model.fiber_class())
-        return Fraction(self.model.fiber_degree())
-
-    def h_fiber_degree(self) -> Fraction:
-        """H.F; for fiber trees this is D.F + 2 since K.F = -2 and the
-        boundary is empty."""
-        if self.is_lattice:
-            return self.h_class().dot(self.model.fiber_class())
-        return self.fiber_degree() + 2
+        return boundary_sum(self.model, self.boundary)
 
 
 def nu(d: DivisorClass) -> int:
@@ -288,20 +261,50 @@ def _classify_irregular_ruled(s: Scenario) -> str:
     return CASE_C
 
 
-def _negative_boundary(s: Scenario):
-    return [
+def _negative_boundary(s: Scenario) -> tuple:
+    return tuple(
         (cls, c) for cls, c in s.boundary if cls.self_intersection() < 0
-    ]
+    )
 
 
-def _require_case(s: Scenario, *labels: str) -> str:
-    label = classify(s)
-    if label not in labels:
-        raise PreconditionError(
-            f"operation applies to case {'/'.join(labels)}, scenario is"
-            f" {label}"
-        )
-    return label
+@dataclass(frozen=True)
+class Facts:
+    """What the routes read, derived once per ``decide`` call.
+
+    ``d_dot_f`` is the divisor's fiber degree.  The classes K, B and
+    H = D - K - B, the negative boundary components and the nef(D) and
+    ample(H) certificates exist on lattice scenarios only; the
+    certificates are None on blown-up lattices, where no positivity
+    rule applies.
+    """
+
+    label: str
+    d_dot_f: Fraction
+    k: DivisorClass | None = None
+    b: DivisorClass | None = None
+    h: DivisorClass | None = None
+    negative: tuple = ()
+    nef: PositivityVerdict | None = None
+    ample: PositivityVerdict | None = None
+
+
+def derive(s: Scenario, label: str) -> Facts:
+    if not s.is_lattice:
+        return Facts(label, Fraction(s.model.fiber_degree()))
+    model = s.model
+    k = model.canonical_class()
+    b = s.boundary_class()
+    h = s.divisor - k - b
+    return Facts(
+        label,
+        s.divisor.dot(model.fiber_class()),
+        k,
+        b,
+        h,
+        _negative_boundary(s),
+        _positivity_status(model, s.divisor, strict=False),
+        _positivity_status(model, h, strict=True),
+    )
 
 
 def _positivity_status(model: RuledModel, cls: DivisorClass, strict: bool):
@@ -313,9 +316,13 @@ def _positivity_status(model: RuledModel, cls: DivisorClass, strict: bool):
     return certify_positivity(model, cls, strict=strict)
 
 
-def case_a_chi(s: Scenario) -> Fraction:
+def _refuse_violated(status: PositivityVerdict | None, what: str) -> None:
+    if status is not None and status.status == VIOLATED:
+        raise PreconditionError(f"{what}: {status.note}")
+
+
+def case_a_decide(s: Scenario, f: Facts) -> Verdict:
     """chi(D) for a vanishing divisor class: chi(O), pinned to 1."""
-    _require_case(s, CASE_A)
     if s.q > 0:
         raise InconsistentScenario(
             "a vanishing nef divisor with ample polarization forces"
@@ -326,55 +333,54 @@ def case_a_chi(s: Scenario) -> Fraction:
             "irregularity 0 with negative Kodaira dimension forces"
             " chi(O) = 1"
         )
-    status = _positivity_status(s.model, s.h_class(), strict=True)
-    if status is not None and status.status == VIOLATED:
-        raise PreconditionError(
-            f"the polarization fails ampleness: {status.note}"
-        )
-    return Fraction(1)
+    _refuse_violated(f.ample, "the polarization fails ampleness")
+    return Verdict(
+        CASE_A,
+        GUARANTEED_M1,
+        {"rule": RULE_STRUCTURE_CHI, "chi": Fraction(1)},
+    )
 
 
-def case_b_chi(s: Scenario) -> Fraction:
-    """chi(D) = D.(H+B)/2 + chi(O) on the low-irregularity cases."""
-    _require_case(s, CASE_B_I, CASE_B_II)
-    if not s.is_lattice:
-        raise PreconditionError(
-            "the euler-characteristic route needs intersection data"
-        )
+def case_b_decide(s: Scenario, f: Facts) -> Verdict:
+    """chi(D) = D.(H+B)/2 + chi(O) on the low-irregularity cases;
+    sections exist once chi > 0 and nothing survives above.  The value
+    is cross-checked against the generic Riemann-Roch oracle."""
     if s.chi_o < 0:
         raise InconsistentScenario("these cases carry chi(O) >= 0")
-    nef = _positivity_status(s.model, s.divisor, strict=False)
-    if nef is not None and nef.status == VIOLATED:
-        raise PreconditionError(f"the divisor is not nef: {nef.note}")
-    amp = _positivity_status(s.model, s.h_class(), strict=True)
-    if amp is not None and amp.status == VIOLATED:
-        raise PreconditionError(
-            f"the polarization fails ampleness: {amp.note}"
-        )
-    chi = (
-        Fraction(1, 2)
-        * s.divisor.dot(s.h_class() + s.boundary_class())
-        + s.chi_o
-    )
+    _refuse_violated(f.nef, "the divisor is not nef")
+    _refuse_violated(f.ample, "the polarization fails ampleness")
+    chi = Fraction(1, 2) * s.divisor.dot(f.h + f.b) + s.chi_o
     if chi <= 0:
         raise InconsistentScenario(
             f"chi = {chi} cannot be nonpositive with these invariants"
         )
-    return chi
+    h2_vanishes(f.k, s.divisor, f.h)
+    oracle = riemann_roch_chi(s.model, s.divisor)
+    if oracle <= 0:
+        raise InconsistentScenario(
+            "positive chi failed to certify; the scenario data is"
+            " contradictory"
+        )
+    if oracle != chi:
+        raise InconsistentScenario(
+            f"the intersection formula gives chi = {chi}, riemann-roch"
+            f" gives {oracle}"
+        )
+    return Verdict(
+        f.label,
+        GUARANTEED_M1,
+        {
+            "rule": RULE_EULER_POSITIVE,
+            "chi": oracle,
+            "h2": "(K-D).H < 0",
+        },
+    )
 
 
-def h2_vanishes(s: Scenario) -> bool:
+def h2_vanishes(k: DivisorClass, d: DivisorClass, h: DivisorClass) -> bool:
     """Vanishing above the divisor, certified by (K-D).H < 0 against the
     ample polarization."""
-    if not s.is_lattice:
-        raise PreconditionError("needs intersection data")
-    h = s.h_class()
-    status = _positivity_status(s.model, h, strict=True)
-    if status is not None and status.status == VIOLATED:
-        raise PreconditionError(
-            f"the polarization fails ampleness: {status.note}"
-        )
-    value = (s.model.canonical_class() - s.divisor).dot(h)
+    value = (k - d).dot(h)
     if value >= 0:
         raise InconsistentScenario(
             f"(K-D).H = {value} must be negative when H is ample"
@@ -382,38 +388,24 @@ def h2_vanishes(s: Scenario) -> bool:
     return True
 
 
-def chi_positive_implies_h0(s: Scenario) -> Verdict | None:
-    """Sections exist once chi > 0 and nothing survives above."""
-    h2_vanishes(s)
-    chi = riemann_roch_chi(s.model, s.divisor)
-    if chi > 0:
-        return Verdict(
-            classify(s),
-            GUARANTEED_M1,
-            {
-                "rule": RULE_EULER_POSITIVE,
-                "chi": chi,
-                "h2": "(K-D).H < 0",
-            },
-        )
-    return None
-
-
-def fiber_threshold(s: Scenario) -> Verdict | None:
+def fiber_threshold(s: Scenario, f: Facts) -> Verdict | None:
     """Sections exist once the polarization meets a fiber in degree
-    above one."""
-    label = _require_case(s, CASE_C, CASE_C_M, CASE_CR)
-    hf = s.h_fiber_degree()
+    above one.  On fiber trees H.F = D.F + 2, since K.F = -2 and the
+    boundary is empty."""
+    if s.is_lattice:
+        hf = f.h.dot(s.model.fiber_class())
+    else:
+        hf = f.d_dot_f + 2
     if hf > 1:
         return Verdict(
-            label,
+            f.label,
             GUARANTEED_M1,
             {"rule": RULE_FIBER_THRESHOLD, "h_dot_f": hf},
         )
     return None
 
 
-def relatively_minimal_decide(s: Scenario) -> Verdict | None:
+def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
     """Certificate hunt on relatively minimal irregular ruled models.
 
     For e >= 0 the section-multiple part of the boundary is stripped
@@ -421,11 +413,6 @@ def relatively_minimal_decide(s: Scenario) -> Verdict | None:
     component can sit in the negative part of the cone, and that
     component routes into the chi product certificate.
     """
-    label = _require_case(s, CASE_C, CASE_C_M)
-    if not s.relatively_minimal:
-        raise PreconditionError("needs a relatively minimal scenario")
-    if not s.is_lattice:
-        raise PreconditionError("needs intersection data")
     model = s.model
     dvr = s.divisor
     if model.invariant_e >= 0:
@@ -433,10 +420,10 @@ def relatively_minimal_decide(s: Scenario) -> Verdict | None:
             (c for cls, c in s.boundary if cls == model.section_class()),
             Fraction(0),
         )
-        value = dvr.dot(model.fiber_class()) + 2 - a
+        value = f.d_dot_f + 2 - a
         if value > 1:
             return Verdict(
-                label,
+                f.label,
                 GUARANTEED_M1,
                 {
                     "rule": RULE_FIBER_THRESHOLD,
@@ -445,25 +432,23 @@ def relatively_minimal_decide(s: Scenario) -> Verdict | None:
                 },
             )
         return None
-    negative = _negative_boundary(s)
-    if len(negative) >= 2:
+    if len(f.negative) >= 2:
         raise InconsistentScenario(
             "two distinct negative curve classes cannot coexist on a"
             " rank-2 lattice: the fiber class would decompose through"
             " them"
         )
-    if not negative:
-        value = dvr.dot(model.fiber_class()) + 2
+    if not f.negative:
         return Verdict(
-            label,
+            f.label,
             GUARANTEED_M1,
             {
                 "rule": RULE_FIBER_THRESHOLD,
-                "h_dot_f": value,
+                "h_dot_f": f.d_dot_f + 2,
                 "stripped": "entire boundary (no negative component)",
             },
         )
-    (g_cls, c) = negative[0]
+    (g_cls, c) = f.negative[0]
     return chi_product_certificate(
         dvr.a,
         dvr.b,
@@ -542,92 +527,6 @@ def chi_product_certificate(
     )
 
 
-@dataclass(frozen=True)
-class ContractionOutcome:
-    model: RuledModel
-    boundary: tuple
-    divisor: DivisorClass
-    d: Fraction
-    nakai: str
-
-
-def contract_step(
-    model: RuledModel,
-    boundary: tuple,
-    divisor: DivisorClass,
-    l_class: DivisorClass,
-    declared_curves: tuple = (),
-) -> ContractionOutcome:
-    """Push the triple forward along the contraction of a (-1)-class the
-    divisor does not meet.
-
-    Returns the contracted model, boundary, divisor and the positive
-    degree d = -(K+B).l the boundary drops by.  Refuses classes meeting
-    the divisor: their sections differ downstairs.
-    """
-    if l_class.self_intersection() != -1:
-        raise PreconditionError("only (-1)-classes contract")
-    if model.canonical_class().dot(l_class) != -1:
-        raise PreconditionError("contraction needs K.l = -1")
-    if divisor.dot(l_class) != 0:
-        raise ContractionRefused(
-            f"the divisor meets the contracted curve in degree"
-            f" {divisor.dot(l_class)}; sections would not carry over"
-        )
-    b_total = model.zero_class()
-    for cls, c in boundary:
-        b_total = b_total + cls.scaled(c)
-    d = -(model.canonical_class() + b_total).dot(l_class)
-    if d <= 0:
-        raise InconsistentScenario(
-            f"d = -(K+B).l = {d} must be positive under an ample"
-            " polarization"
-        )
-    index = None
-    for i in range(len(model.exceptionals)):
-        if l_class == model.exceptional_class(i):
-            index = i
-            break
-    if index is None:
-        raise ContractionRefused(
-            "this presentation contracts basis exceptional classes only"
-        )
-    new_model = contract_exceptional(model, index)
-    new_boundary = []
-    for cls, c in boundary:
-        pushed = pushforward_contraction(model, cls, index)
-        if pushed.is_zero():
-            continue
-        new_boundary.append((pushed, c))
-    new_divisor = pushforward_contraction(model, divisor, index)
-    k_new = new_model.canonical_class()
-    b_new = new_model.zero_class()
-    for cls, c in new_boundary:
-        if not 0 < c < 1:
-            raise InconsistentScenario("boundary coefficient left (0,1)")
-        b_new = b_new + cls.scaled(c)
-    h_new = new_divisor - k_new - b_new
-    if h_new.self_intersection() <= 0:
-        raise InconsistentScenario(
-            "the contracted polarization lost positive self-intersection"
-        )
-    for cls in declared_curves:
-        pushed = pushforward_contraction(model, cls, index)
-        if not pushed.is_zero() and h_new.dot(pushed) <= 0:
-            raise InconsistentScenario(
-                "the contracted polarization fails against a declared"
-                " curve"
-            )
-    note = (
-        "certified relative to declared curves"
-        if declared_curves
-        else "self-intersection positive; no curves declared"
-    )
-    return ContractionOutcome(
-        new_model, tuple(new_boundary), new_divisor, d, note
-    )
-
-
 def low_fiber_degree_decide(model: FiberedModel) -> Verdict:
     """Sections exist at fiber degree 0 or 1: contract every
     divisor-trivial (-1)-component, observe the result is relatively
@@ -683,28 +582,21 @@ def doubling_bound(
     )
 
 
-def euler_bound_decide(s: Scenario) -> Verdict:
+def euler_bound_decide(s: Scenario, f: Facts) -> Verdict:
     """Doubling bound at fiber degree >= 2, with single-section upgrades
     when the canonical degree is declared nonpositive or the divisor
     has numerical dimension one."""
-    label = _require_case(s, CASE_C, CASE_C_M, CASE_CR)
-    if not s.is_lattice:
-        raise PreconditionError("needs intersection data")
-    a = s.fiber_degree()
-    if a < 2:
-        raise PreconditionError(
-            "lower fiber degrees use the contraction route"
-        )
+    a = f.d_dot_f
     dvr = s.divisor
     d_sq = dvr.self_intersection()
-    dhb = dvr.dot(s.h_class() + s.boundary_class())
+    dhb = dvr.dot(f.h + f.b)
     bound = doubling_bound(a, d_sq, dhb)
     if bound <= 0:
         raise InconsistentScenario(
             f"the doubling bound {bound} must be positive for nef data"
         )
     if s.kappa_minus_k_nonneg:
-        dk = dvr.dot(s.model.canonical_class())
+        dk = dvr.dot(f.k)
         if dk > 0:
             raise InconsistentScenario(
                 "the declared canonical hypothesis forces D.K <= 0,"
@@ -719,7 +611,7 @@ def euler_bound_decide(s: Scenario) -> Verdict:
                 f"chi lower bound {value} must be positive here"
             )
         return Verdict(
-            label,
+            f.label,
             GUARANTEED_M1,
             {
                 "rule": RULE_CANONICAL_SIGN,
@@ -733,7 +625,7 @@ def euler_bound_decide(s: Scenario) -> Verdict:
                 "D.(H+B) must be positive when D is nonzero and H ample"
             )
         return Verdict(
-            label,
+            f.label,
             GUARANTEED_M1,
             {
                 "rule": RULE_NU_ONE,
@@ -742,7 +634,7 @@ def euler_bound_decide(s: Scenario) -> Verdict:
             },
         )
     return Verdict(
-        label,
+        f.label,
         GUARANTEED_M2,
         {
             "rule": RULE_DOUBLING,
@@ -753,15 +645,12 @@ def euler_bound_decide(s: Scenario) -> Verdict:
 
 
 def decide(s: Scenario) -> Verdict:
-    """Classify, then walk the certificate catalogue in order."""
-    label = classify(s)
+    """Classify and derive the shared facts once, then walk the
+    certificate catalogue in order."""
+    f = derive(s, classify(s))
+    label = f.label
     if label == CASE_A:
-        chi = case_a_chi(s)
-        return Verdict(
-            CASE_A,
-            GUARANTEED_M1,
-            {"rule": RULE_STRUCTURE_CHI, "chi": chi},
-        )
+        return case_a_decide(s, f)
     if label in (CASE_B_I, CASE_B_II):
         if not s.is_lattice:
             return Verdict(
@@ -770,31 +659,19 @@ def decide(s: Scenario) -> Verdict:
                 {},
                 "no intersection data for the euler-characteristic route",
             )
-        chi = case_b_chi(s)
-        verdict = chi_positive_implies_h0(s)
-        if verdict is None:
-            raise InconsistentScenario(
-                "positive chi failed to certify; the scenario data is"
-                " contradictory"
-            )
-        if verdict.certificate["chi"] != chi:
-            raise InconsistentScenario(
-                f"the intersection formula gives chi = {chi}, riemann-roch"
-                f" gives {verdict.certificate['chi']}"
-            )
-        return verdict
+        return case_b_decide(s, f)
     if label in (CASE_C, CASE_C_M):
-        verdict = fiber_threshold(s)
+        verdict = fiber_threshold(s, f)
         if verdict is not None:
             return verdict
-        if not s.is_lattice and s.model.fiber_degree() <= 1:
+        if not s.is_lattice:
             return low_fiber_degree_decide(s.model)
         if s.relatively_minimal:
-            verdict = relatively_minimal_decide(s)
+            verdict = relatively_minimal_decide(s, f)
             if verdict is not None:
                 return verdict
-        if s.is_lattice and s.fiber_degree() >= 2:
-            return euler_bound_decide(s)
+        if f.d_dot_f >= 2:
+            return euler_bound_decide(s, f)
         return Verdict(
             label,
             UNDECIDED,

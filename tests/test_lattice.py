@@ -1,4 +1,4 @@
-"""Lattice layer: Gram matrices, canonical classes, positivity rules.
+"""Lattice layer: the intersection form, canonical classes, positivity rules.
 
 Expected numbers below were computed by hand (independent of the
 implementation) and are frozen; property loops use seeded randomness.
@@ -53,33 +53,66 @@ class TestGram:
 
     def test_free_points_are_orthogonal_minus_ones(self):
         m = RuledModel(5, 1, 1).blow_up().blow_up()
-        g = m.gram_matrix()
-        assert g[2][2] == g[3][3] == -1
-        assert g[2][3] == 0
+        e0, e1 = m.exceptional_class(0), m.exceptional_class(1)
+        assert e0.dot(e0) == e1.dot(e1) == -1
+        assert e0.dot(e1) == 0
 
     def test_proximity_chain_block(self):
         m = RuledModel(5, 1, 1).blow_up().blow_up([0])
-        g = m.gram_matrix()
-        assert g[2][2] == -2
-        assert g[3][3] == -1
-        assert g[2][3] == g[3][2] == 1
+        e0, e1 = m.exceptional_class(0), m.exceptional_class(1)
+        assert e0.dot(e0) == -2
+        assert e1.dot(e1) == -1
+        assert e0.dot(e1) == e1.dot(e0) == 1
 
     def test_satellite_point(self):
         # third point proximate to both earlier ones
         m = RuledModel(5, 1, 1).blow_up().blow_up([0]).blow_up([0, 1])
-        g = m.gram_matrix()
-        assert g[2][2] == -3
-        assert g[3][3] == -2
-        assert g[4][4] == -1
-        assert g[2][3] == 0  # the satellite separates the two transforms
-        assert g[2][4] == 1
-        assert g[3][4] == 1
+        e0, e1, e2 = (m.exceptional_class(i) for i in range(3))
+        assert e0.dot(e0) == -3
+        assert e1.dot(e1) == -2
+        assert e2.dot(e2) == -1
+        assert e0.dot(e1) == 0  # the satellite separates the two transforms
+        assert e0.dot(e2) == 1
+        assert e1.dot(e2) == 1
 
-    def test_signature_is_hyperbolic(self):
-        rng = random.Random(20260801)
-        for _ in range(120):
-            m = random_model(rng)
-            assert m.signature() == (1, m.rank - 1)
+    def test_dot_matches_the_gram_matrix(self):
+        # reference: Gram block -(M M^T), M unit upper triangular with
+        # M[i][j] = -1 when point j is proximate to point i
+        rng = random.Random(20260816)
+        for _ in range(200):
+            m = RuledModel(rng.choice([0, 2, 3]), rng.randrange(0, 4),
+                           rng.randrange(-4, 5))
+            for _ in range(rng.randrange(0, 39)):
+                k = len(m.exceptionals)
+                if k and rng.random() < 0.5:
+                    prox = [k - 1]  # chain, sometimes a satellite
+                    if k > 1 and rng.random() < 0.4:
+                        prox.append(rng.randrange(0, k - 1))
+                else:
+                    prox = [j for j in range(k) if rng.random() < 0.05]
+                m = m.blow_up(prox)
+            k = len(m.exceptionals)
+            mm = [[int(i == j) for j in range(k)] for i in range(k)]
+            for j, pt in enumerate(m.exceptionals):
+                for i in pt.proximate_to:
+                    mm[i][j] = -1
+            gram = [[0] * m.rank for _ in range(m.rank)]
+            gram[0][0] = -m.invariant_e
+            gram[0][1] = gram[1][0] = 1
+            for i in range(k):
+                for j in range(k):
+                    gram[2 + i][2 + j] = -sum(
+                        mm[i][l] * mm[j][l] for l in range(k)
+                    )
+            x, y = (m.divisor(*(
+                Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
+                for _ in range(m.rank)
+            )) for _ in range(2))
+            want = sum(
+                x.coeffs[i] * gram[i][j] * y.coeffs[j]
+                for i in range(m.rank) for j in range(m.rank)
+            )
+            assert x.dot(y) == want
 
     def test_proximity_must_be_earlier(self):
         with pytest.raises(LatticeError):
@@ -360,6 +393,23 @@ class TestTransforms:
             xd = pushforward_contraction(m, x, i)
             yd = pushforward_contraction(m, y, i)
             assert xd.dot(yd) == x.dot(y) + x.dot(l) * y.dot(l)
+
+    def test_pushforward_product_identity(self):
+        rng = random.Random(20260814)
+        model = RuledModel(5, 2, -1).blow_up().blow_up()
+        for _ in range(100):
+            c1 = model.divisor(
+                *(rng.randrange(-4, 5) for _ in range(model.rank))
+            )
+            c2 = model.divisor(
+                *(rng.randrange(-4, 5) for _ in range(model.rank))
+            )
+            l_cls = model.exceptional_class(1)
+            p1 = pushforward_contraction(model, c1, 1)
+            p2 = pushforward_contraction(model, c2, 1)
+            assert p1.dot(p2) - c1.dot(c2) == c1.dot(l_cls) * c2.dot(
+                l_cls
+            )
 
     def test_contraction_reindexes_proximity(self):
         m = RuledModel(5, 1, 1).blow_up().blow_up().blow_up([1])

@@ -1,4 +1,4 @@
-"""Decision engine: classification, certificates, contraction calculus.
+"""Decision engine: classification, certificates and the routes of decide.
 
 Worked numbers are frozen from hand calculations on the rank-2 lattice;
 the chi product and euler bounds are cross-checked against the generic
@@ -18,11 +18,7 @@ from svlab.fibered import (
     FiberTree,
     component,
 )
-from svlab.lattice import (
-    RuledModel,
-    pushforward_contraction,
-    riemann_roch_chi,
-)
+from svlab.lattice import RuledModel, riemann_roch_chi
 from svlab.nonvanish import (
     CASE_A,
     CASE_B_I,
@@ -44,25 +40,17 @@ from svlab.nonvanish import (
     RULE_STRUCTURE_CHI,
     RULED,
     UNDECIDED,
-    ContractionRefused,
     InconsistentScenario,
     InvalidScenario,
     PreconditionError,
     Scenario,
-    case_a_chi,
-    case_b_chi,
-    chi_positive_implies_h0,
     chi_product_certificate,
     classify,
-    contract_step,
     decide,
     doubling_bound,
-    euler_bound_decide,
-    fiber_threshold,
     h2_vanishes,
     low_fiber_degree_decide,
     nu,
-    relatively_minimal_decide,
 )
 
 KV_MODEL = RuledModel(3, 4, -2)
@@ -224,7 +212,6 @@ class TestCaseA:
     def test_del_pezzo_structure_sheaf(self):
         m = RuledModel(3, 0, 1)
         s = ruled_scenario(m, m.zero_class())
-        assert case_a_chi(s) == 1
         v = decide(s)
         assert v.result == GUARANTEED_M1
         assert v.certificate["rule"] == RULE_STRUCTURE_CHI
@@ -234,7 +221,7 @@ class TestCaseA:
         m = RuledModel(3, 1, 1)
         s = ruled_scenario(m, m.zero_class())
         with pytest.raises(InconsistentScenario, match="irregularity"):
-            case_a_chi(s)
+            decide(s)
 
     def test_wrong_chi_is_inconsistent(self):
         m = RuledModel(2, 0, 0, (), 2)
@@ -242,14 +229,14 @@ class TestCaseA:
             m, m.zero_class(), kodaira=0, q=0, relatively_minimal=True
         )
         with pytest.raises(InconsistentScenario, match="chi"):
-            case_a_chi(s)
+            decide(s)
 
     def test_polarization_must_pass_ampleness(self):
         # e = 2: -K meets the section in degree 0, ample fails
         m = RuledModel(3, 0, 2)
         s = ruled_scenario(m, m.zero_class())
         with pytest.raises(PreconditionError, match="ample"):
-            case_a_chi(s)
+            decide(s)
 
 
 class TestCaseB:
@@ -258,7 +245,7 @@ class TestCaseB:
         s = ruled_scenario(
             m, m.fiber_class(), kodaira=0, q=0, relatively_minimal=True
         )
-        assert case_b_chi(s) == 2
+        assert decide(s).certificate["chi"] == 2
 
     def test_decide_rational_stand_in(self):
         m = RuledModel(2, 0, 0)
@@ -291,23 +278,24 @@ class TestCaseB:
         assert v.certificate["chi"] == 1
 
     def test_zero_divisor_belongs_to_case_a(self):
+        # q = 1 would fit case B_II; the vanishing divisor takes case A,
+        # whose irregularity check refuses the data
         m = RuledModel(3, 1, 0)
         s = ruled_scenario(m, m.zero_class())
-        with pytest.raises(PreconditionError, match="case"):
-            case_b_chi(s)
-
-    def test_case_mismatch_rejected(self):
-        m = RuledModel(3, 4, -2, (), -1)
-        s = ruled_scenario(m, m.fiber_class(), kodaira=1, chi_o=-1, q=3)
-        with pytest.raises(PreconditionError, match="case"):
-            case_b_chi(s)
+        assert classify(s) == CASE_A
+        with pytest.raises(InconsistentScenario, match="irregularity"):
+            decide(s)
 
 
 class TestH2Vanishing:
     def test_half_curve_package(self):
-        assert h2_vanishes(kv_scenario())
+        s = kv_scenario()
+        k = KV_MODEL.canonical_class()
+        assert h2_vanishes(k, s.divisor, s.divisor - k - s.boundary_class())
 
     def test_canonical_divisor_boundary(self):
+        # D = K sits on the boundary (K-D).H = 0; the route refuses it
+        # before that comparison, and refuses a non-ample H as well
         m = RuledModel(2, 0, 0)
         s = ruled_scenario(
             m,
@@ -316,43 +304,57 @@ class TestH2Vanishing:
             q=0,
             relatively_minimal=True,
         )
+        with pytest.raises(PreconditionError, match="not nef"):
+            decide(s)
+        heavy = ruled_scenario(
+            m,
+            m.fiber_class(),
+            boundary=((m.divisor(4), Fraction(3, 4)),),
+            kodaira=0,
+            q=0,
+            relatively_minimal=True,
+        )
         with pytest.raises(PreconditionError, match="ample"):
-            h2_vanishes(s)
+            decide(heavy)
 
     def test_certificate_feeds_sections(self):
         m = RuledModel(2, 0, 0)
         s = ruled_scenario(
             m, m.divisor(1, 1), kodaira=0, q=0, relatively_minimal=True
         )
-        v = chi_positive_implies_h0(s)
-        assert v is not None and v.result == GUARANTEED_M1
+        v = decide(s)
+        assert v.result == GUARANTEED_M1
+        assert v.certificate["h2"] == "(K-D).H < 0"
 
 
 class TestFiberThreshold:
     def test_empty_boundary_fires(self):
         s = kv_scenario(boundary=())
-        v = fiber_threshold(s)
+        v = decide(s)
         assert v.result == GUARANTEED_M1
+        assert v.certificate["rule"] == RULE_FIBER_THRESHOLD
         assert v.certificate["h_dot_f"] == 2
 
     def test_fractional_margin(self):
         s = kv_scenario(
             boundary=((KV_MODEL.section_class(), Fraction(1, 2)),)
         )
-        v = fiber_threshold(s)
+        v = decide(s)
+        assert v.certificate["rule"] == RULE_FIBER_THRESHOLD
         assert v.certificate["h_dot_f"] == Fraction(3, 2)
 
     def test_boundary_value_one_passes_through(self):
+        # H.F = 1 fails the threshold; the stripping route certifies
         s = kv_scenario(
             boundary=(
                 (KV_MODEL.section_class(), Fraction(1, 2)),
                 (KV_MODEL.divisor(1, 1), Fraction(1, 2)),
             )
         )
-        assert fiber_threshold(s) is None
+        assert "stripped" in decide(s).certificate
 
     def test_half_curve_package_passes_through(self):
-        assert fiber_threshold(kv_scenario()) is None
+        assert decide(kv_scenario()).certificate["rule"] == RULE_CHI_PRODUCT
 
 
 class TestRelativelyMinimal:
@@ -366,12 +368,10 @@ class TestRelativelyMinimal:
                 (m.divisor(1, 2), Fraction(1, 2)),
             ),
         )
-        assert fiber_threshold(s) is None
-        v = relatively_minimal_decide(s)
+        v = decide(s)
         assert v.result == GUARANTEED_M1
         assert v.certificate["h_dot_f"] == Fraction(3, 2)
         assert "section" in v.certificate["stripped"]
-        assert decide(s) == v
 
     def test_negative_invariant_without_negative_boundary(self):
         s = kv_scenario(
@@ -380,8 +380,7 @@ class TestRelativelyMinimal:
                 (KV_MODEL.divisor(1, 1), Fraction(3, 4)),
             )
         )
-        assert fiber_threshold(s) is None
-        v = relatively_minimal_decide(s)
+        v = decide(s)
         assert v.certificate["h_dot_f"] == 2
         assert "no negative" in v.certificate["stripped"]
 
@@ -396,10 +395,19 @@ class TestRelativelyMinimal:
             decide(s)
 
     def test_requires_minimality(self):
-        m = KV_MODEL.blow_up()
-        s = ruled_scenario(m, m.divisor(0, 6, 0))
-        with pytest.raises(PreconditionError, match="minimal"):
-            relatively_minimal_decide(s)
+        # the stripping data of test_strip_section_multiples, blown up
+        m = RuledModel(3, 2, 1).blow_up()
+        s = ruled_scenario(
+            m,
+            m.fiber_class(),
+            boundary=(
+                (m.section_class(), Fraction(1, 2)),
+                (m.divisor(1, 2), Fraction(1, 2)),
+            ),
+        )
+        v = decide(s)
+        assert v.result == UNDECIDED
+        assert "fiber-tree" in v.reason
 
 
 class TestChiProduct:
@@ -473,87 +481,6 @@ class TestChiProduct:
         assert successes >= 1000
 
 
-class TestContractStep:
-    def setup_method(self):
-        self.blown = RuledModel(3, 0, 0).blow_up()
-        self.l0 = self.blown.exceptional_class(0)
-
-    def test_divisor_positive_curve_refused(self):
-        strict_fiber = self.blown.divisor(0, 1, -1)
-        with pytest.raises(ContractionRefused, match="sections"):
-            contract_step(self.blown, (), strict_fiber, self.l0)
-
-    def test_pure_drop_is_one(self):
-        out = contract_step(
-            self.blown, (), self.blown.fiber_class(), self.l0
-        )
-        assert out.d == 1
-        assert out.model.is_pure
-        assert out.divisor == out.model.fiber_class()
-
-    def test_fractional_drop(self):
-        boundary = ((self.blown.divisor(0, 1, -1), Fraction(3, 4)),)
-        out = contract_step(
-            self.blown, boundary, self.blown.fiber_class(), self.l0
-        )
-        assert out.d == Fraction(1, 4)
-        assert out.boundary == (
-            (out.model.fiber_class(), Fraction(3, 4)),
-        )
-
-    def test_boundary_component_on_the_curve_drops_out(self):
-        boundary = ((self.l0, Fraction(1, 2)),)
-        out = contract_step(
-            self.blown, boundary, self.blown.fiber_class(), self.l0
-        )
-        assert out.boundary == ()
-        assert out.d == Fraction(3, 2)
-
-    def test_declared_curves_recertified(self):
-        out = contract_step(
-            self.blown,
-            (),
-            self.blown.fiber_class(),
-            self.l0,
-            declared_curves=(self.blown.divisor(0, 1, -1),),
-        )
-        assert "declared curves" in out.nakai
-
-    def test_non_basis_class_refused(self):
-        l_class = self.blown.divisor(0, 1, -1)
-        assert l_class.self_intersection() == -1
-        with pytest.raises(ContractionRefused, match="basis"):
-            contract_step(
-                self.blown, (), self.blown.divisor(0, 2, 0), l_class
-            )
-
-    def test_non_exceptional_class_rejected(self):
-        with pytest.raises(PreconditionError, match="contract"):
-            contract_step(
-                self.blown,
-                (),
-                self.blown.fiber_class(),
-                self.blown.section_class(),
-            )
-
-    def test_pushforward_product_identity(self):
-        rng = random.Random(20260814)
-        model = RuledModel(5, 2, -1).blow_up().blow_up()
-        for _ in range(100):
-            c1 = model.divisor(
-                *(rng.randrange(-4, 5) for _ in range(model.rank))
-            )
-            c2 = model.divisor(
-                *(rng.randrange(-4, 5) for _ in range(model.rank))
-            )
-            l_cls = model.exceptional_class(1)
-            p1 = pushforward_contraction(model, c1, 1)
-            p2 = pushforward_contraction(model, c2, 1)
-            assert p1.dot(p2) - c1.dot(c2) == c1.dot(l_cls) * c2.dot(
-                l_cls
-            )
-
-
 class TestLowFiberDegree:
     def test_contraction_trace_certificate(self):
         tree = blow_up_on_edge(
@@ -595,6 +522,15 @@ class TestEulerBound:
     def scenario(self, divisor, **overrides):
         return ruled_scenario(self.model, divisor, **overrides)
 
+    def heavy(self, divisor, **overrides):
+        """A boundary of fiber degree 3 keeps H.F <= 1, so decide passes
+        the threshold by; D.(H+B) = D.(D-K) does not see it."""
+        return self.scenario(
+            divisor,
+            boundary=((self.model.divisor(4, 0, 0), Fraction(3, 4)),),
+            **overrides,
+        )
+
     def test_bound_formula_frozen(self):
         assert doubling_bound(2, 4, 1) == Fraction(15, 4)
 
@@ -614,29 +550,26 @@ class TestEulerBound:
             )
 
     def test_declared_canonical_sign_upgrades(self):
-        s = self.scenario(
+        s = self.heavy(
             self.model.divisor(2, 3, -2), kappa_minus_k_nonneg=True
         )
-        v = euler_bound_decide(s)
+        v = decide(s)
         assert v.result == GUARANTEED_M1
         assert v.certificate["rule"] == RULE_CANONICAL_SIGN
         assert v.certificate["chi_lower_bound"] == 3
         assert v.certificate["doubling_bound"] == 15
 
     def test_numerical_dimension_one_upgrades(self):
-        s = self.scenario(self.model.divisor(2, 9, -6))
+        s = self.heavy(self.model.divisor(2, 9, -6))
         assert nu(s.divisor) == 1
-        v = euler_bound_decide(s)
+        v = decide(s)
         assert v.result == GUARANTEED_M1
         assert v.certificate["rule"] == RULE_NU_ONE
         assert v.certificate["d_dot_h_plus_b"] == 8
         assert v.certificate["doubling_bound"] == 10
 
     def test_decide_reaches_the_doubling_bound(self):
-        s = self.scenario(
-            self.model.divisor(2, 3, -2),
-            boundary=((self.model.divisor(4, 0, 0), Fraction(3, 4)),),
-        )
+        s = self.heavy(self.model.divisor(2, 3, -2))
         v = decide(s)
         assert (v.case_label, v.result) == (CASE_C, GUARANTEED_M2)
         assert v.certificate["rule"] == RULE_DOUBLING
@@ -644,11 +577,11 @@ class TestEulerBound:
         assert v.certificate["fiber_degree"] == 2
 
     def test_canonical_flag_contradicted_by_degree(self):
-        s = self.scenario(
+        s = self.heavy(
             self.model.divisor(2, 1, 0), kappa_minus_k_nonneg=True
         )
         with pytest.raises(InconsistentScenario, match="D.K"):
-            euler_bound_decide(s)
+            decide(s)
 
     def test_low_degree_without_trees_is_undecided(self):
         s = self.scenario(
@@ -763,6 +696,19 @@ class TestDecideDiscipline:
                 or cert.get("chi_lower_bound", 0) > 0
                 or cert.get("d_dot_h_plus_b", 0) > 0
             )
+
+    def test_one_classify_per_decide(self, monkeypatch):
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return classify(s)
+
+        monkeypatch.setattr("svlab.nonvanish.classify", counting)
+        for s in corpus():
+            calls.clear()
+            decide(s)
+            assert len(calls) == 1
 
     def test_boundary_order_immaterial(self):
         s1 = kv_scenario(

@@ -47,6 +47,13 @@ class TestSeriesRing:
         with pytest.raises(PrecisionError):
             s.coefficient(4)
 
+    def test_window_below_the_valuation_is_empty(self):
+        s = LaurentSeries.make(5, 5, [1, 2, 3, 4], 3)
+        assert not s.known_nonzero()
+        assert s.truncation == 3
+        with pytest.raises(PrecisionError):
+            s.coefficient(5)
+
     def test_mul_precision_rule(self):
         p = 5
         a = LaurentSeries.make(p, -2, [1, 1], 3)   # O(t^3)
