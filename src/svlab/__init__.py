@@ -1,130 +1,49 @@
 """svlab: exact-arithmetic verification toolkit for positivity and
-non-vanishing questions on ruled surfaces in small characteristic."""
+non-vanishing questions on ruled surfaces in small characteristic.
+
+The names below are imported from their layer on first access, so
+``import svlab`` loads no layer."""
+
+from .lazy import lazy_getattr
 
 __version__ = "0.1.0"
 
-from .charpcurve import (
-    ArtinSchreier,
-    Hyperelliptic,
-    TangoCertificate,
-    TangoPlane,
-    certify_tango,
-)
-from .construct import (
-    CounterexamplePackage,
-    PackageError,
-    PackageVerification,
-    build_package,
-    build_surface,
-    disjoint_multisection,
-    h1_lower_bound_audit,
-    verify_package,
-)
-from .fibered import (
-    FiberComponent,
-    FiberTree,
-    FiberTreeError,
-    FiberedModel,
-    MinimalityAudit,
-    blow_up_on_component,
-    blow_up_on_edge,
-    component,
-    contract_component,
-    minimality_audit,
-    reduce_model,
-    reduce_tree,
-)
-from .kltcalc import (
-    ArrangementError,
-    BlowupRecord,
-    ClusterArrangement,
-    ClusterNode,
-    WeightedBranch,
-    blowup_step,
-    is_klt,
-    snc_klt_shortcut,
-)
-from .lattice import (
-    BlowupPoint,
-    DivisorClass,
-    LatticeError,
-    ModelMismatch,
-    PositivityVerdict,
-    RuledModel,
-    UnsupportedRegime,
-    adjunction_pa,
-    candidate_curve_constraints,
-    certify_positivity,
-    contract_exceptional,
-    intersect,
-    pullback_blowup,
-    pushforward_contraction,
-    riemann_roch_chi,
-)
-from .nonvanish import (
-    InconsistentScenario,
-    InvalidScenario,
-    Scenario,
-    ScenarioError,
-    Verdict,
-    classify,
-    decide,
-)
+_LAYERS = {
+    ".charpcurve": (
+        "ArtinSchreier", "Hyperelliptic", "TangoCertificate", "TangoPlane",
+        "certify_tango",
+    ),
+    ".construct": (
+        "CounterexamplePackage", "PackageError", "PackageVerification",
+        "build_package", "build_surface", "disjoint_multisection",
+        "h1_lower_bound_audit", "verify_package",
+    ),
+    ".fibered": (
+        "FiberComponent", "FiberTree", "FiberTreeError", "FiberedModel",
+        "MinimalityAudit", "blow_up_on_component", "blow_up_on_edge",
+        "component", "contract_component", "minimality_audit",
+        "reduce_model", "reduce_tree",
+    ),
+    ".kltcalc": (
+        "ArrangementError", "BlowupRecord", "ClusterArrangement",
+        "ClusterNode", "WeightedBranch", "blowup_step", "is_klt",
+        "snc_klt_shortcut",
+    ),
+    ".lattice": (
+        "BlowupPoint", "DivisorClass", "LatticeError", "ModelMismatch",
+        "PositivityVerdict", "RuledModel", "UnsupportedRegime",
+        "adjunction_pa", "candidate_curve_constraints",
+        "certify_positivity", "contract_exceptional", "intersect",
+        "pullback_blowup", "pushforward_contraction", "riemann_roch_chi",
+    ),
+    ".nonvanish": (
+        "InconsistentScenario", "InvalidScenario", "Scenario",
+        "ScenarioError", "Verdict", "classify", "decide",
+    ),
+}
 
-__all__ = [
-    "ArrangementError",
-    "ArtinSchreier",
-    "BlowupPoint",
-    "BlowupRecord",
-    "ClusterArrangement",
-    "ClusterNode",
-    "CounterexamplePackage",
-    "DivisorClass",
-    "FiberComponent",
-    "FiberTree",
-    "FiberTreeError",
-    "FiberedModel",
-    "Hyperelliptic",
-    "InconsistentScenario",
-    "InvalidScenario",
-    "LatticeError",
-    "MinimalityAudit",
-    "ModelMismatch",
-    "PackageError",
-    "PackageVerification",
-    "PositivityVerdict",
-    "RuledModel",
-    "Scenario",
-    "ScenarioError",
-    "TangoCertificate",
-    "TangoPlane",
-    "UnsupportedRegime",
-    "Verdict",
-    "WeightedBranch",
-    "adjunction_pa",
-    "blow_up_on_component",
-    "blow_up_on_edge",
-    "blowup_step",
-    "build_package",
-    "build_surface",
-    "candidate_curve_constraints",
-    "certify_positivity",
-    "certify_tango",
-    "classify",
-    "component",
-    "contract_component",
-    "contract_exceptional",
-    "decide",
-    "disjoint_multisection",
-    "h1_lower_bound_audit",
-    "intersect",
-    "is_klt",
-    "minimality_audit",
-    "pullback_blowup",
-    "pushforward_contraction",
-    "reduce_model",
-    "reduce_tree",
-    "riemann_roch_chi",
-    "snc_klt_shortcut",
-    "verify_package",
-]
+_SOURCES = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_SOURCES)
+
+__getattr__ = lazy_getattr(globals(), _SOURCES)

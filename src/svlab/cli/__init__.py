@@ -1,5 +1,9 @@
-"""Request documents in, check reports out."""
+"""Request documents in, check reports out.
 
+The sweep names are imported on first access, so a command other than
+``sweep`` never loads the sweep or its process pool."""
+
+from ..lazy import lazy_getattr
 from .main import build_parser, main
 from .report import (
     FAIL,
@@ -12,7 +16,6 @@ from .report import (
     render_text,
 )
 from .schema import SchemaError, load_document
-from .sweep import SweepEntry, SweepRequest, run_sweep, summarize
 
 __all__ = [
     "FAIL",
@@ -32,3 +35,8 @@ __all__ = [
     "run_sweep",
     "summarize",
 ]
+
+__getattr__ = lazy_getattr(globals(), {
+    name: ".sweep"
+    for name in ("SweepEntry", "SweepRequest", "run_sweep", "summarize")
+})

@@ -9,11 +9,8 @@ never made it past parsing or validation.
 import argparse
 import sys
 
-from ..charpcurve.families import certify_tango
-from ..construct import build_package, verify_package
-from ..kltcalc import is_klt
 from ..lattice import format_class
-from ..nonvanish import classify, decide
+from ..lazy import lazy_getattr
 from . import schema
 from .report import (
     FAIL,
@@ -24,12 +21,19 @@ from .report import (
     render_machine,
     render_text,
 )
-from .sweep import (
-    CERTIFIED_ENTRY,
-    SKIPPED_ENTRY,
-    run_sweep,
-    summarize,
-)
+
+# Each layer entry point is imported on first access, so a command loads
+# only its own layer.  The commands call them through ``_this``, the
+# module itself, so a rebinding of the module attribute takes effect.
+__getattr__ = lazy_getattr(globals(), {
+    "certify_tango": "..charpcurve.families",
+    "build_package": "..construct",
+    "verify_package": "..construct",
+    "is_klt": "..kltcalc",
+    "classify": "..nonvanish",
+    "decide": "..nonvanish",
+})
+_this = sys.modules[__name__]
 
 
 def _read(path: str | None) -> str:
@@ -43,8 +47,8 @@ def cmd_classify(args) -> Report:
     data = schema.load_document(_read(args.in_path))
     schema.require_request(data, "classify")
     scenario = schema.scenario_from_document(data)
-    label = classify(scenario)
-    verdict = decide(scenario)
+    label = _this.classify(scenario)
+    verdict = _this.decide(scenario)
     detail = [("result", verdict.result)]
     if verdict.reason:
         detail.append(("reason", verdict.reason))
@@ -69,7 +73,7 @@ def cmd_klt(args) -> Report:
     data = schema.load_document(_read(args.in_path))
     schema.require_request(data, "klt")
     arrangement = schema.arrangement_from_document(data)
-    verdict, trace = is_klt(arrangement)
+    verdict, trace = _this.is_klt(arrangement)
     lines = [check(
         "arrangement", PASS,
         ("branches", len(arrangement.branches)),
@@ -108,7 +112,8 @@ def _family_from_args(args, request: str):
         )
     if args.p is None:
         raise schema.SchemaError("family flags need --p")
-    return schema.family_from_fields(args.family, args.p, args.h)
+    p = schema.characteristic(args.p, "--p")
+    return schema.family_from_fields(args.family, p, args.h)
 
 
 def cmd_tango(args) -> Report:
@@ -117,7 +122,7 @@ def cmd_tango(args) -> Report:
         schema.family_from_document(source)
         if isinstance(source, dict) else source
     )
-    cert = certify_tango(family)
+    cert = _this.certify_tango(family)
     fam_doc = schema.family_document(family)
     family_detail = [("kind", fam_doc["kind"]), ("p", fam_doc["p"])]
     if "h" in fam_doc:
@@ -150,7 +155,7 @@ def cmd_tango(args) -> Report:
 
 
 def _package_lines(pkg) -> tuple:
-    verification = verify_package(pkg)
+    verification = _this.verify_package(pkg)
     fam_doc = schema.family_document(pkg.certificate.family)
     head = [("kind", pkg.kind), ("family", fam_doc["kind"]),
             ("p", fam_doc["p"])]
@@ -210,8 +215,8 @@ def cmd_construct(args) -> Report:
             raise schema.SchemaError("this command needs --kind")
         kind = args.kind
         allow = args.allow_asserted
-    cert = certify_tango(family)
-    pkg = build_package(kind, cert, allow_asserted=allow)
+    cert = _this.certify_tango(family)
+    pkg = _this.build_package(kind, cert, allow_asserted=allow)
     if args.emit is not None:
         doc = schema.package_to_document(pkg)
         with open(args.emit, "w", encoding="utf-8") as fh:
@@ -227,6 +232,8 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_sweep(args) -> Report:
+    from .sweep import CERTIFIED_ENTRY, SKIPPED_ENTRY, run_sweep, summarize
+
     data = schema.load_document(_read(args.in_path))
     schema.require_request(data, "sweep")
     request = schema.sweep_from_document(data)

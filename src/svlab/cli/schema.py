@@ -5,31 +5,36 @@ every object lists its admissible keys and anything else is rejected,
 so a typo never silently changes meaning.  Rationals travel as
 "num/den" strings (or bare integers strings); decimal literals are
 refused outright.
+
+Each document kind imports the layer it builds inside the functions
+that build it, so parsing a document loads only that layer.
 """
+
+from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from ..charpcurve.families import (
-    ArtinSchreier,
-    Hyperelliptic,
-    TangoCertificate,
-    TangoPlane,
-    certify_tango,
-)
-from ..construct import KINDS, CounterexamplePackage
-from ..kltcalc import (
-    EXCEPTIONAL,
-    ORIGINAL,
-    ClusterArrangement,
-    ClusterNode,
-    WeightedBranch,
-)
 from ..lattice import DivisorClass, RuledModel
-from ..nonvanish import RULED, Scenario
+from ..lazy import lazy_getattr
 from .report import FORMAT_VERSION
-from .sweep import SweepRequest
+
+if TYPE_CHECKING:
+    from ..charpcurve.families import TangoCertificate
+    from ..construct import CounterexamplePackage
+    from ..kltcalc import ClusterArrangement
+    from ..nonvanish import Scenario
+    from .sweep import SweepRequest
+
+# certify_tango resolves on first access and is called through the
+# module, as in ``main``
+__getattr__ = lazy_getattr(globals(), {
+    "certify_tango": "..charpcurve.families",
+})
+_this = sys.modules[__name__]
 
 REQUESTS = ("classify", "klt", "tango", "construct", "verify-package",
             "sweep")
@@ -81,6 +86,20 @@ def _int(value, where):
     return value
 
 
+# Primality is settled by trial division, so the cap keeps a huge p from
+# hanging the tool; "small characteristic" is the toolkit's whole domain.
+MAX_CHARACTERISTIC = 2 ** 16
+
+
+def characteristic(value, where):
+    p = _int(value, where)
+    if p >= MAX_CHARACTERISTIC:
+        raise SchemaError(
+            f"{where}: expected a characteristic below {MAX_CHARACTERISTIC}"
+        )
+    return p
+
+
 def _bool(value, where):
     if not isinstance(value, bool):
         raise SchemaError(f"{where}: expected true or false")
@@ -112,6 +131,8 @@ def _coeffs(value, where):
 
 
 def _kodaira(value, where):
+    from ..nonvanish import RULED
+
     if value == "-inf":
         return RULED
     if isinstance(value, bool) or not isinstance(value, int):
@@ -148,7 +169,7 @@ def require_request(data: dict, expected: str) -> None:
 
 def _model_fields(value, where):
     return _object(value, where, {
-        "p": _int,
+        "p": characteristic,
         "genus": _int,
         "e": _int,
     }, {
@@ -183,6 +204,8 @@ def _boundary_entry(value, where):
 
 
 def scenario_from_document(data: dict) -> Scenario:
+    from ..nonvanish import Scenario
+
     top = _object(data, "document", {
         "format": _string,
         "request": _string,
@@ -225,6 +248,8 @@ def scenario_from_document(data: dict) -> Scenario:
 
 
 def _branch(value, where):
+    from ..kltcalc import EXCEPTIONAL, ORIGINAL, WeightedBranch
+
     fields = _object(value, where, {
         "id": _string,
         "coefficient": parse_rational,
@@ -240,6 +265,8 @@ def _branch(value, where):
 
 
 def _cluster(value, where):
+    from ..kltcalc import ClusterNode
+
     fields = _object(value, where, {
         "branches": _list_of(_string),
     }, {
@@ -250,6 +277,8 @@ def _cluster(value, where):
 
 
 def arrangement_from_document(data: dict) -> ClusterArrangement:
+    from ..kltcalc import ClusterArrangement
+
     top = _object(data, "document", {
         "format": _string,
         "request": _string,
@@ -268,6 +297,8 @@ _FAMILY_KINDS = ("hyperelliptic", "artinschreier", "tangoplane")
 
 
 def family_from_fields(kind: str, p: int, h):
+    from ..charpcurve.families import ArtinSchreier, Hyperelliptic, TangoPlane
+
     if kind == "hyperelliptic":
         if h is None:
             raise SchemaError("hyperelliptic needs h")
@@ -289,7 +320,7 @@ def family_from_fields(kind: str, p: int, h):
 def _family(value, where):
     fields = _object(value, where, {
         "kind": _string,
-        "p": _int,
+        "p": characteristic,
     }, {
         "h": (_nullable(_int), None),
     })
@@ -306,6 +337,8 @@ def family_from_document(data: dict):
 
 
 def construct_from_document(data: dict):
+    from ..construct import KINDS
+
     top = _object(data, "document", {
         "format": _string,
         "request": _string,
@@ -329,11 +362,13 @@ def _range(value, where):
 
 
 def sweep_from_document(data: dict) -> SweepRequest:
+    from .sweep import SweepRequest
+
     top = _object(data, "document", {
         "format": _string,
         "request": _string,
         "model": lambda v, w: _object(v, w, {
-            "p": _int, "genus": _int, "e": _int,
+            "p": characteristic, "genus": _int, "e": _int,
         }),
         "box": lambda v, w: _object(v, w, {
             "a": _range, "b": _range,
@@ -359,6 +394,8 @@ def sweep_from_document(data: dict) -> SweepRequest:
 
 
 def family_document(family) -> dict:
+    from ..charpcurve.families import ArtinSchreier, Hyperelliptic
+
     if isinstance(family, Hyperelliptic):
         return {"kind": "hyperelliptic", "p": family.p, "h": family.h}
     if isinstance(family, ArtinSchreier):
@@ -382,6 +419,8 @@ def _certificate_document(cert: TangoCertificate) -> dict:
 
 
 def _certificate(value, where) -> TangoCertificate:
+    from ..charpcurve.families import TangoCertificate
+
     fields = _object(value, where, {
         "family": _family,
         "witness": _string,
@@ -416,7 +455,7 @@ def _certificate(value, where) -> TangoCertificate:
     # Certificates are cheap to recompute, so a stored one is never
     # trusted: any drift from the family's own numbers is a bad input,
     # not a failed check.
-    if cert != certify_tango(cert.family):
+    if cert != _this.certify_tango(cert.family):
         raise SchemaError(
             f"{where}: fields do not match a recomputation for the"
             " stated family"
@@ -470,6 +509,8 @@ def package_to_document(pkg: CounterexamplePackage) -> dict:
 
 
 def package_from_document(data: dict) -> CounterexamplePackage:
+    from ..construct import KINDS, CounterexamplePackage
+
     top = _object(data, "document", {
         "format": _string,
         "request": _string,
@@ -479,7 +520,7 @@ def package_from_document(data: dict) -> CounterexamplePackage:
         "kind": _string,
         "certificate": _certificate,
         "model": lambda v, w: _object(v, w, {
-            "p": _int, "genus": _int, "e": _int,
+            "p": characteristic, "genus": _int, "e": _int,
         }),
         "section_curve": _coeffs,
         "boundary": _list_of(_boundary_entry),

@@ -7,15 +7,16 @@ the generic Riemann-Roch oracle.  Any disagreement, or a non-positive
 value, is a counterexample to the formulas' equivalence and fails the
 run.
 
-Entries are independent, so the box may fan out over processes; the
-report is assembled in box order no matter what finished first.
+The model and the part K + cC' of the polarization that does not
+depend on D are built once per request.  Entries are independent, so
+the box may fan out over processes; the report is assembled in box
+order no matter what finished first.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..lattice import CERTIFIED, RuledModel, certify_positivity
+from ..lattice import CERTIFIED, DivisorClass, RuledModel, certify_positivity
 from ..nonvanish import (
     InconsistentScenario,
     PreconditionError,
@@ -46,15 +47,14 @@ class SweepEntry:
     reason: str
 
 
-def sweep_entry(request: SweepRequest, a: int, b: int) -> SweepEntry:
-    model = RuledModel(
-        request.characteristic, request.genus, request.invariant_e
-    )
+def sweep_entry(
+    request: SweepRequest, model: RuledModel, shift: DivisorClass,
+    a: int, b: int,
+) -> SweepEntry:
+    """One box entry; ``shift`` is K + cC', so the polarization is
+    H = D - shift."""
     p = model.characteristic
-    n = -model.invariant_e
-    c_prime = model.divisor(p, -p * n)
-    divisor = model.divisor(a, b)
-    h = divisor - model.canonical_class() - c_prime * request.coefficient
+    h = model.divisor(a, b) - shift
     ample = certify_positivity(model, h, strict=True)
     if ample.status != CERTIFIED:
         return SweepEntry(
@@ -64,7 +64,7 @@ def sweep_entry(request: SweepRequest, a: int, b: int) -> SweepEntry:
     try:
         verdict = chi_product_certificate(
             a, b, model.genus, model.invariant_e,
-            request.coefficient, p, -p * n, p,
+            request.coefficient, p, p * model.invariant_e, p,
         )
     except PreconditionError as ex:
         return SweepEntry(a, b, SKIPPED_ENTRY, None, str(ex))
@@ -85,9 +85,20 @@ def run_sweep(request: SweepRequest, jobs: int = 1) -> tuple[SweepEntry, ...]:
         for a in range(request.a_range[0], request.a_range[1] + 1)
         for b in range(request.b_range[0], request.b_range[1] + 1)
     ]
+    model = RuledModel(
+        request.characteristic, request.genus, request.invariant_e
+    )
+    p = model.characteristic
+    c_prime = model.divisor(p, p * model.invariant_e)
+    shift = model.canonical_class() + c_prime * request.coefficient
     if jobs <= 1 or len(pairs) < 2:
-        return tuple(sweep_entry(request, a, b) for a, b in pairs)
-    work = [(request, a, b) for a, b in pairs]
+        return tuple(
+            sweep_entry(request, model, shift, a, b) for a, b in pairs
+        )
+    # the pool pulls in multiprocessing, so only a parallel run loads it
+    from concurrent.futures import ProcessPoolExecutor
+
+    work = [(request, model, shift, a, b) for a, b in pairs]
     chunk = max(1, len(work) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         # map preserves input order, so assembly stays box-ordered

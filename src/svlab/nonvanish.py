@@ -661,6 +661,7 @@ def decide(s: Scenario) -> Verdict:
             )
         return case_b_decide(s, f)
     if label in (CASE_C, CASE_C_M):
+        _refuse_violated(f.nef, "the divisor is not nef")
         verdict = fiber_threshold(s, f)
         if verdict is not None:
             return verdict

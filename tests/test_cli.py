@@ -249,6 +249,88 @@ class TestClassify:
         assert code == 2
         assert "irregularity" in err
 
+    def test_divisor_that_is_not_nef_is_refused(self, tmp_path, capsys):
+        # D = -100F: D.E = -100 < 0, so the fiber threshold must not fire
+        doc = json.loads(json.dumps(KV_SCENARIO))
+        doc["scenario"]["divisor"] = ["0", "-100"]
+        del doc["scenario"]["boundary"]
+        code, out, err = run(
+            capsys, "classify",
+            "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert code == 2
+        assert out == ""
+        assert "the divisor is not nef" in err
+
+
+class TestCharacteristicCap:
+    """Primality is checked by trial division, so every p the schema
+    accepts is capped; 10**24 + 7 would otherwise hang the run."""
+
+    HUGE = 10 ** 24 + 7
+
+    def refused(self, capsys, where, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {where}: expected a characteristic")
+
+    def test_scenario_model(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(KV_SCENARIO))
+        doc["scenario"]["model"]["p"] = self.HUGE
+        self.refused(capsys, "scenario.model.p", "classify",
+                     "--in", write_doc(tmp_path, "d.json", doc))
+
+    def test_sweep_model(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SWEEP_DOC))
+        doc["model"]["p"] = self.HUGE
+        self.refused(capsys, "document.model.p", "sweep",
+                     "--in", write_doc(tmp_path, "d.json", doc))
+
+    def test_family_document(self, tmp_path, capsys):
+        doc = {
+            "format": "svlab/1",
+            "request": "tango",
+            "family": {"kind": "hyperelliptic", "p": self.HUGE, "h": 3},
+        }
+        self.refused(capsys, "document.family.p", "tango",
+                     "--in", write_doc(tmp_path, "d.json", doc))
+
+    def test_family_flag(self, capsys):
+        self.refused(capsys, "--p", "tango", "--family", "hyperelliptic",
+                     "--p", str(self.HUGE), "--h", "3")
+
+    def test_package_model(self, tmp_path, capsys):
+        emitted = tmp_path / "kv.json"
+        code, _, _ = run(
+            capsys, "construct", "--kind", "kv", "--family",
+            "hyperelliptic", "--p", "3", "--h", "3", "--emit", str(emitted),
+        )
+        assert code == 0
+        doc = json.loads(emitted.read_text(encoding="utf-8"))
+        doc["package"]["model"]["p"] = self.HUGE
+        self.refused(capsys, "package.model.p", "verify",
+                     "--in", write_doc(tmp_path, "d.json", doc))
+
+    def test_largest_prime_below_the_cap_is_accepted(self, tmp_path, capsys):
+        doc = {
+            "format": "svlab/1",
+            "request": "classify",
+            "scenario": {
+                "model": {"p": 65521, "genus": 0, "e": 1},
+                "kodaira": "-inf",
+                "chi_o": 1,
+                "q": 0,
+                "relatively_minimal": True,
+                "divisor": ["0", "0"],
+            },
+        }
+        code, _, _ = run(
+            capsys, "classify",
+            "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert code == 0
+
 
 class TestKlt:
     def test_triple_point(self, tmp_path, capsys):

@@ -1,7 +1,18 @@
 """Source-level guards over the package."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import svlab
+import svlab.cli
+from svlab.cli.main import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "svlab"
 
@@ -16,3 +27,161 @@ def test_no_assert_statements():
             for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+# -- import footprint ---------------------------------------------------------
+
+_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p
+    ),
+)
+
+
+def _imported(*argv):
+    """The modules a fresh interpreter imports to run ``argv``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, env=_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_cli_import_loads_no_layer_but_the_lattice():
+    loaded = _imported("-c", "import svlab.cli.main")
+    assert "svlab.cli.main" in loaded
+    unwanted = {
+        "svlab.charpcurve", "svlab.construct", "svlab.fibered",
+        "svlab.kltcalc", "svlab.nonvanish", "svlab.cli.sweep",
+        "concurrent.futures",
+    }
+    assert loaded & unwanted == set()
+
+
+def test_klt_command_loads_only_its_layer(tmp_path):
+    doc = tmp_path / "klt.json"
+    doc.write_text(json.dumps({
+        "format": "svlab/1",
+        "request": "klt",
+        "arrangement": {"branches": [{"id": "b1", "coefficient": "1/2"}]},
+    }), encoding="utf-8")
+    loaded = _imported("-m", "svlab", "klt", "--in", str(doc))
+    assert "svlab.kltcalc" in loaded
+    assert loaded & {
+        "svlab.charpcurve", "svlab.construct", "svlab.nonvanish",
+    } == set()
+
+
+# -- lazy names ---------------------------------------------------------------
+
+def test_package_exports_resolve_to_their_layer():
+    for name in svlab.__all__:
+        obj = getattr(svlab, name)
+        assert obj.__module__.startswith("svlab" + svlab._SOURCES[name])
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_cli_exports_resolve_to_their_module():
+    # main is the function, which shadows the submodule of the same name
+    assert svlab.cli.main is sys.modules["svlab.cli.main"].main
+    for name in svlab.cli.__all__:
+        obj = getattr(svlab.cli, name)
+        source = getattr(obj, "__module__", "svlab.cli.report")
+        assert source.startswith("svlab.cli.")
+        assert getattr(importlib.import_module(source), name) is obj
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError):
+        svlab.no_such_name
+    with pytest.raises(AttributeError):
+        sys.modules["svlab.cli.main"].no_such_name
+
+
+_BINDINGS = (
+    ("svlab.cli.main", "certify_tango", "svlab.charpcurve.families"),
+    ("svlab.cli.main", "build_package", "svlab.construct"),
+    ("svlab.cli.main", "verify_package", "svlab.construct"),
+    ("svlab.cli.main", "is_klt", "svlab.kltcalc"),
+    ("svlab.cli.main", "classify", "svlab.nonvanish"),
+    ("svlab.cli.main", "decide", "svlab.nonvanish"),
+    ("svlab.cli.schema", "certify_tango", "svlab.charpcurve.families"),
+)
+
+
+@pytest.mark.parametrize("module,name,layer", _BINDINGS)
+def test_layer_bindings_resolve_by_getattr(module, name, layer):
+    found = getattr(importlib.import_module(module), name)
+    assert found is getattr(importlib.import_module(layer), name)
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _argv(command, tmp_path):
+    if command == "classify":
+        return ["classify", "--in", _write(tmp_path / "c.json", {
+            "format": "svlab/1",
+            "request": "classify",
+            "scenario": {
+                "model": {"p": 3, "genus": 0, "e": 1},
+                "kodaira": "-inf",
+                "chi_o": 1,
+                "q": 0,
+                "relatively_minimal": True,
+                "divisor": ["0", "0"],
+            },
+        })]
+    if command == "klt":
+        return ["klt", "--in", _write(tmp_path / "k.json", {
+            "format": "svlab/1",
+            "request": "klt",
+            "arrangement": {
+                "branches": [{"id": "b1", "coefficient": "1/2"}],
+            },
+        })]
+    if command == "tango":
+        return ["tango", "--family", "hyperelliptic", "--p", "3", "--h", "3"]
+    emitted = tmp_path / "kv.json"
+    assert main(["construct", "--kind", "kv", "--family", "hyperelliptic",
+                 "--p", "3", "--h", "3", "--emit", str(emitted)]) == 0
+    if command == "construct":
+        return ["construct", "--kind", "kv", "--family", "hyperelliptic",
+                "--p", "3", "--h", "3"]
+    return ["verify", "--in", str(emitted)]
+
+
+@pytest.mark.parametrize("module,name,command", (
+    ("svlab.cli.main", "certify_tango", "tango"),
+    ("svlab.cli.main", "certify_tango", "construct"),
+    ("svlab.cli.main", "build_package", "construct"),
+    ("svlab.cli.main", "verify_package", "verify"),
+    ("svlab.cli.main", "is_klt", "klt"),
+    ("svlab.cli.main", "classify", "classify"),
+    ("svlab.cli.main", "decide", "classify"),
+    ("svlab.cli.schema", "certify_tango", "verify"),
+))
+def test_commands_call_the_rebound_name(
+    module, name, command, tmp_path, capsys, monkeypatch,
+):
+    argv = _argv(command, tmp_path)
+    owner = importlib.import_module(module)
+    real = getattr(owner, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    assert main(argv) == 0
+    assert calls
+    capsys.readouterr()
