@@ -9,7 +9,6 @@ never made it past parsing or validation.
 import argparse
 import sys
 
-from ..lattice import format_class
 from ..lazy import lazy_getattr
 from . import schema
 from .report import (
@@ -155,6 +154,8 @@ def cmd_tango(args) -> Report:
 
 
 def _package_lines(pkg) -> tuple:
+    from ..lattice import format_class
+
     verification = _this.verify_package(pkg)
     fam_doc = schema.family_document(pkg.certificate.family)
     head = [("kind", pkg.kind), ("family", fam_doc["kind"]),
@@ -170,18 +171,18 @@ def _package_lines(pkg) -> tuple:
         f"{q}*({format_class(cls)})" for cls, q in pkg.boundary
     )
     classes = [
-        ("D", pkg.divisor),
-        ("H", pkg.h_class),
-        ("C", pkg.section_curve),
+        ("D", format_class(pkg.divisor)),
+        ("H", format_class(pkg.h_class)),
+        ("C", format_class(pkg.section_curve)),
         ("B", boundary),
     ]
     if pkg.base_twist_degree is not None:
         classes.append(("twist_degree", pkg.base_twist_degree))
     if pkg.member_class is not None:
-        classes.append(("member", pkg.member_class))
+        classes.append(("member", format_class(pkg.member_class)))
         classes.append(("member_coefficient", pkg.member_coefficient))
     if pkg.shifted_divisor is not None:
-        classes.append(("shifted", pkg.shifted_divisor))
+        classes.append(("shifted", format_class(pkg.shifted_divisor)))
     lines = [
         check("package", PASS, *head),
         check("classes", PASS, *classes),

@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..lattice import DivisorClass, format_class
-
 FORMAT_VERSION = "svlab/1"
 
 PASS = "PASS"
@@ -52,8 +50,6 @@ def render_value(value) -> str:
     if isinstance(value, float):
         # the only float in the data model is the ruled marker
         return "-inf" if value == float("-inf") else str(value)
-    if isinstance(value, DivisorClass):
-        return format_class(value)
     if isinstance(value, (tuple, list)):
         return ",".join(render_value(v) for v in value)
     return str(value)

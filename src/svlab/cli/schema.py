@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ..lattice import DivisorClass, RuledModel
 from ..lazy import lazy_getattr
 from .report import FORMAT_VERSION
 
@@ -26,6 +25,7 @@ if TYPE_CHECKING:
     from ..charpcurve.families import TangoCertificate
     from ..construct import CounterexamplePackage
     from ..kltcalc import ClusterArrangement
+    from ..lattice import DivisorClass, RuledModel
     from ..nonvanish import Scenario
     from .sweep import SweepRequest
 
@@ -145,6 +145,10 @@ def load_document(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as ex:
         raise SchemaError(f"not valid JSON: {ex}") from None
+    except RecursionError:
+        raise SchemaError(
+            "not readable JSON: nested deeper than the decoder's limit"
+        ) from None
     if not isinstance(data, dict):
         raise SchemaError("top level: expected an object")
     fmt = data.get("format")
@@ -179,6 +183,8 @@ def _model_fields(value, where):
 
 
 def _build_model(fields) -> RuledModel:
+    from ..lattice import RuledModel
+
     model = RuledModel(
         fields["p"], fields["genus"], fields["e"], (), fields["chi"]
     )
@@ -265,15 +271,34 @@ def _branch(value, where):
 
 
 def _cluster(value, where):
+    """A cluster node and its subtree.  The walk keeps its own stack, so
+    a deep forest is bounded by memory, not by the recursion limit; it
+    visits nodes in preorder, so errors surface in document order.
+    Nodes are built from the leaves up once every node has parsed."""
     from ..kltcalc import ClusterNode
 
-    fields = _object(value, where, {
-        "branches": _list_of(_string),
-    }, {
-        "children": (_list_of(_cluster), []),
-    })
-    return ClusterNode(tuple(fields["branches"]),
-                       tuple(fields["children"]))
+    parsed: list[tuple[tuple[str, ...], list[int]]] = []
+    stack = [(value, where, None)]
+    while stack:
+        value, where, parent = stack.pop()
+        fields = _object(value, where, {
+            "branches": _list_of(_string),
+        }, {
+            "children": (_list_of(lambda v, w: v), []),
+        })
+        index = len(parsed)
+        parsed.append((tuple(fields["branches"]), []))
+        if parent is not None:
+            parsed[parent][1].append(index)
+        stack.extend(
+            (child, f"{where}.children[{i}]", index)
+            for i, child in reversed(list(enumerate(fields["children"])))
+        )
+    nodes: list = [None] * len(parsed)
+    for i in reversed(range(len(parsed))):
+        ids, children = parsed[i]
+        nodes[i] = ClusterNode(ids, tuple(nodes[j] for j in children))
+    return nodes[0]
 
 
 def arrangement_from_document(data: dict) -> ClusterArrangement:
@@ -510,6 +535,7 @@ def package_to_document(pkg: CounterexamplePackage) -> dict:
 
 def package_from_document(data: dict) -> CounterexamplePackage:
     from ..construct import KINDS, CounterexamplePackage
+    from ..lattice import RuledModel
 
     top = _object(data, "document", {
         "format": _string,

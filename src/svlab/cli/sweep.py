@@ -7,21 +7,17 @@ the generic Riemann-Roch oracle.  Any disagreement, or a non-positive
 value, is a counterexample to the formulas' equivalence and fails the
 run.
 
-The model and the part K + cC' of the polarization that does not
-depend on D are built once per request.  Entries are independent, so
-the box may fan out over processes; the report is assembled in box
-order no matter what finished first.
+The model, the part K + cC' of the polarization that does not depend
+on D and the product certifier are built once per request.  Entries are
+independent, so the box may fan out over processes; the report is
+assembled in box order no matter what finished first.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..lattice import CERTIFIED, DivisorClass, RuledModel, certify_positivity
-from ..nonvanish import (
-    InconsistentScenario,
-    PreconditionError,
-    chi_product_certificate,
-)
+from ..nonvanish import ChiProduct, InconsistentScenario, PreconditionError
 
 CERTIFIED_ENTRY = "certified"
 SKIPPED_ENTRY = "skipped"
@@ -48,12 +44,11 @@ class SweepEntry:
 
 
 def sweep_entry(
-    request: SweepRequest, model: RuledModel, shift: DivisorClass,
+    model: RuledModel, shift: DivisorClass, product: ChiProduct,
     a: int, b: int,
 ) -> SweepEntry:
     """One box entry; ``shift`` is K + cC', so the polarization is
-    H = D - shift."""
-    p = model.characteristic
+    H = D - shift, and ``product`` certifies with the boundary cC'."""
     h = model.divisor(a, b) - shift
     ample = certify_positivity(model, h, strict=True)
     if ample.status != CERTIFIED:
@@ -62,10 +57,7 @@ def sweep_entry(
             f"polarization {ample.status} under {ample.rule_used}",
         )
     try:
-        verdict = chi_product_certificate(
-            a, b, model.genus, model.invariant_e,
-            request.coefficient, p, p * model.invariant_e, p,
-        )
+        verdict = product.certify(a, b)
     except PreconditionError as ex:
         return SweepEntry(a, b, SKIPPED_ENTRY, None, str(ex))
     except InconsistentScenario as ex:
@@ -88,17 +80,20 @@ def run_sweep(request: SweepRequest, jobs: int = 1) -> tuple[SweepEntry, ...]:
     model = RuledModel(
         request.characteristic, request.genus, request.invariant_e
     )
-    p = model.characteristic
-    c_prime = model.divisor(p, p * model.invariant_e)
+    p, e = model.characteristic, model.invariant_e
+    c_prime = model.divisor(p, p * e)
     shift = model.canonical_class() + c_prime * request.coefficient
+    product = ChiProduct(
+        model.genus, e, request.coefficient, p, p * e, p
+    )
     if jobs <= 1 or len(pairs) < 2:
         return tuple(
-            sweep_entry(request, model, shift, a, b) for a, b in pairs
+            sweep_entry(model, shift, product, a, b) for a, b in pairs
         )
     # the pool pulls in multiprocessing, so only a parallel run loads it
     from concurrent.futures import ProcessPoolExecutor
 
-    work = [(request, model, shift, a, b) for a, b in pairs]
+    work = [(model, shift, product, a, b) for a, b in pairs]
     chunk = max(1, len(work) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         # map preserves input order, so assembly stays box-ordered

@@ -440,7 +440,7 @@ def _checklist(
     if pkg.member_class is not None:
         results.append(CheckResult(
             "boundary-member",
-            True,
+            pkg.member_class == 2 * pkg.h_class,
             f"general member of |{format_class(2 * pkg.h_class)}| joined"
             f" with coefficient {pkg.member_coefficient}; transversality"
             " assumed, not derived",

@@ -56,55 +56,70 @@ class ClusterNode:
 
 @dataclass(frozen=True)
 class ClusterArrangement:
+    """Declared branches and the cluster forest.  The branches are
+    indexed by id once, at construction; the first of two equal ids is
+    the one ``branch`` finds (``validate`` refuses the pair)."""
+
     branches: tuple[WeightedBranch, ...]
     clusters: tuple[ClusterNode, ...] = ()
 
-    def branch(self, bid: str) -> WeightedBranch:
+    def __post_init__(self) -> None:
+        index: dict[str, WeightedBranch] = {}
         for b in self.branches:
-            if b.id == bid:
-                return b
-        raise ArrangementError(f"unknown branch id {bid!r}")
+            index.setdefault(b.id, b)
+        object.__setattr__(self, "_index", index)
+
+    def branch(self, bid: str) -> WeightedBranch:
+        found = self._index.get(bid)
+        if found is None:
+            raise ArrangementError(f"unknown branch id {bid!r}")
+        return found
 
     def validate(self) -> None:
+        """Check the forest depth first, with an explicit stack so that
+        its depth is not bounded by the interpreter's recursion limit.
+        Errors surface in the order of a recursive preorder walk."""
         seen: set[str] = set()
         for b in self.branches:
             if b.id in seen:
                 raise ArrangementError(f"duplicate branch id {b.id!r}")
             seen.add(b.id)
-        for root in self.clusters:
-            self._validate_node(root, seen, None)
-
-    def _validate_node(
-        self,
-        node: ClusterNode,
-        known: set[str],
-        parent_ids: frozenset | None,
-    ) -> None:
-        ids = node.branch_ids
-        if len(set(ids)) != len(ids):
-            raise ArrangementError("node lists a branch twice")
-        if len(ids) < 2:
-            raise ArrangementError(
-                "a cluster point needs at least two incident branches"
-            )
-        for bid in ids:
-            if bid not in known:
-                raise ArrangementError(f"unknown branch id {bid!r}")
-        if parent_ids is not None and not set(ids) <= parent_ids:
-            raise ArrangementError(
-                "a branch through a child must pass through the parent"
-            )
-        # a smooth branch has one tangent direction at the parent, so it
-        # hits the exceptional in one point: siblings cannot share it
-        used: set[str] = set()
-        for child in node.children:
-            overlap = used & set(child.branch_ids)
-            if overlap:
+        stack: list = [(root, None) for root in reversed(self.clusters)]
+        while stack:
+            node, parent_ids = stack.pop()
+            if isinstance(node, ArrangementError):
+                raise node
+            ids = node.branch_ids
+            if len(set(ids)) != len(ids):
+                raise ArrangementError("node lists a branch twice")
+            if len(ids) < 2:
                 raise ArrangementError(
-                    f"branches {sorted(overlap)} appear in two siblings"
+                    "a cluster point needs at least two incident branches"
                 )
-            used |= set(child.branch_ids)
-            self._validate_node(child, known, frozenset(ids))
+            for bid in ids:
+                if bid not in seen:
+                    raise ArrangementError(f"unknown branch id {bid!r}")
+            if parent_ids is not None and not set(ids) <= parent_ids:
+                raise ArrangementError(
+                    "a branch through a child must pass through the parent"
+                )
+            # a smooth branch has one tangent direction at the parent, so
+            # it hits the exceptional in one point: siblings cannot share
+            # it.  The first overlap is raised once the earlier siblings'
+            # subtrees are checked, and later siblings are never visited.
+            own = frozenset(ids)
+            used: set[str] = set()
+            pending: list = []
+            for child in node.children:
+                overlap = used & set(child.branch_ids)
+                if overlap:
+                    pending.append((ArrangementError(
+                        f"branches {sorted(overlap)} appear in two siblings"
+                    ), None))
+                    break
+                used |= set(child.branch_ids)
+                pending.append((child, own))
+            stack.extend(reversed(pending))
 
 
 @dataclass(frozen=True)
@@ -143,25 +158,28 @@ def blowup_step(
 def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
     """Resolve the cluster forest and decide KLT.
 
-    Depth-first over the declared forest; at each node the incident
-    coefficients are the declared branches plus the parent's exceptional
-    curve.  Verdict: every exceptional coefficient < 1 and every input
-    coefficient < 1.
+    Depth-first over the declared forest, in preorder and with an
+    explicit stack; at each node the incident coefficients are the
+    declared branches plus the parent's exceptional curve.  Verdict:
+    every exceptional coefficient < 1 and every input coefficient < 1.
     """
     arr.validate()
     records: list[BlowupRecord] = []
-
-    def resolve(node: ClusterNode, label: str, parent_coeff) -> None:
+    stack = [
+        (root, f"n{idx}", None)
+        for idx, root in reversed(list(enumerate(arr.clusters)))
+    ]
+    while stack:
+        node, label, parent_coeff = stack.pop()
         coeffs = [arr.branch(bid).coefficient for bid in node.branch_ids]
         if parent_coeff is not None:
             coeffs.append(parent_coeff)
         rec = blowup_step(coeffs, label)
         records.append(rec)
-        for idx, child in enumerate(node.children):
-            resolve(child, f"{label}.{idx}", rec.coefficient)
-
-    for idx, root in enumerate(arr.clusters):
-        resolve(root, f"n{idx}", None)
+        stack.extend(
+            (child, f"{label}.{idx}", rec.coefficient)
+            for idx, child in reversed(list(enumerate(node.children)))
+        )
 
     trace = BlowupTrace(tuple(records))
     verdict = all(b.coefficient < 1 for b in arr.branches) and all(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Union
 
@@ -136,7 +137,12 @@ class RuledModel:
     def canonical_class(self) -> "DivisorClass":
         """K = -2E + (2g-2-e)F + sum of exceptionals, with the coefficient
         of e_i growing along proximity chains (c_i = 1 + sum over the
-        points i is proximate to)."""
+        points i is proximate to).  Computed once per model, which is
+        frozen."""
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> "DivisorClass":
         k = len(self.exceptionals)
         cs: list[Rational] = [0] * k
         for i, pt in enumerate(self.exceptionals):
@@ -212,7 +218,12 @@ class DivisorClass:
         )
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
+        if other.model != self.model:
+            raise ModelMismatch("classes live on different models")
+        return DivisorClass(
+            self.model,
+            tuple(x - y for x, y in zip(self.coeffs, other.coeffs)),
+        )
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(self.model, tuple(-c for c in self.coeffs))

@@ -21,14 +21,17 @@ The certified routes, by case label:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
+from typing import TYPE_CHECKING
 
-from .fibered import FiberedModel, minimality_audit, reduce_model
 from .lattice import (
     VIOLATED,
     DivisorClass,
+    LatticeError,
     PositivityVerdict,
     RuledModel,
     boundary_sum,
@@ -36,6 +39,19 @@ from .lattice import (
     certify_positivity,
     riemann_roch_chi,
 )
+from .lazy import lazy_getattr
+
+if TYPE_CHECKING:
+    from .fibered import FiberedModel
+
+# Only fiber-tree scenarios need the fibered layer, which no command
+# builds, so it is imported on first access and called through ``_this``
+# (a rebinding of the module attribute takes effect).
+__getattr__ = lazy_getattr(globals(), {
+    name: ".fibered"
+    for name in ("FiberedModel", "minimality_audit", "reduce_model")
+})
+_this = sys.modules[__name__]
 
 RULED = float("-inf")
 
@@ -131,10 +147,10 @@ class Scenario:
         object.__setattr__(
             self, "declared_curves", tuple(self.declared_curves)
         )
-        if isinstance(self.model, FiberedModel):
-            self._check_fibered()
-        elif isinstance(self.model, RuledModel):
+        if isinstance(self.model, RuledModel):
             self._check_lattice()
+        elif isinstance(self.model, _this.FiberedModel):
+            self._check_fibered()
         else:
             raise InvalidScenario("model must be a lattice or fiber data")
 
@@ -461,6 +477,125 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
     )
 
 
+@dataclass(frozen=True)
+class ChiProduct:
+    """chi(D) = (a+1)(b - ae/2 + 1 - g) > 0 for D = aE + bF on a
+    relatively minimal model of negative invariant whose boundary is a
+    single multiple cG of the negative curve G = xE + yF.
+
+    What does not depend on D is settled once, at construction: the
+    preconditions on e, g and c (``refusal``), the model (which keeps
+    its canonical class once computed), whether G can be a curve
+    (``curve_refusal``; a refusal is an exception type with its
+    arguments, or None), and the constants of the inequalities, cleared
+    to integers over the common denominator ``scale``.  ``certify(a, b)``
+    runs the checks that depend on D and raises the refusals at their
+    place in the order of checks.  Nothing mutates the record, so one
+    instance serves a whole sweep and pickles to its workers.
+    """
+
+    g: int
+    e: int
+    c: Rational
+    x: Rational
+    y: Rational
+    characteristic: int
+
+    def __post_init__(self) -> None:
+        g, e = self.g, self.e
+        c, x, y = Fraction(self.c), Fraction(self.x), Fraction(self.y)
+        refusal = curve_refusal = model = None
+        if e >= 0:
+            refusal = (PreconditionError,
+                       ("the product certificate needs e < 0",))
+        elif g < 2:
+            refusal = (PreconditionError, ("needs base genus at least 2",))
+        elif not 0 < c < 1:
+            refusal = (PreconditionError,
+                       ("boundary coefficient must sit in (0,1)",))
+        else:
+            try:
+                model = RuledModel(self.characteristic, g, e)
+                fits = candidate_curve_constraints(
+                    model, model.divisor(x, y)
+                )
+            except LatticeError as ex:
+                curve_refusal = (type(ex), ex.args)
+            else:
+                if not fits:
+                    curve_refusal = (PreconditionError, (
+                        f"{x}E + {y}F cannot be a curve on this model",
+                    ))
+        cx = c * x  # D - K - cG = (a + 2 - cx)E + (b + kf)F
+        kf = 2 - 2 * g + e - c * y
+        mid = (2 - c) * (g - 1)
+        scale = lcm(cx.denominator, kf.denominator, mid.denominator)
+        for name, value in (
+            ("c", c), ("x", x), ("y", y), ("model", model),
+            ("refusal", refusal), ("curve_refusal", curve_refusal),
+            ("scale", scale), ("cx", int(cx * scale)),
+            ("kf", int(kf * scale)), ("mid", mid),
+            ("mid2", int(2 * mid * scale)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def certify(self, a: Rational, b: Rational) -> Verdict:
+        """The checks that depend on D = aE + bF, in order: nef, the two
+        ampleness inequalities of D - K - cG, the slack chain
+        b - ae/2 > (2-c)(g-1) > g-1, a positive product, and agreement
+        with the generic Riemann-Roch oracle.  The product is returned
+        as the certificate."""
+        if self.refusal is not None:
+            kind, args = self.refusal
+            raise kind(*args)
+        if a.denominator == b.denominator == 1:
+            a, b = a.numerator, b.numerator  # integral D: checks on ints
+        g, e, scale = self.g, self.e, self.scale
+        if a < 0 or 2 * b < a * e:
+            raise PreconditionError("the divisor is not nef")
+        if self.curve_refusal is not None:
+            kind, args = self.curve_refusal
+            raise kind(*args)
+        # both sides scaled by ``scale``; integers when a and b are
+        ample_e = (a + 2) * scale - self.cx
+        ample_f = b * scale + self.kf
+        if not (ample_e > 0 and 2 * ample_f > ample_e * e):
+            raise PreconditionError(
+                "the polarization fails its ampleness inequalities"
+            )
+        slope = 2 * b - a * e  # twice b - ae/2
+        if not (slope * scale > self.mid2 and self.mid > g - 1):
+            raise PreconditionError(
+                f"slack chain fails: {Fraction(slope, 2)} > {self.mid}"
+                f" > {g - 1} does not hold"
+            )
+        chi = (a + 1) * (slope + 2 - 2 * g)  # twice the product
+        if chi <= 0:
+            raise InconsistentScenario("the product must be positive here")
+        chi = Fraction(chi, 2)
+        oracle = riemann_roch_chi(self.model, self.model.divisor(a, b))
+        if chi != oracle:
+            raise InconsistentScenario(
+                f"product gives {chi}, riemann-roch gives {oracle}"
+            )
+        return Verdict(
+            CASE_C_M,
+            GUARANTEED_M1,
+            {
+                "rule": RULE_CHI_PRODUCT,
+                "chi": chi,
+                "ample_inequalities": (
+                    Fraction(ample_e, scale), Fraction(ample_f, scale),
+                ),
+                "slack_chain": (
+                    Fraction(slope, 2), self.mid, Fraction(g - 1),
+                ),
+                "negative_component": (self.x, self.y),
+                "coefficient": self.c,
+            },
+        )
+
+
 def chi_product_certificate(
     a: Rational,
     b: Rational,
@@ -471,60 +606,8 @@ def chi_product_certificate(
     y: Rational,
     characteristic: int,
 ) -> Verdict:
-    """chi(D) = (a+1)(b - ae/2 + 1 - g) > 0 for D = aE + bF on a
-    relatively minimal model of negative invariant whose boundary is a
-    single multiple of the negative curve G = xE + yF.
-
-    The two inequalities spelling out ampleness of D - K - cG are
-    checked, the slack chain b - ae/2 > (2-c)(g-1) > g-1 is derived,
-    and the product is returned as the certificate.
-    """
-    a, b, c, x, y = (Fraction(v) for v in (a, b, c, x, y))
-    if e >= 0:
-        raise PreconditionError("the product certificate needs e < 0")
-    if g < 2:
-        raise PreconditionError("needs base genus at least 2")
-    if not 0 < c < 1:
-        raise PreconditionError("boundary coefficient must sit in (0,1)")
-    if a < 0 or 2 * b < a * e:
-        raise PreconditionError("the divisor is not nef")
-    model = RuledModel(characteristic, g, e)
-    if not candidate_curve_constraints(model, model.divisor(x, y)):
-        raise PreconditionError(
-            f"{x}E + {y}F cannot be a curve on this model"
-        )
-    ample_e = a + 2 - c * x
-    ample_f = b + 2 - 2 * g + e - c * y
-    if not (ample_e > 0 and ample_f > Fraction(ample_e * e, 2)):
-        raise PreconditionError(
-            "the polarization fails its ampleness inequalities"
-        )
-    slope = b - Fraction(a * e, 2)
-    mid = (2 - c) * (g - 1)
-    if not (slope > mid > g - 1):
-        raise PreconditionError(
-            f"slack chain fails: {slope} > {mid} > {g - 1} does not hold"
-        )
-    chi = (a + 1) * (slope + 1 - g)
-    if chi <= 0:
-        raise InconsistentScenario("the product must be positive here")
-    oracle = riemann_roch_chi(model, model.divisor(a, b))
-    if chi != oracle:
-        raise InconsistentScenario(
-            f"product gives {chi}, riemann-roch gives {oracle}"
-        )
-    return Verdict(
-        CASE_C_M,
-        GUARANTEED_M1,
-        {
-            "rule": RULE_CHI_PRODUCT,
-            "chi": chi,
-            "ample_inequalities": (ample_e, ample_f),
-            "slack_chain": (slope, mid, Fraction(g - 1)),
-            "negative_component": (x, y),
-            "coefficient": c,
-        },
-    )
+    """The product certificate for one divisor; see ``ChiProduct``."""
+    return ChiProduct(g, e, c, x, y, characteristic).certify(a, b)
 
 
 def low_fiber_degree_decide(model: FiberedModel) -> Verdict:
@@ -542,10 +625,10 @@ def low_fiber_degree_decide(model: FiberedModel) -> Verdict:
         raise PreconditionError(
             "the contraction route applies at fiber degree 0 or 1"
         )
-    reduced, trace = reduce_model(model)
+    reduced, trace = _this.reduce_model(model)
     if not reduced.is_relatively_minimal():
         audits = [
-            minimality_audit(t.components)
+            _this.minimality_audit(t.components)
             for t in reduced.fibers
             if not t.is_reduced_to_section_fiber()
         ]

@@ -7,14 +7,27 @@ round-trip and determinism tests compare raw bytes on purpose.
 """
 
 import json
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from svlab.cli.main import main
-from svlab.lattice import riemann_roch_chi
+from svlab.cli.sweep import SweepRequest, run_sweep
+from svlab.lattice import (
+    CERTIFIED,
+    RuledModel,
+    certify_positivity,
+    riemann_roch_chi,
+)
+from svlab.nonvanish import (
+    InconsistentScenario,
+    PreconditionError,
+    chi_product_certificate,
+)
 
 _TOKEN = re.compile(r'([\w-]+)=("(?:[^"\\]|\\.)*"|\S+)')
 
@@ -374,6 +387,51 @@ class TestKlt:
         assert verdict["verdict"] == "klt"
         assert "max_exceptional" not in verdict
 
+    def test_chain_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        depth = 400
+        node = {"branches": ["b2", "b3"]}
+        for _ in range(depth - 1):
+            node = {"branches": ["b2", "b3"], "children": [node]}
+        doc = {
+            "format": "svlab/1",
+            "request": "klt",
+            "arrangement": {
+                "branches": [
+                    {"id": "b2", "coefficient": "1/4"},
+                    {"id": "b3", "coefficient": "1/4"},
+                ],
+                "clusters": [node],
+            },
+        }
+        code, out, _ = run(
+            capsys, "klt", "--format", "machine",
+            "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert code == 0
+        records = checks(out, "blowup")
+        assert len(records) == depth
+        # each blow-up adds 1/4 + 1/4 - 1 to the parent's coefficient
+        assert records[-1]["coefficient"] == str(-depth // 2)
+        (verdict,) = checks(out, "klt-verdict")
+        assert verdict["verdict"] == "klt"
+        assert verdict["max_exceptional"] == "-1/2"
+
+    def test_nesting_beyond_the_decoder_is_an_input_error(
+        self, tmp_path, capsys,
+    ):
+        depth = 100_000
+        path = tmp_path / "d.json"
+        path.write_text(
+            '{"format": "svlab/1", "request": "klt", "arrangement":'
+            ' {"branches": [], "clusters": ' + "[" * depth + "]" * depth
+            + "}}",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "klt", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert "nested deeper" in err
+
     def test_unknown_branch_in_cluster(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TRIPLE_DOC))
         doc["arrangement"]["clusters"][0]["branches"] = ["b1", "ghost"]
@@ -648,6 +706,27 @@ class TestRoundTrip:
         code, _, err = run(capsys, "verify", "--in", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("entry", (0, 1))
+    def test_tampered_member_class_fails_verification(
+        self, tmp_path, capsys, entry,
+    ):
+        emitted, _ = self.emit(
+            tmp_path, capsys, "semipos", "hyperelliptic", "5", "3",
+        )
+        doc = json.loads(emitted.read_text(encoding="utf-8"))
+        member = doc["package"]["member_class"]
+        member[entry] = str(Fraction(member[entry]) + 1)
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(
+            capsys, "verify", "--format", "machine", "--in", str(bad),
+        )
+        assert code == 1
+        (line,) = checks(out, "boundary-member")
+        assert line["status"] == "FAIL"
+        (valid,) = checks(out, "package-valid")
+        assert valid["status"] == "FAIL"
+
     def test_asserted_package_round_trips(self, tmp_path, capsys):
         emitted = tmp_path / "tp.json"
         code, _, _ = run(
@@ -712,6 +791,48 @@ class TestSweep:
         assert failed[0]["reason"].startswith("product gives ")
         assert all("riemann-roch gives" in f["reason"] for f in failed)
 
+    def test_entries_match_fresh_per_entry_certificates(self):
+        # seeded boxes that reach every skip reason the sweep can give:
+        # the polarization, the nef check, the curve check and the genus
+        # precondition.  The ampleness and slack-chain refusals of the
+        # product never fire here: ampleness of D - K - cC' and the curve
+        # check on C' imply both.
+        rng = random.Random(20261024)
+        reasons = set()
+        for _ in range(12):
+            p = rng.choice((2, 3, 5))
+            request = SweepRequest(
+                characteristic=p,
+                genus=rng.randrange(1, 6),
+                invariant_e=-rng.randrange(1, 5),
+                a_range=(-2, 4),
+                b_range=(rng.randrange(-15, 0), 12),
+                coefficient=Fraction(rng.randrange(1, 8), 8),
+            )
+            entries = run_sweep(request)
+            expected = tuple(
+                _fresh_entry(request, a, b)
+                for a in range(-2, 5)
+                for b in range(request.b_range[0], 13)
+            )
+            assert [
+                (e.a, e.b, e.status, e.chi, e.reason) for e in entries
+            ] == list(expected)
+            reasons.update(_reason_kind(e.reason) for e in entries)
+        assert reasons == {
+            "certified", "polarization", "nef", "curve", "genus",
+        }
+
+    def test_jobs_give_the_serial_entries(self):
+        request = SweepRequest(
+            characteristic=2, genus=3, invariant_e=-1,
+            a_range=(-2, 6), b_range=(-12, 12),
+            coefficient=Fraction(1, 4),
+        )
+        serial = run_sweep(request)
+        assert {e.status for e in serial} == {"certified", "skipped"}
+        assert run_sweep(request, jobs=2) == serial
+
     def test_empty_box(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SWEEP_DOC))
         doc["box"]["a"] = [1, 0]
@@ -754,6 +875,37 @@ class TestSweep:
             "--in", write_doc(tmp_path, "d.json", doc),
         )
         assert code == 2
+
+
+def _reason_kind(reason):
+    for kind, mark in (
+        ("polarization", "polarization "), ("nef", "not nef"),
+        ("curve", "cannot be a curve"), ("genus", "base genus"),
+    ):
+        if mark in reason:
+            return kind
+    return reason or "certified"
+
+
+def _fresh_entry(request, a, b):
+    """One sweep entry computed from scratch: the model, K and the
+    polarization rebuilt, then one ``chi_product_certificate`` call."""
+    p, g, e = request.characteristic, request.genus, request.invariant_e
+    model = RuledModel(p, g, e)
+    c = request.coefficient
+    h = (model.divisor(a, b) - model.canonical_class()
+         - model.divisor(p, p * e).scaled(c))
+    ample = certify_positivity(model, h, strict=True)
+    if ample.status != CERTIFIED:
+        reason = f"polarization {ample.status} under {ample.rule_used}"
+        return (a, b, "skipped", None, reason)
+    try:
+        verdict = chi_product_certificate(a, b, g, e, c, p, p * e, p)
+    except PreconditionError as ex:
+        return (a, b, "skipped", None, str(ex))
+    except InconsistentScenario as ex:
+        return (a, b, "disagreement", None, str(ex))
+    return (a, b, "certified", verdict.certificate["chi"], "")
 
 
 class TestRendering:

@@ -97,6 +97,63 @@ class TestIsKlt:
             ]
             assert verdict == (k * (s - 1) < 1)
 
+    def test_chain_deeper_than_the_recursion_limit(self):
+        depth = 5000
+        node = ClusterNode(("A", "B"))
+        for _ in range(depth - 1):
+            node = ClusterNode(("A", "B"), (node,))
+        arr = ClusterArrangement(
+            branches(("A", Fraction(1, 4)), ("B", Fraction(1, 4))), (node,)
+        )
+        verdict, trace = is_klt(arr)
+        assert verdict is True
+        assert len(trace.records) == depth
+        assert trace.records[-1].coefficient == Fraction(-depth, 2)
+        assert trace.records[-1].node == "n0" + ".0" * (depth - 1)
+
+    def test_wide_forest_resolves_every_root(self):
+        roots = 5000
+        arr = ClusterArrangement(
+            branches(*[
+                (f"r{r}{side}", Fraction(r % 7, 10))
+                for r in range(roots) for side in "uv"
+            ]),
+            tuple(ClusterNode((f"r{r}u", f"r{r}v")) for r in range(roots)),
+        )
+        verdict, trace = is_klt(arr)
+        assert verdict is True
+        assert [r.node for r in trace.records] == [
+            f"n{r}" for r in range(roots)
+        ]
+        assert [r.sigma for r in trace.records] == [
+            Fraction(2 * (r % 7), 10) for r in range(roots)
+        ]
+
+    def test_preorder_labels_and_parent_coefficients(self):
+        # n0 -> (n0.0 -> n0.0.0), n0.1, then the second root n1
+        arr = ClusterArrangement(
+            branches(("A", Fraction(1, 2)), ("B", Fraction(1, 3)),
+                     ("C", Fraction(1, 5)), ("D", Fraction(1, 7))),
+            (
+                ClusterNode(("A", "B", "C", "D"), (
+                    ClusterNode(("A", "B"), (ClusterNode(("A", "B")),)),
+                    ClusterNode(("C", "D")),
+                )),
+                ClusterNode(("C", "D")),
+            ),
+        )
+        _, trace = is_klt(arr)
+        a, b, c, d = (Fraction(1, k) for k in (2, 3, 5, 7))
+        n0 = a + b + c + d - 1
+        n00 = a + b + n0 - 1
+        assert [(r.node, r.coefficient) for r in trace.records] == [
+            ("n0", n0),
+            ("n0.0", n00),
+            ("n0.0.0", a + b + n00 - 1),
+            ("n0.1", c + d + n0 - 1),
+            ("n1", c + d - 1),
+        ]
+
     def test_transverse_pairs_always_klt(self):
         for i in range(0, 10):
             for j in range(0, 10):
@@ -229,6 +286,42 @@ class TestValidation:
         )
         with pytest.raises(ArrangementError):
             is_klt(arr)
+
+    def test_unknown_branch_lookup(self):
+        arr = ClusterArrangement(branches(("A", Fraction(1, 2))))
+        assert arr.branch("A").coefficient == Fraction(1, 2)
+        with pytest.raises(ArrangementError, match="unknown branch id 'Z'"):
+            arr.branch("Z")
+
+    def test_lookup_finds_the_first_of_equal_ids(self):
+        arr = ClusterArrangement(
+            branches(("A", Fraction(1, 2)), ("A", Fraction(1, 3))),
+        )
+        assert arr.branch("A").coefficient == Fraction(1, 2)
+
+    def test_errors_surface_in_preorder(self):
+        # the first child's subtree is checked before the second child
+        # is compared with its sibling, and a later sibling never is
+        arr = ClusterArrangement(
+            branches(("A", Fraction(1, 2)), ("B", Fraction(1, 2)),
+                     ("C", Fraction(1, 2))),
+            (ClusterNode(("A", "B", "C"), (
+                ClusterNode(("A", "B"), (ClusterNode(("A", "C")),)),
+                ClusterNode(("A", "C")),
+            )),),
+        )
+        with pytest.raises(ArrangementError, match="pass through the parent"):
+            arr.validate()
+        arr = ClusterArrangement(
+            arr.branches,
+            (ClusterNode(("A", "B", "C"), (
+                ClusterNode(("A", "B")),
+                ClusterNode(("A", "C")),
+                ClusterNode(("C",)),
+            )),),
+        )
+        with pytest.raises(ArrangementError, match="two siblings"):
+            arr.validate()
 
     def test_duplicate_branch_id(self):
         arr = ClusterArrangement(

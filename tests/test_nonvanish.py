@@ -6,6 +6,7 @@ Riemann-Roch oracle.
 """
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from svlab.fibered import (
     FiberTree,
     component,
 )
-from svlab.lattice import RuledModel, riemann_roch_chi
+from svlab.lattice import RuledModel, UnsupportedRegime, riemann_roch_chi
 from svlab.nonvanish import (
     CASE_A,
     CASE_B_I,
@@ -40,6 +41,7 @@ from svlab.nonvanish import (
     RULE_STRUCTURE_CHI,
     RULED,
     UNDECIDED,
+    ChiProduct,
     InconsistentScenario,
     InvalidScenario,
     PreconditionError,
@@ -452,6 +454,36 @@ class TestChiProduct:
                 0, 6, 4, 2, Fraction(1, 2), 3, -6, 3
             )
 
+    def test_refusals_keep_their_place_in_the_order(self):
+        # G = E - 6F is no curve, but a divisor that is not nef is
+        # refused as such first
+        product = ChiProduct(4, -2, Fraction(1, 2), 1, -6, 3)
+        with pytest.raises(PreconditionError, match="not nef"):
+            product.certify(-1, 6)
+        with pytest.raises(PreconditionError, match="curve"):
+            product.certify(0, 6)
+        # characteristic 0 leaves the curve check without its rules
+        product = ChiProduct(4, -2, Fraction(1, 2), 3, -6, 0)
+        with pytest.raises(PreconditionError, match="not nef"):
+            product.certify(-1, 6)
+        with pytest.raises(UnsupportedRegime):
+            product.certify(0, 6)
+        # the conditions on e, g and c come before everything else
+        product = ChiProduct(1, -2, Fraction(1, 2), 3, -6, 3)
+        with pytest.raises(PreconditionError, match="genus"):
+            product.certify(-1, 6)
+
+    def test_one_certifier_serves_every_divisor(self):
+        product = ChiProduct(4, -2, Fraction(1, 2), 3, -6, 3)
+        clone = pickle.loads(pickle.dumps(product))
+        for a in range(0, 4):
+            for b in range(5, 12):
+                fresh = chi_product_certificate(
+                    a, b, 4, -2, Fraction(1, 2), 3, -6, 3
+                )
+                assert product.certify(a, b) == fresh
+                assert clone.certify(a, b) == fresh
+
     def test_matches_generic_riemann_roch(self):
         rng = random.Random(20260813)
         successes = 0
@@ -499,6 +531,21 @@ class TestLowFiberDegree:
         v = low_fiber_degree_decide(fm)
         assert v.certificate["h_dot_f"] == 3
         assert len(v.certificate["trace"]) == 1
+
+    def test_reduction_is_called_through_the_module(self, monkeypatch):
+        import svlab.nonvanish as nonvanish
+
+        real = nonvanish.reduce_model
+        calls = []
+
+        def spy(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(nonvanish, "reduce_model", spy)
+        fm = FiberedModel(2, 3, (blow_up_on_component(smooth_fiber(1), 0),))
+        low_fiber_degree_decide(fm)
+        assert calls == [fm]
 
     def test_degree_two_out_of_scope(self):
         fm = FiberedModel(2, 3, (smooth_fiber(2),))

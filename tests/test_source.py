@@ -75,7 +75,27 @@ def test_klt_command_loads_only_its_layer(tmp_path):
     assert "svlab.kltcalc" in loaded
     assert loaded & {
         "svlab.charpcurve", "svlab.construct", "svlab.nonvanish",
+        "svlab.lattice",
     } == set()
+
+
+def test_classify_command_does_not_load_the_fibered_layer(tmp_path):
+    doc = tmp_path / "classify.json"
+    doc.write_text(json.dumps({
+        "format": "svlab/1",
+        "request": "classify",
+        "scenario": {
+            "model": {"p": 3, "genus": 0, "e": 1},
+            "kodaira": "-inf",
+            "chi_o": 1,
+            "q": 0,
+            "relatively_minimal": True,
+            "divisor": ["0", "0"],
+        },
+    }), encoding="utf-8")
+    loaded = _imported("-m", "svlab", "classify", "--in", str(doc))
+    assert "svlab.nonvanish" in loaded
+    assert "svlab.fibered" not in loaded
 
 
 # -- lazy names ---------------------------------------------------------------
@@ -112,6 +132,9 @@ _BINDINGS = (
     ("svlab.cli.main", "classify", "svlab.nonvanish"),
     ("svlab.cli.main", "decide", "svlab.nonvanish"),
     ("svlab.cli.schema", "certify_tango", "svlab.charpcurve.families"),
+    ("svlab.nonvanish", "FiberedModel", "svlab.fibered"),
+    ("svlab.nonvanish", "minimality_audit", "svlab.fibered"),
+    ("svlab.nonvanish", "reduce_model", "svlab.fibered"),
 )
 
 
