@@ -33,8 +33,8 @@ _LAYERS = {
         "BlowupPoint", "DivisorClass", "LatticeError", "ModelMismatch",
         "PositivityVerdict", "RuledModel", "UnsupportedRegime",
         "adjunction_pa", "candidate_curve_constraints",
-        "certify_positivity", "contract_exceptional", "intersect",
-        "pullback_blowup", "pushforward_contraction", "riemann_roch_chi",
+        "certify_positivity", "intersect", "pullback_blowup",
+        "riemann_roch_chi",
     ),
     ".nonvanish": (
         "InconsistentScenario", "InvalidScenario", "Scenario",

@@ -78,12 +78,6 @@ class LaurentSeries:
     def known_nonzero(self) -> bool:
         return bool(self.coeffs)
 
-    def is_known_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_exact_zero(self) -> bool:
-        return not self.coeffs and self.truncation is None
-
     def coefficient(self, exponent: int) -> int:
         if self.truncation is not None and exponent >= self.truncation:
             raise PrecisionError(

@@ -233,31 +233,27 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_sweep(args) -> Report:
-    from .sweep import CERTIFIED_ENTRY, SKIPPED_ENTRY, run_sweep, summarize
+    from .sweep import (
+        CERTIFIED_ENTRY,
+        DISAGREEMENT,
+        SKIPPED_ENTRY,
+        run_sweep,
+        summarize,
+    )
 
     data = schema.load_document(_read(args.in_path))
     schema.require_request(data, "sweep")
     request = schema.sweep_from_document(data)
     entries = run_sweep(request, jobs=args.jobs)
-    lines = []
-    for entry in entries:
-        if entry.status == CERTIFIED_ENTRY:
-            lines.append(check(
-                "entry", PASS,
-                ("a", entry.a), ("b", entry.b), ("chi", entry.chi),
-            ))
-        elif entry.status == SKIPPED_ENTRY:
-            lines.append(check(
-                "entry", SKIP,
-                ("a", entry.a), ("b", entry.b),
-                ("reason", entry.reason),
-            ))
-        else:
-            lines.append(check(
-                "entry", FAIL,
-                ("a", entry.a), ("b", entry.b),
-                ("reason", entry.reason),
-            ))
+    status = {CERTIFIED_ENTRY: PASS, SKIPPED_ENTRY: SKIP, DISAGREEMENT: FAIL}
+    lines = [
+        check(
+            "entry", status[entry.status], ("a", entry.a), ("b", entry.b),
+            ("chi", entry.chi) if entry.status == CERTIFIED_ENTRY
+            else ("reason", entry.reason),
+        )
+        for entry in entries
+    ]
     stats = summarize(entries)
     summary_detail = [
         ("entries", stats["entries"]),
@@ -295,10 +291,7 @@ def _add_io(parser) -> None:
 
 
 def _add_family(parser) -> None:
-    parser.add_argument(
-        "--family",
-        choices=("hyperelliptic", "artinschreier", "tangoplane"),
-    )
+    parser.add_argument("--family", choices=schema.FAMILY_KINDS)
     parser.add_argument("--p", type=int)
     parser.add_argument("--h", type=int)
 

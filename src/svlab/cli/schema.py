@@ -171,12 +171,16 @@ def require_request(data: dict, expected: str) -> None:
         )
 
 
+_PURE_MODEL = {"p": characteristic, "genus": _int, "e": _int}
+
+
+def _pure_model(value, where):
+    """The p, genus, e of a ruled model with no blow-ups."""
+    return _object(value, where, _PURE_MODEL)
+
+
 def _model_fields(value, where):
-    return _object(value, where, {
-        "p": characteristic,
-        "genus": _int,
-        "e": _int,
-    }, {
+    return _object(value, where, _PURE_MODEL, {
         "chi": (_nullable(_int), None),
         "exceptionals": (_list_of(_list_of(_int)), []),
     })
@@ -318,7 +322,7 @@ def arrangement_from_document(data: dict) -> ClusterArrangement:
                               tuple(fields["clusters"]))
 
 
-_FAMILY_KINDS = ("hyperelliptic", "artinschreier", "tangoplane")
+FAMILY_KINDS = ("hyperelliptic", "artinschreier", "tangoplane")
 
 
 def family_from_fields(kind: str, p: int, h):
@@ -337,7 +341,7 @@ def family_from_fields(kind: str, p: int, h):
             raise SchemaError("tangoplane takes no h")
         return TangoPlane(p)
     raise SchemaError(
-        f"family kind: expected one of {', '.join(_FAMILY_KINDS)},"
+        f"family kind: expected one of {', '.join(FAMILY_KINDS)},"
         f" got {kind!r}"
     )
 
@@ -392,9 +396,7 @@ def sweep_from_document(data: dict) -> SweepRequest:
     top = _object(data, "document", {
         "format": _string,
         "request": _string,
-        "model": lambda v, w: _object(v, w, {
-            "p": characteristic, "genus": _int, "e": _int,
-        }),
+        "model": _pure_model,
         "box": lambda v, w: _object(v, w, {
             "a": _range, "b": _range,
         }),
@@ -545,9 +547,7 @@ def package_from_document(data: dict) -> CounterexamplePackage:
     fields = _object(top["package"], "package", {
         "kind": _string,
         "certificate": _certificate,
-        "model": lambda v, w: _object(v, w, {
-            "p": characteristic, "genus": _int, "e": _int,
-        }),
+        "model": _pure_model,
         "section_curve": _coeffs,
         "boundary": _list_of(_boundary_entry),
         "divisor": _coeffs,

@@ -3,8 +3,9 @@
 Each builder takes an invariant certificate for a base curve (genus g,
 line-bundle degree n > 0) and assembles divisor data on the ruled
 surface over it: a boundary with fractional coefficients, a divisor D,
-and a polarization H, together with a checklist of named arithmetic
-facts.  Three flavours are covered:
+and a polarization H.  A package carries data only; ``verify_package``
+recomputes its checklist of named arithmetic facts from the classes.
+Three flavours are covered:
 
 ``kv``       fractional boundary on a single multisection; D nef and
              integral, H ample, yet h1(D) >= 1 by a degree audit.
@@ -18,7 +19,7 @@ The one genuinely cohomological claim (the h1 lower bound) is reduced
 to a bookkeeping chain of line-bundle degrees whose final term is 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpcurve.families import ASSERTED, TangoCertificate
@@ -83,10 +84,6 @@ class CounterexamplePackage:
     member_class: DivisorClass | None = None
     member_coefficient: Fraction | None = None
     shifted_divisor: DivisorClass | None = None
-    checklist: tuple[CheckResult, ...] = ()
-
-    def is_valid(self) -> bool:
-        return all(c.passed for c in self.checklist)
 
     def degree_n(self) -> int:
         return self.certificate.l_degree
@@ -112,9 +109,11 @@ class DegreeAudit:
 
 @dataclass(frozen=True)
 class PackageVerification:
-    package: CounterexamplePackage
-    results: tuple[CheckResult, ...] = field(default=())
-    valid: bool = False
+    results: tuple[CheckResult, ...]
+
+    @property
+    def valid(self) -> bool:
+        return all(r.passed for r in self.results)
 
 
 def _admit(cert: TangoCertificate, allow_asserted: bool) -> None:
@@ -157,32 +156,43 @@ def disjoint_multisection(model: RuledModel) -> DivisorClass:
     return model.divisor(p, -p * n)
 
 
+def _kv_classes(
+    model: RuledModel,
+) -> tuple[Fraction, DivisorClass, DivisorClass]:
+    """Boundary coefficient, D and H of the kv data on ``build_surface``.
+
+    For p >= 3 the coefficient is 1/2, D = ((p-3)/2)E + (2g-2+(3-p)n/2)F
+    and H = (1/2)E + (n/2)F; for p = 2 it is 2/3, D = (2g-2)F, the
+    canonical pullback from the base, and H = (2/3)E + (n/3)F.
+    """
+    g, n, p = model.genus, -model.invariant_e, model.characteristic
+    if p >= 3:
+        return (
+            Fraction(1, 2),
+            model.divisor(
+                Fraction(p - 3, 2), 2 * g - 2 + Fraction((3 - p) * n, 2)
+            ),
+            model.divisor(Fraction(1, 2), Fraction(n, 2)),
+        )
+    return (
+        Fraction(2, 3),
+        model.divisor(0, 2 * g - 2),
+        model.divisor(Fraction(2, 3), Fraction(n, 3)),
+    )
+
+
 def build_kv(
     cert: TangoCertificate, allow_asserted: bool = False
 ) -> CounterexamplePackage:
-    """Fractional boundary on the multisection with D nef, H ample.
-
-    For p >= 3 the boundary coefficient is 1/2 and
-    D = ((p-3)/2)E + (2g-2+(3-p)n/2)F; for p = 2 the coefficient is 2/3
-    and D = (2g-2)F, the canonical pullback from the base.
-    """
+    """Fractional boundary on the multisection with D nef, H ample,
+    from the classes of ``_kv_classes``."""
     _admit(cert, allow_asserted)
     model = build_surface(cert)
-    g, n, p = cert.genus, cert.l_degree, cert.family.p
     c_prime = disjoint_multisection(model)
-    if p >= 3:
-        coeff = Fraction(1, 2)
-        divisor = model.divisor(
-            Fraction(p - 3, 2), 2 * g - 2 + Fraction((3 - p) * n, 2)
-        )
-        h_class = model.divisor(Fraction(1, 2), Fraction(n, 2))
-    else:
-        coeff = Fraction(2, 3)
-        divisor = model.divisor(0, 2 * g - 2)
-        h_class = model.divisor(Fraction(2, 3), Fraction(n, 3))
+    coeff, divisor, h_class = _kv_classes(model)
     boundary = ((c_prime, coeff),)
     _require_identity(model, divisor, boundary, h_class)
-    pkg = CounterexamplePackage(
+    return CounterexamplePackage(
         kind=KIND_KV,
         certificate=cert,
         model=model,
@@ -191,7 +201,6 @@ def build_kv(
         divisor=divisor,
         h_class=h_class,
     )
-    return _with_checklist(pkg)
 
 
 def build_kollar(
@@ -202,28 +211,21 @@ def build_kollar(
     D = K + B + (twist pulled back from the base) exactly; the branches
     are the canonical section and the multisection, disjoint because
     E.C' = 0.  For p = 2 the twist is a third of the certified bundle,
-    so its degree bookkeeping needs 3 | n.
+    so its degree bookkeeping needs 3 | n.  D and the coefficient are
+    the kv ones; the extra branch coeff*E takes the E part off the kv
+    polarization, leaving the twist (n/2 or n/3)F.
     """
     _admit(cert, allow_asserted)
     model = build_surface(cert)
-    g, n, p = cert.genus, cert.l_degree, cert.family.p
     c_prime = disjoint_multisection(model)
-    section = model.section_class()
-    if p >= 3:
-        coeff = Fraction(1, 2)
-        twist_degree = Fraction(n, 2)
-        divisor = model.divisor(
-            Fraction(p - 3, 2), 2 * g - 2 + Fraction((3 - p) * n, 2)
-        )
-    else:
+    coeff, divisor, kv_h = _kv_classes(model)
+    if cert.family.p == 2:
         _require_star(cert)
-        coeff = Fraction(2, 3)
-        twist_degree = Fraction(n, 3)
-        divisor = model.divisor(0, 2 * g - 2)
-    boundary = ((section, coeff), (c_prime, coeff))
+    twist_degree = kv_h.b
+    boundary = ((model.section_class(), coeff), (c_prime, coeff))
     h_class = model.divisor(0, twist_degree)
     _require_identity(model, divisor, boundary, h_class)
-    pkg = CounterexamplePackage(
+    return CounterexamplePackage(
         kind=KIND_KOLLAR,
         certificate=cert,
         model=model,
@@ -233,7 +235,6 @@ def build_kollar(
         h_class=h_class,
         base_twist_degree=twist_degree,
     )
-    return _with_checklist(pkg)
 
 
 def build_semipos(
@@ -254,11 +255,7 @@ def build_semipos(
     member = None
     member_coeff = None
     if p >= 5:
-        coeff = Fraction(1, 2)
-        divisor = model.divisor(
-            Fraction(p - 3, 2), 2 * g - 2 + Fraction((3 - p) * n, 2)
-        )
-        h_class = model.divisor(Fraction(1, 2), Fraction(n, 2))
+        coeff, divisor, h_class = _kv_classes(model)
         member = model.divisor(1, n)  # 2H, integral
         member_coeff = Fraction(1, 2)
     elif p == 3:
@@ -275,7 +272,7 @@ def build_semipos(
     if not divisor.is_integral():
         raise PackageError("the shifted data left D fractional")
     shifted = divisor - model.divisor(0, 2 * g - 2)
-    pkg = CounterexamplePackage(
+    return CounterexamplePackage(
         kind=KIND_SEMIPOS,
         certificate=cert,
         model=model,
@@ -287,7 +284,6 @@ def build_semipos(
         member_coefficient=member_coeff,
         shifted_divisor=shifted,
     )
-    return _with_checklist(pkg)
 
 
 _BUILDERS = {
@@ -356,36 +352,16 @@ def h1_lower_bound_audit(pkg: CounterexamplePackage) -> DegreeAudit:
 
 
 def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
-    """Re-run every checklist item from the stored classes.
+    """Run every checklist item on the stored classes.
 
-    Nothing is trusted from build time; the returned results are
-    recomputed, with the euler-characteristic cross-check appended for
-    kinds whose build checklist does not carry it.
+    This is the one package checker: a built or parsed package carries
+    no results, so every verdict is computed here, ending with the
+    euler-characteristic cross-check.
     """
-    results = _checklist(pkg, with_euler=True)
-    return PackageVerification(
-        package=pkg,
-        results=results,
-        valid=all(r.passed for r in results),
-    )
+    return PackageVerification(_checklist(pkg))
 
 
-def _with_checklist(pkg: CounterexamplePackage) -> CounterexamplePackage:
-    return CounterexamplePackage(
-        **{
-            **{f: getattr(pkg, f) for f in (
-                "kind", "certificate", "model", "section_curve",
-                "boundary", "divisor", "h_class", "base_twist_degree",
-                "member_class", "member_coefficient", "shifted_divisor",
-            )},
-            "checklist": _checklist(pkg, with_euler=pkg.kind == KIND_KV),
-        }
-    )
-
-
-def _checklist(
-    pkg: CounterexamplePackage, with_euler: bool
-) -> tuple[CheckResult, ...]:
+def _checklist(pkg: CounterexamplePackage) -> tuple[CheckResult, ...]:
     model = pkg.model
     g = model.genus
     n = pkg.degree_n()
@@ -505,13 +481,12 @@ def _checklist(
             " onto the fiberwise quotient taken as given)",
         ))
 
-    if with_euler:
-        chi = riemann_roch_chi(model, pkg.divisor)
-        results.append(CheckResult(
-            "euler-positive",
-            chi > 0,
-            f"chi(D) = {chi} > 0, so sections exist below h2 = 0",
-        ))
+    chi = riemann_roch_chi(model, pkg.divisor)
+    results.append(CheckResult(
+        "euler-positive",
+        chi > 0,
+        f"chi(D) = {chi} > 0, so sections exist below h2 = 0",
+    ))
 
     return tuple(results)
 

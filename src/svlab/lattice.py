@@ -181,9 +181,6 @@ class DivisorClass:
     def b(self) -> Fraction:
         return self.coeffs[1]
 
-    def exceptional_coeff(self, i: int) -> Fraction:
-        return self.coeffs[2 + i]
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
@@ -304,7 +301,8 @@ def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
         raise ModelMismatch("class does not live on this model")
     if not cls.is_integral():
         raise LatticeError("curve classes are integral")
-    if cls == model.section_class() or cls == model.fiber_class():
+    # E and F themselves; on a pure model these are the two basis vectors
+    if cls.coeffs in ((1, 0), (0, 1)):
         return True
     e = model.invariant_e
     x, y = cls.a, cls.b
@@ -438,44 +436,3 @@ def pullback_blowup(target: RuledModel, d: DivisorClass) -> DivisorClass:
         coeffs.append(sum((coeffs[2 + j] for j in pt.proximate_to),
                           Fraction(0)))
     return DivisorClass(target, tuple(coeffs))
-
-
-def pushforward_contraction(
-    model: RuledModel, d: DivisorClass, i: int
-) -> DivisorClass:
-    """Push d forward along the contraction of the i-th exceptional.
-
-    Only a (-1)-class can be contracted: the exceptional must have no
-    points proximate to it (so e_i^2 = -1 and K.e_i = -1)."""
-    new_model = contract_exceptional(model, i)
-    if d.model != model:
-        raise ModelMismatch("class does not live on this model")
-    coeffs = list(d.coeffs)
-    del coeffs[2 + i]
-    return DivisorClass(new_model, tuple(coeffs))
-
-
-def contract_exceptional(model: RuledModel, i: int) -> RuledModel:
-    if not 0 <= i < len(model.exceptionals):
-        raise LatticeError("no such exceptional")
-    cls = model.exceptional_class(i)
-    if cls.self_intersection() != -1:
-        raise LatticeError(
-            "contraction needs a (-1)-class; later points are proximate"
-        )
-    if model.canonical_class().dot(cls) != -1:
-        raise LatticeError("contraction needs K.l = -1")
-    records = []
-    for j, pt in enumerate(model.exceptionals):
-        if j == i:
-            continue
-        records.append(BlowupPoint(
-            tuple(t - 1 if t > i else t for t in pt.proximate_to)
-        ))
-    return RuledModel(
-        model.characteristic,
-        model.genus,
-        model.invariant_e,
-        tuple(records),
-        model.chi_structure,
-    )

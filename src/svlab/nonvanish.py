@@ -112,8 +112,8 @@ class Scenario:
     ``kodaira`` is float('-inf') (use the RULED constant) or 0, 1, 2.
     Boundary entries are (curve class, coefficient) with coefficients in
     (0,1); fibered models carry their divisor data inside the trees and
-    take divisor=None, boundary=().  ``declared_curves`` feeds the
-    relative ample re-certification after contractions.
+    take divisor=None, boundary=().  ``declared_curves`` is validated
+    against the model and then read by no route.
     ``kappa_minus_k_nonneg`` is a declared hypothesis, not a computed
     fact; None means undeclared.
     """

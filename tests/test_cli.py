@@ -15,8 +15,11 @@ from fractions import Fraction
 
 import pytest
 
+from svlab.charpcurve import certify_tango
+from svlab.cli import schema
 from svlab.cli.main import main
 from svlab.cli.sweep import SweepRequest, run_sweep
+from svlab.construct import KINDS, build_package
 from svlab.lattice import (
     CERTIFIED,
     RuledModel,
@@ -638,7 +641,27 @@ class TestConstruct:
         assert "contradicts" in err
 
 
+# the curve families of the benchmark's curve-ladder workload
+LADDER = (
+    ("hyperelliptic", 3, 3), ("artinschreier", 2, 5),
+    ("artinschreier", 2, 8), ("artinschreier", 3, 3),
+    ("hyperelliptic", 5, 3), ("artinschreier", 3, 4),
+    ("hyperelliptic", 3, 7), ("hyperelliptic", 7, 3),
+    ("hyperelliptic", 5, 5), ("artinschreier", 3, 5),
+    ("artinschreier", 3, 8), ("artinschreier", 5, 3),
+    ("artinschreier", 5, 4),
+)
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("family,p,h", LADDER)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_document_gives_back_the_built_package(self, kind, family, p, h):
+        cert = certify_tango(schema.family_from_fields(family, p, h))
+        pkg = build_package(kind, cert)
+        doc = schema.package_to_document(pkg)
+        assert schema.package_from_document(doc) == pkg
+
     def emit(self, tmp_path, capsys, kind, family, p, h):
         emitted = tmp_path / f"{kind}-{family}-{p}-{h or 0}.json"
         argv = [

@@ -53,8 +53,12 @@ def cert_of(fam):
     return CERTS[fam]
 
 
+def names(pkg):
+    return [r.name for r in verify_package(pkg).results]
+
+
 def item(pkg, name):
-    for check in pkg.checklist:
+    for check in verify_package(pkg).results:
         if check.name == name:
             return check
     raise AssertionError(f"no checklist item {name!r}")
@@ -108,7 +112,7 @@ class TestAdmission:
         with pytest.raises(PackageError, match="allow_asserted"):
             build_kv(cert)
         pkg = build_kv(cert, allow_asserted=True)
-        assert pkg.is_valid()
+        assert verify_package(pkg).valid
         # g = 10, n = 3: the generic formulas, nothing p=5-specific
         assert pkg.divisor == pkg.model.divisor(1, 15)
 
@@ -148,11 +152,11 @@ class TestKV:
         assert pkg.h_class == m.divisor(Fraction(1, 2), 1)
         assert pkg.boundary == ((m.divisor(3, -6), Fraction(1, 2)),)
         assert riemann_roch_chi(m, pkg.divisor) == 3
-        assert pkg.is_valid()
+        assert verify_package(pkg).valid
 
     def test_checklist_names_stable(self):
         pkg = build_kv(cert_of(Hyperelliptic(3, 3)))
-        assert [c.name for c in pkg.checklist] == [
+        assert names(pkg) == [
             "class-identity",
             "divisor-integral",
             "divisor-nef",
@@ -172,9 +176,8 @@ class TestKV:
         assert pkg.h_class == m.divisor(Fraction(1, 2), 1)
         assert riemann_roch_chi(m, pkg.divisor) == 10
         # bound equality is not exact here (12 > 10), so no genus item
-        names = [c.name for c in pkg.checklist]
-        assert "arithmetic-genus" not in names
-        assert pkg.is_valid()
+        assert "arithmetic-genus" not in names(pkg)
+        assert verify_package(pkg).valid
 
     def test_char_two_data(self):
         pkg = build_kv(cert_of(ArtinSchreier(2, 5)))
@@ -183,7 +186,7 @@ class TestKV:
         assert pkg.h_class == m.divisor(Fraction(2, 3), 1)
         assert pkg.boundary[0][1] == Fraction(2, 3)
         assert riemann_roch_chi(m, pkg.divisor) == 3
-        assert pkg.is_valid()
+        assert verify_package(pkg).valid
 
     def test_remaining_grid_divisors(self):
         pkg33 = build_kv(cert_of(ArtinSchreier(3, 3)))
@@ -220,7 +223,7 @@ class TestKollar:
         assert pkg.divisor == m.divisor(0, 6)
         assert pkg.base_twist_degree == 1
         assert pkg.h_class == m.fiber_class()
-        assert pkg.is_valid()
+        assert verify_package(pkg).valid
         assert "disjoint" in item(pkg, "boundary-klt").witness
 
     def test_componentwise_expansion(self):
@@ -239,7 +242,7 @@ class TestKollar:
         assert pkg.boundary[0][1] == Fraction(2, 3)
         assert pkg.base_twist_degree == 1
         assert pkg.divisor == pkg.model.divisor(0, 6)
-        assert pkg.is_valid()
+        assert verify_package(pkg).valid
 
     def test_char_two_needs_divisible_invariant(self):
         with pytest.raises(PackageError, match="3 | n"):
@@ -251,12 +254,25 @@ class TestKollar:
         pkg28 = build_kollar(cert_of(ArtinSchreier(2, 8)))
         assert pkg28.base_twist_degree == 2
 
+    def test_checklist_names_stable(self):
+        pkg = build_kollar(cert_of(Hyperelliptic(3, 3)))
+        assert names(pkg) == [
+            "class-identity",
+            "base-twist-matches",
+            "divisor-integral",
+            "base-twist-ample",
+            "boundary-klt",
+            "section-curve",
+            "arithmetic-genus",
+            "euler-positive",
+        ]
+
     def test_no_polarization_claim(self):
         pkg = build_kollar(cert_of(Hyperelliptic(3, 3)))
-        names = [c.name for c in pkg.checklist]
-        assert "polarization-ample" not in names
-        assert "base-twist-ample" in names
-        assert "base-twist-matches" in names
+        kollar_names = names(pkg)
+        assert "polarization-ample" not in kollar_names
+        assert "base-twist-ample" in kollar_names
+        assert "base-twist-matches" in kollar_names
 
 
 class TestSemipos:
@@ -270,7 +286,7 @@ class TestSemipos:
         assert pkg.member_coefficient == Fraction(1, 2)
         assert pkg.shifted_divisor == m.divisor(1, -2)
         assert pkg.shifted_divisor.dot(pkg.section_curve) == -10
-        assert pkg.is_valid()
+        assert verify_package(pkg).valid
 
     def test_p_three_data(self):
         pkg = build_semipos(cert_of(Hyperelliptic(3, 3)))
@@ -281,7 +297,7 @@ class TestSemipos:
         assert pkg.shifted_divisor == m.divisor(1, -2)
         assert pkg.shifted_divisor.dot(pkg.section_curve) == -6
         assert pkg.member_class is None
-        assert pkg.is_valid()
+        assert verify_package(pkg).valid
 
     def test_p_two_data(self):
         pkg = build_semipos(cert_of(ArtinSchreier(2, 5)))
@@ -290,7 +306,21 @@ class TestSemipos:
         assert pkg.h_class == m.divisor(Fraction(4, 3), 1)
         assert pkg.shifted_divisor == m.divisor(1, -1)
         assert pkg.shifted_divisor.dot(pkg.section_curve) == -2
-        assert pkg.is_valid()
+        assert verify_package(pkg).valid
+
+    def test_checklist_names_stable(self):
+        pkg = build_semipos(cert_of(Hyperelliptic(5, 3)))
+        assert names(pkg) == [
+            "class-identity",
+            "divisor-integral",
+            "polarization-ample",
+            "boundary-klt",
+            "boundary-member",
+            "section-curve",
+            "shifted-degrees",
+            "shifted-not-nef",
+            "euler-positive",
+        ]
 
     def test_p_two_rejected_without_star(self):
         with pytest.raises(PackageError, match="3 | n"):
@@ -367,12 +397,10 @@ class TestVerify:
                 assert report.valid, (fam, build.__name__)
 
     def test_euler_check_appended_everywhere(self):
-        pkg = build_kollar(cert_of(Hyperelliptic(3, 3)))
-        assert "euler-positive" not in [c.name for c in pkg.checklist]
-        report = verify_package(pkg)
-        names = [r.name for r in report.results]
-        assert names[-1] == "euler-positive"
-        assert report.results[-1].passed
+        for build in (build_kv, build_kollar, build_semipos):
+            report = verify_package(build(cert_of(Hyperelliptic(3, 3))))
+            assert report.results[-1].name == "euler-positive"
+            assert report.results[-1].passed
 
     def test_nothing_is_trusted(self):
         pkg = build_kv(cert_of(Hyperelliptic(3, 3)))

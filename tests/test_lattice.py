@@ -18,9 +18,7 @@ from svlab.lattice import (
     adjunction_pa,
     candidate_curve_constraints,
     certify_positivity,
-    contract_exceptional,
     pullback_blowup,
-    pushforward_contraction,
     riemann_roch_chi,
 )
 
@@ -373,48 +371,6 @@ class TestTransforms:
         k1 = m1.canonical_class()
         diff = k1 - ku
         assert diff.coeffs == (0, 0, 1)
-
-    def test_contraction_requires_minus_one(self):
-        m = RuledModel(5, 1, 1).blow_up().blow_up([0])
-        with pytest.raises(LatticeError):
-            contract_exceptional(m, 0)
-        m2 = contract_exceptional(m, 1)
-        assert len(m2.exceptionals) == 1
-
-    def test_pushforward_blow_down_rule(self):
-        rng = random.Random(20260810)
-        for _ in range(120):
-            m0 = random_model(rng, max_points=2)
-            m = m0.blow_up()  # free point, always contractible
-            i = len(m.exceptionals) - 1
-            l = m.exceptional_class(i)
-            x = random_integral_class(rng, m)
-            y = random_integral_class(rng, m)
-            xd = pushforward_contraction(m, x, i)
-            yd = pushforward_contraction(m, y, i)
-            assert xd.dot(yd) == x.dot(y) + x.dot(l) * y.dot(l)
-
-    def test_pushforward_product_identity(self):
-        rng = random.Random(20260814)
-        model = RuledModel(5, 2, -1).blow_up().blow_up()
-        for _ in range(100):
-            c1 = model.divisor(
-                *(rng.randrange(-4, 5) for _ in range(model.rank))
-            )
-            c2 = model.divisor(
-                *(rng.randrange(-4, 5) for _ in range(model.rank))
-            )
-            l_cls = model.exceptional_class(1)
-            p1 = pushforward_contraction(model, c1, 1)
-            p2 = pushforward_contraction(model, c2, 1)
-            assert p1.dot(p2) - c1.dot(c2) == c1.dot(l_cls) * c2.dot(
-                l_cls
-            )
-
-    def test_contraction_reindexes_proximity(self):
-        m = RuledModel(5, 1, 1).blow_up().blow_up().blow_up([1])
-        m2 = contract_exceptional(m, 0)
-        assert m2.exceptionals[1].proximate_to == (0,)
 
 
 class TestModelValidation:
