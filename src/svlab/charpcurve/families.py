@@ -19,11 +19,11 @@ of the curve itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from ..lattice import is_prime
+from ..primes import is_prime
+from ..record import record
 from .series import LaurentSeries, PrecisionError, SeriesError
 
 COMPUTED = "computed"
@@ -46,7 +46,7 @@ class CertificateError(ValueError):
     """A required certificate did not hold."""
 
 
-@dataclass(frozen=True)
+@record
 class Hyperelliptic:
     p: int
     h: int
@@ -62,7 +62,7 @@ class Hyperelliptic:
         return f"y^2 = x^{self.p * self.h} + x^{self.p + 1} + 1"
 
 
-@dataclass(frozen=True)
+@record
 class ArtinSchreier:
     p: int
     h: int
@@ -76,7 +76,7 @@ class ArtinSchreier:
         return f"y^{self.h * self.p - 1} = x^{self.p} - x"
 
 
-@dataclass(frozen=True)
+@record
 class TangoPlane:
     p: int
 
@@ -127,7 +127,7 @@ def minimum_precision(family: CurveFamily) -> int:
     return 2 * genus(family) + family.p
 
 
-@dataclass(frozen=True)
+@record
 class InfinityChart:
     """Exact local data at the point at infinity, as series in the
     uniformizer t."""
@@ -303,7 +303,7 @@ def _n_from_valuation(family: CurveFamily, v: int) -> int:
     return v // family.p
 
 
-@dataclass(frozen=True)
+@record
 class TangoCertificate:
     family: CurveFamily
     witness: str

@@ -18,8 +18,9 @@ formal power series", J. ACM 1978).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from ..record import record
 
 
 class SeriesError(ValueError):
@@ -30,7 +31,7 @@ class PrecisionError(SeriesError):
     """The requested information lies outside the known window."""
 
 
-@dataclass(frozen=True)
+@record
 class LaurentSeries:
     p: int
     valuation: int

@@ -34,6 +34,10 @@ __getattr__ = lazy_getattr(globals(), {
 })
 _this = sys.modules[__name__]
 
+# The process pool starts all of its workers at once, so ``--jobs`` is
+# capped before any of them can start.
+MAX_JOBS = 64
+
 
 def _read(path: str | None) -> str:
     if path is None:
@@ -296,6 +300,20 @@ def _add_family(parser) -> None:
     parser.add_argument("--h", type=int)
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if not 1 <= jobs <= MAX_JOBS:
+        raise argparse.ArgumentTypeError(
+            f"must be from 1 to {MAX_JOBS}, not {jobs}"
+        )
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svlab",
@@ -338,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="euler-formula agreement over an integral box"
     )
     _add_io(sweep)
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--jobs", type=_jobs, default=1, metavar="N",
+                       help=f"worker processes, 1 to {MAX_JOBS}")
 
     return parser
 

@@ -8,8 +8,9 @@ set or a hash-ordered iteration.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ..record import record
 
 FORMAT_VERSION = "svlab/1"
 
@@ -18,14 +19,14 @@ FAIL = "FAIL"
 SKIP = "SKIP"
 
 
-@dataclass(frozen=True)
+@record
 class CheckLine:
     name: str
     status: str
     detail: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     command: str
     lines: tuple[CheckLine, ...]

@@ -13,18 +13,18 @@ independent, so the box may fan out over processes; the report is
 assembled in box order no matter what finished first.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..lattice import CERTIFIED, DivisorClass, RuledModel, certify_positivity
 from ..nonvanish import ChiProduct, InconsistentScenario, PreconditionError
+from ..record import record
 
 CERTIFIED_ENTRY = "certified"
 SKIPPED_ENTRY = "skipped"
 DISAGREEMENT = "disagreement"
 
 
-@dataclass(frozen=True)
+@record
 class SweepRequest:
     characteristic: int
     genus: int
@@ -34,7 +34,7 @@ class SweepRequest:
     coefficient: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class SweepEntry:
     a: int
     b: int

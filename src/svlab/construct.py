@@ -19,7 +19,6 @@ The one genuinely cohomological claim (the h1 lower bound) is reduced
 to a bookkeeping chain of line-bundle degrees whose final term is 0.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpcurve.families import ASSERTED, TangoCertificate
@@ -40,6 +39,7 @@ from .lattice import (
     format_class,
     riemann_roch_chi,
 )
+from .record import record
 
 KIND_KV = "kv"
 KIND_KOLLAR = "kollar"
@@ -55,14 +55,14 @@ class PackageError(ValueError):
     """The requested package cannot be built from this certificate."""
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool
     witness: str
 
 
-@dataclass(frozen=True)
+@record
 class CounterexamplePackage:
     """Divisor data on the ruled surface over a certified base curve.
 
@@ -89,7 +89,7 @@ class CounterexamplePackage:
         return self.certificate.l_degree
 
 
-@dataclass(frozen=True)
+@record
 class DegreeAudit:
     """Bookkeeping chain behind the h1 lower bound.
 
@@ -107,7 +107,7 @@ class DegreeAudit:
     lower_bound: int
 
 
-@dataclass(frozen=True)
+@record
 class PackageVerification:
     results: tuple[CheckResult, ...]
 

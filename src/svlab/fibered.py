@@ -14,16 +14,15 @@ business of the scenario layer, not this calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .lattice import is_prime
+from .primes import is_prime
+from .record import record
 
 
 class FiberTreeError(ValueError):
     """Numerically inconsistent fiber data."""
 
 
-@dataclass(frozen=True)
+@record
 class FiberComponent:
     self_intersection: int
     multiplicity: int
@@ -48,7 +47,7 @@ def component(self_intersection, multiplicity, d_degree=0) -> FiberComponent:
     )
 
 
-@dataclass(frozen=True)
+@record
 class FiberTree:
     components: tuple[FiberComponent, ...]
     edges: tuple[tuple[int, int], ...] = ()
@@ -177,7 +176,7 @@ def contract_component(tree: FiberTree, i: int) -> FiberTree:
     return FiberTree(tuple(comps), tuple(edges))
 
 
-@dataclass(frozen=True)
+@record
 class ContractionStep:
     fiber_index: int
     component_index: int
@@ -259,7 +258,7 @@ def blow_up_on_edge(tree: FiberTree, i: int, j: int) -> FiberTree:
     return FiberTree(tuple(comps), edges + ((i, new), (j, new)))
 
 
-@dataclass(frozen=True)
+@record
 class MinimalityAudit:
     """Bookkeeping proof that a configuration with a divisor-positive
     (-1)-component and otherwise contraction-free components cannot be a
@@ -294,7 +293,7 @@ def minimality_audit(components) -> MinimalityAudit:
     return MinimalityAudit(total, -2, contradiction, detail)
 
 
-@dataclass(frozen=True)
+@record
 class FiberedModel:
     """A ruled surface presented by its base genus and a list of
     (possibly degenerate) fibers."""

@@ -12,9 +12,10 @@ All coefficients are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .record import record
 
 Rational = Union[int, Fraction]
 
@@ -26,7 +27,7 @@ class ArrangementError(ValueError):
     """Malformed arrangement input."""
 
 
-@dataclass(frozen=True)
+@record
 class WeightedBranch:
     id: str
     coefficient: Fraction
@@ -44,7 +45,7 @@ class WeightedBranch:
             )
 
 
-@dataclass(frozen=True)
+@record
 class ClusterNode:
     """A singular point of the arrangement.  ``branch_ids`` are the
     declared branches through it; children are points infinitely near to
@@ -54,7 +55,7 @@ class ClusterNode:
     children: tuple["ClusterNode", ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ClusterArrangement:
     """Declared branches and the cluster forest.  The branches are
     indexed by id once, at construction; the first of two equal ids is
@@ -122,7 +123,7 @@ class ClusterArrangement:
             stack.extend(reversed(pending))
 
 
-@dataclass(frozen=True)
+@record
 class BlowupRecord:
     node: str
     sigma: Fraction
@@ -136,7 +137,7 @@ class BlowupRecord:
             )
 
 
-@dataclass(frozen=True)
+@record
 class BlowupTrace:
     records: tuple[BlowupRecord, ...] = ()
 

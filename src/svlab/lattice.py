@@ -26,11 +26,13 @@ floating point appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Union
+
+from .primes import is_prime
+from .record import record
 
 Rational = Union[int, Fraction]
 
@@ -47,20 +49,7 @@ class UnsupportedRegime(LatticeError):
     """The requested rule set is not available on this model."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-@dataclass(frozen=True)
+@record
 class BlowupPoint:
     """One blown-up point; ``proximate_to`` lists the earlier exceptionals
     whose strict transforms pass through it."""
@@ -68,7 +57,7 @@ class BlowupPoint:
     proximate_to: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class RuledModel:
     """Numerical model of a blown-up ruled surface.
 
@@ -161,7 +150,7 @@ class RuledModel:
         )
 
 
-@dataclass(frozen=True)
+@record
 class DivisorClass:
     """A rational class in the model's basis.  ``a`` and ``b`` are the E
     and F coefficients; exceptional coefficients follow."""
@@ -332,7 +321,7 @@ RULE_DECOMPOSITION = "positivity.section-fiber-decomposition"
 RULE_CURVE_CONE = "positivity.curve-cone-bounds"
 
 
-@dataclass(frozen=True)
+@record
 class PositivityVerdict:
     status: str
     rule_used: str

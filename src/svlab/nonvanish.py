@@ -22,7 +22,6 @@ The certified routes, by case label:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -40,6 +39,7 @@ from .lattice import (
     riemann_roch_chi,
 )
 from .lazy import lazy_getattr
+from .record import record
 
 if TYPE_CHECKING:
     from .fibered import FiberedModel
@@ -94,18 +94,18 @@ class PreconditionError(ScenarioError):
     """An operation was invoked outside its certified domain."""
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     case_label: str
     result: str
-    certificate: dict = field(default_factory=dict)
+    certificate: dict = {}
     reason: str = ""
 
     def guaranteed(self) -> bool:
         return self.result in (GUARANTEED_M1, GUARANTEED_M2)
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """Immutable problem instance.
 
@@ -283,7 +283,7 @@ def _negative_boundary(s: Scenario) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Facts:
     """What the routes read, derived once per ``decide`` call.
 
@@ -477,7 +477,7 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ChiProduct:
     """chi(D) = (a+1)(b - ae/2 + 1 - g) > 0 for D = aE + bF on a
     relatively minimal model of negative invariant whose boundary is a

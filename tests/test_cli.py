@@ -17,7 +17,7 @@ import pytest
 
 from svlab.charpcurve import certify_tango
 from svlab.cli import schema
-from svlab.cli.main import main
+from svlab.cli.main import MAX_JOBS, main
 from svlab.cli.sweep import SweepRequest, run_sweep
 from svlab.construct import KINDS, build_package
 from svlab.lattice import (
@@ -880,6 +880,38 @@ class TestSweep:
         )
         assert code == 0
         assert parallel == serial
+
+    @pytest.mark.parametrize("jobs", (0, MAX_JOBS + 1))
+    def test_jobs_out_of_range_refused_before_any_work(
+        self, jobs, tmp_path, capsys, monkeypatch,
+    ):
+        def unreachable(request, jobs=1):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("svlab.cli.sweep.run_sweep", unreachable)
+        path = write_doc(tmp_path, "d.json", SWEEP_DOC)
+        with pytest.raises(SystemExit) as refused:
+            main(["sweep", "--in", path, "--jobs", str(jobs)])
+        assert refused.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_at_the_cap_reach_the_sweep(
+        self, tmp_path, capsys, monkeypatch,
+    ):
+        # a stand-in sweep, so no worker process is started
+        seen = []
+
+        def no_pool(request, jobs=1):
+            seen.append(jobs)
+            return ()
+
+        monkeypatch.setattr("svlab.cli.sweep.run_sweep", no_pool)
+        path = write_doc(tmp_path, "d.json", SWEEP_DOC)
+        code, _, _ = run(
+            capsys, "sweep", "--in", path, "--jobs", str(MAX_JOBS),
+        )
+        assert code == 0
+        assert seen == [MAX_JOBS]
 
     def test_nonnegative_e_rejected(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SWEEP_DOC))

@@ -5,7 +5,6 @@ Every divisor below was expanded by hand from the rank-2 pairing
 characteristics come from the Riemann-Roch oracle.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -389,6 +388,11 @@ class TestDegreeAudit:
             assert audit.lower_bound == 1
 
 
+def _bent(pkg, **changes):
+    """``pkg`` rebuilt with ``changes``; every other field as built."""
+    return CounterexamplePackage(**{**vars(pkg), **changes})
+
+
 class TestVerify:
     def test_grid_verifies_valid(self):
         for fam in GRID_FAMILIES:
@@ -404,7 +408,7 @@ class TestVerify:
 
     def test_nothing_is_trusted(self):
         pkg = build_kv(cert_of(Hyperelliptic(3, 3)))
-        bent = dataclasses.replace(pkg, divisor=pkg.model.divisor(0, 5))
+        bent = _bent(pkg, divisor=pkg.model.divisor(0, 5))
         report = verify_package(bent)
         assert not report.valid
         failed = {r.name for r in report.results if not r.passed}
@@ -412,19 +416,14 @@ class TestVerify:
 
     def test_fractional_tamper_caught(self):
         pkg = build_kv(cert_of(ArtinSchreier(3, 3)))
-        bent = dataclasses.replace(
-            pkg,
-            divisor=pkg.model.divisor(Fraction(1, 2), 12),
-        )
+        bent = _bent(pkg, divisor=pkg.model.divisor(Fraction(1, 2), 12))
         report = verify_package(bent)
         failed = {r.name for r in report.results if not r.passed}
         assert "divisor-integral" in failed
 
     def test_wrong_shift_caught(self):
         pkg = build_semipos(cert_of(ArtinSchreier(2, 5)))
-        bent = dataclasses.replace(
-            pkg, shifted_divisor=pkg.model.divisor(1, 0)
-        )
+        bent = _bent(pkg, shifted_divisor=pkg.model.divisor(1, 0))
         report = verify_package(bent)
         failed = {r.name for r in report.results if not r.passed}
         assert "shifted-degrees" in failed

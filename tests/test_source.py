@@ -29,6 +29,23 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_dataclasses_import():
+    # records come from svlab.record; dataclasses would load inspect
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
 # -- import footprint ---------------------------------------------------------
 
 _ENV = dict(
@@ -59,7 +76,7 @@ def test_cli_import_loads_no_layer_but_the_lattice():
     unwanted = {
         "svlab.charpcurve", "svlab.construct", "svlab.fibered",
         "svlab.kltcalc", "svlab.nonvanish", "svlab.cli.sweep",
-        "concurrent.futures",
+        "concurrent.futures", "dataclasses", "inspect",
     }
     assert loaded & unwanted == set()
 
@@ -77,6 +94,15 @@ def test_klt_command_loads_only_its_layer(tmp_path):
         "svlab.charpcurve", "svlab.construct", "svlab.nonvanish",
         "svlab.lattice",
     } == set()
+
+
+def test_tango_command_does_not_load_the_lattice():
+    loaded = _imported(
+        "-m", "svlab", "tango", "--family", "hyperelliptic",
+        "--p", "3", "--h", "3",
+    )
+    assert "svlab.charpcurve.families" in loaded
+    assert "svlab.lattice" not in loaded
 
 
 def test_classify_command_does_not_load_the_fibered_layer(tmp_path):
@@ -173,6 +199,14 @@ def _argv(command, tmp_path):
         })]
     if command == "tango":
         return ["tango", "--family", "hyperelliptic", "--p", "3", "--h", "3"]
+    if command == "sweep":
+        return ["sweep", "--in", _write(tmp_path / "s.json", {
+            "format": "svlab/1",
+            "request": "sweep",
+            "model": {"p": 3, "genus": 4, "e": -2},
+            "box": {"a": [0, 2], "b": [-2, 4]},
+            "boundary_coefficient": "1/2",
+        })]
     emitted = tmp_path / "kv.json"
     assert main(["construct", "--kind", "kv", "--family", "hyperelliptic",
                  "--p", "3", "--h", "3", "--emit", str(emitted)]) == 0
@@ -180,6 +214,15 @@ def _argv(command, tmp_path):
         return ["construct", "--kind", "kv", "--family", "hyperelliptic",
                 "--p", "3", "--h", "3"]
     return ["verify", "--in", str(emitted)]
+
+
+@pytest.mark.parametrize("command", (
+    "classify", "klt", "tango", "construct", "verify", "sweep",
+))
+def test_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
+    loaded = _imported("-m", "svlab", *_argv(command, tmp_path))
+    assert "svlab.record" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 @pytest.mark.parametrize("module,name,command", (
