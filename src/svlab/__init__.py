@@ -27,7 +27,6 @@ _LAYERS = {
     ".kltcalc": (
         "ArrangementError", "BlowupRecord", "ClusterArrangement",
         "ClusterNode", "WeightedBranch", "blowup_step", "is_klt",
-        "snc_klt_shortcut",
     ),
     ".lattice": (
         "BlowupPoint", "DivisorClass", "LatticeError", "ModelMismatch",

@@ -16,7 +16,6 @@ from .families import (
     SeriesUnavailable,
     TangoCertificate,
     TangoPlane,
-    affine_support_certificate,
     certify_tango,
     default_witness,
     defining_residual,
@@ -41,7 +40,6 @@ __all__ = [
     "SeriesUnavailable",
     "TangoCertificate",
     "TangoPlane",
-    "affine_support_certificate",
     "certify_tango",
     "default_witness",
     "defining_residual",

@@ -256,33 +256,6 @@ def v_infinity_df(
     return differential_valuation(s, 2 * genus(family) - 2)
 
 
-def affine_support_certificate(
-    family: CurveFamily, f0: str | None = None,
-    precision: int | None = None,
-) -> bool:
-    """Certify supp(d f0) = {infinity point}.
-
-    The differential of the witness has degree 2g - 2 and no affine
-    poles, so v at infinity equal to 2g - 2 leaves nothing for the
-    affine part.  No affine pole, because in char p:
-
-    * Hyperelliptic, 2y dy = r'(x) dx with r = x^(ph) + x^(p+1) + 1:
-      r' = x^p, so d(y/x^p) = dx/(2y).  Poles could only sit where
-      y = 0, and gcd(r, r') = gcd(r, x^p) = 1 because r(0) = 1, so
-      those zeros of r are simple and cancel against the zero of dx
-      there.
-    * Artin-Schreier, F = x^p - x - y^(hp-1): F_x = -1 identically, so
-      the affine curve is smooth and dy = -dx / ((hp-1) y^(hp-2)) holds
-      with a nowhere-vanishing gradient; dy is affine-regular.
-
-    Returns False when the valuation test fails.
-    """
-    if isinstance(family, TangoPlane):
-        raise SeriesUnavailable("no affine certificate for this family")
-    v = v_infinity_df(family, f0, precision)
-    return v == 2 * genus(family) - 2
-
-
 def n_of_f(
     family: CurveFamily, f0: str | None = None,
     precision: int | None = None,
@@ -296,6 +269,24 @@ def n_of_f(
 
 
 def _n_from_valuation(family: CurveFamily, v: int) -> int:
+    """floor(v / p) for v = v(d f0) at infinity, once v = 2g - 2.
+
+    That one test certifies supp(d f0) = {infinity point}: the
+    differential of the witness has degree 2g - 2 and no affine poles,
+    so v at infinity equal to 2g - 2 leaves nothing for the affine
+    part.  No affine pole, because in char p:
+
+    * Hyperelliptic, 2y dy = r'(x) dx with r = x^(ph) + x^(p+1) + 1:
+      r' = x^p, so d(y/x^p) = dx/(2y).  Poles could only sit where
+      y = 0, and gcd(r, r') = gcd(r, x^p) = 1 because r(0) = 1, so
+      those zeros of r are simple and cancel against the zero of dx
+      there.
+    * Artin-Schreier, F = x^p - x - y^(hp-1): F_x = -1 identically, so
+      the affine curve is smooth and dy = -dx / ((hp-1) y^(hp-2)) holds
+      with a nowhere-vanishing gradient; dy is affine-regular.
+
+    Any other valuation is refused.
+    """
     if v != 2 * genus(family) - 2:
         raise CertificateError(
             "divisor of the differential is not concentrated at infinity"

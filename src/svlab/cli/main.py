@@ -119,6 +119,13 @@ def _family_from_args(args, request: str):
     return schema.family_from_fields(args.family, p, args.h)
 
 
+def _family_detail(family, kind_name: str) -> list:
+    """A family's kind, named ``kind_name``, then p and h as its
+    document carries them."""
+    doc = schema.family_document(family)
+    return [(kind_name, doc.pop("kind")), *doc.items()]
+
+
 def cmd_tango(args) -> Report:
     source = _family_from_args(args, "tango")
     family = (
@@ -126,16 +133,12 @@ def cmd_tango(args) -> Report:
         if isinstance(source, dict) else source
     )
     cert = _this.certify_tango(family)
-    fam_doc = schema.family_document(family)
-    family_detail = [("kind", fam_doc["kind"]), ("p", fam_doc["p"])]
-    if "h" in fam_doc:
-        family_detail.append(("h", fam_doc["h"]))
-    family_detail.append(("curve", family.describe()))
     invariant_detail = [("n", cert.n_f0)]
     if cert.v_inf is not None:
         invariant_detail.append(("v_inf", cert.v_inf))
     lines = [
-        check("family", PASS, *family_detail),
+        check("family", PASS, *_family_detail(family, "kind"),
+              ("curve", family.describe())),
         check(
             "witness", PASS,
             ("value", cert.witness),
@@ -161,12 +164,9 @@ def _package_lines(pkg) -> tuple:
     from ..lattice import format_class
 
     verification = _this.verify_package(pkg)
-    fam_doc = schema.family_document(pkg.certificate.family)
-    head = [("kind", pkg.kind), ("family", fam_doc["kind"]),
-            ("p", fam_doc["p"])]
-    if "h" in fam_doc:
-        head.append(("h", fam_doc["h"]))
-    head += [
+    head = [
+        ("kind", pkg.kind),
+        *_family_detail(pkg.certificate.family, "family"),
         ("genus", pkg.model.genus),
         ("n", pkg.degree_n()),
         ("e", pkg.model.invariant_e),

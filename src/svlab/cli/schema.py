@@ -325,25 +325,29 @@ def arrangement_from_document(data: dict) -> ClusterArrangement:
 FAMILY_KINDS = ("hyperelliptic", "artinschreier", "tangoplane")
 
 
-def family_from_fields(kind: str, p: int, h):
+def _family_classes() -> dict:
+    """The class of each family kind.  A family's document carries the
+    fields of its record class: p, and h where the class has one."""
     from ..charpcurve.families import ArtinSchreier, Hyperelliptic, TangoPlane
 
-    if kind == "hyperelliptic":
-        if h is None:
-            raise SchemaError("hyperelliptic needs h")
-        return Hyperelliptic(p, h)
-    if kind == "artinschreier":
-        if h is None:
-            raise SchemaError("artinschreier needs h")
-        return ArtinSchreier(p, h)
-    if kind == "tangoplane":
+    return {"hyperelliptic": Hyperelliptic, "artinschreier": ArtinSchreier,
+            "tangoplane": TangoPlane}
+
+
+def family_from_fields(kind: str, p: int, h):
+    cls = _family_classes().get(kind)
+    if cls is None:
+        raise SchemaError(
+            f"family kind: expected one of {', '.join(FAMILY_KINDS)},"
+            f" got {kind!r}"
+        )
+    if "h" not in cls.__annotations__:
         if h is not None:
-            raise SchemaError("tangoplane takes no h")
-        return TangoPlane(p)
-    raise SchemaError(
-        f"family kind: expected one of {', '.join(FAMILY_KINDS)},"
-        f" got {kind!r}"
-    )
+            raise SchemaError(f"{kind} takes no h")
+        return cls(p)
+    if h is None:
+        raise SchemaError(f"{kind} needs h")
+    return cls(p, h)
 
 
 def _family(value, where):
@@ -421,13 +425,10 @@ def sweep_from_document(data: dict) -> SweepRequest:
 
 
 def family_document(family) -> dict:
-    from ..charpcurve.families import ArtinSchreier, Hyperelliptic
-
-    if isinstance(family, Hyperelliptic):
-        return {"kind": "hyperelliptic", "p": family.p, "h": family.h}
-    if isinstance(family, ArtinSchreier):
-        return {"kind": "artinschreier", "p": family.p, "h": family.h}
-    return {"kind": "tangoplane", "p": family.p}
+    cls = type(family)
+    kind = next(k for k, c in _family_classes().items() if c is cls)
+    return {"kind": kind,
+            **{name: getattr(family, name) for name in cls.__annotations__}}
 
 
 def _certificate_document(cert: TangoCertificate) -> dict:

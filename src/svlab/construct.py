@@ -26,7 +26,7 @@ from .kltcalc import (
     ClusterArrangement,
     ClusterNode,
     WeightedBranch,
-    snc_klt_shortcut,
+    is_klt,
 )
 from .lattice import (
     CERTIFIED,
@@ -512,10 +512,9 @@ def _klt_item(pkg: CounterexamplePackage) -> CheckResult:
         clusters = (ClusterNode(("b0", "member")),)
         note = "member meets the multisection transversally (assumed)"
     arr = ClusterArrangement(tuple(branches), clusters)
-    verdict = snc_klt_shortcut(arr)
     coeffs = ", ".join(str(b.coefficient) for b in branches)
     return CheckResult(
         "boundary-klt",
-        bool(verdict),
+        is_klt(arr)[0],
         f"{note}; coefficients {coeffs} all below 1",
     )

@@ -59,7 +59,7 @@ class ClusterNode:
 class ClusterArrangement:
     """Declared branches and the cluster forest.  The branches are
     indexed by id once, at construction; the first of two equal ids is
-    the one ``branch`` finds (``validate`` refuses the pair)."""
+    the one ``branch`` finds (``is_klt`` refuses the pair)."""
 
     branches: tuple[WeightedBranch, ...]
     clusters: tuple[ClusterNode, ...] = ()
@@ -76,65 +76,17 @@ class ClusterArrangement:
             raise ArrangementError(f"unknown branch id {bid!r}")
         return found
 
-    def validate(self) -> None:
-        """Check the forest depth first, with an explicit stack so that
-        its depth is not bounded by the interpreter's recursion limit.
-        Errors surface in the order of a recursive preorder walk."""
-        seen: set[str] = set()
-        for b in self.branches:
-            if b.id in seen:
-                raise ArrangementError(f"duplicate branch id {b.id!r}")
-            seen.add(b.id)
-        stack: list = [(root, None) for root in reversed(self.clusters)]
-        while stack:
-            node, parent_ids = stack.pop()
-            if isinstance(node, ArrangementError):
-                raise node
-            ids = node.branch_ids
-            if len(set(ids)) != len(ids):
-                raise ArrangementError("node lists a branch twice")
-            if len(ids) < 2:
-                raise ArrangementError(
-                    "a cluster point needs at least two incident branches"
-                )
-            for bid in ids:
-                if bid not in seen:
-                    raise ArrangementError(f"unknown branch id {bid!r}")
-            if parent_ids is not None and not set(ids) <= parent_ids:
-                raise ArrangementError(
-                    "a branch through a child must pass through the parent"
-                )
-            # a smooth branch has one tangent direction at the parent, so
-            # it hits the exceptional in one point: siblings cannot share
-            # it.  The first overlap is raised once the earlier siblings'
-            # subtrees are checked, and later siblings are never visited.
-            own = frozenset(ids)
-            used: set[str] = set()
-            pending: list = []
-            for child in node.children:
-                overlap = used & set(child.branch_ids)
-                if overlap:
-                    pending.append((ArrangementError(
-                        f"branches {sorted(overlap)} appear in two siblings"
-                    ), None))
-                    break
-                used |= set(child.branch_ids)
-                pending.append((child, own))
-            stack.extend(reversed(pending))
-
 
 @record
 class BlowupRecord:
     node: str
     sigma: Fraction
     coefficient: Fraction
-    discrepancy: Fraction
 
-    def __post_init__(self) -> None:
-        if self.coefficient + self.discrepancy != 0:
-            raise ArrangementError(
-                "record must satisfy coefficient = -discrepancy"
-            )
+    @property
+    def discrepancy(self) -> Fraction:
+        """The exceptional curve's discrepancy: minus its coefficient."""
+        return -self.coefficient
 
 
 @record
@@ -153,48 +105,74 @@ def blowup_step(
     """Coefficient transport across one point blow-up: the exceptional
     curve carries (sum of incident coefficients) - 1."""
     sigma = sum((Fraction(c) for c in coefficients), Fraction(0))
-    return BlowupRecord(node, sigma, sigma - 1, 1 - sigma)
+    return BlowupRecord(node, sigma, sigma - 1)
 
 
 def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
-    """Resolve the cluster forest and decide KLT.
+    """Check the cluster forest, resolve it and decide KLT.
 
-    Depth-first over the declared forest, in preorder and with an
-    explicit stack; at each node the incident coefficients are the
-    declared branches plus the parent's exceptional curve.  Verdict:
-    every exceptional coefficient < 1 and every input coefficient < 1.
+    One depth-first walk over the declared forest, in preorder and with
+    an explicit stack, so that its depth is not bounded by the
+    interpreter's recursion limit.  Each node is checked before it is
+    blown up, so errors surface in the order of a recursive preorder
+    walk; at each node the incident coefficients are the declared
+    branches plus the parent's exceptional curve.  Verdict: every
+    exceptional coefficient < 1 and every input coefficient < 1.
     """
-    arr.validate()
+    seen: set[str] = set()
+    for b in arr.branches:
+        if b.id in seen:
+            raise ArrangementError(f"duplicate branch id {b.id!r}")
+        seen.add(b.id)
     records: list[BlowupRecord] = []
-    stack = [
+    # a root has no parent; a child carries its parent's branch ids and
+    # exceptional coefficient
+    stack: list = [
         (root, f"n{idx}", None)
         for idx, root in reversed(list(enumerate(arr.clusters)))
     ]
     while stack:
-        node, label, parent_coeff = stack.pop()
-        coeffs = [arr.branch(bid).coefficient for bid in node.branch_ids]
-        if parent_coeff is not None:
+        node, label, parent = stack.pop()
+        if isinstance(node, ArrangementError):
+            raise node
+        ids = node.branch_ids
+        distinct = frozenset(ids)
+        if len(distinct) != len(ids):
+            raise ArrangementError("node lists a branch twice")
+        if len(ids) < 2:
+            raise ArrangementError(
+                "a cluster point needs at least two incident branches"
+            )
+        coeffs = [arr.branch(bid).coefficient for bid in ids]
+        if parent is not None:
+            parent_ids, parent_coeff = parent
+            if not distinct <= parent_ids:
+                raise ArrangementError(
+                    "a branch through a child must pass through the parent"
+                )
             coeffs.append(parent_coeff)
         rec = blowup_step(coeffs, label)
         records.append(rec)
-        stack.extend(
-            (child, f"{label}.{idx}", rec.coefficient)
-            for idx, child in reversed(list(enumerate(node.children)))
-        )
+        # a smooth branch has one tangent direction at the parent, so it
+        # hits the exceptional in one point: siblings cannot share it.
+        # The first overlap is raised once the earlier siblings' subtrees
+        # are walked, and later siblings are never visited.
+        own = (distinct, rec.coefficient)
+        used: set[str] = set()
+        pending: list = []
+        for idx, child in enumerate(node.children):
+            overlap = used & set(child.branch_ids)
+            if overlap:
+                pending.append((ArrangementError(
+                    f"branches {sorted(overlap)} appear in two siblings"
+                ), None, None))
+                break
+            used |= set(child.branch_ids)
+            pending.append((child, f"{label}.{idx}", own))
+        stack.extend(reversed(pending))
 
     trace = BlowupTrace(tuple(records))
     verdict = all(b.coefficient < 1 for b in arr.branches) and all(
         r.coefficient < 1 for r in trace.records
     )
     return verdict, trace
-
-
-def snc_klt_shortcut(arr: ClusterArrangement) -> bool | None:
-    """Fast path for simple-normal-crossings data: every cluster is two
-    branches meeting transversally (no children).  Returns the verdict,
-    or None when the arrangement is not of this shape."""
-    arr.validate()
-    for node in arr.clusters:
-        if len(node.branch_ids) != 2 or node.children:
-            return None
-    return all(b.coefficient < 1 for b in arr.branches)

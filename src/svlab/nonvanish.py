@@ -101,9 +101,6 @@ class Verdict:
     certificate: dict = {}
     reason: str = ""
 
-    def guaranteed(self) -> bool:
-        return self.result in (GUARANTEED_M1, GUARANTEED_M2)
-
 
 @record
 class Scenario:

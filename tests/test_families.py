@@ -15,7 +15,6 @@ from svlab.charpcurve import (
     PrecisionError,
     SeriesUnavailable,
     TangoPlane,
-    affine_support_certificate,
     certify_tango,
     default_witness,
     defining_residual,
@@ -118,16 +117,6 @@ class TestDifferential:
     def test_unknown_witness(self):
         with pytest.raises(FamilyParameterError):
             v_infinity_df(Hyperelliptic(3, 3), "y^2/x")
-
-
-class TestAffineSupport:
-    def test_default_witnesses_certify(self):
-        for fam in GRID:
-            assert affine_support_certificate(fam) is True
-
-    def test_coordinate_function_fails(self):
-        assert affine_support_certificate(Hyperelliptic(3, 3), "x") is False
-        assert affine_support_certificate(ArtinSchreier(2, 5), "x") is False
 
 
 class TestInvariant:

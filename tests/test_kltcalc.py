@@ -7,13 +7,11 @@ import pytest
 
 from svlab.kltcalc import (
     ArrangementError,
-    BlowupRecord,
     ClusterArrangement,
     ClusterNode,
     WeightedBranch,
     blowup_step,
     is_klt,
-    snc_klt_shortcut,
 )
 
 
@@ -48,10 +46,6 @@ class TestBlowupStep:
         rec = blowup_step([])
         assert rec.coefficient == -1
         assert rec.discrepancy == 1
-
-    def test_record_invariant_enforced(self):
-        with pytest.raises(ArrangementError):
-            BlowupRecord("p", Fraction(1), Fraction(1), Fraction(1))
 
 
 class TestIsKlt:
@@ -208,41 +202,6 @@ class TestIsKlt:
             assert is_klt(base)[0] == is_klt(perm)[0]
 
 
-class TestShortcut:
-    def test_transverse_pairs(self):
-        arr = ClusterArrangement(
-            branches(("A", Fraction(1, 2)), ("B", Fraction(1, 2))),
-            (ClusterNode(("A", "B")),),
-        )
-        assert snc_klt_shortcut(arr) is True
-        arr2 = ClusterArrangement(
-            branches(("A", Fraction(1, 2)), ("B", Fraction(3, 4))),
-            (ClusterNode(("A", "B")),),
-        )
-        assert snc_klt_shortcut(arr2) is True
-
-    def test_concurrent_triple_not_a_shortcut(self):
-        assert snc_klt_shortcut(TRIPLE) is None
-        assert snc_klt_shortcut(TANGENT_PAIR) is None
-
-    def test_agreement_with_full_resolution(self):
-        rng = random.Random(20260814)
-        for _ in range(100):
-            names = [f"b{i}" for i in range(rng.randrange(2, 6))]
-            coeffs = [(n, Fraction(rng.randrange(0, 20), 20)) for n in names]
-            nodes = []
-            used = set()
-            for i in range(len(names) - 1):
-                if names[i] in used or rng.random() < 0.5:
-                    continue
-                nodes.append(ClusterNode((names[i], names[i + 1])))
-                used.update((names[i], names[i + 1]))
-            arr = ClusterArrangement(branches(*coeffs), tuple(nodes))
-            fast = snc_klt_shortcut(arr)
-            if fast is not None:
-                assert fast == is_klt(arr)[0]
-
-
 class TestValidation:
     def test_original_coefficient_range(self):
         with pytest.raises(ArrangementError):
@@ -311,7 +270,7 @@ class TestValidation:
             )),),
         )
         with pytest.raises(ArrangementError, match="pass through the parent"):
-            arr.validate()
+            is_klt(arr)
         arr = ClusterArrangement(
             arr.branches,
             (ClusterNode(("A", "B", "C"), (
@@ -321,7 +280,7 @@ class TestValidation:
             )),),
         )
         with pytest.raises(ArrangementError, match="two siblings"):
-            arr.validate()
+            is_klt(arr)
 
     def test_duplicate_branch_id(self):
         arr = ClusterArrangement(

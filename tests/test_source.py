@@ -46,6 +46,44 @@ def test_no_dataclasses_import():
     assert found == []
 
 
+# names that only the acceptance gates or bench/fiber_worker.py use
+_NO_PRODUCTION_CALLER = {
+    "intersect", "pullback_blowup", "FiberTree.self_degree",
+    "RuledModel.exceptional_class", "blow_up_on_component",
+    "blow_up_on_edge",
+}
+
+
+def test_every_public_name_has_a_production_caller():
+    # a public function, class or method of the package must be read
+    # somewhere in the package; an import or an export list entry does
+    # not count.  A method is matched by its bare name, so any attribute
+    # read of that name counts for it.
+    defined, read = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    uncalled = {
+        name for name in defined
+        if not name.rsplit(".", 1)[-1].startswith("_")
+        and name.rsplit(".", 1)[-1] not in read
+    }
+    assert uncalled == _NO_PRODUCTION_CALLER
+
+
 # -- import footprint ---------------------------------------------------------
 
 _ENV = dict(
