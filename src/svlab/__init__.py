@@ -15,8 +15,8 @@ _LAYERS = {
     ),
     ".construct": (
         "CounterexamplePackage", "PackageError", "PackageVerification",
-        "build_package", "build_surface", "disjoint_multisection",
-        "h1_lower_bound_audit", "verify_package",
+        "build_package", "build_surface", "h1_lower_bound_audit",
+        "verify_package",
     ),
     ".fibered": (
         "FiberComponent", "FiberTree", "FiberTreeError", "FiberedModel",
@@ -32,8 +32,8 @@ _LAYERS = {
         "BlowupPoint", "DivisorClass", "LatticeError", "ModelMismatch",
         "PositivityVerdict", "RuledModel", "UnsupportedRegime",
         "adjunction_pa", "candidate_curve_constraints",
-        "certify_positivity", "intersect", "pullback_blowup",
-        "riemann_roch_chi",
+        "certify_positivity", "disjoint_multisection", "intersect",
+        "pullback_blowup", "riemann_roch_chi",
     ),
     ".nonvanish": (
         "InconsistentScenario", "InvalidScenario", "Scenario",

@@ -113,9 +113,15 @@ def _string(value, where):
 
 
 def _nullable(convert):
-    def inner(value, where):
-        return None if value is None else convert(value, where)
+    """``convert`` with None passed through, for a reader (value, where)
+    or a writer (value)."""
+    def inner(value, *where):
+        return None if value is None else convert(value, *where)
     return inner
+
+
+def _same(value):
+    return value
 
 
 def _list_of(convert):
@@ -128,6 +134,28 @@ def _list_of(convert):
 
 def _coeffs(value, where):
     return _list_of(parse_rational)(value, where)
+
+
+# TangoCertificate.n_f0 travels as "n"; every other key is its field
+_RENAMED = {"n_f0": "n"}
+
+
+def _fields(value, where, keys: dict) -> dict:
+    """A record's fields from its document object.  ``keys`` maps each
+    field, in the record's order, to its reader first and its writer
+    second."""
+    found = _object(value, where, {
+        _RENAMED.get(name, name): spec[0] for name, spec in keys.items()
+    })
+    return {name: found[_RENAMED.get(name, name)] for name in keys}
+
+
+def _document(rec, keys: dict) -> dict:
+    """The document object of a record, by the writers of ``keys``."""
+    return {
+        _RENAMED.get(name, name): spec[1](getattr(rec, name))
+        for name, spec in keys.items()
+    }
 
 
 def _kodaira(value, where):
@@ -213,6 +241,14 @@ def _boundary_entry(value, where):
     })
 
 
+def _boundary_on(model: RuledModel, entries, where) -> tuple:
+    """The (class, coefficient) pairs of parsed boundary entries."""
+    return tuple(
+        (_class_on(model, entry["class"], where), entry["coefficient"])
+        for entry in entries
+    )
+
+
 def scenario_from_document(data: dict) -> Scenario:
     from ..nonvanish import Scenario
 
@@ -233,28 +269,16 @@ def scenario_from_document(data: dict) -> Scenario:
         "declared_curves": (_list_of(_coeffs), []),
         "kappa_minus_k_nonneg": (_nullable(_bool), None),
     })
-    model = _build_model(fields["model"])
-    divisor = _class_on(model, fields["divisor"], "scenario.divisor")
-    boundary = tuple(
-        (_class_on(model, entry["class"], "scenario.boundary"),
-         entry["coefficient"])
-        for entry in fields["boundary"]
-    )
-    declared = tuple(
+    model = fields["model"] = _build_model(fields["model"])
+    fields["divisor"] = _class_on(model, fields["divisor"],
+                                  "scenario.divisor")
+    fields["boundary"] = _boundary_on(model, fields["boundary"],
+                                      "scenario.boundary")
+    fields["declared_curves"] = tuple(
         _class_on(model, coeffs, "scenario.declared_curves")
         for coeffs in fields["declared_curves"]
     )
-    return Scenario(
-        model=model,
-        kodaira=fields["kodaira"],
-        chi_o=fields["chi_o"],
-        q=fields["q"],
-        relatively_minimal=fields["relatively_minimal"],
-        divisor=divisor,
-        boundary=boundary,
-        declared_curves=declared,
-        kappa_minus_k_nonneg=fields["kappa_minus_k_nonneg"],
-    )
+    return Scenario(**fields)
 
 
 def _branch(value, where):
@@ -431,53 +455,31 @@ def family_document(family) -> dict:
             **{name: getattr(family, name) for name in cls.__annotations__}}
 
 
-def _certificate_document(cert: TangoCertificate) -> dict:
-    return {
-        "family": family_document(cert.family),
-        "witness": cert.witness,
-        "genus": cert.genus,
-        "v_inf": cert.v_inf,
-        "n": cert.n_f0,
-        "bound": cert.bound,
-        "equality": cert.equality,
-        "l_degree": cert.l_degree,
-        "star_condition": cert.star_condition,
-        "provenance": cert.provenance,
-    }
+# TangoCertificate's fields in order: (reader, writer)
+_CERTIFICATE_KEYS = {
+    "family": (_family, family_document),
+    "witness": (_string, _same),
+    "genus": (_int, _same),
+    "v_inf": (_nullable(_int), _same),
+    "n_f0": (_int, _same),
+    "bound": (_int, _same),
+    "equality": (_bool, _same),
+    "l_degree": (_int, _same),
+    "star_condition": (_nullable(_bool), _same),
+    "provenance": (_string, _same),
+}
 
 
 def _certificate(value, where) -> TangoCertificate:
     from ..charpcurve.families import TangoCertificate
 
-    fields = _object(value, where, {
-        "family": _family,
-        "witness": _string,
-        "genus": _int,
-        "v_inf": _nullable(_int),
-        "n": _int,
-        "bound": _int,
-        "equality": _bool,
-        "l_degree": _int,
-        "star_condition": _nullable(_bool),
-        "provenance": _string,
-    })
+    fields = _fields(value, where, _CERTIFICATE_KEYS)
     if fields["provenance"] not in ("computed", "asserted"):
         raise SchemaError(
             f"{where}.provenance: expected computed or asserted"
         )
     try:
-        cert = TangoCertificate(
-            family=fields["family"],
-            witness=fields["witness"],
-            genus=fields["genus"],
-            v_inf=fields["v_inf"],
-            n_f0=fields["n"],
-            bound=fields["bound"],
-            equality=fields["equality"],
-            l_degree=fields["l_degree"],
-            star_condition=fields["star_condition"],
-            provenance=fields["provenance"],
-        )
+        cert = TangoCertificate(**fields)
     except ValueError as ex:
         raise SchemaError(f"{where}: {ex}") from None
     # Certificates are cheap to recompute, so a stored one is never
@@ -495,48 +497,52 @@ def _class_doc(cls: DivisorClass) -> list:
     return [fmt_rational(c) for c in cls.coeffs]
 
 
+def _model_doc(model: RuledModel) -> dict:
+    return {"p": model.characteristic, "genus": model.genus,
+            "e": model.invariant_e}
+
+
+def _boundary_doc(boundary) -> list:
+    return [{"class": _class_doc(cls), "coefficient": fmt_rational(q)}
+            for cls, q in boundary]
+
+
+# A class travels as its coefficients and is put on the package's model
+# once the model is built.
+_CLASS = (_coeffs, _class_doc, _class_on)
+_MAYBE_CLASS = (_nullable(_coeffs), _nullable(_class_doc), _class_on)
+_MAYBE_RATIONAL = (_nullable(parse_rational), _nullable(fmt_rational), None)
+
+# CounterexamplePackage's fields in order: (reader, writer, builder on
+# the model or None)
+_PACKAGE_KEYS = {
+    "kind": (_string, _same, None),
+    "certificate": (
+        _certificate, lambda cert: _document(cert, _CERTIFICATE_KEYS), None
+    ),
+    "model": (_pure_model, _model_doc, None),
+    "section_curve": _CLASS,
+    "boundary": (_list_of(_boundary_entry), _boundary_doc, _boundary_on),
+    "divisor": _CLASS,
+    "h_class": _CLASS,
+    "base_twist_degree": _MAYBE_RATIONAL,
+    "member_class": _MAYBE_CLASS,
+    "member_coefficient": _MAYBE_RATIONAL,
+    "shifted_divisor": _MAYBE_CLASS,
+}
+
+
 def package_to_document(pkg: CounterexamplePackage) -> dict:
-    model = pkg.model
-    package = {
-        "kind": pkg.kind,
-        "certificate": _certificate_document(pkg.certificate),
-        "model": {
-            "p": model.characteristic,
-            "genus": model.genus,
-            "e": model.invariant_e,
-        },
-        "section_curve": _class_doc(pkg.section_curve),
-        "boundary": [
-            {"class": _class_doc(cls), "coefficient": fmt_rational(q)}
-            for cls, q in pkg.boundary
-        ],
-        "divisor": _class_doc(pkg.divisor),
-        "h_class": _class_doc(pkg.h_class),
-        "base_twist_degree": (
-            None if pkg.base_twist_degree is None
-            else fmt_rational(pkg.base_twist_degree)
-        ),
-        "member_class": (
-            None if pkg.member_class is None
-            else _class_doc(pkg.member_class)
-        ),
-        "member_coefficient": (
-            None if pkg.member_coefficient is None
-            else fmt_rational(pkg.member_coefficient)
-        ),
-        "shifted_divisor": (
-            None if pkg.shifted_divisor is None
-            else _class_doc(pkg.shifted_divisor)
-        ),
-    }
     return {
         "format": FORMAT_VERSION,
         "request": "verify-package",
-        "package": package,
+        "package": _document(pkg, _PACKAGE_KEYS),
     }
 
 
 def package_from_document(data: dict) -> CounterexamplePackage:
+    """The package a document describes: its fields, then its model, then
+    the classes on that model, in field order."""
     from ..construct import KINDS, CounterexamplePackage
     from ..lattice import RuledModel
 
@@ -545,53 +551,17 @@ def package_from_document(data: dict) -> CounterexamplePackage:
         "request": _string,
         "package": lambda v, w: v,
     })
-    fields = _object(top["package"], "package", {
-        "kind": _string,
-        "certificate": _certificate,
-        "model": _pure_model,
-        "section_curve": _coeffs,
-        "boundary": _list_of(_boundary_entry),
-        "divisor": _coeffs,
-        "h_class": _coeffs,
-        "base_twist_degree": _nullable(parse_rational),
-        "member_class": _nullable(_coeffs),
-        "member_coefficient": _nullable(parse_rational),
-        "shifted_divisor": _nullable(_coeffs),
-    })
+    fields = _fields(top["package"], "package", _PACKAGE_KEYS)
     if fields["kind"] not in KINDS:
         raise SchemaError(
             f"package.kind: expected one of {', '.join(KINDS)}"
         )
     m = fields["model"]
-    model = RuledModel(m["p"], m["genus"], m["e"])
-
-    def cls(coeffs, where):
-        return _class_on(model, coeffs, where)
-
-    return CounterexamplePackage(
-        kind=fields["kind"],
-        certificate=fields["certificate"],
-        model=model,
-        section_curve=cls(fields["section_curve"],
-                          "package.section_curve"),
-        boundary=tuple(
-            (cls(entry["class"], "package.boundary"),
-             entry["coefficient"])
-            for entry in fields["boundary"]
-        ),
-        divisor=cls(fields["divisor"], "package.divisor"),
-        h_class=cls(fields["h_class"], "package.h_class"),
-        base_twist_degree=fields["base_twist_degree"],
-        member_class=(
-            None if fields["member_class"] is None
-            else cls(fields["member_class"], "package.member_class")
-        ),
-        member_coefficient=fields["member_coefficient"],
-        shifted_divisor=(
-            None if fields["shifted_divisor"] is None
-            else cls(fields["shifted_divisor"], "package.shifted_divisor")
-        ),
-    )
+    model = fields["model"] = RuledModel(m["p"], m["genus"], m["e"])
+    for name, (_, _, on_model) in _PACKAGE_KEYS.items():
+        if on_model is not None and fields[name] is not None:
+            fields[name] = on_model(model, fields[name], f"package.{name}")
+    return CounterexamplePackage(**fields)
 
 
 def dumps_canonical(doc: dict) -> str:

@@ -15,7 +15,13 @@ assembled in box order no matter what finished first.
 
 from fractions import Fraction
 
-from ..lattice import CERTIFIED, DivisorClass, RuledModel, certify_positivity
+from ..lattice import (
+    CERTIFIED,
+    DivisorClass,
+    RuledModel,
+    certify_positivity,
+    disjoint_multisection,
+)
 from ..nonvanish import ChiProduct, InconsistentScenario, PreconditionError
 from ..record import record
 
@@ -80,11 +86,11 @@ def run_sweep(request: SweepRequest, jobs: int = 1) -> tuple[SweepEntry, ...]:
     model = RuledModel(
         request.characteristic, request.genus, request.invariant_e
     )
-    p, e = model.characteristic, model.invariant_e
-    c_prime = model.divisor(p, p * e)
+    c_prime = disjoint_multisection(model)
     shift = model.canonical_class() + c_prime * request.coefficient
     product = ChiProduct(
-        model.genus, e, request.coefficient, p, p * e, p
+        model.genus, model.invariant_e, request.coefficient, c_prime.a,
+        c_prime.b, model.characteristic,
     )
     if jobs <= 1 or len(pairs) < 2:
         return tuple(

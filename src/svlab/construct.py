@@ -36,6 +36,7 @@ from .lattice import (
     boundary_sum,
     candidate_curve_constraints,
     certify_positivity,
+    disjoint_multisection,
     format_class,
     riemann_roch_chi,
 )
@@ -71,6 +72,12 @@ class CounterexamplePackage:
     fractional coefficients; ``member_class`` is the extra boundary
     branch used by the p >= 5 semipositivity data.  ``h_class`` is the
     polarization D - K - B.
+
+    Each optional field is set exactly where the builders set it and the
+    checklist reads it: ``base_twist_degree`` on kollar,
+    ``shifted_divisor`` on semipos, and the member class and coefficient
+    together on semipos with p >= 5.  A kollar boundary has its two
+    branches.  Any other shape raises ``PackageError`` naming the field.
     """
 
     kind: str
@@ -84,6 +91,26 @@ class CounterexamplePackage:
     member_class: DivisorClass | None = None
     member_coefficient: Fraction | None = None
     shifted_divisor: DivisorClass | None = None
+
+    def __post_init__(self):
+        if self.kind == KIND_KOLLAR and len(self.boundary) != 2:
+            raise PackageError(
+                "boundary: a kollar package has two entries,"
+                f" got {len(self.boundary)}"
+            )
+        p = self.model.characteristic
+        member = self.kind == KIND_SEMIPOS and p >= 5
+        for name, wanted in (
+            ("base_twist_degree", self.kind == KIND_KOLLAR),
+            ("member_class", member),
+            ("member_coefficient", member),
+            ("shifted_divisor", self.kind == KIND_SEMIPOS),
+        ):
+            if (getattr(self, name) is None) == wanted:
+                raise PackageError(
+                    f"{name}: expected {'a' if wanted else 'no'} value on"
+                    f" a {self.kind} package with p = {p}"
+                )
 
     def degree_n(self) -> int:
         return self.certificate.l_degree
@@ -147,13 +174,6 @@ def build_surface(cert: TangoCertificate) -> RuledModel:
             " the certificate bound must be broken"
         )
     return model
-
-
-def disjoint_multisection(model: RuledModel) -> DivisorClass:
-    """The class pE - pnF: degree p over the base, disjoint from E."""
-    p = model.characteristic
-    n = -model.invariant_e
-    return model.divisor(p, -p * n)
 
 
 def _kv_classes(

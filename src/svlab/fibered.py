@@ -2,9 +2,9 @@
 
 A fiber of a (possibly non-minimal) ruled surface is a tree of smooth
 rational components.  Each component carries its self-intersection, its
-multiplicity in the fiber class, its degree against the canonical class
-(forced to -2 - self by adjunction) and its degree against the divisor
-of interest.  Everything the engine needs - fiber-class identities,
+multiplicity in the fiber class and its degree against the divisor of
+interest; its degree against the canonical class is -2 - self by
+adjunction.  Everything the engine needs - fiber-class identities,
 (-1)-contractions, minimality audits - is bookkeeping on those numbers.
 
 Contractions here are the D-trivial kind only: a (-1)-component with
@@ -26,25 +26,20 @@ class FiberTreeError(ValueError):
 class FiberComponent:
     self_intersection: int
     multiplicity: int
-    k_degree: int
-    d_degree: int
+    d_degree: int = 0
 
     def __post_init__(self):
         if self.multiplicity < 1:
             raise FiberTreeError("component multiplicity must be positive")
         if self.d_degree < 0:
             raise FiberTreeError("nef degree cannot be negative")
-        if self.k_degree != -2 - self.self_intersection:
-            raise FiberTreeError(
-                "rational component needs K-degree -2 - self-intersection"
-            )
+        # adjunction on a smooth rational curve; derived here, not a
+        # field, and read as a plain attribute by every tree validation
+        object.__setattr__(self, "k_degree", -2 - self.self_intersection)
 
 
-def component(self_intersection, multiplicity, d_degree=0) -> FiberComponent:
-    """Adjunction-completing constructor."""
-    return FiberComponent(
-        self_intersection, multiplicity, -2 - self_intersection, d_degree
-    )
+# scripts build components with ``component(self, multiplicity, d)``
+component = FiberComponent
 
 
 @record
@@ -72,10 +67,7 @@ class FiberTree:
         if n > 1 and len(self._reachable(0)) != n:
             raise FiberTreeError("component graph must be connected")
         # each component meets the full fiber class trivially
-        for i, c in enumerate(self.components):
-            against = c.multiplicity * c.self_intersection + sum(
-                self.components[j].multiplicity for j in self.neighbors(i)
-            )
+        for i, against in enumerate(self._fiber_degrees()):
             if against != 0:
                 raise FiberTreeError(
                     f"component {i} meets the fiber with degree {against}"
@@ -104,15 +96,21 @@ class FiberTree:
                 out.append(a)
         return out
 
+    def _fiber_degrees(self) -> list[int]:
+        """Each component against the full fiber class, in order."""
+        comps = self.components
+        return [
+            c.multiplicity * c.self_intersection
+            + sum(comps[j].multiplicity for j in self.neighbors(i))
+            for i, c in enumerate(comps)
+        ]
+
     def self_degree(self) -> int:
         """F.F, recomputed from components; zero for valid trees."""
-        total = 0
-        for i, c in enumerate(self.components):
-            against = c.multiplicity * c.self_intersection + sum(
-                self.components[j].multiplicity for j in self.neighbors(i)
-            )
-            total += c.multiplicity * against
-        return total
+        return sum(
+            c.multiplicity * against
+            for c, against in zip(self.components, self._fiber_degrees())
+        )
 
     def k_degree(self) -> int:
         return sum(c.multiplicity * c.k_degree for c in self.components)
@@ -135,6 +133,16 @@ class FiberTree:
         ]
 
 
+def _shifted(tree: FiberTree, chosen, by: int) -> list[FiberComponent]:
+    """The components of ``tree``, each one indexed in ``chosen`` with its
+    self-intersection moved by ``by``."""
+    return [
+        FiberComponent(c.self_intersection + by, c.multiplicity, c.d_degree)
+        if j in chosen else c
+        for j, c in enumerate(tree.components)
+    ]
+
+
 def contract_component(tree: FiberTree, i: int) -> FiberTree:
     """Blow down component i (must be a D-trivial (-1)-curve meeting at
     most two others): neighbors gain one self-intersection, lose one
@@ -149,30 +157,13 @@ def contract_component(tree: FiberTree, i: int) -> FiberTree:
         raise FiberTreeError(
             "contraction would close a cycle; not a fiber tree"
         )
-    comps = []
-    renum = {}
-    for j, comp in enumerate(tree.components):
-        if j == i:
-            continue
-        renum[j] = len(comps)
-        if j in nbrs:
-            comps.append(
-                FiberComponent(
-                    comp.self_intersection + 1,
-                    comp.multiplicity,
-                    comp.k_degree - 1,
-                    comp.d_degree,
-                )
-            )
-        else:
-            comps.append(comp)
-    edges = [
-        (renum[a], renum[b])
-        for a, b in tree.edges
-        if a != i and b != i
-    ]
+    comps = _shifted(tree, nbrs, 1)
+    del comps[i]
+    edges = [e for e in tree.edges if i not in e]
     if len(nbrs) == 2:
-        edges.append((renum[nbrs[0]], renum[nbrs[1]]))
+        edges.append(nbrs)
+    # the components after i move down one place
+    edges = [(a - (a > i), b - (b > i)) for a, b in edges]
     return FiberTree(tuple(comps), tuple(edges))
 
 
@@ -209,22 +200,9 @@ def blow_up_on_component(tree: FiberTree, i: int) -> FiberTree:
     """
     if not 0 <= i < len(tree.components):
         raise FiberTreeError("no such component")
-    comps = []
-    for j, c in enumerate(tree.components):
-        if j == i:
-            comps.append(
-                FiberComponent(
-                    c.self_intersection - 1,
-                    c.multiplicity,
-                    c.k_degree + 1,
-                    c.d_degree,
-                )
-            )
-        else:
-            comps.append(c)
-    new = len(comps)
-    comps.append(component(-1, tree.components[i].multiplicity))
-    return FiberTree(tuple(comps), tree.edges + ((i, new),))
+    comps = _shifted(tree, (i,), -1)
+    comps.append(FiberComponent(-1, tree.components[i].multiplicity))
+    return FiberTree(tuple(comps), tree.edges + ((i, len(comps) - 1),))
 
 
 def blow_up_on_edge(tree: FiberTree, i: int, j: int) -> FiberTree:
@@ -235,25 +213,13 @@ def blow_up_on_edge(tree: FiberTree, i: int, j: int) -> FiberTree:
     key = (min(i, j), max(i, j))
     if key not in tree.edges:
         raise FiberTreeError("components do not meet")
-    comps = []
-    for t, c in enumerate(tree.components):
-        if t in key:
-            comps.append(
-                FiberComponent(
-                    c.self_intersection - 1,
-                    c.multiplicity,
-                    c.k_degree + 1,
-                    c.d_degree,
-                )
-            )
-        else:
-            comps.append(c)
+    comps = _shifted(tree, key, -1)
     new = len(comps)
     m = (
         tree.components[i].multiplicity
         + tree.components[j].multiplicity
     )
-    comps.append(component(-1, m))
+    comps.append(FiberComponent(-1, m))
     edges = tuple(e for e in tree.edges if e != key)
     return FiberTree(tuple(comps), edges + ((i, new), (j, new)))
 
@@ -278,7 +244,7 @@ def minimality_audit(components) -> MinimalityAudit:
     multiplicity, d_degree) triples.
     """
     comps = [
-        c if isinstance(c, FiberComponent) else component(*c)
+        c if isinstance(c, FiberComponent) else FiberComponent(*c)
         for c in components
     ]
     total = sum(c.multiplicity * c.k_degree for c in comps)

@@ -311,6 +311,13 @@ def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
     return False
 
 
+def disjoint_multisection(model: RuledModel) -> DivisorClass:
+    """The class pE - pnF, n = -e: degree p over the base, disjoint from
+    E."""
+    p = model.characteristic
+    return model.divisor(p, p * model.invariant_e)
+
+
 CERTIFIED = "certified"
 VIOLATED = "violated"
 UNKNOWN = "unknown"
@@ -327,9 +334,6 @@ class PositivityVerdict:
     rule_used: str
     witness: DivisorClass | None = None
     note: str = ""
-
-    def __bool__(self) -> bool:
-        return self.status == CERTIFIED
 
 
 def certify_positivity(

@@ -750,6 +750,65 @@ class TestRoundTrip:
         (valid,) = checks(out, "package-valid")
         assert valid["status"] == "FAIL"
 
+    @staticmethod
+    def package_doc(kind, family, p, h):
+        cert = certify_tango(schema.family_from_fields(family, p, h))
+        return schema.package_to_document(build_package(kind, cert))
+
+    def test_no_package_field_edit_crashes_verify(self, tmp_path, capsys):
+        # every kind on a p >= 5 family and on a p = 3 one, where kollar
+        # builds; each package key in turn takes each odd value it does
+        # not already hold
+        for kind in KINDS:
+            for p in (5, 3):
+                doc = self.package_doc(kind, "hyperelliptic", p, 3)
+                for key, held in doc["package"].items():
+                    for i, value in enumerate((None, [], 7, "x")):
+                        if value == held:
+                            continue
+                        edited = json.loads(json.dumps(doc))
+                        edited["package"][key] = value
+                        # a fresh file each time: rewriting one in place
+                        # can wait on a flush to disk
+                        path = write_doc(
+                            tmp_path, f"{kind}-{p}-{key}-{i}.json", edited
+                        )
+                        code, _, _ = run(capsys, "verify", "--in", path)
+                        assert code in (1, 2), (kind, p, key, value)
+
+    @pytest.mark.parametrize("kind,p,key,value", (
+        ("kollar", 3, "base_twist_degree", None),
+        ("kollar", 3, "boundary", []),
+        ("kollar", 3, "boundary", "first"),  # its first entry alone
+        ("semipos", 3, "shifted_divisor", None),
+        ("semipos", 5, "member_coefficient", None),
+        ("kv", 3, "base_twist_degree", "1"),
+        ("kv", 3, "shifted_divisor", ["0", "0"]),
+        ("semipos", 5, "member_class", None),
+    ))
+    def test_misshapen_package_is_refused(
+        self, tmp_path, capsys, kind, p, key, value,
+    ):
+        doc = self.package_doc(kind, "hyperelliptic", p, 3)
+        package = doc["package"]
+        package[key] = package[key][:1] if value == "first" else value
+        path = write_doc(tmp_path, "misshapen.json", doc)
+        code, out, err = run(capsys, "verify", "--in", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key}: ")
+
+    def test_key_tables_follow_the_record_fields(self):
+        from svlab.charpcurve import TangoCertificate
+        from svlab.construct import CounterexamplePackage
+
+        assert list(schema._PACKAGE_KEYS) == list(
+            CounterexamplePackage.__annotations__
+        )
+        assert list(schema._CERTIFICATE_KEYS) == list(
+            TangoCertificate.__annotations__
+        )
+
     def test_asserted_package_round_trips(self, tmp_path, capsys):
         emitted = tmp_path / "tp.json"
         code, _, _ = run(

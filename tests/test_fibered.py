@@ -5,7 +5,6 @@ import random
 import pytest
 
 from svlab.fibered import (
-    FiberComponent,
     FiberedModel,
     FiberTree,
     FiberTreeError,
@@ -32,10 +31,6 @@ class TestComponents:
     def test_adjunction_completion(self):
         c = component(-3, 2)
         assert c.k_degree == 1
-
-    def test_k_degree_enforced(self):
-        with pytest.raises(FiberTreeError):
-            FiberComponent(-1, 1, 0, 0)
 
     def test_positive_multiplicity(self):
         with pytest.raises(FiberTreeError):
