@@ -1,11 +1,11 @@
 """Packages that defeat vanishing statements, built and checked exactly.
 
-Each builder takes an invariant certificate for a base curve (genus g,
-line-bundle degree n > 0) and assembles divisor data on the ruled
-surface over it: a boundary with fractional coefficients, a divisor D,
-and a polarization H.  A package carries data only; ``verify_package``
-recomputes its checklist of named arithmetic facts from the classes.
-Three flavours are covered:
+``build_package`` takes a kind and an invariant certificate for a
+base curve (genus g, line-bundle degree n > 0) and assembles divisor
+data on the ruled surface over it: a boundary with fractional
+coefficients, a divisor D, and a polarization H.  A package carries
+data only; ``verify_package`` recomputes its checklist of named
+arithmetic facts from the classes.  Three flavours are covered:
 
 ``kv``       fractional boundary on a single multisection; D nef and
              integral, H ample, yet h1(D) >= 1 by a degree audit.
@@ -73,8 +73,8 @@ class CounterexamplePackage:
     branch used by the p >= 5 semipositivity data.  ``h_class`` is the
     polarization D - K - B.
 
-    Each optional field is set exactly where the builders set it and the
-    checklist reads it: ``base_twist_degree`` on kollar,
+    Each optional field is set exactly where ``build_package`` sets it
+    and ``verify_package`` reads it: ``base_twist_degree`` on kollar,
     ``shifted_divisor`` on semipos, and the member class and coefficient
     together on semipos with p >= 5.  A kollar boundary has its two
     branches.  Any other shape raises ``PackageError`` naming the field.
@@ -201,31 +201,15 @@ def _kv_classes(
     )
 
 
-def build_kv(
-    cert: TangoCertificate, allow_asserted: bool = False
-) -> CounterexamplePackage:
+def _kv_fields(cert, model, c_prime) -> dict:
     """Fractional boundary on the multisection with D nef, H ample,
     from the classes of ``_kv_classes``."""
-    _admit(cert, allow_asserted)
-    model = build_surface(cert)
-    c_prime = disjoint_multisection(model)
     coeff, divisor, h_class = _kv_classes(model)
-    boundary = ((c_prime, coeff),)
-    _require_identity(model, divisor, boundary, h_class)
-    return CounterexamplePackage(
-        kind=KIND_KV,
-        certificate=cert,
-        model=model,
-        section_curve=c_prime,
-        boundary=boundary,
-        divisor=divisor,
-        h_class=h_class,
-    )
+    return {"boundary": ((c_prime, coeff),), "divisor": divisor,
+            "h_class": h_class}
 
 
-def build_kollar(
-    cert: TangoCertificate, allow_asserted: bool = False
-) -> CounterexamplePackage:
+def _kollar_fields(cert, model, c_prime) -> dict:
     """Two disjoint boundary branches plus a base twist.
 
     D = K + B + (twist pulled back from the base) exactly; the branches
@@ -235,31 +219,18 @@ def build_kollar(
     the kv ones; the extra branch coeff*E takes the E part off the kv
     polarization, leaving the twist (n/2 or n/3)F.
     """
-    _admit(cert, allow_asserted)
-    model = build_surface(cert)
-    c_prime = disjoint_multisection(model)
     coeff, divisor, kv_h = _kv_classes(model)
     if cert.family.p == 2:
         _require_star(cert)
-    twist_degree = kv_h.b
-    boundary = ((model.section_class(), coeff), (c_prime, coeff))
-    h_class = model.divisor(0, twist_degree)
-    _require_identity(model, divisor, boundary, h_class)
-    return CounterexamplePackage(
-        kind=KIND_KOLLAR,
-        certificate=cert,
-        model=model,
-        section_curve=c_prime,
-        boundary=boundary,
-        divisor=divisor,
-        h_class=h_class,
-        base_twist_degree=twist_degree,
-    )
+    return {
+        "boundary": ((model.section_class(), coeff), (c_prime, coeff)),
+        "divisor": divisor,
+        "h_class": model.divisor(0, kv_h.b),
+        "base_twist_degree": kv_h.b,
+    }
 
 
-def build_semipos(
-    cert: TangoCertificate, allow_asserted: bool = False
-) -> CounterexamplePackage:
+def _semipos_fields(cert, model, c_prime) -> dict:
     """Data whose shifted class D' = D - (2g-2)F meets C' negatively.
 
     For p >= 5 this reuses the kv data and joins a general member of
@@ -268,16 +239,12 @@ def build_semipos(
     term.  The p = 2 data subtracts a third of the certified bundle
     from the base canonical, hence needs 3 | n to stay integral.
     """
-    _admit(cert, allow_asserted)
-    model = build_surface(cert)
     g, n, p = cert.genus, cert.l_degree, cert.family.p
-    c_prime = disjoint_multisection(model)
-    member = None
-    member_coeff = None
+    member = {}
     if p >= 5:
         coeff, divisor, h_class = _kv_classes(model)
-        member = model.divisor(1, n)  # 2H, integral
-        member_coeff = Fraction(1, 2)
+        member = {"member_class": model.divisor(1, n),  # 2H, integral
+                  "member_coefficient": Fraction(1, 2)}
     elif p == 3:
         coeff = Fraction(5, 6)
         divisor = model.divisor(1, 2 * g - 2 - n)
@@ -287,38 +254,52 @@ def build_semipos(
         coeff = Fraction(5, 6)
         divisor = model.divisor(1, 2 * g - 2 - n // 3)
         h_class = model.divisor(Fraction(4, 3), Fraction(n, 3))
-    boundary = ((c_prime, coeff),)
-    _require_identity(model, divisor, boundary, h_class)
     if not divisor.is_integral():
         raise PackageError("the shifted data left D fractional")
-    shifted = divisor - model.divisor(0, 2 * g - 2)
-    return CounterexamplePackage(
-        kind=KIND_SEMIPOS,
-        certificate=cert,
-        model=model,
-        section_curve=c_prime,
-        boundary=boundary,
-        divisor=divisor,
-        h_class=h_class,
-        member_class=member,
-        member_coefficient=member_coeff,
-        shifted_divisor=shifted,
-    )
+    return {
+        "boundary": ((c_prime, coeff),),
+        "divisor": divisor,
+        "h_class": h_class,
+        "shifted_divisor": divisor - model.divisor(0, 2 * g - 2),
+        **member,
+    }
 
 
-_BUILDERS = {
-    KIND_KV: build_kv,
-    KIND_KOLLAR: build_kollar,
-    KIND_SEMIPOS: build_semipos,
+# each kind's boundary, D, H and optional fields on the built surface
+_KIND_FIELDS = {
+    KIND_KV: _kv_fields,
+    KIND_KOLLAR: _kollar_fields,
+    KIND_SEMIPOS: _semipos_fields,
 }
 
 
 def build_package(
     kind: str, cert: TangoCertificate, allow_asserted: bool = False
 ) -> CounterexamplePackage:
-    if kind not in _BUILDERS:
+    """The package of ``kind`` on the surface over ``cert``'s curve.
+
+    The steps every kind shares run here once: admit the certificate,
+    build the surface and its multisection C' = pE - pnF, take the
+    kind's fields, and check D - K - B = H before making the record.
+    """
+    if kind not in _KIND_FIELDS:
         raise PackageError(f"unknown package kind {kind!r}")
-    return _BUILDERS[kind](cert, allow_asserted)
+    _admit(cert, allow_asserted)
+    model = build_surface(cert)
+    c_prime = disjoint_multisection(model)
+    fields = _KIND_FIELDS[kind](cert, model, c_prime)
+    total = boundary_sum(model, fields["boundary"])
+    residue = fields["divisor"] - model.canonical_class() - total
+    if residue != fields["h_class"]:
+        raise PackageError("class identity D - K - B = H broke; the"
+                           " package data was transcribed wrong")
+    return CounterexamplePackage(
+        kind=kind,
+        certificate=cert,
+        model=model,
+        section_curve=c_prime,
+        **fields,
+    )
 
 
 def _require_star(cert: TangoCertificate) -> None:
@@ -327,13 +308,6 @@ def _require_star(cert: TangoCertificate) -> None:
             "p = 2 needs 3 | n so that a third of the certified bundle"
             " is an honest divisor on the base"
         )
-
-
-def _require_identity(model, divisor, boundary, h_class) -> None:
-    total = boundary_sum(model, boundary)
-    if divisor - model.canonical_class() - total != h_class:
-        raise PackageError("class identity D - K - B = H broke; the"
-                           " package data was transcribed wrong")
 
 
 def h1_lower_bound_audit(pkg: CounterexamplePackage) -> DegreeAudit:
@@ -378,10 +352,6 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
     no results, so every verdict is computed here, ending with the
     euler-characteristic cross-check.
     """
-    return PackageVerification(_checklist(pkg))
-
-
-def _checklist(pkg: CounterexamplePackage) -> tuple[CheckResult, ...]:
     model = pkg.model
     g = model.genus
     n = pkg.degree_n()
@@ -436,7 +406,8 @@ def _checklist(pkg: CounterexamplePackage) -> tuple[CheckResult, ...]:
     if pkg.member_class is not None:
         results.append(CheckResult(
             "boundary-member",
-            pkg.member_class == 2 * pkg.h_class,
+            (pkg.member_class == 2 * pkg.h_class
+             and pkg.member_class * pkg.member_coefficient == pkg.h_class),
             f"general member of |{format_class(2 * pkg.h_class)}| joined"
             f" with coefficient {pkg.member_coefficient}; transversality"
             " assumed, not derived",
@@ -508,7 +479,7 @@ def _checklist(pkg: CounterexamplePackage) -> tuple[CheckResult, ...]:
         f"chi(D) = {chi} > 0, so sections exist below h2 = 0",
     ))
 
-    return tuple(results)
+    return PackageVerification(tuple(results))
 
 
 def _klt_item(pkg: CounterexamplePackage) -> CheckResult:

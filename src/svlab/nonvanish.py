@@ -462,16 +462,10 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
             },
         )
     (g_cls, c) = f.negative[0]
-    return chi_product_certificate(
-        dvr.a,
-        dvr.b,
-        model.genus,
-        model.invariant_e,
-        c,
-        g_cls.a,
-        g_cls.b,
+    return ChiProduct(
+        model.genus, model.invariant_e, c, g_cls.a, g_cls.b,
         model.characteristic,
-    )
+    ).certify(dvr.a, dvr.b)
 
 
 @record
@@ -591,20 +585,6 @@ class ChiProduct:
                 "coefficient": self.c,
             },
         )
-
-
-def chi_product_certificate(
-    a: Rational,
-    b: Rational,
-    g: int,
-    e: int,
-    c: Rational,
-    x: Rational,
-    y: Rational,
-    characteristic: int,
-) -> Verdict:
-    """The product certificate for one divisor; see ``ChiProduct``."""
-    return ChiProduct(g, e, c, x, y, characteristic).certify(a, b)
 
 
 def low_fiber_degree_decide(model: FiberedModel) -> Verdict:

@@ -6,18 +6,21 @@ back into dicts so assertions hit fields, not byte offsets; the
 round-trip and determinism tests compare raw bytes on purpose.
 """
 
+import argparse
 import json
 import random
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from svlab.charpcurve import certify_tango
 from svlab.cli import schema
-from svlab.cli.main import MAX_JOBS, main
+from svlab.cli.main import MAX_JOBS, build_parser, main
 from svlab.cli.sweep import SweepRequest, run_sweep
 from svlab.construct import KINDS, build_package
 from svlab.lattice import (
@@ -27,9 +30,9 @@ from svlab.lattice import (
     riemann_roch_chi,
 )
 from svlab.nonvanish import (
+    ChiProduct,
     InconsistentScenario,
     PreconditionError,
-    chi_product_certificate,
 )
 
 _TOKEN = re.compile(r'([\w-]+)=("(?:[^"\\]|\\.)*"|\S+)')
@@ -750,6 +753,22 @@ class TestRoundTrip:
         (valid,) = checks(out, "package-valid")
         assert valid["status"] == "FAIL"
 
+    @pytest.mark.parametrize("coefficient,code", (
+        ("0", 1), ("1/3", 1), ("9/10", 1), ("1/2", 0),
+    ))
+    def test_member_coefficient_is_recomputed(
+        self, tmp_path, capsys, coefficient, code,
+    ):
+        doc = self.package_doc("semipos", "hyperelliptic", 5, 3)
+        doc["package"]["member_coefficient"] = coefficient
+        path = write_doc(tmp_path, "member.json", doc)
+        got, out, _ = run(
+            capsys, "verify", "--format", "machine", "--in", path,
+        )
+        assert got == code
+        (line,) = checks(out, "boundary-member")
+        assert line["status"] == ("PASS" if code == 0 else "FAIL")
+
     @staticmethod
     def package_doc(kind, family, p, h):
         cert = certify_tango(schema.family_from_fields(family, p, h))
@@ -1003,7 +1022,7 @@ def _reason_kind(reason):
 
 def _fresh_entry(request, a, b):
     """One sweep entry computed from scratch: the model, K and the
-    polarization rebuilt, then one ``chi_product_certificate`` call."""
+    polarization rebuilt, then a freshly built ``ChiProduct``."""
     p, g, e = request.characteristic, request.genus, request.invariant_e
     model = RuledModel(p, g, e)
     c = request.coefficient
@@ -1014,7 +1033,7 @@ def _fresh_entry(request, a, b):
         reason = f"polarization {ample.status} under {ample.rule_used}"
         return (a, b, "skipped", None, reason)
     try:
-        verdict = chi_product_certificate(a, b, g, e, c, p, p * e, p)
+        verdict = ChiProduct(g, e, c, p, p * e, p).certify(a, b)
     except PreconditionError as ex:
         return (a, b, "skipped", None, str(ex))
     except InconsistentScenario as ex:
@@ -1080,6 +1099,57 @@ class TestRendering:
         _, second, _ = run(capsys, "classify", "--format", "machine",
                            "--in", path)
         assert first == second
+
+
+class TestParserLiterals:
+    """The parser spells the package and family kinds out so that it
+    loads no layer; these literals must stay equal to the layers'."""
+
+    def test_kind_choices_are_the_package_kinds(self):
+        (sub,) = (a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        (kind,) = (a for a in sub.choices["construct"]._actions
+                   if a.dest == "kind")
+        assert tuple(kind.choices) == KINDS
+
+    @pytest.mark.parametrize("kind", schema.FAMILY_KINDS)
+    def test_family_kind_round_trips(self, kind):
+        try:
+            family = schema.family_from_fields(kind, 3, 3)
+        except schema.SchemaError:  # a kind without h
+            family = schema.family_from_fields(kind, 3, None)
+        doc = schema.family_document(family)
+        assert doc["kind"] == kind
+        again = schema.family_from_fields(kind, doc["p"], doc.get("h"))
+        assert again == family
+
+
+def _readme_examples():
+    """Each JSON request block of README.md, and each flag-only
+    ``svlab ...`` line of its plain code blocks."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    examples = []
+    for lang, body in re.findall(r"^```(\w*)\n(.*?)^```$", text,
+                                 re.MULTILINE | re.DOTALL):
+        if lang == "json":
+            examples.append(json.loads(body))
+            continue
+        for line in body.splitlines():
+            if line.startswith("svlab ") and "--in" not in line:
+                examples.append(shlex.split(line)[1:])
+    return examples
+
+
+class TestReadme:
+    @pytest.mark.parametrize("example", _readme_examples())
+    def test_example_exits_zero(self, tmp_path, capsys, example):
+        if isinstance(example, dict):
+            path = write_doc(tmp_path, "example.json", example)
+            example = [example["request"], "--in", path]
+        code, _, err = run(capsys, *example)
+        assert code == 0, err
 
 
 class TestEntryPoint:

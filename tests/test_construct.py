@@ -1,4 +1,4 @@
-"""Package builders: class data frozen by hand on the whole grid.
+"""Package builder: class data frozen by hand on the whole grid.
 
 Every divisor below was expanded by hand from the rank-2 pairing
 (E^2 = n, E.F = 1, F^2 = 0) before being pinned here; the euler
@@ -25,10 +25,8 @@ from svlab.construct import (
     CounterexamplePackage,
     DegreeAudit,
     PackageError,
-    build_kollar,
-    build_kv,
+    KINDS,
     build_package,
-    build_semipos,
     build_surface,
     disjoint_multisection,
     h1_lower_bound_audit,
@@ -104,13 +102,13 @@ class TestAdmission:
             provenance=base.provenance,
         )
         with pytest.raises(PackageError, match="bound"):
-            build_kv(loose)
+            build_package(KIND_KV, loose)
 
     def test_asserted_certificates_need_the_flag(self):
         cert = certify_tango(TangoPlane(5))
         with pytest.raises(PackageError, match="allow_asserted"):
-            build_kv(cert)
-        pkg = build_kv(cert, allow_asserted=True)
+            build_package(KIND_KV, cert)
+        pkg = build_package(KIND_KV, cert, allow_asserted=True)
         assert verify_package(pkg).valid
         # g = 10, n = 3: the generic formulas, nothing p=5-specific
         assert pkg.divisor == pkg.model.divisor(1, 15)
@@ -130,22 +128,16 @@ class TestAdmission:
             provenance=base.provenance,
         )
         with pytest.raises(PackageError, match="positive"):
-            build_kv(flat)
+            build_package(KIND_KV, flat)
 
     def test_unknown_kind(self):
         with pytest.raises(PackageError, match="kind"):
             build_package("banana", cert_of(Hyperelliptic(3, 3)))
 
-    def test_dispatch_matches_builders(self):
-        cert = cert_of(Hyperelliptic(3, 3))
-        assert build_package(KIND_KV, cert) == build_kv(cert)
-        assert build_package(KIND_KOLLAR, cert) == build_kollar(cert)
-        assert build_package(KIND_SEMIPOS, cert) == build_semipos(cert)
-
 
 class TestKV:
     def test_half_boundary_data(self):
-        pkg = build_kv(cert_of(Hyperelliptic(3, 3)))
+        pkg = build_package(KIND_KV, cert_of(Hyperelliptic(3, 3)))
         m = pkg.model
         assert pkg.divisor == m.divisor(0, 6)
         assert pkg.h_class == m.divisor(Fraction(1, 2), 1)
@@ -154,7 +146,7 @@ class TestKV:
         assert verify_package(pkg).valid
 
     def test_checklist_names_stable(self):
-        pkg = build_kv(cert_of(Hyperelliptic(3, 3)))
+        pkg = build_package(KIND_KV, cert_of(Hyperelliptic(3, 3)))
         assert names(pkg) == [
             "class-identity",
             "divisor-integral",
@@ -169,7 +161,7 @@ class TestKV:
         ]
 
     def test_section_coefficient_grows_with_p(self):
-        pkg = build_kv(cert_of(Hyperelliptic(5, 3)))
+        pkg = build_package(KIND_KV, cert_of(Hyperelliptic(5, 3)))
         m = pkg.model
         assert pkg.divisor == m.divisor(1, 10)
         assert pkg.h_class == m.divisor(Fraction(1, 2), 1)
@@ -179,7 +171,7 @@ class TestKV:
         assert verify_package(pkg).valid
 
     def test_char_two_data(self):
-        pkg = build_kv(cert_of(ArtinSchreier(2, 5)))
+        pkg = build_package(KIND_KV, cert_of(ArtinSchreier(2, 5)))
         m = pkg.model
         assert pkg.divisor == m.divisor(0, 6)
         assert pkg.h_class == m.divisor(Fraction(2, 3), 1)
@@ -188,16 +180,16 @@ class TestKV:
         assert verify_package(pkg).valid
 
     def test_remaining_grid_divisors(self):
-        pkg33 = build_kv(cert_of(ArtinSchreier(3, 3)))
+        pkg33 = build_package(KIND_KV, cert_of(ArtinSchreier(3, 3)))
         assert pkg33.divisor == pkg33.model.divisor(0, 12)
         assert pkg33.h_class == pkg33.model.divisor(Fraction(1, 2), 2)
-        pkg28 = build_kv(cert_of(ArtinSchreier(2, 8)))
+        pkg28 = build_package(KIND_KV, cert_of(ArtinSchreier(2, 8)))
         assert pkg28.divisor == pkg28.model.divisor(0, 12)
         assert riemann_roch_chi(pkg28.model, pkg28.divisor) == 6
 
     def test_identity_recomputes(self):
         for fam in GRID_FAMILIES:
-            pkg = build_kv(cert_of(fam))
+            pkg = build_package(KIND_KV, cert_of(fam))
             m = pkg.model
             total = m.zero_class()
             for cls, coeff in pkg.boundary:
@@ -205,7 +197,7 @@ class TestKV:
             assert pkg.divisor - m.canonical_class() - total == pkg.h_class
 
     def test_h2_pairing_frozen(self):
-        pkg = build_kv(cert_of(Hyperelliptic(3, 3)))
+        pkg = build_package(KIND_KV, cert_of(Hyperelliptic(3, 3)))
         k = pkg.model.canonical_class()
         assert (k - pkg.divisor).dot(pkg.h_class) == -3
         assert item(pkg, "h2-vanishing").passed
@@ -213,7 +205,7 @@ class TestKV:
 
 class TestKollar:
     def test_disjoint_branches(self):
-        pkg = build_kollar(cert_of(Hyperelliptic(3, 3)))
+        pkg = build_package(KIND_KOLLAR, cert_of(Hyperelliptic(3, 3)))
         m = pkg.model
         assert pkg.boundary == (
             (m.section_class(), Fraction(1, 2)),
@@ -226,7 +218,7 @@ class TestKollar:
         assert "disjoint" in item(pkg, "boundary-klt").witness
 
     def test_componentwise_expansion(self):
-        pkg = build_kollar(cert_of(Hyperelliptic(3, 3)))
+        pkg = build_package(KIND_KOLLAR, cert_of(Hyperelliptic(3, 3)))
         m = pkg.model
         rebuilt = (
             m.canonical_class()
@@ -237,7 +229,7 @@ class TestKollar:
         assert rebuilt == pkg.divisor
 
     def test_char_two_coefficients(self):
-        pkg = build_kollar(cert_of(ArtinSchreier(2, 5)))
+        pkg = build_package(KIND_KOLLAR, cert_of(ArtinSchreier(2, 5)))
         assert pkg.boundary[0][1] == Fraction(2, 3)
         assert pkg.base_twist_degree == 1
         assert pkg.divisor == pkg.model.divisor(0, 6)
@@ -245,16 +237,16 @@ class TestKollar:
 
     def test_char_two_needs_divisible_invariant(self):
         with pytest.raises(PackageError, match="3 | n"):
-            build_kollar(cert_of(ArtinSchreier(2, 4)))
+            build_package(KIND_KOLLAR, cert_of(ArtinSchreier(2, 4)))
 
     def test_twist_degree_follows_n(self):
-        pkg = build_kollar(cert_of(ArtinSchreier(3, 3)))
+        pkg = build_package(KIND_KOLLAR, cert_of(ArtinSchreier(3, 3)))
         assert pkg.base_twist_degree == 2
-        pkg28 = build_kollar(cert_of(ArtinSchreier(2, 8)))
+        pkg28 = build_package(KIND_KOLLAR, cert_of(ArtinSchreier(2, 8)))
         assert pkg28.base_twist_degree == 2
 
     def test_checklist_names_stable(self):
-        pkg = build_kollar(cert_of(Hyperelliptic(3, 3)))
+        pkg = build_package(KIND_KOLLAR, cert_of(Hyperelliptic(3, 3)))
         assert names(pkg) == [
             "class-identity",
             "base-twist-matches",
@@ -267,7 +259,7 @@ class TestKollar:
         ]
 
     def test_no_polarization_claim(self):
-        pkg = build_kollar(cert_of(Hyperelliptic(3, 3)))
+        pkg = build_package(KIND_KOLLAR, cert_of(Hyperelliptic(3, 3)))
         kollar_names = names(pkg)
         assert "polarization-ample" not in kollar_names
         assert "base-twist-ample" in kollar_names
@@ -276,8 +268,8 @@ class TestKollar:
 
 class TestSemipos:
     def test_large_p_reuses_kv_data(self):
-        pkg = build_semipos(cert_of(Hyperelliptic(5, 3)))
-        kv = build_kv(cert_of(Hyperelliptic(5, 3)))
+        pkg = build_package(KIND_SEMIPOS, cert_of(Hyperelliptic(5, 3)))
+        kv = build_package(KIND_KV, cert_of(Hyperelliptic(5, 3)))
         m = pkg.model
         assert pkg.divisor == kv.divisor
         assert pkg.h_class == kv.h_class
@@ -288,7 +280,7 @@ class TestSemipos:
         assert verify_package(pkg).valid
 
     def test_p_three_data(self):
-        pkg = build_semipos(cert_of(Hyperelliptic(3, 3)))
+        pkg = build_package(KIND_SEMIPOS, cert_of(Hyperelliptic(3, 3)))
         m = pkg.model
         assert pkg.boundary == ((m.divisor(3, -6), Fraction(5, 6)),)
         assert pkg.divisor == m.divisor(1, 4)
@@ -299,7 +291,7 @@ class TestSemipos:
         assert verify_package(pkg).valid
 
     def test_p_two_data(self):
-        pkg = build_semipos(cert_of(ArtinSchreier(2, 5)))
+        pkg = build_package(KIND_SEMIPOS, cert_of(ArtinSchreier(2, 5)))
         m = pkg.model
         assert pkg.divisor == m.divisor(1, 5)
         assert pkg.h_class == m.divisor(Fraction(4, 3), 1)
@@ -308,7 +300,7 @@ class TestSemipos:
         assert verify_package(pkg).valid
 
     def test_checklist_names_stable(self):
-        pkg = build_semipos(cert_of(Hyperelliptic(5, 3)))
+        pkg = build_package(KIND_SEMIPOS, cert_of(Hyperelliptic(5, 3)))
         assert names(pkg) == [
             "class-identity",
             "divisor-integral",
@@ -323,7 +315,7 @@ class TestSemipos:
 
     def test_p_two_rejected_without_star(self):
         with pytest.raises(PackageError, match="3 | n"):
-            build_semipos(cert_of(ArtinSchreier(2, 4)))
+            build_package(KIND_SEMIPOS, cert_of(ArtinSchreier(2, 4)))
 
     def test_decisive_values_across_grid(self):
         expected = {
@@ -334,7 +326,7 @@ class TestSemipos:
             ArtinSchreier(2, 8): -4,
         }
         for fam, value in expected.items():
-            pkg = build_semipos(cert_of(fam))
+            pkg = build_package(KIND_SEMIPOS, cert_of(fam))
             assert pkg.shifted_divisor.dot(pkg.section_curve) == value
             check = item(pkg, "shifted-not-nef")
             assert check.passed
@@ -342,7 +334,7 @@ class TestSemipos:
 
     def test_shift_keeps_fiber_degree(self):
         for fam in GRID_FAMILIES:
-            pkg = build_semipos(cert_of(fam))
+            pkg = build_package(KIND_SEMIPOS, cert_of(fam))
             fiber = pkg.model.fiber_class()
             assert pkg.shifted_divisor.dot(fiber) >= 0
             assert pkg.shifted_divisor == pkg.divisor - pkg.model.divisor(
@@ -352,7 +344,8 @@ class TestSemipos:
 
 class TestDegreeAudit:
     def test_smallest_odd_p(self):
-        audit = h1_lower_bound_audit(build_kv(cert_of(Hyperelliptic(3, 3))))
+        pkg = build_package(KIND_KV, cert_of(Hyperelliptic(3, 3)))
+        audit = h1_lower_bound_audit(pkg)
         assert audit == DegreeAudit(
             route=ROUTE_FILTRATION,
             filtration_degrees=(0,),
@@ -363,13 +356,15 @@ class TestDegreeAudit:
         )
 
     def test_p_five_filtration_widens(self):
-        audit = h1_lower_bound_audit(build_kv(cert_of(Hyperelliptic(5, 3))))
+        pkg = build_package(KIND_KV, cert_of(Hyperelliptic(5, 3)))
+        audit = h1_lower_bound_audit(pkg)
         assert audit.filtration_degrees == (0, 2)
         assert audit.subsheaf_degree == -4
         assert audit.final_degree == 0
 
     def test_char_two_route(self):
-        audit = h1_lower_bound_audit(build_kv(cert_of(ArtinSchreier(2, 5))))
+        pkg = build_package(KIND_KV, cert_of(ArtinSchreier(2, 5)))
+        audit = h1_lower_bound_audit(pkg)
         assert audit.route == ROUTE_DUALIZING
         assert audit.final_degree == 0
         assert audit.lower_bound == 1
@@ -377,12 +372,13 @@ class TestDegreeAudit:
     def test_only_reads_kv_packages(self):
         with pytest.raises(PackageError, match="kv"):
             h1_lower_bound_audit(
-                build_kollar(cert_of(Hyperelliptic(3, 3)))
+                build_package(KIND_KOLLAR, cert_of(Hyperelliptic(3, 3)))
             )
 
     def test_chain_closes_on_the_grid(self):
         for fam in GRID_FAMILIES:
-            audit = h1_lower_bound_audit(build_kv(cert_of(fam)))
+            pkg = build_package(KIND_KV, cert_of(fam))
+            audit = h1_lower_bound_audit(pkg)
             assert audit.subsheaf_degree + audit.twist_degree == 0
             assert audit.final_degree == 0
             assert audit.lower_bound == 1
@@ -396,18 +392,19 @@ def _bent(pkg, **changes):
 class TestVerify:
     def test_grid_verifies_valid(self):
         for fam in GRID_FAMILIES:
-            for build in (build_kv, build_kollar, build_semipos):
-                report = verify_package(build(cert_of(fam)))
-                assert report.valid, (fam, build.__name__)
+            for kind in KINDS:
+                report = verify_package(build_package(kind, cert_of(fam)))
+                assert report.valid, (fam, kind)
 
     def test_euler_check_appended_everywhere(self):
-        for build in (build_kv, build_kollar, build_semipos):
-            report = verify_package(build(cert_of(Hyperelliptic(3, 3))))
+        for kind in KINDS:
+            pkg = build_package(kind, cert_of(Hyperelliptic(3, 3)))
+            report = verify_package(pkg)
             assert report.results[-1].name == "euler-positive"
             assert report.results[-1].passed
 
     def test_nothing_is_trusted(self):
-        pkg = build_kv(cert_of(Hyperelliptic(3, 3)))
+        pkg = build_package(KIND_KV, cert_of(Hyperelliptic(3, 3)))
         bent = _bent(pkg, divisor=pkg.model.divisor(0, 5))
         report = verify_package(bent)
         assert not report.valid
@@ -415,29 +412,29 @@ class TestVerify:
         assert "class-identity" in failed
 
     def test_fractional_tamper_caught(self):
-        pkg = build_kv(cert_of(ArtinSchreier(3, 3)))
+        pkg = build_package(KIND_KV, cert_of(ArtinSchreier(3, 3)))
         bent = _bent(pkg, divisor=pkg.model.divisor(Fraction(1, 2), 12))
         report = verify_package(bent)
         failed = {r.name for r in report.results if not r.passed}
         assert "divisor-integral" in failed
 
     def test_wrong_shift_caught(self):
-        pkg = build_semipos(cert_of(ArtinSchreier(2, 5)))
+        pkg = build_package(KIND_SEMIPOS, cert_of(ArtinSchreier(2, 5)))
         bent = _bent(pkg, shifted_divisor=pkg.model.divisor(1, 0))
         report = verify_package(bent)
         failed = {r.name for r in report.results if not r.passed}
         assert "shifted-degrees" in failed
 
     def test_deterministic(self):
-        pkg = build_semipos(cert_of(ArtinSchreier(2, 8)))
+        pkg = build_package(KIND_SEMIPOS, cert_of(ArtinSchreier(2, 8)))
         assert verify_package(pkg) == verify_package(pkg)
 
 
 class TestGridInvariants:
     def all_packages(self):
         for fam in GRID_FAMILIES:
-            for build in (build_kv, build_kollar, build_semipos):
-                yield fam, build(cert_of(fam))
+            for kind in KINDS:
+                yield fam, build_package(kind, cert_of(fam))
 
     def test_multisection_square(self):
         for fam, pkg in self.all_packages():

@@ -46,7 +46,6 @@ from svlab.nonvanish import (
     InvalidScenario,
     PreconditionError,
     Scenario,
-    chi_product_certificate,
     classify,
     decide,
     doubling_bound,
@@ -414,9 +413,7 @@ class TestRelativelyMinimal:
 
 class TestChiProduct:
     def test_half_curve_numbers_frozen(self):
-        v = chi_product_certificate(
-            0, 6, 4, -2, Fraction(1, 2), 3, -6, 3
-        )
+        v = ChiProduct(4, -2, Fraction(1, 2), 3, -6, 3).certify(0, 6)
         assert v.result == GUARANTEED_M1
         assert v.certificate["chi"] == 3
         assert v.certificate["ample_inequalities"] == (
@@ -438,21 +435,15 @@ class TestChiProduct:
     def test_boundary_slack_rejected(self):
         # b = g - 1 leaves no slack: the ampleness inequalities fail
         with pytest.raises(PreconditionError, match="ample"):
-            chi_product_certificate(
-                0, 3, 4, -2, Fraction(1, 2), 3, -6, 3
-            )
+            ChiProduct(4, -2, Fraction(1, 2), 3, -6, 3).certify(0, 3)
 
     def test_non_curve_component_rejected(self):
         with pytest.raises(PreconditionError, match="curve"):
-            chi_product_certificate(
-                0, 6, 4, -2, Fraction(1, 2), 1, -6, 3
-            )
+            ChiProduct(4, -2, Fraction(1, 2), 1, -6, 3).certify(0, 6)
 
     def test_needs_negative_invariant(self):
         with pytest.raises(PreconditionError, match="e < 0"):
-            chi_product_certificate(
-                0, 6, 4, 2, Fraction(1, 2), 3, -6, 3
-            )
+            ChiProduct(4, 2, Fraction(1, 2), 3, -6, 3).certify(0, 6)
 
     def test_refusals_keep_their_place_in_the_order(self):
         # G = E - 6F is no curve, but a divisor that is not nef is
@@ -478,9 +469,9 @@ class TestChiProduct:
         clone = pickle.loads(pickle.dumps(product))
         for a in range(0, 4):
             for b in range(5, 12):
-                fresh = chi_product_certificate(
-                    a, b, 4, -2, Fraction(1, 2), 3, -6, 3
-                )
+                fresh = ChiProduct(
+                    4, -2, Fraction(1, 2), 3, -6, 3
+                ).certify(a, b)
                 assert product.certify(a, b) == fresh
                 assert clone.certify(a, b) == fresh
 
@@ -502,7 +493,7 @@ class TestChiProduct:
                 Fraction(a * e, 2) + (2 - c) * (g - 1)
             ) + rng.randrange(1, 6)
             try:
-                v = chi_product_certificate(a, b, g, e, c, x, y, p)
+                v = ChiProduct(g, e, c, x, y, p).certify(a, b)
             except PreconditionError:
                 continue
             successes += 1
