@@ -29,10 +29,14 @@ if TYPE_CHECKING:
     from ..nonvanish import Scenario
     from .sweep import SweepRequest
 
-# certify_tango resolves on first access and is called through the
-# module, as in ``main``
+# certify_tango, and the kltcalc names that the per-item converters of a
+# klt document read, resolve on first access and are read through the
+# module: an import statement in a converter would run once per item
 __getattr__ = lazy_getattr(globals(), {
     "certify_tango": "..charpcurve.families",
+    **{name: "..kltcalc" for name in (
+        "EXCEPTIONAL", "ORIGINAL", "ClusterNode", "WeightedBranch",
+    )},
 })
 _this = sys.modules[__name__]
 
@@ -52,7 +56,8 @@ def parse_rational(value, where: str) -> Fraction:
             f"{where}: expected an exact rational like \"3\" or \"-9/2\","
             f" got {value!r}"
         )
-    return Fraction(value)
+    num, _, den = value.partition("/")
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def fmt_rational(q) -> str:
@@ -282,20 +287,19 @@ def scenario_from_document(data: dict) -> Scenario:
 
 
 def _branch(value, where):
-    from ..kltcalc import EXCEPTIONAL, ORIGINAL, WeightedBranch
-
+    original, exceptional = _this.ORIGINAL, _this.EXCEPTIONAL
     fields = _object(value, where, {
         "id": _string,
         "coefficient": parse_rational,
     }, {
-        "kind": (_string, ORIGINAL),
+        "kind": (_string, original),
     })
-    if fields["kind"] not in (ORIGINAL, EXCEPTIONAL):
+    if fields["kind"] not in (original, exceptional):
         raise SchemaError(
-            f"{where}.kind: expected {ORIGINAL!r} or {EXCEPTIONAL!r}"
+            f"{where}.kind: expected {original!r} or {exceptional!r}"
         )
-    return WeightedBranch(fields["id"], fields["coefficient"],
-                          fields["kind"])
+    return _this.WeightedBranch(fields["id"], fields["coefficient"],
+                                fields["kind"])
 
 
 def _cluster(value, where):
@@ -303,8 +307,6 @@ def _cluster(value, where):
     a deep forest is bounded by memory, not by the recursion limit; it
     visits nodes in preorder, so errors surface in document order.
     Nodes are built from the leaves up once every node has parsed."""
-    from ..kltcalc import ClusterNode
-
     parsed: list[tuple[tuple[str, ...], list[int]]] = []
     stack = [(value, where, None)]
     while stack:
@@ -322,10 +324,11 @@ def _cluster(value, where):
             (child, f"{where}.children[{i}]", index)
             for i, child in reversed(list(enumerate(fields["children"])))
         )
+    node = _this.ClusterNode
     nodes: list = [None] * len(parsed)
     for i in reversed(range(len(parsed))):
         ids, children = parsed[i]
-        nodes[i] = ClusterNode(ids, tuple(nodes[j] for j in children))
+        nodes[i] = node(ids, tuple(nodes[j] for j in children))
     return nodes[0]
 
 

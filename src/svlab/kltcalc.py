@@ -7,17 +7,18 @@ blow-up.  Resolving the forest depth-first and transporting coefficients
 across each blow-up decides the verdict: the pair is KLT exactly when
 every exceptional coefficient stays below 1.
 
-All coefficients are exact rationals.
+All coefficients are exact rationals.  The walk puts them over the
+least common denominator of the declared ones and carries integer
+numerators; a ``fractions.Fraction`` is built only for the records it
+hands back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
 
 from .record import record
-
-Rational = Union[int, Fraction]
 
 ORIGINAL = "original"
 EXCEPTIONAL = "exceptional"
@@ -34,12 +35,15 @@ class WeightedBranch:
     kind: str = ORIGINAL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
+        c = self.coefficient
+        if type(c) is not Fraction:
+            c = Fraction(c)
+            object.__setattr__(self, "coefficient", c)
         if not self.id:
             raise ArrangementError("branch id must be nonempty")
         if self.kind not in (ORIGINAL, EXCEPTIONAL):
             raise ArrangementError(f"unknown branch kind {self.kind!r}")
-        if self.kind == ORIGINAL and not 0 <= self.coefficient < 1:
+        if self.kind == ORIGINAL and not 0 <= c.numerator < c.denominator:
             raise ArrangementError(
                 f"original branch {self.id!r} needs coefficient in [0, 1)"
             )
@@ -99,13 +103,13 @@ class BlowupTrace:
         return max(r.coefficient for r in self.records)
 
 
-def blowup_step(
-    coefficients: Iterable[Rational], node: str = "p"
-) -> BlowupRecord:
+def blowup_step(sigma: int, den: int, node: str = "p") -> BlowupRecord:
     """Coefficient transport across one point blow-up: the exceptional
-    curve carries (sum of incident coefficients) - 1."""
-    sigma = sum((Fraction(c) for c in coefficients), Fraction(0))
-    return BlowupRecord(node, sigma, sigma - 1)
+    curve carries (sum of incident coefficients) - 1.  The sum is given
+    as the numerator ``sigma`` over the denominator ``den``."""
+    return BlowupRecord(
+        node, Fraction(sigma, den), Fraction(sigma - den, den)
+    )
 
 
 def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
@@ -118,15 +122,24 @@ def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
     walk; at each node the incident coefficients are the declared
     branches plus the parent's exceptional curve.  Verdict: every
     exceptional coefficient < 1 and every input coefficient < 1.
+
+    Every coefficient is carried as its numerator over ``den``, the
+    least common denominator of the declared ones, so "< 1" is
+    "numerator < den".
     """
     seen: set[str] = set()
     for b in arr.branches:
         if b.id in seen:
             raise ArrangementError(f"duplicate branch id {b.id!r}")
         seen.add(b.id)
+    den = lcm(*(b.coefficient.denominator for b in arr.branches))
+    verdict = all(
+        b.coefficient.numerator < b.coefficient.denominator
+        for b in arr.branches
+    )
     records: list[BlowupRecord] = []
     # a root has no parent; a child carries its parent's branch ids and
-    # exceptional coefficient
+    # exceptional coefficient numerator
     stack: list = [
         (root, f"n{idx}", None)
         for idx, root in reversed(list(enumerate(arr.clusters)))
@@ -143,21 +156,25 @@ def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
             raise ArrangementError(
                 "a cluster point needs at least two incident branches"
             )
-        coeffs = [arr.branch(bid).coefficient for bid in ids]
+        sigma = 0
+        for bid in ids:
+            c = arr.branch(bid).coefficient
+            sigma += c.numerator * (den // c.denominator)
         if parent is not None:
             parent_ids, parent_coeff = parent
             if not distinct <= parent_ids:
                 raise ArrangementError(
                     "a branch through a child must pass through the parent"
                 )
-            coeffs.append(parent_coeff)
-        rec = blowup_step(coeffs, label)
-        records.append(rec)
+            sigma += parent_coeff
+        records.append(blowup_step(sigma, den, label))
+        coeff = sigma - den
+        verdict = verdict and coeff < den
         # a smooth branch has one tangent direction at the parent, so it
         # hits the exceptional in one point: siblings cannot share it.
         # The first overlap is raised once the earlier siblings' subtrees
         # are walked, and later siblings are never visited.
-        own = (distinct, rec.coefficient)
+        own = (distinct, coeff)
         used: set[str] = set()
         pending: list = []
         for idx, child in enumerate(node.children):
@@ -171,8 +188,4 @@ def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
             pending.append((child, f"{label}.{idx}", own))
         stack.extend(reversed(pending))
 
-    trace = BlowupTrace(tuple(records))
-    verdict = all(b.coefficient < 1 for b in arr.branches) and all(
-        r.coefficient < 1 for r in trace.records
-    )
-    return verdict, trace
+    return verdict, BlowupTrace(tuple(records))

@@ -20,15 +20,18 @@ the exceptional part of the form is diagonal:
 Stored coordinates stay in the strict-transform basis, which is what
 documents and reports use.
 
-Everything is exact: coefficients are ``fractions.Fraction`` and no
-floating point appears anywhere.
+Everything is exact and no floating point appears anywhere.  A class
+is kept as integer numerators over one positive denominator, so sums,
+pairings and the positivity rules run on ints; a ``fractions.Fraction``
+is built only where a coefficient or an intersection number leaves the
+module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .primes import is_prime
@@ -90,7 +93,7 @@ class RuledModel:
 
     # -- basic shape -------------------------------------------------
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return 2 + len(self.exceptionals)
 
@@ -101,11 +104,19 @@ class RuledModel:
     # -- class constructors -------------------------------------------
 
     def divisor(self, *coeffs: Rational) -> "DivisorClass":
-        cs = list(coeffs)
-        if len(cs) > self.rank:
+        """The class with these coefficients, zero-padded to the rank.
+        Each coefficient is an int or a Fraction."""
+        padding = self.rank - len(coeffs)
+        if padding < 0:
             raise LatticeError("too many coefficients for this model")
-        cs += [0] * (self.rank - len(cs))
-        return DivisorClass(self, tuple(Fraction(c) for c in cs))
+        try:
+            den = lcm(*(c.denominator for c in coeffs))
+            nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        except AttributeError:
+            raise LatticeError(
+                "coefficients must be exact rationals"
+            ) from None
+        return DivisorClass(self, tuple(nums + [0] * padding), den)
 
     def zero_class(self) -> "DivisorClass":
         return self.divisor()
@@ -152,80 +163,110 @@ class RuledModel:
 
 @record
 class DivisorClass:
-    """A rational class in the model's basis.  ``a`` and ``b`` are the E
-    and F coefficients; exceptional coefficients follow."""
+    """A rational class in the model's basis: the coefficients are
+    ``nums[i] / den``.  ``a`` and ``b`` are the E and F coefficients;
+    exceptional coefficients follow.
+
+    The record is normalised at construction, so that ``den > 0`` and
+    ``gcd(den, *nums) == 1``; two classes are then equal exactly when
+    their coefficients are.
+    """
 
     model: RuledModel
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != self.model.rank:
+        if len(self.nums) != self.model.rank:
             raise LatticeError("coefficient count does not match the model")
+        den = self.den
+        if den == 1:
+            return
+        if den == 0:
+            raise LatticeError("a class needs a nonzero denominator")
+        common = gcd(den, *self.nums)
+        if den < 0:
+            common = -common
+        if common != 1:
+            object.__setattr__(
+                self, "nums", tuple(n // common for n in self.nums)
+            )
+            object.__setattr__(self, "den", den // common)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def a(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     @property
     def b(self) -> Fraction:
-        return self.coeffs[1]
+        return Fraction(self.nums[1], self.den)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
-    def dot(self, other: "DivisorClass") -> Fraction:
-        """The diagonal form of the module docstring, read off the
-        proximity data in O(rank + number of proximities).  Both
-        operands are scaled to integers first, so the sum runs on ints
-        and one Fraction is built at the end."""
-        if other.model != self.model:
+    def _same_model(self, other: "DivisorClass") -> None:
+        if other.model is not self.model and other.model != self.model:
             raise ModelMismatch("classes live on different models")
-        dx, (a, b, *x) = _cleared(self.coeffs)
-        dy, (a2, b2, *y) = _cleared(other.coeffs)
+
+    def _pairing(self, other: "DivisorClass") -> tuple[int, int]:
+        """The intersection number as an integer numerator over the
+        product of the two denominators: the diagonal form of the module
+        docstring, read off the proximity data in O(rank + number of
+        proximities)."""
+        self._same_model(other)
+        a, b, *x = self.nums
+        a2, b2, *y = other.nums
         total = -self.model.invariant_e * a * a2 + a * b2 + a2 * b
         for j, pt in enumerate(self.model.exceptionals):
             u = x[j] - sum(x[i] for i in pt.proximate_to)
             v = y[j] - sum(y[i] for i in pt.proximate_to)
             total -= u * v
-        return Fraction(total, dx * dy)
+        return total, self.den * other.den
+
+    def dot(self, other: "DivisorClass") -> Fraction:
+        return Fraction(*self._pairing(other))
 
     def self_intersection(self) -> Fraction:
         return self.dot(self)
 
+    def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
+        """self + sign * other, over the product of the denominators."""
+        self._same_model(other)
+        d1, d2 = self.den, other.den
+        return DivisorClass(self.model, tuple(
+            x * d2 + sign * y * d1 for x, y in zip(self.nums, other.nums)
+        ), d1 * d2)
+
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if other.model != self.model:
-            raise ModelMismatch("classes live on different models")
-        return DivisorClass(
-            self.model,
-            tuple(x + y for x, y in zip(self.coeffs, other.coeffs)),
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        if other.model != self.model:
-            raise ModelMismatch("classes live on different models")
-        return DivisorClass(
-            self.model,
-            tuple(x - y for x, y in zip(self.coeffs, other.coeffs)),
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.model, tuple(-c for c in self.coeffs))
+        return DivisorClass(
+            self.model, tuple(-x for x in self.nums), self.den
+        )
 
     def scaled(self, factor: Rational) -> "DivisorClass":
-        f = Fraction(factor)
-        return DivisorClass(self.model, tuple(f * c for c in self.coeffs))
+        """The class times ``factor``, an int or a Fraction."""
+        try:
+            num, den = factor.numerator, factor.denominator
+        except AttributeError:
+            raise LatticeError("a factor must be an exact rational") from None
+        return DivisorClass(
+            self.model, tuple(num * x for x in self.nums), den * self.den
+        )
 
     __mul__ = scaled
     __rmul__ = scaled
-
-
-def _cleared(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """A common denominator d and the integers d * c."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 def format_class(cls: DivisorClass) -> str:
@@ -260,8 +301,8 @@ def adjunction_pa(model: RuledModel, c: DivisorClass) -> Fraction:
         raise ModelMismatch("class does not live on this model")
     if not c.is_integral():
         raise LatticeError("adjunction needs an integral class")
-    k = model.canonical_class()
-    return 1 + c.dot(c + k) / 2
+    total, den = c._pairing(c + model.canonical_class())
+    return Fraction(total + 2 * den, 2 * den)
 
 
 def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Fraction:
@@ -269,8 +310,8 @@ def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Fraction:
     (the canonical class is characteristic for the form; asserted)."""
     if d.model != model:
         raise ModelMismatch("class does not live on this model")
-    k = model.canonical_class()
-    chi = d.dot(d - k) / 2 + model.chi_structure
+    total, den = d._pairing(d - model.canonical_class())
+    chi = Fraction(total + 2 * den * model.chi_structure, 2 * den)
     if d.is_integral() and chi.denominator != 1:
         raise AssertionError("chi of an integral class must be an integer")
     return chi
@@ -291,10 +332,10 @@ def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
     if not cls.is_integral():
         raise LatticeError("curve classes are integral")
     # E and F themselves; on a pure model these are the two basis vectors
-    if cls.coeffs in ((1, 0), (0, 1)):
+    if cls.nums in ((1, 0), (0, 1)):
         return True
     e = model.invariant_e
-    x, y = cls.a, cls.b
+    x, y = cls.nums
     if e >= 0:
         return x > 0 and y >= x * e
     p = model.characteristic
@@ -305,9 +346,9 @@ def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
     if x == 1:
         return y >= 0
     if 2 <= x <= p - 1:
-        return y >= Fraction(x * e, 2)
+        return 2 * y >= x * e
     if x >= p:
-        return y >= Fraction(x * e, 2) + 1 - model.genus
+        return 2 * y >= x * e + 2 * (1 - model.genus)
     return False
 
 
@@ -348,29 +389,36 @@ def certify_positivity(
     into nonnegative multiples of the nef classes E and F certifies, and
     otherwise closed-form minimization of D.L over the candidate-curve
     branches certifies.  Anything else is unknown, never guessed.
+
+    Every rule is a sign test of a form that is homogeneous in (a, b),
+    so the rules run on the class's numerators; a Fraction is built only
+    for the text of a note.
     """
     if not model.is_pure:
         raise LatticeError("positivity rules apply to pure models")
     if d.model != model:
         raise ModelMismatch("class does not live on this model")
 
-    a, b = d.a, d.b
+    # D = (a E + b F) / den with den > 0
+    (a, b), den = d.nums, d.den
     e = model.invariant_e
     g = model.genus
     p = model.characteristic
 
-    def ok(v: Fraction | int) -> bool:
+    def ok(v: int) -> bool:
         return v > 0 if strict else v >= 0
 
     if not ok(a):
         return PositivityVerdict(
             VIOLATED, RULE_NECESSARY, model.fiber_class(),
-            f"fiber degree a = {a} fails",
+            f"fiber degree a = {Fraction(a, den)} fails",
         )
-    if not ok(2 * b - a * e):
+    slope2 = 2 * b - a * e  # 2b - ae, and twice the slope b - ae/2
+    if not ok(slope2):
         return PositivityVerdict(
             VIOLATED, RULE_NECESSARY, None,
-            f"self-intersection slope 2b - ae = {2 * b - a * e} fails",
+            f"self-intersection slope 2b - ae = {Fraction(slope2, den)}"
+            " fails",
         )
 
     if e >= 0:
@@ -378,7 +426,7 @@ def certify_positivity(
             return PositivityVerdict(CERTIFIED, RULE_NONNEG_CONE)
         return PositivityVerdict(
             VIOLATED, RULE_NONNEG_CONE, model.section_class(),
-            f"D.E = b - ae = {b - a * e} fails",
+            f"D.E = b - ae = {Fraction(b - a * e, den)} fails",
         )
 
     if ok(a) and ok(b):
@@ -390,24 +438,25 @@ def certify_positivity(
             "curve-cone bounds need positive characteristic",
         )
 
-    slope = b - Fraction(a * e, 2)
-    if slope <= 0 and a > 0:
+    if slope2 <= 0 and a > 0:
         # the x >= p branch decreases without bound along x
         return PositivityVerdict(
             UNKNOWN, RULE_CURVE_CONE, None, "tail branch unbounded below"
         )
-    minima = [b - a * e]
+    # the branch minima of D.L, each as a numerator over its denominator
+    minima = [(b - a * e, den)]
     if p >= 3:
-        minima.append(2 * slope)
-        minima.append((p - 1) * slope)
-    minima.append(p * slope + a * (1 - g))
+        minima.append((slope2, den))
+        minima.append(((p - 1) * slope2, 2 * den))
+    minima.append((p * slope2 + 2 * a * (1 - g), 2 * den))
     if strict:
-        minima.append(a * (2 * b - a * e))
-    if all(ok(v) for v in minima):
+        minima.append((a * slope2, den * den))
+    if all(ok(v) for v, _ in minima):
         return PositivityVerdict(CERTIFIED, RULE_CURVE_CONE)
+    lowest = min(Fraction(v, w) for v, w in minima)
     return PositivityVerdict(
         UNKNOWN, RULE_CURVE_CONE, None,
-        "branch minimum " + str(min(minima)) + " not conclusive",
+        "branch minimum " + str(lowest) + " not conclusive",
     )
 
 
@@ -424,8 +473,7 @@ def pullback_blowup(target: RuledModel, d: DivisorClass) -> DivisorClass:
         or target.exceptionals[: len(base.exceptionals)] != base.exceptionals
     ):
         raise ModelMismatch("target does not extend the class's model")
-    coeffs = list(d.coeffs)
+    nums = list(d.nums)
     for pt in target.exceptionals[len(base.exceptionals):]:
-        coeffs.append(sum((coeffs[2 + j] for j in pt.proximate_to),
-                          Fraction(0)))
-    return DivisorClass(target, tuple(coeffs))
+        nums.append(sum(nums[2 + j] for j in pt.proximate_to))
+    return DivisorClass(target, tuple(nums), d.den)

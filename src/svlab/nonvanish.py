@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from numbers import Rational
 from typing import TYPE_CHECKING
@@ -462,9 +463,8 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
             },
         )
     (g_cls, c) = f.negative[0]
-    return ChiProduct(
-        model.genus, model.invariant_e, c, g_cls.a, g_cls.b,
-        model.characteristic,
+    return _chi_product(
+        model.genus, model.invariant_e, c, *g_cls.nums, model.characteristic,
     ).certify(dvr.a, dvr.b)
 
 
@@ -585,6 +585,16 @@ class ChiProduct:
                 "coefficient": self.c,
             },
         )
+
+
+@lru_cache(maxsize=64)
+def _chi_product(
+    g: int, e: int, c: Fraction, x: int, y: int, characteristic: int
+) -> ChiProduct:
+    """One certifier per model, boundary coefficient and integral
+    negative curve xE + yF.  A ChiProduct is never mutated, so repeated
+    decisions on one surface share it, as a sweep does."""
+    return ChiProduct(g, e, c, x, y, characteristic)
 
 
 def low_fiber_degree_decide(model: FiberedModel) -> Verdict:

@@ -32,20 +32,29 @@ TANGENT_PAIR = ClusterArrangement(
 
 
 class TestBlowupStep:
+    # the incident coefficients arrive as one numerator sum over their
+    # common denominator
     def test_triple_point(self):
-        rec = blowup_step([Fraction(2, 5), Fraction(4, 5), Fraction(3, 4)])
+        # 2/5 + 4/5 + 3/4 = (8 + 16 + 15)/20
+        rec = blowup_step(8 + 16 + 15, 20)
         assert rec.sigma == Fraction(39, 20)
         assert rec.coefficient == Fraction(19, 20)
         assert rec.discrepancy == Fraction(-19, 20)
 
     def test_tangent_pair_first_step(self):
-        rec = blowup_step([Fraction(4, 5), Fraction(3, 4)])
+        rec = blowup_step(16 + 15, 20)
         assert rec.coefficient == Fraction(11, 20)
 
     def test_empty_point(self):
-        rec = blowup_step([])
+        rec = blowup_step(0, 1)
         assert rec.coefficient == -1
         assert rec.discrepancy == 1
+
+    def test_fields_are_reduced_fractions(self):
+        rec = blowup_step(9, 6, "n0")
+        assert rec == blowup_step(3, 2, "n0")
+        assert (rec.sigma, rec.coefficient) == (Fraction(3, 2),
+                                                Fraction(1, 2))
 
 
 class TestIsKlt:

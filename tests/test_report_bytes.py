@@ -1,0 +1,157 @@
+"""Report-bytes guard: the sha256 of the text and machine reports of a
+fixed corpus.
+
+The digests were taken before the lattice and KLT kernels moved from
+``Fraction`` coefficients to integer numerators over one denominator,
+so any change in what a report prints, down to one byte, fails here.
+A deliberate change of report bytes updates the digest it moves and
+says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from svlab.cli.main import main
+
+README_SCENARIO = {
+    "model": {"p": 3, "genus": 4, "e": -2},
+    "kodaira": "-inf",
+    "chi_o": -3,
+    "q": 4,
+    "relatively_minimal": True,
+    "divisor": ["0", "6"],
+    "boundary": [{"class": ["3", "-6"], "coefficient": "1/2"}],
+}
+
+# five blown-up points: a chain, a satellite point and a fresh chain; the
+# boundary meets the exceptionals, so pullback and dot see them
+RANK7_SCENARIO = {
+    "model": {"p": 3, "genus": 2, "e": 1,
+              "exceptionals": [[], [0], [1], [2, 1], []]},
+    "kodaira": "-inf",
+    "chi_o": -1,
+    "q": 2,
+    "relatively_minimal": False,
+    "divisor": ["2", "11", "0", "0", "0", "0", "0"],
+    "boundary": [{"class": ["4", "6", "0", "1", "0", "-1", "0"],
+                  "coefficient": "3/4"}],
+}
+
+# denominators 2 through 12, nested to depth three; one exceptional
+# coefficient reaches 1, so the verdict is not klt
+MIXED_FOREST = {
+    "branches": [
+        {"id": "a", "coefficient": "1/3"},
+        {"id": "b", "coefficient": "2/5"},
+        {"id": "c", "coefficient": "3/7"},
+        {"id": "d", "coefficient": "1/2"},
+        {"id": "e", "coefficient": "5/12"},
+        {"id": "f", "coefficient": "0"},
+        {"id": "g", "coefficient": "7/9"},
+        {"id": "h", "coefficient": "1/11", "kind": "exceptional"},
+        {"id": "i", "coefficient": "11/12"},
+    ],
+    "clusters": [
+        {"branches": ["a", "b", "c"],
+         "children": [
+             {"branches": ["a", "b"],
+              "children": [{"branches": ["b", "a"]}]},
+         ]},
+        {"branches": ["d", "e", "f"],
+         "children": [{"branches": ["d", "e"],
+                       "children": [{"branches": ["e", "d"]}]}]},
+        {"branches": ["g", "h"]},
+        {"branches": ["c", "f", "h"]},
+        {"branches": ["g", "i", "b"]},
+    ],
+}
+
+
+def _document(request, **body):
+    return {"format": "svlab/1", "request": request, **body}
+
+
+DOCUMENTS = {
+    "sweep-readme": _document(
+        "sweep", model={"p": 3, "genus": 4, "e": -2},
+        box={"a": [0, 5], "b": [-10, 20]}, boundary_coefficient="1/2",
+    ),
+    "klt-mixed-forest": _document("klt", arrangement=MIXED_FOREST),
+    "classify-readme": _document("classify", scenario=README_SCENARIO),
+    "classify-rank7": _document("classify", scenario=RANK7_SCENARIO),
+}
+
+KV_FLAGS = ["construct", "--kind", "kv", "--family", "hyperelliptic",
+            "--p", "3", "--h", "3"]
+
+DIGESTS = {
+    "classify-rank7:machine":
+        "76905c5fbeb3c16d2ee40a8333b8de3155e8543aba03fc714256468a7fba759b",
+    "classify-rank7:text":
+        "2ecf4729fd8b1be4b48619d2e6cb82828eda24068e3ac1abf2ed86d11bfd4565",
+    "classify-readme:machine":
+        "87d185db4b91815f2e154f42308d5480bba64ed5776a92417a8fc86ab7575ff2",
+    "classify-readme:text":
+        "10c9f0e6feba56ca803004d9e37b8f36c4419d9d25d228c648c9335753d02a41",
+    "construct-kv:machine":
+        "ed0f08dca2909497867313179dc55c0c3776e1bbea5fedbeb87af84a75d3b655",
+    "construct-kv:package":
+        "88242af27862b318db00e711ff35614c4eb7aa70feb242b8c5923250a4547e71",
+    "construct-kv:text":
+        "71322320ee21df6fd58b111712c93bfa5c399c59d1ce7044c735f1ca62f8b639",
+    "klt-mixed-forest:machine":
+        "a123f9df537c07edd30d181b76dcaa361d85dfc31dc4bbef17fac2c2d6ccfbea",
+    "klt-mixed-forest:text":
+        "c2811fd528dd597df19cb62f3bca825b6e94ddc07db00538931f2e343850f033",
+    "sweep-readme:machine":
+        "fbc1a8cfe013e563c9041152124d6c347054f5d7a807a4993b356296d10a4833",
+    "sweep-readme:text":
+        "d203193e88413631c631d0e7ff35d6c95bdef7890a4a4a75c21b5738e5edec9f",
+    "verify-kv:machine":
+        "111fa182a86880029eb7b56dcd58b223f751972e76932e5ca5252656e26eac2b",
+    "verify-kv:text":
+        "eeb325861f00693a34ae99b189dd7968310d79dd7e72209ca5d38e55a000e69f",
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _report(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_document_report_bytes(tmp_path, capsys, name, fmt):
+    doc = DOCUMENTS[name]
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = _report(
+        capsys, [doc["request"], "--in", str(path), "--format", fmt]
+    )
+    assert code == 0
+    assert _digest(out) == DIGESTS[f"{name}:{fmt}"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_construct_and_verify_report_bytes(tmp_path, capsys, fmt):
+    package = tmp_path / "package.json"
+    code, out = _report(
+        capsys, KV_FLAGS + ["--format", fmt, "--emit", str(package)]
+    )
+    assert code == 0
+    assert _digest(out) == DIGESTS[f"construct-kv:{fmt}"]
+    assert (_digest(package.read_text(encoding="utf-8"))
+            == DIGESTS["construct-kv:package"])
+    code, out = _report(
+        capsys, ["verify", "--in", str(package), "--format", fmt]
+    )
+    assert code == 0
+    assert _digest(out) == DIGESTS[f"verify-kv:{fmt}"]

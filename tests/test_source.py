@@ -19,8 +19,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "svlab"
 
 def test_no_assert_statements():
     # python -O strips assert, so no check in the package may use it
+    paths = sorted(SRC.rglob("*.py"))
+    # the walk must see the package, or it would pass on nothing
+    assert {SRC / "lattice.py", SRC / "cli" / "schema.py"} <= set(paths)
     found = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [
             f"{path.relative_to(SRC)}:{node.lineno}"
@@ -82,6 +85,31 @@ def test_every_public_name_has_a_production_caller():
         and name.rsplit(".", 1)[-1] not in read
     }
     assert uncalled == _NO_PRODUCTION_CALLER
+
+
+def test_per_item_converters_import_nothing():
+    # a converter handed to _list_of runs once per array item, and an
+    # import statement costs about a microsecond even when the module is
+    # loaded: such a converter reads the names its layer binds lazily
+    tree = ast.parse((SRC / "cli" / "schema.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    per_item = {
+        arg.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_list_of"
+        for arg in node.args if isinstance(arg, ast.Name)
+    }
+    assert {"_branch", "_cluster"} <= per_item
+    importing = sorted(
+        name for name in per_item if name in functions
+        and any(isinstance(node, (ast.Import, ast.ImportFrom))
+                for node in ast.walk(functions[name]))
+    )
+    assert importing == []
 
 
 # -- import footprint ---------------------------------------------------------
@@ -196,6 +224,10 @@ _BINDINGS = (
     ("svlab.cli.main", "classify", "svlab.nonvanish"),
     ("svlab.cli.main", "decide", "svlab.nonvanish"),
     ("svlab.cli.schema", "certify_tango", "svlab.charpcurve.families"),
+    ("svlab.cli.schema", "ORIGINAL", "svlab.kltcalc"),
+    ("svlab.cli.schema", "EXCEPTIONAL", "svlab.kltcalc"),
+    ("svlab.cli.schema", "WeightedBranch", "svlab.kltcalc"),
+    ("svlab.cli.schema", "ClusterNode", "svlab.kltcalc"),
     ("svlab.nonvanish", "FiberedModel", "svlab.fibered"),
     ("svlab.nonvanish", "minimality_audit", "svlab.fibered"),
     ("svlab.nonvanish", "reduce_model", "svlab.fibered"),
