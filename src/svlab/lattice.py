@@ -161,11 +161,16 @@ class RuledModel:
         )
 
 
+_INT_ONLY = {int}
+
+
 @record
 class DivisorClass:
     """A rational class in the model's basis: the coefficients are
     ``nums[i] / den``.  ``a`` and ``b`` are the E and F coefficients;
-    exceptional coefficients follow.
+    exceptional coefficients follow.  The numerators and the denominator
+    must be plain ints (``model.divisor`` takes Fractions); anything
+    else raises LatticeError.
 
     The record is normalised at construction, so that ``den > 0`` and
     ``gcd(den, *nums) == 1``; two classes are then equal exactly when
@@ -180,6 +185,10 @@ class DivisorClass:
         if len(self.nums) != self.model.rank:
             raise LatticeError("coefficient count does not match the model")
         den = self.den
+        if {type(den), *map(type, self.nums)} != _INT_ONLY:
+            raise LatticeError(
+                "a class takes int numerators over an int denominator"
+            )
         if den == 1:
             return
         if den == 0:

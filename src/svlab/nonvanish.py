@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 from numbers import Rational
 from typing import TYPE_CHECKING
 
@@ -463,8 +461,9 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
             },
         )
     (g_cls, c) = f.negative[0]
-    return _chi_product(
-        model.genus, model.invariant_e, c, *g_cls.nums, model.characteristic,
+    return ChiProduct(
+        model.genus, model.invariant_e, c, g_cls.a, g_cls.b,
+        model.characteristic,
     ).certify(dvr.a, dvr.b)
 
 
@@ -517,16 +516,18 @@ class ChiProduct:
                     curve_refusal = (PreconditionError, (
                         f"{x}E + {y}F cannot be a curve on this model",
                     ))
-        cx = c * x  # D - K - cG = (a + 2 - cx)E + (b + kf)F
-        kf = 2 - 2 * g + e - c * y
-        mid = (2 - c) * (g - 1)
-        scale = lcm(cx.denominator, kf.denominator, mid.denominator)
+        # D - K - cG = (a + 2 - cx)E + (b + kf)F with kf = 2 - 2g + e - cy;
+        # cx, kf and 2(2 - c)(g - 1) are kept times ``scale``
+        cn, cd = c.numerator, c.denominator
+        xd, yd = x.denominator, y.denominator
+        scale = cd * xd * yd
         for name, value in (
             ("c", c), ("x", x), ("y", y), ("model", model),
             ("refusal", refusal), ("curve_refusal", curve_refusal),
-            ("scale", scale), ("cx", int(cx * scale)),
-            ("kf", int(kf * scale)), ("mid", mid),
-            ("mid2", int(2 * mid * scale)),
+            ("scale", scale), ("cx", cn * x.numerator * yd),
+            ("kf", (2 - 2 * g + e) * scale - cn * y.numerator * xd),
+            ("mid", Fraction((2 * cd - cn) * (g - 1), cd)),
+            ("mid2", 2 * (2 * cd - cn) * (g - 1) * xd * yd),
         ):
             object.__setattr__(self, name, value)
 
@@ -585,16 +586,6 @@ class ChiProduct:
                 "coefficient": self.c,
             },
         )
-
-
-@lru_cache(maxsize=64)
-def _chi_product(
-    g: int, e: int, c: Fraction, x: int, y: int, characteristic: int
-) -> ChiProduct:
-    """One certifier per model, boundary coefficient and integral
-    negative curve xE + yF.  A ChiProduct is never mutated, so repeated
-    decisions on one surface share it, as a sweep does."""
-    return ChiProduct(g, e, c, x, y, characteristic)
 
 
 def low_fiber_degree_decide(model: FiberedModel) -> Verdict:

@@ -11,6 +11,7 @@ import pytest
 
 from svlab.lattice import (
     BlowupPoint,
+    DivisorClass,
     LatticeError,
     ModelMismatch,
     RuledModel,
@@ -381,6 +382,18 @@ class TestModelValidation:
     def test_negative_genus_rejected(self):
         with pytest.raises(LatticeError):
             RuledModel(2, -1, 0)
+
+    def test_class_refuses_fraction_coefficients(self):
+        # the constructor takes int numerators over an int denominator;
+        # a tuple of Fractions must not pass for an integral class
+        with pytest.raises(LatticeError):
+            DivisorClass(MODEL_342, (Fraction(1, 2), Fraction(0)))
+        with pytest.raises(LatticeError):
+            DivisorClass(MODEL_342, (1, 0), Fraction(2))
+        with pytest.raises(LatticeError):
+            DivisorClass(MODEL_342, (1.0, 0))
+        assert DivisorClass(MODEL_342, (1, 0), 2) \
+            == MODEL_342.divisor(Fraction(1, 2))
 
     def test_default_chi_structure(self):
         assert MODEL_342.chi_structure == -3
