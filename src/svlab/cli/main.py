@@ -48,7 +48,6 @@ def _read(path: str | None) -> str:
 
 def cmd_classify(args) -> Report:
     data = schema.load_document(_read(args.in_path))
-    schema.require_request(data, "classify")
     scenario = schema.scenario_from_document(data)
     label = _this.classify(scenario)
     verdict = _this.decide(scenario)
@@ -74,7 +73,6 @@ def cmd_classify(args) -> Report:
 
 def cmd_klt(args) -> Report:
     data = schema.load_document(_read(args.in_path))
-    schema.require_request(data, "klt")
     arrangement = schema.arrangement_from_document(data)
     verdict, trace = _this.is_klt(arrangement)
     lines = [check(
@@ -100,15 +98,15 @@ def cmd_klt(args) -> Report:
     return Report("klt", tuple(lines))
 
 
-def _family_from_args(args, request: str):
+def _family_from_args(args, reader):
+    """The family the flags name, or what ``reader`` makes of the
+    document that --in names."""
     if args.in_path is not None and args.family is not None:
         raise schema.SchemaError(
             "give either --in or the family flags, not both"
         )
     if args.in_path is not None:
-        data = schema.load_document(_read(args.in_path))
-        schema.require_request(data, request)
-        return data
+        return reader(schema.load_document(_read(args.in_path)))
     if args.family is None:
         raise schema.SchemaError(
             "this command needs --family (with --p, --h) or --in PATH"
@@ -127,11 +125,7 @@ def _family_detail(family, kind_name: str) -> list:
 
 
 def cmd_tango(args) -> Report:
-    source = _family_from_args(args, "tango")
-    family = (
-        schema.family_from_document(source)
-        if isinstance(source, dict) else source
-    )
+    family = _family_from_args(args, schema.family_from_document)
     cert = _this.certify_tango(family)
     invariant_detail = [("n", cert.n_f0)]
     if cert.v_inf is not None:
@@ -206,9 +200,9 @@ def _package_lines(pkg) -> tuple:
 
 
 def cmd_construct(args) -> Report:
-    source = _family_from_args(args, "construct")
-    if isinstance(source, dict):
-        kind, family, allow = schema.construct_from_document(source)
+    source = _family_from_args(args, schema.construct_from_document)
+    if args.in_path is not None:
+        kind, family, allow = source
         if args.kind is not None and args.kind != kind:
             raise schema.SchemaError(
                 "--kind contradicts the request document"
@@ -231,7 +225,6 @@ def cmd_construct(args) -> Report:
 
 def cmd_verify(args) -> Report:
     data = schema.load_document(_read(args.in_path))
-    schema.require_request(data, "verify-package")
     pkg = schema.package_from_document(data)
     return Report("verify", _package_lines(pkg))
 
@@ -246,7 +239,6 @@ def cmd_sweep(args) -> Report:
     )
 
     data = schema.load_document(_read(args.in_path))
-    schema.require_request(data, "sweep")
     request = schema.sweep_from_document(data)
     entries = run_sweep(request, jobs=args.jobs)
     status = {CERTIFIED_ENTRY: PASS, SKIPPED_ENTRY: SKIP, DISAGREEMENT: FAIL}
@@ -259,18 +251,10 @@ def cmd_sweep(args) -> Report:
         for entry in entries
     ]
     stats = summarize(entries)
-    summary_detail = [
-        ("entries", stats["entries"]),
-        ("certified", stats["certified"]),
-        ("skipped", stats["skipped"]),
-        ("disagreements", stats["disagreements"]),
-    ]
-    if "min_chi" in stats:
-        summary_detail.append(("min_chi", stats["min_chi"]))
     lines.append(check(
         "summary",
         PASS if stats["disagreements"] == 0 else FAIL,
-        *summary_detail,
+        *stats.items(),
     ))
     return Report("sweep", tuple(lines))
 

@@ -3,8 +3,13 @@
 Documents are JSON with a fixed vocabulary.  Validation is closed:
 every object lists its admissible keys and anything else is rejected,
 so a typo never silently changes meaning.  Rationals travel as
-"num/den" strings (or bare integers strings); decimal literals are
-refused outright.
+"num/den" strings (or bare integer strings) of ASCII digits; decimal
+literals are refused outright.
+
+``load_document`` checks the format and the request name, and ``_top``
+is the one envelope check: each request kind's reader passes its
+document through it, which refuses a document of another kind and
+reads format, request and the kind's own top-level keys.
 
 Each document kind imports the layer it builds inside the functions
 that build it, so parsing a document loads only that layer.
@@ -43,7 +48,7 @@ _this = sys.modules[__name__]
 REQUESTS = ("classify", "klt", "tango", "construct", "verify-package",
             "sweep")
 
-_RATIONAL = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 class SchemaError(ValueError):
@@ -51,7 +56,7 @@ class SchemaError(ValueError):
 
 
 def parse_rational(value, where: str) -> Fraction:
-    if not isinstance(value, str) or not _RATIONAL.match(value):
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
         raise SchemaError(
             f"{where}: expected an exact rational like \"3\" or \"-9/2\","
             f" got {value!r}"
@@ -197,11 +202,16 @@ def load_document(text: str) -> dict:
     return data
 
 
-def require_request(data: dict, expected: str) -> None:
-    if data["request"] != expected:
+def _top(data: dict, request: str, keys: dict, optional: dict = {}):
+    """The top-level keys of a ``request`` document that
+    ``load_document`` returned: format, request, then ``keys``."""
+    if data["request"] != request:
         raise SchemaError(
-            f"document is a {data['request']} request, not {expected}"
+            f"document is a {data['request']} request, not {request}"
         )
+    return _object(data, "document", {
+        "format": _string, "request": _string, **keys,
+    }, optional)
 
 
 _PURE_MODEL = {"p": characteristic, "genus": _int, "e": _int}
@@ -257,11 +267,7 @@ def _boundary_on(model: RuledModel, entries, where) -> tuple:
 def scenario_from_document(data: dict) -> Scenario:
     from ..nonvanish import Scenario
 
-    top = _object(data, "document", {
-        "format": _string,
-        "request": _string,
-        "scenario": lambda v, w: v,
-    })
+    top = _top(data, "classify", {"scenario": lambda v, w: v})
     fields = _object(top["scenario"], "scenario", {
         "model": _model_fields,
         "kodaira": _kodaira,
@@ -271,7 +277,6 @@ def scenario_from_document(data: dict) -> Scenario:
         "divisor": _coeffs,
     }, {
         "boundary": (_list_of(_boundary_entry), []),
-        "declared_curves": (_list_of(_coeffs), []),
         "kappa_minus_k_nonneg": (_nullable(_bool), None),
     })
     model = fields["model"] = _build_model(fields["model"])
@@ -279,10 +284,6 @@ def scenario_from_document(data: dict) -> Scenario:
                                   "scenario.divisor")
     fields["boundary"] = _boundary_on(model, fields["boundary"],
                                       "scenario.boundary")
-    fields["declared_curves"] = tuple(
-        _class_on(model, coeffs, "scenario.declared_curves")
-        for coeffs in fields["declared_curves"]
-    )
     return Scenario(**fields)
 
 
@@ -335,11 +336,7 @@ def _cluster(value, where):
 def arrangement_from_document(data: dict) -> ClusterArrangement:
     from ..kltcalc import ClusterArrangement
 
-    top = _object(data, "document", {
-        "format": _string,
-        "request": _string,
-        "arrangement": lambda v, w: v,
-    })
+    top = _top(data, "klt", {"arrangement": lambda v, w: v})
     fields = _object(top["arrangement"], "arrangement", {
         "branches": _list_of(_branch),
     }, {
@@ -388,23 +385,13 @@ def _family(value, where):
 
 
 def family_from_document(data: dict):
-    top = _object(data, "document", {
-        "format": _string,
-        "request": _string,
-        "family": _family,
-    })
-    return top["family"]
+    return _top(data, "tango", {"family": _family})["family"]
 
 
 def construct_from_document(data: dict):
     from ..construct import KINDS
 
-    top = _object(data, "document", {
-        "format": _string,
-        "request": _string,
-        "kind": _string,
-        "family": _family,
-    }, {
+    top = _top(data, "construct", {"kind": _string, "family": _family}, {
         "allow_asserted": (_bool, False),
     })
     if top["kind"] not in KINDS:
@@ -424,9 +411,7 @@ def _range(value, where):
 def sweep_from_document(data: dict) -> SweepRequest:
     from .sweep import SweepRequest
 
-    top = _object(data, "document", {
-        "format": _string,
-        "request": _string,
+    top = _top(data, "sweep", {
         "model": _pure_model,
         "box": lambda v, w: _object(v, w, {
             "a": _range, "b": _range,
@@ -549,11 +534,7 @@ def package_from_document(data: dict) -> CounterexamplePackage:
     from ..construct import KINDS, CounterexamplePackage
     from ..lattice import RuledModel
 
-    top = _object(data, "document", {
-        "format": _string,
-        "request": _string,
-        "package": lambda v, w: v,
-    })
+    top = _top(data, "verify-package", {"package": lambda v, w: v})
     fields = _fields(top["package"], "package", _PACKAGE_KEYS)
     if fields["kind"] not in KINDS:
         raise SchemaError(

@@ -107,6 +107,7 @@ def run_sweep(request: SweepRequest, jobs: int = 1) -> tuple[SweepEntry, ...]:
 
 
 def summarize(entries: tuple[SweepEntry, ...]) -> dict:
+    """The summary counts, in the order the report prints them."""
     certified = [e for e in entries if e.status == CERTIFIED_ENTRY]
     summary = {
         "entries": len(entries),

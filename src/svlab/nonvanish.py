@@ -108,10 +108,8 @@ class Scenario:
     ``kodaira`` is float('-inf') (use the RULED constant) or 0, 1, 2.
     Boundary entries are (curve class, coefficient) with coefficients in
     (0,1); fibered models carry their divisor data inside the trees and
-    take divisor=None, boundary=().  ``declared_curves`` is validated
-    against the model and then read by no route.
-    ``kappa_minus_k_nonneg`` is a declared hypothesis, not a computed
-    fact; None means undeclared.
+    take divisor=None, boundary=().  ``kappa_minus_k_nonneg`` is a
+    declared hypothesis, not a computed fact; None means undeclared.
     """
 
     model: RuledModel | FiberedModel
@@ -121,7 +119,6 @@ class Scenario:
     relatively_minimal: bool
     divisor: DivisorClass | None = None
     boundary: tuple = ()
-    declared_curves: tuple = ()
     kappa_minus_k_nonneg: bool | None = None
 
     def __post_init__(self):
@@ -140,9 +137,6 @@ class Scenario:
                 )
             norm.append((cls, c))
         object.__setattr__(self, "boundary", tuple(norm))
-        object.__setattr__(
-            self, "declared_curves", tuple(self.declared_curves)
-        )
         if isinstance(self.model, RuledModel):
             self._check_lattice()
         elif isinstance(self.model, _this.FiberedModel):
@@ -188,10 +182,6 @@ class Scenario:
                 raise InvalidScenario(
                     "boundary components are nonzero integral classes"
                 )
-        for cls in self.declared_curves:
-            if cls.model != self.model or not cls.is_integral():
-                raise InvalidScenario("declared curve does not fit the"
-                                      " model")
         if self.chi_o != self.model.chi_structure:
             raise InconsistentScenario(
                 "declared chi(O) contradicts the lattice model"

@@ -191,6 +191,48 @@ class TestSchemaRejection:
         assert code == 2
         assert "--in" in err
 
+    def test_declared_curves_is_an_unknown_key(self, tmp_path, capsys):
+        # the scenario key no route read is gone from the schema
+        doc = json.loads(json.dumps(KV_SCENARIO))
+        doc["scenario"]["declared_curves"] = [["1", "0"]]
+        code, out, err = run(
+            capsys, "classify",
+            "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: scenario: unknown keys ['declared_curves'];"
+            " this schema is strict\n"
+        )
+
+    @pytest.mark.parametrize("coefficients, field", [
+        (["\u0660/3", "1/3\n"], "branches[0]"),
+        (["0/3", "1/3\n"], "branches[1]"),
+    ])
+    def test_rational_is_ascii_with_nothing_around_it(
+        self, tmp_path, capsys, coefficients, field
+    ):
+        # an Arabic-Indic zero and a trailing newline are not rationals
+        doc = {
+            "format": "svlab/1",
+            "request": "klt",
+            "arrangement": {
+                "branches": [
+                    {"id": "a", "coefficient": coefficients[0]},
+                    {"id": "b", "coefficient": coefficients[1]},
+                ],
+                "clusters": [{"branches": ["a", "b"]}],
+            },
+        }
+        code, out, err = run(
+            capsys, "klt", "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"error: arrangement.{field}.coefficient: expected an exact"
+            " rational"
+        )
+
 
 class TestClassify:
     def test_boundary_scenario(self, tmp_path, capsys):

@@ -267,7 +267,7 @@ def test_klt_trace_matches_fractions(arr):
 # -- parse_rational -----------------------------------------------------------
 
 @SETTINGS
-@given(st.from_regex(_RATIONAL))
+@given(st.from_regex(_RATIONAL, fullmatch=True))
 def test_parse_rational_accepts_what_the_pattern_accepts(value):
     parsed = parse_rational(value, "x")
     assert parsed == Fraction(value) and type(parsed) is Fraction
@@ -275,7 +275,7 @@ def test_parse_rational_accepts_what_the_pattern_accepts(value):
 
 @SETTINGS
 @given(st.one_of(
-    st.text().filter(lambda s: not _RATIONAL.match(s)),
+    st.text().filter(lambda s: not _RATIONAL.fullmatch(s)),
     st.integers(), st.floats(), st.none(), st.lists(st.text(), max_size=2),
 ))
 def test_parse_rational_refuses_the_rest(value):

@@ -1,5 +1,5 @@
 """Report-bytes guard: the sha256 of the text and machine reports of a
-fixed corpus.
+fixed corpus, and the exact stderr of a corpus of refusals.
 
 The digests were taken before the lattice and KLT kernels moved from
 ``Fraction`` coefficients to integer numerators over one denominator,
@@ -155,3 +155,148 @@ def test_construct_and_verify_report_bytes(tmp_path, capsys, fmt):
     )
     assert code == 0
     assert _digest(out) == DIGESTS[f"verify-kv:{fmt}"]
+
+
+# -- refusal bytes ------------------------------------------------------------
+#
+# Each case is an argv and the request document behind its ``{doc}``
+# placeholder; the expected stderr and exit code were taken before the
+# document envelope was read through one check, so a refusal that moves,
+# rewords or changes order fails here.
+
+FAMILY = {"kind": "hyperelliptic", "p": 3, "h": 3}
+
+# a valid body of each request kind; the verify-package envelope is
+# refused before its package is read, so an empty package serves there
+BODIES = {
+    "classify": {"scenario": README_SCENARIO},
+    "klt": {"arrangement": MIXED_FOREST},
+    "tango": {"family": FAMILY},
+    "construct": {"kind": "kv", "family": FAMILY},
+    "verify-package": {"package": {}},
+    "sweep": {"model": {"p": 3, "genus": 4, "e": -2},
+              "box": {"a": [0, 5], "b": [-10, 20]},
+              "boundary_coefficient": "1/2"},
+}
+
+COMMAND_OF = {request: request.split("-")[0] for request in BODIES}
+
+
+def _text(request, drop=None, **extra):
+    body = {k: v for k, v in BODIES[request].items() if k != drop}
+    return json.dumps({**_document(request, **body), **extra})
+
+
+def _refusal_cases():
+    requests = list(BODIES)
+    cases = {}
+    for i, request in enumerate(requests):
+        argv = [COMMAND_OF[request], "--in", "{doc}"]
+        other = requests[(i + 1) % len(requests)]
+        cases[f"{request}:other-request"] = (argv, _text(other))
+        cases[f"{request}:unknown-key"] = (argv, _text(request, extra=1))
+        cases[f"{request}:missing-body"] = (
+            argv, _text(request, drop=list(BODIES[request])[-1]),
+        )
+        cases[f"{request}:wrong-format"] = (
+            argv, _text(request, format="svlab/0"),
+        )
+    cases.update({
+        "not-json": (["klt", "--in", "{doc}"], "{not json"),
+        "top-level-array": (["klt", "--in", "{doc}"], "[]"),
+        "unknown-request": (
+            ["klt", "--in", "{doc}"],
+            json.dumps({"format": "svlab/1", "request": "frobnicate"}),
+        ),
+        "deep-nesting": (["klt", "--in", "{doc}"], "[" * 100_000),
+        "tango:in-and-family": (
+            ["tango", "--in", "{doc}", "--family", "hyperelliptic",
+             "--p", "3", "--h", "3"], _text("tango"),
+        ),
+        "tango:no-source": (["tango"], None),
+        "tango:family-without-p": (
+            ["tango", "--family", "hyperelliptic", "--h", "3"], None,
+        ),
+        "construct:flags-without-kind": (
+            ["construct", "--family", "hyperelliptic", "--p", "3",
+             "--h", "3"], None,
+        ),
+        "construct:kind-contradicts-document": (
+            ["construct", "--in", "{doc}", "--kind", "kollar"],
+            _text("construct"),
+        ),
+    })
+    return cases
+
+
+REFUSAL_CASES = _refusal_cases()
+
+REFUSALS = {
+    "classify:missing-body": "error: document: missing key 'scenario'\n",
+    "classify:other-request":
+        "error: document is a klt request, not classify\n",
+    "classify:unknown-key":
+        "error: document: unknown keys ['extra']; this schema is strict\n",
+    "classify:wrong-format":
+        "error: format: expected 'svlab/1', got 'svlab/0'\n",
+    "construct:flags-without-kind": "error: this command needs --kind\n",
+    "construct:kind-contradicts-document":
+        "error: --kind contradicts the request document\n",
+    "construct:missing-body": "error: document: missing key 'family'\n",
+    "construct:other-request":
+        "error: document is a verify-package request, not construct\n",
+    "construct:unknown-key":
+        "error: document: unknown keys ['extra']; this schema is strict\n",
+    "construct:wrong-format":
+        "error: format: expected 'svlab/1', got 'svlab/0'\n",
+    "deep-nesting":
+        "error: not readable JSON: nested deeper than the decoder's limit\n",
+    "klt:missing-body": "error: document: missing key 'arrangement'\n",
+    "klt:other-request": "error: document is a tango request, not klt\n",
+    "klt:unknown-key":
+        "error: document: unknown keys ['extra']; this schema is strict\n",
+    "klt:wrong-format": "error: format: expected 'svlab/1', got 'svlab/0'\n",
+    "not-json":
+        "error: not valid JSON: Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1)\n",
+    "sweep:missing-body":
+        "error: document: missing key 'boundary_coefficient'\n",
+    "sweep:other-request":
+        "error: document is a classify request, not sweep\n",
+    "sweep:unknown-key":
+        "error: document: unknown keys ['extra']; this schema is strict\n",
+    "sweep:wrong-format": "error: format: expected 'svlab/1', got 'svlab/0'\n",
+    "tango:family-without-p": "error: family flags need --p\n",
+    "tango:in-and-family":
+        "error: give either --in or the family flags, not both\n",
+    "tango:missing-body": "error: document: missing key 'family'\n",
+    "tango:no-source":
+        "error: this command needs --family (with --p, --h) or --in PATH\n",
+    "tango:other-request":
+        "error: document is a construct request, not tango\n",
+    "tango:unknown-key":
+        "error: document: unknown keys ['extra']; this schema is strict\n",
+    "tango:wrong-format": "error: format: expected 'svlab/1', got 'svlab/0'\n",
+    "top-level-array": "error: top level: expected an object\n",
+    "unknown-request":
+        "error: request: expected one of classify, klt, tango, construct, "
+        "verify-package, sweep, got 'frobnicate'\n",
+    "verify-package:missing-body": "error: document: missing key 'package'\n",
+    "verify-package:other-request":
+        "error: document is a sweep request, not verify-package\n",
+    "verify-package:unknown-key":
+        "error: document: unknown keys ['extra']; this schema is strict\n",
+    "verify-package:wrong-format":
+        "error: format: expected 'svlab/1', got 'svlab/0'\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSAL_CASES))
+def test_refusal_bytes(tmp_path, capsys, name):
+    argv, text = REFUSAL_CASES[name]
+    path = tmp_path / "request.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code = main([str(path) if arg == "{doc}" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", REFUSALS[name])

@@ -112,6 +112,29 @@ def test_per_item_converters_import_nothing():
     assert importing == []
 
 
+def test_one_document_envelope():
+    # every request kind reads format, request and its top-level keys
+    # through one check in cli/schema, which also refuses a document of
+    # another kind, so cli/main checks no request name itself
+    cli = SRC / "cli"
+    schema = ast.parse((cli / "schema.py").read_text(encoding="utf-8"))
+    envelopes = [
+        node for node in ast.walk(schema)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_object"
+        and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == "document"
+    ]
+    assert len(envelopes) == 1
+    main_tree = ast.parse((cli / "main.py").read_text(encoding="utf-8"))
+    assert [
+        node.lineno for node in ast.walk(main_tree)
+        if isinstance(node, ast.Call) and "require_request" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+    ] == []
+
+
 # -- import footprint ---------------------------------------------------------
 
 _ENV = dict(
