@@ -37,17 +37,19 @@ class Report:
 
 def check(name: str, status: str, *pairs) -> CheckLine:
     """Build a line, rendering every detail value to its exact string."""
-    detail = tuple((key, render_value(value)) for key, value in pairs)
+    detail = tuple([(key, render_value(value)) for key, value in pairs])
     return CheckLine(name, status, detail)
 
 
 def render_value(value) -> str:
-    if isinstance(value, str):
+    # exact types, most common first; a bool's type is bool, not int
+    kind = type(value)
+    if kind is str:
         return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
+    if kind is int or kind is Fraction:
         return str(value)
+    if kind is bool:
+        return "true" if value else "false"
     if isinstance(value, float):
         # the only float in the data model is the ruled marker
         return "-inf" if value == float("-inf") else str(value)
@@ -57,7 +59,7 @@ def render_value(value) -> str:
 
 
 def _quoted(value: str) -> str:
-    if value == "" or any(ch in value for ch in (" ", '"', "\\")):
+    if value == "" or " " in value or '"' in value or "\\" in value:
         return json.dumps(value)
     return value
 

@@ -72,8 +72,8 @@ def fmt_rational(q) -> str:
 def _object(data, where: str, required: dict, optional: dict = {}):
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected an object")
-    unknown = set(data) - set(required) - set(optional)
-    if unknown:
+    if not data.keys() <= required.keys() | optional.keys():
+        unknown = data.keys() - required.keys() - optional.keys()
         raise SchemaError(
             f"{where}: unknown keys {sorted(unknown)}; this schema is strict"
         )
@@ -99,6 +99,8 @@ def _int(value, where):
 # Primality is settled by trial division, so the cap keeps a huge p from
 # hanging the tool; "small characteristic" is the toolkit's whole domain.
 MAX_CHARACTERISTIC = 2 ** 16
+# Every entry of a sweep box is held in memory and printed on its own line.
+MAX_SWEEP_ENTRIES = 100_000
 
 
 def characteristic(value, where):
@@ -134,12 +136,25 @@ def _same(value):
     return value
 
 
+def _array(value, where):
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected an array")
+    return value
+
+
 def _list_of(convert):
     def inner(value, where):
-        if not isinstance(value, list):
-            raise SchemaError(f"{where}: expected an array")
-        return [convert(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        return [convert(v, f"{where}[{i}]")
+                for i, v in enumerate(_array(value, where))]
     return inner
+
+
+def _strings(value, where):
+    """An array of strings; only a refused element's path is formatted."""
+    for i, v in enumerate(_array(value, where)):
+        if not isinstance(v, str):
+            _string(v, f"{where}[{i}]")
+    return value
 
 
 def _coeffs(value, where):
@@ -287,20 +302,22 @@ def scenario_from_document(data: dict) -> Scenario:
     return Scenario(**fields)
 
 
+# the per-item readers' key tables; a branch without a kind is ORIGINAL
+_BRANCH = {"id": _string, "coefficient": parse_rational}
+_BRANCH_KIND = {"kind": (_string, None)}
+_CLUSTER = {"branches": _strings}
+_CLUSTER_CHILDREN = {"children": (_array, ())}
+
+
 def _branch(value, where):
     original, exceptional = _this.ORIGINAL, _this.EXCEPTIONAL
-    fields = _object(value, where, {
-        "id": _string,
-        "coefficient": parse_rational,
-    }, {
-        "kind": (_string, original),
-    })
-    if fields["kind"] not in (original, exceptional):
+    fields = _object(value, where, _BRANCH, _BRANCH_KIND)
+    kind = original if fields["kind"] is None else fields["kind"]
+    if kind not in (original, exceptional):
         raise SchemaError(
             f"{where}.kind: expected {original!r} or {exceptional!r}"
         )
-    return _this.WeightedBranch(fields["id"], fields["coefficient"],
-                                fields["kind"])
+    return _this.WeightedBranch(fields["id"], fields["coefficient"], kind)
 
 
 def _cluster(value, where):
@@ -312,11 +329,7 @@ def _cluster(value, where):
     stack = [(value, where, None)]
     while stack:
         value, where, parent = stack.pop()
-        fields = _object(value, where, {
-            "branches": _list_of(_string),
-        }, {
-            "children": (_list_of(lambda v, w: v), []),
-        })
+        fields = _object(value, where, _CLUSTER, _CLUSTER_CHILDREN)
         index = len(parsed)
         parsed.append((tuple(fields["branches"]), []))
         if parent is not None:
@@ -426,14 +439,13 @@ def sweep_from_document(data: dict) -> SweepRequest:
         raise SchemaError(
             "boundary_coefficient: expected a value strictly between 0 and 1"
         )
-    return SweepRequest(
-        characteristic=model["p"],
-        genus=model["genus"],
-        invariant_e=model["e"],
-        a_range=top["box"]["a"],
-        b_range=top["box"]["b"],
-        coefficient=coeff,
-    )
+    (a0, a1), (b0, b1) = box = top["box"]["a"], top["box"]["b"]
+    entries = max(0, a1 - a0 + 1) * max(0, b1 - b0 + 1)
+    if entries > MAX_SWEEP_ENTRIES:
+        raise SchemaError(
+            f"box: expected at most {MAX_SWEEP_ENTRIES} entries, got {entries}"
+        )
+    return SweepRequest(model["p"], model["genus"], model["e"], *box, coeff)
 
 
 def family_document(family) -> dict:

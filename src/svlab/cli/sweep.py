@@ -1,14 +1,16 @@
 """Integral-box sweep: both euler-characteristic formulas on every entry.
 
 For each integral D = aE + bF in the requested box, the polarization
-D - K - cC' is put through the strict positivity certifier; certified
-entries then run the product certificate, which checks itself against
-the generic Riemann-Roch oracle.  Any disagreement, or a non-positive
-value, is a counterexample to the formulas' equivalence and fails the
-run.
+H = D - K - cC' is put through the strict positivity certifier; certified
+entries then run the product's checks, the last of which compares the
+product with the generic Riemann-Roch oracle.  Any disagreement, or a
+non-positive value, is a counterexample to the formulas' equivalence and
+fails the run.
 
-The model, the part K + cC' of the polarization that does not depend
-on D and the product certifier are built once per request.  Entries are
+Built once per request: the model, K + cC' and the product certifier,
+which settles what does not depend on D.  Built per entry: H, as one
+class from the integer numerators of D and K + cC', and for a certified
+H the class of D for the oracle, but no certificate.  Entries are
 independent, so the box may fan out over processes; the report is
 assembled in box order no matter what finished first.
 """
@@ -45,7 +47,7 @@ class SweepEntry:
     a: int
     b: int
     status: str
-    chi: Fraction | None
+    chi: int | None  # chi of an integral D, an integer (the oracle checks)
     reason: str
 
 
@@ -53,9 +55,10 @@ def sweep_entry(
     model: RuledModel, shift: DivisorClass, product: ChiProduct,
     a: int, b: int,
 ) -> SweepEntry:
-    """One box entry; ``shift`` is K + cC', so the polarization is
-    H = D - shift, and ``product`` certifies with the boundary cC'."""
-    h = model.divisor(a, b) - shift
+    """One box entry; ``shift`` is K + cC' on ``model``, so H = D - shift,
+    and ``product`` checks with the boundary cC'."""
+    (s_a, s_b), den = shift.nums, shift.den
+    h = DivisorClass(model, (a * den - s_a, b * den - s_b), den)
     ample = certify_positivity(model, h, strict=True)
     if ample.status != CERTIFIED:
         return SweepEntry(
@@ -63,14 +66,12 @@ def sweep_entry(
             f"polarization {ample.status} under {ample.rule_used}",
         )
     try:
-        verdict = product.certify(a, b)
+        chi = product.check(a, b)[0]
     except PreconditionError as ex:
         return SweepEntry(a, b, SKIPPED_ENTRY, None, str(ex))
     except InconsistentScenario as ex:
         return SweepEntry(a, b, DISAGREEMENT, None, str(ex))
-    return SweepEntry(
-        a, b, CERTIFIED_ENTRY, verdict.certificate["chi"], ""
-    )
+    return SweepEntry(a, b, CERTIFIED_ENTRY, chi.numerator, "")
 
 
 def _entry_star(args) -> SweepEntry:

@@ -178,13 +178,13 @@ def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
         used: set[str] = set()
         pending: list = []
         for idx, child in enumerate(node.children):
-            overlap = used & set(child.branch_ids)
-            if overlap:
+            if not used.isdisjoint(child.branch_ids):
+                overlap = sorted(used.intersection(child.branch_ids))
                 pending.append((ArrangementError(
-                    f"branches {sorted(overlap)} appear in two siblings"
+                    f"branches {overlap} appear in two siblings"
                 ), None, None))
                 break
-            used |= set(child.branch_ids)
+            used.update(child.branch_ids)
             pending.append((child, f"{label}.{idx}", own))
         stack.extend(reversed(pending))
 

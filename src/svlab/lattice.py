@@ -161,6 +161,18 @@ class RuledModel:
         )
 
 
+def _form(model: RuledModel, x, y) -> int:
+    """The diagonal form of the module docstring on two numerator
+    sequences (exceptional i at index 2 + i), in O(rank + proximities)."""
+    a, b, a2, b2 = x[0], x[1], y[0], y[1]
+    total = -model.invariant_e * a * a2 + a * b2 + a2 * b
+    for j, pt in enumerate(model.exceptionals, 2):
+        u = x[j] - sum(x[2 + i] for i in pt.proximate_to)
+        v = y[j] - sum(y[2 + i] for i in pt.proximate_to)
+        total -= u * v
+    return total
+
+
 _INT_ONLY = {int}
 
 
@@ -226,18 +238,9 @@ class DivisorClass:
 
     def _pairing(self, other: "DivisorClass") -> tuple[int, int]:
         """The intersection number as an integer numerator over the
-        product of the two denominators: the diagonal form of the module
-        docstring, read off the proximity data in O(rank + number of
-        proximities)."""
+        product of the two denominators."""
         self._same_model(other)
-        a, b, *x = self.nums
-        a2, b2, *y = other.nums
-        total = -self.model.invariant_e * a * a2 + a * b2 + a2 * b
-        for j, pt in enumerate(self.model.exceptionals):
-            u = x[j] - sum(x[i] for i in pt.proximate_to)
-            v = y[j] - sum(y[i] for i in pt.proximate_to)
-            total -= u * v
-        return total, self.den * other.den
+        return _form(self.model, self.nums, other.nums), self.den * other.den
 
     def dot(self, other: "DivisorClass") -> Fraction:
         return Fraction(*self._pairing(other))
@@ -306,7 +309,7 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> Fraction:
 
 def adjunction_pa(model: RuledModel, c: DivisorClass) -> Fraction:
     """Arithmetic genus 1 + C.(C+K)/2 of an integral class."""
-    if c.model != model:
+    if c.model is not model and c.model != model:
         raise ModelMismatch("class does not live on this model")
     if not c.is_integral():
         raise LatticeError("adjunction needs an integral class")
@@ -317,9 +320,12 @@ def adjunction_pa(model: RuledModel, c: DivisorClass) -> Fraction:
 def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Fraction:
     """chi(D) = D.(D-K)/2 + chi(O).  Integral D always yields an integer
     (the canonical class is characteristic for the form; asserted)."""
-    if d.model != model:
+    if d.model is not model and d.model != model:
         raise ModelMismatch("class does not live on this model")
-    total, den = d._pairing(d - model.canonical_class())
+    k = model.canonical_class()  # D - K as numerators over d.den * k.den
+    total = _form(model, d.nums,
+                  [x * k.den - y * d.den for x, y in zip(d.nums, k.nums)])
+    den = d.den * d.den * k.den
     chi = Fraction(total + 2 * den * model.chi_structure, 2 * den)
     if d.is_integral() and chi.denominator != 1:
         raise AssertionError("chi of an integral class must be an integer")
@@ -405,7 +411,7 @@ def certify_positivity(
     """
     if not model.is_pure:
         raise LatticeError("positivity rules apply to pure models")
-    if d.model != model:
+    if d.model is not model and d.model != model:
         raise ModelMismatch("class does not live on this model")
 
     # D = (a E + b F) / den with den > 0

@@ -110,6 +110,7 @@ class Scenario:
     (0,1); fibered models carry their divisor data inside the trees and
     take divisor=None, boundary=().  ``kappa_minus_k_nonneg`` is a
     declared hypothesis, not a computed fact; None means undeclared.
+    ``negative_boundary`` (entries of negative square) is set at construction.
     """
 
     model: RuledModel | FiberedModel
@@ -143,6 +144,9 @@ class Scenario:
             self._check_fibered()
         else:
             raise InvalidScenario("model must be a lattice or fiber data")
+        object.__setattr__(self, "negative_boundary", tuple(
+            (cls, c) for cls, c in norm if cls.self_intersection() < 0
+        ))
 
     def _check_fibered(self):
         if self.divisor is not None or self.boundary:
@@ -250,7 +254,7 @@ def _classify_irregular_ruled(s: Scenario) -> str:
         s.relatively_minimal
         and s.is_lattice
         and s.model.invariant_e < 0
-        and len(_negative_boundary(s)) == 1
+        and len(s.negative_boundary) == 1
     ):
         return CASE_C_M
     if (
@@ -263,21 +267,14 @@ def _classify_irregular_ruled(s: Scenario) -> str:
     return CASE_C
 
 
-def _negative_boundary(s: Scenario) -> tuple:
-    return tuple(
-        (cls, c) for cls, c in s.boundary if cls.self_intersection() < 0
-    )
-
-
 @record
 class Facts:
     """What the routes read, derived once per ``decide`` call.
 
     ``d_dot_f`` is the divisor's fiber degree.  The classes K, B and
-    H = D - K - B, the negative boundary components and the nef(D) and
-    ample(H) certificates exist on lattice scenarios only; the
-    certificates are None on blown-up lattices, where no positivity
-    rule applies.
+    H = D - K - B and the nef(D) and ample(H) certificates exist on
+    lattice scenarios only; the certificates are None on blown-up
+    lattices, where no positivity rule applies.
     """
 
     label: str
@@ -285,7 +282,6 @@ class Facts:
     k: DivisorClass | None = None
     b: DivisorClass | None = None
     h: DivisorClass | None = None
-    negative: tuple = ()
     nef: PositivityVerdict | None = None
     ample: PositivityVerdict | None = None
 
@@ -303,7 +299,6 @@ def derive(s: Scenario, label: str) -> Facts:
         k,
         b,
         h,
-        _negative_boundary(s),
         _positivity_status(model, s.divisor, strict=False),
         _positivity_status(model, h, strict=True),
     )
@@ -434,13 +429,13 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
                 },
             )
         return None
-    if len(f.negative) >= 2:
+    if len(s.negative_boundary) >= 2:
         raise InconsistentScenario(
             "two distinct negative curve classes cannot coexist on a"
             " rank-2 lattice: the fiber class would decompose through"
             " them"
         )
-    if not f.negative:
+    if not s.negative_boundary:
         return Verdict(
             f.label,
             GUARANTEED_M1,
@@ -450,7 +445,7 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
                 "stripped": "entire boundary (no negative component)",
             },
         )
-    (g_cls, c) = f.negative[0]
+    (g_cls, c) = s.negative_boundary[0]
     return ChiProduct(
         model.genus, model.invariant_e, c, g_cls.a, g_cls.b,
         model.characteristic,
@@ -467,10 +462,13 @@ class ChiProduct:
     preconditions on e, g and c (``refusal``), the model (which keeps
     its canonical class once computed), whether G can be a curve
     (``curve_refusal``; a refusal is an exception type with its
-    arguments, or None), and the constants of the inequalities, cleared
-    to integers over the common denominator ``scale``.  ``certify(a, b)``
-    runs the checks that depend on D and raises the refusals at their
-    place in the order of checks.  Nothing mutates the record, so one
+    arguments, or None), the constants of the inequalities, cleared to
+    integers over the common denominator ``scale``, and the fixed link
+    (2-c)(g-1) > g-1 of the slack chain.  ``check(a, b)`` runs the checks
+    that depend on D, raising the refusals at their place in the order
+    of checks, and returns chi(D), which is all a sweep entry reads.
+    ``certify(a, b)`` runs the same checks and builds the certificate
+    that ``decide`` reports.  Nothing mutates the record, so one
     instance serves a whole sweep and pickles to its workers.
     """
 
@@ -511,22 +509,24 @@ class ChiProduct:
         cn, cd = c.numerator, c.denominator
         xd, yd = x.denominator, y.denominator
         scale = cd * xd * yd
+        mid = Fraction((2 * cd - cn) * (g - 1), cd)
         for name, value in (
             ("c", c), ("x", x), ("y", y), ("model", model),
             ("refusal", refusal), ("curve_refusal", curve_refusal),
             ("scale", scale), ("cx", cn * x.numerator * yd),
             ("kf", (2 - 2 * g + e) * scale - cn * y.numerator * xd),
-            ("mid", Fraction((2 * cd - cn) * (g - 1), cd)),
+            ("mid", mid), ("mid_link_holds", mid > g - 1),
             ("mid2", 2 * (2 * cd - cn) * (g - 1) * xd * yd),
         ):
             object.__setattr__(self, name, value)
 
-    def certify(self, a: Rational, b: Rational) -> Verdict:
+    def check(self, a: Rational, b: Rational) -> tuple:
         """The checks that depend on D = aE + bF, in order: nef, the two
         ampleness inequalities of D - K - cG, the slack chain
         b - ae/2 > (2-c)(g-1) > g-1, a positive product, and agreement
-        with the generic Riemann-Roch oracle.  The product is returned
-        as the certificate."""
+        with the generic Riemann-Roch oracle.  Returns chi(D) as the
+        oracle gives it, then, for the certificate, the two ampleness
+        values times ``scale`` and twice b - ae/2."""
         if self.refusal is not None:
             kind, args = self.refusal
             raise kind(*args)
@@ -546,7 +546,7 @@ class ChiProduct:
                 "the polarization fails its ampleness inequalities"
             )
         slope = 2 * b - a * e  # twice b - ae/2
-        if not (slope * scale > self.mid2 and self.mid > g - 1):
+        if not (slope * scale > self.mid2 and self.mid_link_holds):
             raise PreconditionError(
                 f"slack chain fails: {Fraction(slope, 2)} > {self.mid}"
                 f" > {g - 1} does not hold"
@@ -554,12 +554,20 @@ class ChiProduct:
         chi = (a + 1) * (slope + 2 - 2 * g)  # twice the product
         if chi <= 0:
             raise InconsistentScenario("the product must be positive here")
-        chi = Fraction(chi, 2)
-        oracle = riemann_roch_chi(self.model, self.model.divisor(a, b))
-        if chi != oracle:
+        d = (DivisorClass(self.model, (a, b)) if type(a) is type(b) is int
+             else self.model.divisor(a, b))  # integral D: no lcm to take
+        oracle = riemann_roch_chi(self.model, d)
+        if chi * oracle.denominator != 2 * oracle.numerator:
             raise InconsistentScenario(
-                f"product gives {chi}, riemann-roch gives {oracle}"
+                f"product gives {Fraction(chi, 2)}, riemann-roch gives"
+                f" {oracle}"
             )
+        return oracle, ample_e, ample_f, slope
+
+    def certify(self, a: Rational, b: Rational) -> Verdict:
+        """``check(a, b)``, with what it compared as the certificate."""
+        chi, ample_e, ample_f, slope = self.check(a, b)
+        scale = self.scale
         return Verdict(
             CASE_C_M,
             GUARANTEED_M1,
@@ -570,7 +578,7 @@ class ChiProduct:
                     Fraction(ample_e, scale), Fraction(ample_f, scale),
                 ),
                 "slack_chain": (
-                    Fraction(slope, 2), self.mid, Fraction(g - 1),
+                    Fraction(slope, 2), self.mid, Fraction(self.g - 1),
                 ),
                 "negative_component": (self.x, self.y),
                 "coefficient": self.c,

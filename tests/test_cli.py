@@ -7,6 +7,7 @@ round-trip and determinism tests compare raw bytes on purpose.
 """
 
 import argparse
+import importlib
 import json
 import random
 import re
@@ -21,6 +22,7 @@ import pytest
 from svlab.charpcurve import certify_tango
 from svlab.cli import schema
 from svlab.cli.main import MAX_JOBS, build_parser, main
+from svlab.cli.report import PASS, Report, check, render_machine
 from svlab.cli.sweep import SweepRequest, run_sweep
 from svlab.construct import KINDS, build_package
 from svlab.lattice import (
@@ -1033,6 +1035,46 @@ class TestSweep:
         assert code == 0
         assert seen == [MAX_JOBS]
 
+    @pytest.mark.parametrize("a_range, b_range, entries", [
+        ([0, 99], [0, 999], 100_000),
+        ([0, 0], [0, 100_000], 100_001),
+        # two empty ranges hold no entry, however long they are
+        ([0, -1000], [0, -1000], 0),
+    ])
+    def test_box_cap_is_checked_by_the_reader(self, a_range, b_range,
+                                              entries):
+        doc = json.loads(json.dumps(SWEEP_DOC))
+        doc["box"] = {"a": a_range, "b": b_range}
+        data = schema.load_document(json.dumps(doc))
+        if entries <= schema.MAX_SWEEP_ENTRIES:
+            request = schema.sweep_from_document(data)
+            assert (request.a_range, request.b_range) == (
+                tuple(a_range), tuple(b_range),
+            )
+        else:
+            with pytest.raises(schema.SchemaError) as refused:
+                schema.sweep_from_document(data)
+            assert str(refused.value) == (
+                "box: expected at most 100000 entries, got 100001"
+            )
+
+    def test_box_over_the_cap_exits_two_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch,
+    ):
+        def unreachable(request, jobs=1):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("svlab.cli.sweep.run_sweep", unreachable)
+        doc = json.loads(json.dumps(SWEEP_DOC))
+        doc["box"] = {"a": [0, 1000], "b": [0, 1000]}
+        code, out, err = run(
+            capsys, "sweep", "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: box: expected at most 100000 entries, got 1002001\n"
+        )
+
     def test_nonnegative_e_rejected(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SWEEP_DOC))
         doc["model"]["e"] = 0
@@ -1050,6 +1092,79 @@ class TestSweep:
             "--in", write_doc(tmp_path, "d.json", doc),
         )
         assert code == 2
+
+
+class TestPerItemWork:
+    """Every check runs on every item: the bindings that the layer tracer
+    of the benchmark wraps are counted through ``main``."""
+
+    @staticmethod
+    def _counted(monkeypatch, target):
+        module_name, _, name = target.rpartition(".")
+        module = importlib.import_module(module_name)
+        real = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_sweep_checks_every_entry(self, tmp_path, capsys, monkeypatch):
+        entries, positivity, oracle = (
+            self._counted(monkeypatch, target) for target in (
+                "svlab.cli.sweep.sweep_entry",
+                "svlab.cli.sweep.certify_positivity",
+                "svlab.nonvanish.riemann_roch_chi",
+            )
+        )
+        doc = json.loads(json.dumps(SWEEP_DOC))
+        doc["box"] = {"a": [-1, 5], "b": [-10, 20]}
+        code, out, _ = run(
+            capsys, "sweep", "--format", "machine",
+            "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert code == 0
+        lines = checks(out, "entry")
+        box = [(a, b) for a in range(-1, 6) for b in range(-10, 21)]
+        assert [(int(f["a"]), int(f["b"])) for f in lines] == box
+        assert [args[3:] for args, _ in entries] == box
+        assert len(positivity) == len(box)
+        assert all(kw == {"strict": True} for _, kw in positivity)
+        certified = [(int(f["a"]), int(f["b"])) for f in lines
+                     if f["status"] == "PASS"]
+        assert 0 < len(certified) < len(box)
+        assert [(d.a, d.b) for (_, d), _ in oracle] == certified
+
+    def test_klt_blows_up_every_node(self, tmp_path, capsys, monkeypatch):
+        blowups = self._counted(monkeypatch, "svlab.kltcalc.blowup_step")
+        forest = {
+            "branches": [{"id": f"b{i}", "coefficient": f"1/{i + 3}"}
+                         for i in range(6)],
+            "clusters": [
+                {"branches": ["b0", "b1", "b2"], "children": [
+                    {"branches": ["b0", "b1"],
+                     "children": [{"branches": ["b1", "b0"]}]},
+                ]},
+                {"branches": ["b3", "b4", "b5"], "children": [
+                    {"branches": ["b3", "b4"]},
+                ]},
+                {"branches": ["b2", "b5"]},
+            ],
+        }
+        code, out, _ = run(
+            capsys, "klt", "--format", "machine",
+            "--in", write_doc(tmp_path, "d.json", {
+                "format": "svlab/1", "request": "klt",
+                "arrangement": forest,
+            }),
+        )
+        assert code == 0
+        nodes = ["n0", "n0.0", "n0.0.0", "n1", "n1.0", "n2"]
+        assert [f["node"] for f in checks(out, "blowup")] == nodes
+        assert [args[2] for args, _ in blowups] == nodes
 
 
 def _reason_kind(reason):
@@ -1133,6 +1248,15 @@ class TestRendering:
                 for k, v in fields.items()
             )
             assert head in ("report", "check", "exit")
+
+    @pytest.mark.parametrize("value, shown", [
+        ("", '""'), ("plain", "plain"), ("a b", '"a b"'),
+        ('a"b', '"a\\"b"'), ("a\\b", '"a\\\\b"'), ("1/2", "1/2"),
+    ])
+    def test_machine_values_are_quoted_when_needed(self, value, shown):
+        line = check("line", PASS, ("k", value))
+        out = render_machine(Report("x", (line,)))
+        assert out.splitlines()[1] == f"check name=line status=PASS k={shown}"
 
     def test_determinism(self, tmp_path, capsys):
         path = write_doc(tmp_path, "d.json", KV_SCENARIO)

@@ -3,8 +3,10 @@
 The lattice, the positivity rules and the KLT walk compute on integer
 numerators over one denominator.  Each property below recomputes the
 same quantity the plain way, on ``fractions.Fraction`` values, in the
-test itself, and requires the two to agree exactly.  Example generation
-is derandomized, so every run checks the same cases.
+test itself, and requires the two to agree exactly.  A sweep entry is
+compared with the plain composition: the polarization as a class
+difference, then a fresh product certificate read for chi.  Example
+generation is derandomized, so every run checks the same cases.
 """
 
 from fractions import Fraction
@@ -15,6 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svlab.cli.schema import _RATIONAL, SchemaError, parse_rational
+from svlab.cli.sweep import (
+    CERTIFIED_ENTRY,
+    DISAGREEMENT,
+    SKIPPED_ENTRY,
+    SweepEntry,
+    sweep_entry,
+)
 from svlab.kltcalc import (
     EXCEPTIONAL,
     ORIGINAL,
@@ -34,6 +43,12 @@ from svlab.lattice import (
     DivisorClass,
     RuledModel,
     certify_positivity,
+    disjoint_multisection,
+)
+from svlab.nonvanish import (
+    ChiProduct,
+    InconsistentScenario,
+    PreconditionError,
 )
 
 SETTINGS = settings(
@@ -191,6 +206,61 @@ def test_positivity_matches_fractions(case, strict):
     assert (got.status, got.rule_used, got.witness, got.note) == (
         reference_positivity(model, a, b, strict)
     )
+
+
+# -- sweep entries ------------------------------------------------------------
+
+def _outcome(compute):
+    """What ``compute()`` returns, or the type and text of what it
+    raises."""
+    try:
+        return compute()
+    except Exception as ex:  # the comparison covers every refusal
+        return type(ex), str(ex)
+
+
+def reference_entry(model, shift, c, a, b):
+    """One sweep entry by the plain composition: the polarization as a
+    class difference, and a fresh product certificate read for chi."""
+    h = model.divisor(a, b) - shift
+    ample = certify_positivity(model, h, strict=True)
+    if ample.status != CERTIFIED:
+        return SweepEntry(a, b, SKIPPED_ENTRY, None,
+                          f"polarization {ample.status} under"
+                          f" {ample.rule_used}")
+    c_prime = disjoint_multisection(model)
+    product = ChiProduct(model.genus, model.invariant_e, c, c_prime.a,
+                         c_prime.b, model.characteristic)
+    try:
+        chi = product.certify(a, b).certificate["chi"]
+    except PreconditionError as ex:
+        return SweepEntry(a, b, SKIPPED_ENTRY, None, str(ex))
+    except InconsistentScenario as ex:
+        return SweepEntry(a, b, DISAGREEMENT, None, str(ex))
+    return SweepEntry(a, b, CERTIFIED_ENTRY, chi, "")
+
+
+@SETTINGS
+@given(
+    st.sampled_from((0, 2, 3, 5, 7)), st.integers(0, 6), st.integers(-4, -1),
+    st.integers(2, 12).flatmap(
+        lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d))),
+    st.integers(-2, 6), st.integers(-15, 20),
+)
+def test_sweep_entries_match_the_reference(p, g, e, c, a0, b0):
+    # p = 0 reaches the product's refusal that escapes the entry
+    model = RuledModel(p, g, e)
+    shift = model.canonical_class() + disjoint_multisection(model) * c
+    c_prime = disjoint_multisection(model)
+    product = ChiProduct(g, e, c, c_prime.a, c_prime.b, p)
+    for a in range(a0, a0 + 3):
+        for b in range(b0, b0 + 8):
+            entry = _outcome(
+                lambda: sweep_entry(model, shift, product, a, b))
+            assert entry == _outcome(
+                lambda: reference_entry(model, shift, c, a, b))
+            if isinstance(entry, SweepEntry) and entry.chi is not None:
+                assert type(entry.chi) is int
 
 
 # -- is_klt -------------------------------------------------------------------

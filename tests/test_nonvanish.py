@@ -19,7 +19,12 @@ from svlab.fibered import (
     FiberTree,
     component,
 )
-from svlab.lattice import RuledModel, UnsupportedRegime, riemann_roch_chi
+from svlab.lattice import (
+    DivisorClass,
+    RuledModel,
+    UnsupportedRegime,
+    riemann_roch_chi,
+)
 from svlab.nonvanish import (
     CASE_A,
     CASE_B_I,
@@ -164,6 +169,25 @@ class TestClassify:
 
     def test_single_negative_boundary_refines_to_c_m(self):
         assert classify(kv_scenario()) == CASE_C_M
+
+    def test_boundary_squares_are_taken_once_per_scenario(
+        self, monkeypatch
+    ):
+        # the negative boundary components are found once, however often
+        # the scenario is classified and decided; the classify command
+        # does both
+        squared = []
+        square = DivisorClass.self_intersection
+
+        def counted(cls):
+            squared.append(cls)
+            return square(cls)
+
+        monkeypatch.setattr(DivisorClass, "self_intersection", counted)
+        s = kv_scenario()
+        assert classify(s) == CASE_C_M
+        assert decide(s).certificate["rule"] == RULE_CHI_PRODUCT
+        assert squared == [KV_MODEL.divisor(3, -6)]
 
     def test_low_irregularity_ruled_is_case_b(self):
         m = RuledModel(3, 1, 0)
@@ -502,6 +526,18 @@ class TestChiProduct:
                 model, model.divisor(a, b)
             )
         assert successes >= 1000
+
+    @pytest.mark.parametrize("a, b, chi", [
+        (Fraction(1, 2), Fraction(13, 2), Fraction(6)),
+        (Fraction(1, 3), Fraction(20, 3), Fraction(16, 3)),
+    ])
+    def test_fractional_divisor_agrees_with_the_oracle(self, a, b, chi):
+        # the product and Riemann-Roch are the same polynomial in (a, b),
+        # so they agree off the integral points too
+        product = ChiProduct(4, -2, Fraction(1, 2), 3, -6, 3)
+        assert riemann_roch_chi(KV_MODEL, KV_MODEL.divisor(a, b)) == chi
+        assert product.check(a, b)[0] == chi
+        assert product.certify(a, b).certificate["chi"] == chi
 
 
 class TestLowFiberDegree:

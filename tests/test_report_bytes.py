@@ -140,6 +140,76 @@ def test_document_report_bytes(tmp_path, capsys, name, fmt):
     assert _digest(out) == DIGESTS[f"{name}:{fmt}"]
 
 
+# -- per-item bulk requests ---------------------------------------------------
+#
+# A 1,000-entry sweep box whose entries are certified or skipped with a
+# polarization that is violated or unknown, and a klt arrangement of 1,200
+# clusters over 40 branches with denominators 9 to 19, exceptional
+# branches and children; the digests were taken before the per-item work
+# of the two requests was trimmed.
+
+BULK_SWEEP = _document(
+    "sweep", model={"p": 3, "genus": 4, "e": -2},
+    box={"a": [-2, 7], "b": [-30, 69]}, boundary_coefficient="2/3",
+)
+
+
+def _wide_arrangement(clusters=1200, branches=40):
+    ids = [f"b{i}" for i in range(branches)]
+    declared = [
+        {"id": bid, "coefficient": f"{i % 7 + 1}/{i % 11 + 9}"}
+        for i, bid in enumerate(ids)
+    ]
+    declared += [
+        {"id": f"x{i}", "coefficient": f"-{i + 1}/3", "kind": "exceptional"}
+        for i in range(3)
+    ]
+    forest = []
+    for i in range(clusters):
+        pair = [ids[i % branches], ids[(7 * i + 3) % branches]]
+        node = {"branches": pair + ([f"x{i % 3}"] if i % 4 == 0 else [])}
+        if i % 3 == 0:
+            node["children"] = [{"branches": pair[::-1]}]
+        forest.append(node)
+    return {"branches": declared, "clusters": forest}
+
+
+BULK_DIGESTS = {
+    "klt:machine":
+        "032054295813ed87480453caa7ef58bb833d73e4875e1286f65c8edb47fe05d0",
+    "sweep:machine":
+        "0ffd8fd2499251ce626ea13f26095253d6be366a4180b480b75205bd1ee4add5",
+    "sweep:text":
+        "72ff1767e112eb42d1a5b0aa28eac9800b1a9cee32f96f61d9adf3a87f2183f9",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_bulk_sweep_report_bytes(tmp_path, capsys, fmt):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(BULK_SWEEP), encoding="utf-8")
+    argv = ["sweep", "--in", str(path), "--format", fmt]
+    code, out = _report(capsys, argv)
+    assert code == 0
+    assert out.count("check name=entry" if fmt == "machine"
+                     else "entry: ") == 1000
+    assert _digest(out) == BULK_DIGESTS[f"sweep:{fmt}"]
+    assert _report(capsys, argv + ["--jobs", "2"]) == (code, out)
+
+
+def test_bulk_klt_report_bytes(tmp_path, capsys):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(_document(
+        "klt", arrangement=_wide_arrangement(),
+    )), encoding="utf-8")
+    code, out = _report(
+        capsys, ["klt", "--in", str(path), "--format", "machine"]
+    )
+    assert code == 0
+    assert out.count("check name=blowup") == 1600
+    assert _digest(out) == BULK_DIGESTS["klt:machine"]
+
+
 @pytest.mark.parametrize("fmt", ["text", "machine"])
 def test_construct_and_verify_report_bytes(tmp_path, capsys, fmt):
     package = tmp_path / "package.json"
@@ -226,7 +296,37 @@ def _refusal_cases():
             _text("construct"),
         ),
     })
+    cases.update(_deep_item_cases())
     return cases
+
+
+def _deep_item_cases():
+    """klt documents whose one malformed item sits deep in a list: the
+    1,200-cluster arrangement above with 500 more branches declared,
+    then one edit."""
+    def klt(where, index, key, value):
+        arrangement = _wide_arrangement()
+        arrangement["branches"] += [
+            {"id": f"y{i}", "coefficient": "1/2"} for i in range(500)
+        ]
+        items = arrangement[where]
+        if where == "clusters" and key == "children":
+            items, index, key = items[index]["children"], 0, "branches"
+        items[index][key] = value
+        return (["klt", "--in", "{doc}"],
+                json.dumps(_document("klt", arrangement=arrangement)))
+
+    return {
+        "klt:branch-id-not-a-string": klt("branches", 437, "id", 437),
+        "klt:unknown-key-in-500th-branch": klt(
+            "branches", 499, "colour", "red"),
+        "klt:bad-rational-mid-list": klt(
+            "branches", 271, "coefficient", "0.5"),
+        "klt:cluster-branches-not-an-array": klt(
+            "clusters", 900, "children", "b0 b1"),
+        "klt:cluster-branch-not-a-string": klt(
+            "clusters", 700, "branches", ["b0", 1]),
+    }
 
 
 REFUSAL_CASES = _refusal_cases()
@@ -251,10 +351,23 @@ REFUSALS = {
         "error: format: expected 'svlab/1', got 'svlab/0'\n",
     "deep-nesting":
         "error: not readable JSON: nested deeper than the decoder's limit\n",
+    "klt:bad-rational-mid-list":
+        "error: arrangement.branches[271].coefficient: expected an exact "
+        "rational like \"3\" or \"-9/2\", got '0.5'\n",
+    "klt:branch-id-not-a-string":
+        "error: arrangement.branches[437].id: expected a string\n",
+    "klt:cluster-branch-not-a-string":
+        "error: arrangement.clusters[700].branches[1]: expected a string\n",
+    "klt:cluster-branches-not-an-array":
+        "error: arrangement.clusters[900].children[0].branches: expected an"
+        " array\n",
     "klt:missing-body": "error: document: missing key 'arrangement'\n",
     "klt:other-request": "error: document is a tango request, not klt\n",
     "klt:unknown-key":
         "error: document: unknown keys ['extra']; this schema is strict\n",
+    "klt:unknown-key-in-500th-branch":
+        "error: arrangement.branches[499]: unknown keys ['colour']; this"
+        " schema is strict\n",
     "klt:wrong-format": "error: format: expected 'svlab/1', got 'svlab/0'\n",
     "not-json":
         "error: not valid JSON: Expecting property name enclosed in double "
