@@ -19,7 +19,6 @@ of the curve itself.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Union
 
 from ..primes import is_prime
@@ -139,7 +138,6 @@ class InfinityChart:
     precision: int
 
 
-@lru_cache(maxsize=64)
 def expand_at_infinity(
     family: CurveFamily, precision: int | None = None
 ) -> InfinityChart:

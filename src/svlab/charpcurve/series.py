@@ -150,8 +150,9 @@ class LaurentSeries:
         )
 
     def __pow__(self, n: int) -> "LaurentSeries":
+        """The series to a nonnegative integer power."""
         if n < 0:
-            return self.inverse() ** (-n)
+            raise SeriesError("powers take a nonnegative exponent")
         result = LaurentSeries.monomial(self.p, 0)
         base = self
         while n:
@@ -160,28 +161,6 @@ class LaurentSeries:
             base = base * base
             n >>= 1
         return result
-
-    def inverse(self, terms: int | None = None) -> "LaurentSeries":
-        if not self.known_nonzero():
-            raise SeriesError("inverse needs a known-nonzero leading term")
-        v = self.valuation
-        if self.truncation is None:
-            if len(self.coeffs) == 1:
-                return LaurentSeries.monomial(
-                    self.p, -v, pow(self.coeffs[0], -1, self.p)
-                )
-            if terms is None:
-                raise PrecisionError(
-                    "inverse of a non-monomial exact series needs a window"
-                )
-            n = terms
-        else:
-            n = self.truncation - v
-            if terms is not None:
-                n = min(n, terms)
-        return LaurentSeries.make(
-            self.p, -v, _inv_unit(self._window(n), n, self.p), -v + n
-        )
 
     # -- calculus ----------------------------------------------------------
 

@@ -29,7 +29,6 @@ __getattr__ = lazy_getattr(globals(), {
     "build_package": "..construct",
     "verify_package": "..construct",
     "is_klt": "..kltcalc",
-    "classify": "..nonvanish",
     "decide": "..nonvanish",
 })
 _this = sys.modules[__name__]
@@ -49,7 +48,6 @@ def _read(path: str | None) -> str:
 def cmd_classify(args) -> Report:
     data = schema.load_document(_read(args.in_path))
     scenario = schema.scenario_from_document(data)
-    label = _this.classify(scenario)
     verdict = _this.decide(scenario)
     detail = [("result", verdict.result)]
     if verdict.reason:
@@ -62,7 +60,7 @@ def cmd_classify(args) -> Report:
     return Report("classify", (
         check(
             "classification", PASS,
-            ("case", label),
+            ("case", verdict.case_label),
             ("kodaira", scenario.kodaira),
             ("chi_o", scenario.chi_o),
             ("q", scenario.q),

@@ -445,6 +445,9 @@ def sweep_from_document(data: dict) -> SweepRequest:
         raise SchemaError(
             f"box: expected at most {MAX_SWEEP_ENTRIES} entries, got {entries}"
         )
+    if model["p"] == 0:
+        # C' = pE - pnF, the boundary the sweep checks with, needs p > 0
+        raise SchemaError("model.p: the sweep runs in positive characteristic")
     return SweepRequest(model["p"], model["genus"], model["e"], *box, coeff)
 
 

@@ -262,11 +262,6 @@ class DivisorClass:
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return self._combine(other, -1)
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(
-            self.model, tuple(-x for x in self.nums), self.den
-        )
-
     def scaled(self, factor: Rational) -> "DivisorClass":
         """The class times ``factor``, an int or a Fraction."""
         try:

@@ -14,8 +14,8 @@ The certified routes, by case label:
   A     the divisor vanishes; chi(O) = 1 does the work
   B_*   chi > 0 plus vanishing above forces sections
   C     fiber-degree threshold, boundary stripping, the chi product
-        certificate on relatively minimal models, contraction of fiber
-        trees at low fiber degree, and a doubling bound otherwise
+        certificate on relatively minimal models, and a doubling bound
+        otherwise
   CR/D  open territory, always unknown
 """
 
@@ -44,12 +44,9 @@ if TYPE_CHECKING:
     from .fibered import FiberedModel
 
 # Only fiber-tree scenarios need the fibered layer, which no command
-# builds, so it is imported on first access and called through ``_this``
+# builds, so it is imported on first access and read through ``_this``
 # (a rebinding of the module attribute takes effect).
-__getattr__ = lazy_getattr(globals(), {
-    name: ".fibered"
-    for name in ("FiberedModel", "minimality_audit", "reduce_model")
-})
+__getattr__ = lazy_getattr(globals(), {"FiberedModel": ".fibered"})
 _this = sys.modules[__name__]
 
 RULED = float("-inf")
@@ -71,7 +68,6 @@ RULE_STRUCTURE_CHI = "nonvanish.structure-sheaf-euler"
 RULE_EULER_POSITIVE = "nonvanish.euler-characteristic"
 RULE_FIBER_THRESHOLD = "nonvanish.fiber-degree-threshold"
 RULE_CHI_PRODUCT = "nonvanish.chi-product"
-RULE_CONTRACTION = "nonvanish.contraction-trace"
 RULE_DOUBLING = "nonvanish.euler-doubling-bound"
 RULE_CANONICAL_SIGN = "nonvanish.nonpositive-canonical-degree"
 RULE_NU_ONE = "nonvanish.numerical-dimension-one"
@@ -388,7 +384,8 @@ def h2_vanishes(k: DivisorClass, d: DivisorClass, h: DivisorClass) -> bool:
 def fiber_threshold(s: Scenario, f: Facts) -> Verdict | None:
     """Sections exist once the polarization meets a fiber in degree
     above one.  On fiber trees H.F = D.F + 2, since K.F = -2 and the
-    boundary is empty."""
+    boundary is empty; components refuse negative divisor degrees, so
+    D.F >= 0 and every fiber-tree scenario passes here."""
     if s.is_lattice:
         hf = f.h.dot(s.model.fiber_class())
     else:
@@ -411,7 +408,6 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
     component routes into the chi product certificate.
     """
     model = s.model
-    dvr = s.divisor
     if model.invariant_e >= 0:
         a = sum(
             (c for cls, c in s.boundary if cls == model.section_class()),
@@ -449,7 +445,7 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
     return ChiProduct(
         model.genus, model.invariant_e, c, g_cls.a, g_cls.b,
         model.characteristic,
-    ).certify(dvr.a, dvr.b)
+    ).certify(*s.divisor.nums)
 
 
 @record
@@ -464,12 +460,13 @@ class ChiProduct:
     (``curve_refusal``; a refusal is an exception type with its
     arguments, or None), the constants of the inequalities, cleared to
     integers over the common denominator ``scale``, and the fixed link
-    (2-c)(g-1) > g-1 of the slack chain.  ``check(a, b)`` runs the checks
-    that depend on D, raising the refusals at their place in the order
-    of checks, and returns chi(D), which is all a sweep entry reads.
-    ``certify(a, b)`` runs the same checks and builds the certificate
-    that ``decide`` reports.  Nothing mutates the record, so one
-    instance serves a whole sweep and pickles to its workers.
+    (2-c)(g-1) > g-1 of the slack chain.  ``check(a, b)`` and
+    ``certify(a, b)`` take the integers a, b of an integral D.  ``check``
+    runs the checks that depend on D, raising the refusals at their
+    place in the order of checks, and returns chi(D), which is all a
+    sweep entry reads.  ``certify`` runs the same checks and builds the
+    certificate that ``decide`` reports.  Nothing mutates the record, so
+    one instance serves a whole sweep and pickles to its workers.
     """
 
     g: int
@@ -520,7 +517,7 @@ class ChiProduct:
         ):
             object.__setattr__(self, name, value)
 
-    def check(self, a: Rational, b: Rational) -> tuple:
+    def check(self, a: int, b: int) -> tuple:
         """The checks that depend on D = aE + bF, in order: nef, the two
         ampleness inequalities of D - K - cG, the slack chain
         b - ae/2 > (2-c)(g-1) > g-1, a positive product, and agreement
@@ -530,15 +527,13 @@ class ChiProduct:
         if self.refusal is not None:
             kind, args = self.refusal
             raise kind(*args)
-        if a.denominator == b.denominator == 1:
-            a, b = a.numerator, b.numerator  # integral D: checks on ints
         g, e, scale = self.g, self.e, self.scale
         if a < 0 or 2 * b < a * e:
             raise PreconditionError("the divisor is not nef")
         if self.curve_refusal is not None:
             kind, args = self.curve_refusal
             raise kind(*args)
-        # both sides scaled by ``scale``; integers when a and b are
+        # both sides scaled by ``scale``
         ample_e = (a + 2) * scale - self.cx
         ample_f = b * scale + self.kf
         if not (ample_e > 0 and 2 * ample_f > ample_e * e):
@@ -554,9 +549,9 @@ class ChiProduct:
         chi = (a + 1) * (slope + 2 - 2 * g)  # twice the product
         if chi <= 0:
             raise InconsistentScenario("the product must be positive here")
-        d = (DivisorClass(self.model, (a, b)) if type(a) is type(b) is int
-             else self.model.divisor(a, b))  # integral D: no lcm to take
-        oracle = riemann_roch_chi(self.model, d)
+        oracle = riemann_roch_chi(
+            self.model, DivisorClass(self.model, (a, b))
+        )
         if chi * oracle.denominator != 2 * oracle.numerator:
             raise InconsistentScenario(
                 f"product gives {Fraction(chi, 2)}, riemann-roch gives"
@@ -564,7 +559,7 @@ class ChiProduct:
             )
         return oracle, ample_e, ample_f, slope
 
-    def certify(self, a: Rational, b: Rational) -> Verdict:
+    def certify(self, a: int, b: int) -> Verdict:
         """``check(a, b)``, with what it compared as the certificate."""
         chi, ample_e, ample_f, slope = self.check(a, b)
         scale = self.scale
@@ -584,48 +579,6 @@ class ChiProduct:
                 "coefficient": self.c,
             },
         )
-
-
-def low_fiber_degree_decide(model: FiberedModel) -> Verdict:
-    """Sections exist at fiber degree 0 or 1: contract every
-    divisor-trivial (-1)-component, observe the result is relatively
-    minimal, and apply the fiber threshold there.
-
-    The minimality observation is forced: a surviving (-1)-component
-    would carry divisor degree 1 and every other component canonical
-    degree >= 0, which caps the fiber's canonical degree above -2.  The
-    audit spelling that out ships with the certificate.
-    """
-    degree = model.fiber_degree()
-    if degree > 1:
-        raise PreconditionError(
-            "the contraction route applies at fiber degree 0 or 1"
-        )
-    reduced, trace = _this.reduce_model(model)
-    if not reduced.is_relatively_minimal():
-        audits = [
-            _this.minimality_audit(t.components)
-            for t in reduced.fibers
-            if not t.is_reduced_to_section_fiber()
-        ]
-        raise InconsistentScenario(
-            "contraction stalled on a configuration no fiber admits: "
-            + "; ".join(a.detail for a in audits)
-        )
-    return Verdict(
-        CASE_C,
-        GUARANTEED_M1,
-        {
-            "rule": RULE_CONTRACTION,
-            "trace": trace,
-            "h_dot_f": degree + 2,
-            "audit": (
-                "a persisting (-1)-component would force the"
-                " multiplicity-weighted canonical degree above the -2"
-                " every fiber carries"
-            ),
-        },
-    )
 
 
 def doubling_bound(
@@ -724,8 +677,6 @@ def decide(s: Scenario) -> Verdict:
         verdict = fiber_threshold(s, f)
         if verdict is not None:
             return verdict
-        if not s.is_lattice:
-            return low_fiber_degree_decide(s.model)
         if s.relatively_minimal:
             verdict = relatively_minimal_decide(s, f)
             if verdict is not None:

@@ -1093,6 +1093,25 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("e, a_range, b_range, refusal", [
+        (-2, [0, 1], [0, 20], "model.p: the sweep runs in positive"
+                              " characteristic"),
+        (-2, [0, 0], [-5, -4], "model.p: the sweep runs in positive"
+                               " characteristic"),
+        (0, [0, 1], [0, 20], "model.e: the sweep runs on e < 0 models"),
+    ], ids=("certifying-box", "skipping-box", "e-first"))
+    def test_characteristic_zero_refused_whatever_the_box(
+        self, e, a_range, b_range, refusal, tmp_path, capsys,
+    ):
+        # the boundary C' = pE - pnF needs p > 0; the e check comes first
+        doc = json.loads(json.dumps(SWEEP_DOC))
+        doc["model"] = {"p": 0, "genus": 4, "e": e}
+        doc["box"] = {"a": a_range, "b": b_range}
+        code, out, err = run(
+            capsys, "sweep", "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
 
 class TestPerItemWork:
     """Every check runs on every item: the bindings that the layer tracer

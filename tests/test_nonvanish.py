@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svlab.fibered import (
     FiberedModel,
@@ -38,7 +40,6 @@ from svlab.nonvanish import (
     GUARANTEED_M2,
     RULE_CANONICAL_SIGN,
     RULE_CHI_PRODUCT,
-    RULE_CONTRACTION,
     RULE_DOUBLING,
     RULE_EULER_POSITIVE,
     RULE_FIBER_THRESHOLD,
@@ -55,7 +56,6 @@ from svlab.nonvanish import (
     decide,
     doubling_bound,
     h2_vanishes,
-    low_fiber_degree_decide,
     nu,
 )
 
@@ -94,6 +94,20 @@ def ruled_scenario(model, divisor, boundary=(), **overrides):
 
 def smooth_fiber(d=0):
     return FiberTree((component(0, 1, d),))
+
+
+@st.composite
+def blown_up_fibers(draw, d):
+    """A fiber that starts as one 0-curve of divisor degree d, blown up
+    on components and on points where two components cross."""
+    tree = smooth_fiber(d)
+    for _ in range(draw(st.integers(0, 8))):
+        if tree.edges and draw(st.booleans()):
+            tree = blow_up_on_edge(tree, *draw(st.sampled_from(tree.edges)))
+        else:
+            i = draw(st.integers(0, len(tree.components) - 1))
+            tree = blow_up_on_component(tree, i)
+    return tree
 
 
 class TestScenarioValidation:
@@ -527,58 +541,8 @@ class TestChiProduct:
             )
         assert successes >= 1000
 
-    @pytest.mark.parametrize("a, b, chi", [
-        (Fraction(1, 2), Fraction(13, 2), Fraction(6)),
-        (Fraction(1, 3), Fraction(20, 3), Fraction(16, 3)),
-    ])
-    def test_fractional_divisor_agrees_with_the_oracle(self, a, b, chi):
-        # the product and Riemann-Roch are the same polynomial in (a, b),
-        # so they agree off the integral points too
-        product = ChiProduct(4, -2, Fraction(1, 2), 3, -6, 3)
-        assert riemann_roch_chi(KV_MODEL, KV_MODEL.divisor(a, b)) == chi
-        assert product.check(a, b)[0] == chi
-        assert product.certify(a, b).certificate["chi"] == chi
-
 
 class TestLowFiberDegree:
-    def test_contraction_trace_certificate(self):
-        tree = blow_up_on_edge(
-            blow_up_on_component(smooth_fiber(), 0), 0, 1
-        )
-        fm = FiberedModel(2, 3, (tree,))
-        v = low_fiber_degree_decide(fm)
-        assert v.result == GUARANTEED_M1
-        assert v.certificate["rule"] == RULE_CONTRACTION
-        assert len(v.certificate["trace"]) == 2
-        assert v.certificate["h_dot_f"] == 2
-
-    def test_divisor_degree_one(self):
-        tree = blow_up_on_component(smooth_fiber(1), 0)
-        fm = FiberedModel(2, 3, (tree,))
-        v = low_fiber_degree_decide(fm)
-        assert v.certificate["h_dot_f"] == 3
-        assert len(v.certificate["trace"]) == 1
-
-    def test_reduction_is_called_through_the_module(self, monkeypatch):
-        import svlab.nonvanish as nonvanish
-
-        real = nonvanish.reduce_model
-        calls = []
-
-        def spy(model):
-            calls.append(model)
-            return real(model)
-
-        monkeypatch.setattr(nonvanish, "reduce_model", spy)
-        fm = FiberedModel(2, 3, (blow_up_on_component(smooth_fiber(1), 0),))
-        low_fiber_degree_decide(fm)
-        assert calls == [fm]
-
-    def test_degree_two_out_of_scope(self):
-        fm = FiberedModel(2, 3, (smooth_fiber(2),))
-        with pytest.raises(PreconditionError, match="degree"):
-            low_fiber_degree_decide(fm)
-
     def test_decide_prefers_threshold_on_trees(self):
         tree = blow_up_on_component(smooth_fiber(), 0)
         fm = FiberedModel(2, 3, (tree,))
@@ -587,6 +551,28 @@ class TestLowFiberDegree:
         assert v.result == GUARANTEED_M1
         assert v.certificate["rule"] == RULE_FIBER_THRESHOLD
         assert v.certificate["h_dot_f"] == 2
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(st.data())
+    def test_threshold_decides_every_fiber_tree(self, data):
+        # components carry divisor degree d >= 0, so H.F = d + 2 > 1 and
+        # the threshold settles every irregular fiber-tree scenario
+        d = data.draw(st.sampled_from((0, 1, 2)))
+        genus = data.draw(st.integers(0, 4))
+        p = data.draw(st.sampled_from((0, 2, 3, 5)))
+        fibers = data.draw(st.lists(blown_up_fibers(d), min_size=1,
+                                    max_size=3))
+        fm = FiberedModel(genus, p, tuple(fibers))
+        v = decide(Scenario(fm, RULED, 1 - genus, genus,
+                            fm.is_relatively_minimal()))
+        if genus >= 2:
+            assert (v.case_label, v.result, v.certificate) == (
+                CASE_C, GUARANTEED_M1,
+                {"rule": RULE_FIBER_THRESHOLD, "h_dot_f": d + 2},
+            )
+        else:
+            assert (v.case_label, v.result) == (CASE_B_II, UNDECIDED)
 
 
 class TestEulerBound:

@@ -53,7 +53,7 @@ def test_no_dataclasses_import():
 _NO_PRODUCTION_CALLER = {
     "intersect", "pullback_blowup", "FiberTree.self_degree",
     "RuledModel.exceptional_class", "blow_up_on_component",
-    "blow_up_on_edge",
+    "blow_up_on_edge", "reduce_model", "minimality_audit",
 }
 
 
@@ -244,7 +244,6 @@ _BINDINGS = (
     ("svlab.cli.main", "build_package", "svlab.construct"),
     ("svlab.cli.main", "verify_package", "svlab.construct"),
     ("svlab.cli.main", "is_klt", "svlab.kltcalc"),
-    ("svlab.cli.main", "classify", "svlab.nonvanish"),
     ("svlab.cli.main", "decide", "svlab.nonvanish"),
     ("svlab.cli.schema", "certify_tango", "svlab.charpcurve.families"),
     ("svlab.cli.schema", "ORIGINAL", "svlab.kltcalc"),
@@ -252,8 +251,6 @@ _BINDINGS = (
     ("svlab.cli.schema", "WeightedBranch", "svlab.kltcalc"),
     ("svlab.cli.schema", "ClusterNode", "svlab.kltcalc"),
     ("svlab.nonvanish", "FiberedModel", "svlab.fibered"),
-    ("svlab.nonvanish", "minimality_audit", "svlab.fibered"),
-    ("svlab.nonvanish", "reduce_model", "svlab.fibered"),
 )
 
 
@@ -324,7 +321,7 @@ def test_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
     ("svlab.cli.main", "build_package", "construct"),
     ("svlab.cli.main", "verify_package", "verify"),
     ("svlab.cli.main", "is_klt", "klt"),
-    ("svlab.cli.main", "classify", "classify"),
+    ("svlab.nonvanish", "classify", "classify"),
     ("svlab.cli.main", "decide", "classify"),
     ("svlab.cli.schema", "certify_tango", "verify"),
 ))
@@ -344,3 +341,21 @@ def test_commands_call_the_rebound_name(
     assert main(argv) == 0
     assert calls
     capsys.readouterr()
+
+
+def test_classify_command_classifies_once(tmp_path, capsys, monkeypatch):
+    # the report prints the case label of the verdict, so only decide
+    # classifies the scenario
+    import svlab.nonvanish as nonvanish
+
+    real = nonvanish.classify
+    calls = []
+
+    def spy(scenario):
+        calls.append(scenario)
+        return real(scenario)
+
+    monkeypatch.setattr(nonvanish, "classify", spy)
+    assert main(_argv("classify", tmp_path)) == 0
+    assert len(calls) == 1
+    assert "    case: A\n" in capsys.readouterr().out
