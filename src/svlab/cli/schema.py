@@ -99,6 +99,9 @@ def _int(value, where):
 # Primality is settled by trial division, so the cap keeps a huge p from
 # hanging the tool; "small characteristic" is the toolkit's whole domain.
 MAX_CHARACTERISTIC = 2 ** 16
+# Certifying a curve expands series to precision 4g + 2p: genus 20,000
+# takes about 2 s, and the cost grows faster than linearly beyond it.
+MAX_GENUS = 20_000
 # Every entry of a sweep box is held in memory and printed on its own line.
 MAX_SWEEP_ENTRIES = 100_000
 
@@ -372,6 +375,8 @@ def _family_classes() -> dict:
 
 
 def family_from_fields(kind: str, p: int, h):
+    from ..charpcurve.families import genus
+
     cls = _family_classes().get(kind)
     if cls is None:
         raise SchemaError(
@@ -381,10 +386,16 @@ def family_from_fields(kind: str, p: int, h):
     if "h" not in cls.__annotations__:
         if h is not None:
             raise SchemaError(f"{kind} takes no h")
-        return cls(p)
-    if h is None:
+    elif h is None:
         raise SchemaError(f"{kind} needs h")
-    return cls(p, h)
+    family = cls(p) if h is None else cls(p, h)
+    g = genus(family)
+    if g > MAX_GENUS:
+        raise SchemaError(
+            f"{family!r} has genus {g}; expected a genus of at most"
+            f" {MAX_GENUS}"
+        )
+    return family
 
 
 def _family(value, where):

@@ -29,6 +29,12 @@ class FiberComponent:
     d_degree: int = 0
 
     def __post_init__(self):
+        # a fractional degree is no Cartier divisor, and a bool no number
+        if {type(self.self_intersection), type(self.multiplicity),
+                type(self.d_degree)} != {int}:
+            raise FiberTreeError(
+                "self-intersection, multiplicity and degree must be integers"
+            )
         if self.multiplicity < 1:
             raise FiberTreeError("component multiplicity must be positive")
         if self.d_degree < 0:

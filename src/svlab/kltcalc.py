@@ -37,6 +37,10 @@ class WeightedBranch:
     def __post_init__(self) -> None:
         c = self.coefficient
         if type(c) is not Fraction:
+            if type(c) is not int:
+                raise ArrangementError(
+                    f"branch {self.id!r} needs an int or Fraction coefficient"
+                )
             c = Fraction(c)
             object.__setattr__(self, "coefficient", c)
         if not self.id:

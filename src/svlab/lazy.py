@@ -1,8 +1,11 @@
 """Module attributes that import their defining module on first access.
 
-A fresh ``svlab`` process pays for every module it imports, so the
-package and the CLI bind the layers' names through a PEP 562 module
-``__getattr__`` instead of importing every layer up front.
+Only ``svlab.cli.main`` and ``svlab.cli.schema`` use it.  They bind the
+layer entry points they call through a PEP 562 module ``__getattr__``,
+so a command loads only its own layer, and read them through the module,
+so a tracer or test that rebinds one (``svlab.cli.main.decide``, say)
+sees every call.  An import statement in a per-item klt converter would
+run once per item.
 """
 
 import importlib

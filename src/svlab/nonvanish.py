@@ -21,7 +21,6 @@ The certified routes, by case label:
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING
@@ -37,17 +36,10 @@ from .lattice import (
     certify_positivity,
     riemann_roch_chi,
 )
-from .lazy import lazy_getattr
 from .record import record
 
 if TYPE_CHECKING:
     from .fibered import FiberedModel
-
-# Only fiber-tree scenarios need the fibered layer, which no command
-# builds, so it is imported on first access and read through ``_this``
-# (a rebinding of the module attribute takes effect).
-__getattr__ = lazy_getattr(globals(), {"FiberedModel": ".fibered"})
-_this = sys.modules[__name__]
 
 RULED = float("-inf")
 
@@ -127,6 +119,10 @@ class Scenario:
             raise InvalidScenario("irregularity cannot be negative")
         norm = []
         for cls, coeff in self.boundary:
+            if type(coeff) not in (int, Fraction):
+                raise InvalidScenario(
+                    f"boundary coefficient {coeff!r} is not an int or Fraction"
+                )
             c = Fraction(coeff)
             if not 0 < c < 1:
                 raise InvalidScenario(
@@ -136,10 +132,13 @@ class Scenario:
         object.__setattr__(self, "boundary", tuple(norm))
         if isinstance(self.model, RuledModel):
             self._check_lattice()
-        elif isinstance(self.model, _this.FiberedModel):
-            self._check_fibered()
         else:
-            raise InvalidScenario("model must be a lattice or fiber data")
+            # only fiber-tree scenarios load the fibered layer
+            from .fibered import FiberedModel
+
+            if not isinstance(self.model, FiberedModel):
+                raise InvalidScenario("model must be a lattice or fiber data")
+            self._check_fibered()
         object.__setattr__(self, "negative_boundary", tuple(
             (cls, c) for cls, c in norm if cls.self_intersection() < 0
         ))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from svlab.charpcurve import certify_tango
+from svlab.charpcurve.families import certify_tango, genus
 from svlab.cli import schema
 from svlab.cli.main import MAX_JOBS, build_parser, main
 from svlab.cli.report import PASS, Report, check, render_machine
@@ -393,6 +393,63 @@ class TestCharacteristicCap:
             "--in", write_doc(tmp_path, "d.json", doc),
         )
         assert code == 0
+
+
+class TestGenusCap:
+    """Certifying a curve expands series to a precision of about 4g, so
+    the genus of every family a request names is capped; h = 99999999999
+    would otherwise exhaust memory."""
+
+    def refused(self, capsys, family, g, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {family} has genus {g}; expected a genus of at"
+            f" most {schema.MAX_GENUS}\n"
+        )
+
+    def test_artin_schreier_at_the_cap_is_accepted(self):
+        # with p = 2 the genus is h - 1
+        family = schema.family_from_fields("artinschreier", 2, 20001)
+        assert genus(family) == schema.MAX_GENUS
+
+    def test_one_above_the_cap_is_refused(self, capsys):
+        self.refused(capsys, "ArtinSchreier(p=2, h=20002)", 20001,
+                     "tango", "--family", "artinschreier", "--p", "2",
+                     "--h", "20002")
+
+    def test_huge_h_is_refused(self, capsys):
+        self.refused(capsys, "Hyperelliptic(p=3, h=99999999999)",
+                     149999999998, "tango", "--family", "hyperelliptic",
+                     "--p", "3", "--h", "99999999999")
+
+    def test_family_without_h(self, capsys):
+        self.refused(capsys, "TangoPlane(p=211)", 22155,
+                     "tango", "--family", "tangoplane", "--p", "211")
+
+    def test_family_document(self, tmp_path, capsys):
+        doc = {
+            "format": "svlab/1",
+            "request": "construct",
+            "kind": "kv",
+            "family": {"kind": "artinschreier", "p": 65521, "h": 3},
+        }
+        self.refused(capsys, "ArtinSchreier(p=65521, h=3)", 6439338360,
+                     "construct", "--in", write_doc(tmp_path, "d.json", doc))
+
+    def test_package_certificate(self, tmp_path, capsys):
+        emitted = tmp_path / "kv.json"
+        code, _, _ = run(
+            capsys, "construct", "--kind", "kv", "--family",
+            "hyperelliptic", "--p", "3", "--h", "3", "--emit", str(emitted),
+        )
+        assert code == 0
+        doc = json.loads(emitted.read_text(encoding="utf-8"))
+        doc["package"]["certificate"]["family"]["h"] = 99999999999
+        self.refused(capsys, "Hyperelliptic(p=3, h=99999999999)",
+                     149999999998,
+                     "verify", "--in", write_doc(tmp_path, "d.json", doc))
 
 
 class TestKlt:
@@ -862,7 +919,7 @@ class TestRoundTrip:
         assert err.startswith(f"error: {key}: ")
 
     def test_key_tables_follow_the_record_fields(self):
-        from svlab.charpcurve import TangoCertificate
+        from svlab.charpcurve.families import TangoCertificate
         from svlab.construct import CounterexamplePackage
 
         assert list(schema._PACKAGE_KEYS) == list(

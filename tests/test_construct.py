@@ -9,13 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from svlab.charpcurve import (
+from svlab.charpcurve.families import (
     ArtinSchreier,
     Hyperelliptic,
+    TangoCertificate,
     TangoPlane,
     certify_tango,
 )
-from svlab.charpcurve.families import TangoCertificate
 from svlab.construct import (
     KIND_KOLLAR,
     KIND_KV,

@@ -7,12 +7,11 @@ the catalogued parametrizations, n values as floor(v/p).
 
 import pytest
 
-from svlab.charpcurve import (
+from svlab.charpcurve.families import (
     ArtinSchreier,
     CertificateError,
     FamilyParameterError,
     Hyperelliptic,
-    PrecisionError,
     SeriesUnavailable,
     TangoPlane,
     certify_tango,
@@ -23,6 +22,7 @@ from svlab.charpcurve import (
     n_of_f,
     v_infinity_df,
 )
+from svlab.charpcurve.series import PrecisionError
 
 GRID = [
     Hyperelliptic(3, 3),

@@ -1,6 +1,7 @@
 """Fiber-tree bookkeeping: validation, contraction, blow-up corpus."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,21 @@ class TestComponents:
     def test_nonnegative_divisor_degree(self):
         with pytest.raises(FiberTreeError):
             component(0, 1, -1)
+
+    @pytest.mark.parametrize("numbers", (
+        (0, 1, 0.5),
+        (0, 1, Fraction(1, 2)),
+        (0.0, 1, 0),
+        (-1, 1.0, 0),
+        (0, True, 0),
+        (0, 1, True),
+        (0, 1, "1"),
+    ))
+    def test_numbers_are_plain_ints(self, numbers):
+        # a half-integral degree is no Cartier divisor, so a fiber tree
+        # carrying one must not reach a verdict
+        with pytest.raises(FiberTreeError, match="integers"):
+            component(*numbers)
 
 
 class TestTreeValidation:

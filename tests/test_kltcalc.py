@@ -218,6 +218,17 @@ class TestValidation:
         with pytest.raises(ArrangementError):
             WeightedBranch("B", Fraction(-1, 2))
 
+    @pytest.mark.parametrize("coefficient", (0.1, 0.5, "1/3", True, None))
+    def test_coefficient_is_an_int_or_fraction(self, coefficient):
+        # a float would arrive as its binary expansion and a string
+        # would be parsed, so neither is a coefficient
+        with pytest.raises(ArrangementError, match="int or Fraction"):
+            WeightedBranch("a", coefficient)
+
+    def test_int_coefficient_becomes_a_fraction(self):
+        c = WeightedBranch("a", 0).coefficient
+        assert type(c) is Fraction and c == 0
+
     def test_node_needs_two_branches(self):
         arr = ClusterArrangement(
             branches(("A", Fraction(1, 2)), ("B", Fraction(1, 2))),

@@ -118,6 +118,11 @@ class TestScenarioValidation:
                     boundary=((KV_MODEL.divisor(3, -6), bad),)
                 )
 
+    @pytest.mark.parametrize("bad", (0.5, "1/2", True))
+    def test_boundary_coefficient_is_an_int_or_fraction(self, bad):
+        with pytest.raises(InvalidScenario, match="int or Fraction"):
+            kv_scenario(boundary=((KV_MODEL.divisor(3, -6), bad),))
+
     def test_divisor_must_match_model(self):
         other = RuledModel(3, 4, -4)
         with pytest.raises(InvalidScenario, match="model"):

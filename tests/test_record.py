@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from svlab.charpcurve import ArtinSchreier, Hyperelliptic, LaurentSeries
+from svlab.charpcurve.families import ArtinSchreier, Hyperelliptic
+from svlab.charpcurve.series import LaurentSeries
 from svlab.lattice import RuledModel
 from svlab.nonvanish import ChiProduct, InvalidScenario, Scenario, Verdict
 from svlab.record import record
