@@ -33,10 +33,6 @@ __getattr__ = lazy_getattr(globals(), {
 })
 _this = sys.modules[__name__]
 
-# The process pool starts all of its workers at once, so ``--jobs`` is
-# capped before any of them can start.
-MAX_JOBS = 64
-
 
 def _read(path: str | None) -> str:
     if path is None:
@@ -238,7 +234,7 @@ def cmd_sweep(args) -> Report:
 
     data = schema.load_document(_read(args.in_path))
     request = schema.sweep_from_document(data)
-    entries = run_sweep(request, jobs=args.jobs)
+    entries = run_sweep(request)
     status = {CERTIFIED_ENTRY: PASS, SKIPPED_ENTRY: SKIP, DISAGREEMENT: FAIL}
     lines = [
         check(
@@ -280,20 +276,6 @@ def _add_family(parser) -> None:
     parser.add_argument("--family", choices=schema.FAMILY_KINDS)
     parser.add_argument("--p", type=int)
     parser.add_argument("--h", type=int)
-
-
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if not 1 <= jobs <= MAX_JOBS:
-        raise argparse.ArgumentTypeError(
-            f"must be from 1 to {MAX_JOBS}, not {jobs}"
-        )
-    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="euler-formula agreement over an integral box"
     )
     _add_io(sweep)
-    sweep.add_argument("--jobs", type=_jobs, default=1, metavar="N",
-                       help=f"worker processes, 1 to {MAX_JOBS}")
+    # deleted once the benchmark stops sending --jobs 1 (ROADMAP item 1)
+    sweep.add_argument("--jobs", type=int, choices=(1,), default=1,
+                       help="only 1 is accepted; the flag will be removed")
 
     return parser
 

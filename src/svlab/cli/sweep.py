@@ -10,9 +10,8 @@ fails the run.
 Built once per request: the model, K + cC' and the product certifier,
 which settles what does not depend on D.  Built per entry: H, as one
 class from the integer numerators of D and K + cC', and for a certified
-H the class of D for the oracle, but no certificate.  Entries are
-independent, so the box may fan out over processes; the report is
-assembled in box order no matter what finished first.
+H the class of D for the oracle, but no certificate.  Entries run one
+after another in box order, in the calling process.
 """
 
 from fractions import Fraction
@@ -74,37 +73,19 @@ def sweep_entry(
     return SweepEntry(a, b, CERTIFIED_ENTRY, chi.numerator, "")
 
 
-def _entry_star(args) -> SweepEntry:
-    return sweep_entry(*args)
-
-
-def run_sweep(request: SweepRequest, jobs: int = 1) -> tuple[SweepEntry, ...]:
-    pairs = [
-        (a, b)
-        for a in range(request.a_range[0], request.a_range[1] + 1)
-        for b in range(request.b_range[0], request.b_range[1] + 1)
-    ]
+def run_sweep(request: SweepRequest) -> tuple[SweepEntry, ...]:
     model = RuledModel(
         request.characteristic, request.genus, request.invariant_e
     )
     c_prime = disjoint_multisection(model)
     shift = model.canonical_class() + c_prime * request.coefficient
-    product = ChiProduct(
-        model.genus, model.invariant_e, request.coefficient, c_prime.a,
-        c_prime.b, model.characteristic,
+    product = ChiProduct(model, request.coefficient, c_prime.a, c_prime.b)
+    (a_low, a_high), (b_low, b_high) = request.a_range, request.b_range
+    return tuple(
+        sweep_entry(model, shift, product, a, b)
+        for a in range(a_low, a_high + 1)
+        for b in range(b_low, b_high + 1)
     )
-    if jobs <= 1 or len(pairs) < 2:
-        return tuple(
-            sweep_entry(model, shift, product, a, b) for a, b in pairs
-        )
-    # the pool pulls in multiprocessing, so only a parallel run loads it
-    from concurrent.futures import ProcessPoolExecutor
-
-    work = [(model, shift, product, a, b) for a, b in pairs]
-    chunk = max(1, len(work) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # map preserves input order, so assembly stays box-ordered
-        return tuple(pool.map(_entry_star, work, chunksize=chunk))
 
 
 def summarize(entries: tuple[SweepEntry, ...]) -> dict:

@@ -214,7 +214,7 @@ class DivisorClass:
             )
             object.__setattr__(self, "den", den // common)
 
-    @property
+    @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
 

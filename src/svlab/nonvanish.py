@@ -42,6 +42,9 @@ if TYPE_CHECKING:
     from .fibered import FiberedModel
 
 RULED = float("-inf")
+# the kodaira dimensions a scenario may declare, each with its type, so
+# that neither True (== 1) nor 2.0 (== 2) passes
+_KODAIRA = ((float, RULED), (int, 0), (int, 1), (int, 2))
 
 CASE_A = "A"
 CASE_B_I = "B_I"
@@ -93,7 +96,9 @@ class Verdict:
 class Scenario:
     """Immutable problem instance.
 
-    ``kodaira`` is float('-inf') (use the RULED constant) or 0, 1, 2.
+    ``kodaira`` is float('-inf') (use the RULED constant) or an int 0, 1,
+    2; ``chi_o`` and ``q`` are ints and ``relatively_minimal`` a bool,
+    each checked for its exact type.
     Boundary entries are (curve class, coefficient) with coefficients in
     (0,1); fibered models carry their divisor data inside the trees and
     take divisor=None, boundary=().  ``kappa_minus_k_nonneg`` is a
@@ -111,9 +116,17 @@ class Scenario:
     kappa_minus_k_nonneg: bool | None = None
 
     def __post_init__(self):
-        if self.kodaira not in (RULED, 0, 1, 2):
+        if (type(self.kodaira), self.kodaira) not in _KODAIRA:
             raise InvalidScenario(
                 "kodaira dimension must be -infinity, 0, 1 or 2"
+            )
+        if type(self.chi_o) is not int or type(self.q) is not int:
+            raise InvalidScenario("chi(O) and the irregularity must be ints")
+        if type(self.relatively_minimal) is not bool:
+            raise InvalidScenario("the minimality flag must be a bool")
+        if type(self.kappa_minus_k_nonneg) not in (bool, type(None)):
+            raise InvalidScenario(
+                "the canonical hypothesis must be None or a bool"
             )
         if self.q < 0:
             raise InvalidScenario("irregularity cannot be negative")
@@ -189,6 +202,10 @@ class Scenario:
             if self.q != self.model.genus:
                 raise InconsistentScenario(
                     "irregularity of a ruled surface is its base genus"
+                )
+            if self.chi_o != 1 - self.model.genus:
+                raise InconsistentScenario(
+                    "chi(O) of a ruled surface is 1 - base genus"
                 )
             if self.relatively_minimal != self.model.is_pure:
                 raise InconsistentScenario(
@@ -441,10 +458,7 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
             },
         )
     (g_cls, c) = s.negative_boundary[0]
-    return ChiProduct(
-        model.genus, model.invariant_e, c, g_cls.a, g_cls.b,
-        model.characteristic,
-    ).certify(*s.divisor.nums)
+    return ChiProduct(model, c, g_cls.a, g_cls.b).certify(*s.divisor.nums)
 
 
 @record
@@ -453,9 +467,9 @@ class ChiProduct:
     relatively minimal model of negative invariant whose boundary is a
     single multiple cG of the negative curve G = xE + yF.
 
+    ``model`` is the caller's pure model; g and e are read from it.
     What does not depend on D is settled once, at construction: the
-    preconditions on e, g and c (``refusal``), the model (which keeps
-    its canonical class once computed), whether G can be a curve
+    preconditions on e, g and c (``refusal``), whether G can be a curve
     (``curve_refusal``; a refusal is an exception type with its
     arguments, or None), the constants of the inequalities, cleared to
     integers over the common denominator ``scale``, and the fixed link
@@ -465,20 +479,19 @@ class ChiProduct:
     place in the order of checks, and returns chi(D), which is all a
     sweep entry reads.  ``certify`` runs the same checks and builds the
     certificate that ``decide`` reports.  Nothing mutates the record, so
-    one instance serves a whole sweep and pickles to its workers.
+    one instance serves a whole sweep.
     """
 
-    g: int
-    e: int
+    model: RuledModel
     c: Rational
     x: Rational
     y: Rational
-    characteristic: int
 
     def __post_init__(self) -> None:
-        g, e = self.g, self.e
+        model = self.model
+        g, e = model.genus, model.invariant_e
         c, x, y = Fraction(self.c), Fraction(self.x), Fraction(self.y)
-        refusal = curve_refusal = model = None
+        refusal = curve_refusal = None
         if e >= 0:
             refusal = (PreconditionError,
                        ("the product certificate needs e < 0",))
@@ -489,7 +502,6 @@ class ChiProduct:
                        ("boundary coefficient must sit in (0,1)",))
         else:
             try:
-                model = RuledModel(self.characteristic, g, e)
                 fits = candidate_curve_constraints(
                     model, model.divisor(x, y)
                 )
@@ -507,7 +519,7 @@ class ChiProduct:
         scale = cd * xd * yd
         mid = Fraction((2 * cd - cn) * (g - 1), cd)
         for name, value in (
-            ("c", c), ("x", x), ("y", y), ("model", model),
+            ("c", c), ("x", x), ("y", y),
             ("refusal", refusal), ("curve_refusal", curve_refusal),
             ("scale", scale), ("cx", cn * x.numerator * yd),
             ("kf", (2 - 2 * g + e) * scale - cn * y.numerator * xd),
@@ -526,7 +538,8 @@ class ChiProduct:
         if self.refusal is not None:
             kind, args = self.refusal
             raise kind(*args)
-        g, e, scale = self.g, self.e, self.scale
+        model, scale = self.model, self.scale
+        g, e = model.genus, model.invariant_e
         if a < 0 or 2 * b < a * e:
             raise PreconditionError("the divisor is not nef")
         if self.curve_refusal is not None:
@@ -548,9 +561,7 @@ class ChiProduct:
         chi = (a + 1) * (slope + 2 - 2 * g)  # twice the product
         if chi <= 0:
             raise InconsistentScenario("the product must be positive here")
-        oracle = riemann_roch_chi(
-            self.model, DivisorClass(self.model, (a, b))
-        )
+        oracle = riemann_roch_chi(model, DivisorClass(model, (a, b)))
         if chi * oracle.denominator != 2 * oracle.numerator:
             raise InconsistentScenario(
                 f"product gives {Fraction(chi, 2)}, riemann-roch gives"
@@ -561,7 +572,7 @@ class ChiProduct:
     def certify(self, a: int, b: int) -> Verdict:
         """``check(a, b)``, with what it compared as the certificate."""
         chi, ample_e, ample_f, slope = self.check(a, b)
-        scale = self.scale
+        scale, g = self.scale, self.model.genus
         return Verdict(
             CASE_C_M,
             GUARANTEED_M1,
@@ -572,7 +583,7 @@ class ChiProduct:
                     Fraction(ample_e, scale), Fraction(ample_f, scale),
                 ),
                 "slack_chain": (
-                    Fraction(slope, 2), self.mid, Fraction(self.g - 1),
+                    Fraction(slope, 2), self.mid, Fraction(g - 1),
                 ),
                 "negative_component": (self.x, self.y),
                 "coefficient": self.c,

@@ -21,7 +21,7 @@ import pytest
 
 from svlab.charpcurve.families import certify_tango, genus
 from svlab.cli import schema
-from svlab.cli.main import MAX_JOBS, build_parser, main
+from svlab.cli.main import build_parser, main
 from svlab.cli.report import PASS, Report, check, render_machine
 from svlab.cli.sweep import SweepRequest, run_sweep
 from svlab.construct import KINDS, build_package
@@ -311,6 +311,28 @@ class TestClassify:
         )
         assert code == 2
         assert "irregularity" in err
+
+    def test_ruled_chi_o_is_one_minus_the_genus(self, tmp_path, capsys):
+        # the model's "chi" key and chi_o agree on 5, but a ruled surface
+        # over a rational curve has chi(O) = 1; chi(F) is 2, not 6
+        doc = {
+            "format": "svlab/1",
+            "request": "classify",
+            "scenario": {
+                "model": {"p": 3, "genus": 0, "e": 1, "chi": 5},
+                "kodaira": "-inf",
+                "chi_o": 5,
+                "q": 0,
+                "relatively_minimal": True,
+                "divisor": ["0", "1"],
+            },
+        }
+        code, out, err = run(
+            capsys, "classify",
+            "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: chi(O) of a ruled surface is 1 - base genus\n"
 
     def test_divisor_that_is_not_nef_is_refused(self, tmp_path, capsys):
         # D = -100F: D.E = -100 < 0, so the fiber threshold must not fire
@@ -1025,16 +1047,6 @@ class TestSweep:
             "certified", "polarization", "nef", "curve", "genus",
         }
 
-    def test_jobs_give_the_serial_entries(self):
-        request = SweepRequest(
-            characteristic=2, genus=3, invariant_e=-1,
-            a_range=(-2, 6), b_range=(-12, 12),
-            coefficient=Fraction(1, 4),
-        )
-        serial = run_sweep(request)
-        assert {e.status for e in serial} == {"certified", "skipped"}
-        assert run_sweep(request, jobs=2) == serial
-
     def test_empty_box(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SWEEP_DOC))
         doc["box"]["a"] = [1, 0]
@@ -1048,49 +1060,19 @@ class TestSweep:
         assert summary["entries"] == "0"
         assert "min_chi" not in summary
 
-    def test_jobs_do_not_change_the_report(self, tmp_path, capsys):
-        path = write_doc(tmp_path, "d.json", SWEEP_DOC)
-        _, serial, _ = run(
-            capsys, "sweep", "--format", "machine", "--in", path,
-        )
-        code, parallel, _ = run(
-            capsys, "sweep", "--format", "machine", "--in", path,
-            "--jobs", "2",
-        )
-        assert code == 0
-        assert parallel == serial
-
-    @pytest.mark.parametrize("jobs", (0, MAX_JOBS + 1))
-    def test_jobs_out_of_range_refused_before_any_work(
-        self, jobs, tmp_path, capsys, monkeypatch,
+    @pytest.mark.parametrize("jobs", (0, 2, 64))
+    def test_jobs_other_than_one_refused_before_the_request_is_read(
+        self, jobs, tmp_path, capsys,
     ):
-        def unreachable(request, jobs=1):
-            raise AssertionError("the sweep ran")
-
-        monkeypatch.setattr("svlab.cli.sweep.run_sweep", unreachable)
-        path = write_doc(tmp_path, "d.json", SWEEP_DOC)
+        # one serial path is left, so --jobs takes only 1; the request
+        # file does not exist, so reading it first would fail otherwise
+        missing = str(tmp_path / "missing.json")
         with pytest.raises(SystemExit) as refused:
-            main(["sweep", "--in", path, "--jobs", str(jobs)])
+            main(["sweep", "--in", missing, "--jobs", str(jobs)])
         assert refused.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_jobs_at_the_cap_reach_the_sweep(
-        self, tmp_path, capsys, monkeypatch,
-    ):
-        # a stand-in sweep, so no worker process is started
-        seen = []
-
-        def no_pool(request, jobs=1):
-            seen.append(jobs)
-            return ()
-
-        monkeypatch.setattr("svlab.cli.sweep.run_sweep", no_pool)
-        path = write_doc(tmp_path, "d.json", SWEEP_DOC)
-        code, _, _ = run(
-            capsys, "sweep", "--in", path, "--jobs", str(MAX_JOBS),
-        )
-        assert code == 0
-        assert seen == [MAX_JOBS]
+        err = capsys.readouterr().err
+        assert "argument --jobs: invalid choice" in err
+        assert "missing.json" not in err
 
     @pytest.mark.parametrize("a_range, b_range, entries", [
         ([0, 99], [0, 999], 100_000),
@@ -1118,7 +1100,7 @@ class TestSweep:
     def test_box_over_the_cap_exits_two_before_the_sweep(
         self, tmp_path, capsys, monkeypatch,
     ):
-        def unreachable(request, jobs=1):
+        def unreachable(request):
             raise AssertionError("the sweep ran")
 
         monkeypatch.setattr("svlab.cli.sweep.run_sweep", unreachable)
@@ -1266,7 +1248,7 @@ def _fresh_entry(request, a, b):
         reason = f"polarization {ample.status} under {ample.rule_used}"
         return (a, b, "skipped", None, reason)
     try:
-        verdict = ChiProduct(g, e, c, p, p * e, p).certify(a, b)
+        verdict = ChiProduct(model, c, p, p * e).certify(a, b)
     except PreconditionError as ex:
         return (a, b, "skipped", None, str(ex))
     except InconsistentScenario as ex:

@@ -228,8 +228,7 @@ def reference_entry(model, shift, c, a, b):
                           f"polarization {ample.status} under"
                           f" {ample.rule_used}")
     c_prime = disjoint_multisection(model)
-    product = ChiProduct(model.genus, model.invariant_e, c, c_prime.a,
-                         c_prime.b, model.characteristic)
+    product = ChiProduct(model, c, c_prime.a, c_prime.b)
     try:
         chi = product.certify(a, b).certificate["chi"]
     except PreconditionError as ex:
@@ -251,7 +250,7 @@ def test_sweep_entries_match_the_reference(p, g, e, c, a0, b0):
     model = RuledModel(p, g, e)
     shift = model.canonical_class() + disjoint_multisection(model) * c
     c_prime = disjoint_multisection(model)
-    product = ChiProduct(g, e, c, c_prime.a, c_prime.b, p)
+    product = ChiProduct(model, c, c_prime.a, c_prime.b)
     for a in range(a0, a0 + 3):
         for b in range(b0, b0 + 8):
             entry = _outcome(

@@ -123,6 +123,28 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match="int or Fraction"):
             kv_scenario(boundary=((KV_MODEL.divisor(3, -6), bad),))
 
+    @pytest.mark.parametrize("field, bad", [
+        # each bad value equals the valid one or an accepted one; each
+        # used to construct, and decide answered on it
+        ("kodaira", True),
+        ("kodaira", 2.0),
+        ("kodaira", Fraction(2)),
+        ("chi_o", -3.0),
+        ("chi_o", Fraction(-3)),
+        ("q", 4.0),
+        ("q", True),
+        ("relatively_minimal", 1),
+        ("kappa_minus_k_nonneg", 0),
+    ], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+    def test_invariants_have_exact_types(self, field, bad):
+        message = {
+            "kodaira": "kodaira", "chi_o": "ints", "q": "ints",
+            "relatively_minimal": "bool",
+            "kappa_minus_k_nonneg": "None or a bool",
+        }[field]
+        with pytest.raises(InvalidScenario, match=message):
+            kv_scenario(**{field: bad})
+
     def test_divisor_must_match_model(self):
         other = RuledModel(3, 4, -4)
         with pytest.raises(InvalidScenario, match="model"):
@@ -454,9 +476,15 @@ class TestRelativelyMinimal:
         assert "fiber-tree" in v.reason
 
 
+def _half_product(p, g, e, x, y):
+    """The product certificate for the boundary (1/2)(xE + yF) on a
+    freshly built model."""
+    return ChiProduct(RuledModel(p, g, e), Fraction(1, 2), x, y)
+
+
 class TestChiProduct:
     def test_half_curve_numbers_frozen(self):
-        v = ChiProduct(4, -2, Fraction(1, 2), 3, -6, 3).certify(0, 6)
+        v = _half_product(3, 4, -2, 3, -6).certify(0, 6)
         assert v.result == GUARANTEED_M1
         assert v.certificate["chi"] == 3
         assert v.certificate["ample_inequalities"] == (
@@ -478,43 +506,41 @@ class TestChiProduct:
     def test_boundary_slack_rejected(self):
         # b = g - 1 leaves no slack: the ampleness inequalities fail
         with pytest.raises(PreconditionError, match="ample"):
-            ChiProduct(4, -2, Fraction(1, 2), 3, -6, 3).certify(0, 3)
+            _half_product(3, 4, -2, 3, -6).certify(0, 3)
 
     def test_non_curve_component_rejected(self):
         with pytest.raises(PreconditionError, match="curve"):
-            ChiProduct(4, -2, Fraction(1, 2), 1, -6, 3).certify(0, 6)
+            _half_product(3, 4, -2, 1, -6).certify(0, 6)
 
     def test_needs_negative_invariant(self):
         with pytest.raises(PreconditionError, match="e < 0"):
-            ChiProduct(4, 2, Fraction(1, 2), 3, -6, 3).certify(0, 6)
+            _half_product(3, 4, 2, 3, -6).certify(0, 6)
 
     def test_refusals_keep_their_place_in_the_order(self):
         # G = E - 6F is no curve, but a divisor that is not nef is
         # refused as such first
-        product = ChiProduct(4, -2, Fraction(1, 2), 1, -6, 3)
+        product = _half_product(3, 4, -2, 1, -6)
         with pytest.raises(PreconditionError, match="not nef"):
             product.certify(-1, 6)
         with pytest.raises(PreconditionError, match="curve"):
             product.certify(0, 6)
         # characteristic 0 leaves the curve check without its rules
-        product = ChiProduct(4, -2, Fraction(1, 2), 3, -6, 0)
+        product = _half_product(0, 4, -2, 3, -6)
         with pytest.raises(PreconditionError, match="not nef"):
             product.certify(-1, 6)
         with pytest.raises(UnsupportedRegime):
             product.certify(0, 6)
         # the conditions on e, g and c come before everything else
-        product = ChiProduct(1, -2, Fraction(1, 2), 3, -6, 3)
+        product = _half_product(3, 1, -2, 3, -6)
         with pytest.raises(PreconditionError, match="genus"):
             product.certify(-1, 6)
 
     def test_one_certifier_serves_every_divisor(self):
-        product = ChiProduct(4, -2, Fraction(1, 2), 3, -6, 3)
+        product = _half_product(3, 4, -2, 3, -6)
         clone = pickle.loads(pickle.dumps(product))
         for a in range(0, 4):
             for b in range(5, 12):
-                fresh = ChiProduct(
-                    4, -2, Fraction(1, 2), 3, -6, 3
-                ).certify(a, b)
+                fresh = _half_product(3, 4, -2, 3, -6).certify(a, b)
                 assert product.certify(a, b) == fresh
                 assert clone.certify(a, b) == fresh
 
@@ -535,12 +561,12 @@ class TestChiProduct:
             b = math.ceil(
                 Fraction(a * e, 2) + (2 - c) * (g - 1)
             ) + rng.randrange(1, 6)
+            model = RuledModel(p, g, e)
             try:
-                v = ChiProduct(g, e, c, x, y, p).certify(a, b)
+                v = ChiProduct(model, c, x, y).certify(a, b)
             except PreconditionError:
                 continue
             successes += 1
-            model = RuledModel(p, g, e)
             assert v.certificate["chi"] == riemann_roch_chi(
                 model, model.divisor(a, b)
             )

@@ -78,7 +78,7 @@ def test_post_init_still_validates():
 
 
 def test_records_survive_a_pickle_round_trip():
-    product = ChiProduct(4, -2, Fraction(1, 2), 3, -6, 3)
+    product = ChiProduct(RuledModel(3, 4, -2), Fraction(1, 2), 3, -6)
     back = pickle.loads(pickle.dumps(product))
     assert back == product and hash(back) == hash(product)
     assert back.certify(2, 9) == product.certify(2, 9)

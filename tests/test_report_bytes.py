@@ -194,7 +194,7 @@ def test_bulk_sweep_report_bytes(tmp_path, capsys, fmt):
     assert out.count("check name=entry" if fmt == "machine"
                      else "entry: ") == 1000
     assert _digest(out) == BULK_DIGESTS[f"sweep:{fmt}"]
-    assert _report(capsys, argv + ["--jobs", "2"]) == (code, out)
+    assert _report(capsys, argv + ["--jobs", "1"]) == (code, out)
 
 
 def test_bulk_klt_report_bytes(tmp_path, capsys):
@@ -295,6 +295,16 @@ def _refusal_cases():
             ["construct", "--in", "{doc}", "--kind", "kollar"],
             _text("construct"),
         ),
+        # the model's "chi" key may not lift chi(O) of a ruled surface
+        # off 1 - g, even when chi_o agrees with it
+        "classify:ruled-chi-override": (
+            ["classify", "--in", "{doc}"],
+            json.dumps(_document("classify", scenario={
+                "model": {"p": 3, "genus": 0, "e": 1, "chi": 5},
+                "kodaira": "-inf", "chi_o": 5, "q": 0,
+                "relatively_minimal": True, "divisor": ["0", "1"],
+            })),
+        ),
     })
     cases.update(_deep_item_cases())
     return cases
@@ -339,6 +349,8 @@ REFUSALS = {
         "error: document: unknown keys ['extra']; this schema is strict\n",
     "classify:wrong-format":
         "error: format: expected 'svlab/1', got 'svlab/0'\n",
+    "classify:ruled-chi-override":
+        "error: chi(O) of a ruled surface is 1 - base genus\n",
     "construct:flags-without-kind": "error: this command needs --kind\n",
     "construct:kind-contradicts-document":
         "error: --kind contradicts the request document\n",

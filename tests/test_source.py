@@ -30,19 +30,29 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_no_dataclasses_import():
+@pytest.mark.parametrize("forbidden", [
     # records come from svlab.record; dataclasses would load inspect
+    "dataclasses",
+    # the sweep runs serially in one process
+    "concurrent.futures",
+    "multiprocessing",
+])
+def test_no_forbidden_import(forbidden):
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                # "from concurrent import futures" names the submodule
+                modules = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
             else:
                 continue
-            if "dataclasses" in modules:
+            if any(name == forbidden or name.startswith(forbidden + ".")
+                   for name in modules):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
 
