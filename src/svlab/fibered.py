@@ -10,6 +10,12 @@ adjunction.  Everything the engine needs - fiber-class identities,
 Contractions here are the D-trivial kind only: a (-1)-component with
 D-degree 0.  Contracting anything else changes sections of D and is the
 business of the scenario layer, not this calculus.
+
+Every blow-up and contraction builds a new ``FiberTree``, and every tree
+is validated when built.  Validation walks the edge list a fixed number
+of times (range and duplicates, connectivity, fiber degrees), so apart
+from one sort of the edges it costs O(n) for n components, and a
+blow-up sequence or a reduction through n moves costs O(n^2).
 """
 
 from __future__ import annotations
@@ -57,9 +63,18 @@ class FiberTree:
         n = len(self.components)
         if n == 0:
             raise FiberTreeError("a fiber has at least one component")
+        for c in self.components:
+            if type(c) is not FiberComponent:
+                raise FiberTreeError(
+                    "fiber components must be FiberComponent records"
+                )
         norm = []
         seen = set()
         for i, j in self.edges:
+            # validation indexes per-component lists by endpoint, and a
+            # bool or a float is no index
+            if type(i) is not int or type(j) is not int:
+                raise FiberTreeError("edge endpoints must be integers")
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise FiberTreeError("edge endpoints out of range")
             key = (min(i, j), max(i, j))
@@ -84,10 +99,13 @@ class FiberTree:
             )
 
     def _reachable(self, start: int) -> set[int]:
+        adjacent = [[] for _ in self.components]
+        for a, b in self.edges:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
         stack, seen = [start], {start}
         while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
+            for w in adjacent[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -103,13 +121,14 @@ class FiberTree:
         return out
 
     def _fiber_degrees(self) -> list[int]:
-        """Each component against the full fiber class, in order."""
+        """Each component against the full fiber class, in order: m*C^2
+        plus the multiplicity of every neighbor, in one edge pass."""
         comps = self.components
-        return [
-            c.multiplicity * c.self_intersection
-            + sum(comps[j].multiplicity for j in self.neighbors(i))
-            for i, c in enumerate(comps)
-        ]
+        degrees = [c.multiplicity * c.self_intersection for c in comps]
+        for a, b in self.edges:
+            degrees[a] += comps[b].multiplicity
+            degrees[b] += comps[a].multiplicity
+        return degrees
 
     def self_degree(self) -> int:
         """F.F, recomputed from components; zero for valid trees."""
@@ -275,6 +294,14 @@ class FiberedModel:
     fibers: tuple[FiberTree, ...]
 
     def __post_init__(self):
+        if {type(self.base_genus), type(self.characteristic)} != {int}:
+            raise FiberTreeError(
+                "base genus and characteristic must be integers"
+            )
+        if type(self.fibers) is not tuple or any(
+            type(t) is not FiberTree for t in self.fibers
+        ):
+            raise FiberTreeError("fibers must be a tuple of FiberTree records")
         if self.base_genus < 0:
             raise FiberTreeError("base genus must be nonnegative")
         if self.characteristic != 0 and not is_prime(self.characteristic):

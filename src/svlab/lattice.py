@@ -76,6 +76,13 @@ class RuledModel:
     chi_structure: int | None = None
 
     def __post_init__(self) -> None:
+        # a bool or a float compares equal to an int and would pass every
+        # check below by value
+        if {type(self.characteristic), type(self.genus),
+                type(self.invariant_e)} != {int}:
+            raise LatticeError("characteristic, genus and e must be integers")
+        if type(self.chi_structure) not in (int, type(None)):
+            raise LatticeError("chi(O) must be an integer")
         if self.characteristic != 0 and not is_prime(self.characteristic):
             raise LatticeError("characteristic must be 0 or a prime")
         if self.genus < 0:

@@ -1,6 +1,7 @@
 """Fiber-tree bookkeeping: validation, contraction, blow-up corpus."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,33 @@ class TestTreeValidation:
         comps = (component(-2, 1), component(-1, 1), component(-2, 1))
         with pytest.raises(FiberTreeError, match="degree"):
             FiberTree(comps, ((0, 1), (1, 2)))
+
+    @pytest.mark.parametrize("edges", (
+        ((0.0, 1),),
+        ((0, 1.0),),
+        ((False, True),),
+        ((Fraction(0), 1),),
+    ))
+    def test_edge_endpoints_are_plain_ints(self, edges):
+        # endpoints index the validation's per-component lists, and a
+        # bool or a float is no index
+        with pytest.raises(FiberTreeError, match="endpoints must be int"):
+            FiberTree((component(-1, 1), component(-1, 1)), edges)
+
+    def test_endpoint_type_checked_before_range(self):
+        with pytest.raises(FiberTreeError, match="endpoints must be int"):
+            FiberTree((component(0, 1),), ((0, 1.0), (0, 5)))
+        with pytest.raises(FiberTreeError, match="range"):
+            FiberTree((component(0, 1),), ((0, 5), (0, 1.0)))
+
+    @pytest.mark.parametrize("components", (
+        ((0, 1, 0),),
+        ((-1, 1, 0), (-1, 1, 0)),
+        (component(-1, 1), (-1, 1, 0)),
+    ))
+    def test_components_are_records(self, components):
+        with pytest.raises(FiberTreeError, match="FiberComponent"):
+            FiberTree(components, ((0, 1),) if len(components) > 1 else ())
 
     def test_k_degree_sum_enforced(self):
         # star passing every per-component check but summing K wrong:
@@ -235,6 +263,23 @@ class TestFiberedModel:
         with pytest.raises(FiberTreeError, match="genus"):
             FiberedModel(-1, 3, (smooth_fiber(),))
 
+    @pytest.mark.parametrize("genus, p", (
+        (2.5, 3), (True, 3), (2.0, 3), (2, 3.0), (2, True), (2, Fraction(3)),
+    ))
+    def test_numbers_are_plain_ints(self, genus, p):
+        # FiberedModel(2.5, 3, ...) built with chi(O) = -1.5
+        with pytest.raises(FiberTreeError, match="integers"):
+            FiberedModel(genus, p, (smooth_fiber(),))
+
+    @pytest.mark.parametrize("fibers", (
+        [smooth_fiber()],
+        (smooth_fiber(), smooth_fiber().components[0]),
+        ((smooth_fiber(),),),
+    ))
+    def test_fibers_are_a_tuple_of_trees(self, fibers):
+        with pytest.raises(FiberTreeError, match="tuple of FiberTree"):
+            FiberedModel(2, 3, fibers)
+
     def test_reduce_model_trace(self):
         m = FiberedModel(
             2, 3, (blow_up_on_edge(once_blown(), 0, 1), once_blown())
@@ -243,3 +288,136 @@ class TestFiberedModel:
         assert reduced.is_relatively_minimal()
         assert [s.fiber_index for s in trace] == [0, 0, 1]
         assert trace[0].multiplicity == 2
+
+
+# The validation as it stood when it scanned every edge once per
+# component (O(n^2) a tree); kept as the reference the edge-pass
+# validation must match check for check and message for message.
+
+
+def reference_neighbors(edges, i):
+    out = []
+    for a, b in edges:
+        if a == i:
+            out.append(b)
+        elif b == i:
+            out.append(a)
+    return out
+
+
+def reference_reachable(edges, start):
+    stack, seen = [start], {start}
+    while stack:
+        v = stack.pop()
+        for w in reference_neighbors(edges, v):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def reference_fiber_degrees(comps, edges):
+    return [
+        c.multiplicity * c.self_intersection
+        + sum(comps[j].multiplicity for j in reference_neighbors(edges, i))
+        for i, c in enumerate(comps)
+    ]
+
+
+def reference_validate(comps, edges):
+    """The normalised edges of a valid tree, or the refusal message."""
+    n = len(comps)
+    if n == 0:
+        return "a fiber has at least one component"
+    norm = []
+    seen = set()
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            return "edge endpoints out of range"
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            return "duplicate edge"
+        seen.add(key)
+        norm.append(key)
+    edges = tuple(sorted(norm))
+    if len(edges) != n - 1:
+        return "component graph must be a tree"
+    if n > 1 and len(reference_reachable(edges, 0)) != n:
+        return "component graph must be connected"
+    for i, against in enumerate(reference_fiber_degrees(comps, edges)):
+        if against != 0:
+            return f"component {i} meets the fiber with degree {against}"
+    k = sum(c.multiplicity * c.k_degree for c in comps)
+    if k != -2:
+        return f"fiber has K-degree {k}, needs -2"
+    return edges
+
+
+def corrupted(rng, tree):
+    """The raw components and edges of ``tree`` with one corruption."""
+    comps, edges = list(tree.components), list(tree.edges)
+    n = len(comps)
+    kinds = ["self", "mult", "none"]
+    if edges:
+        kinds += ["drop", "duplicate", "retarget", "shuffle"]
+    kind = rng.choice(kinds)
+    if kind == "drop":
+        del edges[rng.randrange(len(edges))]
+    elif kind == "duplicate":
+        a, b = rng.choice(edges)
+        edges.insert(rng.randrange(len(edges) + 1), (b, a))
+    elif kind == "retarget":
+        k = rng.randrange(len(edges))
+        a, b = edges[k]
+        other = rng.randrange(-1, n + 1)
+        edges[k] = (other, b) if rng.random() < 0.5 else (a, other)
+    elif kind == "shuffle":
+        rng.shuffle(edges)
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+    elif kind in ("self", "mult"):
+        k = rng.randrange(n)
+        c = comps[k]
+        step = rng.choice((-1, 1))
+        if kind == "self":
+            comps[k] = component(c.self_intersection + step, c.multiplicity,
+                                 c.d_degree)
+        else:
+            comps[k] = component(c.self_intersection,
+                                 max(1, c.multiplicity + step), c.d_degree)
+    return tuple(comps), tuple(edges)
+
+
+class TestEdgePassMatchesReference:
+    def test_blow_up_trees_with_one_corruption(self):
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(1500):
+            tree = random_degeneration(
+                rng, rng.randrange(2), rng.randrange(0, 26)
+            )
+            comps, edges = corrupted(rng, tree)
+            want = reference_validate(comps, edges)
+            try:
+                got = FiberTree(comps, edges)
+            except FiberTreeError as ex:
+                assert str(ex) == want
+                outcomes.add(re.sub(r"-?\d+", "N", want))
+                continue
+            assert got.edges == want
+            assert got.self_degree() == sum(
+                c.multiplicity * against for c, against in
+                zip(comps, reference_fiber_degrees(comps, want))
+            ) == 0
+            for i in range(len(comps)):
+                assert got.neighbors(i) == reference_neighbors(want, i)
+            outcomes.add("accepted")
+        # every check fired at least once, and some trees passed them all
+        assert outcomes == {
+            "accepted",
+            "edge endpoints out of range",
+            "duplicate edge",
+            "component graph must be a tree",
+            "component graph must be connected",
+            "component N meets the fiber with degree N",
+            "fiber has K-degree N, needs N",
+        }

@@ -395,6 +395,22 @@ class TestModelValidation:
         assert DivisorClass(MODEL_342, (1, 0), 2) \
             == MODEL_342.divisor(Fraction(1, 2))
 
+    @pytest.mark.parametrize("numbers", (
+        (3, True, -2),
+        (3, 4.0, -2),
+        (3, 4, -2.0),
+        (3.0, 4, -2),
+        (3, 4, Fraction(-2)),
+        (3, 4, -2, (), 1.5),
+        (3, 4, -2, (), True),
+        (3, 4, -2, (), Fraction(-3)),
+    ))
+    def test_invariants_are_plain_ints(self, numbers):
+        # True == 1 and 4.0 == 4 pass every check by value, so a model
+        # built from them reached a verdict on a genus that is no integer
+        with pytest.raises(LatticeError, match="integer"):
+            RuledModel(*numbers)
+
     def test_default_chi_structure(self):
         assert MODEL_342.chi_structure == -3
         assert RuledModel(2, 0, 0).chi_structure == 1
