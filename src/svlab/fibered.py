@@ -11,14 +11,40 @@ Contractions here are the D-trivial kind only: a (-1)-component with
 D-degree 0.  Contracting anything else changes sections of D and is the
 business of the scenario layer, not this calculus.
 
-Every blow-up and contraction builds a new ``FiberTree``, and every tree
-is validated when built.  Validation walks the edge list a fixed number
-of times (range and duplicates, connectivity, fiber degrees), so apart
-from one sort of the edges it costs O(n) for n components, and a
-blow-up sequence or a reduction through n moves costs O(n^2).
+Every blow-up builds a new ``FiberTree``, and every tree is validated
+when built.  Validation walks the edge list a fixed number of times
+(range and duplicates, connectivity, fiber degrees), so apart from one
+sort of the edges it costs O(n) for n components, and a blow-up
+sequence through n moves costs O(n^2).
+
+A reduction contracts a working copy of the fiber in place - the list
+of components and one adjacency set per component - and validates one
+tree, the result.  Besides building the copy and that tree, a step
+looks only at the curves eligible to contract, the contracted curve and
+its neighbours; it builds and validates no tree.
+
+Skipping the intermediate trees drops no check that can fail.  Let E be
+a D-trivial (-1)-curve, v and w its neighbours (w may be absent) and m
+the multiplicities.
+
+- E meets the fiber with degree -m_E + m_v (+ m_w) = 0, so
+  m_E = m_v (+ m_w).
+- v gains one self-intersection and meets w instead of E, so its fiber
+  degree moves by m_v (+ m_w) - m_E = 0; likewise w.
+- v and w lose one K-degree each and E, of K-degree -1, leaves, so the
+  weighted K-degree sum moves by m_E - m_v (- m_w) = 0 and stays -2.
+- E meets at most two components and v, w were not adjacent (that would
+  close a cycle through E), so the graph stays a tree.
+- D.E = 0, so no D-degree changes.
+
+So every intermediate tree would pass validation.  The result is still
+validated in full, and each shifted neighbour validates itself as a
+``FiberComponent``.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .primes import is_prime
 from .record import record
@@ -60,6 +86,12 @@ class FiberTree:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        # the record is hashed and compared by its fields, and edges are
+        # normalised below, but the components are stored as given
+        if type(self.components) is not tuple:
+            raise FiberTreeError(
+                "fiber components must be a tuple of FiberComponent records"
+            )
         n = len(self.components)
         if n == 0:
             raise FiberTreeError("a fiber has at least one component")
@@ -70,7 +102,13 @@ class FiberTree:
                 )
         norm = []
         seen = set()
-        for i, j in self.edges:
+        for edge in self.edges:
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                raise FiberTreeError(
+                    "edges must be pairs of component indices"
+                ) from None
             # validation indexes per-component lists by endpoint, and a
             # bool or a float is no index
             if type(i) is not int or type(j) is not int:
@@ -151,11 +189,11 @@ class FiberTree:
 
     def eligible_contractions(self) -> list[int]:
         """D-trivial (-1)-components, in index order."""
-        return [
-            i
-            for i, c in enumerate(self.components)
-            if c.self_intersection == -1 and c.d_degree == 0
-        ]
+        return [i for i, c in enumerate(self.components) if _contractible(c)]
+
+
+def _contractible(c: FiberComponent) -> bool:
+    return c.self_intersection == -1 and c.d_degree == 0
 
 
 def _shifted(tree: FiberTree, chosen, by: int) -> list[FiberComponent]:
@@ -168,28 +206,72 @@ def _shifted(tree: FiberTree, chosen, by: int) -> list[FiberComponent]:
     ]
 
 
-def contract_component(tree: FiberTree, i: int) -> FiberTree:
-    """Blow down component i (must be a D-trivial (-1)-curve meeting at
-    most two others): neighbors gain one self-intersection, lose one
-    K-degree, and become adjacent to each other."""
-    c = tree.components[i]
+def _working_copy(tree: FiberTree):
+    """The components of ``tree`` as a list, one adjacency set per
+    component, and the ids of the components left (all of them), in
+    order."""
+    adjacent = [set() for _ in tree.components]
+    for a, b in tree.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    return list(tree.components), adjacent, list(range(len(adjacent)))
+
+
+def _blow_down(comps, adjacent, left, i: int) -> int:
+    """Blow down, in a working copy, the component at place i among
+    those ``left``; return its id.
+
+    The component must be a D-trivial (-1)-curve meeting at most two
+    others: its neighbours gain one self-intersection, lose one
+    K-degree, and become adjacent to each other.  The contracted
+    curve's own entries in ``comps`` and ``adjacent`` stay as they were.
+    """
+    if not 0 <= i < len(left):
+        raise FiberTreeError("no such component")
+    e = left[i]
+    c = comps[e]
     if c.self_intersection != -1:
         raise FiberTreeError("only (-1)-components contract")
     if c.d_degree != 0:
         raise FiberTreeError("contraction must not meet the divisor")
-    nbrs = tree.neighbors(i)
+    nbrs = adjacent[e]
     if len(nbrs) > 2:
         raise FiberTreeError(
             "contraction would close a cycle; not a fiber tree"
         )
-    comps = _shifted(tree, nbrs, 1)
-    del comps[i]
-    edges = [e for e in tree.edges if i not in e]
+    for v in nbrs:
+        old = comps[v]
+        comps[v] = FiberComponent(
+            old.self_intersection + 1, old.multiplicity, old.d_degree
+        )
+        adjacent[v].remove(e)
     if len(nbrs) == 2:
-        edges.append(nbrs)
-    # the components after i move down one place
-    edges = [(a - (a > i), b - (b > i)) for a, b in edges]
-    return FiberTree(tuple(comps), tuple(edges))
+        v, w = nbrs
+        adjacent[v].add(w)
+        adjacent[w].add(v)
+    del left[i]
+    return e
+
+
+def _tree(comps, adjacent, left) -> FiberTree:
+    """The validated tree of a working copy's components ``left``."""
+    place = {e: k for k, e in enumerate(left)}
+    return FiberTree(
+        tuple(comps[e] for e in left),
+        tuple(
+            (place[a], place[b])
+            for a in left for b in adjacent[a] if a < b
+        ),
+    )
+
+
+def contract_component(tree: FiberTree, i: int) -> FiberTree:
+    """Blow down component i (must be a D-trivial (-1)-curve meeting at
+    most two others): neighbors gain one self-intersection, lose one
+    K-degree, and become adjacent to each other."""
+    comps, adjacent, left = _working_copy(tree)
+    _blow_down(comps, adjacent, left, i)
+    return _tree(comps, adjacent, left)
 
 
 @record
@@ -204,16 +286,26 @@ def reduce_tree(tree: FiberTree, choose=None):
 
     ``choose`` picks among eligible indices (default: lowest); the final
     tree is independent of the policy.  Returns (tree, contracted index
-    list).
+    list).  An index counts the components left at that step.
     """
+    comps, adjacent, left = _working_copy(tree)
+    # ids, not places: only the contracted curve's neighbours change
+    eligible = set(tree.eligible_contractions())
     steps = []
-    while True:
-        options = tree.eligible_contractions()
-        if not options:
-            return tree, steps
-        i = options[0] if choose is None else choose(options)
-        steps.append((i, tree.components[i].multiplicity))
-        tree = contract_component(tree, i)
+    while eligible:
+        if choose is None:
+            i = bisect_left(left, min(eligible))
+        else:
+            i = choose([bisect_left(left, e) for e in sorted(eligible)])
+        e = _blow_down(comps, adjacent, left, i)
+        steps.append((i, comps[e].multiplicity))
+        eligible.discard(e)
+        for v in adjacent[e]:
+            if _contractible(comps[v]):
+                eligible.add(v)
+            else:
+                eligible.discard(v)
+    return (_tree(comps, adjacent, left) if steps else tree), steps
 
 
 def blow_up_on_component(tree: FiberTree, i: int) -> FiberTree:

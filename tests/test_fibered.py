@@ -124,10 +124,26 @@ class TestTreeValidation:
         ((0, 1, 0),),
         ((-1, 1, 0), (-1, 1, 0)),
         (component(-1, 1), (-1, 1, 0)),
+        # a list is stored as given, and the record's hash then raises
+        [component(0, 1)],
+        [component(-1, 1), component(-1, 1)],
     ))
     def test_components_are_records(self, components):
         with pytest.raises(FiberTreeError, match="FiberComponent"):
             FiberTree(components, ((0, 1),) if len(components) > 1 else ())
+
+    @pytest.mark.parametrize("edges", (
+        ((0, 1, 2),),
+        ((0,),),
+        ((),),
+        (0, 1),
+        ((0, 1), (1,)),
+        ((5, 1, 0),),
+    ))
+    def test_edges_are_pairs(self, edges):
+        # checked ahead of the endpoint checks on the same edge
+        with pytest.raises(FiberTreeError, match="pair"):
+            FiberTree((component(-1, 1), component(-1, 1)), edges)
 
     def test_k_degree_sum_enforced(self):
         # star passing every per-component check but summing K wrong:
@@ -165,6 +181,16 @@ class TestContraction:
         with pytest.raises(FiberTreeError, match="divisor"):
             contract_component(t, 0)
 
+    @pytest.mark.parametrize("index", (2, 3, -1, -2))
+    def test_no_such_component(self, index):
+        t = once_blown()
+        with pytest.raises(FiberTreeError, match="no such component"):
+            contract_component(t, index)
+        with pytest.raises(FiberTreeError, match="no such component"):
+            reduce_tree(t, choose=lambda options: index)
+        with pytest.raises(FiberTreeError, match="no such component"):
+            blow_up_on_component(t, index)
+
     def test_blow_up_then_contract_is_identity(self):
         t = blow_up_on_edge(once_blown(), 0, 1)
         again = contract_component(blow_up_on_component(t, 1), 3)
@@ -176,6 +202,22 @@ class TestContraction:
         assert reduced.is_reduced_to_section_fiber()
         # contracted multiplicities: the (-1,2) center, then a (-1,1)
         assert [m for _, m in steps] == [2, 1]
+
+    def test_one_validated_tree_per_reduction(self, monkeypatch):
+        t = random_degeneration(random.Random(20261019), 0, 150)
+        assert len(t.components) == 151
+        validated = []
+        post_init = FiberTree.__post_init__
+
+        def counted(tree):
+            validated.append(tree)
+            post_init(tree)
+
+        monkeypatch.setattr(FiberTree, "__post_init__", counted)
+        reduced, steps = reduce_tree(t)
+        assert len(steps) == 150
+        assert reduced.is_reduced_to_section_fiber()
+        assert len(validated) == 1 and validated[0] is reduced
 
     def test_divisor_degree_survives_reduction(self):
         t = blow_up_on_component(once_blown(d_degree=1), 0)
@@ -420,4 +462,83 @@ class TestEdgePassMatchesReference:
             "component graph must be connected",
             "component N meets the fiber with degree N",
             "fiber has K-degree N, needs N",
+        }
+
+
+# The reduction as it stood when it built and validated a new tree at
+# every contraction; kept as the reference the in-place reduction must
+# match tree for tree, step for step and message for message.
+
+
+def reference_contract(tree, i):
+    c = tree.components[i]
+    if c.self_intersection != -1:
+        raise FiberTreeError("only (-1)-components contract")
+    if c.d_degree != 0:
+        raise FiberTreeError("contraction must not meet the divisor")
+    nbrs = reference_neighbors(tree.edges, i)
+    if len(nbrs) > 2:
+        raise FiberTreeError(
+            "contraction would close a cycle; not a fiber tree"
+        )
+    comps = [
+        component(d.self_intersection + 1, d.multiplicity, d.d_degree)
+        if j in nbrs else d
+        for j, d in enumerate(tree.components)
+    ]
+    del comps[i]
+    edges = [e for e in tree.edges if i not in e]
+    if len(nbrs) == 2:
+        edges.append(nbrs)
+    edges = [(a - (a > i), b - (b > i)) for a, b in edges]
+    return FiberTree(tuple(comps), tuple(edges))
+
+
+def reference_reduce(tree, choose=None):
+    steps = []
+    while True:
+        options = tree.eligible_contractions()
+        if not options:
+            return tree, steps
+        i = options[0] if choose is None else choose(options)
+        steps.append((i, tree.components[i].multiplicity))
+        tree = reference_contract(tree, i)
+
+
+def outcome(move, *args):
+    """The tree a move builds, or the message it refuses with."""
+    try:
+        return move(*args)
+    except FiberTreeError as ex:
+        return str(ex)
+
+
+class TestReductionMatchesReference:
+    def test_random_blow_up_trees(self):
+        rng = random.Random(20261019)
+        refused = set()
+        for _ in range(120):
+            tree = random_degeneration(
+                rng, rng.choice((0, 0, 1, 2)), rng.randrange(0, 41)
+            )
+            seed = rng.random()
+            # each run gets its own policy, so both see the same choices
+            policies = (
+                lambda: None,
+                lambda: lambda options: options[-1],
+                lambda: random.Random(seed).choice,
+            )
+            for policy in policies:
+                assert (reduce_tree(tree, policy())
+                        == reference_reduce(tree, policy()))
+            for i in range(len(tree.components)):
+                got = outcome(contract_component, tree, i)
+                assert got == outcome(reference_contract, tree, i)
+                if isinstance(got, str):
+                    refused.add(got)
+        # a (-1)-curve of a blow-up tree meets at most two others, so
+        # the cycle refusal cannot fire here; the other two both did
+        assert refused == {
+            "only (-1)-components contract",
+            "contraction must not meet the divisor",
         }

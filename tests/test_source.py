@@ -82,6 +82,7 @@ _NO_PRODUCTION_CALLER = {
     "intersect", "pullback_blowup", "FiberTree.self_degree",
     "RuledModel.exceptional_class", "blow_up_on_component",
     "blow_up_on_edge", "reduce_model", "minimality_audit",
+    "contract_component", "FiberTree.neighbors",
 }
 
 
