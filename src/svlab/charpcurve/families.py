@@ -11,10 +11,11 @@ Three families are known to the kernel:
 
 For the first two, the point at infinity is unique and the local
 expansions below are exact catalogue data, validated by plugging them
-back into the defining equation.  The Tango invariant n of a separating
-function f is floor(v(df)/p) once the divisor of df is certified to sit
-entirely at infinity; equality with floor(2(g-1)/p) pins the invariant
-of the curve itself.
+back into the defining equation.  Each family has one witness f0, the
+function ``default_witness`` names.  Its Tango invariant n is
+floor(v(df0)/p) once the divisor of df0 is certified to sit entirely at
+infinity; equality with floor(2(g-1)/p) pins the invariant of the curve
+itself.
 """
 
 from __future__ import annotations
@@ -129,13 +130,11 @@ def minimum_precision(family: CurveFamily) -> int:
 @record
 class InfinityChart:
     """Exact local data at the point at infinity, as series in the
-    uniformizer t."""
+    uniformizer t: x, y and the family's witness f0."""
 
-    family: CurveFamily
     x: LaurentSeries
     y: LaurentSeries
     f0: LaurentSeries
-    precision: int
 
 
 def expand_at_infinity(
@@ -174,7 +173,7 @@ def expand_at_infinity(
         y = inner.nth_root_unit(m, terms=precision).shifted(-p)
         f0 = y
 
-    chart = InfinityChart(family, x, y, f0, precision)
+    chart = InfinityChart(x, y, f0)
     res = defining_residual(family, chart)
     if res.known_nonzero():
         raise SeriesError(
@@ -201,21 +200,6 @@ def defining_residual(
     raise SeriesUnavailable("no defining residual for this family")
 
 
-def witness_series(
-    family: CurveFamily, f0: str, precision: int | None = None
-) -> LaurentSeries:
-    chart = expand_at_infinity(family, precision)
-    if f0 == default_witness(family):
-        return chart.f0
-    if f0 == "x":
-        return chart.x
-    if f0 == "y":
-        return chart.y
-    raise FamilyParameterError(
-        f"no catalogued series for witness {f0!r} on {family!r}"
-    )
-
-
 def differential_valuation(s: LaurentSeries, decision_horizon: int) -> int:
     """Valuation of ds/dt, distinguishing "the function is a p-th power"
     from "the window is too short".
@@ -238,32 +222,25 @@ def differential_valuation(s: LaurentSeries, decision_horizon: int) -> int:
     )
 
 
-def v_infinity_df(
-    family: CurveFamily, f0: str | None = None,
-    precision: int | None = None,
-) -> int:
-    """Order at infinity of the differential df0, as v(d f0(t) / dt).
+def v_infinity_df(family: CurveFamily, precision: int | None = None) -> int:
+    """Order at infinity of the differential of the family's witness f0,
+    as v(d f0(t) / dt).
 
     Raises NotSeparatingError when the derivative vanishes identically
     as far as the evidence can tell, PrecisionError when the window is
     too short to distinguish that from a late leading term.
     """
-    if f0 is None:
-        f0 = default_witness(family)
-    s = witness_series(family, f0, precision)
+    s = expand_at_infinity(family, precision).f0
     return differential_valuation(s, 2 * genus(family) - 2)
 
 
-def n_of_f(
-    family: CurveFamily, f0: str | None = None,
-    precision: int | None = None,
-) -> int:
+def n_of_f(family: CurveFamily, precision: int | None = None) -> int:
     """Tango invariant of the witness: floor(v(df0) / p), valid once the
     divisor of df0 is certified to live at infinity only."""
     if isinstance(family, TangoPlane):
         # catalogue value, bound route; no series is computed
         return family.p - 2
-    return _n_from_valuation(family, v_infinity_df(family, f0, precision))
+    return _n_from_valuation(family, v_infinity_df(family, precision))
 
 
 def _n_from_valuation(family: CurveFamily, v: int) -> int:
@@ -326,7 +303,7 @@ def certify_tango(
         v = None
         provenance = ASSERTED
     else:
-        v = v_infinity_df(family, witness, precision)
+        v = v_infinity_df(family, precision)
         n = _n_from_valuation(family, v)
         provenance = COMPUTED
     star = (n % 3 == 0) if family.p == 2 else None

@@ -42,7 +42,8 @@ def check(name: str, status: str, *pairs) -> CheckLine:
 
 
 def render_value(value) -> str:
-    # exact types, most common first; a bool's type is bool, not int
+    # exact types, most common first; a bool's type is bool, not int, and
+    # the ruled marker, the only float, falls through to str: "-inf"
     kind = type(value)
     if kind is str:
         return value
@@ -50,9 +51,6 @@ def render_value(value) -> str:
         return str(value)
     if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, float):
-        # the only float in the data model is the ruled marker
-        return "-inf" if value == float("-inf") else str(value)
     if isinstance(value, (tuple, list)):
         return ",".join(render_value(v) for v in value)
     return str(value)

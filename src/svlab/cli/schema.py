@@ -248,14 +248,13 @@ def _model_fields(value, where):
 
 
 def _build_model(fields) -> RuledModel:
-    from ..lattice import RuledModel
+    from ..lattice import BlowupPoint, RuledModel
 
-    model = RuledModel(
-        fields["p"], fields["genus"], fields["e"], (), fields["chi"]
+    return RuledModel(
+        fields["p"], fields["genus"], fields["e"],
+        tuple(BlowupPoint(tuple(prox)) for prox in fields["exceptionals"]),
+        fields["chi"],
     )
-    for prox in fields["exceptionals"]:
-        model = model.blow_up(proximate_to=tuple(prox))
-    return model
 
 
 def _class_on(model: RuledModel, coeffs, where) -> DivisorClass:

@@ -100,9 +100,15 @@ class FiberTree:
                 raise FiberTreeError(
                     "fiber components must be FiberComponent records"
                 )
+        try:
+            edges = iter(self.edges)
+        except TypeError:
+            raise FiberTreeError(
+                "edges must be pairs of component indices"
+            ) from None
         norm = []
         seen = set()
-        for edge in self.edges:
+        for edge in edges:
             try:
                 i, j = edge
             except (TypeError, ValueError):
@@ -226,7 +232,8 @@ def _blow_down(comps, adjacent, left, i: int) -> int:
     K-degree, and become adjacent to each other.  The contracted
     curve's own entries in ``comps`` and ``adjacent`` stay as they were.
     """
-    if not 0 <= i < len(left):
+    # a bool or a float compares equal to an int but is no index
+    if type(i) is not int or not 0 <= i < len(left):
         raise FiberTreeError("no such component")
     e = left[i]
     c = comps[e]
@@ -315,7 +322,7 @@ def blow_up_on_component(tree: FiberTree, i: int) -> FiberTree:
     (-1)-component inherits multiplicity m_i and meets the divisor
     pullback trivially.
     """
-    if not 0 <= i < len(tree.components):
+    if type(i) is not int or not 0 <= i < len(tree.components):
         raise FiberTreeError("no such component")
     comps = _shifted(tree, (i,), -1)
     comps.append(FiberComponent(-1, tree.components[i].multiplicity))
@@ -327,6 +334,8 @@ def blow_up_on_edge(tree: FiberTree, i: int, j: int) -> FiberTree:
     i and j cross.  Both strict transforms drop one self-intersection
     and the new (-1)-component separates them with multiplicity
     m_i + m_j."""
+    if type(i) is not int or type(j) is not int:
+        raise FiberTreeError("no such component")
     key = (min(i, j), max(i, j))
     if key not in tree.edges:
         raise FiberTreeError("components do not meet")

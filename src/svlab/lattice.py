@@ -390,7 +390,6 @@ RULE_CURVE_CONE = "positivity.curve-cone-bounds"
 class PositivityVerdict:
     status: str
     rule_used: str
-    witness: DivisorClass | None = None
     note: str = ""
 
 
@@ -427,13 +426,13 @@ def certify_positivity(
 
     if not ok(a):
         return PositivityVerdict(
-            VIOLATED, RULE_NECESSARY, model.fiber_class(),
+            VIOLATED, RULE_NECESSARY,
             f"fiber degree a = {Fraction(a, den)} fails",
         )
     slope2 = 2 * b - a * e  # 2b - ae, and twice the slope b - ae/2
     if not ok(slope2):
         return PositivityVerdict(
-            VIOLATED, RULE_NECESSARY, None,
+            VIOLATED, RULE_NECESSARY,
             f"self-intersection slope 2b - ae = {Fraction(slope2, den)}"
             " fails",
         )
@@ -442,7 +441,7 @@ def certify_positivity(
         if ok(b - a * e):
             return PositivityVerdict(CERTIFIED, RULE_NONNEG_CONE)
         return PositivityVerdict(
-            VIOLATED, RULE_NONNEG_CONE, model.section_class(),
+            VIOLATED, RULE_NONNEG_CONE,
             f"D.E = b - ae = {Fraction(b - a * e, den)} fails",
         )
 
@@ -451,14 +450,14 @@ def certify_positivity(
 
     if p == 0:
         return PositivityVerdict(
-            UNKNOWN, RULE_CURVE_CONE, None,
+            UNKNOWN, RULE_CURVE_CONE,
             "curve-cone bounds need positive characteristic",
         )
 
     if slope2 <= 0 and a > 0:
         # the x >= p branch decreases without bound along x
         return PositivityVerdict(
-            UNKNOWN, RULE_CURVE_CONE, None, "tail branch unbounded below"
+            UNKNOWN, RULE_CURVE_CONE, "tail branch unbounded below"
         )
     # the branch minima of D.L, each as a numerator over its denominator
     minima = [(b - a * e, den)]
@@ -472,7 +471,7 @@ def certify_positivity(
         return PositivityVerdict(CERTIFIED, RULE_CURVE_CONE)
     lowest = min(Fraction(v, w) for v, w in minima)
     return PositivityVerdict(
-        UNKNOWN, RULE_CURVE_CONE, None,
+        UNKNOWN, RULE_CURVE_CONE,
         "branch minimum " + str(lowest) + " not conclusive",
     )
 

@@ -471,9 +471,9 @@ class ChiProduct:
     What does not depend on D is settled once, at construction: the
     preconditions on e, g and c (``refusal``), whether G can be a curve
     (``curve_refusal``; a refusal is an exception type with its
-    arguments, or None), the constants of the inequalities, cleared to
-    integers over the common denominator ``scale``, and the fixed link
-    (2-c)(g-1) > g-1 of the slack chain.  ``check(a, b)`` and
+    arguments, or None), and the constants of the inequalities, cleared
+    to integers over the common denominator ``scale``; the refusals make
+    the slack chain's link (2-c)(g-1) > g-1 hold.  ``check(a, b)`` and
     ``certify(a, b)`` take the integers a, b of an integral D.  ``check``
     runs the checks that depend on D, raising the refusals at their
     place in the order of checks, and returns chi(D), which is all a
@@ -523,8 +523,7 @@ class ChiProduct:
             ("refusal", refusal), ("curve_refusal", curve_refusal),
             ("scale", scale), ("cx", cn * x.numerator * yd),
             ("kf", (2 - 2 * g + e) * scale - cn * y.numerator * xd),
-            ("mid", mid), ("mid_link_holds", mid > g - 1),
-            ("mid2", 2 * (2 * cd - cn) * (g - 1) * xd * yd),
+            ("mid", mid), ("mid2", 2 * (2 * cd - cn) * (g - 1) * xd * yd),
         ):
             object.__setattr__(self, name, value)
 
@@ -553,7 +552,7 @@ class ChiProduct:
                 "the polarization fails its ampleness inequalities"
             )
         slope = 2 * b - a * e  # twice b - ae/2
-        if not (slope * scale > self.mid2 and self.mid_link_holds):
+        if slope * scale <= self.mid2:
             raise PreconditionError(
                 f"slack chain fails: {Fraction(slope, 2)} > {self.mid}"
                 f" > {g - 1} does not hold"

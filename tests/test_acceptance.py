@@ -532,9 +532,9 @@ def test_criterion_7_property_suites():
             )
         doubled = 2 * default_precision(family)
         assert v_infinity_df(family) == v_infinity_df(
-            family, None, doubled
+            family, precision=doubled
         )
-        assert n_of_f(family) == n_of_f(family, None, doubled)
+        assert n_of_f(family) == n_of_f(family, precision=doubled)
         assert certify_tango(family) == certify_tango(family, doubled)
 
     print("criterion 7 PASS: six property suites, 710 randomized cases")

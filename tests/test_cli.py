@@ -348,6 +348,55 @@ class TestClassify:
         assert "the divisor is not nef" in err
 
 
+class TestExceptionalPoints:
+    @staticmethod
+    def doc(exceptionals):
+        return {
+            "format": "svlab/1",
+            "request": "classify",
+            "scenario": {
+                "model": {"p": 3, "genus": 4, "e": -2,
+                          "exceptionals": exceptionals},
+                "kodaira": "-inf",
+                "chi_o": -3,
+                "q": 4,
+                "relatively_minimal": False,
+                "divisor": ["0"] * (2 + len(exceptionals)),
+            },
+        }
+
+    def test_model_is_built_once(self, monkeypatch):
+        # one construction checks every point once; a construction per
+        # point would check them all again each time, O(k^2) in total
+        built = []
+        post_init = RuledModel.__post_init__
+
+        def counted(model):
+            built.append(model)
+            post_init(model)
+
+        monkeypatch.setattr(RuledModel, "__post_init__", counted)
+        # free points, then points on one or two earlier exceptionals
+        points = [[]] * 20 + [[i] for i in range(15)] + [
+            [i, i + 1] for i in range(20, 35)
+        ]
+        scenario = schema.scenario_from_document(self.doc(points))
+        assert len(built) == 1
+        assert scenario.model.rank == 52
+
+    @pytest.mark.parametrize("exceptionals, message", (
+        ([[], [1]], "proximity must point at an earlier exceptional"),
+        ([[], [0, 0]], "duplicate proximity target"),
+    ))
+    def test_proximity_refusals(self, tmp_path, capsys, exceptionals,
+                                message):
+        code, out, err = run(
+            capsys, "classify",
+            "--in", write_doc(tmp_path, "d.json", self.doc(exceptionals)),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestCharacteristicCap:
     """Primality is checked by trial division, so every p the schema
     accepts is capped; 10**24 + 7 would otherwise hang the run."""

@@ -144,32 +144,30 @@ def test_equality_and_hash_follow_the_coefficients(data):
 
 def reference_positivity(model, a, b, strict):
     """The positivity rules on Fraction coefficients: (status, rule,
-    witness, note)."""
+    note)."""
     e, g, p = model.invariant_e, model.genus, model.characteristic
 
     def ok(v):
         return v > 0 if strict else v >= 0
 
     if not ok(a):
-        return (VIOLATED, RULE_NECESSARY, model.fiber_class(),
-                f"fiber degree a = {a} fails")
+        return (VIOLATED, RULE_NECESSARY, f"fiber degree a = {a} fails")
     if not ok(2 * b - a * e):
-        return (VIOLATED, RULE_NECESSARY, None,
+        return (VIOLATED, RULE_NECESSARY,
                 f"self-intersection slope 2b - ae = {2 * b - a * e} fails")
     if e >= 0:
         if ok(b - a * e):
-            return (CERTIFIED, RULE_NONNEG_CONE, None, "")
-        return (VIOLATED, RULE_NONNEG_CONE, model.section_class(),
+            return (CERTIFIED, RULE_NONNEG_CONE, "")
+        return (VIOLATED, RULE_NONNEG_CONE,
                 f"D.E = b - ae = {b - a * e} fails")
     if ok(a) and ok(b):
-        return (CERTIFIED, RULE_DECOMPOSITION, None, "")
+        return (CERTIFIED, RULE_DECOMPOSITION, "")
     if p == 0:
-        return (UNKNOWN, RULE_CURVE_CONE, None,
+        return (UNKNOWN, RULE_CURVE_CONE,
                 "curve-cone bounds need positive characteristic")
     slope = b - a * e / 2
     if slope <= 0 and a > 0:
-        return (UNKNOWN, RULE_CURVE_CONE, None,
-                "tail branch unbounded below")
+        return (UNKNOWN, RULE_CURVE_CONE, "tail branch unbounded below")
     minima = [b - a * e]
     if p >= 3:
         minima += [2 * slope, (p - 1) * slope]
@@ -177,8 +175,8 @@ def reference_positivity(model, a, b, strict):
     if strict:
         minima.append(a * (2 * b - a * e))
     if all(ok(v) for v in minima):
-        return (CERTIFIED, RULE_CURVE_CONE, None, "")
-    return (UNKNOWN, RULE_CURVE_CONE, None,
+        return (CERTIFIED, RULE_CURVE_CONE, "")
+    return (UNKNOWN, RULE_CURVE_CONE,
             f"branch minimum {min(minima)} not conclusive")
 
 
@@ -202,7 +200,7 @@ def positivity_cases(draw):
 def test_positivity_matches_fractions(case, strict):
     model, a, b = case
     got = certify_positivity(model, model.divisor(a, b), strict=strict)
-    assert (got.status, got.rule_used, got.witness, got.note) == (
+    assert (got.status, got.rule_used, got.note) == (
         reference_positivity(model, a, b, strict)
     )
 

@@ -14,6 +14,7 @@ from svlab.charpcurve.families import (
     Hyperelliptic,
     SeriesUnavailable,
     TangoPlane,
+    _n_from_valuation,
     certify_tango,
     default_witness,
     defining_residual,
@@ -96,9 +97,9 @@ class TestExpansion:
 
 class TestDifferential:
     def test_frozen_valuations(self):
-        assert v_infinity_df(Hyperelliptic(3, 3), "y/x^p") == 6
-        assert v_infinity_df(ArtinSchreier(2, 5), "y") == 6
-        assert v_infinity_df(Hyperelliptic(5, 3), "y/x^p") == 12
+        assert v_infinity_df(Hyperelliptic(3, 3)) == 6
+        assert v_infinity_df(ArtinSchreier(2, 5)) == 6
+        assert v_infinity_df(Hyperelliptic(5, 3)) == 12
         assert v_infinity_df(ArtinSchreier(3, 3)) == 12
         assert v_infinity_df(ArtinSchreier(2, 8)) == 12
 
@@ -113,10 +114,6 @@ class TestDifferential:
         with pytest.raises(PrecisionError):
             v_infinity_df(fam, precision=17)
         assert v_infinity_df(fam) == 12
-
-    def test_unknown_witness(self):
-        with pytest.raises(FamilyParameterError):
-            v_infinity_df(Hyperelliptic(3, 3), "y^2/x")
 
 
 class TestInvariant:
@@ -133,9 +130,12 @@ class TestInvariant:
         assert n_of_f(ArtinSchreier(2, 8)) == 6
         assert n_of_f(ArtinSchreier(2, 4)) == 2
 
-    def test_uncertified_witness_refused(self):
-        with pytest.raises(CertificateError):
-            n_of_f(Hyperelliptic(3, 3), "x")
+    def test_valuation_off_the_canonical_degree_refused(self):
+        # 2g - 2 = 6 here; any other order at infinity leaves part of the
+        # divisor of the differential in the affine chart
+        for v in (-2, 5, 7):
+            with pytest.raises(CertificateError, match="not concentrated"):
+                _n_from_valuation(Hyperelliptic(3, 3), v)
 
 
 class TestCertificates:

@@ -139,11 +139,18 @@ class TestTreeValidation:
         (0, 1),
         ((0, 1), (1,)),
         ((5, 1, 0),),
+        # no container at all
+        5,
+        None,
     ))
     def test_edges_are_pairs(self, edges):
         # checked ahead of the endpoint checks on the same edge
         with pytest.raises(FiberTreeError, match="pair"):
             FiberTree((component(-1, 1), component(-1, 1)), edges)
+
+    def test_list_of_pairs_accepted(self):
+        comps = (component(-1, 1), component(-1, 1))
+        assert FiberTree(comps, [[1, 0]]) == once_blown()
 
     def test_k_degree_sum_enforced(self):
         # star passing every per-component check but summing K wrong:
@@ -181,7 +188,8 @@ class TestContraction:
         with pytest.raises(FiberTreeError, match="divisor"):
             contract_component(t, 0)
 
-    @pytest.mark.parametrize("index", (2, 3, -1, -2))
+    # True and 0.0 compare equal to indices of contractible components
+    @pytest.mark.parametrize("index", (2, 3, -1, -2, True, 1.0, 0.0, None))
     def test_no_such_component(self, index):
         t = once_blown()
         with pytest.raises(FiberTreeError, match="no such component"):
@@ -190,6 +198,19 @@ class TestContraction:
             reduce_tree(t, choose=lambda options: index)
         with pytest.raises(FiberTreeError, match="no such component"):
             blow_up_on_component(t, index)
+
+    @pytest.mark.parametrize("pair, message", (
+        ((True, 1), "no such component"),
+        ((0, 1.0), "no such component"),
+        ((0.0, 1), "no such component"),
+        ((0, None), "no such component"),
+        ((0, 0), "components do not meet"),
+        ((0, 2), "components do not meet"),
+        ((-1, 0), "components do not meet"),
+    ))
+    def test_blow_up_on_edge_refusals(self, pair, message):
+        with pytest.raises(FiberTreeError, match=message):
+            blow_up_on_edge(once_blown(), *pair)
 
     def test_blow_up_then_contract_is_identity(self):
         t = blow_up_on_edge(once_blown(), 0, 1)

@@ -255,7 +255,6 @@ class TestPositivity:
         v = certify_positivity(m, m.divisor(-1, 3))
         assert v.status == "violated"
         assert v.rule_used == "positivity.necessary"
-        assert v.witness == m.fiber_class()
         v2 = certify_positivity(m, m.divisor(2, -3))
         assert v2.status == "violated"
 
@@ -266,7 +265,6 @@ class TestPositivity:
         assert good.rule_used == "positivity.nonnegative-invariant-cone"
         bad = certify_positivity(m, m.divisor(2, 1))
         assert bad.status == "violated"
-        assert bad.witness == m.section_class()
 
     def test_decomposition_rule(self):
         m = MODEL_342

@@ -80,9 +80,9 @@ def test_package_inits_bind_no_name():
 # names that only the acceptance gates or bench/fiber_worker.py use
 _NO_PRODUCTION_CALLER = {
     "intersect", "pullback_blowup", "FiberTree.self_degree",
-    "RuledModel.exceptional_class", "blow_up_on_component",
-    "blow_up_on_edge", "reduce_model", "minimality_audit",
-    "contract_component", "FiberTree.neighbors",
+    "RuledModel.exceptional_class", "RuledModel.blow_up",
+    "blow_up_on_component", "blow_up_on_edge", "reduce_model",
+    "minimality_audit", "contract_component", "FiberTree.neighbors",
 }
 
 
