@@ -241,10 +241,7 @@ def _pure_model(value, where):
 
 
 def _model_fields(value, where):
-    return _object(value, where, _PURE_MODEL, {
-        "chi": (_nullable(_int), None),
-        "exceptionals": (_list_of(_list_of(_int)), []),
-    })
+    return _object(value, where, _PURE_MODEL, _MODEL_OPTIONAL)
 
 
 def _build_model(fields) -> RuledModel:
@@ -267,10 +264,7 @@ def _class_on(model: RuledModel, coeffs, where) -> DivisorClass:
 
 
 def _boundary_entry(value, where):
-    return _object(value, where, {
-        "class": _coeffs,
-        "coefficient": parse_rational,
-    })
+    return _object(value, where, _BOUNDARY_ENTRY)
 
 
 def _boundary_on(model: RuledModel, entries, where) -> tuple:
@@ -285,17 +279,8 @@ def scenario_from_document(data: dict) -> Scenario:
     from ..nonvanish import Scenario
 
     top = _top(data, "classify", {"scenario": lambda v, w: v})
-    fields = _object(top["scenario"], "scenario", {
-        "model": _model_fields,
-        "kodaira": _kodaira,
-        "chi_o": _int,
-        "q": _int,
-        "relatively_minimal": _bool,
-        "divisor": _coeffs,
-    }, {
-        "boundary": (_list_of(_boundary_entry), []),
-        "kappa_minus_k_nonneg": (_nullable(_bool), None),
-    })
+    fields = _object(top["scenario"], "scenario", _SCENARIO,
+                     _SCENARIO_OPTIONAL)
     model = fields["model"] = _build_model(fields["model"])
     fields["divisor"] = _class_on(model, fields["divisor"],
                                   "scenario.divisor")
@@ -303,6 +288,25 @@ def scenario_from_document(data: dict) -> Scenario:
                                       "scenario.boundary")
     return Scenario(**fields)
 
+
+# the scenario reader's key tables
+_SCENARIO = {
+    "model": _model_fields,
+    "kodaira": _kodaira,
+    "chi_o": _int,
+    "q": _int,
+    "relatively_minimal": _bool,
+    "divisor": _coeffs,
+}
+_SCENARIO_OPTIONAL = {
+    "boundary": (_list_of(_boundary_entry), []),
+    "kappa_minus_k_nonneg": (_nullable(_bool), None),
+}
+_MODEL_OPTIONAL = {
+    "chi": (_nullable(_int), None),
+    "exceptionals": (_list_of(_list_of(_int)), []),
+}
+_BOUNDARY_ENTRY = {"class": _coeffs, "coefficient": parse_rational}
 
 # the per-item readers' key tables; a branch without a kind is ORIGINAL
 _BRANCH = {"id": _string, "coefficient": parse_rational}

@@ -9,14 +9,11 @@ double.  Every guaranteed verdict carries the arithmetic that proves it;
 anything the catalogue of certificates does not cover comes back
 ``unknown`` rather than guessed.
 
-The certified routes, by case label:
-
-  A     the divisor vanishes; chi(O) = 1 does the work
-  B_*   chi > 0 plus vanishing above forces sections
-  C     fiber-degree threshold, boundary stripping, the chi product
-        certificate on relatively minimal models, and a doubling bound
-        otherwise
-  CR/D  open territory, always unknown
+The certified routes are one table, ``ROUTES``: each row names the
+cases it serves, the hypotheses it rests on and the route that computes
+the verdict.  ``HYPOTHESES`` says how each named hypothesis is tested
+and whether its violation refuses the scenario or declines the route.
+CR and the D cases have no row and stay unknown.
 """
 
 from __future__ import annotations
@@ -325,24 +322,8 @@ def _positivity_status(model: RuledModel, cls: DivisorClass, strict: bool):
     return certify_positivity(model, cls, strict=strict)
 
 
-def _refuse_violated(status: PositivityVerdict | None, what: str) -> None:
-    if status is not None and status.status == VIOLATED:
-        raise PreconditionError(f"{what}: {status.note}")
-
-
 def case_a_decide(s: Scenario, f: Facts) -> Verdict:
     """chi(D) for a vanishing divisor class: chi(O), pinned to 1."""
-    if s.q > 0:
-        raise InconsistentScenario(
-            "a vanishing nef divisor with ample polarization forces"
-            " irregularity 0"
-        )
-    if s.chi_o != 1:
-        raise InconsistentScenario(
-            "irregularity 0 with negative Kodaira dimension forces"
-            " chi(O) = 1"
-        )
-    _refuse_violated(f.ample, "the polarization fails ampleness")
     return Verdict(
         CASE_A,
         GUARANTEED_M1,
@@ -354,10 +335,6 @@ def case_b_decide(s: Scenario, f: Facts) -> Verdict:
     """chi(D) = D.(H+B)/2 + chi(O) on the low-irregularity cases;
     sections exist once chi > 0 and nothing survives above.  The value
     is cross-checked against the generic Riemann-Roch oracle."""
-    if s.chi_o < 0:
-        raise InconsistentScenario("these cases carry chi(O) >= 0")
-    _refuse_violated(f.nef, "the divisor is not nef")
-    _refuse_violated(f.ample, "the polarization fails ampleness")
     chi = Fraction(1, 2) * s.divisor.dot(f.h + f.b) + s.chi_o
     if chi <= 0:
         raise InconsistentScenario(
@@ -665,52 +642,74 @@ def euler_bound_decide(s: Scenario, f: Facts) -> Verdict:
     )
 
 
+# Each named hypothesis: its test on the scenario and its facts, then
+# what a violation does.  An exception type refuses the scenario with the
+# message, whose fields read the facts as ``f``; None declines the route,
+# with the message as the reason of an unknown verdict.  A positivity
+# hypothesis fails only where its rule says VIOLATED: an UNKNOWN status,
+# or None on a blown-up lattice, passes.
+HYPOTHESES = {
+    "q = 0": (lambda s, f: s.q == 0, InconsistentScenario,
+              "a vanishing nef divisor with ample polarization forces"
+              " irregularity 0"),
+    "chi(O) = 1": (lambda s, f: s.chi_o == 1, InconsistentScenario,
+                   "irregularity 0 with negative Kodaira dimension forces"
+                   " chi(O) = 1"),
+    "nef(D)": (lambda s, f: f.nef is None or f.nef.status != VIOLATED,
+               PreconditionError, "the divisor is not nef: {f.nef.note}"),
+    "ample(H)": (lambda s, f: f.ample is None or f.ample.status != VIOLATED,
+                 PreconditionError,
+                 "the polarization fails ampleness: {f.ample.note}"),
+    "lattice": (lambda s, f: s.is_lattice, None,
+                "no intersection data for the euler-characteristic route"),
+    "relatively minimal": (lambda s, f: s.relatively_minimal, None,
+                           "not relatively minimal"),
+    "D.F >= 2": (lambda s, f: f.d_dot_f >= 2, None,
+                 "low fiber degree without fiber-tree data; no certificate"
+                 " applies"),
+}
+
+# The certificate routes in the order they are tried: the cases each
+# serves, the hypotheses it rests on, checked in order, and the route,
+# which returns a verdict or None to pass the scenario on.
+ROUTES = (
+    ((CASE_A,), ("q = 0", "chi(O) = 1", "ample(H)"), case_a_decide),
+    ((CASE_B_I, CASE_B_II), ("lattice", "nef(D)", "ample(H)"),
+     case_b_decide),
+    ((CASE_C, CASE_C_M), ("nef(D)",), fiber_threshold),
+    ((CASE_C, CASE_C_M), ("nef(D)", "relatively minimal"),
+     relatively_minimal_decide),
+    ((CASE_C, CASE_C_M), ("nef(D)", "D.F >= 2"), euler_bound_decide),
+)
+
+# the unknown reasons of the cases that no route serves
+_NO_ROUTE = ("no certificate catalogued for this case; larger multiples"
+             " may be needed")
+_UNROUTED = {CASE_D_I: _NO_ROUTE, CASE_D_II: _NO_ROUTE, CASE_CR: (
+    "not relatively minimal with a big divisor: outside the certified"
+    " catalogue")}
+
+
 def decide(s: Scenario) -> Verdict:
-    """Classify and derive the shared facts once, then walk the
-    certificate catalogue in order."""
+    """Classify and derive the shared facts once, then walk the routes
+    of the case in order.  A route runs once its hypotheses hold, and
+    the first verdict it returns is the answer.  A violated hypothesis
+    refuses the scenario or declines the route; when no route answers,
+    the verdict is unknown with the reason of the last decline."""
     f = derive(s, classify(s))
-    label = f.label
-    if label == CASE_A:
-        return case_a_decide(s, f)
-    if label in (CASE_B_I, CASE_B_II):
-        if not s.is_lattice:
-            return Verdict(
-                label,
-                UNDECIDED,
-                {},
-                "no intersection data for the euler-characteristic route",
-            )
-        return case_b_decide(s, f)
-    if label in (CASE_C, CASE_C_M):
-        _refuse_violated(f.nef, "the divisor is not nef")
-        verdict = fiber_threshold(s, f)
-        if verdict is not None:
-            return verdict
-        if s.relatively_minimal:
-            verdict = relatively_minimal_decide(s, f)
+    reason = _UNROUTED.get(f.label)
+    for cases, names, route in ROUTES:
+        if f.label not in cases:
+            continue
+        for name in names:
+            holds, refusal, message = HYPOTHESES[name]
+            if not holds(s, f):
+                if refusal is not None:
+                    raise refusal(message.format(f=f))
+                reason = message
+                break
+        else:
+            verdict = route(s, f)
             if verdict is not None:
                 return verdict
-        if f.d_dot_f >= 2:
-            return euler_bound_decide(s, f)
-        return Verdict(
-            label,
-            UNDECIDED,
-            {},
-            "low fiber degree without fiber-tree data; no certificate"
-            " applies",
-        )
-    if label == CASE_CR:
-        return Verdict(
-            CASE_CR,
-            UNDECIDED,
-            {},
-            "not relatively minimal with a big divisor: outside the"
-            " certified catalogue",
-        )
-    return Verdict(
-        label,
-        UNDECIDED,
-        {},
-        "no certificate catalogued for this case; larger multiples may"
-        " be needed",
-    )
+    return Verdict(f.label, UNDECIDED, {}, reason)

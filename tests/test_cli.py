@@ -7,7 +7,9 @@ round-trip and determinism tests compare raw bytes on purpose.
 """
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import random
 import re
@@ -18,6 +20,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svlab.charpcurve.families import certify_tango, genus
 from svlab.cli import schema
@@ -346,6 +350,136 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert "the divisor is not nef" in err
+
+    @pytest.mark.parametrize("scenario, message", (
+        # D = -3F is not nef, but nef(D) is undecided on a blown-up model,
+        # so the euler-characteristic route runs and finds chi(D) = -2
+        ({"model": {"p": 0, "genus": 0, "e": -1, "exceptionals": [[]]},
+          "kodaira": "-inf", "chi_o": 1, "q": 0,
+          "relatively_minimal": False, "divisor": ["0", "-3", "0"]},
+         "chi = -2 cannot be nonpositive with these invariants"),
+        ({"model": {"p": 0, "genus": 1, "e": -2, "exceptionals": [[]]},
+          "kodaira": "-inf", "chi_o": 0, "q": 1,
+          "relatively_minimal": False, "divisor": ["0", "1", "0"],
+          "boundary": [
+              {"class": ["1", "1", "0"], "coefficient": "3/4"},
+              {"class": ["0", "1", "0"], "coefficient": "1/3"},
+          ]},
+         "(K-D).H = 17/12 must be negative when H is ample"),
+    ))
+    def test_euler_characteristic_refusals(self, tmp_path, capsys,
+                                           scenario, message):
+        doc = {"format": "svlab/1", "request": "classify",
+               "scenario": scenario}
+        code, out, err = run(
+            capsys, "classify", "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# values that no reader accepts for any key
+_JUNK = (None, True, 1.5, -1, "x", "1.5", [], {}, [1])
+
+
+def _drawn(rng, required, optional, values):
+    """An object with every key of a reader's tables, each value drawn
+    from the first pool of ``values``."""
+    return {
+        key: rng.choice(values[key][0])(rng)
+        for key in (*required, *optional)
+    }
+
+
+def _fixed(*options):
+    return tuple((lambda rng, value=value: value) for value in options)
+
+
+def _coefficients(rank, *options):
+    return (lambda rng: [rng.choice(options) for _ in range(rank)],)
+
+
+def classify_document(rng):
+    """A classify document drawn from the scenario reader's key tables:
+    each key has a pool of consistent values and a pool of odd ones.
+    Half the documents are consistent, so they reach decide; the others
+    get one fault in one object: a key left out, a junk or odd value,
+    or a key that no table lists."""
+    g, k = rng.randint(0, 4), rng.randint(0, 2)
+    rank = 2 + k
+    values = {
+        "p": (_fixed(2, 3, 5, 0), _fixed(4, 2 ** 16, -1)),
+        "genus": (_fixed(g), _fixed(-1, g + 1)),
+        "e": ((lambda rng: rng.randint(-g - 1, 2),), _fixed("2")),
+        "chi": (_fixed(None, 1 - g), _fixed(2, 5)),
+        "exceptionals": (
+            _fixed([[]] * k, [[], [0]][:k]), _fixed([[1]], [[], [0, 0]]),
+        ),
+        "kodaira": (_fixed("-inf", "-inf", "-inf", 0, 1, 2),
+                    _fixed(3, -1, "inf")),
+        "chi_o": (_fixed(1 - g), _fixed(-g, 2)),
+        "q": (_fixed(g), _fixed(g + 1, -1)),
+        "relatively_minimal": (_fixed(k == 0), _fixed(k != 0)),
+        "divisor": (
+            _coefficients(rank, "0", "1", "2", "3", "6", "-1", "-3"),
+            _coefficients(rank + 1, "0") + _coefficients(rank, "1/2", "1.5"),
+        ),
+        "class": (
+            _coefficients(rank, "0", "1", "2", "3", "-1", "-6"),
+            _coefficients(rank, "0") + _coefficients(1, "1"),
+        ),
+        "coefficient": (_fixed("1/2", "3/4", "1/3"),
+                        _fixed("1", "0", "-1/2", "3/2")),
+        "kappa_minus_k_nonneg": (_fixed(None, True, False), _fixed(1)),
+        "model": ((lambda rng: _drawn(
+            rng, schema._PURE_MODEL, schema._MODEL_OPTIONAL, values,
+        ),), _fixed([])),
+        "boundary": ((lambda rng: [
+            _drawn(rng, schema._BOUNDARY_ENTRY, {}, values)
+            for _ in range(rng.randint(0, 2))
+        ],), _fixed({})),
+    }
+    scenario = _drawn(rng, schema._SCENARIO, schema._SCENARIO_OPTIONAL,
+                      values)
+    objects = [(scenario, schema._SCENARIO, schema._SCENARIO_OPTIONAL)]
+    if isinstance(scenario["model"], dict):
+        objects.append((scenario["model"], schema._PURE_MODEL,
+                        schema._MODEL_OPTIONAL))
+    objects += [(entry, schema._BOUNDARY_ENTRY, {})
+                for entry in scenario.get("boundary", ())]
+    if rng.random() < 0.5:
+        obj, required, optional = rng.choice(objects)
+        key = rng.choice((*required, *optional))
+        fault = rng.randrange(4)
+        if fault == 0:
+            obj.pop(key, None)
+        elif fault == 1:
+            obj[key] = rng.choice(_JUNK)
+        elif fault == 2:
+            obj[key] = rng.choice(values[key][1])(rng)
+        else:
+            obj["surprise"] = 1
+    return {"format": "svlab/1", "request": "classify",
+            "scenario": scenario}
+
+
+class TestClassifyFuzz:
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None)
+    @given(st.randoms(use_true_random=True))
+    def test_exit_code_contract(self, tmp_path_factory, rng):
+        # exit 0 or 1 with a report, or exit 2 with one error line and
+        # nothing on stdout; no exception escapes main
+        path = write_doc(tmp_path_factory.getbasetemp(), "fuzz.json",
+                         classify_document(rng))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["classify", "--in", path])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
+        else:
+            assert err.getvalue() == ""
 
 
 class TestExceptionalPoints:

@@ -5,15 +5,18 @@ the chi product and euler bounds are cross-checked against the generic
 Riemann-Roch oracle.
 """
 
+import hashlib
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svlab.nonvanish as nonvanish
 from svlab.fibered import (
     FiberedModel,
     blow_up_on_component,
@@ -22,6 +25,7 @@ from svlab.fibered import (
     component,
 )
 from svlab.lattice import (
+    BlowupPoint,
     DivisorClass,
     RuledModel,
     UnsupportedRegime,
@@ -52,6 +56,7 @@ from svlab.nonvanish import (
     InvalidScenario,
     PreconditionError,
     Scenario,
+    Verdict,
     classify,
     decide,
     doubling_bound,
@@ -439,6 +444,27 @@ class TestRelativelyMinimal:
         assert v.certificate["h_dot_f"] == Fraction(3, 2)
         assert "section" in v.certificate["stripped"]
 
+    def test_strip_falls_through(self):
+        # e = 1: the section multiples strip to H.F = D.F + 2 - 1 = 1 for
+        # D = F, and to 2 + 2 - 3 = 1 for D = 2E + 4F, so neither the
+        # threshold nor the strip fires; the euler bound takes fiber
+        # degree two, and fiber degree zero stays unknown
+        m = RuledModel(3, 2, 1)
+        sec = m.section_class()
+        low = decide(ruled_scenario(
+            m, m.fiber_class(), ((sec, Fraction(1, 2)),) * 2,
+        ))
+        assert (low.case_label, low.result, low.reason) == (
+            CASE_C, UNDECIDED,
+            "low fiber degree without fiber-tree data; no certificate"
+            " applies",
+        )
+        high = decide(ruled_scenario(
+            m, m.divisor(2, 4), ((sec, Fraction(3, 4)),) * 4,
+        ))
+        assert (high.case_label, high.result) == (CASE_C, GUARANTEED_M2)
+        assert high.certificate["rule"] == RULE_DOUBLING
+
     def test_negative_invariant_without_negative_boundary(self):
         s = kv_scenario(
             boundary=(
@@ -515,6 +541,14 @@ class TestChiProduct:
     def test_needs_negative_invariant(self):
         with pytest.raises(PreconditionError, match="e < 0"):
             _half_product(3, 4, 2, 3, -6).certify(0, 6)
+
+    @pytest.mark.parametrize("c", (0, 1, Fraction(3, 2)))
+    def test_coefficient_outside_the_unit_interval(self, c):
+        # both readers refuse such a coefficient first; a direct caller
+        # meets this refusal
+        with pytest.raises(PreconditionError) as refused:
+            ChiProduct(KV_MODEL, c, 3, -6).check(0, 6)
+        assert str(refused.value) == "boundary coefficient must sit in (0,1)"
 
     def test_refusals_keep_their_place_in_the_order(self):
         # G = E - 6F is no curve, but a divisor that is not nef is
@@ -674,6 +708,18 @@ class TestEulerBound:
         with pytest.raises(InconsistentScenario, match="D.K"):
             decide(s)
 
+    @pytest.mark.parametrize("divisor, kind, message", (
+        ((2, 0, 0), InconsistentScenario,
+         "the doubling bound -5 must be positive for nef data"),
+        # D^2 = -1, but nef(D) is undecided on a blown-up model
+        ((2, 2, 3), PreconditionError,
+         "negative self-intersection; the class is not nef"),
+    ))
+    def test_euler_bound_refusals(self, divisor, kind, message):
+        with pytest.raises(kind) as refused:
+            decide(self.heavy(self.model.divisor(*divisor)))
+        assert str(refused.value) == message
+
     def test_low_degree_without_trees_is_undecided(self):
         s = self.scenario(
             self.model.divisor(1, 3, -1),
@@ -815,3 +861,182 @@ class TestDecideDiscipline:
             )
         )
         assert decide(s1) == decide(s2)
+
+
+# -- a digest of decide over a grid that reaches every route -----------------
+
+HALF, THIRD, THREE_QUARTERS = Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)
+
+
+def _general_scenario(rng):
+    """Any catalogued case, with a boundary from a few shapes."""
+    p, g = rng.choice((0, 2, 3, 5)), rng.randint(0, 4)
+    e, k = rng.randint(-g - 1, 2), rng.choice((0, 0, 0, 1, 2))
+    points = tuple(
+        BlowupPoint((0,) if i == 1 and rng.random() < 0.5 else ())
+        for i in range(k)
+    )
+    if rng.random() < 0.75:
+        m = RuledModel(p, g, e, points)
+        kodaira, chi, q, minimal = RULED, m.chi_structure, g, m.is_pure
+    else:
+        chi = rng.randint(-1, 2)
+        m = RuledModel(p, g, e, points, chi)
+        kodaira, q = rng.choice((0, 1, 2)), rng.randint(0, 2)
+        minimal = rng.random() < 0.5
+    if rng.random() < 0.08:
+        d = m.zero_class()
+    else:
+        d = m.divisor(rng.randint(-1, 3), rng.randint(-3, 8),
+                      *(rng.randint(-1, 1) for _ in range(k)))
+    sec, fib = m.section_class(), m.fiber_class()
+    x = rng.choice((1, 2, 3, 5))
+    y = (x * e) // 2 - rng.randint(0, 3)  # xE + yF has negative square
+    boundary = rng.choice((
+        (),
+        ((sec, HALF),),
+        ((sec, HALF), (sec, HALF)),
+        ((sec, THREE_QUARTERS),) * 4,
+        ((m.divisor(x, y), rng.choice((HALF, THIRD, THREE_QUARTERS))),),
+        ((m.divisor(x, y), HALF), (m.divisor(x, y - 1), THIRD)),
+        ((sec + fib, THREE_QUARTERS), (fib, THIRD)),
+        ((m.divisor(4, 0), THREE_QUARTERS),),
+        ((m.divisor(3, rng.randint(-4, 2)), THREE_QUARTERS), (sec, HALF)),
+    ))
+    return Scenario(m, kodaira, chi, q, minimal, d, boundary,
+                    rng.choice((None, None, True, False)))
+
+
+def _product_scenario(rng):
+    """A relatively minimal irregular model whose boundary is one curve
+    class of negative square, or a class just below the curve window."""
+    g, p = rng.randint(2, 4), rng.choice((0, 2, 3, 5))
+    m = RuledModel(p, g, rng.randint(-g, -1))
+    x = max(p, 2)
+    y = (x * m.invariant_e) // 2 - rng.randint(0, g)
+    return ruled_scenario(
+        m, m.divisor(rng.randint(0, 1), rng.randint(-1, 8)),
+        ((m.divisor(x, y), rng.choice((HALF, THREE_QUARTERS))),),
+    )
+
+
+def _euler_scenario(rng):
+    """Fiber degree two under a boundary of fiber degree three: the
+    threshold declines and the euler bound decides."""
+    g, e, k = rng.randint(2, 3), rng.randint(-1, 1), rng.randint(0, 1)
+    m = RuledModel(rng.choice((2, 3)), g, e, (BlowupPoint(),) * k)
+    if k and rng.random() < 0.5:
+        # D = 2E + bF + cE_1 has D^2 = 4(b - e) - c^2, here 0 for an
+        # even c and -1 for an odd one
+        c = rng.randint(1, 6)
+        d = m.divisor(2, e + c * c // 4, c * rng.choice((1, -1)))
+    else:
+        d = m.divisor(2, rng.randint(-1, 6),
+                      *(rng.randint(-4, 4) for _ in range(k)))
+    return ruled_scenario(
+        m, d, ((m.section_class(), THREE_QUARTERS),) * 4,
+        kappa_minus_k_nonneg=rng.choice((None, None, True)),
+    )
+
+
+def _fiber_tree_scenario(rng):
+    g, d = rng.randint(0, 4), rng.randint(0, 2)
+    trees = []
+    for _ in range(rng.randint(1, 2)):
+        tree = smooth_fiber(d)
+        for _ in range(rng.randint(0, 4)):
+            if tree.edges and rng.random() < 0.5:
+                tree = blow_up_on_edge(tree, *rng.choice(tree.edges))
+            else:
+                i = rng.randrange(len(tree.components))
+                tree = blow_up_on_component(tree, i)
+        trees.append(tree)
+    fm = FiberedModel(g, rng.choice((0, 2, 3, 5)), tuple(trees))
+    return Scenario(fm, RULED, 1 - g, g, fm.is_relatively_minimal())
+
+
+def decide_grid(size=2500, trees=100, seed=20):
+    """``size`` lattice scenarios, then ``trees`` fiber-tree ones; a draw
+    that the scenario checks refuse is drawn again."""
+    rng = random.Random(seed)
+    grid = []
+    while len(grid) < size:
+        draw = rng.choice((_general_scenario, _general_scenario,
+                           _product_scenario, _euler_scenario))
+        try:
+            grid.append(draw(rng))
+        except (InvalidScenario, InconsistentScenario):
+            pass
+    return grid + [_fiber_tree_scenario(rng) for _ in range(trees)]
+
+
+def decide_outcome(s):
+    """The verdict, or the refusal decide raises."""
+    try:
+        return decide(s)
+    except Exception as ex:
+        return ex
+
+
+def outcome_text(outcome):
+    """The verdict's fields, or the refusal's type and message."""
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}"
+    return repr((outcome.case_label, outcome.result, outcome.certificate,
+                 outcome.reason))
+
+
+# the refusals decide can raise, each as a pattern of its message; the
+# others are unreachable (CHANGES.md gives the arguments)
+_REFUSALS = (
+    r"InconsistentScenario: a vanishing nef divisor with ample polarization",
+    r"InconsistentScenario: irregularity 0 with negative Kodaira dimension",
+    r"PreconditionError: the polarization fails ampleness: ",
+    r"PreconditionError: the divisor is not nef: ",
+    r"InconsistentScenario: chi = -?\d+ cannot be nonpositive",
+    r"InconsistentScenario: \(K-D\)\.H = \S+ must be negative",
+    r"InconsistentScenario: two distinct negative curve classes",
+    r"PreconditionError: \d+E \+ -?\d+F cannot be a curve",
+    r"UnsupportedRegime: e < 0 curve-class constraints",
+    r"PreconditionError: the polarization fails its ampleness inequalities",
+    r"InconsistentScenario: the doubling bound \S+ must be positive",
+    r"InconsistentScenario: the declared canonical hypothesis forces D.K",
+    r"PreconditionError: negative self-intersection; the class is not nef",
+    r"InvalidScenario: a genus-one fibration with negative chi\(O\)",
+    r"InvalidScenario: invariants fit no catalogued case",
+)
+
+_UNKNOWN_REASONS = (
+    "no intersection data for the euler-characteristic route",
+    "low fiber degree without fiber-tree data; no certificate applies",
+    "not relatively minimal with a big divisor: outside the certified"
+    " catalogue",
+    "no certificate catalogued for this case; larger multiples may be"
+    " needed",
+)
+
+
+class TestDecideDigest:
+    def test_grid_reaches_every_route_and_keeps_its_digest(self):
+        outcomes = [decide_outcome(s) for s in decide_grid()]
+        verdicts = [v for v in outcomes if isinstance(v, Verdict)]
+        assert {
+            v.certificate["rule"] for v in verdicts if v.result != UNDECIDED
+        } == {
+            value for name, value in vars(nonvanish).items()
+            if name.startswith("RULE_")
+        }
+        assert {v.reason for v in verdicts if v.result == UNDECIDED} == set(
+            _UNKNOWN_REASONS
+        )
+        # a refusal that fits no pattern stands for itself in the set
+        refusals = {
+            next((p for p in _REFUSALS if re.match(p, outcome_text(ex))),
+                 outcome_text(ex))
+            for ex in outcomes if not isinstance(ex, Verdict)
+        }
+        assert refusals == set(_REFUSALS)
+        text = "\n".join(outcome_text(o) for o in outcomes)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1cae28994716d21b43d3e9395c84823ffa7d2f8b7144f9a6bc17d822ff75e869"
+        )

@@ -164,6 +164,54 @@ def test_one_document_envelope():
     ] == []
 
 
+def test_decide_walks_one_table_of_hypotheses():
+    # every hypothesis a route row names is in the table and every entry
+    # of the table is named by a row; the rows hold route functions, so
+    # the names that decide calls through its module stay rebindable
+    import svlab.nonvanish as nonvanish
+
+    named = [name for _, names, _ in nonvanish.ROUTES for name in names]
+    assert set(named) == set(nonvanish.HYPOTHESES)
+    assert {route for _, _, route in nonvanish.ROUTES}.isdisjoint({
+        nonvanish.classify, nonvanish.certify_positivity,
+        nonvanish.riemann_roch_chi,
+    })
+
+
+def test_only_the_table_reads_the_positivity_certificates():
+    # the nef(D) and ample(H) certificates of the facts are read, and
+    # their refusals written, only inside HYPOTHESES: no route guards
+    # itself by hand
+    tree = ast.parse((SRC / "nonvanish.py").read_text(encoding="utf-8"))
+    (table,) = [
+        node.value for node in tree.body if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["HYPOTHESES"]
+    ]
+    inside = {id(node) for node in ast.walk(table)}
+    assert "_refuse_violated" not in {
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("nef", "ample"):
+            found.append(node)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and ("the divisor is not nef:" in node.value
+                     or "fails ampleness" in node.value):
+            found.append(node)
+    # the table itself is seen, so the check cannot pass on nothing
+    assert {getattr(node, "attr", "literal") for node in found} == {
+        "nef", "ample", "literal",
+    }
+    assert [node.lineno for node in found if id(node) not in inside] == []
+    # no other module writes these refusals
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "nonvanish.py":
+            text = path.read_text(encoding="utf-8")
+            assert "fails ampleness" not in text, path
+            assert "the divisor is not nef:" not in text, path
+
+
 # -- import footprint ---------------------------------------------------------
 
 _ENV = dict(
