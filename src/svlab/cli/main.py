@@ -253,16 +253,6 @@ def cmd_sweep(args) -> Report:
     return Report("sweep", tuple(lines))
 
 
-_COMMANDS = {
-    "classify": cmd_classify,
-    "klt": cmd_klt,
-    "tango": cmd_tango,
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-}
-
-
 def _add_io(parser) -> None:
     parser.add_argument("--in", dest="in_path", metavar="PATH",
                         help="request document to read")
@@ -273,12 +263,50 @@ def _add_io(parser) -> None:
 
 
 def _add_family(parser) -> None:
+    _add_io(parser)
     parser.add_argument("--family", choices=schema.FAMILY_KINDS)
     parser.add_argument("--p", type=int)
     parser.add_argument("--h", type=int)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_construct(parser) -> None:
+    _add_family(parser)
+    parser.add_argument("--kind", choices=("kv", "kollar", "semipos"))
+    parser.add_argument("--allow-asserted", action="store_true",
+                        dest="allow_asserted")
+    parser.add_argument("--emit", metavar="PATH",
+                        help="write the package as a request document")
+
+
+def _add_sweep(parser) -> None:
+    _add_io(parser)
+    # deleted once the benchmark stops sending --jobs 1 (ROADMAP item 1)
+    parser.add_argument("--jobs", type=int, choices=(1,), default=1,
+                        help="only 1 is accepted; the flag will be removed")
+
+
+# each subcommand: what runs it, its help line and what adds its
+# arguments
+_COMMANDS = {
+    "classify": (cmd_classify,
+                 "case label and decision for a scenario document", _add_io),
+    "klt": (cmd_klt, "resolve a cluster arrangement and decide klt",
+            _add_io),
+    "tango": (cmd_tango, "invariant certificate for a catalogued curve",
+              _add_family),
+    "construct": (cmd_construct, "build and verify a counterexample package",
+                  _add_construct),
+    "verify": (cmd_verify,
+               "re-run every check on an emitted package document", _add_io),
+    "sweep": (cmd_sweep, "euler-formula agreement over an integral box",
+              _add_sweep),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of all six subcommands.  With ``command`` given, only
+    that subcommand gets its arguments; the others keep their name and
+    help line, so usage, help and errors read the same."""
     parser = argparse.ArgumentParser(
         prog="svlab",
         description=(
@@ -287,50 +315,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_io(sub.add_parser(
-        "classify", help="case label and decision for a scenario document"
-    ))
-    _add_io(sub.add_parser(
-        "klt", help="resolve a cluster arrangement and decide klt"
-    ))
-
-    tango = sub.add_parser(
-        "tango", help="invariant certificate for a catalogued curve"
-    )
-    _add_io(tango)
-    _add_family(tango)
-
-    construct = sub.add_parser(
-        "construct", help="build and verify a counterexample package"
-    )
-    _add_io(construct)
-    _add_family(construct)
-    construct.add_argument("--kind", choices=("kv", "kollar", "semipos"))
-    construct.add_argument("--allow-asserted", action="store_true",
-                           dest="allow_asserted")
-    construct.add_argument("--emit", metavar="PATH",
-                           help="write the package as a request document")
-
-    _add_io(sub.add_parser(
-        "verify", help="re-run every check on an emitted package document"
-    ))
-
-    sweep = sub.add_parser(
-        "sweep", help="euler-formula agreement over an integral box"
-    )
-    _add_io(sweep)
-    # deleted once the benchmark stops sending --jobs 1 (ROADMAP item 1)
-    sweep.add_argument("--jobs", type=int, choices=(1,), default=1,
-                       help="only 1 is accepted; the flag will be removed")
-
+    for name, (_, help_line, add_arguments) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if command is None or command == name:
+            add_arguments(subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser has no option that takes a value, so the first
+    # token that is not an option names the subcommand argparse runs
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(named).parse_args(argv)
     try:
-        report = _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

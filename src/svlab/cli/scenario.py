@@ -1,0 +1,76 @@
+"""The classify document's reader: a scenario on a ruled model.
+
+Only classify requests load this module, so it imports the decision
+engine and the lattice at its top.  ``svlab.cli.schema`` binds
+``scenario_from_document`` lazily, and the command line calls it there.
+"""
+
+from __future__ import annotations
+
+from ..lattice import BlowupPoint, RuledModel
+from ..nonvanish import RULED, Scenario
+from .schema import (
+    _PURE_MODEL,
+    SchemaError,
+    _bool,
+    _boundary_entry,
+    _boundary_on,
+    _class_on,
+    _coeffs,
+    _int,
+    _list_of,
+    _nullable,
+    _object,
+    _top,
+)
+
+
+def _kodaira(value, where):
+    if value == "-inf":
+        return RULED
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f'{where}: expected "-inf" or an integer')
+    return value
+
+
+def _model_fields(value, where):
+    return _object(value, where, _PURE_MODEL, _MODEL_OPTIONAL)
+
+
+def _build_model(fields) -> RuledModel:
+    return RuledModel(
+        fields["p"], fields["genus"], fields["e"],
+        tuple(BlowupPoint(tuple(prox)) for prox in fields["exceptionals"]),
+        fields["chi"],
+    )
+
+
+def scenario_from_document(data: dict) -> Scenario:
+    top = _top(data, "classify", {"scenario": lambda v, w: v})
+    fields = _object(top["scenario"], "scenario", _SCENARIO,
+                     _SCENARIO_OPTIONAL)
+    model = fields["model"] = _build_model(fields["model"])
+    fields["divisor"] = _class_on(model, fields["divisor"],
+                                  "scenario.divisor")
+    fields["boundary"] = _boundary_on(model, fields["boundary"],
+                                      "scenario.boundary")
+    return Scenario(**fields)
+
+
+# the scenario reader's key tables
+_SCENARIO = {
+    "model": _model_fields,
+    "kodaira": _kodaira,
+    "chi_o": _int,
+    "q": _int,
+    "relatively_minimal": _bool,
+    "divisor": _coeffs,
+}
+_SCENARIO_OPTIONAL = {
+    "boundary": (_list_of(_boundary_entry), []),
+    "kappa_minus_k_nonneg": (_nullable(_bool), None),
+}
+_MODEL_OPTIONAL = {
+    "chi": (_nullable(_int), None),
+    "exceptionals": (_list_of(_list_of(_int)), []),
+}

@@ -12,10 +12,16 @@ which settles what does not depend on D.  Built per entry: H, as one
 class from the integer numerators of D and K + cC', and for a certified
 H the class of D for the oracle, but no certificate.  Entries run one
 after another in box order, in the calling process.
+
+The sweep document's reader, ``sweep_from_document``, is here too;
+``svlab.cli.schema`` binds it lazily, and the command line calls it
+there.  The sweep imports the product certifier, ``svlab.chiproduct``,
+and not the decision engine.
 """
 
 from fractions import Fraction
 
+from ..chiproduct import ChiProduct, InconsistentScenario, PreconditionError
 from ..lattice import (
     CERTIFIED,
     DivisorClass,
@@ -23,8 +29,17 @@ from ..lattice import (
     certify_positivity,
     disjoint_multisection,
 )
-from ..nonvanish import ChiProduct, InconsistentScenario, PreconditionError
 from ..record import record
+from .schema import (
+    MAX_SWEEP_ENTRIES,
+    SchemaError,
+    _int,
+    _list_of,
+    _object,
+    _pure_model,
+    _top,
+    parse_rational,
+)
 
 CERTIFIED_ENTRY = "certified"
 SKIPPED_ENTRY = "skipped"
@@ -48,6 +63,48 @@ class SweepEntry:
     status: str
     chi: int | None  # chi of an integral D, an integer (the oracle checks)
     reason: str
+
+
+def _range(value, where):
+    pair = _list_of(_int)(value, where)
+    if len(pair) != 2:
+        raise SchemaError(f"{where}: expected [low, high]")
+    return (pair[0], pair[1])
+
+
+def _box(value, where):
+    return _object(value, where, _BOX)
+
+
+# the sweep reader's key tables
+_SWEEP = {
+    "model": _pure_model,
+    "box": _box,
+    "boundary_coefficient": parse_rational,
+}
+_BOX = {"a": _range, "b": _range}
+
+
+def sweep_from_document(data: dict) -> SweepRequest:
+    top = _top(data, "sweep", _SWEEP)
+    model = top["model"]
+    if model["e"] >= 0:
+        raise SchemaError("model.e: the sweep runs on e < 0 models")
+    coeff = top["boundary_coefficient"]
+    if not 0 < coeff < 1:
+        raise SchemaError(
+            "boundary_coefficient: expected a value strictly between 0 and 1"
+        )
+    (a0, a1), (b0, b1) = box = top["box"]["a"], top["box"]["b"]
+    entries = max(0, a1 - a0 + 1) * max(0, b1 - b0 + 1)
+    if entries > MAX_SWEEP_ENTRIES:
+        raise SchemaError(
+            f"box: expected at most {MAX_SWEEP_ENTRIES} entries, got {entries}"
+        )
+    if model["p"] == 0:
+        # C' = pE - pnF, the boundary the sweep checks with, needs p > 0
+        raise SchemaError("model.p: the sweep runs in positive characteristic")
+    return SweepRequest(model["p"], model["genus"], model["e"], *box, coeff)
 
 
 def sweep_entry(

@@ -1,31 +1,31 @@
 """Module attributes that import their defining module on first access.
 
 Only ``svlab.cli.main`` and ``svlab.cli.schema`` use it.  They bind the
-layer entry points they call through a PEP 562 module ``__getattr__``,
-so a command loads only its own layer, and read them through the module,
-so a tracer or test that rebinds one (``svlab.cli.main.decide``, say)
-sees every call.  An import statement in a per-item klt converter would
-run once per item.
+layer entry points and document readers they call through a PEP 562
+module ``__getattr__``, so a command loads only its own layer and its
+own reader, and read them through the module, so a tracer or test that
+rebinds one (``svlab.cli.main.decide``, say) sees every call.
 """
-
-import importlib
 
 
 def lazy_getattr(namespace: dict, sources: dict):
     """A module ``__getattr__`` for ``namespace``, the module's
     ``globals()``.  ``sources`` maps each lazy name to the module that
     defines it, absolute or relative to the module's package.  The first
-    access imports that module and binds the object in ``namespace``, so
-    later lookups, and a rebinding of the name from outside, find it
-    there."""
+    access imports that module as ``from <source> import <name>`` would,
+    so ``-X importtime`` reports it, and binds the object in
+    ``namespace``, so later lookups, and a rebinding of the name from
+    outside, find it there."""
     def __getattr__(name):
         source = sources.get(name)
         if source is None:
             raise AttributeError(
                 f"module {namespace['__name__']!r} has no attribute {name!r}"
             )
+        module = source.lstrip(".")
+        level = len(source) - len(module)
         value = getattr(
-            importlib.import_module(source, namespace["__package__"]), name
+            __import__(module, namespace, None, (name,), level), name
         )
         namespace[name] = value
         return value

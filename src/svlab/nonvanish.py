@@ -14,6 +14,11 @@ cases it serves, the hypotheses it rests on and the route that computes
 the verdict.  ``HYPOTHESES`` says how each named hypothesis is tested
 and whether its violation refuses the scenario or declines the route.
 CR and the D cases have no row and stay unknown.
+
+The chi product route of case C_M is ``svlab.chiproduct.ChiProduct``,
+which the sweep runs without this module; the verdict record, the
+scenario exceptions it raises and the constants of its certificate are
+defined there and imported here.
 """
 
 from __future__ import annotations
@@ -22,14 +27,21 @@ from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING
 
+from .chiproduct import (
+    CASE_C_M,
+    GUARANTEED_M1,
+    ChiProduct,
+    InconsistentScenario,
+    PreconditionError,
+    ScenarioError,
+    Verdict,
+)
 from .lattice import (
     VIOLATED,
     DivisorClass,
-    LatticeError,
     PositivityVerdict,
     RuledModel,
     boundary_sum,
-    candidate_curve_constraints,
     certify_positivity,
     riemann_roch_chi,
 )
@@ -47,46 +59,24 @@ CASE_A = "A"
 CASE_B_I = "B_I"
 CASE_B_II = "B_II"
 CASE_C = "C"
-CASE_C_M = "C_M"
+# CASE_C_M and GUARANTEED_M1 come from svlab.chiproduct
 CASE_CR = "CR"
 CASE_D_I = "D_I"
 CASE_D_II = "D_II"
 
-GUARANTEED_M1 = "m=1"
 GUARANTEED_M2 = "m<=2"
 UNDECIDED = "unknown"
 
 RULE_STRUCTURE_CHI = "nonvanish.structure-sheaf-euler"
 RULE_EULER_POSITIVE = "nonvanish.euler-characteristic"
 RULE_FIBER_THRESHOLD = "nonvanish.fiber-degree-threshold"
-RULE_CHI_PRODUCT = "nonvanish.chi-product"
 RULE_DOUBLING = "nonvanish.euler-doubling-bound"
 RULE_CANONICAL_SIGN = "nonvanish.nonpositive-canonical-degree"
 RULE_NU_ONE = "nonvanish.numerical-dimension-one"
 
 
-class ScenarioError(ValueError):
-    pass
-
-
 class InvalidScenario(ScenarioError):
     """The declared invariants fit no catalogued case."""
-
-
-class InconsistentScenario(ScenarioError):
-    """The declared invariants contradict each other numerically."""
-
-
-class PreconditionError(ScenarioError):
-    """An operation was invoked outside its certified domain."""
-
-
-@record
-class Verdict:
-    case_label: str
-    result: str
-    certificate: dict = {}
-    reason: str = ""
 
 
 @record
@@ -436,135 +426,6 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
         )
     (g_cls, c) = s.negative_boundary[0]
     return ChiProduct(model, c, g_cls.a, g_cls.b).certify(*s.divisor.nums)
-
-
-@record
-class ChiProduct:
-    """chi(D) = (a+1)(b - ae/2 + 1 - g) > 0 for D = aE + bF on a
-    relatively minimal model of negative invariant whose boundary is a
-    single multiple cG of the negative curve G = xE + yF.
-
-    ``model`` is the caller's pure model; g and e are read from it.
-    What does not depend on D is settled once, at construction: the
-    preconditions on e, g and c (``refusal``), whether G can be a curve
-    (``curve_refusal``; a refusal is an exception type with its
-    arguments, or None), and the constants of the inequalities, cleared
-    to integers over the common denominator ``scale``; the refusals make
-    the slack chain's link (2-c)(g-1) > g-1 hold.  ``check(a, b)`` and
-    ``certify(a, b)`` take the integers a, b of an integral D.  ``check``
-    runs the checks that depend on D, raising the refusals at their
-    place in the order of checks, and returns chi(D), which is all a
-    sweep entry reads.  ``certify`` runs the same checks and builds the
-    certificate that ``decide`` reports.  Nothing mutates the record, so
-    one instance serves a whole sweep.
-    """
-
-    model: RuledModel
-    c: Rational
-    x: Rational
-    y: Rational
-
-    def __post_init__(self) -> None:
-        model = self.model
-        g, e = model.genus, model.invariant_e
-        c, x, y = Fraction(self.c), Fraction(self.x), Fraction(self.y)
-        refusal = curve_refusal = None
-        if e >= 0:
-            refusal = (PreconditionError,
-                       ("the product certificate needs e < 0",))
-        elif g < 2:
-            refusal = (PreconditionError, ("needs base genus at least 2",))
-        elif not 0 < c < 1:
-            refusal = (PreconditionError,
-                       ("boundary coefficient must sit in (0,1)",))
-        else:
-            try:
-                fits = candidate_curve_constraints(
-                    model, model.divisor(x, y)
-                )
-            except LatticeError as ex:
-                curve_refusal = (type(ex), ex.args)
-            else:
-                if not fits:
-                    curve_refusal = (PreconditionError, (
-                        f"{x}E + {y}F cannot be a curve on this model",
-                    ))
-        # D - K - cG = (a + 2 - cx)E + (b + kf)F with kf = 2 - 2g + e - cy;
-        # cx, kf and 2(2 - c)(g - 1) are kept times ``scale``
-        cn, cd = c.numerator, c.denominator
-        xd, yd = x.denominator, y.denominator
-        scale = cd * xd * yd
-        mid = Fraction((2 * cd - cn) * (g - 1), cd)
-        for name, value in (
-            ("c", c), ("x", x), ("y", y),
-            ("refusal", refusal), ("curve_refusal", curve_refusal),
-            ("scale", scale), ("cx", cn * x.numerator * yd),
-            ("kf", (2 - 2 * g + e) * scale - cn * y.numerator * xd),
-            ("mid", mid), ("mid2", 2 * (2 * cd - cn) * (g - 1) * xd * yd),
-        ):
-            object.__setattr__(self, name, value)
-
-    def check(self, a: int, b: int) -> tuple:
-        """The checks that depend on D = aE + bF, in order: nef, the two
-        ampleness inequalities of D - K - cG, the slack chain
-        b - ae/2 > (2-c)(g-1) > g-1, a positive product, and agreement
-        with the generic Riemann-Roch oracle.  Returns chi(D) as the
-        oracle gives it, then, for the certificate, the two ampleness
-        values times ``scale`` and twice b - ae/2."""
-        if self.refusal is not None:
-            kind, args = self.refusal
-            raise kind(*args)
-        model, scale = self.model, self.scale
-        g, e = model.genus, model.invariant_e
-        if a < 0 or 2 * b < a * e:
-            raise PreconditionError("the divisor is not nef")
-        if self.curve_refusal is not None:
-            kind, args = self.curve_refusal
-            raise kind(*args)
-        # both sides scaled by ``scale``
-        ample_e = (a + 2) * scale - self.cx
-        ample_f = b * scale + self.kf
-        if not (ample_e > 0 and 2 * ample_f > ample_e * e):
-            raise PreconditionError(
-                "the polarization fails its ampleness inequalities"
-            )
-        slope = 2 * b - a * e  # twice b - ae/2
-        if slope * scale <= self.mid2:
-            raise PreconditionError(
-                f"slack chain fails: {Fraction(slope, 2)} > {self.mid}"
-                f" > {g - 1} does not hold"
-            )
-        chi = (a + 1) * (slope + 2 - 2 * g)  # twice the product
-        if chi <= 0:
-            raise InconsistentScenario("the product must be positive here")
-        oracle = riemann_roch_chi(model, DivisorClass(model, (a, b)))
-        if chi * oracle.denominator != 2 * oracle.numerator:
-            raise InconsistentScenario(
-                f"product gives {Fraction(chi, 2)}, riemann-roch gives"
-                f" {oracle}"
-            )
-        return oracle, ample_e, ample_f, slope
-
-    def certify(self, a: int, b: int) -> Verdict:
-        """``check(a, b)``, with what it compared as the certificate."""
-        chi, ample_e, ample_f, slope = self.check(a, b)
-        scale, g = self.scale, self.model.genus
-        return Verdict(
-            CASE_C_M,
-            GUARANTEED_M1,
-            {
-                "rule": RULE_CHI_PRODUCT,
-                "chi": chi,
-                "ample_inequalities": (
-                    Fraction(ample_e, scale), Fraction(ample_f, scale),
-                ),
-                "slack_chain": (
-                    Fraction(slope, 2), self.mid, Fraction(g - 1),
-                ),
-                "negative_component": (self.x, self.y),
-                "coefficient": self.c,
-            },
-        )
 
 
 def doubling_bound(

@@ -1,21 +1,26 @@
-"""Frozen record classes, compiled from one source string per class.
+"""Frozen record classes: one compiled ``__init__`` per class.
 
 Every svlab process is short, and the standard library's generator of
 frozen classes costs one in two ways: importing it loads ``inspect`` and
 the modules behind it, and each class it builds compiles six separate
-functions.  ``record`` builds the same class with one ``exec``.
+functions.  ``record`` compiles only the class's ``__init__``, from one
+source string; equality, hashing and the repr are shared functions that
+read the class's field tuple.
 
-A record's fields are its annotations, in order; a class attribute of
-the same name is the field's default.  A ``dict``, ``list`` or ``set``
-default is copied for each instance, so no two instances share it.
-``__init__`` assigns the fields and then calls ``__post_init__`` when
-the class defines one.  Equality compares the field tuples of two
-instances of the same class, the hash is that of the field tuple, the
-repr is ``Name(field=value, ...)``, and assigning or deleting an
-attribute raises ``AttributeError``.  A method the class defines itself
-is kept.  Instances pickle and copy through their ``__dict__``, so
+A record's fields are its annotations, in order, and it has at least
+one; a class attribute of the same name is the field's default.  A
+``dict``, ``list`` or ``set`` default is copied for each instance, so
+no two instances share it.  ``__init__`` assigns the fields and then
+calls ``__post_init__`` when the class defines one.  Equality compares
+the field tuples of two instances of the same class, the hash is that
+of the field tuple (a 1-tuple for a one-field record), the repr is
+``Name(field=value, ...)``, and assigning or deleting an attribute
+raises ``AttributeError``.  A method the class defines itself is kept.
+Instances pickle and copy through their ``__dict__``, so
 ``functools.cached_property`` works on them.
 """
+
+from operator import attrgetter
 
 _MUTABLE = (dict, list, set)
 
@@ -26,6 +31,30 @@ def _frozen_setattr(self, name, value):
 
 def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        values = self.__class__._record_values
+        return values(self) == values(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(self.__class__._record_values(self))
+
+
+def _repr(self):
+    cls = self.__class__
+    shown = ", ".join(
+        f"{name}={value!r}"
+        for name, value in zip(cls._record_names, cls._record_values(self))
+    )
+    return f"{cls.__qualname__}({shown})"
+
+
+_SHARED = {"__eq__": _eq, "__hash__": _hash, "__repr__": _repr,
+           "__setattr__": _frozen_setattr, "__delattr__": _frozen_delattr}
 
 
 def record(cls):
@@ -47,26 +76,15 @@ def record(cls):
         body.append(f"  _set(self, {name!r}, {name})")
     if "__post_init__" in cls.__dict__:
         body.append("  self.__post_init__()")
-    own = "".join(f"self.{name}," for name in names)
-    other = "".join(f"other.{name}," for name in names)
-    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    source = "\n".join([
-        f"def __init__(self, {', '.join(params)}):",
-        *body,
-        "def __eq__(self, other):",
-        "  if other.__class__ is self.__class__:",
-        f"    return ({own}) == ({other})",
-        "  return NotImplemented",
-        "def __hash__(self):",
-        f"  return hash(({own}))",
-        "def __repr__(self):",
-        f"  return f'{{self.__class__.__qualname__}}({shown})'",
-    ])
-    exec(source, namespace)
-    namespace["__setattr__"] = _frozen_setattr
-    namespace["__delattr__"] = _frozen_delattr
-    for method in ("__init__", "__eq__", "__hash__", "__repr__",
-                   "__setattr__", "__delattr__"):
+    exec("\n".join([f"def __init__(self, {', '.join(params)}):", *body]),
+         namespace)
+    # the field tuple of an instance; attrgetter gives a bare value for
+    # one name, which a one-field record wraps
+    get = attrgetter(*names)
+    cls._record_names = names
+    cls._record_values = get if len(names) > 1 else lambda self: (get(self),)
+    for method, function in (("__init__", namespace["__init__"]),
+                             *_SHARED.items()):
         if method not in cls.__dict__:
-            setattr(cls, method, namespace[method])
+            setattr(cls, method, function)
     return cls

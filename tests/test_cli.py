@@ -24,21 +24,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svlab.charpcurve.families import certify_tango, genus
+from svlab.chiproduct import (
+    ChiProduct,
+    InconsistentScenario,
+    PreconditionError,
+)
 from svlab.cli import schema
 from svlab.cli.main import build_parser, main
+from svlab.cli.package import _CERTIFICATE_KEYS, _PACKAGE_KEYS
 from svlab.cli.report import PASS, Report, check, render_machine
-from svlab.cli.sweep import SweepRequest, run_sweep
+from svlab.cli.scenario import _MODEL_OPTIONAL, _SCENARIO, _SCENARIO_OPTIONAL
+from svlab.cli.sweep import _BOX, _SWEEP, SweepRequest, run_sweep
 from svlab.construct import KINDS, build_package
 from svlab.lattice import (
     CERTIFIED,
     RuledModel,
     certify_positivity,
     riemann_roch_chi,
-)
-from svlab.nonvanish import (
-    ChiProduct,
-    InconsistentScenario,
-    PreconditionError,
 )
 
 _TOKEN = re.compile(r'([\w-]+)=("(?:[^"\\]|\\.)*"|\S+)')
@@ -431,21 +433,30 @@ def classify_document(rng):
                         _fixed("1", "0", "-1/2", "3/2")),
         "kappa_minus_k_nonneg": (_fixed(None, True, False), _fixed(1)),
         "model": ((lambda rng: _drawn(
-            rng, schema._PURE_MODEL, schema._MODEL_OPTIONAL, values,
+            rng, schema._PURE_MODEL, _MODEL_OPTIONAL, values,
         ),), _fixed([])),
         "boundary": ((lambda rng: [
             _drawn(rng, schema._BOUNDARY_ENTRY, {}, values)
             for _ in range(rng.randint(0, 2))
         ],), _fixed({})),
     }
-    scenario = _drawn(rng, schema._SCENARIO, schema._SCENARIO_OPTIONAL,
-                      values)
-    objects = [(scenario, schema._SCENARIO, schema._SCENARIO_OPTIONAL)]
+    scenario = _drawn(rng, _SCENARIO, _SCENARIO_OPTIONAL, values)
+    objects = [(scenario, _SCENARIO, _SCENARIO_OPTIONAL)]
     if isinstance(scenario["model"], dict):
-        objects.append((scenario["model"], schema._PURE_MODEL,
-                        schema._MODEL_OPTIONAL))
+        objects.append(
+            (scenario["model"], schema._PURE_MODEL, _MODEL_OPTIONAL)
+        )
     objects += [(entry, schema._BOUNDARY_ENTRY, {})
                 for entry in scenario.get("boundary", ())]
+    _one_fault_or_none(rng, objects, values)
+    return {"format": "svlab/1", "request": "classify",
+            "scenario": scenario}
+
+
+def _one_fault_or_none(rng, objects, values):
+    """Half the time, one fault in one of ``objects``, each an (object,
+    required keys, optional keys) triple: a key left out, a junk or odd
+    value, or a key that no table lists."""
     if rng.random() < 0.5:
         obj, required, optional = rng.choice(objects)
         key = rng.choice((*required, *optional))
@@ -458,8 +469,57 @@ def classify_document(rng):
             obj[key] = rng.choice(values[key][1])(rng)
         else:
             obj["surprise"] = 1
-    return {"format": "svlab/1", "request": "classify",
-            "scenario": scenario}
+
+
+def _span(lowest, highest, longest):
+    """A pool of [low, high] ranges of at most ``longest`` integers,
+    empty ones included, with low drawn from [lowest, highest]."""
+    def draw(rng):
+        low = rng.randint(lowest, highest)
+        return [low, low + rng.randint(-1, longest - 1)]
+    return (draw,)
+
+
+def sweep_document(rng):
+    """A sweep document drawn from the sweep reader's key tables, as
+    ``classify_document`` draws a classify document.  A consistent
+    document's box has at most 4 x 9 entries."""
+    values = {
+        "p": (_fixed(2, 3, 5), _fixed(0, 4, 2 ** 16, -1)),
+        "genus": (_fixed(rng.randint(0, 5)), _fixed(-1)),
+        "e": (_fixed(-1, -1, -2), _fixed(0, 1, "-1")),
+        "a": (_span(-1, 4, 4),
+              _fixed([0], [0, 1, 2], ["0", "1"], [0, 10 ** 6])),
+        "b": (_span(-2, 14, 9), _fixed([True, 2], [0, 1.5], [-(10 ** 6), 0])),
+        "boundary_coefficient": (_fixed("1/2", "1/3", "3/4", "2/5"),
+                                 _fixed("1", "0", "-1/2", "3/2", "0.5")),
+        "model": ((lambda rng: _drawn(rng, schema._PURE_MODEL, {}, values),),
+                  _fixed([], "x")),
+        "box": ((lambda rng: _drawn(rng, _BOX, {}, values),),
+                _fixed([[0, 1], [0, 1]])),
+    }
+    doc = {"format": "svlab/1", "request": "sweep",
+           **_drawn(rng, _SWEEP, {}, values)}
+    objects = [(doc, _SWEEP, {})]
+    objects += [(doc[key], table, {}) for key, table in (
+        ("model", schema._PURE_MODEL), ("box", _BOX),
+    ) if isinstance(doc[key], dict)]
+    _one_fault_or_none(rng, objects, values)
+    return doc
+
+
+def _exit_code_contract(command, path):
+    """Exit 0 or 1 with a report, or exit 2 with one error line and
+    nothing on stdout; no exception escapes main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--in", path])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
+    else:
+        assert err.getvalue() == ""
 
 
 class TestClassifyFuzz:
@@ -467,19 +527,19 @@ class TestClassifyFuzz:
               deadline=None)
     @given(st.randoms(use_true_random=True))
     def test_exit_code_contract(self, tmp_path_factory, rng):
-        # exit 0 or 1 with a report, or exit 2 with one error line and
-        # nothing on stdout; no exception escapes main
         path = write_doc(tmp_path_factory.getbasetemp(), "fuzz.json",
                          classify_document(rng))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["classify", "--in", path])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert out.getvalue() == ""
-            assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
-        else:
-            assert err.getvalue() == ""
+        _exit_code_contract("classify", path)
+
+
+class TestSweepFuzz:
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None)
+    @given(st.randoms(use_true_random=True))
+    def test_exit_code_contract(self, tmp_path_factory, rng):
+        path = write_doc(tmp_path_factory.getbasetemp(), "sweep-fuzz.json",
+                         sweep_document(rng))
+        _exit_code_contract("sweep", path)
 
 
 class TestExceptionalPoints:
@@ -1127,10 +1187,10 @@ class TestRoundTrip:
         from svlab.charpcurve.families import TangoCertificate
         from svlab.construct import CounterexamplePackage
 
-        assert list(schema._PACKAGE_KEYS) == list(
+        assert list(_PACKAGE_KEYS) == list(
             CounterexamplePackage.__annotations__
         )
-        assert list(schema._CERTIFICATE_KEYS) == list(
+        assert list(_CERTIFICATE_KEYS) == list(
             TangoCertificate.__annotations__
         )
 
@@ -1182,7 +1242,7 @@ class TestSweep:
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setattr(
-            "svlab.nonvanish.riemann_roch_chi",
+            "svlab.chiproduct.riemann_roch_chi",
             lambda model, d: riemann_roch_chi(model, d) + 1,
         )
         code, out, _ = run(
@@ -1358,7 +1418,7 @@ class TestPerItemWork:
             self._counted(monkeypatch, target) for target in (
                 "svlab.cli.sweep.sweep_entry",
                 "svlab.cli.sweep.certify_positivity",
-                "svlab.nonvanish.riemann_roch_chi",
+                "svlab.chiproduct.riemann_roch_chi",
             )
         )
         doc = json.loads(json.dumps(SWEEP_DOC))
@@ -1529,6 +1589,50 @@ class TestParserLiterals:
         assert doc["kind"] == kind
         again = schema.family_from_fields(kind, doc["p"], doc.get("h"))
         assert again == family
+
+
+_USAGE = "usage: svlab [-h] {classify,klt,tango,construct,verify,sweep} ...\n"
+
+
+class TestNamedSubcommandParser:
+    """``main`` adds arguments only to the subcommand its argv names;
+    what argparse prints stays that of the parser with all six."""
+
+    @pytest.mark.parametrize("argv,stderr", [
+        (["nosuch"], _USAGE + (
+            "svlab: error: argument command: invalid choice: 'nosuch'"
+            " (choose from 'classify', 'klt', 'tango', 'construct',"
+            " 'verify', 'sweep')\n"
+        )),
+        (["classify", "--bogus"],
+         _USAGE + "svlab: error: unrecognized arguments: --bogus\n"),
+    ])
+    def test_refusals_print_the_full_parsers_text(
+        self, capsys, monkeypatch, argv, stderr,
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        assert ex.value.code == 2
+        assert capsys.readouterr() == ("", stderr)
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-1", "classify"], ["--format", "machine", "klt"],
+        *([name, "--help"] for name in (
+            "classify", "klt", "tango", "construct", "verify", "sweep",
+        )),
+        ["tango", "--p"], ["sweep", "--jobs", "2"],
+    ])
+    def test_output_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as named:
+            main(argv)
+        assert (named.value.code, capsys.readouterr()) == (
+            full.value.code, expected,
+        )
 
 
 def _readme_examples():

@@ -16,6 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from svlab.chiproduct import (
+    ChiProduct,
+    InconsistentScenario,
+    PreconditionError,
+)
 from svlab.cli.schema import _RATIONAL, SchemaError, parse_rational
 from svlab.cli.sweep import (
     CERTIFIED_ENTRY,
@@ -44,11 +49,6 @@ from svlab.lattice import (
     RuledModel,
     certify_positivity,
     disjoint_multisection,
-)
-from svlab.nonvanish import (
-    ChiProduct,
-    InconsistentScenario,
-    PreconditionError,
 )
 
 SETTINGS = settings(

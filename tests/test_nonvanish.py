@@ -16,7 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svlab.chiproduct as chiproduct
 import svlab.nonvanish as nonvanish
+from svlab.chiproduct import (
+    CASE_C_M,
+    GUARANTEED_M1,
+    RULE_CHI_PRODUCT,
+    ChiProduct,
+    InconsistentScenario,
+    PreconditionError,
+    Verdict,
+)
 from svlab.fibered import (
     FiberedModel,
     blow_up_on_component,
@@ -36,14 +46,11 @@ from svlab.nonvanish import (
     CASE_B_I,
     CASE_B_II,
     CASE_C,
-    CASE_C_M,
     CASE_CR,
     CASE_D_I,
     CASE_D_II,
-    GUARANTEED_M1,
     GUARANTEED_M2,
     RULE_CANONICAL_SIGN,
-    RULE_CHI_PRODUCT,
     RULE_DOUBLING,
     RULE_EULER_POSITIVE,
     RULE_FIBER_THRESHOLD,
@@ -51,12 +58,8 @@ from svlab.nonvanish import (
     RULE_STRUCTURE_CHI,
     RULED,
     UNDECIDED,
-    ChiProduct,
-    InconsistentScenario,
     InvalidScenario,
-    PreconditionError,
     Scenario,
-    Verdict,
     classify,
     decide,
     doubling_bound,
@@ -1023,8 +1026,8 @@ class TestDecideDigest:
         assert {
             v.certificate["rule"] for v in verdicts if v.result != UNDECIDED
         } == {
-            value for name, value in vars(nonvanish).items()
-            if name.startswith("RULE_")
+            value for module in (nonvanish, chiproduct)
+            for name, value in vars(module).items() if name.startswith("RULE_")
         }
         assert {v.reason for v in verdicts if v.result == UNDECIDED} == set(
             _UNKNOWN_REASONS

@@ -7,8 +7,9 @@ import pytest
 
 from svlab.charpcurve.families import ArtinSchreier, Hyperelliptic
 from svlab.charpcurve.series import LaurentSeries
-from svlab.lattice import RuledModel
-from svlab.nonvanish import ChiProduct, InvalidScenario, Scenario, Verdict
+from svlab.chiproduct import ChiProduct, Verdict
+from svlab.lattice import BlowupPoint, RuledModel
+from svlab.nonvanish import InvalidScenario, Scenario
 from svlab.record import record
 
 
@@ -107,3 +108,17 @@ def test_declared_defaults_and_field_order():
     assert Point(1).tags is not Point(1).tags
     with pytest.raises(TypeError):
         Point()
+
+
+def test_hash_and_equality_read_the_field_tuple():
+    # a one-field record hashes a 1-tuple, not its bare field
+    assert hash(BlowupPoint((0,))) == hash(((0,),))
+    assert hash(RuledModel(3, 4, -2)) == hash((3, 4, -2, (), -3))
+    assert repr(BlowupPoint((0,))) == "BlowupPoint(proximate_to=(0,))"
+    assert BlowupPoint((0,)) == BlowupPoint((0,)) != BlowupPoint((1,))
+
+
+def test_only_init_is_compiled_per_class():
+    for method in ("__eq__", "__hash__", "__repr__"):
+        assert getattr(Point, method) is getattr(Verdict, method)
+    assert Point.__init__ is not Verdict.__init__

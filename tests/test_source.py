@@ -119,8 +119,10 @@ def test_every_public_name_has_a_production_caller():
 def test_per_item_converters_import_nothing():
     # a converter handed to _list_of runs once per array item, and an
     # import statement costs about a microsecond even when the module is
-    # loaded: such a converter reads the names its layer binds lazily
-    tree = ast.parse((SRC / "cli" / "schema.py").read_text(encoding="utf-8"))
+    # loaded: the klt reader imports its layer's names at its top
+    tree = ast.parse(
+        (SRC / "cli" / "arrangement.py").read_text(encoding="utf-8")
+    )
     functions = {
         node.name: node for node in tree.body
         if isinstance(node, ast.FunctionDef)
@@ -236,13 +238,20 @@ def _imported(*argv):
     }
 
 
+# the document readers that are modules of their own
+_READERS = {
+    "svlab.cli.scenario", "svlab.cli.arrangement", "svlab.cli.sweep",
+    "svlab.cli.package",
+}
+
+
 def test_cli_import_loads_no_layer_but_the_lattice():
     loaded = _imported("-c", "import svlab.cli.main")
     assert "svlab.cli.main" in loaded
     unwanted = {
         "svlab.charpcurve", "svlab.construct", "svlab.fibered",
-        "svlab.kltcalc", "svlab.nonvanish", "svlab.cli.sweep",
-        "concurrent.futures", "dataclasses", "inspect",
+        "svlab.kltcalc", "svlab.nonvanish", "svlab.chiproduct",
+        "concurrent.futures", "dataclasses", "inspect", *_READERS,
     }
     assert loaded & unwanted == set()
 
@@ -310,10 +319,13 @@ _BINDINGS = (
     ("svlab.cli.main", "is_klt", "svlab.kltcalc"),
     ("svlab.cli.main", "decide", "svlab.nonvanish"),
     ("svlab.cli.schema", "certify_tango", "svlab.charpcurve.families"),
-    ("svlab.cli.schema", "ORIGINAL", "svlab.kltcalc"),
-    ("svlab.cli.schema", "EXCEPTIONAL", "svlab.kltcalc"),
-    ("svlab.cli.schema", "WeightedBranch", "svlab.kltcalc"),
-    ("svlab.cli.schema", "ClusterNode", "svlab.kltcalc"),
+    ("svlab.cli.schema", "scenario_from_document", "svlab.cli.scenario"),
+    ("svlab.cli.schema", "arrangement_from_document",
+     "svlab.cli.arrangement"),
+    ("svlab.cli.schema", "sweep_from_document", "svlab.cli.sweep"),
+    ("svlab.cli.schema", "package_to_document", "svlab.cli.package"),
+    ("svlab.cli.schema", "package_from_document", "svlab.cli.package"),
+    ("svlab.cli.schema", "dumps_canonical", "svlab.cli.package"),
 )
 
 
@@ -367,6 +379,26 @@ def _argv(command, tmp_path):
         return ["construct", "--kind", "kv", "--family", "hyperelliptic",
                 "--p", "3", "--h", "3"]
     return ["verify", "--in", str(emitted)]
+
+
+@pytest.mark.parametrize("command,reader", (
+    ("classify", "svlab.cli.scenario"),
+    ("klt", "svlab.cli.arrangement"),
+    ("tango", None),
+    ("construct", None),
+    ("verify", "svlab.cli.package"),
+    ("sweep", "svlab.cli.sweep"),
+))
+def test_commands_load_only_their_own_reader(command, reader, tmp_path):
+    loaded = _imported("-m", "svlab", *_argv(command, tmp_path))
+    assert "svlab.cli.schema" in loaded
+    assert loaded & _READERS == ({reader} - {None})
+
+
+def test_sweep_command_loads_the_product_not_the_decision_engine(tmp_path):
+    loaded = _imported("-m", "svlab", *_argv("sweep", tmp_path))
+    assert {"svlab.lattice", "svlab.chiproduct"} <= loaded
+    assert "svlab.nonvanish" not in loaded
 
 
 @pytest.mark.parametrize("command", (
