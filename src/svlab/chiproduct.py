@@ -48,7 +48,7 @@ class PreconditionError(ScenarioError):
 class Verdict:
     case_label: str
     result: str
-    certificate: dict = {}
+    certificate: dict
     reason: str = ""
 
 

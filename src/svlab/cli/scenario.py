@@ -7,7 +7,7 @@ engine and the lattice at its top.  ``svlab.cli.schema`` binds
 
 from __future__ import annotations
 
-from ..lattice import BlowupPoint, RuledModel
+from ..lattice import RuledModel
 from ..nonvanish import RULED, Scenario
 from .schema import (
     _PURE_MODEL,
@@ -40,8 +40,7 @@ def _model_fields(value, where):
 def _build_model(fields) -> RuledModel:
     return RuledModel(
         fields["p"], fields["genus"], fields["e"],
-        tuple(BlowupPoint(tuple(prox)) for prox in fields["exceptionals"]),
-        fields["chi"],
+        tuple(map(tuple, fields["exceptionals"])),
     )
 
 
@@ -71,6 +70,5 @@ _SCENARIO_OPTIONAL = {
     "kappa_minus_k_nonneg": (_nullable(_bool), None),
 }
 _MODEL_OPTIONAL = {
-    "chi": (_nullable(_int), None),
     "exceptionals": (_list_of(_list_of(_int)), []),
 }

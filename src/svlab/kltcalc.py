@@ -66,8 +66,8 @@ class ClusterNode:
 @record
 class ClusterArrangement:
     """Declared branches and the cluster forest.  The branches are
-    indexed by id once, at construction; the first of two equal ids is
-    the one ``branch`` finds (``is_klt`` refuses the pair)."""
+    indexed by id once, at construction, which refuses two branches of
+    one id."""
 
     branches: tuple[WeightedBranch, ...]
     clusters: tuple[ClusterNode, ...] = ()
@@ -75,7 +75,9 @@ class ClusterArrangement:
     def __post_init__(self) -> None:
         index: dict[str, WeightedBranch] = {}
         for b in self.branches:
-            index.setdefault(b.id, b)
+            if b.id in index:
+                raise ArrangementError(f"duplicate branch id {b.id!r}")
+            index[b.id] = b
         object.__setattr__(self, "_index", index)
 
     def branch(self, bid: str) -> WeightedBranch:
@@ -131,11 +133,6 @@ def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
     least common denominator of the declared ones, so "< 1" is
     "numerator < den".
     """
-    seen: set[str] = set()
-    for b in arr.branches:
-        if b.id in seen:
-            raise ArrangementError(f"duplicate branch id {b.id!r}")
-        seen.add(b.id)
     den = lcm(*(b.coefficient.denominator for b in arr.branches))
     verdict = all(
         b.coefficient.numerator < b.coefficient.denominator

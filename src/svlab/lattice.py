@@ -4,7 +4,11 @@ The ambient lattice is the numerical class group of a P^1-bundle over a
 curve of genus g, blown up in a chain of (possibly infinitely near)
 points.  Basis: E (a section with E^2 = -e), F (a fiber), and the strict
 transforms e_1..e_k of the exceptional curves; point j is proximate to
-point i when it lies on the strict transform of e_i.
+point i when it lies on the strict transform of e_i.  A model is its
+numbers (p, g, e and the points), and a point is the tuple of the
+earlier exceptionals it is proximate to.  Every such surface has
+chi(O) = 1 - g (Hartshorne, Algebraic Geometry, V.2-V.3), so chi(O) is
+derived, never stored.
 
 The intersection form is never stored as a matrix.  Total transforms of
 the exceptional curves are pairwise orthogonal with square -1 and
@@ -53,27 +57,19 @@ class UnsupportedRegime(LatticeError):
 
 
 @record
-class BlowupPoint:
-    """One blown-up point; ``proximate_to`` lists the earlier exceptionals
-    whose strict transforms pass through it."""
-
-    proximate_to: tuple[int, ...] = ()
-
-
-@record
 class RuledModel:
     """Numerical model of a blown-up ruled surface.
 
-    ``invariant_e`` is the negative of the section's self-intersection,
-    ``chi_structure`` is chi(O) and defaults to 1 - genus (blowing up
-    points does not change it).  ``characteristic`` is 0 or a prime.
+    ``invariant_e`` is the negative of the section's self-intersection;
+    ``characteristic`` is 0 or a prime.  ``exceptionals`` holds one tuple
+    per blown-up point: the indices of the earlier exceptionals it is
+    proximate to.
     """
 
     characteristic: int
     genus: int
     invariant_e: int
-    exceptionals: tuple[BlowupPoint, ...] = ()
-    chi_structure: int | None = None
+    exceptionals: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         # a bool or a float compares equal to an int and would pass every
@@ -81,22 +77,27 @@ class RuledModel:
         if {type(self.characteristic), type(self.genus),
                 type(self.invariant_e)} != {int}:
             raise LatticeError("characteristic, genus and e must be integers")
-        if type(self.chi_structure) not in (int, type(None)):
-            raise LatticeError("chi(O) must be an integer")
         if self.characteristic != 0 and not is_prime(self.characteristic):
             raise LatticeError("characteristic must be 0 or a prime")
         if self.genus < 0:
             raise LatticeError("genus must be nonnegative")
+        if type(self.exceptionals) is not tuple:
+            raise LatticeError("the exceptionals must be a tuple")
         for idx, pt in enumerate(self.exceptionals):
-            for j in pt.proximate_to:
+            if type(pt) is not tuple or any(type(j) is not int for j in pt):
+                raise LatticeError("a point is a tuple of integer indices")
+            for j in pt:
                 if not 0 <= j < idx:
                     raise LatticeError(
                         "proximity must point at an earlier exceptional"
                     )
-            if len(set(pt.proximate_to)) != len(pt.proximate_to):
+            if len(set(pt)) != len(pt):
                 raise LatticeError("duplicate proximity target")
-        if self.chi_structure is None:
-            object.__setattr__(self, "chi_structure", 1 - self.genus)
+
+    @property
+    def chi_structure(self) -> int:
+        """chi(O) = 1 - g; blowing up points does not change it."""
+        return 1 - self.genus
 
     # -- basic shape -------------------------------------------------
 
@@ -153,7 +154,7 @@ class RuledModel:
         k = len(self.exceptionals)
         cs: list[Rational] = [0] * k
         for i, pt in enumerate(self.exceptionals):
-            cs[i] = 1 + sum(cs[j] for j in pt.proximate_to)
+            cs[i] = 1 + sum(cs[j] for j in pt)
         return self.divisor(
             -2, 2 * self.genus - 2 - self.invariant_e, *cs
         )
@@ -163,8 +164,7 @@ class RuledModel:
             self.characteristic,
             self.genus,
             self.invariant_e,
-            self.exceptionals + (BlowupPoint(tuple(proximate_to)),),
-            self.chi_structure,
+            self.exceptionals + (tuple(proximate_to),),
         )
 
 
@@ -174,8 +174,8 @@ def _form(model: RuledModel, x, y) -> int:
     a, b, a2, b2 = x[0], x[1], y[0], y[1]
     total = -model.invariant_e * a * a2 + a * b2 + a2 * b
     for j, pt in enumerate(model.exceptionals, 2):
-        u = x[j] - sum(x[2 + i] for i in pt.proximate_to)
-        v = y[j] - sum(y[2 + i] for i in pt.proximate_to)
+        u = x[j] - sum(x[2 + i] for i in pt)
+        v = y[j] - sum(y[2 + i] for i in pt)
         total -= u * v
     return total
 
@@ -305,14 +305,18 @@ def boundary_sum(model: RuledModel, boundary) -> DivisorClass:
     return total
 
 
+def _check_on(model: RuledModel, cls: DivisorClass) -> None:
+    if cls.model is not model and cls.model != model:
+        raise ModelMismatch("class does not live on this model")
+
+
 def intersect(d1: DivisorClass, d2: DivisorClass) -> Fraction:
     return d1.dot(d2)
 
 
 def adjunction_pa(model: RuledModel, c: DivisorClass) -> Fraction:
     """Arithmetic genus 1 + C.(C+K)/2 of an integral class."""
-    if c.model is not model and c.model != model:
-        raise ModelMismatch("class does not live on this model")
+    _check_on(model, c)
     if not c.is_integral():
         raise LatticeError("adjunction needs an integral class")
     total, den = c._pairing(c + model.canonical_class())
@@ -322,8 +326,7 @@ def adjunction_pa(model: RuledModel, c: DivisorClass) -> Fraction:
 def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Fraction:
     """chi(D) = D.(D-K)/2 + chi(O).  Integral D always yields an integer
     (the canonical class is characteristic for the form; asserted)."""
-    if d.model is not model and d.model != model:
-        raise ModelMismatch("class does not live on this model")
+    _check_on(model, d)
     k = model.canonical_class()  # D - K as numerators over d.den * k.den
     total = _form(model, d.nums,
                   [x * k.den - y * d.den for x, y in zip(d.nums, k.nums)])
@@ -344,8 +347,7 @@ def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
     """
     if not model.is_pure:
         raise LatticeError("curve-class constraints apply to pure models")
-    if cls.model != model:
-        raise ModelMismatch("class does not live on this model")
+    _check_on(model, cls)
     if not cls.is_integral():
         raise LatticeError("curve classes are integral")
     # E and F themselves; on a pure model these are the two basis vectors
@@ -412,8 +414,7 @@ def certify_positivity(
     """
     if not model.is_pure:
         raise LatticeError("positivity rules apply to pure models")
-    if d.model is not model and d.model != model:
-        raise ModelMismatch("class does not live on this model")
+    _check_on(model, d)
 
     # D = (a E + b F) / den with den > 0
     (a, b), den = d.nums, d.den
@@ -485,11 +486,10 @@ def pullback_blowup(target: RuledModel, d: DivisorClass) -> DivisorClass:
         target.characteristic != base.characteristic
         or target.genus != base.genus
         or target.invariant_e != base.invariant_e
-        or target.chi_structure != base.chi_structure
         or target.exceptionals[: len(base.exceptionals)] != base.exceptionals
     ):
         raise ModelMismatch("target does not extend the class's model")
     nums = list(d.nums)
     for pt in target.exceptionals[len(base.exceptionals):]:
-        nums.append(sum(nums[2 + j] for j in pt.proximate_to))
+        nums.append(sum(nums[2 + j] for j in pt))
     return DivisorClass(target, tuple(nums), d.den)

@@ -190,10 +190,6 @@ class Scenario:
                 raise InconsistentScenario(
                     "irregularity of a ruled surface is its base genus"
                 )
-            if self.chi_o != 1 - self.model.genus:
-                raise InconsistentScenario(
-                    "chi(O) of a ruled surface is 1 - base genus"
-                )
             if self.relatively_minimal != self.model.is_pure:
                 raise InconsistentScenario(
                     "minimality flag contradicts the exceptional locus"

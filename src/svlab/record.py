@@ -9,15 +9,15 @@ read the class's field tuple.
 
 A record's fields are its annotations, in order, and it has at least
 one; a class attribute of the same name is the field's default.  A
-``dict``, ``list`` or ``set`` default is copied for each instance, so
-no two instances share it.  ``__init__`` assigns the fields and then
-calls ``__post_init__`` when the class defines one.  Equality compares
-the field tuples of two instances of the same class, the hash is that
-of the field tuple (a 1-tuple for a one-field record), the repr is
-``Name(field=value, ...)``, and assigning or deleting an attribute
-raises ``AttributeError``.  A method the class defines itself is kept.
-Instances pickle and copy through their ``__dict__``, so
-``functools.cached_property`` works on them.
+``dict``, ``list`` or ``set`` default would be shared by every
+instance, so ``record`` refuses it with ``TypeError``.  ``__init__``
+assigns the fields and then calls ``__post_init__`` when the class
+defines one.  Equality compares the field tuples of two instances of
+the same class, the hash is that of the field tuple (a 1-tuple for a
+one-field record), the repr is ``Name(field=value, ...)``, and
+assigning or deleting an attribute raises ``AttributeError``.  A method
+the class defines itself is kept.  Instances pickle and copy through
+their ``__dict__``, so ``functools.cached_property`` works on them.
 """
 
 from operator import attrgetter
@@ -60,16 +60,16 @@ _SHARED = {"__eq__": _eq, "__hash__": _hash, "__repr__": _repr,
 def record(cls):
     """Make ``cls`` a frozen record (see the module docstring)."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
-    # _fresh stands for a mutable default the caller did not pass
-    namespace = {"_set": object.__setattr__, "_fresh": object()}
+    namespace = {"_set": object.__setattr__}
     params, body = [], []
     for name in names:
         if name not in cls.__dict__:
             params.append(name)
         elif isinstance(cls.__dict__[name], _MUTABLE):
-            namespace[f"_d_{name}"] = cls.__dict__[name]
-            params.append(f"{name}=_fresh")
-            body.append(f"  if {name} is _fresh: {name} = _d_{name}.copy()")
+            raise TypeError(
+                f"{cls.__qualname__}.{name}: a mutable default would be"
+                " shared by every instance"
+            )
         else:
             namespace[f"_d_{name}"] = cls.__dict__[name]
             params.append(f"{name}=_d_{name}")

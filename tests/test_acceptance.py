@@ -336,19 +336,19 @@ def test_criterion_5_decision_engine():
     assert classify(s) == CASE_CR
     assert decide(s).result == UNDECIDED
 
-    d1 = RuledModel(3, 4, -2, (), -1)
-    s = scenario(d1, d1.fiber_class(), kodaira=1, chi_o=-1, q=3)
+    d1 = RuledModel(3, 4, -2)
+    s = scenario(d1, d1.fiber_class(), kodaira=1, chi_o=-3, q=3)
     assert classify(s) == CASE_D_I
     assert decide(s).result == UNDECIDED
 
-    d2 = RuledModel(2, 3, 0, (), -2)
+    d2 = RuledModel(2, 3, 0)
     s = scenario(d2, d2.fiber_class(), kodaira=2, chi_o=-2, q=1)
     assert classify(s) == CASE_D_II
     assert decide(s).result == UNDECIDED
 
     # negative chi(O) genus-one fibrations exist only in char 2 and 3
-    wild = RuledModel(5, 4, -2, (), -1)
-    s = scenario(wild, wild.fiber_class(), kodaira=1, chi_o=-1, q=3)
+    wild = RuledModel(5, 4, -2)
+    s = scenario(wild, wild.fiber_class(), kodaira=1, chi_o=-3, q=3)
     with pytest.raises(InvalidScenario):
         classify(s)
 

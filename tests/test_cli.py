@@ -16,6 +16,7 @@ import re
 import shlex
 import subprocess
 import sys
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,12 @@ from svlab.chiproduct import (
     PreconditionError,
 )
 from svlab.cli import schema
+from svlab.cli.arrangement import (
+    _BRANCH,
+    _BRANCH_KIND,
+    _CLUSTER,
+    _CLUSTER_CHILDREN,
+)
 from svlab.cli.main import build_parser, main
 from svlab.cli.package import _CERTIFICATE_KEYS, _PACKAGE_KEYS
 from svlab.cli.report import PASS, Report, check, render_machine
@@ -287,9 +294,9 @@ class TestClassify:
             "format": "svlab/1",
             "request": "classify",
             "scenario": {
-                "model": {"p": 3, "genus": 4, "e": -2, "chi": -1},
+                "model": {"p": 3, "genus": 4, "e": -2},
                 "kodaira": 1,
-                "chi_o": -1,
+                "chi_o": -3,
                 "q": 3,
                 "relatively_minimal": True,
                 "divisor": ["0", "1"],
@@ -319,8 +326,8 @@ class TestClassify:
         assert "irregularity" in err
 
     def test_ruled_chi_o_is_one_minus_the_genus(self, tmp_path, capsys):
-        # the model's "chi" key and chi_o agree on 5, but a ruled surface
-        # over a rational curve has chi(O) = 1; chi(F) is 2, not 6
+        # a ruled surface over a rational curve has chi(O) = 1, and the
+        # model has no key that could move it; chi(F) is 2, not 6
         doc = {
             "format": "svlab/1",
             "request": "classify",
@@ -338,7 +345,17 @@ class TestClassify:
             "--in", write_doc(tmp_path, "d.json", doc),
         )
         assert (code, out) == (2, "")
-        assert err == "error: chi(O) of a ruled surface is 1 - base genus\n"
+        assert err == (
+            "error: scenario.model: unknown keys ['chi'];"
+            " this schema is strict\n"
+        )
+        del doc["scenario"]["model"]["chi"]
+        code, out, err = run(
+            capsys, "classify",
+            "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: declared chi(O) contradicts the lattice model\n"
 
     def test_divisor_that_is_not_nef_is_refused(self, tmp_path, capsys):
         # D = -100F: D.E = -100 < 0, so the fiber threshold must not fire
@@ -412,7 +429,6 @@ def classify_document(rng):
         "p": (_fixed(2, 3, 5, 0), _fixed(4, 2 ** 16, -1)),
         "genus": (_fixed(g), _fixed(-1, g + 1)),
         "e": ((lambda rng: rng.randint(-g - 1, 2),), _fixed("2")),
-        "chi": (_fixed(None, 1 - g), _fixed(2, 5)),
         "exceptionals": (
             _fixed([[]] * k, [[], [0]][:k]), _fixed([[1]], [[], [0, 0]]),
         ),
@@ -454,21 +470,81 @@ def classify_document(rng):
 
 
 def _one_fault_or_none(rng, objects, values):
-    """Half the time, one fault in one of ``objects``, each an (object,
-    required keys, optional keys) triple: a key left out, a junk or odd
-    value, or a key that no table lists."""
+    """Half the time, one fault in one of ``objects`` (see ``_one_fault``)."""
     if rng.random() < 0.5:
-        obj, required, optional = rng.choice(objects)
-        key = rng.choice((*required, *optional))
-        fault = rng.randrange(4)
-        if fault == 0:
-            obj.pop(key, None)
-        elif fault == 1:
-            obj[key] = rng.choice(_JUNK)
-        elif fault == 2:
-            obj[key] = rng.choice(values[key][1])(rng)
+        _one_fault(rng, objects, values)
+
+
+def _one_fault(rng, objects, values):
+    """One fault in one of ``objects``, each an (object, required keys,
+    optional keys) triple: a key left out, a junk or odd value, or a key
+    that no table lists."""
+    obj, required, optional = rng.choice(objects)
+    key = rng.choice((*required, *optional))
+    fault = rng.randrange(4)
+    if fault == 0:
+        obj.pop(key, None)
+    elif fault == 1:
+        obj[key] = rng.choice(_JUNK)
+    elif fault == 2:
+        obj[key] = rng.choice(values[key][1])(rng)
+    else:
+        obj["surprise"] = 1
+
+
+def _cluster_node(rng, ids, depth):
+    """A cluster node through ``ids`` (two or more); its children take
+    disjoint pairs of those ids, so the forest is consistent."""
+    node = {"branches": ids}
+    if depth and rng.random() < 0.6:
+        rest = rng.sample(ids, len(ids))
+        children = []
+        while len(rest) >= 2 and rng.random() < 0.7:
+            pair, rest = rest[:2], rest[2:]
+            children.append(_cluster_node(rng, pair, depth - 1))
+        node["children"] = children
+    return node
+
+
+def klt_document(rng):
+    """A klt document drawn from the arrangement reader's key tables, as
+    ``classify_document`` draws a classify document: up to five branches
+    and a forest of up to three roots, each node through ids of its
+    parent and disjoint from its siblings.  Half the documents are
+    consistent; the others get one fault, a duplicated branch id among
+    them."""
+    values = {
+        "id": (_fixed("b"), _fixed("")),
+        "coefficient": (_fixed("0", "1/2", "1/3", "2/5", "3/4", "5/6"),
+                        _fixed("1", "-1/2", "3/2", "0.5", "2/4")),
+        "kind": (_fixed("original", "original", "exceptional"),
+                 _fixed("other", "")),
+        "branches": (None, _fixed(["b0"], ["b0", "b0"], ["b0", "zz"], [])),
+        "children": (None, _fixed([{}], [{"branches": ["b0"]}], "x")),
+    }
+    branches = [_drawn(rng, _BRANCH, _BRANCH_KIND, values)
+                for _ in range(rng.randint(1, 5))]
+    for i, branch in enumerate(branches):
+        branch["id"] = f"b{i}"
+    ids = [branch["id"] for branch in branches]
+    clusters = [
+        _cluster_node(rng, rng.sample(ids, rng.randint(2, len(ids))), 2)
+        for _ in range(rng.randint(0, 3) if len(ids) >= 2 else 0)
+    ]
+    if rng.random() < 0.5:
+        if len(ids) >= 2 and rng.random() < 0.25:
+            i, j = rng.sample(range(len(ids)), 2)
+            branches[j]["id"] = ids[i]
         else:
-            obj["surprise"] = 1
+            objects = [(branch, _BRANCH, _BRANCH_KIND) for branch in branches]
+            stack = list(clusters)
+            while stack:
+                node = stack.pop()
+                objects.append((node, _CLUSTER, _CLUSTER_CHILDREN))
+                stack.extend(node.get("children", ()))
+            _one_fault(rng, objects, values)
+    return {"format": "svlab/1", "request": "klt",
+            "arrangement": {"branches": branches, "clusters": clusters}}
 
 
 def _span(lowest, highest, longest):
@@ -530,6 +606,16 @@ class TestClassifyFuzz:
         path = write_doc(tmp_path_factory.getbasetemp(), "fuzz.json",
                          classify_document(rng))
         _exit_code_contract("classify", path)
+
+
+class TestKltFuzz:
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=timedelta(seconds=2))
+    @given(st.randoms(use_true_random=True))
+    def test_exit_code_contract(self, tmp_path_factory, rng):
+        path = write_doc(tmp_path_factory.getbasetemp(), "klt-fuzz.json",
+                         klt_document(rng))
+        _exit_code_contract("klt", path)
 
 
 class TestSweepFuzz:

@@ -86,7 +86,7 @@ def reference_dot(model, x, y):
     """The diagonal form on Fraction coefficients: total transforms of
     the exceptionals are orthogonal with square -1."""
     def total(c):
-        return [c[2 + j] - sum((c[2 + i] for i in pt.proximate_to),
+        return [c[2 + j] - sum((c[2 + i] for i in pt),
                                Fraction(0))
                 for j, pt in enumerate(model.exceptionals)]
     value = (-model.invariant_e * x[0] * y[0] + x[0] * y[1]

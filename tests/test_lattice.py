@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from svlab.lattice import (
-    BlowupPoint,
     DivisorClass,
     LatticeError,
     ModelMismatch,
@@ -93,7 +92,7 @@ class TestGram:
             k = len(m.exceptionals)
             mm = [[int(i == j) for j in range(k)] for i in range(k)]
             for j, pt in enumerate(m.exceptionals):
-                for i in pt.proximate_to:
+                for i in pt:
                     mm[i][j] = -1
             gram = [[0] * m.rank for _ in range(m.rank)]
             gram[0][0] = -m.invariant_e
@@ -115,7 +114,7 @@ class TestGram:
 
     def test_proximity_must_be_earlier(self):
         with pytest.raises(LatticeError):
-            RuledModel(5, 1, 1, (BlowupPoint((0,)),))
+            RuledModel(5, 1, 1, ((0,),))
 
     def test_bilinearity_and_symmetry(self):
         rng = random.Random(20260802)
@@ -129,7 +128,7 @@ class TestGram:
             assert x.scaled(Fraction(3, 2)).dot(y) == Fraction(3, 2) * x.dot(y)
 
     def test_cross_model_dot_rejected(self):
-        other = RuledModel(3, 4, -2, (BlowupPoint(),))
+        other = RuledModel(3, 4, -2, ((),))
         with pytest.raises(ModelMismatch):
             MODEL_342.section_class().dot(other.fiber_class())
 
@@ -194,10 +193,6 @@ class TestRiemannRoch:
             m = random_model(rng)
             d = random_integral_class(rng, m)
             assert riemann_roch_chi(m, d).denominator == 1
-
-    def test_chi_structure_override(self):
-        m = RuledModel(3, 4, -2, chi_structure=0)
-        assert riemann_roch_chi(m, m.divisor(0, 6)) == 6
 
 
 class TestAdjunction:
@@ -399,15 +394,27 @@ class TestModelValidation:
         (3, 4, -2.0),
         (3.0, 4, -2),
         (3, 4, Fraction(-2)),
-        (3, 4, -2, (), 1.5),
-        (3, 4, -2, (), True),
-        (3, 4, -2, (), Fraction(-3)),
+        # a point's indices, each refused ahead of the range and
+        # duplicate checks it would also fail
+        (3, 4, -2, ([0],)),
+        (3, 4, -2, ((), (True, True))),
+        (3, 4, -2, ((1.0,),)),
     ))
     def test_invariants_are_plain_ints(self, numbers):
         # True == 1 and 4.0 == 4 pass every check by value, so a model
-        # built from them reached a verdict on a genus that is no integer
+        # built from them reached a verdict on a genus that is no integer;
+        # a list point made a model that could not be hashed
         with pytest.raises(LatticeError, match="integer"):
             RuledModel(*numbers)
+
+    def test_exceptionals_are_a_tuple(self):
+        with pytest.raises(LatticeError, match="tuple"):
+            RuledModel(3, 4, -2, [()])
+
+    def test_four_fields(self):
+        assert RuledModel._record_names == (
+            "characteristic", "genus", "invariant_e", "exceptionals",
+        )
 
     def test_default_chi_structure(self):
         assert MODEL_342.chi_structure == -3

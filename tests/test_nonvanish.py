@@ -35,7 +35,6 @@ from svlab.fibered import (
     component,
 )
 from svlab.lattice import (
-    BlowupPoint,
     DivisorClass,
     RuledModel,
     UnsupportedRegime,
@@ -259,24 +258,24 @@ class TestClassify:
         assert classify(s) == CASE_CR
 
     def test_genus_one_fibration_characteristics(self):
-        m = RuledModel(3, 4, -2, (), -1)
-        s = ruled_scenario(m, m.fiber_class(), kodaira=1, chi_o=-1, q=3)
+        m = RuledModel(3, 4, -2)
+        s = ruled_scenario(m, m.fiber_class(), kodaira=1, chi_o=-3, q=3)
         assert classify(s) == CASE_D_I
-        bad = RuledModel(5, 4, -2, (), -1)
+        bad = RuledModel(5, 4, -2)
         with pytest.raises(InvalidScenario, match="characteristic"):
             classify(
                 ruled_scenario(
-                    bad, bad.fiber_class(), kodaira=1, chi_o=-1, q=3
+                    bad, bad.fiber_class(), kodaira=1, chi_o=-3, q=3
                 )
             )
 
     def test_general_type_with_negative_chi(self):
-        m = RuledModel(2, 3, 0, (), -2)
+        m = RuledModel(2, 3, 0)
         s = ruled_scenario(m, m.fiber_class(), kodaira=2, chi_o=-2, q=1)
         assert classify(s) == CASE_D_II
 
     def test_kodaira_zero_with_negative_chi_fits_nothing(self):
-        m = RuledModel(2, 3, 0, (), -2)
+        m = RuledModel(2, 3, 0)
         s = ruled_scenario(m, m.fiber_class(), kodaira=0, chi_o=-2, q=1)
         with pytest.raises(InvalidScenario, match="case"):
             classify(s)
@@ -298,7 +297,8 @@ class TestCaseA:
             decide(s)
 
     def test_wrong_chi_is_inconsistent(self):
-        m = RuledModel(2, 0, 0, (), 2)
+        # chi(O) = 1 - g = 0 with q = 0
+        m = RuledModel(2, 1, 0)
         s = ruled_scenario(
             m, m.zero_class(), kodaira=0, q=0, relatively_minimal=True
         )
@@ -757,11 +757,11 @@ class TestOpenCases:
         assert "catalogue" in v.reason
 
     def test_case_d_stays_unknown(self):
-        m = RuledModel(3, 4, -2, (), -1)
-        s = ruled_scenario(m, m.fiber_class(), kodaira=1, chi_o=-1, q=3)
+        m = RuledModel(3, 4, -2)
+        s = ruled_scenario(m, m.fiber_class(), kodaira=1, chi_o=-3, q=3)
         v = decide(s)
         assert (v.case_label, v.result) == (CASE_D_I, UNDECIDED)
-        m2 = RuledModel(2, 3, 0, (), -2)
+        m2 = RuledModel(2, 3, 0)
         s2 = ruled_scenario(
             m2, m2.fiber_class(), kodaira=2, chi_o=-2, q=1
         )
@@ -876,15 +876,14 @@ def _general_scenario(rng):
     p, g = rng.choice((0, 2, 3, 5)), rng.randint(0, 4)
     e, k = rng.randint(-g - 1, 2), rng.choice((0, 0, 0, 1, 2))
     points = tuple(
-        BlowupPoint((0,) if i == 1 and rng.random() < 0.5 else ())
-        for i in range(k)
+        (0,) if i == 1 and rng.random() < 0.5 else () for i in range(k)
     )
+    m = RuledModel(p, g, e, points)
     if rng.random() < 0.75:
-        m = RuledModel(p, g, e, points)
         kodaira, chi, q, minimal = RULED, m.chi_structure, g, m.is_pure
     else:
+        # a drawn chi(O) other than 1 - g is refused, and drawn again
         chi = rng.randint(-1, 2)
-        m = RuledModel(p, g, e, points, chi)
         kodaira, q = rng.choice((0, 1, 2)), rng.randint(0, 2)
         minimal = rng.random() < 0.5
     if rng.random() < 0.08:
@@ -927,7 +926,7 @@ def _euler_scenario(rng):
     """Fiber degree two under a boundary of fiber degree three: the
     threshold declines and the euler bound decides."""
     g, e, k = rng.randint(2, 3), rng.randint(-1, 1), rng.randint(0, 1)
-    m = RuledModel(rng.choice((2, 3)), g, e, (BlowupPoint(),) * k)
+    m = RuledModel(rng.choice((2, 3)), g, e, ((),) * k)
     if k and rng.random() < 0.5:
         # D = 2E + bF + cE_1 has D^2 = 4(b - e) - c^2, here 0 for an
         # even c and -1 for an odd one
@@ -1041,5 +1040,5 @@ class TestDecideDigest:
         assert refusals == set(_REFUSALS)
         text = "\n".join(outcome_text(o) for o in outcomes)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "1cae28994716d21b43d3e9395c84823ffa7d2f8b7144f9a6bc17d822ff75e869"
+            "5af14e1d80c1a9780f8f4d82307f032a53f90163e8eac648108992e43ec3bc2c"
         )

@@ -8,7 +8,7 @@ import pytest
 from svlab.charpcurve.families import ArtinSchreier, Hyperelliptic
 from svlab.charpcurve.series import LaurentSeries
 from svlab.chiproduct import ChiProduct, Verdict
-from svlab.lattice import BlowupPoint, RuledModel
+from svlab.lattice import RuledModel
 from svlab.nonvanish import InvalidScenario, Scenario
 from svlab.record import record
 
@@ -16,9 +16,9 @@ from svlab.record import record
 def test_reprs_name_every_field():
     assert repr(RuledModel(3, 4, -2)) == (
         "RuledModel(characteristic=3, genus=4, invariant_e=-2,"
-        " exceptionals=(), chi_structure=-3)"
+        " exceptionals=())"
     )
-    assert repr(Verdict("C", "m=1")) == (
+    assert repr(Verdict("C", "m=1", {})) == (
         "Verdict(case_label='C', result='m=1', certificate={}, reason='')"
     )
     assert repr(Hyperelliptic(3, 3)) == "Hyperelliptic(p=3, h=3)"
@@ -33,7 +33,7 @@ def test_a_repr_the_class_defines_is_kept():
 def test_equality_needs_the_same_class():
     assert Hyperelliptic(3, 3) == Hyperelliptic(3, 3)
     assert Hyperelliptic(3, 3) != ArtinSchreier(3, 3)
-    assert RuledModel(3, 4, -2) != (3, 4, -2, (), -3)
+    assert RuledModel(3, 4, -2) != (3, 4, -2, ())
     assert RuledModel(3, 4, -2) != RuledModel(3, 4, -1)
 
 
@@ -56,13 +56,16 @@ def test_fields_cannot_be_assigned_or_deleted():
     assert model.genus == 4
 
 
-def test_default_certificates_are_not_shared():
-    first, second = Verdict("C", "m=1"), Verdict("C", "m=1")
-    assert first.certificate == {} and first.certificate is not (
-        second.certificate
-    )
-    first.certificate["rule"] = "x"
-    assert second.certificate == {}
+def test_mutable_defaults_are_refused():
+    # one default object would be shared by every instance
+    for default in ({}, [], set()):
+        with pytest.raises(TypeError, match="Shared.tags: a mutable default"):
+            @record
+            class Shared:
+                x: int
+                tags: object = default
+    with pytest.raises(TypeError):
+        Verdict("C", "m=1")
     given = {"rule": "y"}
     assert Verdict("C", "m=1", given).certificate is given
 
@@ -96,26 +99,30 @@ def test_records_survive_a_pickle_round_trip():
 class Point:
     x: int
     y: int = 0
-    tags: list = []
+    tags: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "x", abs(self.x))
 
 
+@record
+class Tag:
+    name: str
+
+
 def test_declared_defaults_and_field_order():
-    assert repr(Point(-2)) == "Point(x=2, y=0, tags=[])"
-    assert Point(1, y=2) == Point(x=1, y=2, tags=[])
-    assert Point(1).tags is not Point(1).tags
+    assert repr(Point(-2)) == "Point(x=2, y=0, tags=())"
+    assert Point(1, y=2) == Point(x=1, y=2, tags=())
     with pytest.raises(TypeError):
         Point()
 
 
 def test_hash_and_equality_read_the_field_tuple():
     # a one-field record hashes a 1-tuple, not its bare field
-    assert hash(BlowupPoint((0,))) == hash(((0,),))
-    assert hash(RuledModel(3, 4, -2)) == hash((3, 4, -2, (), -3))
-    assert repr(BlowupPoint((0,))) == "BlowupPoint(proximate_to=(0,))"
-    assert BlowupPoint((0,)) == BlowupPoint((0,)) != BlowupPoint((1,))
+    assert hash(Tag("a")) == hash(("a",))
+    assert hash(RuledModel(3, 4, -2)) == hash((3, 4, -2, ()))
+    assert repr(Tag("a")) == "Tag(name='a')"
+    assert Tag("a") == Tag("a") != Tag("b")
 
 
 def test_only_init_is_compiled_per_class():

@@ -295,8 +295,8 @@ def _refusal_cases():
             ["construct", "--in", "{doc}", "--kind", "kollar"],
             _text("construct"),
         ),
-        # the model's "chi" key may not lift chi(O) of a ruled surface
-        # off 1 - g, even when chi_o agrees with it
+        # chi(O) is 1 - g on every model, so the model has no "chi" key
+        # that could lift it, even when chi_o agrees with the key
         "classify:ruled-chi-override": (
             ["classify", "--in", "{doc}"],
             json.dumps(_document("classify", scenario={
@@ -350,7 +350,8 @@ REFUSALS = {
     "classify:wrong-format":
         "error: format: expected 'svlab/1', got 'svlab/0'\n",
     "classify:ruled-chi-override":
-        "error: chi(O) of a ruled surface is 1 - base genus\n",
+        "error: scenario.model: unknown keys ['chi']; this schema is"
+        " strict\n",
     "construct:flags-without-kind": "error: this command needs --kind\n",
     "construct:kind-contradicts-document":
         "error: --kind contradicts the request document\n",
