@@ -1,13 +1,22 @@
 """Command dispatch: the single user-facing surface of the toolkit.
 
-Six subcommands, one report format.  Exit codes: 0 when every check
-passed (verdicts like "unknown" or "not klt" are still produced
-reports), 1 when some mathematical check line failed, 2 when the input
-never made it past parsing or validation.
+Six subcommands, one report format.  Each subcommand's flags are the
+rows of one table.  A well-formed command line, the subcommand and then
+each option spelled in full with a value that does not start with "-",
+is read from that table by ``_read_flags``.  Only ``--help`` and a
+command line that reader declines import argparse: ``build_parser``
+makes its parser from the same rows, so help, usage and error text are
+argparse's.
+
+Exit codes: 0 when every check passed (verdicts like "unknown" or "not
+klt" are still produced reports), 1 when some mathematical check line
+failed, 2 when the input never made it past parsing or validation, or
+when the report could not be written (an unwritable ``--out`` or a
+closed stdout).
 """
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from ..lazy import lazy_getattr
 from . import schema
@@ -253,60 +262,92 @@ def cmd_sweep(args) -> Report:
     return Report("sweep", tuple(lines))
 
 
-def _add_io(parser) -> None:
-    parser.add_argument("--in", dest="in_path", metavar="PATH",
-                        help="request document to read")
-    parser.add_argument("--out", dest="out_path", metavar="PATH",
-                        help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("text", "machine"),
-                        default="text", help="report rendering")
-
-
-def _add_family(parser) -> None:
-    _add_io(parser)
-    parser.add_argument("--family", choices=schema.FAMILY_KINDS)
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--h", type=int)
-
-
-def _add_construct(parser) -> None:
-    _add_family(parser)
-    parser.add_argument("--kind", choices=("kv", "kollar", "semipos"))
-    parser.add_argument("--allow-asserted", action="store_true",
-                        dest="allow_asserted")
-    parser.add_argument("--emit", metavar="PATH",
-                        help="write the package as a request document")
-
-
-def _add_sweep(parser) -> None:
-    _add_io(parser)
+# Each flag row: option, dest, kind, default, metavar, help.  The kind
+# is str for a path, int, the tuple of values allowed (converted like
+# its first value), or bool for a flag that takes no value.
+_IO = (
+    ("--in", "in_path", str, None, "PATH", "request document to read"),
+    ("--out", "out_path", str, None, "PATH",
+     "write the report here instead of stdout"),
+    ("--format", "format", ("text", "machine"), "text", None,
+     "report rendering"),
+)
+_FAMILY = _IO + (
+    ("--family", "family", schema.FAMILY_KINDS, None, None, None),
+    ("--p", "p", int, None, None, None),
+    ("--h", "h", int, None, None, None),
+)
+_CONSTRUCT = _FAMILY + (
+    ("--kind", "kind", ("kv", "kollar", "semipos"), None, None, None),
+    ("--allow-asserted", "allow_asserted", bool, False, None, None),
+    ("--emit", "emit", str, None, "PATH",
+     "write the package as a request document"),
+)
+_SWEEP = _IO + (
     # deleted once the benchmark stops sending --jobs 1 (ROADMAP item 1)
-    parser.add_argument("--jobs", type=int, choices=(1,), default=1,
-                        help="only 1 is accepted; the flag will be removed")
+    ("--jobs", "jobs", (1,), 1, None,
+     "only 1 is accepted; the flag will be removed"),
+)
 
-
-# each subcommand: what runs it, its help line and what adds its
-# arguments
+# each subcommand: what runs it, its help line and its flags
 _COMMANDS = {
     "classify": (cmd_classify,
-                 "case label and decision for a scenario document", _add_io),
-    "klt": (cmd_klt, "resolve a cluster arrangement and decide klt",
-            _add_io),
+                 "case label and decision for a scenario document", _IO),
+    "klt": (cmd_klt, "resolve a cluster arrangement and decide klt", _IO),
     "tango": (cmd_tango, "invariant certificate for a catalogued curve",
-              _add_family),
+              _FAMILY),
     "construct": (cmd_construct, "build and verify a counterexample package",
-                  _add_construct),
+                  _CONSTRUCT),
     "verify": (cmd_verify,
-               "re-run every check on an emitted package document", _add_io),
+               "re-run every check on an emitted package document", _IO),
     "sweep": (cmd_sweep, "euler-formula agreement over an integral box",
-              _add_sweep),
+              _SWEEP),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of all six subcommands.  With ``command`` given, only
-    that subcommand gets its arguments; the others keep their name and
-    help line, so usage, help and errors read the same."""
+def _convert(kind):
+    """What turns a flag's value into the one its command reads."""
+    return type(kind[0]) if isinstance(kind, tuple) else kind
+
+
+def _read_flags(argv):
+    """The arguments of a command line of the shape
+    ``COMMAND (--option VALUE | --flag)*``, each option spelled in full
+    and no value starting with "-", as argparse reads them; None for any
+    other command line and for a value argparse would refuse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows = {row[0]: row for row in _COMMANDS[argv[0]][2]}
+    values = {dest: default for _, dest, _, default, _, _ in rows.values()}
+    values["command"] = argv[0]
+    tokens = iter(argv[1:])
+    for option in tokens:
+        if option not in rows:
+            return None
+        _, dest, kind, _, _, _ = rows[option]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = _convert(kind)(value)
+        except ValueError:
+            return None
+        if isinstance(kind, tuple) and value not in kind:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
+def build_parser(command: str | None = None):
+    """The argparse parser of all six subcommands, built from the flag
+    rows.  With ``command`` given, only that subcommand gets its
+    arguments; the others keep their name and help line, so usage, help
+    and errors read the same."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="svlab",
         description=(
@@ -315,20 +356,32 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, add_arguments) in _COMMANDS.items():
+    for name, (_, help_line, rows) in _COMMANDS.items():
         subparser = sub.add_parser(name, help=help_line)
-        if command is None or command == name:
-            add_arguments(subparser)
+        if command is not None and command != name:
+            continue
+        for option, dest, kind, default, metavar, help_text in rows:
+            if kind is bool:
+                subparser.add_argument(option, dest=dest,
+                                       action="store_true", help=help_text)
+                continue
+            subparser.add_argument(
+                option, dest=dest, default=default, metavar=metavar,
+                help=help_text, type=_convert(kind),
+                choices=kind if isinstance(kind, tuple) else None,
+            )
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level parser has no option that takes a value, so the first
-    # token that is not an option names the subcommand argparse runs
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(named).parse_args(argv)
+    args = _read_flags(argv)
+    if args is None:
+        # the top-level parser has no option that takes a value, so the
+        # first token that is not an option names the subcommand
+        named = next((arg for arg in argv if not arg.startswith("-")), None)
+        args = build_parser(named).parse_args(argv)
     try:
         report = _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as ex:
@@ -338,15 +391,18 @@ def main(argv=None) -> int:
         render_machine(report) if args.format == "machine"
         else render_text(report)
     )
-    if args.out_path is not None:
-        try:
+    try:
+        if args.out_path is None:
+            sys.stdout.write(rendered)
+            # a closed stdout fails here, inside the handler, and not at
+            # the interpreter's own flush on exit
+            sys.stdout.flush()
+        else:
             with open(args.out_path, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
-        except OSError as ex:
-            print(f"error: {ex}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(rendered)
+    except OSError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 2
     return report.exit_code()
 
 

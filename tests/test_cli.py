@@ -11,6 +11,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import random
 import re
 import shlex
@@ -49,6 +50,8 @@ from svlab.lattice import (
     certify_positivity,
     riemann_roch_chi,
 )
+
+cli_main = importlib.import_module("svlab.cli.main")
 
 _TOKEN = re.compile(r'([\w-]+)=("(?:[^"\\]|\\.)*"|\S+)')
 
@@ -584,12 +587,12 @@ def sweep_document(rng):
     return doc
 
 
-def _exit_code_contract(command, path):
+def _exit_code_contract(argv):
     """Exit 0 or 1 with a report, or exit 2 with one error line and
     nothing on stdout; no exception escapes main."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--in", path])
+        code = main(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
@@ -605,7 +608,7 @@ class TestClassifyFuzz:
     def test_exit_code_contract(self, tmp_path_factory, rng):
         path = write_doc(tmp_path_factory.getbasetemp(), "fuzz.json",
                          classify_document(rng))
-        _exit_code_contract("classify", path)
+        _exit_code_contract(["classify", "--in", path])
 
 
 class TestKltFuzz:
@@ -615,7 +618,7 @@ class TestKltFuzz:
     def test_exit_code_contract(self, tmp_path_factory, rng):
         path = write_doc(tmp_path_factory.getbasetemp(), "klt-fuzz.json",
                          klt_document(rng))
-        _exit_code_contract("klt", path)
+        _exit_code_contract(["klt", "--in", path])
 
 
 class TestSweepFuzz:
@@ -625,7 +628,46 @@ class TestSweepFuzz:
     def test_exit_code_contract(self, tmp_path_factory, rng):
         path = write_doc(tmp_path_factory.getbasetemp(), "sweep-fuzz.json",
                          sweep_document(rng))
-        _exit_code_contract("sweep", path)
+        _exit_code_contract(["sweep", "--in", path])
+
+
+# small values a family accepts, and odd ones around the caps: the
+# largest prime below 2**16, the cap itself and one above it, and each h
+# that puts a family's genus over MAX_GENUS; no accepted draw comes near
+# the genus cap, whose certificate takes about 2 s
+_FLAG_P = ((3, 5, 7, 11, 13),
+           (2, -1, 0, 1, 4, 9, 65521, 2 ** 16, 2 ** 16 + 1, 10 ** 24 + 7))
+_FLAG_H = ((3, 5, 7, 9), (-3, 0, 1, 2, 4, 20_002, 40_001, 10 ** 12))
+
+
+def family_flags(rng):
+    """A tango or construct command line of family flags, each value
+    one argparse accepts."""
+    command = rng.choice(("tango", "construct"))
+    argv = [command]
+    family = rng.choice((None, *schema.FAMILY_KINDS * 3))
+    if family is not None:
+        argv += ["--family", family]
+    if rng.random() < 0.9:
+        argv += ["--p", str(rng.choice(_FLAG_P[rng.random() < 0.3]))]
+    if rng.random() < (0.2 if family == "tangoplane" else 0.9):
+        argv += ["--h", str(rng.choice(_FLAG_H[rng.random() < 0.3]))]
+    if command == "construct":
+        if rng.random() < 0.9:
+            argv += ["--kind", rng.choice(KINDS)]
+        if rng.random() < 0.5:
+            argv.append("--allow-asserted")
+    if rng.random() < 0.5:
+        argv += ["--format", rng.choice(("text", "machine"))]
+    return argv
+
+
+class TestFamilyFlagFuzz:
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=timedelta(seconds=2))
+    @given(st.randoms(use_true_random=True))
+    def test_exit_code_contract(self, rng):
+        _exit_code_contract(family_flags(rng))
 
 
 class TestExceptionalPoints:
@@ -1721,6 +1763,94 @@ class TestNamedSubcommandParser:
         )
 
 
+# values of every shape the reader must judge as argparse does: a
+# negative number, a lone dash, an empty string, a leading space, a
+# non-ASCII digit and an underscore, which int() accepts
+_ODD_VALUES = ("-3", "-", "", " 3", "\u0663", "3_0", "x", "--")
+# the values of each dest, then of each kind; no option writes in.json
+_GOOD_VALUES = {"in_path": ("in.json", "3"), "out_path": ("out.txt", "3"),
+                "emit": ("out.txt",), int: ("3", "5", "2", "-1"),
+                bool: ("3",)}
+_FAMILY_LINE = ["--family", "hyperelliptic", "--p", "3", "--h", "3"]
+
+
+def flag_line(rng):
+    """A command line drawn from the flag table: valid lines and
+    repeated flags, abbreviations, --opt=value, odd and missing values,
+    unknown tokens, help, and options before the command."""
+    command = rng.choice(tuple(cli_main._COMMANDS))
+    rows = cli_main._COMMANDS[command][2]
+    if rng.random() < 0.1:  # another command's option
+        rows = cli_main._CONSTRUCT + cli_main._SWEEP
+    argv = [command]
+    if rng.random() < 0.5:  # a line that runs, when nothing spoils it
+        argv += {"tango": _FAMILY_LINE,
+                 "construct": _FAMILY_LINE + ["--kind", "kv"]}.get(
+                     command, ["--in", "in.json"])
+    for _ in range(rng.randint(0, 4)):
+        option, dest, kind, *_ = rng.choice(rows)
+        value = None if kind is bool and rng.random() < 0.9 else rng.choice(
+            _ODD_VALUES if rng.random() < 0.2
+            else _GOOD_VALUES.get(dest) or _GOOD_VALUES.get(kind)
+            or tuple(map(str, kind)))
+        shape = rng.random()
+        if shape < 0.1 and len(option) > 4:
+            option = option[:rng.randint(3, len(option) - 1)]
+        if shape > 0.9 and value is not None:
+            argv.append(f"{option}={value}")
+        else:
+            argv += [option] if value is None else [option, value]
+    if rng.random() < 0.1:
+        argv.pop()  # a missing value, or the command itself
+    if rng.random() < 0.1:
+        argv.insert(rng.randint(0, len(argv)),
+                    rng.choice(("-h", "--help", "--bogus", "extra", "-x")))
+    if len(argv) > 1 and rng.random() < 0.1:
+        argv.insert(0, argv.pop())
+    return argv
+
+
+def _outcome(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, argparse's exit
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFlagReader:
+    """``main`` reads a well-formed command line from the flag table and
+    hands every other one to argparse; argparse must read the same."""
+
+    def test_reader_agrees_with_argparse(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)  # where --out and --emit write
+        write_doc(tmp_path, "in.json", {
+            "format": "svlab/1", "request": "tango",
+            "family": {"kind": "hyperelliptic", "p": 3, "h": 3},
+        })
+        rng = random.Random(26)
+        read = 0
+        for _ in range(300):
+            argv = flag_line(rng)
+            args = cli_main._read_flags(argv)
+            if args is not None:
+                read += 1
+                with contextlib.redirect_stderr(io.StringIO()):
+                    expected = build_parser().parse_args(argv)
+                assert vars(args) == vars(expected), argv
+            ours = _outcome(argv)
+            with monkeypatch.context() as patched:
+                patched.setattr(cli_main, "_read_flags", lambda argv: None)
+                assert ours == _outcome(argv), argv
+        # both paths are taken
+        assert 100 < read < 250
+
+
 def _readme_examples():
     """Each JSON request block of README.md, and each flag-only
     ``svlab ...`` line of its plain code blocks."""
@@ -1759,6 +1889,24 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "n: 1" in proc.stdout
         assert "provenance: asserted" in proc.stdout
+
+    def test_closed_stdout_is_an_output_error(self):
+        # the pipe has no reader left when the report is written: exit 2
+        # with one error line, as for an unwritable --out, and no
+        # traceback, now or at the interpreter's exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "svlab", "tango",
+                 "--family", "tangoplane", "--p", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: [Errno 32] Broken pipe\n",
+        )
 
     def test_module_invocation_error(self):
         proc = subprocess.run(

@@ -57,6 +57,32 @@ def test_no_forbidden_import(forbidden):
     assert found == []
 
 
+def test_argparse_is_imported_only_inside_a_function():
+    # a well-formed command line is read without argparse, which loads
+    # only for --help and for a command line the flag reader declines
+    inside, outside = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        stack = [(node, False) for node in tree.body]
+        while stack:
+            node, in_function = stack.pop()
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                modules = []
+            if "argparse" in modules:
+                (inside if in_function else outside).append(
+                    f"{path.relative_to(SRC)}:{node.lineno}")
+            in_function = in_function or isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            stack.extend((kid, in_function)
+                         for kid in ast.iter_child_nodes(node))
+    # build_parser's import is seen, so the check cannot pass on nothing
+    assert inside and outside == []
+
+
 def test_package_inits_bind_no_name():
     # every name is imported from the module that defines it; a package
     # __init__ holds its docstring and, for svlab itself, __version__
@@ -252,6 +278,7 @@ def test_cli_import_loads_no_layer_but_the_lattice():
         "svlab.charpcurve", "svlab.construct", "svlab.fibered",
         "svlab.kltcalc", "svlab.nonvanish", "svlab.chiproduct",
         "concurrent.futures", "dataclasses", "inspect", *_READERS,
+        "argparse", "gettext", "locale",
     }
     assert loaded & unwanted == set()
 
@@ -407,7 +434,10 @@ def test_sweep_command_loads_the_product_not_the_decision_engine(tmp_path):
 def test_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
     loaded = _imported("-m", "svlab", *_argv(command, tmp_path))
     assert "svlab.record" in loaded
-    assert loaded & {"dataclasses", "inspect"} == set()
+    # nor the argument parser, which only --help and usage errors need
+    assert loaded & {
+        "dataclasses", "inspect", "argparse", "gettext", "locale",
+    } == set()
 
 
 @pytest.mark.parametrize("module,name,command", (
