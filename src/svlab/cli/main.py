@@ -15,6 +15,7 @@ when the report could not be written (an unwritable ``--out`` or a
 closed stdout).
 """
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -341,11 +342,9 @@ def _read_flags(argv):
     return SimpleNamespace(**values)
 
 
-def build_parser(command: str | None = None):
+def build_parser():
     """The argparse parser of all six subcommands, built from the flag
-    rows.  With ``command`` given, only that subcommand gets its
-    arguments; the others keep their name and help line, so usage, help
-    and errors read the same."""
+    rows."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -358,8 +357,6 @@ def build_parser(command: str | None = None):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, rows) in _COMMANDS.items():
         subparser = sub.add_parser(name, help=help_line)
-        if command is not None and command != name:
-            continue
         for option, dest, kind, default, metavar, help_text in rows:
             if kind is bool:
                 subparser.add_argument(option, dest=dest,
@@ -378,10 +375,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _read_flags(argv)
     if args is None:
-        # the top-level parser has no option that takes a value, so the
-        # first token that is not an option names the subcommand
-        named = next((arg for arg in argv if not arg.startswith("-")), None)
-        args = build_parser(named).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         report = _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as ex:
@@ -401,6 +395,10 @@ def main(argv=None) -> int:
             with open(args.out_path, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
     except OSError as ex:
+        if args.out_path is None:
+            # what stays buffered would fail again at the interpreter's
+            # flush on exit; it goes to the null device instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {ex}", file=sys.stderr)
         return 2
     return report.exit_code()

@@ -1723,8 +1723,8 @@ _USAGE = "usage: svlab [-h] {classify,klt,tango,construct,verify,sweep} ...\n"
 
 
 class TestNamedSubcommandParser:
-    """``main`` adds arguments only to the subcommand its argv names;
-    what argparse prints stays that of the parser with all six."""
+    """What ``main`` prints for a command line the flag reader declines
+    is what the parser with all six subcommands prints."""
 
     @pytest.mark.parametrize("argv,stderr", [
         (["nosuch"], _USAGE + (
@@ -1890,16 +1890,22 @@ class TestEntryPoint:
         assert "n: 1" in proc.stdout
         assert "provenance: asserted" in proc.stdout
 
-    def test_closed_stdout_is_an_output_error(self):
+    @pytest.mark.parametrize("command", ["tango", "sweep"])
+    def test_closed_stdout_is_an_output_error(self, tmp_path, command):
         # the pipe has no reader left when the report is written: exit 2
         # with one error line, as for an unwritable --out, and no
-        # traceback, now or at the interpreter's exit
+        # traceback, now or at the interpreter's exit.  The sweep report
+        # (about 13 kB) is larger than stdout's buffer.
+        argv = {
+            "tango": ["tango", "--family", "tangoplane", "--p", "3"],
+            "sweep": ["sweep", "--in",
+                      write_doc(tmp_path, "d.json", SWEEP_DOC)],
+        }[command]
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "svlab", "tango",
-                 "--family", "tangoplane", "--p", "3"],
+                [sys.executable, "-m", "svlab", *argv],
                 stdout=write_end, stderr=subprocess.PIPE, text=True,
             )
         finally:
