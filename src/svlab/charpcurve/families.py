@@ -271,52 +271,65 @@ def _n_from_valuation(family: CurveFamily, v: int) -> int:
 
 @record
 class TangoCertificate:
+    """The Tango invariant of a family's curve: the family and v(df0),
+    the order at infinity of the witness differential.
+
+    ``v_inf`` is None exactly for ``TangoPlane``, whose invariant is the
+    catalogue value; any other valuation than 2g - 2 is refused (see
+    ``_n_from_valuation``).  Everything else the certificate reports is
+    a function of these two fields: n = floor(v/p), which then equals
+    the genus bound floor(2(g-1)/p), and the p = 2 condition 3 | n.
+    """
+
     family: CurveFamily
-    witness: str
-    genus: int
     v_inf: int | None
-    n_f0: int
-    bound: int
-    equality: bool
-    l_degree: int
-    star_condition: bool | None
-    provenance: str
 
     def __post_init__(self):
-        if self.v_inf is not None and self.n_f0 != self.v_inf // self.family.p:
-            raise CertificateError("n must be floor(v/p)")
-        if self.l_degree != self.n_f0:
-            raise CertificateError("the line bundle degree is n")
+        if (self.v_inf is None) != isinstance(self.family, TangoPlane):
+            raise CertificateError(
+                "v_inf is computed for every family but the plane one,"
+                " which has no catalogued expansion"
+            )
+        if self.v_inf is not None:
+            _n_from_valuation(self.family, self.v_inf)
+
+    @property
+    def witness(self) -> str:
+        return default_witness(self.family)
+
+    @property
+    def genus(self) -> int:
+        return genus(self.family)
+
+    @property
+    def n_f0(self) -> int:
+        if self.v_inf is None:
+            return n_of_f(self.family)
+        return self.v_inf // self.family.p
+
+    @property
+    def bound(self) -> int:
+        return 2 * (self.genus - 1) // self.family.p
+
+    @property
+    def equality(self) -> bool:
+        return self.n_f0 == self.bound
+
+    @property
+    def star_condition(self) -> bool | None:
+        return self.n_f0 % 3 == 0 if self.family.p == 2 else None
+
+    @property
+    def provenance(self) -> str:
+        return ASSERTED if self.v_inf is None else COMPUTED
 
 
 def certify_tango(
     family: CurveFamily, precision: int | None = None
 ) -> TangoCertificate:
-    """Full certificate: genus, v at infinity, n of the witness, the
-    genus bound floor(2(g-1)/p), and equality of the two (which pins
-    the invariant of the curve at the witness value)."""
-    g = genus(family)
-    bound = (2 * (g - 1)) // family.p
-    witness = default_witness(family)
+    """The certificate of ``family``: v(df0) computed from the series
+    at infinity, or none for the plane family, whose invariant is the
+    catalogue value."""
     if isinstance(family, TangoPlane):
-        n = n_of_f(family)
-        v = None
-        provenance = ASSERTED
-    else:
-        v = v_infinity_df(family, precision)
-        n = _n_from_valuation(family, v)
-        provenance = COMPUTED
-    star = (n % 3 == 0) if family.p == 2 else None
-    return TangoCertificate(
-        family=family,
-        witness=witness,
-        genus=g,
-        v_inf=v,
-        n_f0=n,
-        bound=bound,
-        equality=(n == bound),
-        l_degree=n,
-        star_condition=star,
-        provenance=provenance,
-    )
-
+        return TangoCertificate(family, None)
+    return TangoCertificate(family, v_infinity_df(family, precision))

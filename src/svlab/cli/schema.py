@@ -258,13 +258,12 @@ def family_from_fields(kind: str, p: int, h):
     return family
 
 
+_FAMILY = {"kind": _string, "p": characteristic}
+_FAMILY_OPTIONAL = {"h": (_nullable(_int), None)}
+
+
 def _family(value, where):
-    fields = _object(value, where, {
-        "kind": _string,
-        "p": characteristic,
-    }, {
-        "h": (_nullable(_int), None),
-    })
+    fields = _object(value, where, _FAMILY, _FAMILY_OPTIONAL)
     return family_from_fields(fields["kind"], fields["p"], fields["h"])
 
 
@@ -272,12 +271,14 @@ def family_from_document(data: dict):
     return _top(data, "tango", {"family": _family})["family"]
 
 
+_CONSTRUCT = {"kind": _string, "family": _family}
+_CONSTRUCT_OPTIONAL = {"allow_asserted": (_bool, False)}
+
+
 def construct_from_document(data: dict):
     from ..construct import KINDS
 
-    top = _top(data, "construct", {"kind": _string, "family": _family}, {
-        "allow_asserted": (_bool, False),
-    })
+    top = _top(data, "construct", _CONSTRUCT, _CONSTRUCT_OPTIONAL)
     if top["kind"] not in KINDS:
         raise SchemaError(
             f"kind: expected one of {', '.join(KINDS)}, got {top['kind']!r}"

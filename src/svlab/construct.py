@@ -113,7 +113,7 @@ class CounterexamplePackage:
                 )
 
     def degree_n(self) -> int:
-        return self.certificate.l_degree
+        return self.certificate.n_f0
 
 
 @record
@@ -144,14 +144,6 @@ class PackageVerification:
 
 
 def _admit(cert: TangoCertificate, allow_asserted: bool) -> None:
-    if cert.n_f0 <= 0:
-        raise PackageError(
-            "the invariant must be positive to twist anything pathological"
-        )
-    if not cert.equality:
-        raise PackageError(
-            "certificate does not pin the invariant at the genus bound"
-        )
     if cert.provenance == ASSERTED and not allow_asserted:
         raise PackageError(
             "certificate is catalogue-asserted, not computed;"
@@ -162,18 +154,12 @@ def _admit(cert: TangoCertificate, allow_asserted: bool) -> None:
 def build_surface(cert: TangoCertificate) -> RuledModel:
     """Ruled surface over the certified curve with invariant e = -n.
 
-    The multisection class pE - pnF must clear the candidate-curve
-    constraints, which on the x >= p branch amounts to 2(g-1) >= pn;
-    the genus bound in the certificate guarantees exactly that.
+    Every certificate has n = floor(2(g-1)/p) >= 1, so e < 0, and the
+    multisection class pE - pnF clears the candidate-curve constraints:
+    on their x >= p branch they amount to pn <= 2(g-1).
+    ``verify_package`` checks them on every package (``section-curve``).
     """
-    g, n, p = cert.genus, cert.l_degree, cert.family.p
-    model = RuledModel(p, g, -n)
-    if not candidate_curve_constraints(model, disjoint_multisection(model)):
-        raise PackageError(
-            "multisection class fails the curve constraints;"
-            " the certificate bound must be broken"
-        )
-    return model
+    return RuledModel(cert.family.p, cert.genus, -cert.n_f0)
 
 
 def _kv_classes(
@@ -239,7 +225,7 @@ def _semipos_fields(cert, model, c_prime) -> dict:
     term.  The p = 2 data subtracts a third of the certified bundle
     from the base canonical, hence needs 3 | n to stay integral.
     """
-    g, n, p = cert.genus, cert.l_degree, cert.family.p
+    g, n, p = cert.genus, cert.n_f0, cert.family.p
     member = {}
     if p >= 5:
         coeff, divisor, h_class = _kv_classes(model)
@@ -254,8 +240,6 @@ def _semipos_fields(cert, model, c_prime) -> dict:
         coeff = Fraction(5, 6)
         divisor = model.divisor(1, 2 * g - 2 - n // 3)
         h_class = model.divisor(Fraction(4, 3), Fraction(n, 3))
-    if not divisor.is_integral():
-        raise PackageError("the shifted data left D fractional")
     return {
         "boundary": ((c_prime, coeff),),
         "divisor": divisor,

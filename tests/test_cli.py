@@ -39,11 +39,11 @@ from svlab.cli.arrangement import (
     _CLUSTER_CHILDREN,
 )
 from svlab.cli.main import build_parser, main
-from svlab.cli.package import _CERTIFICATE_KEYS, _PACKAGE_KEYS
+from svlab.cli.package import _PACKAGE_KEYS
 from svlab.cli.report import PASS, Report, check, render_machine
 from svlab.cli.scenario import _MODEL_OPTIONAL, _SCENARIO, _SCENARIO_OPTIONAL
 from svlab.cli.sweep import _BOX, _SWEEP, SweepRequest, run_sweep
-from svlab.construct import KINDS, build_package
+from svlab.construct import KINDS, PackageError, build_package
 from svlab.lattice import (
     CERTIFIED,
     RuledModel,
@@ -670,6 +670,83 @@ class TestFamilyFlagFuzz:
         _exit_code_contract(family_flags(rng))
 
 
+def _classes(*extra):
+    """A pool of rank-2 classes, and ``extra`` shapes."""
+    return (*_coefficients(2, "0", "1", "3", "-6", "1/2"), *_fixed(*extra))
+
+
+def family_document_request(rng):
+    """A tango, construct or verify command and its document, drawn from
+    the family, construct and package readers' key tables as
+    ``classify_document`` draws a classify document.  A tango or
+    construct family draws p and h from the flag fuzz's pools, so no
+    accepted draw comes near the genus cap; a verify document is a built
+    package of a ladder family.  Half the documents get one fault."""
+    values = {
+        "kind": ((lambda rng: rng.choice(KINDS),),
+                 _fixed("", "other", *schema.FAMILY_KINDS)),
+        "p": (_fixed(*_FLAG_P[0]), _fixed(*_FLAG_P[1])),
+        "h": (_fixed(*_FLAG_H[0]), _fixed(*_FLAG_H[1])),
+        "allow_asserted": (_fixed(True, False), _fixed(1, "true")),
+        "family": (None, _fixed(
+            {"kind": "hyperelliptic", "p": 5, "h": 3},
+            {"kind": "artinschreier", "p": 2, "h": 5},
+            {"kind": "tangoplane", "p": 5}, {"kind": "tangoplane"},
+        )),
+        "section_curve": (None, _classes(["3"], None)),
+        "boundary": (None, _fixed(
+            [], [{"class": ["1", "0"], "coefficient": "1/2"}] * 2,
+        )),
+        "divisor": (None, _classes(["0", "6", "0"], None)),
+        "h_class": (None, _classes(["1/2"], None)),
+        "base_twist_degree": (None, _fixed(None, "0", "1", "-1/2")),
+        "member_class": (None, _classes(None)),
+        "member_coefficient": (None, _fixed(None, "0", "1/3", "1")),
+        "shifted_divisor": (None, _classes(None)),
+        "class": (None, _classes(["1"])),
+        "coefficient": (None, _fixed("0", "1", "1/3", "3/2")),
+    }
+    command = rng.choice(("tango", "construct", "verify"))
+    if command == "verify":
+        name, p, h = rng.choice(LADDER + (("tangoplane", 3, None),))
+        cert = certify_tango(schema.family_from_fields(name, p, h))
+        try:
+            pkg = build_package(rng.choice(KINDS), cert, allow_asserted=True)
+        except PackageError:  # p = 2 with 3 not dividing n
+            pkg = build_package("kv", cert, allow_asserted=True)
+        doc = schema.package_to_document(pkg)
+        package, family = doc["package"], doc["package"]["family"]
+        objects = [(package, ("kind", "family", *_PACKAGE_KEYS), {})]
+        objects += [(entry, schema._BOUNDARY_ENTRY, {})
+                    for entry in package["boundary"]]
+    else:
+        family = _drawn(rng, schema._FAMILY, schema._FAMILY_OPTIONAL, {
+            **values, "kind": (_fixed(*schema.FAMILY_KINDS),),
+        })
+        if family["kind"] == "tangoplane" and rng.random() < 0.8:
+            del family["h"]
+        doc = {"format": "svlab/1", "request": command, "family": family}
+        tables = (("family",), {})
+        if command == "construct":
+            tables = (schema._CONSTRUCT, schema._CONSTRUCT_OPTIONAL)
+            doc.update(_drawn(rng, ("kind",), tables[1], values))
+        objects = [(doc, *tables)]
+    objects.append((family, schema._FAMILY, schema._FAMILY_OPTIONAL))
+    _one_fault_or_none(rng, objects, values)
+    return [command, "--in"], doc
+
+
+class TestFamilyDocumentFuzz:
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=timedelta(seconds=2))
+    @given(st.randoms(use_true_random=True))
+    def test_exit_code_contract(self, tmp_path_factory, rng):
+        argv, doc = family_document_request(rng)
+        path = write_doc(tmp_path_factory.getbasetemp(),
+                         "family-fuzz.json", doc)
+        _exit_code_contract(argv + [path])
+
+
 class TestExceptionalPoints:
     @staticmethod
     def doc(exceptionals):
@@ -764,8 +841,9 @@ class TestCharacteristicCap:
         )
         assert code == 0
         doc = json.loads(emitted.read_text(encoding="utf-8"))
-        doc["package"]["model"]["p"] = self.HUGE
-        self.refused(capsys, "package.model.p", "verify",
+        # the package's model is the surface over its family
+        doc["package"]["family"]["p"] = self.HUGE
+        self.refused(capsys, "package.family.p", "verify",
                      "--in", write_doc(tmp_path, "d.json", doc))
 
     def test_largest_prime_below_the_cap_is_accepted(self, tmp_path, capsys):
@@ -839,7 +917,8 @@ class TestGenusCap:
         )
         assert code == 0
         doc = json.loads(emitted.read_text(encoding="utf-8"))
-        doc["package"]["certificate"]["family"]["h"] = 99999999999
+        # the package's certificate is recomputed from its family
+        doc["package"]["family"]["h"] = 99999999999
         self.refused(capsys, "Hyperelliptic(p=3, h=99999999999)",
                      149999999998,
                      "verify", "--in", write_doc(tmp_path, "d.json", doc))
@@ -1213,18 +1292,39 @@ class TestRoundTrip:
         (valid,) = checks(out, "package-valid")
         assert valid["status"] == "FAIL"
 
-    def test_tampered_certificate_is_an_input_error(
-        self, tmp_path, capsys,
-    ):
+    def test_edited_family_fails_verification(self, tmp_path, capsys):
+        # h = 5 puts the stored classes on the surface over a genus-7
+        # curve, where K and so D - K - B move
         emitted, _ = self.emit(
             tmp_path, capsys, "kv", "hyperelliptic", "3", "3",
         )
         doc = json.loads(emitted.read_text(encoding="utf-8"))
-        doc["package"]["certificate"]["genus"] = 5
+        doc["package"]["family"]["h"] = 5
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
-        code, _, err = run(capsys, "verify", "--in", str(bad))
-        assert code == 2
+        code, out, _ = run(
+            capsys, "verify", "--format", "machine", "--in", str(bad),
+        )
+        assert code == 1
+        (identity,) = checks(out, "class-identity")
+        assert identity["status"] == "FAIL"
+        (valid,) = checks(out, "package-valid")
+        assert valid["status"] == "FAIL"
+
+    def test_meeting_kollar_branches_fail_boundary_klt(
+        self, tmp_path, capsys,
+    ):
+        # the second branch becomes E itself, which meets the first
+        # branch E with E^2 = n = 2
+        doc = self.package_doc("kollar", "hyperelliptic", 3, 3)
+        doc["package"]["boundary"][1]["class"] = ["1", "0"]
+        path = write_doc(tmp_path, "meeting.json", doc)
+        code, out, _ = run(
+            capsys, "verify", "--format", "machine", "--in", path,
+        )
+        assert code == 1
+        assert ("check name=boundary-klt status=FAIL"
+                " witness=\"branches are not disjoint: E.C' = 2\"\n") in out
 
     @pytest.mark.parametrize("entry", (0, 1))
     def test_tampered_member_class_fails_verification(
@@ -1312,15 +1412,15 @@ class TestRoundTrip:
         assert err.startswith(f"error: {key}: ")
 
     def test_key_tables_follow_the_record_fields(self):
-        from svlab.charpcurve.families import TangoCertificate
+        # a document carries the kind, the family in place of the
+        # certificate and the model it fixes, then every other field
         from svlab.construct import CounterexamplePackage
 
-        assert list(_PACKAGE_KEYS) == list(
-            CounterexamplePackage.__annotations__
-        )
-        assert list(_CERTIFICATE_KEYS) == list(
-            TangoCertificate.__annotations__
-        )
+        kind, certificate, model, *rest = CounterexamplePackage.__annotations__
+        assert (kind, certificate, model) == ("kind", "certificate", "model")
+        assert list(_PACKAGE_KEYS) == rest
+        doc = self.package_doc("kv", "hyperelliptic", 3, 3)
+        assert list(doc["package"]) == ["kind", "family", *rest]
 
     def test_asserted_package_round_trips(self, tmp_path, capsys):
         emitted = tmp_path / "tp.json"

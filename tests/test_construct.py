@@ -11,6 +11,7 @@ import pytest
 
 from svlab.charpcurve.families import (
     ArtinSchreier,
+    CertificateError,
     Hyperelliptic,
     TangoCertificate,
     TangoPlane,
@@ -87,22 +88,18 @@ class TestSurface:
 
 
 class TestAdmission:
-    def test_bound_gap_rejected(self):
+    def test_certificate_is_its_family_and_valuation(self):
+        # n = floor(v/p) equals the genus bound only for v = 2g - 2, and
+        # the plane family has no expansion to take a valuation from
         base = cert_of(Hyperelliptic(3, 3))
-        loose = TangoCertificate(
-            family=base.family,
-            witness=base.witness,
-            genus=base.genus,
-            v_inf=base.v_inf,
-            n_f0=base.n_f0,
-            bound=base.bound + 1,
-            equality=False,
-            l_degree=base.l_degree,
-            star_condition=base.star_condition,
-            provenance=base.provenance,
-        )
-        with pytest.raises(PackageError, match="bound"):
-            build_package(KIND_KV, loose)
+        assert TangoCertificate(base.family, 6) == base
+        for v in (0, 5, 7, 9):
+            with pytest.raises(CertificateError, match="not concentrated"):
+                TangoCertificate(base.family, v)
+        with pytest.raises(CertificateError, match="plane"):
+            TangoCertificate(base.family, None)
+        with pytest.raises(CertificateError, match="plane"):
+            TangoCertificate(TangoPlane(5), 18)
 
     def test_asserted_certificates_need_the_flag(self):
         cert = certify_tango(TangoPlane(5))
@@ -112,23 +109,6 @@ class TestAdmission:
         assert verify_package(pkg).valid
         # g = 10, n = 3: the generic formulas, nothing p=5-specific
         assert pkg.divisor == pkg.model.divisor(1, 15)
-
-    def test_zero_invariant_rejected(self):
-        base = cert_of(Hyperelliptic(3, 3))
-        flat = TangoCertificate(
-            family=base.family,
-            witness=base.witness,
-            genus=base.genus,
-            v_inf=0,
-            n_f0=0,
-            bound=0,
-            equality=True,
-            l_degree=0,
-            star_condition=None,
-            provenance=base.provenance,
-        )
-        with pytest.raises(PackageError, match="positive"):
-            build_package(KIND_KV, flat)
 
     def test_unknown_kind(self):
         with pytest.raises(PackageError, match="kind"):

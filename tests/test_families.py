@@ -146,7 +146,6 @@ class TestCertificates:
         assert cert.n_f0 == 2
         assert cert.bound == 2
         assert cert.equality is True
-        assert cert.l_degree == 2
         assert cert.star_condition is None
         assert cert.provenance == "computed"
         assert cert.witness == "y/x^p"

@@ -98,7 +98,7 @@ DIGESTS = {
     "construct-kv:machine":
         "ed0f08dca2909497867313179dc55c0c3776e1bbea5fedbeb87af84a75d3b655",
     "construct-kv:package":
-        "88242af27862b318db00e711ff35614c4eb7aa70feb242b8c5923250a4547e71",
+        "d42deac3b138ab024277dd418cb5d49527b0c81253005b741378eae2ec5f80d4",
     "construct-kv:text":
         "71322320ee21df6fd58b111712c93bfa5c399c59d1ce7044c735f1ca62f8b639",
     "klt-mixed-forest:machine":
@@ -297,6 +297,26 @@ def _refusal_cases():
         ),
         # chi(O) is 1 - g on every model, so the model has no "chi" key
         # that could lift it, even when chi_o agrees with the key
+        # a package document of the old shape, which stored the
+        # certificate and model that its family fixes
+        "verify-package:old-shape": (
+            ["verify", "--in", "{doc}"],
+            json.dumps(_document("verify-package", package={
+                "kind": "kv",
+                "certificate": {
+                    "family": FAMILY, "witness": "y/x^p", "genus": 4,
+                    "v_inf": 6, "n": 2, "bound": 2, "equality": True,
+                    "l_degree": 2, "star_condition": None,
+                    "provenance": "computed",
+                },
+                "model": {"p": 3, "genus": 4, "e": -2},
+                "section_curve": ["3", "-6"],
+                "boundary": [{"class": ["3", "-6"], "coefficient": "1/2"}],
+                "divisor": ["0", "6"], "h_class": ["1/2", "1"],
+                "base_twist_degree": None, "member_class": None,
+                "member_coefficient": None, "shifted_divisor": None,
+            })),
+        ),
         "classify:ruled-chi-override": (
             ["classify", "--in", "{doc}"],
             json.dumps(_document("classify", scenario={
@@ -410,6 +430,9 @@ REFUSALS = {
     "verify-package:missing-body": "error: document: missing key 'package'\n",
     "verify-package:other-request":
         "error: document is a sweep request, not verify-package\n",
+    "verify-package:old-shape":
+        "error: package: unknown keys ['certificate', 'model']; this schema"
+        " is strict\n",
     "verify-package:unknown-key":
         "error: document: unknown keys ['extra']; this schema is strict\n",
     "verify-package:wrong-format":
