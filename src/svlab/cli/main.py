@@ -75,6 +75,12 @@ def cmd_classify(args) -> Report:
     ))
 
 
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` of a numerator and a positive
+    denominator that are already coprime."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def cmd_klt(args) -> Report:
     data = schema.load_document(_read(args.in_path))
     arrangement = schema.arrangement_from_document(data)
@@ -85,19 +91,19 @@ def cmd_klt(args) -> Report:
         ("clusters", len(arrangement.clusters)),
     )]
     for record in trace.records:
+        num, den = record.numerator, record.denominator
         lines.append(check(
             "blowup", PASS,
             ("node", record.node),
-            ("sigma", record.sigma),
-            ("coefficient", record.coefficient),
-            ("discrepancy", record.discrepancy),
+            ("sigma", _ratio(num, den)),
+            ("coefficient", _ratio(num - den, den)),
+            ("discrepancy", _ratio(den - num, den)),
         ))
     detail = [("verdict", "klt" if verdict else "not-klt")]
     if trace.records:
         detail.append(("max_exceptional", trace.max_coefficient()))
         if not verdict:
-            detail.append(("min_discrepancy",
-                           min(r.discrepancy for r in trace.records)))
+            detail.append(("min_discrepancy", trace.min_discrepancy()))
     lines.append(check("klt-verdict", PASS, *detail))
     return Report("klt", tuple(lines))
 

@@ -1,10 +1,11 @@
 """Report documents: ordered check lines with exact witness values.
 
-One report, two renderings.  The machine form is a stream of
-``key=value`` records meant for diffing; the text form is the same data
-laid out for reading.  Both are deterministic byte for byte: detail
-ordering is fixed at the call site and nothing ever passes through a
-set or a hash-ordered iteration.
+A check line is a ``(name, status, detail)`` tuple, and its detail a
+tuple of ``(key, value)`` string pairs.  One report, two renderings.
+The machine form is a stream of ``key=value`` records meant for
+diffing; the text form is the same data laid out for reading.  Both are
+deterministic byte for byte: detail ordering is fixed at the call site
+and nothing ever passes through a set or a hash-ordered iteration.
 """
 
 import json
@@ -20,25 +21,19 @@ SKIP = "SKIP"
 
 
 @record
-class CheckLine:
-    name: str
-    status: str
-    detail: tuple[tuple[str, str], ...] = ()
-
-
-@record
 class Report:
     command: str
-    lines: tuple[CheckLine, ...]
+    lines: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...]
 
     def exit_code(self) -> int:
-        return 1 if any(l.status == FAIL for l in self.lines) else 0
+        return 1 if any(status == FAIL for _, status, _ in self.lines) else 0
 
 
-def check(name: str, status: str, *pairs) -> CheckLine:
-    """Build a line, rendering every detail value to its exact string."""
-    detail = tuple([(key, render_value(value)) for key, value in pairs])
-    return CheckLine(name, status, detail)
+def check(name: str, status: str, *pairs) -> tuple:
+    """A ``(name, status, detail)`` line, every detail value rendered to
+    its exact string."""
+    return name, status, tuple([(key, render_value(value))
+                                for key, value in pairs])
 
 
 def render_value(value) -> str:
@@ -64,9 +59,9 @@ def _quoted(value: str) -> str:
 
 def render_machine(report: Report) -> str:
     lines = [f"report command={report.command} format={FORMAT_VERSION}"]
-    for line in report.lines:
-        parts = [f"check name={line.name}", f"status={line.status}"]
-        parts += [f"{k}={_quoted(v)}" for k, v in line.detail]
+    for name, status, detail in report.lines:
+        parts = [f"check name={name}", f"status={status}"]
+        parts += [f"{k}={_quoted(v)}" for k, v in detail]
         lines.append(" ".join(parts))
     lines.append(f"exit code={report.exit_code()}")
     return "\n".join(lines) + "\n"
@@ -74,9 +69,9 @@ def render_machine(report: Report) -> str:
 
 def render_text(report: Report) -> str:
     lines = [f"svlab {report.command}"]
-    for line in report.lines:
-        lines.append(f"{line.name}: {line.status}")
-        for key, value in line.detail:
+    for name, status, detail in report.lines:
+        lines.append(f"{name}: {status}")
+        for key, value in detail:
             lines.append(f"    {key}: {value}")
     lines.append(f"exit {report.exit_code()}")
     return "\n".join(lines) + "\n"

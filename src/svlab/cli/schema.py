@@ -63,7 +63,12 @@ def parse_rational(value, where: str) -> Fraction:
             f"{where}: expected an exact rational like \"3\" or \"-9/2\","
             f" got {value!r}"
         )
-    num, _, den = value.partition("/")
+    return _fraction(value)
+
+
+def _fraction(text: str) -> Fraction:
+    """The rational that a string ``_RATIONAL`` matches spells."""
+    num, _, den = text.partition("/")
     return Fraction(int(num), int(den) if den else 1)
 
 

@@ -9,14 +9,15 @@ every exceptional coefficient stays below 1.
 
 All coefficients are exact rationals.  The walk puts them over the
 least common denominator of the declared ones and carries integer
-numerators; a ``fractions.Fraction`` is built only for the records it
-hands back.
+numerators.  A blow-up record keeps integers too, the reduced numerator
+of its sum and one positive denominator, and builds a
+``fractions.Fraction`` only when one of its values is read as such.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .record import record
 
@@ -89,33 +90,58 @@ class ClusterArrangement:
 
 @record
 class BlowupRecord:
+    """One blow-up: the sum sigma of the incident coefficients is
+    ``numerator / denominator`` in lowest terms, with a positive
+    denominator.  The exceptional coefficient sigma - 1 and the
+    discrepancy 1 - sigma share that denominator and are in lowest terms
+    too."""
+
     node: str
-    sigma: Fraction
-    coefficient: Fraction
+    numerator: int
+    denominator: int
+
+    @property
+    def sigma(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
+
+    @property
+    def coefficient(self) -> Fraction:
+        """The exceptional curve's coefficient: sigma - 1."""
+        return Fraction(self.numerator - self.denominator, self.denominator)
 
     @property
     def discrepancy(self) -> Fraction:
         """The exceptional curve's discrepancy: minus its coefficient."""
-        return -self.coefficient
+        return Fraction(self.denominator - self.numerator, self.denominator)
 
 
 @record
 class BlowupTrace:
     records: tuple[BlowupRecord, ...] = ()
 
+    def _peak(self) -> BlowupRecord:
+        """The first record of the largest sum, compared by cross
+        multiplication of numerators and denominators."""
+        top = self.records[0]
+        for r in self.records:
+            if r.numerator * top.denominator > top.numerator * r.denominator:
+                top = r
+        return top
+
     def max_coefficient(self) -> Fraction | None:
-        if not self.records:
-            return None
-        return max(r.coefficient for r in self.records)
+        return self._peak().coefficient if self.records else None
+
+    def min_discrepancy(self) -> Fraction | None:
+        """The least discrepancy, that of the largest coefficient."""
+        return self._peak().discrepancy if self.records else None
 
 
 def blowup_step(sigma: int, den: int, node: str = "p") -> BlowupRecord:
     """Coefficient transport across one point blow-up: the exceptional
     curve carries (sum of incident coefficients) - 1.  The sum is given
-    as the numerator ``sigma`` over the denominator ``den``."""
-    return BlowupRecord(
-        node, Fraction(sigma, den), Fraction(sigma - den, den)
-    )
+    as the numerator ``sigma`` over the positive denominator ``den``."""
+    g = gcd(sigma, den)
+    return BlowupRecord(node, sigma // g, den // g)
 
 
 def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
@@ -171,6 +197,8 @@ def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
         records.append(blowup_step(sigma, den, label))
         coeff = sigma - den
         verdict = verdict and coeff < den
+        if not node.children:
+            continue
         # a smooth branch has one tangent direction at the parent, so it
         # hits the exceptional in one point: siblings cannot share it.
         # The first overlap is raised once the earlier siblings' subtrees

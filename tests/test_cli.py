@@ -44,6 +44,7 @@ from svlab.cli.report import PASS, Report, check, render_machine
 from svlab.cli.scenario import _MODEL_OPTIONAL, _SCENARIO, _SCENARIO_OPTIONAL
 from svlab.cli.sweep import _BOX, _SWEEP, SweepRequest, run_sweep
 from svlab.construct import KINDS, PackageError, build_package
+from svlab.kltcalc import ClusterArrangement, ClusterNode, WeightedBranch
 from svlab.lattice import (
     CERTIFIED,
     RuledModel,
@@ -619,6 +620,152 @@ class TestKltFuzz:
         path = write_doc(tmp_path_factory.getbasetemp(), "klt-fuzz.json",
                          klt_document(rng))
         _exit_code_contract(["klt", "--in", path])
+
+
+def _reference_arrangement(data):
+    """The klt reader that reads every item through ``schema._object``,
+    built here from the schema's generic pieces: the reference for the
+    reader's direct path."""
+    def strings(value, where):
+        for i, v in enumerate(schema._array(value, where)):
+            schema._string(v, f"{where}[{i}]")
+        return value
+
+    def branch(value, where):
+        fields = schema._object(
+            value, where,
+            {"id": schema._string, "coefficient": schema.parse_rational},
+            {"kind": (schema._string, None)},
+        )
+        kind = "original" if fields["kind"] is None else fields["kind"]
+        if kind not in ("original", "exceptional"):
+            raise schema.SchemaError(
+                f"{where}.kind: expected 'original' or 'exceptional'"
+            )
+        return WeightedBranch(fields["id"], fields["coefficient"], kind)
+
+    def cluster(value, where):
+        fields = schema._object(value, where, {"branches": strings},
+                                {"children": (schema._array, ())})
+        return ClusterNode(tuple(fields["branches"]), tuple(
+            cluster(child, f"{where}.children[{i}]")
+            for i, child in enumerate(fields["children"])
+        ))
+
+    top = schema._top(data, "klt", {"arrangement": lambda v, w: v})
+    fields = schema._object(top["arrangement"], "arrangement", {
+        "branches": schema._list_of(branch),
+    }, {
+        "clusters": (schema._list_of(cluster), []),
+    })
+    return ClusterArrangement(tuple(fields["branches"]),
+                              tuple(fields["clusters"]))
+
+
+_MISSING = object()
+# (key, value) edits of one item; _MISSING drops the key
+_BRANCH_EDITS = (
+    ("id", _MISSING), ("id", 3), ("id", None), ("id", ["b0"]), ("id", ""),
+    ("id", "b0"), ("coefficient", _MISSING), ("coefficient", "1/0"),
+    ("coefficient", "0.5"), ("coefficient", ".5"), ("coefficient", 0.5),
+    ("coefficient", 1), ("coefficient", "1"), ("coefficient", "2/4"),
+    ("coefficient", "-3/2"), ("coefficient", "1/2 "), ("coefficient", "+1"),
+    ("kind", None), ("kind", "other"), ("kind", 3), ("kind", "exceptional"),
+    ("kind", "original"), ("extra", 1),
+)
+_CLUSTER_EDITS = (
+    ("branches", _MISSING), ("branches", "b0"), ("branches", None),
+    ("branches", ["b0", 3]), ("branches", [None]), ("branches", []),
+    ("branches", ["b0"]), ("children", None), ("children", "x"),
+    ("children", {}), ("children", []), ("children", [3]), ("extra", 1),
+)
+_NOT_AN_OBJECT = (3, "x", None, True, [], [{}])
+
+
+def _chain_node(ids, depth):
+    node = {"branches": list(ids)}
+    for _ in range(depth - 1):
+        node = {"branches": list(ids), "children": [node]}
+    return node
+
+
+def mutated_klt_document(rng):
+    """A seeded klt document, wide roots and chains up to 40 deep, with
+    up to two faults: a missing, junk or extra key in a branch or a
+    cluster node, an item that is not an object, or a bad top-level
+    array.  The deepest node of the document draws a quarter of the
+    faults."""
+    count = rng.randint(2, 6)
+    branches = []
+    for i in range(count):
+        branch = {"id": f"b{i}", "coefficient": rng.choice(
+            ("0", "1/2", "1/3", "2/5", "3/4", "5/6", "7/12"))}
+        if rng.random() < 0.3:
+            branch["kind"] = rng.choice(("original", "exceptional"))
+        branches.append(branch)
+    ids = [branch["id"] for branch in branches]
+    clusters = []
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            clusters.append(
+                {"branches": rng.sample(ids, rng.randint(2, min(3, count)))})
+        else:
+            clusters.append(_chain_node(rng.sample(ids, 2),
+                                        rng.randint(1, 40)))
+    arrangement = {"branches": branches, "clusters": clusters}
+    # every item as (container, index, edits), the deepest node last
+    slots = [(branches, i, _BRANCH_EDITS) for i in range(len(branches))]
+    stack = [(clusters, i) for i in range(len(clusters))]
+    while stack:
+        container, i = stack.pop()
+        slots.append((container, i, _CLUSTER_EDITS))
+        stack.extend((container[i].get("children", []), j)
+                     for j in range(len(container[i].get("children", []))))
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        fault = rng.random()
+        if fault < 0.05:
+            arrangement[rng.choice(("branches", "clusters"))] = rng.choice(
+                _NOT_AN_OBJECT[:4] + ({},))
+            continue
+        container, i, edits = (slots[-1] if fault < 0.3
+                               else rng.choice(slots))
+        if fault > 0.85 or not isinstance(container[i], dict):
+            container[i] = rng.choice(_NOT_AN_OBJECT)
+            continue
+        key, value = rng.choice(edits)
+        if value is _MISSING:
+            container[i].pop(key, None)
+        else:
+            container[i][key] = value
+    return {"format": "svlab/1", "request": "klt",
+            "arrangement": arrangement}
+
+
+def _read_outcome(reader, data):
+    """What ``reader`` makes of ``data``: an arrangement, or the type and
+    message of its refusal."""
+    try:
+        return reader(data)
+    except ValueError as ex:
+        return type(ex), str(ex)
+
+
+class TestKltReaderDifferential:
+    """The klt reader builds an item of the common shape directly and
+    sends any other through ``_object``; on every document it must
+    return what the generic reader returns, or refuse with the same
+    error."""
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(st.randoms(use_true_random=True))
+    def test_matches_the_generic_reader(self, rng):
+        doc = mutated_klt_document(rng)
+        expected = _read_outcome(_reference_arrangement,
+                                 json.loads(json.dumps(doc)))
+        assert _read_outcome(schema.arrangement_from_document, doc) == (
+            expected
+        )
 
 
 class TestSweepFuzz:
@@ -1695,6 +1842,53 @@ class TestPerItemWork:
         assert [f["node"] for f in checks(out, "blowup")] == nodes
         assert [args[2] for args, _ in blowups] == nodes
 
+    def test_klt_builds_a_fraction_per_declared_branch_at_most(
+        self, tmp_path, capsys, monkeypatch,
+    ):
+        # 300 roots on two or three branches each, every coefficient text
+        # distinct; three branches of the first root sum above 2, so the
+        # verdict line carries min_discrepancy too.  The blow-up records
+        # and the lines printed from them build no Fraction.
+        branches, clusters = [], []
+        for r in range(300):
+            ids = [f"r{r}x{i}" for i in range(2 + r % 2)]
+            branches += [
+                {"id": bid, "coefficient": f"{8 + i}/{len(branches) + i + 10}"}
+                for i, bid in enumerate(ids)
+            ]
+            clusters.append({"branches": ids})
+        clusters[0]["branches"].append(branches[2]["id"])
+        built = []
+        new = Fraction.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        if hasattr(Fraction, "_from_coprime_ints"):
+            coprime = Fraction._from_coprime_ints.__func__
+
+            def counted_coprime(cls, *args):
+                built.append(args)
+                return coprime(cls, *args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                                classmethod(counted_coprime))
+        code, out, _ = run(
+            capsys, "klt", "--format", "machine",
+            "--in", write_doc(tmp_path, "d.json", {
+                "format": "svlab/1", "request": "klt",
+                "arrangement": {"branches": branches, "clusters": clusters},
+            }),
+        )
+        monkeypatch.undo()
+        assert code == 0
+        assert len(checks(out, "blowup")) == 300
+        (verdict,) = checks(out, "klt-verdict")
+        assert verdict["verdict"] == "not-klt"
+        assert len(branches) <= len(built) <= len(branches) + 4
+
 
 def _reason_kind(reason):
     for kind, mark in (
@@ -1822,7 +2016,7 @@ class TestParserLiterals:
 _USAGE = "usage: svlab [-h] {classify,klt,tango,construct,verify,sweep} ...\n"
 
 
-class TestNamedSubcommandParser:
+class TestDeclinedCommandLine:
     """What ``main`` prints for a command line the flag reader declines
     is what the parser with all six subcommands prints."""
 
@@ -1856,9 +2050,9 @@ class TestNamedSubcommandParser:
         with pytest.raises(SystemExit) as full:
             build_parser().parse_args(argv)
         expected = capsys.readouterr()
-        with pytest.raises(SystemExit) as named:
+        with pytest.raises(SystemExit) as declined:
             main(argv)
-        assert (named.value.code, capsys.readouterr()) == (
+        assert (declined.value.code, capsys.readouterr()) == (
             full.value.code, expected,
         )
 

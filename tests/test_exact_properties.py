@@ -9,8 +9,10 @@ difference, then a fresh product certificate read for chi.  Example
 generation is derandomized, so every run checks the same cases.
 """
 
+import json
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from svlab.chiproduct import (
     InconsistentScenario,
     PreconditionError,
 )
+from svlab.cli.main import cmd_klt
 from svlab.cli.schema import _RATIONAL, SchemaError, parse_rational
 from svlab.cli.sweep import (
     CERTIFIED_ENTRY,
@@ -314,20 +317,66 @@ def reference_walk(arr):
     return verdict, records
 
 
+def klt_document(arr):
+    """The klt request document of an arrangement."""
+    def node(n):
+        return {"branches": list(n.branch_ids),
+                "children": [node(child) for child in n.children]}
+
+    return {"format": "svlab/1", "request": "klt", "arrangement": {
+        "branches": [{"id": b.id, "coefficient": str(b.coefficient),
+                      "kind": b.kind} for b in arr.branches],
+        "clusters": [node(root) for root in arr.clusters],
+    }}
+
+
 # three branches of coefficient 2/3 through one point: the exceptional
-# coefficient is exactly 1, which is not klt
+# coefficient is exactly 1, which is not klt.  Two points whose sums are
+# -1/4 over different denominators tie for the largest coefficient,
+# -5/4, and an exceptional branch of coefficient 3/2 makes that trace
+# not klt
 @SETTINGS
 @given(forests())
 @example(ClusterArrangement(
     tuple(WeightedBranch(bid, Fraction(2, 3)) for bid in "xyz"),
     (ClusterNode(("x", "y", "z")),),
 ))
-def test_klt_trace_matches_fractions(arr):
+@example(ClusterArrangement(
+    (WeightedBranch("a", Fraction(-1, 2), EXCEPTIONAL),
+     WeightedBranch("b", Fraction(1, 4)),
+     WeightedBranch("c", Fraction(-3, 4), EXCEPTIONAL),
+     WeightedBranch("d", Fraction(1, 2)),
+     WeightedBranch("e", Fraction(3, 2), EXCEPTIONAL)),
+    (ClusterNode(("a", "b")), ClusterNode(("c", "d"))),
+))
+def test_klt_trace_matches_fractions(tmp_path_factory, arr):
     verdict, trace = is_klt(arr)
+    expected_verdict, expected = reference_walk(arr)
     assert (verdict, [(r.node, r.sigma, r.coefficient)
-                      for r in trace.records]) == reference_walk(arr)
+                      for r in trace.records]) == (expected_verdict, expected)
     assert all(type(r.sigma) is Fraction and type(r.coefficient) is Fraction
                for r in trace.records)
+    top = max((c for _, _, c in expected), default=None)
+    assert trace.max_coefficient() == top
+    assert trace.min_discrepancy() == (None if top is None else -top)
+    # the report prints each value as str() of its Fraction
+    path = tmp_path_factory.getbasetemp() / "klt-trace.json"
+    path.write_text(json.dumps(klt_document(arr)), encoding="utf-8")
+    lines = cmd_klt(SimpleNamespace(in_path=str(path))).lines
+    assert [detail for name, _, detail in lines if name == "blowup"] == [(
+        ("node", label), ("sigma", str(sigma)),
+        ("coefficient", str(c)), ("discrepancy", str(-c)),
+    ) for label, sigma, c in expected]
+    (_, _, verdict_detail), = [l for l in lines if l[0] == "klt-verdict"]
+    tail = ()
+    if expected:
+        tail = (("max_exceptional", str(top)),)
+        if not expected_verdict:
+            tail += (("min_discrepancy", str(min(-c for _, _, c in
+                                                  expected))),)
+    assert verdict_detail == (
+        ("verdict", "klt" if expected_verdict else "not-klt"), *tail,
+    )
 
 
 # -- parse_rational -----------------------------------------------------------

@@ -305,6 +305,20 @@ class TestCaseA:
         with pytest.raises(InconsistentScenario, match="chi"):
             decide(s)
 
+    def test_chi_o_one_hypothesis_refuses_by_its_message(self):
+        # case A's row checks q = 0, which holds, then chi(O) = 1, which
+        # fails: chi(O) = 1 - g = -1 on a genus-2 base
+        m = RuledModel(3, 2, -1)
+        s = ruled_scenario(m, m.zero_class(), kodaira=0, q=0,
+                           relatively_minimal=True)
+        with pytest.raises(InconsistentScenario) as ex:
+            decide(s)
+        assert str(ex.value) == (
+            "irregularity 0 with negative Kodaira dimension forces"
+            " chi(O) = 1"
+        )
+        assert str(ex.value) == nonvanish.HYPOTHESES["chi(O) = 1"][2]
+
     def test_polarization_must_pass_ampleness(self):
         # e = 2: -K meets the section in degree 0, ample fails
         m = RuledModel(3, 0, 2)

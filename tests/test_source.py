@@ -143,9 +143,10 @@ def test_every_public_name_has_a_production_caller():
 
 
 def test_per_item_converters_import_nothing():
-    # a converter handed to _list_of runs once per array item, and an
+    # the readers named in the key tables, and the module's functions
+    # they call, run once per document item or loop over the items; an
     # import statement costs about a microsecond even when the module is
-    # loaded: the klt reader imports its layer's names at its top
+    # loaded, so the klt reader imports its layer's names at its top
     tree = ast.parse(
         (SRC / "cli" / "arrangement.py").read_text(encoding="utf-8")
     )
@@ -154,17 +155,26 @@ def test_per_item_converters_import_nothing():
         if isinstance(node, ast.FunctionDef)
     }
     per_item = {
-        arg.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "_list_of"
-        for arg in node.args if isinstance(arg, ast.Name)
+        name.id
+        for table in ast.walk(tree) if isinstance(table, ast.Dict)
+        for value in table.values for name in ast.walk(value)
+        if isinstance(name, ast.Name) and name.id in functions
     }
-    assert {"_branch", "_cluster"} <= per_item
+    grown = None
+    while grown != per_item:
+        grown = set(per_item)
+        per_item |= {
+            node.func.id
+            for name in grown for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in functions
+        }
+    assert {"_branches", "_branch", "_common_branch", "_clusters",
+            "_common_cluster", "_strings"} <= per_item
     importing = sorted(
-        name for name in per_item if name in functions
-        and any(isinstance(node, (ast.Import, ast.ImportFrom))
-                for node in ast.walk(functions[name]))
+        name for name in per_item
+        if any(isinstance(node, (ast.Import, ast.ImportFrom))
+               for node in ast.walk(functions[name]))
     )
     assert importing == []
 
