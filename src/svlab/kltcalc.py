@@ -157,13 +157,15 @@ def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
 
     Every coefficient is carried as its numerator over ``den``, the
     least common denominator of the declared ones, so "< 1" is
-    "numerator < den".
+    "numerator < den".  Each declared coefficient is read once, as its
+    integer ratio, before the walk; a lookup adds its scaled numerator.
     """
-    den = lcm(*(b.coefficient.denominator for b in arr.branches))
-    verdict = all(
-        b.coefficient.numerator < b.coefficient.denominator
-        for b in arr.branches
-    )
+    ratios = [b.coefficient.as_integer_ratio() for b in arr.branches]
+    den = lcm(*{d for _, d in ratios})
+    verdict = all(n < d for n, d in ratios)
+    scaled = {
+        b.id: n * (den // d) for b, (n, d) in zip(arr.branches, ratios)
+    }
     records: list[BlowupRecord] = []
     # a root has no parent; a child carries its parent's branch ids and
     # exceptional coefficient numerator
@@ -185,8 +187,8 @@ def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
             )
         sigma = 0
         for bid in ids:
-            c = arr.branch(bid).coefficient
-            sigma += c.numerator * (den // c.denominator)
+            arr.branch(bid)  # refuses an unknown id
+            sigma += scaled[bid]
         if parent is not None:
             parent_ids, parent_coeff = parent
             if not distinct <= parent_ids:

@@ -8,6 +8,7 @@ round-trip and determinism tests compare raw bytes on purpose.
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -2217,3 +2218,54 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
+
+    @staticmethod
+    def argv_of_exit(code, tmp_path, capsys):
+        """A command line that exits ``code``: a report with no failed
+        check, a tampered package that fails verification, a family
+        that cannot be built."""
+        if code == 0:
+            return ["tango", "--family", "tangoplane", "--p", "3"]
+        if code == 2:
+            return ["tango", "--family", "hyperelliptic",
+                    "--p", "2", "--h", "3"]
+        emitted = tmp_path / "kv.json"
+        run(capsys, "construct", "--kind", "kv", "--family", "hyperelliptic",
+            "--p", "3", "--h", "3", "--emit", str(emitted))
+        doc = json.loads(emitted.read_text(encoding="utf-8"))
+        doc["package"]["divisor"] = ["1", "-5"]
+        return ["verify", "--in", write_doc(tmp_path, "tampered.json", doc)]
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_main_in_process_never_freezes(self, tmp_path, capsys, code):
+        argv = self.argv_of_exit(code, tmp_path, capsys)
+        before = gc.get_freeze_count()
+        assert run(capsys, *argv)[0] == code
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("entry", [
+        "from svlab.__main__ import run\nraise SystemExit(run())",
+        "import runpy\nrunpy.run_module('svlab', run_name='__main__')",
+    ], ids=["run", "module"])
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_process_freezes_after_the_report(
+        self, tmp_path, capsys, entry, code,
+    ):
+        # an atexit handler, which still runs, reads the freeze count
+        # once the entry point has returned; the child prints exactly
+        # what main() prints in process
+        argv = self.argv_of_exit(code, tmp_path, capsys)
+        count = tmp_path / "freeze-count"
+        wrapper = (
+            "import atexit, gc, pathlib\n"
+            f"atexit.register(lambda: pathlib.Path({str(count)!r})"
+            ".write_text(str(gc.get_freeze_count())))\n"
+            + entry
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper, *argv],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(
+            capsys, *argv)
+        assert int(count.read_text(encoding="utf-8")) > 0
