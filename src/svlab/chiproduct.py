@@ -63,9 +63,8 @@ class ChiProduct:
     preconditions on e, g and c (``refusal``), whether G can be a curve
     (``curve_refusal``; a refusal is an exception type with its
     arguments, or None), and the constants of the inequalities, cleared
-    to integers over the common denominator ``scale``; the refusals make
-    the slack chain's link (2-c)(g-1) > g-1 hold.  ``check(a, b)`` and
-    ``certify(a, b)`` take the integers a, b of an integral D.  ``check``
+    to integers over the common denominator ``scale``.  ``check(a, b)``
+    and ``certify(a, b)`` take the integers a, b of an integral D.  ``check``
     runs the checks that depend on D, raising the refusals at their
     place in the order of checks, and returns chi(D), which is all a
     sweep entry reads.  ``certify`` runs the same checks and builds the
@@ -104,7 +103,7 @@ class ChiProduct:
                         f"{x}E + {y}F cannot be a curve on this model",
                     ))
         # D - K - cG = (a + 2 - cx)E + (b + kf)F with kf = 2 - 2g + e - cy;
-        # cx, kf and 2(2 - c)(g - 1) are kept times ``scale``
+        # cx and kf are kept times ``scale``
         cn, cd = c.numerator, c.denominator
         xd, yd = x.denominator, y.denominator
         scale = cd * xd * yd
@@ -114,17 +113,19 @@ class ChiProduct:
             ("refusal", refusal), ("curve_refusal", curve_refusal),
             ("scale", scale), ("cx", cn * x.numerator * yd),
             ("kf", (2 - 2 * g + e) * scale - cn * y.numerator * xd),
-            ("mid", mid), ("mid2", 2 * (2 * cd - cn) * (g - 1) * xd * yd),
+            ("mid", mid),
         ):
             object.__setattr__(self, name, value)
 
     def check(self, a: int, b: int) -> tuple:
         """The checks that depend on D = aE + bF, in order: nef, the two
-        ampleness inequalities of D - K - cG, the slack chain
-        b - ae/2 > (2-c)(g-1) > g-1, a positive product, and agreement
-        with the generic Riemann-Roch oracle.  Returns chi(D) as the
-        oracle gives it, then, for the certificate, the two ampleness
-        values times ``scale`` and twice b - ae/2."""
+        ampleness inequalities of H = D - K - cG, and agreement with the
+        generic Riemann-Roch oracle.  Returns chi(D) as the oracle gives
+        it, then, for the certificate, the two ampleness values times
+        ``scale`` and s = 2b - ae.  The slack chain and chi > 0 follow:
+        2H_b > H_a e is s > 4(g-1) + c(2y - xe), a curve G has
+        2y - xe >= 2(1-g), so s > 2(2-c)(g-1) > 2(g-1) for 0 < c < 1 and
+        g >= 2, and chi = (a+1)(s + 2 - 2g)/2 > 0 for a >= 0."""
         if self.refusal is not None:
             kind, args = self.refusal
             raise kind(*args)
@@ -143,14 +144,7 @@ class ChiProduct:
                 "the polarization fails its ampleness inequalities"
             )
         slope = 2 * b - a * e  # twice b - ae/2
-        if slope * scale <= self.mid2:
-            raise PreconditionError(
-                f"slack chain fails: {Fraction(slope, 2)} > {self.mid}"
-                f" > {g - 1} does not hold"
-            )
         chi = (a + 1) * (slope + 2 - 2 * g)  # twice the product
-        if chi <= 0:
-            raise InconsistentScenario("the product must be positive here")
         oracle = riemann_roch_chi(model, DivisorClass(model, (a, b)))
         if chi * oracle.denominator != 2 * oracle.numerator:
             raise InconsistentScenario(

@@ -263,26 +263,29 @@ def build_package(
     """The package of ``kind`` on the surface over ``cert``'s curve.
 
     The steps every kind shares run here once: admit the certificate,
-    build the surface and its multisection C' = pE - pnF, take the
-    kind's fields, and check D - K - B = H before making the record.
+    build the surface and its multisection C' = pE - pnF, and take the
+    kind's fields.  ``verify_package`` checks H = D - K - B on every
+    package (``class-identity``); as built, it is an identity in
+    (p, g, n).  With K = -2E + (2g-2+n)F and B = cC', D - K - B has E
+    part D_E + 2 - cp and F part D_F - (2g-2+n) + cpn, where D_F cancels
+    2g-2.  kv: (p-3)/2 + 2 - p/2 = 1/2 and (3-p)n/2 - n + pn/2 = n/2 at
+    c = 1/2 for p >= 3, 2 - 4/3 = 2/3 and -n + 4n/3 = n/3 at c = 2/3 for
+    p = 2.  kollar: the kv data, and the branch cE takes the E part off
+    H.  semipos: the kv data for p >= 5 (the member is no boundary
+    entry); at c = 5/6, 1 + 2 - 5/2 = 1/2 and -2n + 5n/2 = n/2 for
+    p = 3, 1 + 2 - 5/3 = 4/3 and -n/3 - n + 5n/3 = n/3 for p = 2.
     """
     if kind not in _KIND_FIELDS:
         raise PackageError(f"unknown package kind {kind!r}")
     _admit(cert, allow_asserted)
     model = build_surface(cert)
     c_prime = disjoint_multisection(model)
-    fields = _KIND_FIELDS[kind](cert, model, c_prime)
-    total = boundary_sum(model, fields["boundary"])
-    residue = fields["divisor"] - model.canonical_class() - total
-    if residue != fields["h_class"]:
-        raise PackageError("class identity D - K - B = H broke; the"
-                           " package data was transcribed wrong")
     return CounterexamplePackage(
         kind=kind,
         certificate=cert,
         model=model,
         section_curve=c_prime,
-        **fields,
+        **_KIND_FIELDS[kind](cert, model, c_prime),
     )
 
 
@@ -467,10 +470,16 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
 
 
 def _klt_item(pkg: CounterexamplePackage) -> CheckResult:
-    branches = [
-        WeightedBranch(f"b{idx}", coeff)
-        for idx, (_, coeff) in enumerate(pkg.boundary)
-    ]
+    # a klt boundary has every coefficient in [0, 1)
+    ids = [f"b{idx}" for idx in range(len(pkg.boundary))]
+    coeffs = [coeff for _, coeff in pkg.boundary]
+    if pkg.member_class is not None:
+        ids.append("member")
+        coeffs.append(pkg.member_coefficient)
+    for c in coeffs:
+        if not 0 <= c < 1:
+            return CheckResult("boundary-klt", False,
+                               f"coefficient {c} is outside [0, 1)")
     clusters: tuple[ClusterNode, ...] = ()
     note = "smooth branches"
     if pkg.kind == KIND_KOLLAR:
@@ -482,14 +491,14 @@ def _klt_item(pkg: CounterexamplePackage) -> CheckResult:
             )
         note = "disjoint smooth branches, E.C' = 0"
     if pkg.member_class is not None:
-        branches.append(WeightedBranch("member", pkg.member_coefficient))
         # one representative transverse meeting; they are all alike
         clusters = (ClusterNode(("b0", "member")),)
         note = "member meets the multisection transversally (assumed)"
-    arr = ClusterArrangement(tuple(branches), clusters)
-    coeffs = ", ".join(str(b.coefficient) for b in branches)
+    arr = ClusterArrangement(
+        tuple(map(WeightedBranch, ids, coeffs)), clusters
+    )
     return CheckResult(
         "boundary-klt",
         is_klt(arr)[0],
-        f"{note}; coefficients {coeffs} all below 1",
+        f"{note}; coefficients {', '.join(map(str, coeffs))} all below 1",
     )

@@ -324,17 +324,15 @@ def adjunction_pa(model: RuledModel, c: DivisorClass) -> Fraction:
 
 
 def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Fraction:
-    """chi(D) = D.(D-K)/2 + chi(O).  Integral D always yields an integer
-    (the canonical class is characteristic for the form; asserted)."""
+    """chi(D) = D.(D-K)/2 + chi(O).  Integral D always yields an integer:
+    D.(D-K) is -e a(a+1) - sum u_j(u_j - 1) plus even terms, since K
+    has total-transform coordinates 1, so it is even."""
     _check_on(model, d)
     k = model.canonical_class()  # D - K as numerators over d.den * k.den
     total = _form(model, d.nums,
                   [x * k.den - y * d.den for x, y in zip(d.nums, k.nums)])
     den = d.den * d.den * k.den
-    chi = Fraction(total + 2 * den * model.chi_structure, 2 * den)
-    if d.is_integral() and chi.denominator != 1:
-        raise AssertionError("chi of an integral class must be an integer")
-    return chi
+    return Fraction(total + 2 * den * model.chi_structure, 2 * den)
 
 
 def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
@@ -401,12 +399,18 @@ def certify_positivity(
     """Three-valued nef (strict: ample) certification of aE + bF on a pure
     model.
 
-    Rules, in order: the necessary inequalities a >= 0 and 2b >= ae
-    (strict versions for ample); for e >= 0 the cone description
-    b >= ae is complete in both directions; for e < 0, a decomposition
-    into nonnegative multiples of the nef classes E and F certifies, and
-    otherwise closed-form minimization of D.L over the candidate-curve
-    branches certifies.  Anything else is unknown, never guessed.
+    Rules, in order: the necessary inequalities a >= 0 and
+    s = 2b - ae >= 0 (strict versions for ample); for e >= 0 the cone
+    description b >= ae is complete in both directions; for e < 0, a
+    decomposition into nonnegative multiples of the nef classes E and F
+    (b >= 0, given a >= 0) certifies, and otherwise closed-form
+    minimization of D.L over the candidate-curve branches certifies.
+    Anything else is unknown, never guessed.
+
+    One branch minimum of D.L is tested, (ps + 2a(1 - g))/2 at the x = p
+    end of the x >= p branch (s = 0 leaves it unbounded below); by then
+    a > 0, so D.E = (s - ae)/2 > 0 bounds x = 1, x in [2, p - 1] gives
+    at least xs/2 and an ample class has D^2 = as > 0.
 
     Every rule is a sign test of a form that is homogeneous in (a, b),
     so the rules run on the class's numerators; a Fraction is built only
@@ -446,7 +450,7 @@ def certify_positivity(
             f"D.E = b - ae = {Fraction(b - a * e, den)} fails",
         )
 
-    if ok(a) and ok(b):
+    if ok(b):
         return PositivityVerdict(CERTIFIED, RULE_DECOMPOSITION)
 
     if p == 0:
@@ -455,25 +459,17 @@ def certify_positivity(
             "curve-cone bounds need positive characteristic",
         )
 
-    if slope2 <= 0 and a > 0:
+    if slope2 == 0:
         # the x >= p branch decreases without bound along x
         return PositivityVerdict(
             UNKNOWN, RULE_CURVE_CONE, "tail branch unbounded below"
         )
-    # the branch minima of D.L, each as a numerator over its denominator
-    minima = [(b - a * e, den)]
-    if p >= 3:
-        minima.append((slope2, den))
-        minima.append(((p - 1) * slope2, 2 * den))
-    minima.append((p * slope2 + 2 * a * (1 - g), 2 * den))
-    if strict:
-        minima.append((a * slope2, den * den))
-    if all(ok(v) for v, _ in minima):
+    tail = p * slope2 + 2 * a * (1 - g)  # over 2 * den
+    if ok(tail):
         return PositivityVerdict(CERTIFIED, RULE_CURVE_CONE)
-    lowest = min(Fraction(v, w) for v, w in minima)
     return PositivityVerdict(
         UNKNOWN, RULE_CURVE_CONE,
-        "branch minimum " + str(lowest) + " not conclusive",
+        f"branch minimum {Fraction(tail, 2 * den)} not conclusive",
     )
 
 

@@ -328,11 +328,6 @@ def case_b_decide(s: Scenario, f: Facts) -> Verdict:
         )
     h2_vanishes(f.k, s.divisor, f.h)
     oracle = riemann_roch_chi(s.model, s.divisor)
-    if oracle <= 0:
-        raise InconsistentScenario(
-            "positive chi failed to certify; the scenario data is"
-            " contradictory"
-        )
     if oracle != chi:
         raise InconsistentScenario(
             f"the intersection formula gives chi = {chi}, riemann-roch"
@@ -440,7 +435,9 @@ def doubling_bound(
 def euler_bound_decide(s: Scenario, f: Facts) -> Verdict:
     """Doubling bound at fiber degree >= 2, with single-section upgrades
     when the canonical degree is declared nonpositive or the divisor
-    has numerical dimension one."""
+    has numerical dimension one.  A positive bound makes both upgrades
+    positive: D.(H+B) = D^2 - D.K, so D.(H+B) <= 0 with D.K <= 0 or
+    D^2 = 0 would make the bound nonpositive."""
     a = f.d_dot_f
     dvr = s.divisor
     d_sq = dvr.self_intersection()
@@ -461,10 +458,6 @@ def euler_bound_decide(s: Scenario, f: Facts) -> Verdict:
             Fraction(a * a - 1, 2 * a * a) * dhb
             - Fraction(a + 1, 2 * a * a) * dk
         )
-        if value <= 0:
-            raise InconsistentScenario(
-                f"chi lower bound {value} must be positive here"
-            )
         return Verdict(
             f.label,
             GUARANTEED_M1,
@@ -475,10 +468,6 @@ def euler_bound_decide(s: Scenario, f: Facts) -> Verdict:
             },
         )
     if nu(dvr) == 1:
-        if dhb <= 0:
-            raise InconsistentScenario(
-                "D.(H+B) must be positive when D is nonzero and H ample"
-            )
         return Verdict(
             f.label,
             GUARANTEED_M1,
@@ -528,7 +517,8 @@ HYPOTHESES = {
 
 # The certificate routes in the order they are tried: the cases each
 # serves, the hypotheses it rests on, checked in order, and the route,
-# which returns a verdict or None to pass the scenario on.
+# which returns a verdict or None to pass the scenario on.  C_M never
+# passes the relatively minimal route: it answers or raises.
 ROUTES = (
     ((CASE_A,), ("q = 0", "chi(O) = 1", "ample(H)"), case_a_decide),
     ((CASE_B_I, CASE_B_II), ("lattice", "nef(D)", "ample(H)"),
@@ -536,7 +526,7 @@ ROUTES = (
     ((CASE_C, CASE_C_M), ("nef(D)",), fiber_threshold),
     ((CASE_C, CASE_C_M), ("nef(D)", "relatively minimal"),
      relatively_minimal_decide),
-    ((CASE_C, CASE_C_M), ("nef(D)", "D.F >= 2"), euler_bound_decide),
+    ((CASE_C,), ("nef(D)", "D.F >= 2"), euler_bound_decide),
 )
 
 # the unknown reasons of the cases that no route serves

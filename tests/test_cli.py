@@ -1511,6 +1511,32 @@ class TestRoundTrip:
         (line,) = checks(out, "boundary-member")
         assert line["status"] == ("PASS" if code == 0 else "FAIL")
 
+    @pytest.mark.parametrize("kind,p,key,value", (
+        ("kv", 3, "boundary", "3/2"),
+        ("kv", 3, "boundary", "-1/2"),
+        ("kollar", 3, "boundary", "1"),
+        ("semipos", 5, "member_coefficient", "3/2"),
+        ("semipos", 5, "member_coefficient", "1"),
+    ))
+    def test_coefficient_outside_the_unit_interval_fails_klt(
+        self, tmp_path, capsys, kind, p, key, value,
+    ):
+        # a branch coefficient that no klt boundary carries fails its
+        # check line, and the run exits 1 like any failed check
+        doc = self.package_doc(kind, "hyperelliptic", p, 3)
+        if key == "boundary":
+            doc["package"]["boundary"][0]["coefficient"] = value
+        else:
+            doc["package"][key] = value
+        path = write_doc(tmp_path, "coefficient.json", doc)
+        code, out, err = run(
+            capsys, "verify", "--format", "machine", "--in", path,
+        )
+        assert (code, err) == (1, "")
+        (line,) = checks(out, "boundary-klt")
+        assert line["status"] == "FAIL"
+        assert line["witness"] == f"coefficient {value} is outside [0, 1)"
+
     @staticmethod
     def package_doc(kind, family, p, h):
         cert = certify_tango(schema.family_from_fields(family, p, h))
@@ -2045,6 +2071,7 @@ class TestDeclinedCommandLine:
             "classify", "klt", "tango", "construct", "verify", "sweep",
         )),
         ["tango", "--p"], ["sweep", "--jobs", "2"],
+        ["tango", "--family", "hyperelliptic", "--p", "x", "--h", "3"],
     ])
     def test_output_matches_the_full_parser(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
@@ -2223,7 +2250,12 @@ class TestEntryPoint:
     def argv_of_exit(code, tmp_path, capsys):
         """A command line that exits ``code``: a report with no failed
         check, a tampered package that fails verification, a family
-        that cannot be built."""
+        that cannot be built; "help" and "usage" leave through argparse's
+        ``SystemExit`` with the help text and a usage error."""
+        if code == "help":
+            return ["--help"]
+        if code == "usage":
+            return ["tango", "--p", "x"]
         if code == 0:
             return ["tango", "--family", "tangoplane", "--p", "3"]
         if code == 2:
@@ -2247,13 +2279,15 @@ class TestEntryPoint:
         "from svlab.__main__ import run\nraise SystemExit(run())",
         "import runpy\nrunpy.run_module('svlab', run_name='__main__')",
     ], ids=["run", "module"])
-    @pytest.mark.parametrize("code", [0, 1, 2])
+    @pytest.mark.parametrize("code", [0, 1, 2, "help", "usage"])
     def test_process_freezes_after_the_report(
-        self, tmp_path, capsys, entry, code,
+        self, tmp_path, capsys, monkeypatch, entry, code,
     ):
         # an atexit handler, which still runs, reads the freeze count
         # once the entry point has returned; the child prints exactly
-        # what main() prints in process
+        # what main() prints in process, with argparse's help and usage
+        # text wrapped at one width on both sides
+        monkeypatch.setenv("COLUMNS", "80")
         argv = self.argv_of_exit(code, tmp_path, capsys)
         count = tmp_path / "freeze-count"
         wrapper = (
@@ -2266,6 +2300,10 @@ class TestEntryPoint:
             [sys.executable, "-c", wrapper, *argv],
             capture_output=True, text=True,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == run(
-            capsys, *argv)
+        try:
+            expected = run(capsys, *argv)
+        except SystemExit as ex:
+            captured = capsys.readouterr()
+            expected = ex.code, captured.out, captured.err
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
         assert int(count.read_text(encoding="utf-8")) > 0

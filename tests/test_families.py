@@ -200,3 +200,15 @@ class TestCertificates:
         assert default_witness(Hyperelliptic(3, 3)) == "y/x^p"
         assert default_witness(ArtinSchreier(2, 5)) == "y"
         assert default_witness(TangoPlane(3)) == "x0/x1"
+
+
+@pytest.mark.parametrize("call, refusal, match", [
+    pytest.param(lambda: genus(object()), FamilyParameterError,
+                 "unknown family", id="genus-of-no-family"),
+    pytest.param(lambda: defining_residual(
+        TangoPlane(3), expand_at_infinity(Hyperelliptic(3, 3))),
+        SeriesUnavailable, "no defining residual", id="tango-residual"),
+])
+def test_live_refusals(call, refusal, match):
+    with pytest.raises(refusal, match=match):
+        call()

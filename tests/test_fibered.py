@@ -353,6 +353,17 @@ class TestFiberedModel:
         assert trace[0].multiplicity == 2
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: FiberTree(()), "at least one component",
+                 id="tree-without-components"),
+    pytest.param(lambda: FiberedModel(2, 3, ()), "at least one fiber",
+                 id="model-without-fibers"),
+])
+def test_live_refusals(call, match):
+    with pytest.raises(FiberTreeError, match=match):
+        call()
+
+
 # The validation as it stood when it scanned every edge once per
 # component (O(n^2) a tree); kept as the reference the edge-pass
 # validation must match check for check and message for message.

@@ -301,3 +301,9 @@ class TestValidation:
             ClusterArrangement(
                 branches(("A", Fraction(1, 2)), ("A", Fraction(1, 3))),
             )
+
+
+@pytest.mark.parametrize("kind", ("strange", "", "Original", None))
+def test_unknown_branch_kind_refused(kind):
+    with pytest.raises(ArrangementError, match="unknown branch kind"):
+        WeightedBranch("a", Fraction(1, 2), kind)

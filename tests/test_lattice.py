@@ -419,3 +419,50 @@ class TestModelValidation:
     def test_default_chi_structure(self):
         assert MODEL_342.chi_structure == -3
         assert RuledModel(2, 0, 0).chi_structure == 1
+
+
+BLOWN_UP_342 = MODEL_342.blow_up()
+
+
+@pytest.mark.parametrize("call, refusal", [
+    # x <= 0 and not F: no branch of the e < 0 constraints admits it
+    pytest.param(lambda: candidate_curve_constraints(
+        MODEL_342, MODEL_342.divisor(0, 2)), None, id="2F-is-no-curve"),
+    pytest.param(lambda: candidate_curve_constraints(
+        MODEL_342, MODEL_342.divisor(-1, 5)), None, id="x-negative"),
+    pytest.param(lambda: candidate_curve_constraints(
+        BLOWN_UP_342, BLOWN_UP_342.fiber_class()),
+        (LatticeError, "pure models"), id="curve-on-blown-up"),
+    pytest.param(lambda: candidate_curve_constraints(
+        MODEL_342, MODEL_342.divisor(Fraction(1, 2))),
+        (LatticeError, "integral"), id="curve-not-integral"),
+    pytest.param(lambda: certify_positivity(
+        BLOWN_UP_342, BLOWN_UP_342.fiber_class()),
+        (LatticeError, "pure models"), id="positivity-on-blown-up"),
+    pytest.param(lambda: MODEL_342.divisor(1, 2, 3),
+                 (LatticeError, "too many"), id="divisor-too-long"),
+    pytest.param(lambda: MODEL_342.divisor(0.5),
+                 (LatticeError, "exact rationals"), id="divisor-float"),
+    pytest.param(lambda: DivisorClass(MODEL_342, (1, 2, 3)),
+                 (LatticeError, "count"), id="class-rank-mismatch"),
+    pytest.param(lambda: DivisorClass(MODEL_342, (1, 2), 0),
+                 (LatticeError, "nonzero denominator"), id="class-den-zero"),
+    pytest.param(lambda: BLOWN_UP_342.exceptional_class(1),
+                 (LatticeError, "no such exceptional"), id="no-exceptional"),
+    pytest.param(lambda: MODEL_342.fiber_class().scaled(0.5),
+                 (LatticeError, "exact rational"), id="scaled-float"),
+    pytest.param(lambda: adjunction_pa(MODEL_342, RuledModel(
+        3, 4, -1).fiber_class()), (ModelMismatch, "this model"),
+        id="class-off-model"),
+    pytest.param(lambda: pullback_blowup(RuledModel(
+        3, 4, -1).blow_up(), MODEL_342.fiber_class()),
+        (ModelMismatch, "does not extend"), id="pullback-off-model"),
+])
+def test_live_refusals(call, refusal):
+    # each input reaches its own refusal, or its False, and no earlier one
+    if refusal is None:
+        assert call() is False
+        return
+    kind, match = refusal
+    with pytest.raises(kind, match=match):
+        call()

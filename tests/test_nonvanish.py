@@ -205,6 +205,33 @@ class TestScenarioValidation:
             Scenario(fm, RULED, -1, 2, False)
 
 
+EULER_MODEL = RuledModel(3, 2, 0).blow_up()
+
+
+@pytest.mark.parametrize("call, refusal, match", [
+    pytest.param(lambda: Scenario("no model", RULED, -1, 2, True),
+                 InvalidScenario, "lattice or fiber data", id="no-model"),
+    pytest.param(lambda: Scenario(
+        FiberedModel(2, 3, (smooth_fiber(),)), 0, -1, 2, True),
+        InvalidScenario, "ruled", id="fibered-not-ruled"),
+    pytest.param(lambda: Scenario(KV_MODEL, RULED, -3, 4, True),
+                 InvalidScenario, "need a divisor class", id="no-divisor"),
+    pytest.param(lambda: kv_scenario(boundary=(
+        (RuledModel(3, 4, -4).divisor(3, -6), Fraction(1, 2)),)),
+        InvalidScenario, "boundary class lives", id="boundary-off-model"),
+    # D = 2E + F has D.K = 2 > 0 against the declared canonical sign;
+    # the heavy boundary keeps H.F = 1, so the euler bound route runs
+    pytest.param(lambda: decide(ruled_scenario(
+        EULER_MODEL, EULER_MODEL.divisor(2, 1, 0),
+        boundary=((EULER_MODEL.divisor(4, 0, 0), Fraction(3, 4)),),
+        kappa_minus_k_nonneg=True)),
+        InconsistentScenario, "D.K <= 0, got 2", id="canonical-sign"),
+])
+def test_live_refusals(call, refusal, match):
+    with pytest.raises(refusal, match=match):
+        call()
+
+
 class TestClassify:
     def test_zero_divisor_is_case_a(self):
         m = RuledModel(3, 0, 1)

@@ -150,12 +150,35 @@ class TestRoots:
             w = u.nth_root_unit(m)
             assert_agree(w ** m, u)
 
+    def test_terms_below_the_truncation_narrow_the_window(self):
+        u = LaurentSeries.make(3, 0, [1, 1, 2, 0, 1, 1, 2, 1, 0, 1], 10)
+        w = u.nth_root_unit(2, terms=4)
+        assert w.truncation == 4
+        assert_agree(w, u.nth_root_unit(2))
+        assert_agree(w * w, u)
+
     def test_precision_doubling_stability(self):
         p = 3
         u = LaurentSeries.from_terms(p, {0: 1, 10: 1, 18: 1})
         w1 = u.sqrt_unit(terms=20)
         w2 = u.sqrt_unit(terms=40)
         assert_agree(w1, w2)
+
+
+@pytest.mark.parametrize("call, refusal, match", [
+    pytest.param(
+        lambda: LaurentSeries.make(3, 0, [2, 1], 5).nth_root_unit(2),
+        SeriesError, "constant term 1", id="root-of-a-non-unit"),
+    pytest.param(
+        lambda: LaurentSeries.from_terms(3, {0: 1, 1: 1}).nth_root_unit(2),
+        PrecisionError, "explicit window", id="exact-root-unbounded"),
+    pytest.param(
+        lambda: LaurentSeries.monomial(3, 0) + LaurentSeries.monomial(5, 0),
+        SeriesError, "different fields", id="fields-mixed"),
+])
+def test_live_refusals(call, refusal, match):
+    with pytest.raises(refusal, match=match):
+        call()
 
 
 class TestDifferentialValuation:
