@@ -63,12 +63,7 @@ def parse_rational(value, where: str) -> Fraction:
             f"{where}: expected an exact rational like \"3\" or \"-9/2\","
             f" got {value!r}"
         )
-    return _fraction(value)
-
-
-def _fraction(text: str) -> Fraction:
-    """The rational that a string ``_RATIONAL`` matches spells."""
-    num, _, den = text.partition("/")
+    num, _, den = value.partition("/")
     return Fraction(int(num), int(den) if den else 1)
 
 
@@ -155,8 +150,7 @@ def _list_of(convert):
     return inner
 
 
-def _coeffs(value, where):
-    return _list_of(parse_rational)(value, where)
+_coeffs = _list_of(parse_rational)
 
 
 def load_document(text: str) -> dict:

@@ -341,7 +341,9 @@ def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
 
     For e < 0 (characteristic p required): besides E and F themselves,
     x = 1 forces y >= 0; 2 <= x <= p-1 forces y >= xe/2; x >= p forces
-    y >= xe/2 + 1 - g.  For e >= 0: besides E and F, x > 0 and y >= xe.
+    y >= xe/2 + 1 - g and y >= xe.  The last is E.C >= 0: E^2 = -e > 0,
+    so the irreducible curve E is nef; the smaller x already imply it.
+    For e >= 0: besides E and F, x > 0 and y >= xe.
     """
     if not model.is_pure:
         raise LatticeError("curve-class constraints apply to pure models")
@@ -365,7 +367,7 @@ def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
     if 2 <= x <= p - 1:
         return 2 * y >= x * e
     if x >= p:
-        return 2 * y >= x * e + 2 * (1 - model.genus)
+        return 2 * y >= x * e + 2 * (1 - model.genus) and y >= x * e
     return False
 
 

@@ -375,6 +375,24 @@ class TestClassify:
         assert out == ""
         assert "the divisor is not nef" in err
 
+    def test_boundary_class_that_meets_e_negatively_is_refused(
+        self, tmp_path, capsys,
+    ):
+        # E.(2E - 3F) = -3 - 2e = -1 < 0, and E is nef on e < 0, so no
+        # irreducible curve has this class
+        doc = {"format": "svlab/1", "request": "classify", "scenario": {
+            "model": {"p": 2, "genus": 3, "e": -1},
+            "kodaira": "-inf", "chi_o": -2, "q": 3,
+            "relatively_minimal": True, "divisor": ["0", "4"],
+            "boundary": [{"class": ["2", "-3"], "coefficient": "1/2"}],
+        }}
+        code, out, err = run(
+            capsys, "classify", "--in", write_doc(tmp_path, "d.json", doc),
+        )
+        assert (code, out, err) == (
+            2, "", "error: 2E + -3F cannot be a curve on this model\n"
+        )
+
     @pytest.mark.parametrize("scenario, message", (
         # D = -3F is not nef, but nef(D) is undecided on a blown-up model,
         # so the euler-characteristic route runs and finds chi(D) = -2
@@ -624,9 +642,9 @@ class TestKltFuzz:
 
 
 def _reference_arrangement(data):
-    """The klt reader that reads every item through ``schema._object``,
-    built here from the schema's generic pieces: the reference for the
-    reader's direct path."""
+    """A recursive klt reader built here from the schema's generic
+    pieces: the reference for the reader's iterative cluster walk and
+    the paths it gives each child."""
     def strings(value, where):
         for i, v in enumerate(schema._array(value, where)):
             schema._string(v, f"{where}[{i}]")
@@ -752,10 +770,10 @@ def _read_outcome(reader, data):
 
 
 class TestKltReaderDifferential:
-    """The klt reader builds an item of the common shape directly and
-    sends any other through ``_object``; on every document it must
-    return what the generic reader returns, or refuse with the same
-    error."""
+    """The klt reader walks the cluster forest with its own stack and
+    formats each child's path as it goes; on every document it must
+    return what the recursive reference returns, or refuse with the
+    same error."""
 
     @settings(max_examples=300, derandomize=True, database=None,
               deadline=None)

@@ -235,24 +235,26 @@ def negative_invariant_classes(draw):
 # that ``certify_positivity`` tests.  A class certified by the curve-cone
 # rule must meet every admitted class, x from 0 to 2p + 2 and y from
 # below the lowest bound the constraints allow (xe/2 + 1 - g) to 6.  A
-# decomposition into E and F rests on E and F being nef instead, and the
-# x >= p bound admits classes that meet E negatively, which no curve
-# but E does; those are left out for it.
+# decomposition into E and F rests on E and F being nef, so it must too.
+# The examples take D = E, which the decomposition certifies nef, on
+# models where the x >= p bound 2y >= xe + 2(1 - g) alone admits classes
+# with E.L = y - xe < 0: every admitted class must meet E nonnegatively.
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(negative_invariant_classes(), st.booleans())
+@example(DivisorClass(RuledModel(2, 3, -1), (1, 0), 1), False)
+@example(DivisorClass(RuledModel(2, 4, -2), (1, 0), 1), False)
+@example(DivisorClass(RuledModel(2, 4, -1), (1, 0), 1), False)
+@example(DivisorClass(RuledModel(3, 4, -1), (1, 0), 1), False)
 def test_certified_positivity_meets_every_candidate_curve(d, strict):
     model = d.model
     p, g, e = model.characteristic, model.genus, model.invariant_e
     verdict = certify_positivity(model, d, strict=strict)
     if verdict.status != CERTIFIED:
         return
-    every = verdict.rule_used == RULE_CURVE_CONE
     for x in range(2 * p + 3):
         for y in range(x * e // 2 - g, 7):
             curve = model.divisor(x, y)
-            if candidate_curve_constraints(model, curve) and (
-                every or y >= x * e  # E.L = y - xe
-            ):
+            if candidate_curve_constraints(model, curve):
                 value = d.dot(curve)
                 assert value > 0 if strict else value >= 0, (x, y)
 

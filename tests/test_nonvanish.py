@@ -1081,5 +1081,5 @@ class TestDecideDigest:
         assert refusals == set(_REFUSALS)
         text = "\n".join(outcome_text(o) for o in outcomes)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "5af14e1d80c1a9780f8f4d82307f032a53f90163e8eac648108992e43ec3bc2c"
+            "83bb4c8a1edc8c5c38e5186d853a8b67790599d02522ed4cca2828630908b751"
         )

@@ -169,8 +169,7 @@ def test_per_item_converters_import_nothing():
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in functions
         }
-    assert {"_branches", "_branch", "_common_branch", "_clusters",
-            "_common_cluster", "_strings"} <= per_item
+    assert {"_branches", "_clusters"} <= per_item
     importing = sorted(
         name for name in per_item
         if any(isinstance(node, (ast.Import, ast.ImportFrom))
