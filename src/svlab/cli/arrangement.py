@@ -1,9 +1,11 @@
 """The klt document's reader: weighted branches and a cluster forest.
 
-Every branch and cluster item is read through ``_object`` with its
-path in the document, so a refusal has the generic reader's text and
-comes in document order.  A document builds one ``Fraction`` per
-distinct coefficient text.
+Every branch and cluster item is read through ``_object``, so a
+refusal has the generic reader's text and comes in document order.
+Converters take the value alone, and a refusal carries its path: the
+cluster walk puts a node's ``.children[j]`` steps on it from the
+parent indices that it keeps, and only when it refuses.  A document
+builds one ``Fraction`` per distinct coefficient text.
 
 Only klt requests load this module, so it imports the kltcalc names
 that its readers build at its top: their loops run once per array item,
@@ -23,74 +25,104 @@ from ..kltcalc import (
 )
 from .schema import (
     SchemaError,
-    _array,
+    _at,
     _list_of,
     _object,
-    _string,
     _top,
+    _value,
     parse_rational,
 )
 
 # the item readers' key tables; a branch without a kind is ORIGINAL
-_BRANCH = {"id": _string, "coefficient": parse_rational}
-_BRANCH_KIND = {"kind": (_string, None)}
-_CLUSTER = {"branches": _list_of(_string)}
-_CLUSTER_CHILDREN = {"children": (_array, ())}
+_BRANCH = {"id": str, "coefficient": parse_rational}
+_BRANCH_KIND = {"kind": (str, ORIGINAL)}
+_CLUSTER = {"branches": _list_of(str)}
+_CLUSTER_CHILDREN = {"children": (list, ())}
+_KINDS = (ORIGINAL, EXCEPTIONAL)
 
 
-def _branches(value, where):
+def _branches(value):
     """The declared branches; each coefficient text is parsed once."""
+    if type(value) is not list:
+        raise SchemaError("expected an array", [])
     coefficients: dict = {}
 
-    def coefficient(text, where):
+    def coefficient(text):
         # parse_rational refuses a text that is not a string, which
         # might not be hashable, before it is stored
         if type(text) is not str or text not in coefficients:
-            coefficients[text] = parse_rational(text, where)
+            coefficients[text] = parse_rational(text)
         return coefficients[text]
 
     table = {**_BRANCH, "coefficient": coefficient}
+    # _list_of's loop, written out: one call less per branch
     out = []
-    for i, item in enumerate(_array(value, where)):
-        at = f"{where}[{i}]"
-        fields = _object(item, at, table, _BRANCH_KIND)
-        kind = ORIGINAL if fields["kind"] is None else fields["kind"]
-        if kind not in (ORIGINAL, EXCEPTIONAL):
-            raise SchemaError(
-                f"{at}.kind: expected {ORIGINAL!r} or {EXCEPTIONAL!r}"
-            )
-        out.append(WeightedBranch(fields["id"], fields["coefficient"], kind))
+    try:
+        for item in value:
+            fields = _object(item, table, _BRANCH_KIND)
+            kind = fields["kind"]
+            if kind not in _KINDS:
+                raise SchemaError(
+                    f"expected {ORIGINAL!r} or {EXCEPTIONAL!r}", [".kind"],
+                )
+            out.append(
+                WeightedBranch(fields["id"], fields["coefficient"], kind))
+    except SchemaError as ex:
+        ex.within(f"[{len(out)}]")
+        raise
     return out
 
 
-def _clusters(value, where):
+def _node_steps(parsed, roots, siblings, parent) -> list:
+    """The path steps, innermost first, of the node that the walk reads
+    next into ``siblings``, under the node ``parent`` (-1 for a root).
+    The walk is preorder: the node stands at ``len(siblings)``, and
+    each ancestor is the last node read into its own siblings."""
+    steps = [f"[{len(siblings)}]"]
+    while parent >= 0:
+        parent = parsed[parent][2]
+        siblings = parsed[parent][1] if parent >= 0 else roots
+        steps += (".children", f"[{len(siblings) - 1}]")
+    return steps
+
+
+def _clusters(value):
     """The cluster forest.  The walk keeps its own stack, so a deep
     forest is bounded by memory, not by the recursion limit; it visits
     nodes in preorder, so errors surface in document order.  Nodes are
     built from the leaves up once every node has parsed."""
-    # each parsed node: its branch ids and its children's indices
-    parsed: list[tuple[tuple[str, ...], list[int]]] = []
+    if type(value) is not list:
+        raise SchemaError("expected an array", [])
+    # each parsed node: its branch ids, its children's indices and its
+    # parent's index, -1 for a root
+    parsed: list[tuple[tuple[str, ...], list[int], int]] = []
     roots: list[int] = []
-    stack = [(item, f"{where}[{i}]", roots) for i, item in
-             reversed(list(enumerate(_array(value, where))))]
+    stack = [(item, roots, -1) for item in reversed(value)]
     while stack:
-        item, at, siblings = stack.pop()
-        fields = _object(item, at, _CLUSTER, _CLUSTER_CHILDREN)
+        item, siblings, parent = stack.pop()
+        try:
+            fields = _object(item, _CLUSTER, _CLUSTER_CHILDREN)
+        except SchemaError as ex:
+            ex.within(*_node_steps(parsed, roots, siblings, parent))
+            raise
+        index = len(parsed)
+        siblings.append(index)
         children: list[int] = []
-        siblings.append(len(parsed))
-        parsed.append((tuple(fields["branches"]), children))
-        stack.extend((child, f"{at}.children[{i}]", children) for i, child
-                     in reversed(list(enumerate(fields["children"]))))
+        parsed.append((tuple(fields["branches"]), children, parent))
+        if fields["children"]:
+            stack.extend([(child, children, index)
+                          for child in reversed(fields["children"])])
     nodes: list = [None] * len(parsed)
     for i in reversed(range(len(parsed))):
-        ids, children = parsed[i]
-        nodes[i] = ClusterNode(ids, tuple([nodes[j] for j in children]))
+        ids, children, _ = parsed[i]
+        nodes[i] = ClusterNode(
+            ids, tuple([nodes[j] for j in children]) if children else ())
     return [nodes[i] for i in roots]
 
 
 def arrangement_from_document(data: dict) -> ClusterArrangement:
-    top = _top(data, "klt", {"arrangement": lambda v, w: v})
-    fields = _object(top["arrangement"], "arrangement", {
+    top = _top(data, "klt", {"arrangement": _value})
+    fields = _at("arrangement", _object, top["arrangement"], {
         "branches": _branches,
     }, {
         "clusters": (_clusters, []),

@@ -123,7 +123,7 @@ def _family_from_args(args, reader):
         )
     if args.p is None:
         raise schema.SchemaError("family flags need --p")
-    p = schema.characteristic(args.p, "--p")
+    p = schema._at("--p", schema.characteristic, args.p)
     return schema.family_from_fields(args.family, p, args.h)
 
 

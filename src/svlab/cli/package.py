@@ -25,6 +25,7 @@ from . import schema
 from .report import FORMAT_VERSION
 from .schema import (
     SchemaError,
+    _at,
     _boundary_entry,
     _boundary_on,
     _class_on,
@@ -33,8 +34,8 @@ from .schema import (
     _list_of,
     _nullable,
     _object,
-    _string,
     _top,
+    _value,
     family_document,
     fmt_rational,
     parse_rational,
@@ -87,9 +88,9 @@ def package_from_document(data: dict) -> CounterexamplePackage:
     """The package a document describes: its kind and family, then the
     certificate and surface of the family, then the class data on that
     surface, in field order."""
-    top = _top(data, "verify-package", {"package": lambda v, w: v})
-    fields = _object(top["package"], "package", {
-        "kind": _string, "family": _family,
+    top = _top(data, "verify-package", {"package": _value})
+    fields = _at("package", _object, top["package"], {
+        "kind": str, "family": _family,
         **{name: spec[0] for name, spec in _PACKAGE_KEYS.items()},
     })
     kind = fields.pop("kind")

@@ -12,29 +12,29 @@ from ..nonvanish import RULED, Scenario
 from .schema import (
     _PURE_MODEL,
     SchemaError,
-    _bool,
+    _at,
     _boundary_entry,
     _boundary_on,
     _class_on,
     _coeffs,
-    _int,
     _list_of,
     _nullable,
     _object,
     _top,
+    _value,
 )
 
 
-def _kodaira(value, where):
+def _kodaira(value):
     if value == "-inf":
         return RULED
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f'{where}: expected "-inf" or an integer')
+    if type(value) is not int:
+        raise SchemaError('expected "-inf" or an integer', [])
     return value
 
 
-def _model_fields(value, where):
-    return _object(value, where, _PURE_MODEL, _MODEL_OPTIONAL)
+def _model_fields(value):
+    return _object(value, _PURE_MODEL, _MODEL_OPTIONAL)
 
 
 def _build_model(fields) -> RuledModel:
@@ -45,9 +45,9 @@ def _build_model(fields) -> RuledModel:
 
 
 def scenario_from_document(data: dict) -> Scenario:
-    top = _top(data, "classify", {"scenario": lambda v, w: v})
-    fields = _object(top["scenario"], "scenario", _SCENARIO,
-                     _SCENARIO_OPTIONAL)
+    top = _top(data, "classify", {"scenario": _value})
+    fields = _at("scenario", _object, top["scenario"], _SCENARIO,
+                 _SCENARIO_OPTIONAL)
     model = fields["model"] = _build_model(fields["model"])
     fields["divisor"] = _class_on(model, fields["divisor"],
                                   "scenario.divisor")
@@ -60,15 +60,15 @@ def scenario_from_document(data: dict) -> Scenario:
 _SCENARIO = {
     "model": _model_fields,
     "kodaira": _kodaira,
-    "chi_o": _int,
-    "q": _int,
-    "relatively_minimal": _bool,
+    "chi_o": int,
+    "q": int,
+    "relatively_minimal": bool,
     "divisor": _coeffs,
 }
 _SCENARIO_OPTIONAL = {
     "boundary": (_list_of(_boundary_entry), []),
-    "kappa_minus_k_nonneg": (_nullable(_bool), None),
+    "kappa_minus_k_nonneg": (_nullable(bool), None),
 }
 _MODEL_OPTIONAL = {
-    "exceptionals": (_list_of(_list_of(_int)), []),
+    "exceptionals": (_list_of(_list_of(int)), []),
 }

@@ -11,6 +11,17 @@ is the one envelope check: each request kind's reader passes its
 document through it, which refuses a document of another kind and
 reads format, request and the kind's own top-level keys.
 
+Every object of every document is read by ``_object``, against key
+tables that map each key to a converter or to a plain JSON type
+(``str``, ``int``, ``bool``, ``list``, ``dict``).  A plain type is
+tested inline with ``type(value) is T``, so a bool is never an integer.
+A converter takes the value alone and returns what it reads.  Its
+refusal, a ``SchemaError`` raised with an empty path, collects the
+path to the value as it propagates: ``.key`` from ``_object``, ``[i]``
+from ``_list_of``, and the document's root name from ``_at``.  The
+path is formatted only when the refusal is printed, so a document that
+reads cleanly formats none.
+
 This module keeps what several document kinds share: the envelope, the
 converters, the caps, the pure model and boundary readers, and the
 family readers of the tango, construct and verify documents.  Each
@@ -54,14 +65,31 @@ _RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 class SchemaError(ValueError):
-    """The document does not match the published schema."""
+    """The document does not match the published schema.  A refusal
+    raised with a path, ``SchemaError(reason, [])``, gathers its steps
+    innermost first and reads ``<path>: <reason>``; one raised without
+    reads as its message alone."""
+
+    def __init__(self, message: str, path: list | None = None):
+        super().__init__(message)
+        self.path = path
+
+    def within(self, *steps: str) -> None:
+        """Put ``steps``, innermost first, before this refusal's path."""
+        if self.path is not None:
+            self.path.extend(steps)
+
+    def __str__(self) -> str:
+        if self.path is None:
+            return self.args[0]
+        return "".join(reversed(self.path)) + ": " + self.args[0]
 
 
-def parse_rational(value, where: str) -> Fraction:
-    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+def parse_rational(value) -> Fraction:
+    if type(value) is not str or not _RATIONAL.fullmatch(value):
         raise SchemaError(
-            f"{where}: expected an exact rational like \"3\" or \"-9/2\","
-            f" got {value!r}"
+            f"expected an exact rational like \"3\" or \"-9/2\","
+            f" got {value!r}", [],
         )
     num, _, den = value.partition("/")
     return Fraction(int(num), int(den) if den else 1)
@@ -71,30 +99,80 @@ def fmt_rational(q) -> str:
     return str(Fraction(q))
 
 
-def _object(data, where: str, required: dict, optional: dict = {}):
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected an object")
-    if not data.keys() <= required.keys() | optional.keys():
-        unknown = data.keys() - required.keys() - optional.keys()
-        raise SchemaError(
-            f"{where}: unknown keys {sorted(unknown)}; this schema is strict"
-        )
+# The plain JSON types that a key table may name in place of a
+# converter, each with the refusal of a value of another type.  The
+# test is ``type(value) is T``, so a bool is never an integer.
+_PLAIN = {
+    str: "expected a string",
+    int: "expected an integer",
+    bool: "expected true or false",
+    list: "expected an array",
+    dict: "expected an object",
+}
+
+
+def _object(data, required: dict, optional: dict = {}) -> dict:
+    """The fields of the JSON object ``data``.  ``required`` maps each
+    key that it must have to its converter or plain type, ``optional``
+    each key that it may have to (converter or plain type, default).
+    A refusal comes in key-table order, after any unknown key."""
+    if type(data) is not dict:
+        raise SchemaError("expected an object", [])
+    for key in data:
+        if key not in required and key not in optional:
+            unknown = sorted(
+                k for k in data if k not in required and k not in optional
+            )
+            raise SchemaError(
+                f"unknown keys {unknown}; this schema is strict", [],
+            )
+    # the two loops differ only in how an absent key is met
     out = {}
     for key, convert in required.items():
-        if key not in data:
-            raise SchemaError(f"{where}: missing key {key!r}")
-        out[key] = convert(data[key], f"{where}.{key}")
-    for key, (convert, default) in optional.items():
-        if key in data:
-            out[key] = convert(data[key], f"{where}.{key}")
+        try:
+            value = data[key]
+        except KeyError:
+            raise SchemaError(f"missing key {key!r}", []) from None
+        if type(convert) is type:
+            if type(value) is not convert:
+                raise SchemaError(_PLAIN[convert], ["." + key])
         else:
+            try:
+                value = convert(value)
+            except SchemaError as ex:
+                ex.within("." + key)
+                raise
+        out[key] = value
+    for key, (convert, default) in optional.items():
+        if key not in data:
             out[key] = default
+            continue
+        value = data[key]
+        if type(convert) is type:
+            if type(value) is not convert:
+                raise SchemaError(_PLAIN[convert], ["." + key])
+        else:
+            try:
+                value = convert(value)
+            except SchemaError as ex:
+                ex.within("." + key)
+                raise
+        out[key] = value
     return out
 
 
-def _int(value, where):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an integer")
+def _at(where: str, convert, value, *tables):
+    """``convert(value, *tables)`` at the root of its refusals' paths:
+    a refusal of it reads ``where`` first."""
+    try:
+        return convert(value, *tables)
+    except SchemaError as ex:
+        ex.within(where)
+        raise
+
+
+def _value(value):
+    """The value as it stands, for a key whose body is read apart."""
     return value
 
 
@@ -108,45 +186,57 @@ MAX_GENUS = 20_000
 MAX_SWEEP_ENTRIES = 100_000
 
 
-def characteristic(value, where):
-    p = _int(value, where)
-    if p >= MAX_CHARACTERISTIC:
+def characteristic(value) -> int:
+    if type(value) is not int:
+        raise SchemaError(_PLAIN[int], [])
+    if value >= MAX_CHARACTERISTIC:
         raise SchemaError(
-            f"{where}: expected a characteristic below {MAX_CHARACTERISTIC}"
+            f"expected a characteristic below {MAX_CHARACTERISTIC}", [],
         )
-    return p
-
-
-def _bool(value, where):
-    if not isinstance(value, bool):
-        raise SchemaError(f"{where}: expected true or false")
-    return value
-
-
-def _string(value, where):
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}: expected a string")
     return value
 
 
 def _nullable(convert):
-    """``convert`` with None passed through, for a reader (value, where)
-    or a writer (value)."""
-    def inner(value, *where):
-        return None if value is None else convert(value, *where)
+    """``convert`` with None passed through: a reader, which is a
+    converter or a plain type, or a writer."""
+    def inner(value):
+        if value is None:
+            return None
+        if type(convert) is not type:
+            return convert(value)
+        if type(value) is not convert:
+            raise SchemaError(_PLAIN[convert], [])
+        return value
     return inner
 
 
-def _array(value, where):
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected an array")
-    return value
-
-
 def _list_of(convert):
-    def inner(value, where):
-        return [convert(v, f"{where}[{i}]")
-                for i, v in enumerate(_array(value, where))]
+    """The converter of a JSON array whose items ``convert``, a
+    converter or a plain type, reads; an array of a plain type is
+    returned as it stands."""
+    if type(convert) is type:
+        def plain(value):
+            if type(value) is not list:
+                raise SchemaError(_PLAIN[list], [])
+            for item in value:
+                if type(item) is not convert:
+                    i = next(i for i, v in enumerate(value)
+                             if type(v) is not convert)
+                    raise SchemaError(_PLAIN[convert], [f"[{i}]"])
+            return value
+        return plain
+
+    def inner(value):
+        if type(value) is not list:
+            raise SchemaError(_PLAIN[list], [])
+        out = []
+        try:
+            for item in value:
+                out.append(convert(item))
+        except SchemaError as ex:
+            ex.within(f"[{len(out)}]")
+            raise
+        return out
     return inner
 
 
@@ -184,17 +274,17 @@ def _top(data: dict, request: str, keys: dict, optional: dict = {}):
         raise SchemaError(
             f"document is a {data['request']} request, not {request}"
         )
-    return _object(data, "document", {
-        "format": _string, "request": _string, **keys,
+    return _at("document", _object, data, {
+        "format": str, "request": str, **keys,
     }, optional)
 
 
-_PURE_MODEL = {"p": characteristic, "genus": _int, "e": _int}
+_PURE_MODEL = {"p": characteristic, "genus": int, "e": int}
 
 
-def _pure_model(value, where):
+def _pure_model(value):
     """The p, genus, e of a ruled model with no blow-ups."""
-    return _object(value, where, _PURE_MODEL)
+    return _object(value, _PURE_MODEL)
 
 
 def _class_on(model: RuledModel, coeffs, where) -> DivisorClass:
@@ -209,8 +299,8 @@ def _class_on(model: RuledModel, coeffs, where) -> DivisorClass:
 _BOUNDARY_ENTRY = {"class": _coeffs, "coefficient": parse_rational}
 
 
-def _boundary_entry(value, where):
-    return _object(value, where, _BOUNDARY_ENTRY)
+def _boundary_entry(value):
+    return _object(value, _BOUNDARY_ENTRY)
 
 
 def _boundary_on(model: RuledModel, entries, where) -> tuple:
@@ -257,12 +347,12 @@ def family_from_fields(kind: str, p: int, h):
     return family
 
 
-_FAMILY = {"kind": _string, "p": characteristic}
-_FAMILY_OPTIONAL = {"h": (_nullable(_int), None)}
+_FAMILY = {"kind": str, "p": characteristic}
+_FAMILY_OPTIONAL = {"h": (_nullable(int), None)}
 
 
-def _family(value, where):
-    fields = _object(value, where, _FAMILY, _FAMILY_OPTIONAL)
+def _family(value):
+    fields = _object(value, _FAMILY, _FAMILY_OPTIONAL)
     return family_from_fields(fields["kind"], fields["p"], fields["h"])
 
 
@@ -270,8 +360,8 @@ def family_from_document(data: dict):
     return _top(data, "tango", {"family": _family})["family"]
 
 
-_CONSTRUCT = {"kind": _string, "family": _family}
-_CONSTRUCT_OPTIONAL = {"allow_asserted": (_bool, False)}
+_CONSTRUCT = {"kind": str, "family": _family}
+_CONSTRUCT_OPTIONAL = {"allow_asserted": (bool, False)}
 
 
 def construct_from_document(data: dict):

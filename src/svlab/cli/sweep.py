@@ -33,7 +33,6 @@ from ..record import record
 from .schema import (
     MAX_SWEEP_ENTRIES,
     SchemaError,
-    _int,
     _list_of,
     _object,
     _pure_model,
@@ -65,15 +64,15 @@ class SweepEntry:
     reason: str
 
 
-def _range(value, where):
-    pair = _list_of(_int)(value, where)
+def _range(value):
+    pair = _list_of(int)(value)
     if len(pair) != 2:
-        raise SchemaError(f"{where}: expected [low, high]")
+        raise SchemaError("expected [low, high]", [])
     return (pair[0], pair[1])
 
 
-def _box(value, where):
-    return _object(value, where, _BOX)
+def _box(value):
+    return _object(value, _BOX)
 
 
 # the sweep reader's key tables

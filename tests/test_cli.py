@@ -645,34 +645,26 @@ def _reference_arrangement(data):
     """A recursive klt reader built here from the schema's generic
     pieces: the reference for the reader's iterative cluster walk and
     the paths it gives each child."""
-    def strings(value, where):
-        for i, v in enumerate(schema._array(value, where)):
-            schema._string(v, f"{where}[{i}]")
-        return value
-
-    def branch(value, where):
+    def branch(value):
         fields = schema._object(
-            value, where,
-            {"id": schema._string, "coefficient": schema.parse_rational},
-            {"kind": (schema._string, None)},
+            value, {"id": str, "coefficient": schema.parse_rational},
+            {"kind": (str, None)},
         )
         kind = "original" if fields["kind"] is None else fields["kind"]
         if kind not in ("original", "exceptional"):
             raise schema.SchemaError(
-                f"{where}.kind: expected 'original' or 'exceptional'"
+                "expected 'original' or 'exceptional'", [".kind"],
             )
         return WeightedBranch(fields["id"], fields["coefficient"], kind)
 
-    def cluster(value, where):
-        fields = schema._object(value, where, {"branches": strings},
-                                {"children": (schema._array, ())})
-        return ClusterNode(tuple(fields["branches"]), tuple(
-            cluster(child, f"{where}.children[{i}]")
-            for i, child in enumerate(fields["children"])
-        ))
+    def cluster(value):
+        fields = schema._object(value, {"branches": schema._list_of(str)},
+                                {"children": (schema._list_of(cluster), ())})
+        return ClusterNode(tuple(fields["branches"]),
+                           tuple(fields["children"]))
 
-    top = schema._top(data, "klt", {"arrangement": lambda v, w: v})
-    fields = schema._object(top["arrangement"], "arrangement", {
+    top = schema._top(data, "klt", {"arrangement": schema._value})
+    fields = schema._at("arrangement", schema._object, top["arrangement"], {
         "branches": schema._list_of(branch),
     }, {
         "clusters": (schema._list_of(cluster), []),

@@ -28,7 +28,7 @@ from svlab.chiproduct import (
     PreconditionError,
 )
 from svlab.cli.main import cmd_klt
-from svlab.cli.schema import _RATIONAL, SchemaError, parse_rational
+from svlab.cli.schema import _RATIONAL, SchemaError, _at, parse_rational
 from svlab.cli.sweep import (
     CERTIFIED_ENTRY,
     DISAGREEMENT,
@@ -461,7 +461,7 @@ def test_klt_trace_matches_fractions(tmp_path_factory, arr):
 @SETTINGS
 @given(st.from_regex(_RATIONAL, fullmatch=True))
 def test_parse_rational_accepts_what_the_pattern_accepts(value):
-    parsed = parse_rational(value, "x")
+    parsed = parse_rational(value)
     assert parsed == Fraction(value) and type(parsed) is Fraction
 
 
@@ -472,7 +472,7 @@ def test_parse_rational_accepts_what_the_pattern_accepts(value):
 ))
 def test_parse_rational_refuses_the_rest(value):
     with pytest.raises(SchemaError) as refused:
-        parse_rational(value, "x")
+        _at("x", parse_rational, value)
     assert str(refused.value) == (
         f"x: expected an exact rational like \"3\" or \"-9/2\","
         f" got {value!r}"

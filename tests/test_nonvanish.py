@@ -10,6 +10,7 @@ import math
 import pickle
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,9 +36,11 @@ from svlab.fibered import (
     component,
 )
 from svlab.lattice import (
+    VIOLATED,
     DivisorClass,
     RuledModel,
     UnsupportedRegime,
+    certify_positivity,
     riemann_roch_chi,
 )
 from svlab.nonvanish import (
@@ -1083,3 +1086,156 @@ class TestDecideDigest:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "83bb4c8a1edc8c5c38e5186d853a8b67790599d02522ed4cca2828630908b751"
         )
+
+
+# -- a soundness census of the grid's guaranteed verdicts --------------------
+#
+# Each guaranteed verdict of decide_grid() is sorted by what backs it:
+#   chi         D.F >= -1 and chi(D) > 0, or for m <= 2 the same of 2D:
+#               then (K - D).F < 0, so h^2(D) = 0 and h^0(D) >= chi(D);
+#   refuted     an exact test fails a hypothesis of Kawamata's theorem
+#               (D nef, H = D - K - B nef and big) or the model's
+#               existence (e >= -g, and kappa = -inf on a ruled model);
+#   fiber-tree  the scenario carries D.F only;
+#   other       the rest.
+# Intersection numbers and chi come from a Gram matrix and a canonical
+# class built here, not from the lattice's form or riemann_roch_chi.
+
+
+def _gram(model):
+    """The intersection form in the stored basis, E, F and the strict
+    transforms e_i: the exceptional block is -(M M^T), M unit upper
+    triangular with M[i][j] = -1 when point j is proximate to point i."""
+    k = len(model.exceptionals)
+    mm = [[int(i == j) for j in range(k)] for i in range(k)]
+    for j, pt in enumerate(model.exceptionals):
+        for i in pt:
+            mm[i][j] = -1
+    gram = [[0] * (2 + k) for _ in range(2 + k)]
+    gram[0][0] = -model.invariant_e
+    gram[0][1] = gram[1][0] = 1
+    for i in range(k):
+        for j in range(k):
+            gram[2 + i][2 + j] = -sum(mm[i][m] * mm[j][m] for m in range(k))
+    return gram
+
+
+def _solve(matrix, rhs):
+    """x with matrix x = rhs, for a nonsingular matrix, by exact
+    Gauss-Jordan elimination."""
+    n = len(rhs)
+    rows = [[Fraction(x) for x in row] + [Fraction(r)]
+            for row, r in zip(matrix, rhs)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                factor = rows[r][c] / rows[c][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def census_entry(s, verdict):
+    """The census class of a guaranteed verdict, and the names of the
+    exact tests that refute its hypotheses."""
+    if not s.is_lattice:
+        return "fiber-tree", ()
+    model = s.model
+    g, e = model.genus, model.invariant_e
+    gram = _gram(model)
+    n = len(gram)
+
+    def dot(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(n)
+                   for j in range(n))
+
+    # adjunction: K.E = 2g - 2 + e on the pulled-back section, K.F = -2,
+    # and K.e_i = -2 - e_i^2 on each smooth rational e_i
+    k = _solve(gram, [2 * g - 2 + e, -2, *(-2 - gram[i][i]
+                                           for i in range(2, n))])
+
+    def chi(x):
+        return dot(x, [a - b for a, b in zip(x, k)]) / 2 + 1 - g
+
+    d = list(s.divisor.coeffs)
+    multiples = [d]
+    if verdict.result == GUARANTEED_M2:
+        multiples.append([2 * x for x in d])
+    fiber = [0, 1] + [0] * (n - 2)
+    if any(dot(x, fiber) >= -1 and chi(x) > 0 for x in multiples):
+        return "chi", ()
+    b = [sum((c * cls.coeffs[i] for cls, c in s.boundary), Fraction(0))
+         for i in range(n)]
+    h = [x - y - z for x, y, z in zip(d, k, b)]
+    pure = RuledModel(model.characteristic, g, e)
+
+    def not_nef(x):
+        # the push-forward of a nef class is nef (projection formula),
+        # and each e_i is an irreducible curve
+        pushed = certify_positivity(pure, pure.divisor(x[0], x[1]))
+        return pushed.status == VIOLATED or any(
+            dot(x, [int(i == j) for j in range(n)]) < 0
+            for i in range(2, n)
+        )
+
+    failed = tuple(name for name, fails in (
+        ("nef(D)", not_nef(d)),
+        ("nef(H)", not_nef(h)),
+        ("H^2 <= 0", dot(h, h) <= 0),
+        ("e < -g", e < -g),
+        ("kappa >= 0", s.kodaira != RULED),
+    ) if fails)
+    return ("refuted" if failed else "other"), failed
+
+
+class TestSoundnessCensus:
+    def test_census_of_the_grid(self):
+        classes, rules, tests = Counter(), Counter(), Counter()
+        for s in decide_grid():
+            verdict = decide_outcome(s)
+            if not isinstance(verdict, Verdict) or verdict.result not in (
+                GUARANTEED_M1, GUARANTEED_M2,
+            ):
+                continue
+            name, failed = census_entry(s, verdict)
+            classes[name] += 1
+            rules[name, verdict.certificate["rule"].split(".")[-1]] += 1
+            tests.update((test, "pure" if s.model.is_pure else "blown-up")
+                         for test in failed)
+        assert classes == {
+            "chi": 995, "refuted": 234, "fiber-tree": 62, "other": 1,
+        }
+        assert rules == {
+            ("chi", "chi-product"): 52,
+            ("chi", "euler-characteristic"): 185,
+            ("chi", "euler-doubling-bound"): 155,
+            ("chi", "fiber-degree-threshold"): 495,
+            ("chi", "nonpositive-canonical-degree"): 70,
+            ("chi", "numerical-dimension-one"): 18,
+            ("chi", "structure-sheaf-euler"): 20,
+            ("refuted", "fiber-degree-threshold"): 213,
+            ("refuted", "nonpositive-canonical-degree"): 7,
+            ("refuted", "numerical-dimension-one"): 14,
+            ("fiber-tree", "fiber-degree-threshold"): 62,
+            ("other", "fiber-degree-threshold"): 1,
+        }
+        # a refuted verdict can fail more than one test
+        assert tests == {
+            ("nef(H)", "pure"): 151, ("H^2 <= 0", "pure"): 143,
+            ("e < -g", "pure"): 5,
+            ("nef(D)", "blown-up"): 59, ("nef(H)", "blown-up"): 71,
+            ("H^2 <= 0", "blown-up"): 83, ("e < -g", "blown-up"): 6,
+        }
+
+    def test_canonical_class_matches_the_lattice(self):
+        # the adjunction solve above against the lattice's K, on models
+        # with chains and satellite points
+        for model in (RuledModel(3, 2, -1), RuledModel(5, 1, 1).blow_up()
+                      .blow_up([0]).blow_up([0, 1]).blow_up()):
+            gram = _gram(model)
+            n = len(gram)
+            g, e = model.genus, model.invariant_e
+            k = _solve(gram, [2 * g - 2 + e, -2, *(-2 - gram[i][i]
+                                                   for i in range(2, n))])
+            assert tuple(k) == model.canonical_class().coeffs

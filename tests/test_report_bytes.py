@@ -236,6 +236,17 @@ def test_construct_and_verify_report_bytes(tmp_path, capsys, fmt):
 
 FAMILY = {"kind": "hyperelliptic", "p": 3, "h": 3}
 
+# a package body of the current shape; its refusals below come while it
+# is read, before any class is put on the surface
+PACKAGE = {
+    "kind": "kv", "family": FAMILY,
+    "section_curve": ["3", "-6"],
+    "boundary": [{"class": ["3", "-6"], "coefficient": "1/2"}],
+    "divisor": ["0", "6"], "h_class": ["1/2", "1"],
+    "base_twist_degree": None, "member_class": None,
+    "member_coefficient": None, "shifted_divisor": None,
+}
+
 # a valid body of each request kind; the verify-package envelope is
 # refused before its package is read, so an empty package serves there
 BODIES = {
@@ -302,7 +313,7 @@ def _refusal_cases():
         "verify-package:old-shape": (
             ["verify", "--in", "{doc}"],
             json.dumps(_document("verify-package", package={
-                "kind": "kv",
+                **{k: v for k, v in PACKAGE.items() if k != "family"},
                 "certificate": {
                     "family": FAMILY, "witness": "y/x^p", "genus": 4,
                     "v_inf": 6, "n": 2, "bound": 2, "equality": True,
@@ -310,11 +321,6 @@ def _refusal_cases():
                     "provenance": "computed",
                 },
                 "model": {"p": 3, "genus": 4, "e": -2},
-                "section_curve": ["3", "-6"],
-                "boundary": [{"class": ["3", "-6"], "coefficient": "1/2"}],
-                "divisor": ["0", "6"], "h_class": ["1/2", "1"],
-                "base_twist_degree": None, "member_class": None,
-                "member_coefficient": None, "shifted_divisor": None,
             })),
         ),
         "classify:ruled-chi-override": (
@@ -327,6 +333,7 @@ def _refusal_cases():
         ),
     })
     cases.update(_deep_item_cases())
+    cases.update(_nested_value_cases())
     return cases
 
 
@@ -359,6 +366,69 @@ def _deep_item_cases():
     }
 
 
+def _edited(request, body, path, value):
+    """The argv and document text of ``request`` with ``body``, its value
+    at ``path`` (keys and indices from the body's top) set to ``value``."""
+    body = json.loads(json.dumps(body))
+    node = body
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return ([COMMAND_OF[request], "--in", "{doc}"],
+            json.dumps(_document(request, **body)))
+
+
+# the cluster chain of the deep klt case: 400 nodes, the last one with
+# a key no table lists
+CHAIN_DEPTH = 400
+
+
+def _chain(depth):
+    node = {"branches": ["a", "b"], "colour": "red"}
+    for _ in range(depth - 1):
+        node = {"branches": ["a", "b"], "children": [node]}
+    return node
+
+
+def _nested_value_cases():
+    """One malformed value two or more levels below the root of its
+    document, for every document kind, and klt cluster nodes deep in
+    the forest."""
+    forest = {**MIXED_FOREST,
+              "clusters": MIXED_FOREST["clusters"][:1] + [_chain(CHAIN_DEPTH)]}
+    return {
+        "classify:model-genus-not-an-integer": _edited(
+            "classify", BODIES["classify"],
+            ("scenario", "model", "genus"), "4"),
+        "classify:boundary-class-not-a-rational": _edited(
+            "classify", BODIES["classify"],
+            ("scenario", "boundary", 0, "class", 1), "-6.0"),
+        "sweep:box-bound-not-an-integer": _edited(
+            "sweep", BODIES["sweep"], ("box", "b", 1), 20.0),
+        "sweep:model-p-over-the-cap": _edited(
+            "sweep", BODIES["sweep"], ("model", "p"), 2 ** 16),
+        "tango:family-h-not-an-integer": _edited(
+            "tango", BODIES["tango"], ("family", "h"), "3"),
+        "construct:family-p-is-a-bool": _edited(
+            "construct", BODIES["construct"], ("family", "p"), True),
+        "verify-package:boundary-coefficient-not-a-string": _edited(
+            "verify-package", {"package": PACKAGE},
+            ("package", "boundary", 0, "coefficient"), 0.5),
+        "verify-package:family-unknown-key": _edited(
+            "verify-package", {"package": PACKAGE},
+            ("package", "family", "genus"), 4),
+        "klt:children-depth-three": _edited(
+            "klt", BODIES["klt"],
+            ("arrangement", "clusters", 1, "children", 0, "children", 0,
+             "children"),
+            [{"branches": ["e", "d"]}, {"branches": ["e", 5]}]),
+        "klt:unknown-key-400-deep": (
+            ["klt", "--in", "{doc}"],
+            json.dumps(_document("klt", arrangement=forest)),
+        ),
+    }
+
+
 REFUSAL_CASES = _refusal_cases()
 
 REFUSALS = {
@@ -369,9 +439,16 @@ REFUSALS = {
         "error: document: unknown keys ['extra']; this schema is strict\n",
     "classify:wrong-format":
         "error: format: expected 'svlab/1', got 'svlab/0'\n",
+    "classify:boundary-class-not-a-rational":
+        "error: scenario.boundary[0].class[1]: expected an exact rational"
+        " like \"3\" or \"-9/2\", got '-6.0'\n",
+    "classify:model-genus-not-an-integer":
+        "error: scenario.model.genus: expected an integer\n",
     "classify:ruled-chi-override":
         "error: scenario.model: unknown keys ['chi']; this schema is"
         " strict\n",
+    "construct:family-p-is-a-bool":
+        "error: document.family.p: expected an integer\n",
     "construct:flags-without-kind": "error: this command needs --kind\n",
     "construct:kind-contradicts-document":
         "error: --kind contradicts the request document\n",
@@ -389,6 +466,9 @@ REFUSALS = {
         "rational like \"3\" or \"-9/2\", got '0.5'\n",
     "klt:branch-id-not-a-string":
         "error: arrangement.branches[437].id: expected a string\n",
+    "klt:children-depth-three":
+        "error: arrangement.clusters[1].children[0].children[0].children[1]"
+        ".branches[1]: expected a string\n",
     "klt:cluster-branch-not-a-string":
         "error: arrangement.clusters[700].branches[1]: expected a string\n",
     "klt:cluster-branches-not-an-array":
@@ -401,17 +481,27 @@ REFUSALS = {
     "klt:unknown-key-in-500th-branch":
         "error: arrangement.branches[499]: unknown keys ['colour']; this"
         " schema is strict\n",
+    "klt:unknown-key-400-deep":
+        "error: arrangement.clusters[1]"
+        + ".children[0]" * (CHAIN_DEPTH - 1)
+        + ": unknown keys ['colour']; this schema is strict\n",
     "klt:wrong-format": "error: format: expected 'svlab/1', got 'svlab/0'\n",
     "not-json":
         "error: not valid JSON: Expecting property name enclosed in double "
         "quotes: line 1 column 2 (char 1)\n",
+    "sweep:box-bound-not-an-integer":
+        "error: document.box.b[1]: expected an integer\n",
     "sweep:missing-body":
         "error: document: missing key 'boundary_coefficient'\n",
     "sweep:other-request":
         "error: document is a classify request, not sweep\n",
+    "sweep:model-p-over-the-cap":
+        "error: document.model.p: expected a characteristic below 65536\n",
     "sweep:unknown-key":
         "error: document: unknown keys ['extra']; this schema is strict\n",
     "sweep:wrong-format": "error: format: expected 'svlab/1', got 'svlab/0'\n",
+    "tango:family-h-not-an-integer":
+        "error: document.family.h: expected an integer\n",
     "tango:family-without-p": "error: family flags need --p\n",
     "tango:in-and-family":
         "error: give either --in or the family flags, not both\n",
@@ -427,6 +517,12 @@ REFUSALS = {
     "unknown-request":
         "error: request: expected one of classify, klt, tango, construct, "
         "verify-package, sweep, got 'frobnicate'\n",
+    "verify-package:boundary-coefficient-not-a-string":
+        "error: package.boundary[0].coefficient: expected an exact rational"
+        " like \"3\" or \"-9/2\", got 0.5\n",
+    "verify-package:family-unknown-key":
+        "error: package.family: unknown keys ['genus']; this schema is"
+        " strict\n",
     "verify-package:missing-body": "error: document: missing key 'package'\n",
     "verify-package:other-request":
         "error: document is a sweep request, not verify-package\n",

@@ -143,15 +143,17 @@ def test_every_public_name_has_a_production_caller():
 
 
 def test_per_item_converters_import_nothing():
-    # the readers named in the key tables, and the module's functions
-    # they call, run once per document item or loop over the items; an
-    # import statement costs about a microsecond even when the module is
-    # loaded, so the klt reader imports its layer's names at its top
-    tree = ast.parse(
-        (SRC / "cli" / "arrangement.py").read_text(encoding="utf-8")
+    # the readers named in the key tables, and the functions of the
+    # module and of cli/schema that they call, run once per document
+    # item or loop over the items; an import statement costs about a
+    # microsecond even when the module is loaded, so the klt reader
+    # imports its layer's names at its top
+    tree, schema = (
+        ast.parse((SRC / "cli" / name).read_text(encoding="utf-8"))
+        for name in ("arrangement.py", "schema.py")
     )
     functions = {
-        node.name: node for node in tree.body
+        node.name: node for module in (schema, tree) for node in module.body
         if isinstance(node, ast.FunctionDef)
     }
     per_item = {
@@ -169,7 +171,8 @@ def test_per_item_converters_import_nothing():
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in functions
         }
-    assert {"_branches", "_clusters"} <= per_item
+    assert {"_branches", "_clusters", "_object", "_list_of",
+            "parse_rational"} <= per_item
     importing = sorted(
         name for name in per_item
         if any(isinstance(node, (ast.Import, ast.ImportFrom))
@@ -181,17 +184,20 @@ def test_per_item_converters_import_nothing():
 def test_one_document_envelope():
     # every request kind reads format, request and its top-level keys
     # through one check in cli/schema, which also refuses a document of
-    # another kind, so cli/main checks no request name itself
+    # another kind, so cli/main checks no request name itself; the check
+    # is the one ``_object`` read whose refusals' paths start at
+    # "document"
     cli = SRC / "cli"
-    schema = ast.parse((cli / "schema.py").read_text(encoding="utf-8"))
     envelopes = [
-        node for node in ast.walk(schema)
+        path.name for path in sorted(cli.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "_object"
-        and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
-        and node.args[1].value == "document"
+        and getattr(node.func, "id", None) == "_at"
+        and len(node.args) > 1 and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "document"
+        and getattr(node.args[1], "id", None) == "_object"
     ]
-    assert len(envelopes) == 1
+    assert envelopes == ["schema.py"]
     main_tree = ast.parse((cli / "main.py").read_text(encoding="utf-8"))
     assert [
         node.lineno for node in ast.walk(main_tree)
