@@ -1,4 +1,5 @@
-"""The klt document's reader: weighted branches and a cluster forest.
+"""The klt command and its document's reader: weighted branches and a
+cluster forest.
 
 Every branch and cluster item is read through ``_object``, so a
 refusal has the generic reader's text and comes in document order.
@@ -10,8 +11,9 @@ builds one ``Fraction`` per distinct coefficient text.
 Only klt requests load this module, so it imports the kltcalc names
 that its readers build at its top: their loops run once per array item,
 and an import statement there would run as often.  ``svlab.cli.schema``
-binds ``arrangement_from_document`` lazily, and the command line calls
-it there.
+binds ``arrangement_from_document`` lazily, and the handler calls it
+there, and ``is_klt`` and ``check`` through ``svlab.cli.main``, so a
+rebinding of any of them sees every call.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from ..kltcalc import (
     ClusterNode,
     WeightedBranch,
 )
+from . import main, schema
+from .report import PASS, Report
 from .schema import (
     SchemaError,
     _at,
@@ -129,3 +133,36 @@ def arrangement_from_document(data: dict) -> ClusterArrangement:
     })
     return ClusterArrangement(tuple(fields["branches"]),
                               tuple(fields["clusters"]))
+
+
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` of a numerator and a positive
+    denominator that are already coprime."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def cmd_klt(args) -> Report:
+    arrangement = schema.arrangement_from_document(
+        schema.read_document(args.in_path))
+    verdict, trace = main.is_klt(arrangement)
+    lines = [main.check(
+        "arrangement", PASS,
+        ("branches", len(arrangement.branches)),
+        ("clusters", len(arrangement.clusters)),
+    )]
+    for record in trace.records:
+        num, den = record.numerator, record.denominator
+        lines.append(main.check(
+            "blowup", PASS,
+            ("node", record.node),
+            ("sigma", _ratio(num, den)),
+            ("coefficient", _ratio(num - den, den)),
+            ("discrepancy", _ratio(den - num, den)),
+        ))
+    detail = [("verdict", "klt" if verdict else "not-klt")]
+    if trace.records:
+        detail.append(("max_exceptional", trace.max_coefficient()))
+        if not verdict:
+            detail.append(("min_discrepancy", trace.min_discrepancy()))
+    lines.append(main.check("klt-verdict", PASS, *detail))
+    return Report("klt", tuple(lines))

@@ -1,5 +1,5 @@
-"""The package document: the reader that verify uses and the writer
-behind ``construct --emit``.
+"""The verify command, and the package document: the reader that verify
+uses and the writer behind ``construct --emit``.
 
 A package document holds the package's kind, its family and its class
 data.  The certificate and the surface are functions of the family, so
@@ -12,7 +12,8 @@ classes, and the check lines that read them fail.
 Both commands build the package layer anyway, so this module imports
 it at its top.  ``svlab.cli.schema`` binds ``package_to_document``,
 ``package_from_document`` and ``dumps_canonical`` lazily, and the
-command line calls them there.
+handlers call them there.  Verify prints a package's check lines with
+construct's ``_package_lines``, from ``cli/family``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import json
 from ..construct import KINDS, CounterexamplePackage, build_surface
 from ..lattice import DivisorClass
 from . import schema
-from .report import FORMAT_VERSION
+from .family import _family, _package_lines, family_document
+from .report import FORMAT_VERSION, Report
 from .schema import (
     SchemaError,
     _at,
@@ -30,13 +32,11 @@ from .schema import (
     _boundary_on,
     _class_on,
     _coeffs,
-    _family,
     _list_of,
     _nullable,
     _object,
     _top,
     _value,
-    family_document,
     fmt_rational,
     parse_rational,
 )
@@ -108,3 +108,8 @@ def package_from_document(data: dict) -> CounterexamplePackage:
 
 def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def cmd_verify(args) -> Report:
+    pkg = schema.package_from_document(schema.read_document(args.in_path))
+    return Report("verify", _package_lines(pkg))

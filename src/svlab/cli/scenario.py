@@ -1,14 +1,19 @@
-"""The classify document's reader: a scenario on a ruled model.
+"""The classify command and its document's reader: a scenario on a
+ruled model.
 
 Only classify requests load this module, so it imports the decision
 engine and the lattice at its top.  ``svlab.cli.schema`` binds
-``scenario_from_document`` lazily, and the command line calls it there.
+``scenario_from_document`` lazily, and the handler calls it there, and
+``decide`` and ``check`` through ``svlab.cli.main``, so a rebinding of
+any of them sees every call.
 """
 
 from __future__ import annotations
 
 from ..lattice import RuledModel
 from ..nonvanish import RULED, Scenario
+from . import main, schema
+from .report import PASS, Report
 from .schema import (
     _PURE_MODEL,
     SchemaError,
@@ -54,6 +59,30 @@ def scenario_from_document(data: dict) -> Scenario:
     fields["boundary"] = _boundary_on(model, fields["boundary"],
                                       "scenario.boundary")
     return Scenario(**fields)
+
+
+def cmd_classify(args) -> Report:
+    scenario = schema.scenario_from_document(
+        schema.read_document(args.in_path))
+    verdict = main.decide(scenario)
+    detail = [("result", verdict.result)]
+    if verdict.reason:
+        detail.append(("reason", verdict.reason))
+    cert = dict(verdict.certificate)
+    rule = cert.pop("rule", None)
+    if rule is not None:
+        detail.append(("rule", rule))
+    detail.extend(sorted(cert.items()))
+    return Report("classify", (
+        main.check(
+            "classification", PASS,
+            ("case", verdict.case_label),
+            ("kodaira", scenario.kodaira),
+            ("chi_o", scenario.chi_o),
+            ("q", scenario.q),
+        ),
+        main.check("decision", PASS, *detail),
+    ))
 
 
 # the scenario reader's key tables

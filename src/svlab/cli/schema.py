@@ -23,10 +23,10 @@ path is formatted only when the refusal is printed, so a document that
 reads cleanly formats none.
 
 This module keeps what several document kinds share: the envelope, the
-converters, the caps, the pure model and boundary readers, and the
-family readers of the tango, construct and verify documents.  Each
-other kind's reader is a module of its own, which imports the layer it
-builds: ``cli/scenario`` (classify), ``cli/arrangement`` (klt),
+converters, the caps and the pure model and boundary readers.  Each
+kind's reader is a module of its own, beside its command's handler:
+``cli/scenario`` (classify), ``cli/arrangement`` (klt), ``cli/family``
+(tango and construct, and the family that a package carries),
 ``cli/sweep`` (sweep) and ``cli/package`` (verify and
 ``construct --emit``).  This module binds their public functions
 lazily, so a command compiles only its own reader and callers still
@@ -53,6 +53,10 @@ __getattr__ = lazy_getattr(globals(), {
     "scenario_from_document": ".scenario",
     "arrangement_from_document": ".arrangement",
     "sweep_from_document": ".sweep",
+    **{name: ".family" for name in (
+        "family_from_fields", "family_from_document",
+        "construct_from_document", "family_document",
+    )},
     **{name: ".package" for name in (
         "package_to_document", "package_from_document", "dumps_canonical",
     )},
@@ -267,6 +271,14 @@ def load_document(text: str) -> dict:
     return data
 
 
+def read_document(path: str | None) -> dict:
+    """The document in the file ``path``, read by ``load_document``."""
+    if path is None:
+        raise SchemaError("this command needs --in PATH")
+    with open(path, encoding="utf-8") as fh:
+        return load_document(fh.read())
+
+
 def _top(data: dict, request: str, keys: dict, optional: dict = {}):
     """The top-level keys of a ``request`` document that
     ``load_document`` returned: format, request, then ``keys``."""
@@ -311,72 +323,5 @@ def _boundary_on(model: RuledModel, entries, where) -> tuple:
     )
 
 
+# the family kinds, which cli/main's --family flag offers
 FAMILY_KINDS = ("hyperelliptic", "artinschreier", "tangoplane")
-
-
-def _family_classes() -> dict:
-    """The class of each family kind.  A family's document carries the
-    fields of its record class: p, and h where the class has one."""
-    from ..charpcurve.families import ArtinSchreier, Hyperelliptic, TangoPlane
-
-    return {"hyperelliptic": Hyperelliptic, "artinschreier": ArtinSchreier,
-            "tangoplane": TangoPlane}
-
-
-def family_from_fields(kind: str, p: int, h):
-    from ..charpcurve.families import genus
-
-    cls = _family_classes().get(kind)
-    if cls is None:
-        raise SchemaError(
-            f"family kind: expected one of {', '.join(FAMILY_KINDS)},"
-            f" got {kind!r}"
-        )
-    if "h" not in cls.__annotations__:
-        if h is not None:
-            raise SchemaError(f"{kind} takes no h")
-    elif h is None:
-        raise SchemaError(f"{kind} needs h")
-    family = cls(p) if h is None else cls(p, h)
-    g = genus(family)
-    if g > MAX_GENUS:
-        raise SchemaError(
-            f"{family!r} has genus {g}; expected a genus of at most"
-            f" {MAX_GENUS}"
-        )
-    return family
-
-
-_FAMILY = {"kind": str, "p": characteristic}
-_FAMILY_OPTIONAL = {"h": (_nullable(int), None)}
-
-
-def _family(value):
-    fields = _object(value, _FAMILY, _FAMILY_OPTIONAL)
-    return family_from_fields(fields["kind"], fields["p"], fields["h"])
-
-
-def family_from_document(data: dict):
-    return _top(data, "tango", {"family": _family})["family"]
-
-
-_CONSTRUCT = {"kind": str, "family": _family}
-_CONSTRUCT_OPTIONAL = {"allow_asserted": (bool, False)}
-
-
-def construct_from_document(data: dict):
-    from ..construct import KINDS
-
-    top = _top(data, "construct", _CONSTRUCT, _CONSTRUCT_OPTIONAL)
-    if top["kind"] not in KINDS:
-        raise SchemaError(
-            f"kind: expected one of {', '.join(KINDS)}, got {top['kind']!r}"
-        )
-    return top["kind"], top["family"], top["allow_asserted"]
-
-
-def family_document(family) -> dict:
-    cls = type(family)
-    kind = next(k for k, c in _family_classes().items() if c is cls)
-    return {"kind": kind,
-            **{name: getattr(family, name) for name in cls.__annotations__}}

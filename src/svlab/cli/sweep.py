@@ -13,10 +13,11 @@ class from the integer numerators of D and K + cC', and for a certified
 H the class of D for the oracle, but no certificate.  Entries run one
 after another in box order, in the calling process.
 
-The sweep document's reader, ``sweep_from_document``, is here too;
-``svlab.cli.schema`` binds it lazily, and the command line calls it
-there.  The sweep imports the product certifier, ``svlab.chiproduct``,
-and not the decision engine.
+The sweep command and its document's reader, ``sweep_from_document``,
+are here too; ``svlab.cli.schema`` binds the reader lazily, and the
+handler calls it there, and ``check`` through ``svlab.cli.main``.  The
+sweep imports the product certifier, ``svlab.chiproduct``, and not the
+decision engine.
 """
 
 from fractions import Fraction
@@ -30,6 +31,8 @@ from ..lattice import (
     disjoint_multisection,
 )
 from ..record import record
+from . import main, schema
+from .report import FAIL, PASS, SKIP, Report
 from .schema import (
     MAX_SWEEP_ENTRIES,
     SchemaError,
@@ -158,3 +161,24 @@ def summarize(entries: tuple[SweepEntry, ...]) -> dict:
     if certified:
         summary["min_chi"] = min(e.chi for e in certified)
     return summary
+
+
+def cmd_sweep(args) -> Report:
+    request = schema.sweep_from_document(schema.read_document(args.in_path))
+    entries = run_sweep(request)
+    status = {CERTIFIED_ENTRY: PASS, SKIPPED_ENTRY: SKIP, DISAGREEMENT: FAIL}
+    lines = [
+        main.check(
+            "entry", status[entry.status], ("a", entry.a), ("b", entry.b),
+            ("chi", entry.chi) if entry.status == CERTIFIED_ENTRY
+            else ("reason", entry.reason),
+        )
+        for entry in entries
+    ]
+    stats = summarize(entries)
+    lines.append(main.check(
+        "summary",
+        PASS if stats["disagreements"] == 0 else FAIL,
+        *stats.items(),
+    ))
+    return Report("sweep", tuple(lines))

@@ -1,10 +1,11 @@
 """Module attributes that import their defining module on first access.
 
 Only ``svlab.cli.main`` and ``svlab.cli.schema`` use it.  They bind the
-layer entry points and document readers they call through a PEP 562
-module ``__getattr__``, so a command loads only its own layer and its
-own reader, and read them through the module, so a tracer or test that
-rebinds one (``svlab.cli.main.decide``, say) sees every call.
+layer entry points, the command handlers and the document readers
+through a PEP 562 module ``__getattr__``, so a command loads only its
+own layer, handler and reader.  The handlers read them through those
+two modules, so a tracer or test that rebinds one
+(``svlab.cli.main.decide``, say) sees every call.
 """
 
 

@@ -39,6 +39,12 @@ from svlab.cli.arrangement import (
     _CLUSTER,
     _CLUSTER_CHILDREN,
 )
+from svlab.cli.family import (
+    _CONSTRUCT,
+    _CONSTRUCT_OPTIONAL,
+    _FAMILY,
+    _FAMILY_OPTIONAL,
+)
 from svlab.cli.main import build_parser, main
 from svlab.cli.package import _PACKAGE_KEYS
 from svlab.cli.report import PASS, Report, check, render_machine
@@ -878,7 +884,7 @@ def family_document_request(rng):
         objects += [(entry, schema._BOUNDARY_ENTRY, {})
                     for entry in package["boundary"]]
     else:
-        family = _drawn(rng, schema._FAMILY, schema._FAMILY_OPTIONAL, {
+        family = _drawn(rng, _FAMILY, _FAMILY_OPTIONAL, {
             **values, "kind": (_fixed(*schema.FAMILY_KINDS),),
         })
         if family["kind"] == "tangoplane" and rng.random() < 0.8:
@@ -886,10 +892,10 @@ def family_document_request(rng):
         doc = {"format": "svlab/1", "request": command, "family": family}
         tables = (("family",), {})
         if command == "construct":
-            tables = (schema._CONSTRUCT, schema._CONSTRUCT_OPTIONAL)
+            tables = (_CONSTRUCT, _CONSTRUCT_OPTIONAL)
             doc.update(_drawn(rng, ("kind",), tables[1], values))
         objects = [(doc, *tables)]
-    objects.append((family, schema._FAMILY, schema._FAMILY_OPTIONAL))
+    objects.append((family, _FAMILY, _FAMILY_OPTIONAL))
     _one_fault_or_none(rng, objects, values)
     return [command, "--in"], doc
 

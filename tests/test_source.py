@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,10 @@ def test_every_public_name_has_a_production_caller():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    # each command's handler is read by name, from cli/main's table
+    from svlab.cli.main import _COMMANDS
+
+    read.update(handler for handler, _, _ in _COMMANDS.values())
     uncalled = {
         name for name in defined
         if not name.rsplit(".", 1)[-1].startswith("_")
@@ -298,6 +303,17 @@ _READERS = {
     "svlab.cli.package",
 }
 
+# the modules that each command's handler loads: its own, and for verify
+# cli/family too, whose package lines it prints
+_HANDLERS = {
+    "classify": {"svlab.cli.scenario"},
+    "klt": {"svlab.cli.arrangement"},
+    "tango": {"svlab.cli.family"},
+    "construct": {"svlab.cli.family"},
+    "verify": {"svlab.cli.package", "svlab.cli.family"},
+    "sweep": {"svlab.cli.sweep"},
+}
+
 
 def test_cli_import_loads_no_layer_but_the_lattice():
     loaded = _imported("-c", "import svlab.cli.main")
@@ -306,6 +322,7 @@ def test_cli_import_loads_no_layer_but_the_lattice():
         "svlab.charpcurve", "svlab.construct", "svlab.fibered",
         "svlab.kltcalc", "svlab.nonvanish", "svlab.chiproduct",
         "concurrent.futures", "dataclasses", "inspect", *_READERS,
+        "svlab.cli.family",
         "argparse", "gettext", "locale",
     }
     assert loaded & unwanted == set()
@@ -378,6 +395,10 @@ _BINDINGS = (
     ("svlab.cli.schema", "arrangement_from_document",
      "svlab.cli.arrangement"),
     ("svlab.cli.schema", "sweep_from_document", "svlab.cli.sweep"),
+    ("svlab.cli.schema", "family_from_fields", "svlab.cli.family"),
+    ("svlab.cli.schema", "family_from_document", "svlab.cli.family"),
+    ("svlab.cli.schema", "construct_from_document", "svlab.cli.family"),
+    ("svlab.cli.schema", "family_document", "svlab.cli.family"),
     ("svlab.cli.schema", "package_to_document", "svlab.cli.package"),
     ("svlab.cli.schema", "package_from_document", "svlab.cli.package"),
     ("svlab.cli.schema", "dumps_canonical", "svlab.cli.package"),
@@ -450,6 +471,34 @@ def test_commands_load_only_their_own_reader(command, reader, tmp_path):
     assert loaded & _READERS == ({reader} - {None})
 
 
+@pytest.mark.parametrize("command", sorted(_HANDLERS))
+def test_commands_load_only_their_own_handler(command, tmp_path):
+    loaded = _imported("-m", "svlab", *_argv(command, tmp_path))
+    assert loaded & set().union(*_HANDLERS.values()) == _HANDLERS[command]
+
+
+def test_cli_main_defines_no_handler():
+    # each handler lives beside its reader, so a request compiles only
+    # its own
+    tree = ast.parse((SRC / "cli" / "main.py").read_text(encoding="utf-8"))
+    functions = [node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    # main itself is seen, so the check cannot pass on nothing
+    assert "main" in functions
+    assert [name for name in functions if name.startswith("cmd_")] == []
+
+
+def test_every_command_resolves_to_its_handler():
+    # a misspelt handler or module in the dispatch table fails here, not
+    # when its one command runs
+    cli = importlib.import_module("svlab.cli.main")
+    assert set(cli._COMMANDS) == set(_HANDLERS)
+    for command, (handler, _, _) in cli._COMMANDS.items():
+        found = getattr(cli, handler)
+        assert callable(found), command
+        assert found.__module__ in _HANDLERS[command], command
+
+
 def test_sweep_command_loads_the_product_not_the_decision_engine(tmp_path):
     loaded = _imported("-m", "svlab", *_argv("sweep", tmp_path))
     assert {"svlab.lattice", "svlab.chiproduct"} <= loaded
@@ -469,6 +518,12 @@ def test_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
 
 
 @pytest.mark.parametrize("module,name,command", (
+    *(("svlab.cli.main", name, command)
+      for name in ("check", "render_text", "render_machine")
+      for command in _HANDLERS),
+    ("svlab.cli.schema", "load_document", "klt"),
+    ("svlab.cli.schema", "family_from_fields", "tango"),
+    ("svlab.cli.schema", "family_document", "construct"),
     ("svlab.cli.main", "certify_tango", "tango"),
     ("svlab.cli.main", "certify_tango", "construct"),
     ("svlab.cli.main", "build_package", "construct"),
@@ -482,6 +537,9 @@ def test_commands_call_the_rebound_name(
     module, name, command, tmp_path, capsys, monkeypatch,
 ):
     argv = _argv(command, tmp_path)
+    if name == "render_machine":
+        argv += ["--format", "machine"]
+    capsys.readouterr()  # what making argv printed
     owner = importlib.import_module(module)
     real = getattr(owner, name)
     calls = []
@@ -493,7 +551,11 @@ def test_commands_call_the_rebound_name(
     monkeypatch.setattr(owner, name, spy)
     assert main(argv) == 0
     assert calls
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    if name == "check":
+        # every check line of the report, not just some, is made by it
+        assert len(calls) == len(re.findall(r"^\S.*: (PASS|FAIL|SKIP)$",
+                                            out, re.M))
 
 
 def test_classify_command_classifies_once(tmp_path, capsys, monkeypatch):
