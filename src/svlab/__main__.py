@@ -13,14 +13,18 @@ from .cli.main import main
 def run() -> int:
     """Run the process's command line and return its exit code.
 
-    ``main()`` has written and flushed the report when it returns, or
-    argparse its help or usage text when it raises ``SystemExit``.  The
-    heap is then frozen: every tracked object moves to the permanent
-    generation, which the interpreter's collections at exit skip, and
-    the operating system takes back its memory when the process ends.
-    Atexit handlers and the final flush of the standard streams still
-    run.
+    The cyclic collector is off for the whole request: svlab's records,
+    classes and reports hold no reference cycles, so a collection would
+    only rescan them, and reference counting frees each one when its
+    last reference goes.  ``main()`` has written and flushed the report
+    when it returns, or argparse its help or usage text when it raises
+    ``SystemExit``.  The heap is then frozen: every tracked object moves
+    to the permanent generation, which the interpreter's collections at
+    exit skip, and the operating system takes back its memory when the
+    process ends.  Atexit handlers and the final flush of the standard
+    streams still run.
     """
+    gc.disable()
     try:
         return main()
     finally:

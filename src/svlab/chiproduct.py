@@ -19,11 +19,10 @@ from fractions import Fraction
 from numbers import Rational
 
 from .lattice import (
-    DivisorClass,
     LatticeError,
     RuledModel,
     candidate_curve_constraints,
-    riemann_roch_chi,
+    riemann_roch_nums,
 )
 from .record import record
 
@@ -66,10 +65,10 @@ class ChiProduct:
     to integers over the common denominator ``scale``.  ``check(a, b)``
     and ``certify(a, b)`` take the integers a, b of an integral D.  ``check``
     runs the checks that depend on D, raising the refusals at their
-    place in the order of checks, and returns chi(D), which is all a
-    sweep entry reads.  ``certify`` runs the same checks and builds the
-    certificate that ``decide`` reports.  Nothing mutates the record, so
-    one instance serves a whole sweep.
+    place in the order of checks, and returns chi(D) as an int, which is
+    all a sweep entry reads.  ``certify`` runs the same checks and builds
+    the certificate that ``decide`` reports.  Nothing mutates the record,
+    so one instance serves a whole sweep.
     """
 
     model: RuledModel
@@ -120,12 +119,18 @@ class ChiProduct:
     def check(self, a: int, b: int) -> tuple:
         """The checks that depend on D = aE + bF, in order: nef, the two
         ampleness inequalities of H = D - K - cG, and agreement with the
-        generic Riemann-Roch oracle.  Returns chi(D) as the oracle gives
-        it, then, for the certificate, the two ampleness values times
-        ``scale`` and s = 2b - ae.  The slack chain and chi > 0 follow:
-        2H_b > H_a e is s > 4(g-1) + c(2y - xe), a curve G has
-        2y - xe >= 2(1-g), so s > 2(2-c)(g-1) > 2(g-1) for 0 < c < 1 and
-        g >= 2, and chi = (a+1)(s + 2 - 2g)/2 > 0 for a >= 0."""
+        generic Riemann-Roch oracle.  Returns chi(D), the int on which
+        the product and the oracle agree, then, for the certificate, the
+        two ampleness values times ``scale`` and s = 2b - ae.  The slack
+        chain and chi > 0 follow: 2H_b > H_a e is s > 4(g-1) + c(2y - xe),
+        a curve G has 2y - xe >= 2(1-g), so s > 2(2-c)(g-1) > 2(g-1) for
+        0 < c < 1 and g >= 2, and chi = (a+1)(s + 2 - 2g)/2 > 0 for
+        a >= 0.
+
+        The oracle's numerator and denominator are compared with the
+        product as integers; a Fraction is built only for the text of a
+        disagreement.  Twice the product is even (a + 1 and s = 2b - ae
+        are not both odd), so agreement makes chi(D) an int."""
         if self.refusal is not None:
             kind, args = self.refusal
             raise kind(*args)
@@ -145,13 +150,13 @@ class ChiProduct:
             )
         slope = 2 * b - a * e  # twice b - ae/2
         chi = (a + 1) * (slope + 2 - 2 * g)  # twice the product
-        oracle = riemann_roch_chi(model, DivisorClass(model, (a, b)))
-        if chi * oracle.denominator != 2 * oracle.numerator:
+        num, den = riemann_roch_nums(model, (a, b), 1)
+        if chi * den != 2 * num:
             raise InconsistentScenario(
                 f"product gives {Fraction(chi, 2)}, riemann-roch gives"
-                f" {oracle}"
+                f" {Fraction(num, den)}"
             )
-        return oracle, ample_e, ample_f, slope
+        return chi // 2, ample_e, ample_f, slope
 
     def certify(self, a: int, b: int) -> Verdict:
         """``check(a, b)``, with what it compared as the certificate."""
@@ -162,7 +167,7 @@ class ChiProduct:
             GUARANTEED_M1,
             {
                 "rule": RULE_CHI_PRODUCT,
-                "chi": chi,
+                "chi": Fraction(chi),
                 "ample_inequalities": (
                     Fraction(ample_e, scale), Fraction(ample_f, scale),
                 ),

@@ -8,9 +8,12 @@ non-positive value, is a counterexample to the formulas' equivalence and
 fails the run.
 
 Built once per request: the model, K + cC' and the product certifier,
-which settles what does not depend on D.  Built per entry: H, as one
-class from the integer numerators of D and K + cC', and for a certified
-H the class of D for the oracle, but no certificate.  Entries run one
+which settles what does not depend on D.  Per entry, H is tested on its
+integer numerators, those of D and K + cC' over the denominator of
+K + cC', and the oracle compares the product with the integer numerator
+and denominator of chi(D).  A certified entry gets a shared verdict and
+builds only its entry record: no class, Fraction or certificate.  A
+skipped entry's reason is one of a few shared texts.  Entries run one
 after another in box order, in the calling process.
 
 The sweep command and its document's reader, ``sweep_from_document``,
@@ -21,13 +24,14 @@ decision engine.
 """
 
 from fractions import Fraction
+from sys import intern
 
 from ..chiproduct import ChiProduct, InconsistentScenario, PreconditionError
 from ..lattice import (
     CERTIFIED,
     DivisorClass,
     RuledModel,
-    certify_positivity,
+    certify_positivity_nums,
     disjoint_multisection,
 )
 from ..record import record
@@ -116,20 +120,20 @@ def sweep_entry(
     """One box entry; ``shift`` is K + cC' on ``model``, so H = D - shift,
     and ``product`` checks with the boundary cC'."""
     (s_a, s_b), den = shift.nums, shift.den
-    h = DivisorClass(model, (a * den - s_a, b * den - s_b), den)
-    ample = certify_positivity(model, h, strict=True)
+    ample = certify_positivity_nums(
+        model, a * den - s_a, b * den - s_b, den, strict=True
+    )
     if ample.status != CERTIFIED:
-        return SweepEntry(
-            a, b, SKIPPED_ENTRY, None,
-            f"polarization {ample.status} under {ample.rule_used}",
-        )
+        return SweepEntry(a, b, SKIPPED_ENTRY, None, intern(
+            f"polarization {ample.status} under {ample.rule_used}"
+        ))
     try:
         chi = product.check(a, b)[0]
     except PreconditionError as ex:
         return SweepEntry(a, b, SKIPPED_ENTRY, None, str(ex))
     except InconsistentScenario as ex:
         return SweepEntry(a, b, DISAGREEMENT, None, str(ex))
-    return SweepEntry(a, b, CERTIFIED_ENTRY, chi.numerator, "")
+    return SweepEntry(a, b, CERTIFIED_ENTRY, chi, "")
 
 
 def run_sweep(request: SweepRequest) -> tuple[SweepEntry, ...]:

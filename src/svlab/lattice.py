@@ -323,16 +323,26 @@ def adjunction_pa(model: RuledModel, c: DivisorClass) -> Fraction:
     return Fraction(total + 2 * den, 2 * den)
 
 
-def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Fraction:
-    """chi(D) = D.(D-K)/2 + chi(O).  Integral D always yields an integer:
+def riemann_roch_nums(model: RuledModel, nums, den: int) -> tuple[int, int]:
+    """chi(D) for D = nums / den, den > 0, on ``model``, as an integer
+    numerator over an integer denominator, neither reduced:
+    chi(D) = D.(D-K)/2 + chi(O).  Integral D always yields an integer:
     D.(D-K) is -e a(a+1) - sum u_j(u_j - 1) plus even terms, since K
-    has total-transform coordinates 1, so it is even."""
+    has total-transform coordinates 1, so it is even.  The numerators
+    are not checked against the model; ``riemann_roch_chi`` is the
+    checked entry."""
+    k = model.canonical_class()  # D - K as numerators over den * k.den
+    total = _form(model, nums,
+                  [x * k.den - y * den for x, y in zip(nums, k.nums)])
+    over = 2 * den * den * k.den
+    return total + over * model.chi_structure, over
+
+
+def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Fraction:
+    """chi(D) = D.(D-K)/2 + chi(O) of a class on ``model``, through
+    ``riemann_roch_nums``."""
     _check_on(model, d)
-    k = model.canonical_class()  # D - K as numerators over d.den * k.den
-    total = _form(model, d.nums,
-                  [x * k.den - y * d.den for x, y in zip(d.nums, k.nums)])
-    den = d.den * d.den * k.den
-    return Fraction(total + 2 * den * model.chi_structure, 2 * den)
+    return Fraction(*riemann_roch_nums(model, d.nums, d.den))
 
 
 def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
@@ -395,11 +405,32 @@ class PositivityVerdict:
     note: str = ""
 
 
+# a certified verdict carries no note, so one record per rule serves
+# every call; records are immutable
+_CERTIFIED_BY = {
+    rule: PositivityVerdict(CERTIFIED, rule)
+    for rule in (RULE_NONNEG_CONE, RULE_DECOMPOSITION, RULE_CURVE_CONE)
+}
+
+
 def certify_positivity(
     model: RuledModel, d: DivisorClass, strict: bool = False
 ) -> PositivityVerdict:
-    """Three-valued nef (strict: ample) certification of aE + bF on a pure
-    model.
+    """Three-valued nef (strict: ample) certification of a class on a
+    pure model, through ``certify_positivity_nums`` on its numerators."""
+    if not model.is_pure:
+        raise LatticeError("positivity rules apply to pure models")
+    _check_on(model, d)
+    return certify_positivity_nums(model, *d.nums, d.den, strict)
+
+
+def certify_positivity_nums(
+    model: RuledModel, a: int, b: int, den: int, strict: bool = False
+) -> PositivityVerdict:
+    """Three-valued nef (strict: ample) certification of
+    D = (aE + bF) / den, den > 0, on the pure ``model``.  Neither the
+    purity of the model nor the numerators are checked here;
+    ``certify_positivity`` is the checked entry.
 
     Rules, in order: the necessary inequalities a >= 0 and
     s = 2b - ae >= 0 (strict versions for ample); for e >= 0 the cone
@@ -415,18 +446,10 @@ def certify_positivity(
     at least xs/2 and an ample class has D^2 = as > 0.
 
     Every rule is a sign test of a form that is homogeneous in (a, b),
-    so the rules run on the class's numerators; a Fraction is built only
-    for the text of a note.
+    so the numerators need not be reduced; a Fraction is built only for
+    the text of a note, and a certified verdict is a shared record.
     """
-    if not model.is_pure:
-        raise LatticeError("positivity rules apply to pure models")
-    _check_on(model, d)
-
-    # D = (a E + b F) / den with den > 0
-    (a, b), den = d.nums, d.den
     e = model.invariant_e
-    g = model.genus
-    p = model.characteristic
 
     def ok(v: int) -> bool:
         return v > 0 if strict else v >= 0
@@ -446,15 +469,16 @@ def certify_positivity(
 
     if e >= 0:
         if ok(b - a * e):
-            return PositivityVerdict(CERTIFIED, RULE_NONNEG_CONE)
+            return _CERTIFIED_BY[RULE_NONNEG_CONE]
         return PositivityVerdict(
             VIOLATED, RULE_NONNEG_CONE,
             f"D.E = b - ae = {Fraction(b - a * e, den)} fails",
         )
 
     if ok(b):
-        return PositivityVerdict(CERTIFIED, RULE_DECOMPOSITION)
+        return _CERTIFIED_BY[RULE_DECOMPOSITION]
 
+    p = model.characteristic
     if p == 0:
         return PositivityVerdict(
             UNKNOWN, RULE_CURVE_CONE,
@@ -466,9 +490,9 @@ def certify_positivity(
         return PositivityVerdict(
             UNKNOWN, RULE_CURVE_CONE, "tail branch unbounded below"
         )
-    tail = p * slope2 + 2 * a * (1 - g)  # over 2 * den
+    tail = p * slope2 + 2 * a * (1 - model.genus)  # over 2 * den
     if ok(tail):
-        return PositivityVerdict(CERTIFIED, RULE_CURVE_CONE)
+        return _CERTIFIED_BY[RULE_CURVE_CONE]
     return PositivityVerdict(
         UNKNOWN, RULE_CURVE_CONE,
         f"branch minimum {Fraction(tail, 2 * den)} not conclusive",

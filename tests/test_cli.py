@@ -56,7 +56,7 @@ from svlab.lattice import (
     CERTIFIED,
     RuledModel,
     certify_positivity,
-    riemann_roch_chi,
+    riemann_roch_nums,
 )
 
 cli_main = importlib.import_module("svlab.cli.main")
@@ -1659,10 +1659,11 @@ class TestSweep:
     def test_riemann_roch_disagreement_fails_the_run(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(
-            "svlab.chiproduct.riemann_roch_chi",
-            lambda model, d: riemann_roch_chi(model, d) + 1,
-        )
+        def off_by_one(model, nums, den):
+            num, over = riemann_roch_nums(model, nums, den)
+            return num + over, over
+
+        monkeypatch.setattr("svlab.chiproduct.riemann_roch_nums", off_by_one)
         code, out, _ = run(
             capsys, "sweep", "--format", "machine",
             "--in", write_doc(tmp_path, "d.json", SWEEP_DOC),
@@ -1835,8 +1836,8 @@ class TestPerItemWork:
         entries, positivity, oracle = (
             self._counted(monkeypatch, target) for target in (
                 "svlab.cli.sweep.sweep_entry",
-                "svlab.cli.sweep.certify_positivity",
-                "svlab.chiproduct.riemann_roch_chi",
+                "svlab.cli.sweep.certify_positivity_nums",
+                "svlab.chiproduct.riemann_roch_nums",
             )
         )
         doc = json.loads(json.dumps(SWEEP_DOC))
@@ -1855,7 +1856,9 @@ class TestPerItemWork:
         certified = [(int(f["a"]), int(f["b"])) for f in lines
                      if f["status"] == "PASS"]
         assert 0 < len(certified) < len(box)
-        assert [(d.a, d.b) for (_, d), _ in oracle] == certified
+        assert [(nums, den) for (_, nums, den), _ in oracle] == [
+            (entry, 1) for entry in certified
+        ]
 
     def test_klt_blows_up_every_node(self, tmp_path, capsys, monkeypatch):
         blowups = self._counted(monkeypatch, "svlab.kltcalc.blowup_step")
@@ -2287,9 +2290,9 @@ class TestEntryPoint:
     @pytest.mark.parametrize("code", [0, 1, 2])
     def test_main_in_process_never_freezes(self, tmp_path, capsys, code):
         argv = self.argv_of_exit(code, tmp_path, capsys)
-        before = gc.get_freeze_count()
+        before = gc.get_freeze_count(), gc.isenabled()
         assert run(capsys, *argv)[0] == code
-        assert gc.get_freeze_count() == before
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
     @pytest.mark.parametrize("entry", [
         "from svlab.__main__ import run\nraise SystemExit(run())",
@@ -2299,17 +2302,18 @@ class TestEntryPoint:
     def test_process_freezes_after_the_report(
         self, tmp_path, capsys, monkeypatch, entry, code,
     ):
-        # an atexit handler, which still runs, reads the freeze count
-        # once the entry point has returned; the child prints exactly
-        # what main() prints in process, with argparse's help and usage
-        # text wrapped at one width on both sides
+        # an atexit handler, which still runs, reads the freeze count and
+        # whether the cyclic collector is on once the entry point has
+        # returned; the child prints exactly what main() prints in
+        # process, with argparse's help and usage text wrapped at one
+        # width on both sides
         monkeypatch.setenv("COLUMNS", "80")
         argv = self.argv_of_exit(code, tmp_path, capsys)
-        count = tmp_path / "freeze-count"
+        state = tmp_path / "gc-state"
         wrapper = (
             "import atexit, gc, pathlib\n"
-            f"atexit.register(lambda: pathlib.Path({str(count)!r})"
-            ".write_text(str(gc.get_freeze_count())))\n"
+            f"atexit.register(lambda: pathlib.Path({str(state)!r})"
+            ".write_text(f'{gc.get_freeze_count()} {gc.isenabled()}'))\n"
             + entry
         )
         proc = subprocess.run(
@@ -2322,4 +2326,6 @@ class TestEntryPoint:
             captured = capsys.readouterr()
             expected = ex.code, captured.out, captured.err
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
-        assert int(count.read_text(encoding="utf-8")) > 0
+        count, enabled = state.read_text(encoding="utf-8").split()
+        assert int(count) > 0
+        assert enabled == "False"

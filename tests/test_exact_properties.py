@@ -3,7 +3,9 @@
 The lattice, the positivity rules and the KLT walk compute on integer
 numerators over one denominator.  Each property below recomputes the
 same quantity the plain way, on ``fractions.Fraction`` values, in the
-test itself, and requires the two to agree exactly.  A sweep entry is
+test itself, and requires the two to agree exactly.  The positivity and
+Riemann-Roch kernels, which take numerators that need not be reduced,
+are compared with their class wrappers.  A sweep entry is
 compared with the plain composition: the polarization as a class
 difference, then a fresh product certificate read for chi.  Two more
 properties pin, as claims on outputs, facts that earlier checks decide
@@ -53,10 +55,14 @@ from svlab.lattice import (
     UNKNOWN,
     VIOLATED,
     DivisorClass,
+    PositivityVerdict,
     RuledModel,
     candidate_curve_constraints,
     certify_positivity,
+    certify_positivity_nums,
     disjoint_multisection,
+    riemann_roch_chi,
+    riemann_roch_nums,
 )
 
 SETTINGS = settings(
@@ -211,6 +217,80 @@ def test_positivity_matches_fractions(case, strict):
     assert (got.status, got.rule_used, got.note) == (
         reference_positivity(model, a, b, strict)
     )
+
+
+# -- the numerator kernels ----------------------------------------------------
+
+# A kernel is handed numerators that need not be reduced, as the sweep
+# hands them: (a, b) over den, with den 1 or 2, each times a scale.
+kernel_scales = st.integers(1, 4)
+kernel_dens = st.sampled_from((1, 2))
+
+
+@SETTINGS
+@given(positivity_cases(), st.booleans(), kernel_dens, kernel_scales)
+@example((RuledModel(0, 2, -1), Fraction(1), Fraction(-1, 3)), False, 2, 3)
+@example((RuledModel(3, 2, 2), Fraction(1), Fraction(5)), True, 1, 1)
+@example((RuledModel(3, 2, -2), Fraction(2), Fraction(-1)), True, 2, 2)
+def test_positivity_kernel_matches_its_class_wrapper(case, strict, den, k):
+    model, a, b = case
+    a, b = a / den, b / den
+    d = model.divisor(a, b)
+    got = certify_positivity_nums(
+        model, d.nums[0] * k, d.nums[1] * k, d.den * k, strict
+    )
+    wrapped = certify_positivity(model, d, strict=strict)
+    assert (got.status, got.rule_used, got.note) == (
+        wrapped.status, wrapped.rule_used, wrapped.note,
+    )
+    if got.status == CERTIFIED:
+        # a certified verdict is shared, and is the record a fresh one
+        # would be
+        fresh = PositivityVerdict(CERTIFIED, got.rule_used)
+        assert got == fresh and hash(got) == hash(fresh)
+        assert got.note == ""
+
+
+def test_certified_verdicts_are_shared_per_rule():
+    seen = {}
+    for e in (-2, 1):
+        model = RuledModel(3, 2, e)
+        for a in range(0, 4):
+            for b in range(-3, 6):
+                for strict in (False, True):
+                    got = certify_positivity_nums(model, a, b, 1, strict)
+                    if got.status == CERTIFIED:
+                        assert seen.setdefault(got.rule_used, got) is got
+    assert set(seen) == {RULE_NONNEG_CONE, RULE_DECOMPOSITION,
+                         RULE_CURVE_CONE}
+    # a fresh record finds the shared one as a key
+    table = {shared: rule for rule, shared in seen.items()}
+    for rule in seen:
+        assert table[PositivityVerdict(CERTIFIED, rule)] == rule
+
+
+def reference_chi(model, coeffs):
+    """chi(D) = D.(D - K)/2 + 1 - g on Fraction coefficients."""
+    k = model.canonical_class().coeffs
+    return (reference_dot(model, coeffs,
+                          [x - y for x, y in zip(coeffs, k)]) / 2
+            + 1 - model.genus)
+
+
+@SETTINGS
+@given(st.data(), kernel_dens, kernel_scales)
+def test_riemann_roch_kernel_matches_its_class_wrapper(data, den, k):
+    model = data.draw(models())
+    coeffs = [c / den for c in data.draw(coefficient_lists(model))]
+    d = model.divisor(*coeffs)
+    num, over = riemann_roch_nums(
+        model, [n * k for n in d.nums], d.den * k
+    )
+    assert type(num) is int and type(over) is int and over > 0
+    chi = Fraction(num, over)
+    assert chi == riemann_roch_chi(model, d) == reference_chi(model, coeffs)
+    if d.is_integral():
+        assert chi.denominator == 1
 
 
 # -- claims on certified outputs ----------------------------------------------

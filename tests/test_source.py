@@ -261,16 +261,20 @@ def test_only_the_table_reads_the_positivity_certificates():
 
 
 def test_only_the_entry_point_freezes_the_heap():
-    # a library caller of main() never gets a frozen heap, and no module
-    # leaves past the atexit handlers and the final flush of the streams
+    # a library caller of main() never gets a frozen heap or a switched
+    # off collector, and no module leaves past the atexit handlers and
+    # the final flush of the streams
     entry = SRC / "__main__.py"
-    # the entry point's freeze is seen, so the check cannot pass on nothing
-    assert "gc.freeze()" in entry.read_text(encoding="utf-8")
+    # the entry point's calls are seen, so the check cannot pass on nothing
+    entry_text = entry.read_text(encoding="utf-8")
+    assert "gc.freeze()" in entry_text
+    assert "gc.disable()" in entry_text
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "os._exit" not in text, path
         if path != entry:
             assert "gc.freeze" not in text, path
+            assert "gc.disable" not in text, path
 
 
 # -- import footprint ---------------------------------------------------------
