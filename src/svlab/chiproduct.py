@@ -123,7 +123,8 @@ class ChiProduct:
         the product and the oracle agree, then, for the certificate, the
         two ampleness values times ``scale`` and s = 2b - ae.  The slack
         chain and chi > 0 follow: 2H_b > H_a e is s > 4(g-1) + c(2y - xe),
-        a curve G has 2y - xe >= 2(1-g), so s > 2(2-c)(g-1) > 2(g-1) for
+        a curve G meets a branch 2y - xe >= c' of ``model.curve_cone``,
+        each c' >= 2(1-g) for g >= 1, so s > 2(2-c)(g-1) > 2(g-1) for
         0 < c < 1 and g >= 2, and chi = (a+1)(s + 2 - 2g)/2 > 0 for
         a >= 0.
 

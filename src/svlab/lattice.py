@@ -24,6 +24,17 @@ the exceptional part of the form is diagonal:
 Stored coordinates stay in the strict-transform basis, which is what
 documents and reports use.
 
+The classes that an irreducible curve can have on a pure model are one
+table, ``RuledModel.curve_cone``, read by the curve test and the
+positivity rule.  A curve C = xE + yF other than E and F has x >= 1
+and E.C = y - xe >= 0, which is all for e >= 0 (Hartshorne, V.2.20).
+For e < 0, x = 1 needs y >= 0, and in characteristic 0 x >= 2 needs
+2y >= xe (V.2.21).  In characteristic p the table keeps 2y >= xe for
+x <= p - 1, where C maps separably onto the base as V.2.21's proof
+needs.  For x >= p it takes 2y >= xe + 2(1 - g), for which no source is
+cited; it is adjunction, 2p_a(C) - 2 = (x - 1)(2y - xe) + x(2g - 2),
+with p_a(C) >= g.
+
 Everything is exact and no floating point appears anywhere.  A class
 is kept as integer numerators over one positive denominator, so sums,
 pairings and the positivity rules run on ints; a ``fractions.Fraction``
@@ -50,10 +61,6 @@ class LatticeError(ValueError):
 
 class ModelMismatch(LatticeError):
     """Operands live on different models."""
-
-
-class UnsupportedRegime(LatticeError):
-    """The requested rule set is not available on this model."""
 
 
 @record
@@ -158,6 +165,18 @@ class RuledModel:
         return self.divisor(
             -2, 2 * self.genus - 2 - self.invariant_e, *cs
         )
+
+    @cached_property
+    def curve_cone(self) -> tuple[tuple[int, int | None, int], ...]:
+        """The candidate-curve cone of the module docstring as branches
+        (x_low, x_high or None, c), each 2y >= xe + c for x in its range.
+        Only the last branch is unbounded; every other has c >= 0."""
+        e, p = self.invariant_e, self.characteristic
+        if e >= 0:
+            return ()
+        if p == 0:
+            return ((1, 1, -e), (2, None, 0))
+        return ((1, 1, -e), (2, p - 1, 0), (p, None, 2 * (1 - self.genus)))
 
     def blow_up(self, proximate_to: Iterable[int] = ()) -> "RuledModel":
         return RuledModel(
@@ -347,14 +366,7 @@ def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Fraction:
 
 def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
     """Necessary constraints for xE + yF to be the class of an irreducible
-    curve on the pure model.
-
-    For e < 0 (characteristic p required): besides E and F themselves,
-    x = 1 forces y >= 0; 2 <= x <= p-1 forces y >= xe/2; x >= p forces
-    y >= xe/2 + 1 - g and y >= xe.  The last is E.C >= 0: E^2 = -e > 0,
-    so the irreducible curve E is nef; the smaller x already imply it.
-    For e >= 0: besides E and F, x > 0 and y >= xe.
-    """
+    curve on the pure model: E, F, or a class in ``model.curve_cone``."""
     if not model.is_pure:
         raise LatticeError("curve-class constraints apply to pure models")
     _check_on(model, cls)
@@ -365,20 +377,11 @@ def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:
         return True
     e = model.invariant_e
     x, y = cls.nums
-    if e >= 0:
-        return x > 0 and y >= x * e
-    p = model.characteristic
-    if p == 0:
-        raise UnsupportedRegime(
-            "e < 0 curve-class constraints need positive characteristic"
-        )
-    if x == 1:
-        return y >= 0
-    if 2 <= x <= p - 1:
-        return 2 * y >= x * e
-    if x >= p:
-        return 2 * y >= x * e + 2 * (1 - model.genus) and y >= x * e
-    return False
+    return x >= 1 and y >= x * e and all(
+        2 * y >= x * e + c
+        for low, high, c in model.curve_cone
+        if low <= x and (high is None or x <= high)
+    )
 
 
 def disjoint_multisection(model: RuledModel) -> DivisorClass:
@@ -436,14 +439,15 @@ def certify_positivity_nums(
     s = 2b - ae >= 0 (strict versions for ample); for e >= 0 the cone
     description b >= ae is complete in both directions; for e < 0, a
     decomposition into nonnegative multiples of the nef classes E and F
-    (b >= 0, given a >= 0) certifies, and otherwise closed-form
-    minimization of D.L over the candidate-curve branches certifies.
-    Anything else is unknown, never guessed.
+    (b >= 0, given a >= 0) certifies, and otherwise the branches of
+    ``model.curve_cone`` decide.  Anything else is unknown, never
+    guessed.
 
-    One branch minimum of D.L is tested, (ps + 2a(1 - g))/2 at the x = p
-    end of the x >= p branch (s = 0 leaves it unbounded below); by then
-    a > 0, so D.E = (s - ae)/2 > 0 bounds x = 1, x in [2, p - 1] gives
-    at least xs/2 and an ample class has D^2 = as > 0.
+    By then a > 0, and a curve L on a branch with bound c has
+    D.L >= (xs + ac)/2, which does not fall as x grows: a branch with
+    c >= 0 gives D.L >= 0 (> 0 for ample, where s > 0), so only the last
+    branch is tested, at its x_low.  D.E = (s - ae)/2 > 0, D.F = a > 0
+    and an ample class has D^2 = as > 0.
 
     Every rule is a sign test of a form that is homogeneous in (a, b),
     so the numerators need not be reduced; a Fraction is built only for
@@ -478,19 +482,12 @@ def certify_positivity_nums(
     if ok(b):
         return _CERTIFIED_BY[RULE_DECOMPOSITION]
 
-    p = model.characteristic
-    if p == 0:
-        return PositivityVerdict(
-            UNKNOWN, RULE_CURVE_CONE,
-            "curve-cone bounds need positive characteristic",
-        )
-
-    if slope2 == 0:
-        # the x >= p branch decreases without bound along x
+    x_low, _, c = model.curve_cone[-1]
+    if slope2 == 0 and c < 0:
         return PositivityVerdict(
             UNKNOWN, RULE_CURVE_CONE, "tail branch unbounded below"
         )
-    tail = p * slope2 + 2 * a * (1 - model.genus)  # over 2 * den
+    tail = x_low * slope2 + a * c  # over 2 * den
     if ok(tail):
         return _CERTIFIED_BY[RULE_CURVE_CONE]
     return PositivityVerdict(

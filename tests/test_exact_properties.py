@@ -176,16 +176,20 @@ def reference_positivity(model, a, b, strict):
                 f"D.E = b - ae = {b - a * e} fails")
     if ok(a) and ok(b):
         return (CERTIFIED, RULE_DECOMPOSITION, "")
-    if p == 0:
-        return (UNKNOWN, RULE_CURVE_CONE,
-                "curve-cone bounds need positive characteristic")
+    # a curve L on a branch 2y >= xe + c has D.L >= x slope + ac/2: the
+    # value at each end (x, c) of each branch, where the last branch,
+    # x >= p (characteristic 0: x >= 2), has no far end
     slope = b - a * e / 2
-    if slope <= 0 and a > 0:
+    ends = [(1, -e)]
+    if p == 0:
+        ends.append((2, 0))
+    else:
+        if p >= 3:
+            ends += [(2, 0), (p - 1, 0)]
+        ends.append((p, 2 * (1 - g)))
+    if slope == 0 and ends[-1][1] < 0:
         return (UNKNOWN, RULE_CURVE_CONE, "tail branch unbounded below")
-    minima = [b - a * e]
-    if p >= 3:
-        minima += [2 * slope, (p - 1) * slope]
-    minima.append(p * slope + a * (1 - g))
+    minima = [x * slope + a * c / 2 for x, c in ends]  # x = 1: D.E
     if strict:
         minima.append(a * (2 * b - a * e))
     if all(ok(v) for v in minima):
@@ -297,12 +301,12 @@ def test_riemann_roch_kernel_matches_its_class_wrapper(data, den, k):
 
 @st.composite
 def negative_invariant_classes(draw):
-    """A pure e < 0 model in positive characteristic and a class
+    """A pure e < 0 model in characteristic 0 or p and a class
     (aE + bF)/den on it, a > 0 and b from ae/2 - 1 to 1: mostly
     ae/2 <= b < 0, where neither the necessary tests nor the
     decomposition decide."""
     g = draw(st.integers(0, 3))
-    model = RuledModel(draw(st.sampled_from((2, 3, 5, 7))), g,
+    model = RuledModel(draw(st.sampled_from((0, 2, 3, 5, 7))), g,
                        -draw(st.integers(1, 2 * g + 2)))
     a = draw(st.integers(1, 6))
     low = a * model.invariant_e // 2 - 1
@@ -310,28 +314,31 @@ def negative_invariant_classes(draw):
     return DivisorClass(model, (a, b), draw(st.integers(1, 3)))
 
 
-# The two encodings of the cone on a pure e < 0 model: the curve classes
-# that ``candidate_curve_constraints`` admits, and the one branch minimum
-# that ``certify_positivity`` tests.  A class certified by the curve-cone
-# rule must meet every admitted class, x from 0 to 2p + 2 and y from
-# below the lowest bound the constraints allow (xe/2 + 1 - g) to 6.  A
-# decomposition into E and F rests on E and F being nef, so it must too.
+# The two readings of the cone table on a pure e < 0 model: the curve
+# classes that ``candidate_curve_constraints`` admits, and the one branch
+# minimum that ``certify_positivity`` tests.  A class certified by the
+# curve-cone rule must meet every admitted class, x from 0 to 2p + 2 (to
+# 8 in characteristic 0) and y from below the lowest bound the
+# constraints allow (xe/2 + 1 - g) to 6.  A decomposition into E and F
+# rests on E and F being nef, so it must too.
 # The examples take D = E, which the decomposition certifies nef, on
 # models where the x >= p bound 2y >= xe + 2(1 - g) alone admits classes
 # with E.L = y - xe < 0: every admitted class must meet E nonnegatively.
+# The last example sits on 2b = ae in characteristic 0.
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(negative_invariant_classes(), st.booleans())
 @example(DivisorClass(RuledModel(2, 3, -1), (1, 0), 1), False)
 @example(DivisorClass(RuledModel(2, 4, -2), (1, 0), 1), False)
 @example(DivisorClass(RuledModel(2, 4, -1), (1, 0), 1), False)
 @example(DivisorClass(RuledModel(3, 4, -1), (1, 0), 1), False)
+@example(DivisorClass(RuledModel(0, 3, -2), (3, -3), 1), False)
 def test_certified_positivity_meets_every_candidate_curve(d, strict):
     model = d.model
     p, g, e = model.characteristic, model.genus, model.invariant_e
     verdict = certify_positivity(model, d, strict=strict)
     if verdict.status != CERTIFIED:
         return
-    for x in range(2 * p + 3):
+    for x in range(2 * (p or 3) + 3):
         for y in range(x * e // 2 - g, 7):
             curve = model.divisor(x, y)
             if candidate_curve_constraints(model, curve):

@@ -14,7 +14,6 @@ from svlab.lattice import (
     LatticeError,
     ModelMismatch,
     RuledModel,
-    UnsupportedRegime,
     adjunction_pa,
     candidate_curve_constraints,
     certify_positivity,
@@ -238,10 +237,31 @@ class TestCurveConstraints:
         assert not candidate_curve_constraints(m, m.divisor(-1, 5))
         assert candidate_curve_constraints(m, m.section_class())
 
-    def test_char_zero_negative_invariant_unsupported(self):
-        m = RuledModel(0, 2, -1)
-        with pytest.raises(UnsupportedRegime):
-            candidate_curve_constraints(m, m.divisor(2, 0))
+    def test_char_zero_negative_invariant(self):
+        # x = 1 needs y >= 0, x >= 2 needs 2y >= xe (Hartshorne V.2.21)
+        m = RuledModel(0, 2, -2)
+        assert candidate_curve_constraints(m, m.divisor(1, 0))
+        assert not candidate_curve_constraints(m, m.divisor(1, -1))
+        assert candidate_curve_constraints(m, m.divisor(2, -2))
+        assert not candidate_curve_constraints(m, m.divisor(2, -3))
+        assert candidate_curve_constraints(m, m.divisor(5, -5))
+        assert not candidate_curve_constraints(m, m.divisor(5, -6))
+        assert not candidate_curve_constraints(m, m.divisor(0, -1))
+
+    def test_branch_bounds_hold_what_their_readers_assume(self):
+        # ChiProduct's slack chain reads 2y - xe >= 2(1 - g) off every
+        # branch for g >= 1; the positivity rule tests the last branch
+        # alone, so every other branch has c >= 0
+        for p in (0, 2, 3, 5, 7):
+            for g in range(0, 6):
+                for e in range(-6, 4):
+                    cone = RuledModel(p, g, e).curve_cone
+                    assert all(c >= 0 for _, _, c in cone[:-1])
+                    assert all(high is not None for _, high, _ in cone[:-1])
+                    if cone:
+                        assert cone[-1][1] is None
+                    if g >= 1:
+                        assert all(c >= 2 * (1 - g) for _, _, c in cone)
 
 
 class TestPositivity:
@@ -292,17 +312,36 @@ class TestPositivity:
         h = m.divisor(1, -2)
         assert certify_positivity(m, h).status == "certified"
 
-    def test_curve_cone_flat_tail_not_certified(self):
-        # slope b - ae/2 = 0 with a > 0: tail branch cannot certify
-        m = RuledModel(3, 1, -2)
-        v = certify_positivity(m, m.divisor(1, -1))
-        assert v.status == "unknown"
+    def test_curve_cone_flat_tail(self):
+        # slope b - ae/2 = 0 with a > 0: the x >= p branch bounds D.L
+        # below by ac/2 with c = 2(1 - g), which certifies nef exactly
+        # when g <= 1
+        for g, status in ((0, "certified"), (1, "certified"),
+                          (2, "unknown"), (3, "unknown")):
+            m = RuledModel(3, g, -2)
+            v = certify_positivity(m, m.divisor(1, -1))
+            assert (v.status, v.rule_used) == (
+                status, "positivity.curve-cone-bounds"
+            )
+        assert v.note == "tail branch unbounded below"
+
+    def test_char_zero_cone_is_the_necessary_tests(self):
+        # e < 0 in characteristic 0: nef is a >= 0 and 2b >= ae, ample
+        # the strict pair (Hartshorne V.2.21)
+        m = RuledModel(0, 4, -2)
+        for b, nef, ample in ((-4, "violated", "violated"),
+                              (-3, "certified", "violated"),
+                              (-2, "certified", "certified")):
+            d = m.divisor(3, b)
+            assert certify_positivity(m, d).status == nef
+            assert certify_positivity(m, d, strict=True).status == ample
 
     def test_unknown_is_not_guessed(self):
-        m = RuledModel(0, 4, -2)
+        # the x >= 3 bound leaves D.L >= (3 s + 2a(1 - g))/2 = -6
+        m = RuledModel(3, 4, -2)
         v = certify_positivity(m, m.divisor(3, -2))
         assert v.status == "unknown"
-        assert "characteristic" in v.note
+        assert v.note == "branch minimum -6 not conclusive"
 
     def test_certified_meets_curve_constraints(self):
         # a certified nef class pairs nonnegatively with every class

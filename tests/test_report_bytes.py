@@ -323,6 +323,10 @@ def _refusal_cases():
                 "model": {"p": 3, "genus": 4, "e": -2},
             })),
         ),
+        # the README scenario in characteristic 0: e < 0 there has no
+        # x >= p branch, so the boundary 3E - 6F is no curve
+        "classify:readme-in-characteristic-0": _edited(
+            "classify", BODIES["classify"], ("scenario", "model", "p"), 0),
         "classify:ruled-chi-override": (
             ["classify", "--in", "{doc}"],
             json.dumps(_document("classify", scenario={
@@ -444,6 +448,8 @@ REFUSALS = {
         " like \"3\" or \"-9/2\", got '-6.0'\n",
     "classify:model-genus-not-an-integer":
         "error: scenario.model.genus: expected an integer\n",
+    "classify:readme-in-characteristic-0":
+        "error: 3E + -6F cannot be a curve on this model\n",
     "classify:ruled-chi-override":
         "error: scenario.model: unknown keys ['chi']; this schema is"
         " strict\n",
