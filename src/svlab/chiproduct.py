@@ -1,16 +1,14 @@
-"""The chi product certificate, apart from the decision engine.
+"""The chi product check, apart from the decision engine.
 
 On a relatively minimal ruled model of negative invariant whose
 boundary is a single multiple cG of the negative curve G,
 chi(D) = (a+1)(b - ae/2 + 1 - g) for D = aE + bF.  ``ChiProduct``
-checks that product against the generic Riemann-Roch oracle and builds
-the certificate that the decision engine reports for case C_M.  The
-sweep runs the same checks on every entry of its box, so it imports
-this module and not ``svlab.nonvanish``.
-
-The exceptions the checks raise, and the verdict record with the
-constants of the certificate, are defined here;
-``svlab.nonvanish`` imports them.
+checks that product against the generic Riemann-Roch oracle.  Two
+callers run it, and each imports this module only when it does: the
+sweep on every entry of its box, without ``svlab.nonvanish``, and the
+decision engine on case C_M, where ``nonvanish.certify_chi_product``
+builds the certificate from what the check compared.  The exceptions
+the check raises are ``svlab.lattice``'s.
 """
 
 from __future__ import annotations
@@ -19,36 +17,14 @@ from fractions import Fraction
 from numbers import Rational
 
 from .lattice import (
+    InconsistentScenario,
     LatticeError,
+    PreconditionError,
     RuledModel,
     candidate_curve_constraints,
     riemann_roch_nums,
 )
 from .record import record
-
-CASE_C_M = "C_M"
-GUARANTEED_M1 = "m=1"
-RULE_CHI_PRODUCT = "nonvanish.chi-product"
-
-
-class ScenarioError(ValueError):
-    pass
-
-
-class InconsistentScenario(ScenarioError):
-    """The declared invariants contradict each other numerically."""
-
-
-class PreconditionError(ScenarioError):
-    """An operation was invoked outside its certified domain."""
-
-
-@record
-class Verdict:
-    case_label: str
-    result: str
-    certificate: dict
-    reason: str = ""
 
 
 @record
@@ -63,12 +39,11 @@ class ChiProduct:
     (``curve_refusal``; a refusal is an exception type with its
     arguments, or None), and the constants of the inequalities, cleared
     to integers over the common denominator ``scale``.  ``check(a, b)``
-    and ``certify(a, b)`` take the integers a, b of an integral D.  ``check``
-    runs the checks that depend on D, raising the refusals at their
-    place in the order of checks, and returns chi(D) as an int, which is
-    all a sweep entry reads.  ``certify`` runs the same checks and builds
-    the certificate that ``decide`` reports.  Nothing mutates the record,
-    so one instance serves a whole sweep.
+    takes the integers a, b of an integral D, runs the checks that
+    depend on D, raising the refusals at their place in the order of
+    checks, and returns chi(D) as an int, which is all a sweep entry
+    reads, then what the certificate of case C_M reports.  Nothing
+    mutates the record, so one instance serves a whole sweep.
     """
 
     model: RuledModel
@@ -106,13 +81,11 @@ class ChiProduct:
         cn, cd = c.numerator, c.denominator
         xd, yd = x.denominator, y.denominator
         scale = cd * xd * yd
-        mid = Fraction((2 * cd - cn) * (g - 1), cd)
         for name, value in (
             ("c", c), ("x", x), ("y", y),
             ("refusal", refusal), ("curve_refusal", curve_refusal),
             ("scale", scale), ("cx", cn * x.numerator * yd),
             ("kf", (2 - 2 * g + e) * scale - cn * y.numerator * xd),
-            ("mid", mid),
         ):
             object.__setattr__(self, name, value)
 
@@ -158,24 +131,3 @@ class ChiProduct:
                 f" {Fraction(num, den)}"
             )
         return chi // 2, ample_e, ample_f, slope
-
-    def certify(self, a: int, b: int) -> Verdict:
-        """``check(a, b)``, with what it compared as the certificate."""
-        chi, ample_e, ample_f, slope = self.check(a, b)
-        scale, g = self.scale, self.model.genus
-        return Verdict(
-            CASE_C_M,
-            GUARANTEED_M1,
-            {
-                "rule": RULE_CHI_PRODUCT,
-                "chi": Fraction(chi),
-                "ample_inequalities": (
-                    Fraction(ample_e, scale), Fraction(ample_f, scale),
-                ),
-                "slack_chain": (
-                    Fraction(slope, 2), self.mid, Fraction(g - 1),
-                ),
-                "negative_component": (self.x, self.y),
-                "coefficient": self.c,
-            },
-        )

@@ -26,16 +26,9 @@ from ..kltcalc import (
     WeightedBranch,
 )
 from . import main, schema
+from .rational import parse_rational
 from .report import PASS, Report
-from .schema import (
-    SchemaError,
-    _at,
-    _list_of,
-    _object,
-    _top,
-    _value,
-    parse_rational,
-)
+from .schema import SchemaError, _at, _list_of, _object, _top, _value
 
 # the item readers' key tables; a branch without a kind is ORIGINAL
 _BRANCH = {"id": str, "coefficient": parse_rational}

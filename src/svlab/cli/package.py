@@ -19,27 +19,33 @@ construct's ``_package_lines``, from ``cli/family``.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from ..construct import KINDS, CounterexamplePackage, build_surface
 from ..lattice import DivisorClass
 from . import schema
 from .family import _family, _package_lines, family_document
-from .report import FORMAT_VERSION, Report
-from .schema import (
-    SchemaError,
-    _at,
+from .rational import (
     _boundary_entry,
     _boundary_on,
     _class_on,
     _coeffs,
+    parse_rational,
+)
+from .report import FORMAT_VERSION, Report
+from .schema import (
+    SchemaError,
+    _at,
     _list_of,
     _nullable,
     _object,
     _top,
     _value,
-    fmt_rational,
-    parse_rational,
 )
+
+
+def fmt_rational(q) -> str:
+    return str(Fraction(q))
 
 
 def _class_doc(cls: DivisorClass) -> list:

@@ -6,10 +6,11 @@ The machine form is a stream of ``key=value`` records meant for
 diffing; the text form is the same data laid out for reading.  Both are
 deterministic byte for byte: detail ordering is fixed at the call site
 and nothing ever passes through a set or a hash-ordered iteration.
-"""
 
-import json
-from fractions import Fraction
+Rendering loads neither ``fractions`` nor ``json``: a ``Fraction``
+prints through ``str``, and the machine form imports ``json`` only to
+quote a value that needs it.
+"""
 
 from ..record import record
 
@@ -37,12 +38,13 @@ def check(name: str, status: str, *pairs) -> tuple:
 
 
 def render_value(value) -> str:
-    # exact types, most common first; a bool's type is bool, not int, and
-    # the ruled marker, the only float, falls through to str: "-inf"
+    # exact types, most common first; a bool's type is bool, not int;
+    # a Fraction, and the ruled marker, the only float, fall through to
+    # str: "-9/2", "-inf"
     kind = type(value)
     if kind is str:
         return value
-    if kind is int or kind is Fraction:
+    if kind is int:
         return str(value)
     if kind is bool:
         return "true" if value else "false"
@@ -53,6 +55,8 @@ def render_value(value) -> str:
 
 def _quoted(value: str) -> str:
     if value == "" or " " in value or '"' in value or "\\" in value:
+        import json
+
         return json.dumps(value)
     return value
 

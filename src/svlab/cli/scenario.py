@@ -13,15 +13,12 @@ from __future__ import annotations
 from ..lattice import RuledModel
 from ..nonvanish import RULED, Scenario
 from . import main, schema
+from .rational import _boundary_entry, _boundary_on, _class_on, _coeffs
 from .report import PASS, Report
 from .schema import (
     _PURE_MODEL,
     SchemaError,
     _at,
-    _boundary_entry,
-    _boundary_on,
-    _class_on,
-    _coeffs,
     _list_of,
     _nullable,
     _object,

@@ -1,10 +1,9 @@
-"""Strict document schema: versioned key-value trees with exact rationals.
+"""Strict document schema: versioned key-value trees.
 
 Documents are JSON with a fixed vocabulary.  Validation is closed:
 every object lists its admissible keys and anything else is rejected,
-so a typo never silently changes meaning.  Rationals travel as
-"num/den" strings (or bare integer strings) of ASCII digits; decimal
-literals are refused outright.
+so a typo never silently changes meaning.  Exact rationals, and the
+classes and boundaries made of them, are read by ``cli/rational``.
 
 ``load_document`` checks the format and the request name, and ``_top``
 is the one envelope check: each request kind's reader passes its
@@ -23,28 +22,21 @@ path is formatted only when the refusal is printed, so a document that
 reads cleanly formats none.
 
 This module keeps what several document kinds share: the envelope, the
-converters, the caps and the pure model and boundary readers.  Each
-kind's reader is a module of its own, beside its command's handler:
-``cli/scenario`` (classify), ``cli/arrangement`` (klt), ``cli/family``
-(tango and construct, and the family that a package carries),
-``cli/sweep`` (sweep) and ``cli/package`` (verify and
-``construct --emit``).  This module binds their public functions
-lazily, so a command compiles only its own reader and callers still
-reach every reader as ``schema.<name>``.
+converters, the caps and the pure model reader.  Each kind's reader is
+a module of its own, beside its command's handler: ``cli/scenario``
+(classify), ``cli/arrangement`` (klt), ``cli/family`` (tango and
+construct, and the family that a package carries), ``cli/sweep``
+(sweep) and ``cli/package`` (verify and ``construct --emit``).  This
+module binds their public functions lazily, so a command compiles only
+its own reader and callers still reach every reader as
+``schema.<name>``.  It imports neither ``fractions`` nor ``json``,
+which ``load_document`` imports when it runs.
 """
 
 from __future__ import annotations
 
-import json
-import re
-from fractions import Fraction
-from typing import TYPE_CHECKING
-
 from ..lazy import lazy_getattr
 from .report import FORMAT_VERSION
-
-if TYPE_CHECKING:
-    from ..lattice import DivisorClass, RuledModel
 
 # each name resolves on first access, and is read through the module so
 # that a rebinding of it takes effect
@@ -64,8 +56,6 @@ __getattr__ = lazy_getattr(globals(), {
 
 REQUESTS = ("classify", "klt", "tango", "construct", "verify-package",
             "sweep")
-
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 class SchemaError(ValueError):
@@ -87,20 +77,6 @@ class SchemaError(ValueError):
         if self.path is None:
             return self.args[0]
         return "".join(reversed(self.path)) + ": " + self.args[0]
-
-
-def parse_rational(value) -> Fraction:
-    if type(value) is not str or not _RATIONAL.fullmatch(value):
-        raise SchemaError(
-            f"expected an exact rational like \"3\" or \"-9/2\","
-            f" got {value!r}", [],
-        )
-    num, _, den = value.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
-def fmt_rational(q) -> str:
-    return str(Fraction(q))
 
 
 # The plain JSON types that a key table may name in place of a
@@ -244,10 +220,9 @@ def _list_of(convert):
     return inner
 
 
-_coeffs = _list_of(parse_rational)
-
-
 def load_document(text: str) -> dict:
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as ex:
@@ -297,30 +272,6 @@ _PURE_MODEL = {"p": characteristic, "genus": int, "e": int}
 def _pure_model(value):
     """The p, genus, e of a ruled model with no blow-ups."""
     return _object(value, _PURE_MODEL)
-
-
-def _class_on(model: RuledModel, coeffs, where) -> DivisorClass:
-    if len(coeffs) != model.rank:
-        raise SchemaError(
-            f"{where}: expected {model.rank} coefficients,"
-            f" got {len(coeffs)}"
-        )
-    return model.divisor(*coeffs)
-
-
-_BOUNDARY_ENTRY = {"class": _coeffs, "coefficient": parse_rational}
-
-
-def _boundary_entry(value):
-    return _object(value, _BOUNDARY_ENTRY)
-
-
-def _boundary_on(model: RuledModel, entries, where) -> tuple:
-    """The (class, coefficient) pairs of parsed boundary entries."""
-    return tuple(
-        (_class_on(model, entry["class"], where), entry["coefficient"])
-        for entry in entries
-    )
 
 
 # the family kinds, which cli/main's --family flag offers

@@ -19,23 +19,26 @@ after another in box order, in the calling process.
 The sweep command and its document's reader, ``sweep_from_document``,
 are here too; ``svlab.cli.schema`` binds the reader lazily, and the
 handler calls it there, and ``check`` through ``svlab.cli.main``.  The
-sweep imports the product certifier, ``svlab.chiproduct``, and not the
+sweep imports the product check, ``svlab.chiproduct``, and not the
 decision engine.
 """
 
 from fractions import Fraction
 from sys import intern
 
-from ..chiproduct import ChiProduct, InconsistentScenario, PreconditionError
+from ..chiproduct import ChiProduct
 from ..lattice import (
     CERTIFIED,
     DivisorClass,
+    InconsistentScenario,
+    PreconditionError,
     RuledModel,
     certify_positivity_nums,
     disjoint_multisection,
 )
 from ..record import record
 from . import main, schema
+from .rational import parse_rational
 from .report import FAIL, PASS, SKIP, Report
 from .schema import (
     MAX_SWEEP_ENTRIES,
@@ -44,7 +47,6 @@ from .schema import (
     _object,
     _pure_model,
     _top,
-    parse_rational,
 )
 
 CERTIFIED_ENTRY = "certified"

@@ -63,6 +63,20 @@ class ModelMismatch(LatticeError):
     """Operands live on different models."""
 
 
+# The refusals of a scenario, raised by the decision engine and by the
+# chi product check, which both build on this module.
+class ScenarioError(ValueError):
+    pass
+
+
+class InconsistentScenario(ScenarioError):
+    """The declared invariants contradict each other numerically."""
+
+
+class PreconditionError(ScenarioError):
+    """An operation was invoked outside its certified domain."""
+
+
 @record
 class RuledModel:
     """Numerical model of a blown-up ruled surface.
@@ -483,10 +497,6 @@ def certify_positivity_nums(
         return _CERTIFIED_BY[RULE_DECOMPOSITION]
 
     x_low, _, c = model.curve_cone[-1]
-    if slope2 == 0 and c < 0:
-        return PositivityVerdict(
-            UNKNOWN, RULE_CURVE_CONE, "tail branch unbounded below"
-        )
     tail = x_low * slope2 + a * c  # over 2 * den
     if ok(tail):
         return _CERTIFIED_BY[RULE_CURVE_CONE]

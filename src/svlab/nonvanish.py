@@ -15,10 +15,12 @@ the verdict.  ``HYPOTHESES`` says how each named hypothesis is tested
 and whether its violation refuses the scenario or declines the route.
 CR and the D cases have no row and stay unknown.
 
-The chi product route of case C_M is ``svlab.chiproduct.ChiProduct``,
-which the sweep runs without this module; the verdict record, the
-scenario exceptions it raises and the constants of its certificate are
-defined there and imported here.
+The chi product route of case C_M checks the product with
+``svlab.chiproduct.ChiProduct``, which the sweep runs without this
+module, and ``certify_chi_product`` reports what it compared.  Only
+that route imports ``svlab.chiproduct``, so a classify request that
+never reaches C_M does not load it.  The scenario exceptions are
+``svlab.lattice``'s.
 """
 
 from __future__ import annotations
@@ -27,20 +29,14 @@ from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING
 
-from .chiproduct import (
-    CASE_C_M,
-    GUARANTEED_M1,
-    ChiProduct,
-    InconsistentScenario,
-    PreconditionError,
-    ScenarioError,
-    Verdict,
-)
 from .lattice import (
     VIOLATED,
     DivisorClass,
+    InconsistentScenario,
     PositivityVerdict,
+    PreconditionError,
     RuledModel,
+    ScenarioError,
     boundary_sum,
     certify_positivity,
     riemann_roch_chi,
@@ -48,6 +44,7 @@ from .lattice import (
 from .record import record
 
 if TYPE_CHECKING:
+    from .chiproduct import ChiProduct
     from .fibered import FiberedModel
 
 RULED = float("-inf")
@@ -59,15 +56,17 @@ CASE_A = "A"
 CASE_B_I = "B_I"
 CASE_B_II = "B_II"
 CASE_C = "C"
-# CASE_C_M and GUARANTEED_M1 come from svlab.chiproduct
+CASE_C_M = "C_M"
 CASE_CR = "CR"
 CASE_D_I = "D_I"
 CASE_D_II = "D_II"
 
+GUARANTEED_M1 = "m=1"
 GUARANTEED_M2 = "m<=2"
 UNDECIDED = "unknown"
 
 RULE_STRUCTURE_CHI = "nonvanish.structure-sheaf-euler"
+RULE_CHI_PRODUCT = "nonvanish.chi-product"
 RULE_EULER_POSITIVE = "nonvanish.euler-characteristic"
 RULE_FIBER_THRESHOLD = "nonvanish.fiber-degree-threshold"
 RULE_DOUBLING = "nonvanish.euler-doubling-bound"
@@ -77,6 +76,14 @@ RULE_NU_ONE = "nonvanish.numerical-dimension-one"
 
 class InvalidScenario(ScenarioError):
     """The declared invariants fit no catalogued case."""
+
+
+@record
+class Verdict:
+    case_label: str
+    result: str
+    certificate: dict
+    reason: str = ""
 
 
 @record
@@ -415,8 +422,36 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
                 "stripped": "entire boundary (no negative component)",
             },
         )
+    # only this branch loads the product check
+    from .chiproduct import ChiProduct
+
     (g_cls, c) = s.negative_boundary[0]
-    return ChiProduct(model, c, g_cls.a, g_cls.b).certify(*s.divisor.nums)
+    product = ChiProduct(model, c, g_cls.a, g_cls.b)
+    return certify_chi_product(product, *s.divisor.nums)
+
+
+def certify_chi_product(product: ChiProduct, a: int, b: int) -> Verdict:
+    """``product.check(a, b)``, with what it compared as the certificate
+    of case C_M."""
+    chi, ample_e, ample_f, slope = product.check(a, b)
+    scale, g = product.scale, product.model.genus
+    return Verdict(
+        CASE_C_M,
+        GUARANTEED_M1,
+        {
+            "rule": RULE_CHI_PRODUCT,
+            "chi": Fraction(chi),
+            "ample_inequalities": (
+                Fraction(ample_e, scale), Fraction(ample_f, scale),
+            ),
+            "slack_chain": (
+                Fraction(slope, 2), (2 - product.c) * (g - 1),
+                Fraction(g - 1),
+            ),
+            "negative_component": (product.x, product.y),
+            "coefficient": product.c,
+        },
+    )
 
 
 def doubling_bound(

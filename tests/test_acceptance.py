@@ -20,7 +20,6 @@ from svlab.charpcurve.families import (
     n_of_f,
     v_infinity_df,
 )
-from svlab.chiproduct import GUARANTEED_M1
 from svlab.construct import (
     KIND_KV,
     KINDS,
@@ -63,6 +62,7 @@ from svlab.nonvanish import (
     CASE_CR,
     CASE_D_I,
     CASE_D_II,
+    GUARANTEED_M1,
     GUARANTEED_M2,
     RULED,
     InvalidScenario,

@@ -27,12 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svlab.charpcurve.families import certify_tango, genus
-from svlab.chiproduct import (
-    ChiProduct,
-    InconsistentScenario,
-    PreconditionError,
-)
-from svlab.cli import schema
+from svlab.chiproduct import ChiProduct
+from svlab.cli import rational, schema
 from svlab.cli.arrangement import (
     _BRANCH,
     _BRANCH_KIND,
@@ -54,10 +50,13 @@ from svlab.construct import KINDS, PackageError, build_package
 from svlab.kltcalc import ClusterArrangement, ClusterNode, WeightedBranch
 from svlab.lattice import (
     CERTIFIED,
+    InconsistentScenario,
+    PreconditionError,
     RuledModel,
     certify_positivity,
     riemann_roch_nums,
 )
+from svlab.nonvanish import certify_chi_product
 
 cli_main = importlib.import_module("svlab.cli.main")
 
@@ -481,7 +480,7 @@ def classify_document(rng):
             rng, schema._PURE_MODEL, _MODEL_OPTIONAL, values,
         ),), _fixed([])),
         "boundary": ((lambda rng: [
-            _drawn(rng, schema._BOUNDARY_ENTRY, {}, values)
+            _drawn(rng, rational._BOUNDARY_ENTRY, {}, values)
             for _ in range(rng.randint(0, 2))
         ],), _fixed({})),
     }
@@ -491,7 +490,7 @@ def classify_document(rng):
         objects.append(
             (scenario["model"], schema._PURE_MODEL, _MODEL_OPTIONAL)
         )
-    objects += [(entry, schema._BOUNDARY_ENTRY, {})
+    objects += [(entry, rational._BOUNDARY_ENTRY, {})
                 for entry in scenario.get("boundary", ())]
     _one_fault_or_none(rng, objects, values)
     return {"format": "svlab/1", "request": "classify",
@@ -653,7 +652,7 @@ def _reference_arrangement(data):
     the paths it gives each child."""
     def branch(value):
         fields = schema._object(
-            value, {"id": str, "coefficient": schema.parse_rational},
+            value, {"id": str, "coefficient": rational.parse_rational},
             {"kind": (str, None)},
         )
         kind = "original" if fields["kind"] is None else fields["kind"]
@@ -881,7 +880,7 @@ def family_document_request(rng):
         doc = schema.package_to_document(pkg)
         package, family = doc["package"], doc["package"]["family"]
         objects = [(package, ("kind", "family", *_PACKAGE_KEYS), {})]
-        objects += [(entry, schema._BOUNDARY_ENTRY, {})
+        objects += [(entry, rational._BOUNDARY_ENTRY, {})
                     for entry in package["boundary"]]
     else:
         family = _drawn(rng, _FAMILY, _FAMILY_OPTIONAL, {
@@ -1959,7 +1958,7 @@ def _fresh_entry(request, a, b):
         reason = f"polarization {ample.status} under {ample.rule_used}"
         return (a, b, "skipped", None, reason)
     try:
-        verdict = ChiProduct(model, c, p, p * e).certify(a, b)
+        verdict = certify_chi_product(ChiProduct(model, c, p, p * e), a, b)
     except PreconditionError as ex:
         return (a, b, "skipped", None, str(ex))
     except InconsistentScenario as ex:

@@ -24,13 +24,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svlab.chiproduct import (
-    ChiProduct,
-    InconsistentScenario,
-    PreconditionError,
-)
+from svlab.chiproduct import ChiProduct
 from svlab.cli.main import cmd_klt
-from svlab.cli.schema import _RATIONAL, SchemaError, _at, parse_rational
+from svlab.cli.rational import _RATIONAL, parse_rational
+from svlab.cli.schema import SchemaError, _at
 from svlab.cli.sweep import (
     CERTIFIED_ENTRY,
     DISAGREEMENT,
@@ -55,7 +52,9 @@ from svlab.lattice import (
     UNKNOWN,
     VIOLATED,
     DivisorClass,
+    InconsistentScenario,
     PositivityVerdict,
+    PreconditionError,
     RuledModel,
     candidate_curve_constraints,
     certify_positivity,
@@ -64,6 +63,7 @@ from svlab.lattice import (
     riemann_roch_chi,
     riemann_roch_nums,
 )
+from svlab.nonvanish import certify_chi_product
 
 SETTINGS = settings(
     max_examples=300, derandomize=True, database=None, deadline=None,
@@ -187,8 +187,6 @@ def reference_positivity(model, a, b, strict):
         if p >= 3:
             ends += [(2, 0), (p - 1, 0)]
         ends.append((p, 2 * (1 - g)))
-    if slope == 0 and ends[-1][1] < 0:
-        return (UNKNOWN, RULE_CURVE_CONE, "tail branch unbounded below")
     minima = [x * slope + a * c / 2 for x, c in ends]  # x = 1: D.E
     if strict:
         minima.append(a * (2 * b - a * e))
@@ -364,7 +362,7 @@ def test_product_certificates_chain_down_to_a_positive_chi(
     for a in range(a0, a0 + 3):
         for b in range(b0, b0 + 8):
             try:
-                cert = product.certify(a, b).certificate
+                cert = certify_chi_product(product, a, b).certificate
             except PreconditionError:
                 continue
             high, mid, low = cert["slack_chain"]
@@ -395,7 +393,7 @@ def reference_entry(model, shift, c, a, b):
     c_prime = disjoint_multisection(model)
     product = ChiProduct(model, c, c_prime.a, c_prime.b)
     try:
-        chi = product.certify(a, b).certificate["chi"]
+        chi = certify_chi_product(product, a, b).certificate["chi"]
     except PreconditionError as ex:
         return SweepEntry(a, b, SKIPPED_ENTRY, None, str(ex))
     except InconsistentScenario as ex:

@@ -323,7 +323,8 @@ class TestPositivity:
             assert (v.status, v.rule_used) == (
                 status, "positivity.curve-cone-bounds"
             )
-        assert v.note == "tail branch unbounded below"
+        # at g = 3 the bound is flat at ac/2 = -2
+        assert v.note == "branch minimum -2 not conclusive"
 
     def test_char_zero_cone_is_the_necessary_tests(self):
         # e < 0 in characteristic 0: nef is a >= 0 and 2b >= ae, ample

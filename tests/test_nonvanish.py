@@ -17,17 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import svlab.chiproduct as chiproduct
 import svlab.nonvanish as nonvanish
-from svlab.chiproduct import (
-    CASE_C_M,
-    GUARANTEED_M1,
-    RULE_CHI_PRODUCT,
-    ChiProduct,
-    InconsistentScenario,
-    PreconditionError,
-    Verdict,
-)
+from svlab.chiproduct import ChiProduct
 from svlab.fibered import (
     FiberedModel,
     blow_up_on_component,
@@ -38,6 +29,8 @@ from svlab.fibered import (
 from svlab.lattice import (
     VIOLATED,
     DivisorClass,
+    InconsistentScenario,
+    PreconditionError,
     RuledModel,
     certify_positivity,
     riemann_roch_chi,
@@ -47,11 +40,14 @@ from svlab.nonvanish import (
     CASE_B_I,
     CASE_B_II,
     CASE_C,
+    CASE_C_M,
     CASE_CR,
     CASE_D_I,
     CASE_D_II,
+    GUARANTEED_M1,
     GUARANTEED_M2,
     RULE_CANONICAL_SIGN,
+    RULE_CHI_PRODUCT,
     RULE_DOUBLING,
     RULE_EULER_POSITIVE,
     RULE_FIBER_THRESHOLD,
@@ -61,6 +57,8 @@ from svlab.nonvanish import (
     UNDECIDED,
     InvalidScenario,
     Scenario,
+    Verdict,
+    certify_chi_product,
     classify,
     decide,
     doubling_bound,
@@ -556,7 +554,7 @@ def _half_product(p, g, e, x, y):
 
 class TestChiProduct:
     def test_half_curve_numbers_frozen(self):
-        v = _half_product(3, 4, -2, 3, -6).certify(0, 6)
+        v = certify_chi_product(_half_product(3, 4, -2, 3, -6), 0, 6)
         assert v.result == GUARANTEED_M1
         assert v.certificate["chi"] == 3
         assert v.certificate["ample_inequalities"] == (
@@ -578,15 +576,15 @@ class TestChiProduct:
     def test_boundary_slack_rejected(self):
         # b = g - 1 leaves no slack: the ampleness inequalities fail
         with pytest.raises(PreconditionError, match="ample"):
-            _half_product(3, 4, -2, 3, -6).certify(0, 3)
+            certify_chi_product(_half_product(3, 4, -2, 3, -6), 0, 3)
 
     def test_non_curve_component_rejected(self):
         with pytest.raises(PreconditionError, match="curve"):
-            _half_product(3, 4, -2, 1, -6).certify(0, 6)
+            certify_chi_product(_half_product(3, 4, -2, 1, -6), 0, 6)
 
     def test_needs_negative_invariant(self):
         with pytest.raises(PreconditionError, match="e < 0"):
-            _half_product(3, 4, 2, 3, -6).certify(0, 6)
+            certify_chi_product(_half_product(3, 4, 2, 3, -6), 0, 6)
 
     @pytest.mark.parametrize("c", (0, 1, Fraction(3, 2)))
     def test_coefficient_outside_the_unit_interval(self, c):
@@ -601,30 +599,31 @@ class TestChiProduct:
         # refused as such first
         product = _half_product(3, 4, -2, 1, -6)
         with pytest.raises(PreconditionError, match="not nef"):
-            product.certify(-1, 6)
+            certify_chi_product(product, -1, 6)
         with pytest.raises(PreconditionError, match="curve"):
-            product.certify(0, 6)
+            certify_chi_product(product, 0, 6)
         # in characteristic 0 the cone has no x >= p branch, so the
         # curve 3E - 6F of characteristic 3 is no curve
         product = _half_product(0, 4, -2, 3, -6)
         with pytest.raises(PreconditionError, match="not nef"):
-            product.certify(-1, 6)
+            certify_chi_product(product, -1, 6)
         with pytest.raises(PreconditionError,
                            match=r"^3E \+ -6F cannot be a curve"):
-            product.certify(0, 6)
+            certify_chi_product(product, 0, 6)
         # the conditions on e, g and c come before everything else
         product = _half_product(3, 1, -2, 3, -6)
         with pytest.raises(PreconditionError, match="genus"):
-            product.certify(-1, 6)
+            certify_chi_product(product, -1, 6)
 
     def test_one_certifier_serves_every_divisor(self):
         product = _half_product(3, 4, -2, 3, -6)
         clone = pickle.loads(pickle.dumps(product))
         for a in range(0, 4):
             for b in range(5, 12):
-                fresh = _half_product(3, 4, -2, 3, -6).certify(a, b)
-                assert product.certify(a, b) == fresh
-                assert clone.certify(a, b) == fresh
+                fresh = certify_chi_product(
+                    _half_product(3, 4, -2, 3, -6), a, b)
+                assert certify_chi_product(product, a, b) == fresh
+                assert certify_chi_product(clone, a, b) == fresh
 
     def test_matches_generic_riemann_roch(self):
         rng = random.Random(20260813)
@@ -645,7 +644,7 @@ class TestChiProduct:
             ) + rng.randrange(1, 6)
             model = RuledModel(p, g, e)
             try:
-                v = ChiProduct(model, c, x, y).certify(a, b)
+                v = certify_chi_product(ChiProduct(model, c, x, y), a, b)
             except PreconditionError:
                 continue
             successes += 1
@@ -1025,6 +1024,13 @@ def decide_outcome(s):
         return ex
 
 
+@pytest.fixture(scope="module")
+def decided_grid():
+    """Each scenario of ``decide_grid()`` with its outcome, decided once
+    for the digest and the census."""
+    return [(s, decide_outcome(s)) for s in decide_grid()]
+
+
 def outcome_text(outcome):
     """The verdict's fields, or the refusal's type and message."""
     if isinstance(outcome, Exception):
@@ -1063,14 +1069,16 @@ _UNKNOWN_REASONS = (
 
 
 class TestDecideDigest:
-    def test_grid_reaches_every_route_and_keeps_its_digest(self):
-        outcomes = [decide_outcome(s) for s in decide_grid()]
+    def test_grid_reaches_every_route_and_keeps_its_digest(
+        self, decided_grid,
+    ):
+        outcomes = [outcome for _, outcome in decided_grid]
         verdicts = [v for v in outcomes if isinstance(v, Verdict)]
         assert {
             v.certificate["rule"] for v in verdicts if v.result != UNDECIDED
         } == {
-            value for module in (nonvanish, chiproduct)
-            for name, value in vars(module).items() if name.startswith("RULE_")
+            value for name, value in vars(nonvanish).items()
+            if name.startswith("RULE_")
         }
         assert {v.reason for v in verdicts if v.result == UNDECIDED} == set(
             _UNKNOWN_REASONS
@@ -1190,10 +1198,9 @@ def census_entry(s, verdict):
 
 
 class TestSoundnessCensus:
-    def test_census_of_the_grid(self):
+    def test_census_of_the_grid(self, decided_grid):
         classes, rules, tests = Counter(), Counter(), Counter()
-        for s in decide_grid():
-            verdict = decide_outcome(s)
+        for s, verdict in decided_grid:
             if not isinstance(verdict, Verdict) or verdict.result not in (
                 GUARANTEED_M1, GUARANTEED_M2,
             ):

@@ -149,16 +149,16 @@ def test_every_public_name_has_a_production_caller():
 
 def test_per_item_converters_import_nothing():
     # the readers named in the key tables, and the functions of the
-    # module and of cli/schema that they call, run once per document
-    # item or loop over the items; an import statement costs about a
-    # microsecond even when the module is loaded, so the klt reader
-    # imports its layer's names at its top
-    tree, schema = (
+    # module and of cli/schema and cli/rational that they call, run once
+    # per document item or loop over the items; an import statement
+    # costs about a microsecond even when the module is loaded, so the
+    # klt reader imports its layer's names at its top
+    tree, *shared = (
         ast.parse((SRC / "cli" / name).read_text(encoding="utf-8"))
-        for name in ("arrangement.py", "schema.py")
+        for name in ("arrangement.py", "schema.py", "rational.py")
     )
     functions = {
-        node.name: node for module in (schema, tree) for node in module.body
+        node.name: node for module in (*shared, tree) for node in module.body
         if isinstance(node, ast.FunctionDef)
     }
     per_item = {
@@ -326,8 +326,9 @@ def test_cli_import_loads_no_layer_but_the_lattice():
         "svlab.charpcurve", "svlab.construct", "svlab.fibered",
         "svlab.kltcalc", "svlab.nonvanish", "svlab.chiproduct",
         "concurrent.futures", "dataclasses", "inspect", *_READERS,
-        "svlab.cli.family",
+        "svlab.cli.family", "svlab.cli.rational",
         "argparse", "gettext", "locale",
+        "json", "fractions", "decimal",
     }
     assert loaded & unwanted == set()
 
@@ -354,6 +355,8 @@ def test_tango_command_does_not_load_the_lattice():
     )
     assert "svlab.charpcurve.families" in loaded
     assert "svlab.lattice" not in loaded
+    # a text report of flags reads no document and no rational
+    assert loaded & {"json", "fractions", "decimal"} == set()
 
 
 def test_classify_command_does_not_load_the_fibered_layer(tmp_path):
@@ -372,7 +375,28 @@ def test_classify_command_does_not_load_the_fibered_layer(tmp_path):
     }), encoding="utf-8")
     loaded = _imported("-m", "svlab", "classify", "--in", str(doc))
     assert "svlab.nonvanish" in loaded
-    assert "svlab.fibered" not in loaded
+    # case A never reaches the chi product route
+    assert loaded & {"svlab.fibered", "svlab.chiproduct"} == set()
+
+
+def test_classify_command_loads_the_product_on_its_route(tmp_path):
+    # the README scenario: case C_M, decided by the chi product
+    doc = tmp_path / "classify.json"
+    doc.write_text(json.dumps({
+        "format": "svlab/1",
+        "request": "classify",
+        "scenario": {
+            "model": {"p": 3, "genus": 4, "e": -2},
+            "kodaira": "-inf",
+            "chi_o": -3,
+            "q": 4,
+            "relatively_minimal": True,
+            "divisor": ["0", "6"],
+            "boundary": [{"class": ["3", "-6"], "coefficient": "1/2"}],
+        },
+    }), encoding="utf-8")
+    loaded = _imported("-m", "svlab", "classify", "--in", str(doc))
+    assert {"svlab.nonvanish", "svlab.chiproduct"} <= loaded
 
 
 def test_report_import_loads_neither_the_parser_nor_the_schema():
