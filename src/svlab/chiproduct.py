@@ -9,12 +9,16 @@ sweep on every entry of its box, without ``svlab.nonvanish``, and the
 decision engine on case C_M, where ``nonvanish.certify_chi_product``
 builds the certificate from what the check compared.  The exceptions
 the check raises are ``svlab.lattice``'s.
+
+The check runs on integers: c arrives as an int numerator over a
+positive int denominator, and a refusal prints its ratios through
+``svlab.ratio.ratio_text``.  Only the ``c`` property builds a
+``fractions.Fraction``, so the sweep loads no ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from numbers import Rational
+from typing import TYPE_CHECKING
 
 from .lattice import (
     InconsistentScenario,
@@ -24,7 +28,13 @@ from .lattice import (
     candidate_curve_constraints,
     riemann_roch_nums,
 )
+from .ratio import ratio_text
 from .record import record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .lattice import Rational
 
 
 @record
@@ -33,8 +43,9 @@ class ChiProduct:
     relatively minimal model of negative invariant whose boundary is a
     single multiple cG of the negative curve G = xE + yF.
 
-    ``model`` is the caller's pure model; g and e are read from it.
-    What does not depend on D is settled once, at construction: the
+    ``model`` is the caller's pure model; g and e are read from it.  c
+    is ``c_num / c_den``, an int over a positive int, and x and y are
+    ints or Fractions.  What does not depend on D is settled once, at construction: the
     preconditions on e, g and c (``refusal``), whether G can be a curve
     (``curve_refusal``; a refusal is an exception type with its
     arguments, or None), and the constants of the inequalities, cleared
@@ -47,21 +58,29 @@ class ChiProduct:
     """
 
     model: RuledModel
-    c: Rational
+    c_num: int
+    c_den: int
     x: Rational
     y: Rational
 
     def __post_init__(self) -> None:
         model = self.model
         g, e = model.genus, model.invariant_e
-        c, x, y = Fraction(self.c), Fraction(self.x), Fraction(self.y)
+        cn, cd, x, y = self.c_num, self.c_den, self.x, self.y
+        # a bool or a float compares equal to an int and would pass the
+        # range test by value
+        if type(cn) is not int or type(cd) is not int or cd <= 0:
+            raise LatticeError(
+                "the boundary coefficient takes an int numerator over a"
+                " positive int denominator"
+            )
         refusal = curve_refusal = None
         if e >= 0:
             refusal = (PreconditionError,
                        ("the product certificate needs e < 0",))
         elif g < 2:
             refusal = (PreconditionError, ("needs base genus at least 2",))
-        elif not 0 < c < 1:
+        elif not 0 < cn < cd:
             refusal = (PreconditionError,
                        ("boundary coefficient must sit in (0,1)",))
         else:
@@ -78,11 +97,9 @@ class ChiProduct:
                     ))
         # D - K - cG = (a + 2 - cx)E + (b + kf)F with kf = 2 - 2g + e - cy;
         # cx and kf are kept times ``scale``
-        cn, cd = c.numerator, c.denominator
         xd, yd = x.denominator, y.denominator
         scale = cd * xd * yd
         for name, value in (
-            ("c", c), ("x", x), ("y", y),
             ("refusal", refusal), ("curve_refusal", curve_refusal),
             ("scale", scale), ("cx", cn * x.numerator * yd),
             ("kf", (2 - 2 * g + e) * scale - cn * y.numerator * xd),
@@ -102,8 +119,7 @@ class ChiProduct:
         a >= 0.
 
         The oracle's numerator and denominator are compared with the
-        product as integers; a Fraction is built only for the text of a
-        disagreement.  Twice the product is even (a + 1 and s = 2b - ae
+        product as integers, and a disagreement prints both from them.  Twice the product is even (a + 1 and s = 2b - ae
         are not both odd), so agreement makes chi(D) an int."""
         if self.refusal is not None:
             kind, args = self.refusal
@@ -127,7 +143,14 @@ class ChiProduct:
         num, den = riemann_roch_nums(model, (a, b), 1)
         if chi * den != 2 * num:
             raise InconsistentScenario(
-                f"product gives {Fraction(chi, 2)}, riemann-roch gives"
-                f" {Fraction(num, den)}"
+                f"product gives {ratio_text(chi, 2)}, riemann-roch gives"
+                f" {ratio_text(num, den)}"
             )
         return chi // 2, ample_e, ample_f, slope
+
+    @property
+    def c(self) -> Fraction:
+        """The boundary coefficient."""
+        from fractions import Fraction
+
+        return Fraction(self.c_num, self.c_den)

@@ -6,7 +6,10 @@ refusal has the generic reader's text and comes in document order.
 Converters take the value alone, and a refusal carries its path: the
 cluster walk puts a node's ``.children[j]`` steps on it from the
 parent indices that it keeps, and only when it refuses.  A document
-builds one ``Fraction`` per distinct coefficient text.
+parses each distinct coefficient text once, to its reduced integer
+pair, and the report prints every ratio from integers through
+``svlab.ratio.ratio_text``, so a klt request builds no ``Fraction``
+and loads no ``fractions``.
 
 Only klt requests load this module, so it imports the kltcalc names
 that its readers build at its top: their loops run once per array item,
@@ -25,13 +28,14 @@ from ..kltcalc import (
     ClusterNode,
     WeightedBranch,
 )
+from ..ratio import ratio_text
 from . import main, schema
-from .rational import parse_rational
+from .rational import parse_ratio
 from .report import PASS, Report
 from .schema import SchemaError, _at, _list_of, _object, _top, _value
 
 # the item readers' key tables; a branch without a kind is ORIGINAL
-_BRANCH = {"id": str, "coefficient": parse_rational}
+_BRANCH = {"id": str, "coefficient": parse_ratio}
 _BRANCH_KIND = {"kind": (str, ORIGINAL)}
 _CLUSTER = {"branches": _list_of(str)}
 _CLUSTER_CHILDREN = {"children": (list, ())}
@@ -39,16 +43,17 @@ _KINDS = (ORIGINAL, EXCEPTIONAL)
 
 
 def _branches(value):
-    """The declared branches; each coefficient text is parsed once."""
+    """The declared branches; each coefficient text is parsed once, to
+    its reduced numerator and positive denominator."""
     if type(value) is not list:
         raise SchemaError("expected an array", [])
     coefficients: dict = {}
 
     def coefficient(text):
-        # parse_rational refuses a text that is not a string, which
-        # might not be hashable, before it is stored
+        # parse_ratio refuses a text that is not a string, which might
+        # not be hashable, before it is stored
         if type(text) is not str or text not in coefficients:
-            coefficients[text] = parse_rational(text)
+            coefficients[text] = parse_ratio(text)
         return coefficients[text]
 
     table = {**_BRANCH, "coefficient": coefficient}
@@ -63,7 +68,7 @@ def _branches(value):
                     f"expected {ORIGINAL!r} or {EXCEPTIONAL!r}", [".kind"],
                 )
             out.append(
-                WeightedBranch(fields["id"], fields["coefficient"], kind))
+                WeightedBranch(fields["id"], *fields["coefficient"], kind))
     except SchemaError as ex:
         ex.within(f"[{len(out)}]")
         raise
@@ -128,12 +133,6 @@ def arrangement_from_document(data: dict) -> ClusterArrangement:
                               tuple(fields["clusters"]))
 
 
-def _ratio(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` of a numerator and a positive
-    denominator that are already coprime."""
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 def cmd_klt(args) -> Report:
     arrangement = schema.arrangement_from_document(
         schema.read_document(args.in_path))
@@ -148,14 +147,16 @@ def cmd_klt(args) -> Report:
         lines.append(main.check(
             "blowup", PASS,
             ("node", record.node),
-            ("sigma", _ratio(num, den)),
-            ("coefficient", _ratio(num - den, den)),
-            ("discrepancy", _ratio(den - num, den)),
+            ("sigma", ratio_text(num, den)),
+            ("coefficient", ratio_text(num - den, den)),
+            ("discrepancy", ratio_text(den - num, den)),
         ))
     detail = [("verdict", "klt" if verdict else "not-klt")]
-    if trace.records:
-        detail.append(("max_exceptional", trace.max_coefficient()))
+    peak = trace.peak()
+    if peak is not None:
+        num, den = peak.numerator, peak.denominator
+        detail.append(("max_exceptional", ratio_text(num - den, den)))
         if not verdict:
-            detail.append(("min_discrepancy", trace.min_discrepancy()))
+            detail.append(("min_discrepancy", ratio_text(den - num, den)))
     lines.append(main.check("klt-verdict", PASS, *detail))
     return Report("klt", tuple(lines))

@@ -2,38 +2,56 @@
 from them.
 
 A rational travels as a "num/den" string (or a bare integer string) of
-ASCII digits; a decimal literal is refused outright.  ``parse_rational``
-reads one, ``_coeffs`` a class's coefficients and ``_boundary_entry``
-one boundary entry; ``_class_on`` and ``_boundary_on`` put what they
-read on a model once it is built.
+ASCII digits; a decimal literal is refused outright.  ``parse_ratio``
+reads one as its reduced numerator and positive denominator, which is
+all the klt and sweep readers keep.  ``parse_rational`` returns it as a
+``fractions.Fraction``, ``_coeffs`` a class's coefficients and
+``_boundary_entry`` one boundary entry; ``_class_on`` and
+``_boundary_on`` put what they read on a model once it is built.
 
 Only the readers that take rationals import this module: those of
 classify, klt, sweep and verify, and the package writer behind
-``construct --emit``.  A tango request loads no ``fractions``.
+``construct --emit``.  It imports ``fractions`` only when
+``parse_rational`` runs, so a klt or sweep request loads none, and a
+tango request does not load this module at all.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .schema import SchemaError, _list_of, _object
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from ..lattice import DivisorClass, RuledModel
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
-def parse_rational(value) -> Fraction:
+def parse_ratio(value) -> tuple[int, int]:
+    """The rational text ``value`` as its numerator and denominator, in
+    lowest terms with a positive denominator."""
     if type(value) is not str or not _RATIONAL.fullmatch(value):
         raise SchemaError(
             f"expected an exact rational like \"3\" or \"-9/2\","
             f" got {value!r}", [],
         )
     num, _, den = value.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    if not den:
+        return int(num), 1
+    num, den = int(num), int(den)
+    common = gcd(num, den)
+    return num // common, den // common
+
+
+def parse_rational(value) -> Fraction:
+    from fractions import Fraction
+
+    return Fraction(*parse_ratio(value))
 
 
 _coeffs = _list_of(parse_rational)

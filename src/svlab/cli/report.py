@@ -8,8 +8,9 @@ deterministic byte for byte: detail ordering is fixed at the call site
 and nothing ever passes through a set or a hash-ordered iteration.
 
 Rendering loads neither ``fractions`` nor ``json``: a ``Fraction``
-prints through ``str``, and the machine form imports ``json`` only to
-quote a value that needs it.
+prints through ``str``, and the machine form quotes a value of
+printable ASCII itself, importing ``json`` only to quote any other
+value that needs quoting.
 """
 
 from ..record import record
@@ -54,11 +55,18 @@ def render_value(value) -> str:
 
 
 def _quoted(value: str) -> str:
-    if value == "" or " " in value or '"' in value or "\\" in value:
-        import json
+    """The value, or ``json.dumps`` of it when it is empty or holds a
+    space, a quote or a backslash.  For a value of printable ASCII that
+    is the value between quotes with each backslash and quote escaped;
+    only another value loads ``json``."""
+    if value and " " not in value and '"' not in value and "\\" not in value:
+        return value
+    if value.isascii() and value.isprintable():
+        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    import json
 
-        return json.dumps(value)
-    return value
+    return json.dumps(value)
 
 
 def render_machine(report: Report) -> str:

@@ -12,9 +12,15 @@ which settles what does not depend on D.  Per entry, H is tested on its
 integer numerators, those of D and K + cC' over the denominator of
 K + cC', and the oracle compares the product with the integer numerator
 and denominator of chi(D).  A certified entry gets a shared verdict and
-builds only its entry record: no class, Fraction or certificate.  A
-skipped entry's reason is one of a few shared texts.  Entries run one
-after another in box order, in the calling process.
+builds only its entry record: no class or certificate.  A skipped
+entry's reason is one of a few shared texts, and its verdict's note is
+never written.  Entries run one after another in box order, in the
+calling process.
+
+The boundary coefficient c is read as its reduced integer numerator
+and denominator, K + cC' is built from numerators and the product
+check takes c as those two ints, so a sweep request builds no
+``Fraction`` and loads no ``fractions``.
 
 The sweep command and its document's reader, ``sweep_from_document``,
 are here too; ``svlab.cli.schema`` binds the reader lazily, and the
@@ -23,7 +29,6 @@ sweep imports the product check, ``svlab.chiproduct``, and not the
 decision engine.
 """
 
-from fractions import Fraction
 from sys import intern
 
 from ..chiproduct import ChiProduct
@@ -38,7 +43,7 @@ from ..lattice import (
 )
 from ..record import record
 from . import main, schema
-from .rational import parse_rational
+from .rational import parse_ratio
 from .report import FAIL, PASS, SKIP, Report
 from .schema import (
     MAX_SWEEP_ENTRIES,
@@ -61,7 +66,7 @@ class SweepRequest:
     invariant_e: int
     a_range: tuple[int, int]
     b_range: tuple[int, int]
-    coefficient: Fraction
+    coefficient: tuple[int, int]  # c as (numerator, positive denominator)
 
 
 @record
@@ -88,7 +93,7 @@ def _box(value):
 _SWEEP = {
     "model": _pure_model,
     "box": _box,
-    "boundary_coefficient": parse_rational,
+    "boundary_coefficient": parse_ratio,
 }
 _BOX = {"a": _range, "b": _range}
 
@@ -99,7 +104,7 @@ def sweep_from_document(data: dict) -> SweepRequest:
     if model["e"] >= 0:
         raise SchemaError("model.e: the sweep runs on e < 0 models")
     coeff = top["boundary_coefficient"]
-    if not 0 < coeff < 1:
+    if not 0 < coeff[0] < coeff[1]:
         raise SchemaError(
             "boundary_coefficient: expected a value strictly between 0 and 1"
         )
@@ -142,9 +147,12 @@ def run_sweep(request: SweepRequest) -> tuple[SweepEntry, ...]:
     model = RuledModel(
         request.characteristic, request.genus, request.invariant_e
     )
-    c_prime = disjoint_multisection(model)
-    shift = model.canonical_class() + c_prime * request.coefficient
-    product = ChiProduct(model, request.coefficient, c_prime.a, c_prime.b)
+    cn, cd = request.coefficient
+    c_prime = disjoint_multisection(model)  # integral: its den is 1
+    shift = model.canonical_class() + DivisorClass(
+        model, tuple(cn * x for x in c_prime.nums), cd
+    )
+    product = ChiProduct(model, cn, cd, *c_prime.nums)
     (a_low, a_high), (b_low, b_high) = request.a_range, request.b_range
     return tuple(
         sweep_entry(model, shift, product, a, b)

@@ -494,9 +494,10 @@ def _klt_item(pkg: CounterexamplePackage) -> CheckResult:
         # one representative transverse meeting; they are all alike
         clusters = (ClusterNode(("b0", "member")),)
         note = "member meets the multisection transversally (assumed)"
-    arr = ClusterArrangement(
-        tuple(map(WeightedBranch, ids, coeffs)), clusters
-    )
+    arr = ClusterArrangement(tuple(
+        WeightedBranch(bid, c.numerator, c.denominator)
+        for bid, c in zip(ids, coeffs)
+    ), clusters)
     return CheckResult(
         "boundary-klt",
         is_klt(arr)[0],

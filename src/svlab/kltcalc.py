@@ -7,19 +7,25 @@ blow-up.  Resolving the forest depth-first and transporting coefficients
 across each blow-up decides the verdict: the pair is KLT exactly when
 every exceptional coefficient stays below 1.
 
-All coefficients are exact rationals.  The walk puts them over the
-least common denominator of the declared ones and carries integer
-numerators.  A blow-up record keeps integers too, the reduced numerator
-of its sum and one positive denominator, and builds a
-``fractions.Fraction`` only when one of its values is read as such.
+All coefficients are exact rationals, kept as integers.  A declared
+branch holds its coefficient as an int numerator over a positive int
+denominator, the walk puts the declared ones over their least common
+denominator and carries integer numerators, and a blow-up record keeps
+the reduced numerator of its sum and one positive denominator.  A
+``fractions.Fraction`` is built, and ``fractions`` imported, only when
+a branch's or a record's value is read as one, through a property that
+returns it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from .record import record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ORIGINAL = "original"
 EXCEPTIONAL = "exceptional"
@@ -31,27 +37,38 @@ class ArrangementError(ValueError):
 
 @record
 class WeightedBranch:
+    """A declared branch whose coefficient is ``numerator /
+    denominator``: two ints, the denominator positive.  An original
+    branch's coefficient lies in [0, 1)."""
+
     id: str
-    coefficient: Fraction
+    numerator: int
+    denominator: int = 1
     kind: str = ORIGINAL
 
     def __post_init__(self) -> None:
-        c = self.coefficient
-        if type(c) is not Fraction:
-            if type(c) is not int:
-                raise ArrangementError(
-                    f"branch {self.id!r} needs an int or Fraction coefficient"
-                )
-            c = Fraction(c)
-            object.__setattr__(self, "coefficient", c)
+        num, den = self.numerator, self.denominator
+        # a bool or a float compares equal to an int and would pass the
+        # range test by value
+        if type(num) is not int or type(den) is not int or den <= 0:
+            raise ArrangementError(
+                f"branch {self.id!r} needs an int numerator over a"
+                " positive int denominator"
+            )
         if not self.id:
             raise ArrangementError("branch id must be nonempty")
         if self.kind not in (ORIGINAL, EXCEPTIONAL):
             raise ArrangementError(f"unknown branch kind {self.kind!r}")
-        if self.kind == ORIGINAL and not 0 <= c.numerator < c.denominator:
+        if self.kind == ORIGINAL and not 0 <= num < den:
             raise ArrangementError(
                 f"original branch {self.id!r} needs coefficient in [0, 1)"
             )
+
+    @property
+    def coefficient(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.numerator, self.denominator)
 
 
 @record
@@ -93,8 +110,8 @@ class BlowupRecord:
     """One blow-up: the sum sigma of the incident coefficients is
     ``numerator / denominator`` in lowest terms, with a positive
     denominator.  The exceptional coefficient sigma - 1 and the
-    discrepancy 1 - sigma share that denominator and are in lowest terms
-    too."""
+    discrepancy 1 - sigma, minus the coefficient, share that denominator
+    and are in lowest terms too."""
 
     node: str
     numerator: int
@@ -102,38 +119,34 @@ class BlowupRecord:
 
     @property
     def sigma(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.denominator)
 
     @property
     def coefficient(self) -> Fraction:
         """The exceptional curve's coefficient: sigma - 1."""
-        return Fraction(self.numerator - self.denominator, self.denominator)
+        from fractions import Fraction
 
-    @property
-    def discrepancy(self) -> Fraction:
-        """The exceptional curve's discrepancy: minus its coefficient."""
-        return Fraction(self.denominator - self.numerator, self.denominator)
+        return Fraction(self.numerator - self.denominator, self.denominator)
 
 
 @record
 class BlowupTrace:
     records: tuple[BlowupRecord, ...] = ()
 
-    def _peak(self) -> BlowupRecord:
+    def peak(self) -> BlowupRecord | None:
         """The first record of the largest sum, compared by cross
-        multiplication of numerators and denominators."""
+        multiplication of numerators and denominators, or None for no
+        records.  Its coefficient is the largest exceptional coefficient,
+        and minus it the least discrepancy."""
+        if not self.records:
+            return None
         top = self.records[0]
         for r in self.records:
             if r.numerator * top.denominator > top.numerator * r.denominator:
                 top = r
         return top
-
-    def max_coefficient(self) -> Fraction | None:
-        return self._peak().coefficient if self.records else None
-
-    def min_discrepancy(self) -> Fraction | None:
-        """The least discrepancy, that of the largest coefficient."""
-        return self._peak().discrepancy if self.records else None
 
 
 def blowup_step(sigma: int, den: int, node: str = "p") -> BlowupRecord:
@@ -157,15 +170,13 @@ def is_klt(arr: ClusterArrangement) -> tuple[bool, BlowupTrace]:
 
     Every coefficient is carried as its numerator over ``den``, the
     least common denominator of the declared ones, so "< 1" is
-    "numerator < den".  Each declared coefficient is read once, as its
-    integer ratio, before the walk; a lookup adds its scaled numerator.
+    "numerator < den".  Each declared coefficient is scaled to ``den``
+    once, before the walk; a lookup adds its scaled numerator.
     """
-    ratios = [b.coefficient.as_integer_ratio() for b in arr.branches]
-    den = lcm(*{d for _, d in ratios})
-    verdict = all(n < d for n, d in ratios)
-    scaled = {
-        b.id: n * (den // d) for b, (n, d) in zip(arr.branches, ratios)
-    }
+    branches = arr.branches
+    den = lcm(*{b.denominator for b in branches})
+    verdict = all(b.numerator < b.denominator for b in branches)
+    scaled = {b.id: b.numerator * (den // b.denominator) for b in branches}
     records: list[BlowupRecord] = []
     # a root has no parent; a child carries its parent's branch ids and
     # exceptional coefficient numerator

@@ -37,22 +37,28 @@ with p_a(C) >= g.
 
 Everything is exact and no floating point appears anywhere.  A class
 is kept as integer numerators over one positive denominator, so sums,
-pairings and the positivity rules run on ints; a ``fractions.Fraction``
-is built only where a coefficient or an intersection number leaves the
-module.
+pairings and the positivity rules run on ints, and a note prints its
+value from integers through ``svlab.ratio.ratio_text``.  A
+``fractions.Fraction`` is built, and ``fractions`` imported, only where
+a coefficient or an intersection number leaves the module, in the
+accessors that return one, so the sweep, which reads none, loads no
+``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable
 
 from .primes import is_prime
+from .ratio import ratio_text
 from .record import record
 
-Rational = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Rational = int | Fraction
 
 
 class LatticeError(ValueError):
@@ -256,14 +262,20 @@ class DivisorClass:
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def a(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.nums[0], self.den)
 
     @property
     def b(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.nums[1], self.den)
 
     def is_integral(self) -> bool:
@@ -283,6 +295,8 @@ class DivisorClass:
         return _form(self.model, self.nums, other.nums), self.den * other.den
 
     def dot(self, other: "DivisorClass") -> Fraction:
+        from fractions import Fraction
+
         return Fraction(*self._pairing(other))
 
     def self_intersection(self) -> Fraction:
@@ -352,6 +366,8 @@ def adjunction_pa(model: RuledModel, c: DivisorClass) -> Fraction:
     _check_on(model, c)
     if not c.is_integral():
         raise LatticeError("adjunction needs an integral class")
+    from fractions import Fraction
+
     total, den = c._pairing(c + model.canonical_class())
     return Fraction(total + 2 * den, 2 * den)
 
@@ -374,6 +390,8 @@ def riemann_roch_nums(model: RuledModel, nums, den: int) -> tuple[int, int]:
 def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Fraction:
     """chi(D) = D.(D-K)/2 + chi(O) of a class on ``model``, through
     ``riemann_roch_nums``."""
+    from fractions import Fraction
+
     _check_on(model, d)
     return Fraction(*riemann_roch_nums(model, d.nums, d.den))
 
@@ -417,9 +435,22 @@ RULE_CURVE_CONE = "positivity.curve-cone-bounds"
 
 @record
 class PositivityVerdict:
+    """A status, the rule that settled it and, for a verdict that does
+    not certify, the ``detail`` of its note: a template and the value
+    ``num / den`` that it prints, as ``(template, num, den)``.  The note
+    is written only when it is read, so a caller that reads the status
+    and the rule alone, as the sweep does, formats none."""
+
     status: str
     rule_used: str
-    note: str = ""
+    detail: tuple = ()
+
+    @property
+    def note(self) -> str:
+        if not self.detail:
+            return ""
+        template, num, den = self.detail
+        return template.format(ratio_text(num, den))
 
 
 # a certified verdict carries no note, so one record per rule serves
@@ -464,8 +495,8 @@ def certify_positivity_nums(
     and an ample class has D^2 = as > 0.
 
     Every rule is a sign test of a form that is homogeneous in (a, b),
-    so the numerators need not be reduced; a Fraction is built only for
-    the text of a note, and a certified verdict is a shared record.
+    so the numerators need not be reduced.  A certified verdict is a
+    shared record, and any other keeps the integers of its note.
     """
     e = model.invariant_e
 
@@ -474,15 +505,13 @@ def certify_positivity_nums(
 
     if not ok(a):
         return PositivityVerdict(
-            VIOLATED, RULE_NECESSARY,
-            f"fiber degree a = {Fraction(a, den)} fails",
+            VIOLATED, RULE_NECESSARY, ("fiber degree a = {} fails", a, den),
         )
     slope2 = 2 * b - a * e  # 2b - ae, and twice the slope b - ae/2
     if not ok(slope2):
         return PositivityVerdict(
             VIOLATED, RULE_NECESSARY,
-            f"self-intersection slope 2b - ae = {Fraction(slope2, den)}"
-            " fails",
+            ("self-intersection slope 2b - ae = {} fails", slope2, den),
         )
 
     if e >= 0:
@@ -490,7 +519,7 @@ def certify_positivity_nums(
             return _CERTIFIED_BY[RULE_NONNEG_CONE]
         return PositivityVerdict(
             VIOLATED, RULE_NONNEG_CONE,
-            f"D.E = b - ae = {Fraction(b - a * e, den)} fails",
+            ("D.E = b - ae = {} fails", b - a * e, den),
         )
 
     if ok(b):
@@ -502,7 +531,7 @@ def certify_positivity_nums(
         return _CERTIFIED_BY[RULE_CURVE_CONE]
     return PositivityVerdict(
         UNKNOWN, RULE_CURVE_CONE,
-        f"branch minimum {Fraction(tail, 2 * den)} not conclusive",
+        ("branch minimum {} not conclusive", tail, 2 * den),
     )
 
 

@@ -426,7 +426,7 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
     from .chiproduct import ChiProduct
 
     (g_cls, c) = s.negative_boundary[0]
-    product = ChiProduct(model, c, g_cls.a, g_cls.b)
+    product = ChiProduct(model, c.numerator, c.denominator, g_cls.a, g_cls.b)
     return certify_chi_product(product, *s.divisor.nums)
 
 

@@ -93,26 +93,26 @@ def test_criterion_1_klt_configurations():
 
     triple = ClusterArrangement(
         (
-            WeightedBranch("b1", Fraction(2, 5)),
-            WeightedBranch("b2", Fraction(4, 5)),
-            WeightedBranch("b3", Fraction(3, 4)),
+            WeightedBranch("b1", 2, 5),
+            WeightedBranch("b2", 4, 5),
+            WeightedBranch("b3", 3, 4),
         ),
         (ClusterNode(("b1", "b2", "b3")),),
     )
     verdict, trace = is_klt(triple)
     assert verdict is True
-    assert trace.max_coefficient() == Fraction(19, 20)
+    assert trace.peak().coefficient == Fraction(19, 20)
 
     tangent = ClusterArrangement(
         (
-            WeightedBranch("b2", Fraction(4, 5)),
-            WeightedBranch("b3", Fraction(3, 4)),
+            WeightedBranch("b2", 4, 5),
+            WeightedBranch("b3", 3, 4),
         ),
         (ClusterNode(("b2", "b3"), (ClusterNode(("b2", "b3")),)),),
     )
     verdict, trace = is_klt(tangent)
     assert verdict is False
-    worst = min(r.discrepancy for r in trace.records)
+    worst = min(-r.coefficient for r in trace.records)
     assert worst == Fraction(-11, 10)
     assert worst < -1
 
@@ -251,7 +251,7 @@ def test_criterion_4_formula_oracle_and_sweep():
         invariant_e=-2,
         a_range=(0, 5),
         b_range=(-10, 20),
-        coefficient=Fraction(1, 2),
+        coefficient=(1, 2),
     ))
     elapsed = time.perf_counter() - started
     stats = summarize(entries)
@@ -512,14 +512,15 @@ def test_criterion_7_property_suites():
 
         def arrangement(coeffs):
             return ClusterArrangement(
-                tuple(WeightedBranch(i, coeffs[i]) for i in ids), forest
+                tuple(WeightedBranch(i, *coeffs[i].as_integer_ratio())
+                      for i in ids), forest
             )
 
         high_verdict, high_trace = is_klt(arrangement(high_coeffs))
         low_verdict, low_trace = is_klt(arrangement(low_coeffs))
         if high_verdict:
             assert low_verdict
-        assert low_trace.max_coefficient() <= high_trace.max_coefficient()
+        assert low_trace.peak().coefficient <= high_trace.peak().coefficient
 
     for _ in range(100):
         if rng.random() < 0.5:

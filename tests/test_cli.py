@@ -652,7 +652,7 @@ def _reference_arrangement(data):
     the paths it gives each child."""
     def branch(value):
         fields = schema._object(
-            value, {"id": str, "coefficient": rational.parse_rational},
+            value, {"id": str, "coefficient": rational.parse_ratio},
             {"kind": (str, None)},
         )
         kind = "original" if fields["kind"] is None else fields["kind"]
@@ -660,7 +660,7 @@ def _reference_arrangement(data):
             raise schema.SchemaError(
                 "expected 'original' or 'exceptional'", [".kind"],
             )
-        return WeightedBranch(fields["id"], fields["coefficient"], kind)
+        return WeightedBranch(fields["id"], *fields["coefficient"], kind)
 
     def cluster(value):
         fields = schema._object(value, {"branches": schema._list_of(str)},
@@ -792,6 +792,47 @@ class TestSweepFuzz:
         path = write_doc(tmp_path_factory.getbasetemp(), "sweep-fuzz.json",
                          sweep_document(rng))
         _exit_code_contract(["sweep", "--in", path])
+
+
+_NOT_A_RATIONAL = "expected an exact rational like \"3\" or \"-9/2\""
+
+
+class TestCoefficientBoundaries:
+    """The klt and sweep layers take a coefficient as an int numerator
+    over a positive int denominator.  A document cannot give them a
+    zero or negative denominator, which the reader refuses at the
+    value's path, and a coefficient out of range is refused as it was
+    when the layers took Fractions; each exits 2."""
+
+    @pytest.mark.parametrize("text, error", (
+        ("1/0", f"arrangement.branches[1].coefficient: {_NOT_A_RATIONAL},"
+                " got '1/0'"),
+        ("1/-2", f"arrangement.branches[1].coefficient: {_NOT_A_RATIONAL},"
+                 " got '1/-2'"),
+        ("5/5", "original branch 'b2' needs coefficient in [0, 1)"),
+        ("6/4", "original branch 'b2' needs coefficient in [0, 1)"),
+        ("-1/3", "original branch 'b2' needs coefficient in [0, 1)"),
+    ))
+    def test_klt(self, text, error, tmp_path, capsys):
+        doc = json.loads(json.dumps(TRIPLE_DOC))
+        doc["arrangement"]["branches"][1]["coefficient"] = text
+        assert run(
+            capsys, "klt", "--in", write_doc(tmp_path, "d.json", doc),
+        ) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("text, error", (
+        ("1/0", f"document.boundary_coefficient: {_NOT_A_RATIONAL},"
+                " got '1/0'"),
+        ("1/-2", f"document.boundary_coefficient: {_NOT_A_RATIONAL},"
+                 " got '1/-2'"),
+        *((text, "boundary_coefficient: expected a value strictly between"
+                 " 0 and 1") for text in ("0", "0/3", "2/2", "6/4", "-1/2")),
+    ))
+    def test_sweep(self, text, error, tmp_path, capsys):
+        doc = dict(SWEEP_DOC, boundary_coefficient=text)
+        assert run(
+            capsys, "sweep", "--in", write_doc(tmp_path, "d.json", doc),
+        ) == (2, "", f"error: {error}\n")
 
 
 # small values a family accepts, and odd ones around the caps: the
@@ -1692,7 +1733,7 @@ class TestSweep:
                 invariant_e=-rng.randrange(1, 5),
                 a_range=(-2, 4),
                 b_range=(rng.randrange(-15, 0), 12),
-                coefficient=Fraction(rng.randrange(1, 8), 8),
+                coefficient=(rng.randrange(1, 8), 8),
             )
             entries = run_sweep(request)
             expected = tuple(
@@ -1892,8 +1933,9 @@ class TestPerItemWork:
     ):
         # 300 roots on two or three branches each, every coefficient text
         # distinct; three branches of the first root sum above 2, so the
-        # verdict line carries min_discrepancy too.  The blow-up records
-        # and the lines printed from them build no Fraction.
+        # verdict line carries min_discrepancy too.  The reader keeps
+        # each coefficient as integers, and the blow-up records and the
+        # lines printed from them build no Fraction.
         branches, clusters = [], []
         for r in range(300):
             ids = [f"r{r}x{i}" for i in range(2 + r % 2)]
@@ -1927,12 +1969,14 @@ class TestPerItemWork:
                 "arrangement": {"branches": branches, "clusters": clusters},
             }),
         )
+        during = list(built)
+        Fraction(1, 3)  # the counter sees one built outside the request
         monkeypatch.undo()
         assert code == 0
         assert len(checks(out, "blowup")) == 300
         (verdict,) = checks(out, "klt-verdict")
         assert verdict["verdict"] == "not-klt"
-        assert len(branches) <= len(built) <= len(branches) + 4
+        assert during == [] and len(built) == 1
 
 
 def _reason_kind(reason):
@@ -1950,7 +1994,7 @@ def _fresh_entry(request, a, b):
     polarization rebuilt, then a freshly built ``ChiProduct``."""
     p, g, e = request.characteristic, request.genus, request.invariant_e
     model = RuledModel(p, g, e)
-    c = request.coefficient
+    c = Fraction(*request.coefficient)
     h = (model.divisor(a, b) - model.canonical_class()
          - model.divisor(p, p * e).scaled(c))
     ample = certify_positivity(model, h, strict=True)
@@ -1958,7 +2002,8 @@ def _fresh_entry(request, a, b):
         reason = f"polarization {ample.status} under {ample.rule_used}"
         return (a, b, "skipped", None, reason)
     try:
-        verdict = certify_chi_product(ChiProduct(model, c, p, p * e), a, b)
+        verdict = certify_chi_product(
+            ChiProduct(model, c.numerator, c.denominator, p, p * e), a, b)
     except PreconditionError as ex:
         return (a, b, "skipped", None, str(ex))
     except InconsistentScenario as ex:

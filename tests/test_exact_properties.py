@@ -11,11 +11,15 @@ difference, then a fresh product certificate read for chi.  Two more
 properties pin, as claims on outputs, facts that earlier checks decide
 and so are not tested again: a certified class meets every candidate
 curve nonnegatively, and a product certificate's slack chain falls to
-a positive chi.  Example generation is derandomized, so every run
-checks the same cases.
+a positive chi.  The texts that reports print from integers are
+compared with their plain forms: ``ratio_text`` with ``str`` of a
+Fraction, the rational reader's pair with ``Fraction.as_integer_ratio``
+and the report quoter with ``json.dumps``.  Example generation is
+derandomized, so every run checks the same cases.
 """
 
 import json
+import string
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -26,7 +30,8 @@ from hypothesis import strategies as st
 
 from svlab.chiproduct import ChiProduct
 from svlab.cli.main import cmd_klt
-from svlab.cli.rational import _RATIONAL, parse_rational
+from svlab.cli.rational import _RATIONAL, parse_ratio, parse_rational
+from svlab.cli.report import _quoted
 from svlab.cli.schema import SchemaError, _at
 from svlab.cli.sweep import (
     CERTIFIED_ENTRY,
@@ -64,6 +69,7 @@ from svlab.lattice import (
     riemann_roch_nums,
 )
 from svlab.nonvanish import certify_chi_product
+from svlab.ratio import ratio_text
 
 SETTINGS = settings(
     max_examples=300, derandomize=True, database=None, deadline=None,
@@ -358,7 +364,8 @@ def test_product_certificates_chain_down_to_a_positive_chi(
     # the check tests neither the slack chain nor the sign of the
     # product: ampleness and the curve bounds imply both
     model = RuledModel(p, g, -min(n, 2 * g + 2))
-    product = ChiProduct(model, c, x, y + x * model.invariant_e // 2)
+    product = ChiProduct(model, c.numerator, c.denominator, x,
+                         y + x * model.invariant_e // 2)
     for a in range(a0, a0 + 3):
         for b in range(b0, b0 + 8):
             try:
@@ -391,7 +398,8 @@ def reference_entry(model, shift, c, a, b):
                           f"polarization {ample.status} under"
                           f" {ample.rule_used}")
     c_prime = disjoint_multisection(model)
-    product = ChiProduct(model, c, c_prime.a, c_prime.b)
+    product = ChiProduct(model, c.numerator, c.denominator,
+                         c_prime.a, c_prime.b)
     try:
         chi = certify_chi_product(product, a, b).certificate["chi"]
     except PreconditionError as ex:
@@ -413,7 +421,8 @@ def test_sweep_entries_match_the_reference(p, g, e, c, a0, b0):
     model = RuledModel(p, g, e)
     shift = model.canonical_class() + disjoint_multisection(model) * c
     c_prime = disjoint_multisection(model)
-    product = ChiProduct(model, c, c_prime.a, c_prime.b)
+    product = ChiProduct(model, c.numerator, c.denominator,
+                         c_prime.a, c_prime.b)
     for a in range(a0, a0 + 3):
         for b in range(b0, b0 + 8):
             entry = _outcome(
@@ -439,11 +448,10 @@ def forests(draw):
         den = draw(st.integers(1, 12))
         if draw(st.booleans()) and draw(st.booleans()):
             num = draw(st.integers(-den, 2 * den))
-            branches.append(WeightedBranch(bid, Fraction(num, den),
-                                           EXCEPTIONAL))
+            branches.append(WeightedBranch(bid, num, den, EXCEPTIONAL))
         else:
             num = draw(st.integers(0, den - 1))
-            branches.append(WeightedBranch(bid, Fraction(num, den), ORIGINAL))
+            branches.append(WeightedBranch(bid, num, den, ORIGINAL))
 
     def node(pool, depth):
         chosen = draw(st.lists(st.sampled_from(pool), min_size=2,
@@ -500,15 +508,15 @@ def klt_document(arr):
 @SETTINGS
 @given(forests())
 @example(ClusterArrangement(
-    tuple(WeightedBranch(bid, Fraction(2, 3)) for bid in "xyz"),
+    tuple(WeightedBranch(bid, 2, 3) for bid in "xyz"),
     (ClusterNode(("x", "y", "z")),),
 ))
 @example(ClusterArrangement(
-    (WeightedBranch("a", Fraction(-1, 2), EXCEPTIONAL),
-     WeightedBranch("b", Fraction(1, 4)),
-     WeightedBranch("c", Fraction(-3, 4), EXCEPTIONAL),
-     WeightedBranch("d", Fraction(1, 2)),
-     WeightedBranch("e", Fraction(3, 2), EXCEPTIONAL)),
+    (WeightedBranch("a", -1, 2, EXCEPTIONAL),
+     WeightedBranch("b", 1, 4),
+     WeightedBranch("c", -3, 4, EXCEPTIONAL),
+     WeightedBranch("d", 1, 2),
+     WeightedBranch("e", 3, 2, EXCEPTIONAL)),
     (ClusterNode(("a", "b")), ClusterNode(("c", "d"))),
 ))
 def test_klt_trace_matches_fractions(tmp_path_factory, arr):
@@ -519,8 +527,10 @@ def test_klt_trace_matches_fractions(tmp_path_factory, arr):
     assert all(type(r.sigma) is Fraction and type(r.coefficient) is Fraction
                for r in trace.records)
     top = max((c for _, _, c in expected), default=None)
-    assert trace.max_coefficient() == top
-    assert trace.min_discrepancy() == (None if top is None else -top)
+    peak = trace.peak()
+    assert (None if peak is None else peak.coefficient) == top
+    assert (None if peak is None else -peak.coefficient) == (
+        None if top is None else -top)
     # the report prints each value as str() of its Fraction
     path = tmp_path_factory.getbasetemp() / "klt-trace.json"
     path.write_text(json.dumps(klt_document(arr)), encoding="utf-8")
@@ -551,6 +561,14 @@ def test_parse_rational_accepts_what_the_pattern_accepts(value):
 
 
 @SETTINGS
+@given(st.from_regex(_RATIONAL, fullmatch=True))
+@example("-0/7")
+@example("12/18")
+def test_parse_ratio_is_the_reduced_pair(value):
+    assert parse_ratio(value) == Fraction(value).as_integer_ratio()
+
+
+@SETTINGS
 @given(st.one_of(
     st.text().filter(lambda s: not _RATIONAL.fullmatch(s)),
     st.integers(), st.floats(), st.none(), st.lists(st.text(), max_size=2),
@@ -562,3 +580,27 @@ def test_parse_rational_refuses_the_rest(value):
         f"x: expected an exact rational like \"3\" or \"-9/2\","
         f" got {value!r}"
     )
+
+
+# -- the texts of ratios and of report values ---------------------------------
+
+@SETTINGS
+@given(st.integers(), st.integers().filter(bool))
+@example(0, -3)
+@example(-6, -4)
+@example(7, 1)
+def test_ratio_text_is_the_text_of_the_fraction(num, den):
+    assert ratio_text(num, den) == str(Fraction(num, den))
+
+
+@SETTINGS
+@given(st.text() | st.text(string.printable))
+@example("")
+@example('a "quoted" \\ value')
+@example("tab\there")
+@example("caf\u00e9 au lait")
+def test_quoted_is_json_whenever_it_quotes(value):
+    # a value is quoted when it is empty or holds a space, a quote or a
+    # backslash, and then exactly as json.dumps quotes it
+    needs = value == "" or any(c in value for c in ' "\\')
+    assert _quoted(value) == (json.dumps(value) if needs else value)

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from svlab.kltcalc import (
+    EXCEPTIONAL,
+    ORIGINAL,
     ArrangementError,
     ClusterArrangement,
     ClusterNode,
@@ -16,7 +18,10 @@ from svlab.kltcalc import (
 
 
 def branches(*pairs):
-    return tuple(WeightedBranch(bid, Fraction(c)) for bid, c in pairs)
+    return tuple(
+        WeightedBranch(bid, *Fraction(c).as_integer_ratio())
+        for bid, c in pairs
+    )
 
 
 TRIPLE = ClusterArrangement(
@@ -39,7 +44,7 @@ class TestBlowupStep:
         rec = blowup_step(8 + 16 + 15, 20)
         assert rec.sigma == Fraction(39, 20)
         assert rec.coefficient == Fraction(19, 20)
-        assert rec.discrepancy == Fraction(-19, 20)
+        assert -rec.coefficient == Fraction(-19, 20)
 
     def test_tangent_pair_first_step(self):
         rec = blowup_step(16 + 15, 20)
@@ -48,7 +53,7 @@ class TestBlowupStep:
     def test_empty_point(self):
         rec = blowup_step(0, 1)
         assert rec.coefficient == -1
-        assert rec.discrepancy == 1
+        assert -rec.coefficient == 1
 
     def test_fields_are_reduced_fractions(self):
         rec = blowup_step(9, 6, "n0")
@@ -71,7 +76,7 @@ class TestIsKlt:
             Fraction(11, 20),
             Fraction(11, 10),
         ]
-        assert trace.records[1].discrepancy == Fraction(-11, 10)
+        assert -trace.records[1].coefficient == Fraction(-11, 10)
         assert trace.records[1].node == "n0.0"
 
     def test_single_smooth_branch(self):
@@ -213,17 +218,31 @@ class TestIsKlt:
 
 class TestValidation:
     def test_original_coefficient_range(self):
-        with pytest.raises(ArrangementError):
-            WeightedBranch("B", Fraction(1))
-        with pytest.raises(ArrangementError):
-            WeightedBranch("B", Fraction(-1, 2))
+        # n/d is tested as 0 <= n < d, in any terms; an exceptional
+        # branch takes any coefficient
+        for num, den in ((1, 1), (-1, 2), (2, 2), (4, 2), (7, 6)):
+            with pytest.raises(ArrangementError, match=r"in \[0, 1\)"):
+                WeightedBranch("B", num, den)
+            assert WeightedBranch("B", num, den, EXCEPTIONAL).coefficient == (
+                Fraction(num, den))
 
     @pytest.mark.parametrize("coefficient", (0.1, 0.5, "1/3", True, None))
     def test_coefficient_is_an_int_or_fraction(self, coefficient):
-        # a float would arrive as its binary expansion and a string
-        # would be parsed, so neither is a coefficient
-        with pytest.raises(ArrangementError, match="int or Fraction"):
+        # the coefficient is an int numerator over an int denominator: a
+        # float would arrive as its binary expansion and a string would
+        # be parsed, so neither is a numerator, and a bool is no int
+        with pytest.raises(ArrangementError, match="int numerator"):
             WeightedBranch("a", coefficient)
+
+    @pytest.mark.parametrize("num, den", (
+        (Fraction(1, 2), 1), (1, Fraction(2)), (1, 2.0), (1, True),
+        (1, 0), (1, -2), (-1, -2),
+    ))
+    def test_coefficient_is_an_int_over_a_positive_int(self, num, den):
+        for kind in (ORIGINAL, EXCEPTIONAL):
+            with pytest.raises(ArrangementError, match="int numerator over"
+                               " a positive int denominator"):
+                WeightedBranch("a", num, den, kind)
 
     def test_int_coefficient_becomes_a_fraction(self):
         c = WeightedBranch("a", 0).coefficient
@@ -306,4 +325,4 @@ class TestValidation:
 @pytest.mark.parametrize("kind", ("strange", "", "Original", None))
 def test_unknown_branch_kind_refused(kind):
     with pytest.raises(ArrangementError, match="unknown branch kind"):
-        WeightedBranch("a", Fraction(1, 2), kind)
+        WeightedBranch("a", 1, 2, kind)

@@ -30,6 +30,7 @@ from svlab.lattice import (
     VIOLATED,
     DivisorClass,
     InconsistentScenario,
+    LatticeError,
     PreconditionError,
     RuledModel,
     certify_positivity,
@@ -549,7 +550,7 @@ class TestRelativelyMinimal:
 def _half_product(p, g, e, x, y):
     """The product certificate for the boundary (1/2)(xE + yF) on a
     freshly built model."""
-    return ChiProduct(RuledModel(p, g, e), Fraction(1, 2), x, y)
+    return ChiProduct(RuledModel(p, g, e), 1, 2, x, y)
 
 
 class TestChiProduct:
@@ -590,9 +591,27 @@ class TestChiProduct:
     def test_coefficient_outside_the_unit_interval(self, c):
         # both readers refuse such a coefficient first; a direct caller
         # meets this refusal
+        num, den = Fraction(c).as_integer_ratio()
         with pytest.raises(PreconditionError) as refused:
-            ChiProduct(KV_MODEL, c, 3, -6).check(0, 6)
+            ChiProduct(KV_MODEL, num, den, 3, -6).check(0, 6)
         assert str(refused.value) == "boundary coefficient must sit in (0,1)"
+
+    @pytest.mark.parametrize("num, den", ((2, 2), (6, 4), (-1, 3)))
+    def test_unreduced_coefficient_outside_the_unit_interval(self, num, den):
+        # c = n/d is tested as 0 < n < d, in any terms
+        with pytest.raises(PreconditionError) as refused:
+            ChiProduct(KV_MODEL, num, den, 3, -6).check(0, 6)
+        assert str(refused.value) == "boundary coefficient must sit in (0,1)"
+
+    @pytest.mark.parametrize("num, den", (
+        (Fraction(1, 2), 1), (0.5, 1), (True, 2), ("1", 2),
+        (1, 0), (1, -2), (1, 2.0), (1, True),
+    ))
+    def test_coefficient_is_an_int_over_a_positive_int(self, num, den):
+        # refused at construction, before any check runs
+        with pytest.raises(LatticeError, match="int numerator over a"
+                           " positive int denominator"):
+            ChiProduct(KV_MODEL, num, den, 3, -6)
 
     def test_refusals_keep_their_place_in_the_order(self):
         # G = E - 6F is no curve, but a divisor that is not nef is
@@ -644,7 +663,8 @@ class TestChiProduct:
             ) + rng.randrange(1, 6)
             model = RuledModel(p, g, e)
             try:
-                v = certify_chi_product(ChiProduct(model, c, x, y), a, b)
+                v = certify_chi_product(
+                    ChiProduct(model, c.numerator, c.denominator, x, y), a, b)
             except PreconditionError:
                 continue
             successes += 1

@@ -177,7 +177,7 @@ def test_per_item_converters_import_nothing():
             and getattr(node.func, "id", None) in functions
         }
     assert {"_branches", "_clusters", "_object", "_list_of",
-            "parse_rational"} <= per_item
+            "parse_ratio"} <= per_item
     importing = sorted(
         name for name in per_item
         if any(isinstance(node, (ast.Import, ast.ImportFrom))
@@ -357,6 +357,90 @@ def test_tango_command_does_not_load_the_lattice():
     assert "svlab.lattice" not in loaded
     # a text report of flags reads no document and no rational
     assert loaded & {"json", "fractions", "decimal"} == set()
+
+
+def test_machine_tango_of_flags_loads_no_json(capsys):
+    # the machine report quotes a value of printable ASCII itself
+    argv = ["tango", "--family", "artinschreier", "--p", "3", "--h", "4",
+            "--format", "machine"]
+    assert main(argv) == 0
+    assert ' curve="y^' in capsys.readouterr().out
+    loaded = _imported("-m", "svlab", *argv)
+    assert "svlab.cli.report" in loaded
+    assert "json" not in loaded
+
+
+# the rational arithmetic of the standard library: fractions loads the
+# other two
+_RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
+
+
+def _klt_forest(forest):
+    """A klt document: "wide", 40 roots of three original branches each,
+    every coefficient text unreduced; or "mixed", exceptional branches
+    of every sign, nested children and a not-klt verdict."""
+    if forest == "wide":
+        branches, clusters = [], []
+        for r in range(40):
+            ids = [f"r{r}x{i}" for i in range(3)]
+            branches += [{"id": bid, "coefficient": f"{2 * i}/{2 * i + 6}"}
+                         for i, bid in enumerate(ids)]
+            clusters.append({"branches": ids})
+    else:
+        branches = [
+            {"id": "a", "coefficient": "1/2"},
+            {"id": "b", "coefficient": "2/3"},
+            {"id": "c", "coefficient": "0"},
+            {"id": "d", "coefficient": "-3/4", "kind": "exceptional"},
+            {"id": "e", "coefficient": "3/2", "kind": "exceptional"},
+        ]
+        clusters = [
+            {"branches": ["a", "b", "c", "d"], "children": [
+                {"branches": ["a", "b"], "children": [
+                    {"branches": ["a", "b"]},
+                ]},
+                {"branches": ["c", "d"]},
+            ]},
+            {"branches": ["c", "e"]},
+        ]
+    return {"format": "svlab/1", "request": "klt",
+            "arrangement": {"branches": branches, "clusters": clusters}}
+
+
+@pytest.mark.parametrize("fmt", ("text", "machine"))
+@pytest.mark.parametrize("forest", ("wide", "mixed"))
+def test_klt_command_loads_no_rational_arithmetic(forest, fmt, tmp_path,
+                                                  capsys):
+    # every coefficient and every printed ratio stays an integer pair
+    argv = ["klt", "--in", _write(tmp_path / "k.json", _klt_forest(forest)),
+            "--format", fmt]
+    main(argv)
+    out = capsys.readouterr().out
+    assert out.count("blowup") == (40 if forest == "wide" else 5)
+    assert ("min_discrepancy" in out) is (forest == "mixed")
+    loaded = _imported("-m", "svlab", *argv)
+    assert "svlab.kltcalc" in loaded
+    assert loaded & _RATIONAL_MODULES == set()
+
+
+@pytest.mark.parametrize("fmt", ("text", "machine"))
+def test_sweep_command_loads_no_rational_arithmetic(fmt, tmp_path, capsys):
+    # a box with certified entries and with entries whose polarization
+    # is violated or unknown, so every verdict of the kernel is met
+    argv = ["sweep", "--in", _write(tmp_path / "s.json", {
+        "format": "svlab/1",
+        "request": "sweep",
+        "model": {"p": 3, "genus": 4, "e": -2},
+        "box": {"a": [-1, 4], "b": [-12, 20]},
+        "boundary_coefficient": "2/4",
+    }), "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    for seen in ("PASS", "violated", "unknown"):
+        assert seen in out
+    loaded = _imported("-m", "svlab", *argv)
+    assert "svlab.chiproduct" in loaded
+    assert loaded & _RATIONAL_MODULES == set()
 
 
 def test_classify_command_does_not_load_the_fibered_layer(tmp_path):
