@@ -2,7 +2,9 @@
 
 A family travels as its kind, its p, and its h where its class has one:
 in a tango, construct or package document, or as the family flags.
-Verify reuses ``_package_lines``, a package's check lines, from here.
+Verify reuses ``_package_lines``, a package's check lines, from here;
+they print each coefficient pair of the package and each class through
+``svlab.ratio.ratio_text``, so no line builds a ``fractions.Fraction``.
 Only tango, construct and verify load this module, and it imports each
 layer where it uses it, so tango loads no lattice and construct without
 --emit no ``cli/package``.  The handlers call the readers through
@@ -140,6 +142,7 @@ def cmd_tango(args) -> Report:
 
 def _package_lines(pkg) -> tuple:
     from ..lattice import format_class
+    from ..ratio import ratio_text
 
     verification = main.verify_package(pkg)
     head = [
@@ -150,7 +153,7 @@ def _package_lines(pkg) -> tuple:
         ("e", pkg.model.invariant_e),
     ]
     boundary = " + ".join(
-        f"{q}*({format_class(cls)})" for cls, q in pkg.boundary
+        f"{ratio_text(*q)}*({format_class(cls)})" for cls, q in pkg.boundary
     )
     classes = [
         ("D", format_class(pkg.divisor)),
@@ -159,10 +162,14 @@ def _package_lines(pkg) -> tuple:
         ("B", boundary),
     ]
     if pkg.base_twist_degree is not None:
-        classes.append(("twist_degree", pkg.base_twist_degree))
+        classes.append(
+            ("twist_degree", ratio_text(*pkg.base_twist_degree))
+        )
     if pkg.member_class is not None:
         classes.append(("member", format_class(pkg.member_class)))
-        classes.append(("member_coefficient", pkg.member_coefficient))
+        classes.append(
+            ("member_coefficient", ratio_text(*pkg.member_coefficient))
+        )
     if pkg.shifted_divisor is not None:
         classes.append(("shifted", format_class(pkg.shifted_divisor)))
     lines = [

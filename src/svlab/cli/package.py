@@ -9,6 +9,12 @@ rebinds, and the surface through ``construct.build_surface``.  A
 family edited to another p, g or n moves the surface under the stored
 classes, and the check lines that read them fail.
 
+Every rational of a package is a reduced ``(numerator, positive
+denominator)`` int pair: the reader keeps the pairs that
+``cli/rational`` reads, and the writer prints each one, and each class
+coefficient from the class's numerators over its denominator, through
+``svlab.ratio.ratio_text``, so neither builds a ``fractions.Fraction``.
+
 Both commands build the package layer anyway, so this module imports
 it at its top.  ``svlab.cli.schema`` binds ``package_to_document``,
 ``package_from_document`` and ``dumps_canonical`` lazily, and the
@@ -19,10 +25,10 @@ construct's ``_package_lines``, from ``cli/family``.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from ..construct import KINDS, CounterexamplePackage, build_surface
 from ..lattice import DivisorClass
+from ..ratio import ratio_text
 from . import schema
 from .family import _family, _package_lines, family_document
 from .rational import (
@@ -30,7 +36,7 @@ from .rational import (
     _boundary_on,
     _class_on,
     _coeffs,
-    parse_rational,
+    parse_ratio,
 )
 from .report import FORMAT_VERSION, Report
 from .schema import (
@@ -44,12 +50,12 @@ from .schema import (
 )
 
 
-def fmt_rational(q) -> str:
-    return str(Fraction(q))
+def fmt_rational(q: tuple[int, int]) -> str:
+    return ratio_text(*q)
 
 
 def _class_doc(cls: DivisorClass) -> list:
-    return [fmt_rational(c) for c in cls.coeffs]
+    return [ratio_text(num, cls.den) for num in cls.nums]
 
 
 def _boundary_doc(boundary) -> list:
@@ -61,7 +67,7 @@ def _boundary_doc(boundary) -> list:
 # once the model is built.
 _CLASS = (_coeffs, _class_doc, _class_on)
 _MAYBE_CLASS = (_nullable(_coeffs), _nullable(_class_doc), _class_on)
-_MAYBE_RATIONAL = (_nullable(parse_rational), _nullable(fmt_rational), None)
+_MAYBE_RATIONAL = (_nullable(parse_ratio), _nullable(fmt_rational), None)
 
 # CounterexamplePackage's fields after its kind, certificate and model,
 # in order: (reader, writer, builder on the model or None)

@@ -3,17 +3,17 @@ from them.
 
 A rational travels as a "num/den" string (or a bare integer string) of
 ASCII digits; a decimal literal is refused outright.  ``parse_ratio``
-reads one as its reduced numerator and positive denominator, which is
-all the klt and sweep readers keep.  ``parse_rational`` returns it as a
-``fractions.Fraction``, ``_coeffs`` a class's coefficients and
-``_boundary_entry`` one boundary entry; ``_class_on`` and
+reads one as its reduced numerator and positive denominator, and every
+reader keeps that pair: ``_coeffs`` reads a class's coefficients and
+``_boundary_entry`` one boundary entry, and ``_class_on`` and
 ``_boundary_on`` put what they read on a model once it is built.
 
 Only the readers that take rationals import this module: those of
 classify, klt, sweep and verify, and the package writer behind
-``construct --emit``.  It imports ``fractions`` only when
-``parse_rational`` runs, so a klt or sweep request loads none, and a
-tango request does not load this module at all.
+``construct --emit``.  It imports neither ``fractions`` nor the
+lattice, so a klt request loads neither; the classify reader turns its
+boundary coefficients into ``Fraction``s itself.  A tango request does
+not load this module at all.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from typing import TYPE_CHECKING
 from .schema import SchemaError, _list_of, _object
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from ..lattice import DivisorClass, RuledModel
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
@@ -48,13 +46,7 @@ def parse_ratio(value) -> tuple[int, int]:
     return num // common, den // common
 
 
-def parse_rational(value) -> Fraction:
-    from fractions import Fraction
-
-    return Fraction(*parse_ratio(value))
-
-
-_coeffs = _list_of(parse_rational)
+_coeffs = _list_of(parse_ratio)
 
 
 def _class_on(model: RuledModel, coeffs, where) -> DivisorClass:
@@ -63,10 +55,10 @@ def _class_on(model: RuledModel, coeffs, where) -> DivisorClass:
             f"{where}: expected {model.rank} coefficients,"
             f" got {len(coeffs)}"
         )
-    return model.divisor(*coeffs)
+    return model.class_of(coeffs)
 
 
-_BOUNDARY_ENTRY = {"class": _coeffs, "coefficient": parse_rational}
+_BOUNDARY_ENTRY = {"class": _coeffs, "coefficient": parse_ratio}
 
 
 def _boundary_entry(value):
@@ -74,7 +66,7 @@ def _boundary_entry(value):
 
 
 def _boundary_on(model: RuledModel, entries, where) -> tuple:
-    """The (class, coefficient) pairs of parsed boundary entries."""
+    """The (class, coefficient pair) pairs of parsed boundary entries."""
     return tuple(
         (_class_on(model, entry["class"], where), entry["coefficient"])
         for entry in entries

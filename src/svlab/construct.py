@@ -17,17 +17,22 @@ arithmetic facts from the classes.  Three flavours are covered:
 Everything here is class arithmetic over Q; no sheaf is ever computed.
 The one genuinely cohomological claim (the h1 lower bound) is reduced
 to a bookkeeping chain of line-bundle degrees whose final term is 0.
+
+Every rational is held as integers.  A boundary coefficient, the base twist
+degree and the member coefficient are reduced ``(numerator, positive
+denominator)`` int pairs, the classes are ``DivisorClass``es, which keep
+integer numerators over one denominator, and an intersection number is
+read as a numerator over a positive denominator from
+``DivisorClass._pairing``.  A comparison cross-multiplies, and a
+witness prints each ratio through ``svlab.ratio.ratio_text``.  chi(D)
+comes from ``riemann_roch_chi``, an int for an integral D, so a package
+is built and verified without a ``fractions.Fraction``; only a D that
+fails ``divisor-integral`` can have a chi that is one.
 """
 
-from fractions import Fraction
+from math import gcd
 
 from .charpcurve.families import ASSERTED, TangoCertificate
-from .kltcalc import (
-    ClusterArrangement,
-    ClusterNode,
-    WeightedBranch,
-    is_klt,
-)
 from .lattice import (
     CERTIFIED,
     DivisorClass,
@@ -40,6 +45,7 @@ from .lattice import (
     format_class,
     riemann_roch_chi,
 )
+from .ratio import ratio_text
 from .record import record
 
 KIND_KV = "kv"
@@ -71,25 +77,28 @@ class CounterexamplePackage:
     canonical section (E.C' = 0, C'.F = p).  ``boundary`` carries the
     fractional coefficients; ``member_class`` is the extra boundary
     branch used by the p >= 5 semipositivity data.  ``h_class`` is the
-    polarization D - K - B.
+    polarization D - K - B.  Each boundary coefficient, the base twist
+    degree and the member coefficient is a reduced ``(numerator,
+    denominator)`` int pair with a positive denominator.
 
     Each optional field is set exactly where ``build_package`` sets it
     and ``verify_package`` reads it: ``base_twist_degree`` on kollar,
     ``shifted_divisor`` on semipos, and the member class and coefficient
     together on semipos with p >= 5.  A kollar boundary has its two
-    branches.  Any other shape raises ``PackageError`` naming the field.
+    branches.  Any other shape, or a ratio that is no such pair, raises
+    ``PackageError`` naming the field.
     """
 
     kind: str
     certificate: TangoCertificate
     model: RuledModel
     section_curve: DivisorClass
-    boundary: tuple[tuple[DivisorClass, Fraction], ...]
+    boundary: tuple[tuple[DivisorClass, tuple[int, int]], ...]
     divisor: DivisorClass
     h_class: DivisorClass
-    base_twist_degree: Fraction | None = None
+    base_twist_degree: tuple[int, int] | None = None
     member_class: DivisorClass | None = None
-    member_coefficient: Fraction | None = None
+    member_coefficient: tuple[int, int] | None = None
     shifted_divisor: DivisorClass | None = None
 
     def __post_init__(self):
@@ -110,6 +119,22 @@ class CounterexamplePackage:
                 raise PackageError(
                     f"{name}: expected {'a' if wanted else 'no'} value on"
                     f" a {self.kind} package with p = {p}"
+                )
+        # every sign test of verify_package cross-multiplies by the
+        # denominator, so it must be positive
+        for name, value in (
+            *((f"boundary[{i}]", c) for i, (_, c) in enumerate(self.boundary)),
+            ("base_twist_degree", self.base_twist_degree),
+            ("member_coefficient", self.member_coefficient),
+        ):
+            if value is not None and not (
+                type(value) is tuple and len(value) == 2
+                and {type(value[0]), type(value[1])} == {int}
+                and value[1] > 0 and gcd(*value) == 1
+            ):
+                raise PackageError(
+                    f"{name}: expected a reduced (numerator, positive"
+                    f" denominator) int pair, got {value!r}"
                 )
 
     def degree_n(self) -> int:
@@ -164,26 +189,25 @@ def build_surface(cert: TangoCertificate) -> RuledModel:
 
 def _kv_classes(
     model: RuledModel,
-) -> tuple[Fraction, DivisorClass, DivisorClass]:
+) -> tuple[tuple[int, int], DivisorClass, DivisorClass]:
     """Boundary coefficient, D and H of the kv data on ``build_surface``.
 
     For p >= 3 the coefficient is 1/2, D = ((p-3)/2)E + (2g-2+(3-p)n/2)F
     and H = (1/2)E + (n/2)F; for p = 2 it is 2/3, D = (2g-2)F, the
-    canonical pullback from the base, and H = (2/3)E + (n/3)F.
+    canonical pullback from the base, and H = (2/3)E + (n/3)F.  The
+    fractional classes are given as numerators over 2 or 3.
     """
     g, n, p = model.genus, -model.invariant_e, model.characteristic
     if p >= 3:
         return (
-            Fraction(1, 2),
-            model.divisor(
-                Fraction(p - 3, 2), 2 * g - 2 + Fraction((3 - p) * n, 2)
-            ),
-            model.divisor(Fraction(1, 2), Fraction(n, 2)),
+            (1, 2),
+            DivisorClass(model, (p - 3, 4 * g - 4 + (3 - p) * n), 2),
+            DivisorClass(model, (1, n), 2),
         )
     return (
-        Fraction(2, 3),
+        (2, 3),
         model.divisor(0, 2 * g - 2),
-        model.divisor(Fraction(2, 3), Fraction(n, 3)),
+        DivisorClass(model, (2, n), 3),
     )
 
 
@@ -208,11 +232,14 @@ def _kollar_fields(cert, model, c_prime) -> dict:
     coeff, divisor, kv_h = _kv_classes(model)
     if cert.family.p == 2:
         _require_star(cert)
+    # a class is normalised, so the F part of (twist)F over its
+    # denominator is the twist in lowest terms
+    h_class = DivisorClass(model, (0, kv_h.nums[1]), kv_h.den)
     return {
         "boundary": ((model.section_class(), coeff), (c_prime, coeff)),
         "divisor": divisor,
-        "h_class": model.divisor(0, kv_h.b),
-        "base_twist_degree": kv_h.b,
+        "h_class": h_class,
+        "base_twist_degree": (h_class.nums[1], h_class.den),
     }
 
 
@@ -230,16 +257,16 @@ def _semipos_fields(cert, model, c_prime) -> dict:
     if p >= 5:
         coeff, divisor, h_class = _kv_classes(model)
         member = {"member_class": model.divisor(1, n),  # 2H, integral
-                  "member_coefficient": Fraction(1, 2)}
+                  "member_coefficient": (1, 2)}
     elif p == 3:
-        coeff = Fraction(5, 6)
+        coeff = (5, 6)
         divisor = model.divisor(1, 2 * g - 2 - n)
-        h_class = model.divisor(Fraction(1, 2), Fraction(n, 2))
+        h_class = DivisorClass(model, (1, n), 2)
     else:
         _require_star(cert)
-        coeff = Fraction(5, 6)
+        coeff = (5, 6)
         divisor = model.divisor(1, 2 * g - 2 - n // 3)
-        h_class = model.divisor(Fraction(4, 3), Fraction(n, 3))
+        h_class = DivisorClass(model, (4, n), 3)
     return {
         "boundary": ((c_prime, coeff),),
         "divisor": divisor,
@@ -337,7 +364,9 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
 
     This is the one package checker: a built or parsed package carries
     no results, so every verdict is computed here, ending with the
-    euler-characteristic cross-check.
+    euler-characteristic cross-check.  Each intersection number is a
+    numerator over a positive denominator, so a sign test reads the
+    numerator and an equality cross-multiplies.
     """
     model = pkg.model
     g = model.genus
@@ -354,7 +383,7 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
         f" H = {format_class(pkg.h_class)}",
     ))
     if pkg.kind == KIND_KOLLAR:
-        twist = model.divisor(0, pkg.base_twist_degree)
+        twist = model.class_of(((0, 1), pkg.base_twist_degree))
         results.append(CheckResult(
             "base-twist-matches",
             pkg.h_class == twist,
@@ -378,8 +407,9 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
     if pkg.kind == KIND_KOLLAR:
         results.append(CheckResult(
             "base-twist-ample",
-            pkg.base_twist_degree > 0,
-            f"twist degree {pkg.base_twist_degree} > 0 on the base",
+            pkg.base_twist_degree[0] > 0,
+            f"twist degree {ratio_text(*pkg.base_twist_degree)} > 0 on the"
+            " base",
         ))
     else:
         ample = certify_positivity(model, pkg.h_class, strict=True)
@@ -391,23 +421,26 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
 
     results.append(_klt_item(pkg))
     if pkg.member_class is not None:
+        twice_h = pkg.h_class.times(2)
         results.append(CheckResult(
             "boundary-member",
-            (pkg.member_class == 2 * pkg.h_class
-             and pkg.member_class * pkg.member_coefficient == pkg.h_class),
-            f"general member of |{format_class(2 * pkg.h_class)}| joined"
-            f" with coefficient {pkg.member_coefficient}; transversality"
-            " assumed, not derived",
+            (pkg.member_class == twice_h
+             and pkg.member_class.times(*pkg.member_coefficient)
+             == pkg.h_class),
+            f"general member of |{format_class(twice_h)}| joined with"
+            f" coefficient {ratio_text(*pkg.member_coefficient)};"
+            " transversality assumed, not derived",
         ))
 
     c_prime = pkg.section_curve
-    e_dot = model.section_class().dot(c_prime)
-    sq = c_prime.self_intersection()
+    e_dot, e_den = model.section_class()._pairing(c_prime)
+    sq, sq_den = c_prime._pairing(c_prime)
     results.append(CheckResult(
         "section-curve",
         (candidate_curve_constraints(model, c_prime)
-         and sq == -p * p * n and e_dot == 0),
-        f"C'^2 = {sq} = -p^2 n, E.C' = {e_dot}, constraints hold",
+         and sq == -p * p * n * sq_den and e_dot == 0),
+        f"C'^2 = {ratio_text(sq, sq_den)} = -p^2 n,"
+        f" E.C' = {ratio_text(e_dot, e_den)}, constraints hold",
     ))
     if 2 * (g - 1) == p * n:
         pa = adjunction_pa(model, c_prime)
@@ -418,11 +451,12 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
         ))
 
     if pkg.kind == KIND_KV:
-        h2_pairing = (k - pkg.divisor).dot(pkg.h_class)
+        h2_pairing, h2_den = (k - pkg.divisor)._pairing(pkg.h_class)
         results.append(CheckResult(
             "h2-vanishing",
             h2_pairing < 0,
-            f"(K - D).H = {h2_pairing} < 0 kills top cohomology",
+            f"(K - D).H = {ratio_text(h2_pairing, h2_den)} < 0 kills top"
+            " cohomology",
         ))
         audit = h1_lower_bound_audit(pkg)
         results.append(CheckResult(
@@ -436,27 +470,29 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
 
     if pkg.kind == KIND_SEMIPOS:
         expected_shift = pkg.divisor - model.divisor(0, 2 * g - 2)
-        fiber_deg = pkg.shifted_divisor.dot(model.fiber_class())
+        fiber_deg, fiber_den = pkg.shifted_divisor._pairing(
+            model.fiber_class()
+        )
         results.append(CheckResult(
             "shifted-degrees",
             pkg.shifted_divisor == expected_shift and fiber_deg >= 0,
             f"D' = D - ({2 * g - 2})F ="
             f" {format_class(pkg.shifted_divisor)},"
-            f" fiber degree {fiber_deg} >= 0",
+            f" fiber degree {ratio_text(fiber_deg, fiber_den)} >= 0",
         ))
-        value = pkg.shifted_divisor.dot(c_prime)
+        value, den = pkg.shifted_divisor._pairing(c_prime)
         if p >= 5:
-            expected = Fraction((3 - p) * p * n, 2)
+            expected, expected_den = (3 - p) * p * n, 2
         elif p == 3:
-            expected = Fraction(-3 * n)
+            expected, expected_den = -3 * n, 1
         else:
-            expected = Fraction(-2 * n, 3)
+            expected, expected_den = -2 * n, 3
         results.append(CheckResult(
             "shifted-not-nef",
-            value < 0 and value == expected,
-            f"D'.C' = {value} < 0 against a certified curve class;"
-            " the pushforward cannot be semipositive (surjectivity"
-            " onto the fiberwise quotient taken as given)",
+            value < 0 and value * expected_den == expected * den,
+            f"D'.C' = {ratio_text(value, den)} < 0 against a certified"
+            " curve class; the pushforward cannot be semipositive"
+            " (surjectivity onto the fiberwise quotient taken as given)",
         ))
 
     chi = riemann_roch_chi(model, pkg.divisor)
@@ -470,36 +506,39 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
 
 
 def _klt_item(pkg: CounterexamplePackage) -> CheckResult:
-    # a klt boundary has every coefficient in [0, 1)
-    ids = [f"b{idx}" for idx in range(len(pkg.boundary))]
+    """Whether the boundary, with the member on semipos at p >= 5, is klt.
+
+    Every package boundary is a set of smooth branches that meet
+    transversally: a kollar boundary's two branches are disjoint when
+    E.C' = 0, which is computed here, and the member meets the
+    multisection transversally, which is assumed.  Such a pair is klt
+    exactly when every coefficient is below 1 (Kollar-Mori, Birational
+    Geometry of Algebraic Varieties, 1998, Cor. 2.31), so the line tests
+    each coefficient against [0, 1) and walks no cluster forest.
+    """
     coeffs = [coeff for _, coeff in pkg.boundary]
     if pkg.member_class is not None:
-        ids.append("member")
         coeffs.append(pkg.member_coefficient)
-    for c in coeffs:
-        if not 0 <= c < 1:
-            return CheckResult("boundary-klt", False,
-                               f"coefficient {c} is outside [0, 1)")
-    clusters: tuple[ClusterNode, ...] = ()
+    for num, den in coeffs:
+        if not 0 <= num < den:
+            return CheckResult(
+                "boundary-klt", False,
+                f"coefficient {ratio_text(num, den)} is outside [0, 1)",
+            )
     note = "smooth branches"
     if pkg.kind == KIND_KOLLAR:
-        meets = pkg.boundary[0][0].dot(pkg.boundary[1][0])
+        meets, den = pkg.boundary[0][0]._pairing(pkg.boundary[1][0])
         if meets != 0:
             return CheckResult(
                 "boundary-klt", False,
-                f"branches are not disjoint: E.C' = {meets}",
+                f"branches are not disjoint: E.C' = {ratio_text(meets, den)}",
             )
         note = "disjoint smooth branches, E.C' = 0"
     if pkg.member_class is not None:
-        # one representative transverse meeting; they are all alike
-        clusters = (ClusterNode(("b0", "member")),)
         note = "member meets the multisection transversally (assumed)"
-    arr = ClusterArrangement(tuple(
-        WeightedBranch(bid, c.numerator, c.denominator)
-        for bid, c in zip(ids, coeffs)
-    ), clusters)
     return CheckResult(
         "boundary-klt",
-        is_klt(arr)[0],
-        f"{note}; coefficients {', '.join(map(str, coeffs))} all below 1",
+        True,
+        f"{note}; coefficients"
+        f" {', '.join(ratio_text(*c) for c in coeffs)} all below 1",
     )

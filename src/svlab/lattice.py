@@ -37,12 +37,16 @@ with p_a(C) >= g.
 
 Everything is exact and no floating point appears anywhere.  A class
 is kept as integer numerators over one positive denominator, so sums,
-pairings and the positivity rules run on ints, and a note prints its
-value from integers through ``svlab.ratio.ratio_text``.  A
-``fractions.Fraction`` is built, and ``fractions`` imported, only where
-a coefficient or an intersection number leaves the module, in the
-accessors that return one, so the sweep, which reads none, loads no
-``fractions``.
+pairings and the positivity rules run on ints, and a note or
+``format_class`` prints a value from integers through
+``svlab.ratio.ratio_text``.  ``RuledModel.class_of`` builds a class from
+``(numerator, denominator)`` pairs, ``boundary_sum`` takes its
+coefficients as such pairs, and ``_pairing`` and ``riemann_roch_nums``
+give an intersection number and chi as a numerator over a positive
+denominator.  A ``fractions.Fraction`` is built, and ``fractions``
+imported, only where a coefficient or an intersection number leaves the
+module, in the accessors that return one, so the sweep and the package
+layer, which read none, load no ``fractions``.
 """
 
 from __future__ import annotations
@@ -141,16 +145,24 @@ class RuledModel:
     def divisor(self, *coeffs: Rational) -> "DivisorClass":
         """The class with these coefficients, zero-padded to the rank.
         Each coefficient is an int or a Fraction."""
-        padding = self.rank - len(coeffs)
-        if padding < 0:
-            raise LatticeError("too many coefficients for this model")
         try:
-            den = lcm(*(c.denominator for c in coeffs))
-            nums = [c.numerator * (den // c.denominator) for c in coeffs]
+            ratios = [(c.numerator, c.denominator) for c in coeffs]
         except AttributeError:
             raise LatticeError(
                 "coefficients must be exact rationals"
             ) from None
+        return self.class_of(ratios)
+
+    def class_of(self, ratios) -> "DivisorClass":
+        """The class whose coefficients are the ``(numerator,
+        denominator)`` int pairs ``ratios``, each denominator nonzero,
+        zero-padded to the rank: their numerators over the least common
+        denominator."""
+        padding = self.rank - len(ratios)
+        if padding < 0:
+            raise LatticeError("too many coefficients for this model")
+        den = lcm(*(d for _, d in ratios))
+        nums = [n * (den // d) for n, d in ratios]
         return DivisorClass(self, tuple(nums + [0] * padding), den)
 
     def zero_class(self) -> "DivisorClass":
@@ -322,6 +334,10 @@ class DivisorClass:
             num, den = factor.numerator, factor.denominator
         except AttributeError:
             raise LatticeError("a factor must be an exact rational") from None
+        return self.times(num, den)
+
+    def times(self, num: int, den: int = 1) -> "DivisorClass":
+        """The class times ``num / den``, two ints with ``den != 0``."""
         return DivisorClass(
             self.model, tuple(num * x for x in self.nums), den * self.den
         )
@@ -331,24 +347,28 @@ class DivisorClass:
 
 
 def format_class(cls: DivisorClass) -> str:
-    """The class as a signed sum over the basis names E, F, e0, e1, ..."""
-    names = ["E", "F"] + [f"e{i}" for i in range(len(cls.coeffs) - 2)]
+    """The class as a signed sum over the basis names E, F, e0, e1, ...;
+    each coefficient other than 1 prints from its numerator over the
+    class's denominator through ``ratio_text``, as "(9/2)F"."""
+    den = cls.den
+    names = ["E", "F"] + [f"e{i}" for i in range(len(cls.nums) - 2)]
     parts = []
-    for c, name in zip(cls.coeffs, names):
-        if c == 0:
+    for num, name in zip(cls.nums, names):
+        if num == 0:
             continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        body = name if mag == 1 else f"({mag}){name}"
+        sign = "-" if num < 0 else ("+" if parts else "")
+        mag = abs(num)
+        body = name if mag == den else f"({ratio_text(mag, den)}){name}"
         parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
     return " ".join(parts) if parts else "0"
 
 
 def boundary_sum(model: RuledModel, boundary) -> DivisorClass:
-    """B = sum of c C over the (class C, coefficient c) pairs."""
+    """B = sum of c C over the (class C, coefficient c) pairs, each c a
+    ``(numerator, denominator)`` int pair."""
     total = model.zero_class()
-    for cls, c in boundary:
-        total = total + cls.scaled(c)
+    for cls, (num, den) in boundary:
+        total = total + cls.times(num, den)
     return total
 
 
@@ -361,15 +381,15 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> Fraction:
     return d1.dot(d2)
 
 
-def adjunction_pa(model: RuledModel, c: DivisorClass) -> Fraction:
-    """Arithmetic genus 1 + C.(C+K)/2 of an integral class."""
+def adjunction_pa(model: RuledModel, c: DivisorClass) -> int:
+    """Arithmetic genus 1 + C.(C+K)/2 of an integral class, an int:
+    C and K are integral, and C.(C+K) = C.(C-K) + 2C.K is even (see
+    ``riemann_roch_nums``)."""
     _check_on(model, c)
     if not c.is_integral():
         raise LatticeError("adjunction needs an integral class")
-    from fractions import Fraction
-
-    total, den = c._pairing(c + model.canonical_class())
-    return Fraction(total + 2 * den, 2 * den)
+    total, _ = c._pairing(c + model.canonical_class())  # over 1
+    return 1 + total // 2
 
 
 def riemann_roch_nums(model: RuledModel, nums, den: int) -> tuple[int, int]:
@@ -387,13 +407,18 @@ def riemann_roch_nums(model: RuledModel, nums, den: int) -> tuple[int, int]:
     return total + over * model.chi_structure, over
 
 
-def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Fraction:
+def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Rational:
     """chi(D) = D.(D-K)/2 + chi(O) of a class on ``model``, through
-    ``riemann_roch_nums``."""
+    ``riemann_roch_nums``: an int when it is an integer, as it is for
+    every integral D, and otherwise a Fraction, the one case that
+    imports ``fractions``."""
+    _check_on(model, d)
+    num, den = riemann_roch_nums(model, d.nums, d.den)
+    if num % den == 0:
+        return num // den
     from fractions import Fraction
 
-    _check_on(model, d)
-    return Fraction(*riemann_roch_nums(model, d.nums, d.den))
+    return Fraction(num, den)
 
 
 def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:

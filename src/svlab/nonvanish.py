@@ -213,7 +213,9 @@ class Scenario:
         return self.model.characteristic
 
     def boundary_class(self) -> DivisorClass:
-        return boundary_sum(self.model, self.boundary)
+        return boundary_sum(self.model, [
+            (cls, (c.numerator, c.denominator)) for cls, c in self.boundary
+        ])
 
 
 def nu(d: DivisorClass) -> int:
@@ -345,7 +347,7 @@ def case_b_decide(s: Scenario, f: Facts) -> Verdict:
         GUARANTEED_M1,
         {
             "rule": RULE_EULER_POSITIVE,
-            "chi": oracle,
+            "chi": chi,
             "h2": "(K-D).H < 0",
         },
     )

@@ -193,13 +193,13 @@ def test_criterion_3_counterexample_grid():
             recomputed = (
                 pkg.divisor - pkg.model.canonical_class()
                 - sum(
-                    (cls * q for cls, q in pkg.boundary),
+                    (cls * Fraction(*q) for cls, q in pkg.boundary),
                     pkg.model.zero_class(),
                 )
             )
             assert recomputed == pkg.h_class
             for _, q in pkg.boundary:
-                assert 0 < q < 1
+                assert 0 < Fraction(*q) < 1
             if kind == KIND_KV:
                 assert certify_positivity(
                     pkg.model, pkg.divisor

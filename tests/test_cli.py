@@ -57,6 +57,7 @@ from svlab.lattice import (
     riemann_roch_nums,
 )
 from svlab.nonvanish import certify_chi_product
+from svlab.ratio import ratio_text
 
 cli_main = importlib.import_module("svlab.cli.main")
 
@@ -1666,6 +1667,82 @@ class TestRoundTrip:
         assert code == 0
         (valid,) = checks(out, "package-valid")
         assert valid["status"] == "PASS"
+
+
+def _rational_edits(text):
+    """Texts of another value than the rational ``text``: its numerator
+    plus and minus one, and over the next denominator when it is not 0
+    ("0/2" would still read 0)."""
+    num, den = rational.parse_ratio(text)
+    edits = [ratio_text(num + 1, den), ratio_text(num - 1, den)]
+    if num:
+        edits.append(ratio_text(num, den + 1))
+    return edits
+
+
+def _leaf_edits(package):
+    """``(path, value)`` for every edit of one leaf of a package
+    document that changes the value the leaf holds: each rational by
+    ``_rational_edits``, each kind to each other kind, and p and h by
+    one each way.  A null leaf holds no value and is left alone."""
+    for key, held in package.items():
+        if key == "kind":
+            yield from (((key,), k) for k in KINDS if k != held)
+        elif key == "family":
+            for name, value in held.items():
+                if name == "kind":
+                    yield from (((key, name), k) for k in schema.FAMILY_KINDS
+                                if k != value)
+                else:
+                    yield from (((key, name), value + d) for d in (1, -1))
+        elif type(held) is str:
+            yield from (((key,), v) for v in _rational_edits(held))
+        elif key == "boundary":
+            for i, entry in enumerate(held):
+                for j, c in enumerate(entry["class"]):
+                    yield from (((key, i, "class", j), v)
+                                for v in _rational_edits(c))
+                yield from (((key, i, "coefficient"), v)
+                            for v in _rational_edits(entry["coefficient"]))
+        elif held is not None:
+            for j, c in enumerate(held):
+                yield from (((key, j), v) for v in _rational_edits(c))
+
+
+class TestLeafPerturbation:
+    # Every number in an emitted package must matter to verify: one
+    # ladder family drawn by the seed for each of p = 2, p = 3 and
+    # p >= 5, every kind that builds on it, and every value-changing
+    # edit of one leaf of its document.
+    SEED = 38
+
+    def test_every_leaf_edit_fails_verify(self, tmp_path, capsys):
+        rng = random.Random(self.SEED)
+        families = [
+            rng.choice([f for f in LADDER if test(f[1])])
+            for test in (lambda p: p == 2, lambda p: p == 3,
+                         lambda p: p >= 5)
+        ]
+        edits = {}
+        for family in families:
+            cert = certify_tango(schema.family_from_fields(*family))
+            for kind in KINDS:
+                doc = schema.package_to_document(build_package(kind, cert))
+                for path, value in _leaf_edits(doc["package"]):
+                    edited = json.loads(json.dumps(doc))
+                    leaf = edited["package"]
+                    for step in path[:-1]:
+                        leaf = leaf[step]
+                    leaf[path[-1]] = value
+                    # a fresh file each time: rewriting one in place can
+                    # wait on a flush to disk
+                    edits[family, kind, path, value] = write_doc(
+                        tmp_path, f"edit{len(edits)}.json", edited
+                    )
+        assert {kind for _, kind, _, _ in edits} == set(KINDS)
+        for edit, path in edits.items():
+            code, _, _ = run(capsys, "verify", "--in", path)
+            assert code in (1, 2), edit
 
 
 class TestSweep:

@@ -6,6 +6,8 @@ characteristics come from the Riemann-Roch oracle.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -32,6 +34,14 @@ from svlab.construct import (
     disjoint_multisection,
     h1_lower_bound_audit,
     verify_package,
+)
+from svlab.kltcalc import (
+    EXCEPTIONAL,
+    ORIGINAL,
+    ClusterArrangement,
+    ClusterNode,
+    WeightedBranch,
+    is_klt,
 )
 from svlab.lattice import riemann_roch_chi
 
@@ -114,6 +124,30 @@ class TestAdmission:
         with pytest.raises(PackageError, match="kind"):
             build_package("banana", cert_of(Hyperelliptic(3, 3)))
 
+    @pytest.mark.parametrize("ratio", (
+        Fraction(1, 2), (2, 4), (1, -2), (-1, -2), (1, 0), (True, 2),
+        (1, 2, 1), [1, 2], 1,
+    ))
+    @pytest.mark.parametrize("field", (
+        "boundary[1]", "base_twist_degree", "member_coefficient",
+    ))
+    def test_a_ratio_is_a_reduced_int_pair(self, field, ratio):
+        # every sign test of the checker reads a numerator over a
+        # positive denominator
+        kind = KIND_SEMIPOS if field == "member_coefficient" else KIND_KOLLAR
+        pkg = build_package(kind, cert_of(Hyperelliptic(5, 3)))
+        if field == "boundary[1]":
+            change = {"boundary": (pkg.boundary[0],
+                                   (pkg.boundary[1][0], ratio))}
+        else:
+            change = {field: ratio}
+        with pytest.raises(PackageError) as refused:
+            _bent(pkg, **change)
+        assert str(refused.value) == (
+            f"{field}: expected a reduced (numerator, positive denominator)"
+            f" int pair, got {ratio!r}"
+        )
+
 
 class TestKV:
     def test_half_boundary_data(self):
@@ -121,7 +155,7 @@ class TestKV:
         m = pkg.model
         assert pkg.divisor == m.divisor(0, 6)
         assert pkg.h_class == m.divisor(Fraction(1, 2), 1)
-        assert pkg.boundary == ((m.divisor(3, -6), Fraction(1, 2)),)
+        assert pkg.boundary == ((m.divisor(3, -6), (1, 2)),)
         assert riemann_roch_chi(m, pkg.divisor) == 3
         assert verify_package(pkg).valid
 
@@ -155,7 +189,7 @@ class TestKV:
         m = pkg.model
         assert pkg.divisor == m.divisor(0, 6)
         assert pkg.h_class == m.divisor(Fraction(2, 3), 1)
-        assert pkg.boundary[0][1] == Fraction(2, 3)
+        assert pkg.boundary[0][1] == (2, 3)
         assert riemann_roch_chi(m, pkg.divisor) == 3
         assert verify_package(pkg).valid
 
@@ -173,7 +207,7 @@ class TestKV:
             m = pkg.model
             total = m.zero_class()
             for cls, coeff in pkg.boundary:
-                total = total + cls * coeff
+                total = total + cls * Fraction(*coeff)
             assert pkg.divisor - m.canonical_class() - total == pkg.h_class
 
     def test_h2_pairing_frozen(self):
@@ -188,11 +222,11 @@ class TestKollar:
         pkg = build_package(KIND_KOLLAR, cert_of(Hyperelliptic(3, 3)))
         m = pkg.model
         assert pkg.boundary == (
-            (m.section_class(), Fraction(1, 2)),
-            (m.divisor(3, -6), Fraction(1, 2)),
+            (m.section_class(), (1, 2)),
+            (m.divisor(3, -6), (1, 2)),
         )
         assert pkg.divisor == m.divisor(0, 6)
-        assert pkg.base_twist_degree == 1
+        assert pkg.base_twist_degree == (1, 1)
         assert pkg.h_class == m.fiber_class()
         assert verify_package(pkg).valid
         assert "disjoint" in item(pkg, "boundary-klt").witness
@@ -210,8 +244,8 @@ class TestKollar:
 
     def test_char_two_coefficients(self):
         pkg = build_package(KIND_KOLLAR, cert_of(ArtinSchreier(2, 5)))
-        assert pkg.boundary[0][1] == Fraction(2, 3)
-        assert pkg.base_twist_degree == 1
+        assert pkg.boundary[0][1] == (2, 3)
+        assert pkg.base_twist_degree == (1, 1)
         assert pkg.divisor == pkg.model.divisor(0, 6)
         assert verify_package(pkg).valid
 
@@ -221,9 +255,9 @@ class TestKollar:
 
     def test_twist_degree_follows_n(self):
         pkg = build_package(KIND_KOLLAR, cert_of(ArtinSchreier(3, 3)))
-        assert pkg.base_twist_degree == 2
+        assert pkg.base_twist_degree == (2, 1)
         pkg28 = build_package(KIND_KOLLAR, cert_of(ArtinSchreier(2, 8)))
-        assert pkg28.base_twist_degree == 2
+        assert pkg28.base_twist_degree == (2, 1)
 
     def test_checklist_names_stable(self):
         pkg = build_package(KIND_KOLLAR, cert_of(Hyperelliptic(3, 3)))
@@ -254,7 +288,7 @@ class TestSemipos:
         assert pkg.divisor == kv.divisor
         assert pkg.h_class == kv.h_class
         assert pkg.member_class == m.divisor(1, 2)
-        assert pkg.member_coefficient == Fraction(1, 2)
+        assert pkg.member_coefficient == (1, 2)
         assert pkg.shifted_divisor == m.divisor(1, -2)
         assert pkg.shifted_divisor.dot(pkg.section_curve) == -10
         assert verify_package(pkg).valid
@@ -262,7 +296,7 @@ class TestSemipos:
     def test_p_three_data(self):
         pkg = build_package(KIND_SEMIPOS, cert_of(Hyperelliptic(3, 3)))
         m = pkg.model
-        assert pkg.boundary == ((m.divisor(3, -6), Fraction(5, 6)),)
+        assert pkg.boundary == ((m.divisor(3, -6), (5, 6)),)
         assert pkg.divisor == m.divisor(1, 4)
         assert pkg.h_class == m.divisor(Fraction(1, 2), 1)
         assert pkg.shifted_divisor == m.divisor(1, -2)
@@ -439,8 +473,63 @@ class TestGridInvariants:
     def test_boundary_coefficients_fractional(self):
         for _, pkg in self.all_packages():
             for _, coeff in pkg.boundary:
-                assert 0 < coeff < 1
+                assert 0 < Fraction(*coeff) < 1
 
     def test_every_package_chi_positive(self):
         for _, pkg in self.all_packages():
             assert riemann_roch_chi(pkg.model, pkg.divisor) > 0
+
+
+# coefficients in [0, 3/2] over denominators 1 to 4: 0, (d - 1)/d, 1 and
+# values above 1
+KLT_COEFFICIENTS = sorted({
+    (num // gcd(num, den), den // gcd(num, den))
+    for den in range(1, 5) for num in range(0, 3 * den // 2 + 1)
+})
+
+
+def klt_oracle(pkg):
+    """``is_klt`` on the arrangement that the boundary-klt line resolved
+    while it walked a cluster forest: a branch b0, b1, ... per boundary
+    entry, the member as one more, and the member's one transverse
+    meeting with b0 as a cluster.  A coefficient outside [0, 1) is
+    declared on an exceptional branch, which the walk reads at any
+    value; its verdict is then not klt."""
+    coeffs = [coeff for _, coeff in pkg.boundary]
+    ids = [f"b{i}" for i in range(len(coeffs))]
+    clusters = ()
+    if pkg.member_class is not None:
+        ids.append("member")
+        coeffs.append(pkg.member_coefficient)
+        clusters = (ClusterNode(("b0", "member")),)
+    return is_klt(ClusterArrangement(tuple(
+        WeightedBranch(bid, num, den,
+                       ORIGINAL if 0 <= num < den else EXCEPTIONAL)
+        for bid, (num, den) in zip(ids, coeffs)
+    ), clusters))[0]
+
+
+class TestKltLine:
+    def test_status_is_the_cluster_walk_verdict(self):
+        seen = set()
+        for fam in (Hyperelliptic(3, 3), Hyperelliptic(5, 3),
+                    ArtinSchreier(2, 5)):
+            for kind in KINDS:
+                pkg = build_package(kind, cert_of(fam))
+                slots = len(pkg.boundary) + (pkg.member_class is not None)
+                for coeffs in product(KLT_COEFFICIENTS, repeat=slots):
+                    boundary = tuple(
+                        (cls, c) for (cls, _), c in zip(pkg.boundary, coeffs)
+                    )
+                    member = coeffs[len(boundary):]
+                    bent = _bent(
+                        pkg, boundary=boundary,
+                        member_coefficient=member[0] if member else None,
+                    )
+                    status = item(bent, "boundary-klt").passed
+                    assert status == klt_oracle(bent), (fam, kind, coeffs)
+                    seen.add((kind, slots, status))
+        assert seen == {(kind, slots, status)
+                        for kind, slots in (("kv", 1), ("kollar", 2),
+                                            ("semipos", 1), ("semipos", 2))
+                        for status in (True, False)}

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from svlab.chiproduct import ChiProduct
 from svlab.cli.main import cmd_klt
-from svlab.cli.rational import _RATIONAL, parse_ratio, parse_rational
+from svlab.cli.rational import _RATIONAL, parse_ratio
 from svlab.cli.report import _quoted
 from svlab.cli.schema import SchemaError, _at
 from svlab.cli.sweep import (
@@ -551,14 +551,7 @@ def test_klt_trace_matches_fractions(tmp_path_factory, arr):
     )
 
 
-# -- parse_rational -----------------------------------------------------------
-
-@SETTINGS
-@given(st.from_regex(_RATIONAL, fullmatch=True))
-def test_parse_rational_accepts_what_the_pattern_accepts(value):
-    parsed = parse_rational(value)
-    assert parsed == Fraction(value) and type(parsed) is Fraction
-
+# -- parse_ratio --------------------------------------------------------------
 
 @SETTINGS
 @given(st.from_regex(_RATIONAL, fullmatch=True))
@@ -573,9 +566,9 @@ def test_parse_ratio_is_the_reduced_pair(value):
     st.text().filter(lambda s: not _RATIONAL.fullmatch(s)),
     st.integers(), st.floats(), st.none(), st.lists(st.text(), max_size=2),
 ))
-def test_parse_rational_refuses_the_rest(value):
+def test_parse_ratio_refuses_the_rest(value):
     with pytest.raises(SchemaError) as refused:
-        _at("x", parse_rational, value)
+        _at("x", parse_ratio, value)
     assert str(refused.value) == (
         f"x: expected an exact rational like \"3\" or \"-9/2\","
         f" got {value!r}"

@@ -227,6 +227,101 @@ def test_construct_and_verify_report_bytes(tmp_path, capsys, fmt):
     assert _digest(out) == DIGESTS[f"verify-kv:{fmt}"]
 
 
+# Every other kind on p = 2 (ArtinSchreier 2 5, 3 | n), p = 3
+# (Hyperelliptic 3 3) and p >= 5 (Hyperelliptic 5 3, with its member
+# branch): the lines that print a twist degree, a member coefficient or a
+# fractional class.  The digests were taken while the package data was
+# still held as ``Fraction``s.  Each case keys its construct and verify
+# reports, text then machine, and its emitted package.
+PACKAGE_FAMILIES = {
+    "as25": ["artinschreier", "2", "5"],
+    "h33": ["hyperelliptic", "3", "3"],
+    "h53": ["hyperelliptic", "5", "3"],
+}
+
+PACKAGE_DIGESTS = {
+    "kv-as25": (
+        "8bf639702a8e95acf802cf68ebcd007ebbf36d6dfb15554c8f3d21ca0d1ff237",
+        "5d86c81c20db9fa5510a897fdd06616bb3022be45cbfdaa7fab5a19466cd65ff",
+        "9bb6e1cae34e89d94953e694c2d17ba14b2bea485be786585e63904be7c3872a",
+        "6e6d3ff5085b00140220c6d4c6bba57e77913585a52799b1ace2622b90cd807f",
+        "c40cd07c4146d98f243e2d573aea2c5aef7a985c752ef4288f0e7e3a5db8fd20",
+    ),
+    "kv-h53": (
+        "bc9e50c970b307f3a2bfdcb953f4534318a45bcec2954503bcfc09bfbdd6d135",
+        "6403eaca263a9115f6c9939d5af853c2a5a14107a453cde5e0078c654e0d3f0c",
+        "2c1369a21e344110990f8d6fadcd271dba8e7ae29c6c32131c2e59f613159f7e",
+        "e0eace86c490401f7ada4f22f4e9ebb468233244cdbb1fd16123983bbb317309",
+        "cd0719f7f41ba86002598005f9bf8d8ceefddf9a5f1b48afffea9f4aa3f97558",
+    ),
+    "kollar-as25": (
+        "53968cb7fc27d08ca250e5d5ff4ba089433d1da5cda84e927787a0cc1ec7c909",
+        "81305f5902797faa483899024b403aceff34495ce371b14f573ad202fafe8095",
+        "2cf80d811bbee2e3bd11a1965a3f6ebe200713d37415c35ebcc3ee4d187524c4",
+        "9164c703e5f8fcbab2d32506e51d113a2fbd3d5a483c75a1e6fbf8b19fe5acd2",
+        "be285d06625df0507582f1071b47d547e7df30223226eef516a88705776f89d8",
+    ),
+    "kollar-h33": (
+        "4311a93c76c3ad2d1b74113cc633a86f806d72fc15c0a759364702b4e3677fd7",
+        "ec07d7f1ae8793fa03f6ba6e060bc540f06678894de2d669a4f3ef66f302485b",
+        "74959bd1915175b8126a0ce50da3bc424acee89b0cf95192f40c61f1c606300b",
+        "8be2fdced29261aee7d32f279ee220d0603eea94dc35d2a39229e2b9dd24868e",
+        "c9dab8271036542271b0a97994c112d8b8a7c68f03a7a6d7ae4f0304d06b1b58",
+    ),
+    "kollar-h53": (
+        "0de144316b6aa514c17ada886d2b6c1003e8bb49423a1d51444dda8ecb978084",
+        "3af692125f41ae938576be55abd0810c40af5a16fa522273166e456fa7800034",
+        "4cb3907e7cecdc94fd7fc1bba124909367f063c7ac9a102dc8233d2a5477e252",
+        "87b9293c3826582b8089e6a9cfbb2e54c4e94671b34d1531bdae79ff0cb3db4c",
+        "660545b399f25b71cf59e843b6237b07585cb60d40d832762cf8d04fcf7f5497",
+    ),
+    "semipos-as25": (
+        "2d427be0c3c891c2fd21193631394491c036abcfc403806d14dc08accdeffddf",
+        "be0273f28c4ac31866819ee5d4be4c8a6d78b7e9ed519bcf6a7ac232855c1222",
+        "2d07f413fa7b1b920342e2806ddd508c1f98c216cf469ad1a3391c27da739ce4",
+        "4a19bf800c33dded85064db487c44948f806ed8abdc2162b54f05dc048b0a62d",
+        "97191a91487e9d5ffd9e5135439a1c6cc6c48fe35658811967e3d2068603bbb0",
+    ),
+    "semipos-h33": (
+        "9634a769635dadfdd971a2dbd4167fbcd25203171f502bb233ac82f61cb4690e",
+        "08d72d75919806bbb730ba0ec2ba23796fcf1f6163b5556cde482484100bcc28",
+        "785f74c03366a8771570e785eaf18bebe2c8857deaae2337a227b1c969e9f6ca",
+        "26c8a28b6a9a0e25273e6be1a8bab54fe39188337fbcbd61e0bba8c960e4e210",
+        "1f9dbaf8713a0c975ac99dbcfdc35755c40fdd484360950a3cb5ff5ed2ab177a",
+    ),
+    "semipos-h53": (
+        "88064a57e6bf9028c4d6418aefae68d2286448f81d6ea773e06b147dc5ecf0cb",
+        "9bdd601a6e8327fbb10fe4d3fae6d100f5bf89ee2701ba572faa1d58b79d70da",
+        "fcccb7ce96257b628b160ff09c1f7efda44275dda2b67d16ef99418377a8bec9",
+        "5e1a378411a43ed6a503f0d5a791729715056c0d04b8c672e636bfd0ce6983a1",
+        "474b2e1245c4fdc9a05c342df8015ab66802d04e9f07dde809c6fc9e9dc70737",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("case", sorted(PACKAGE_DIGESTS))
+def test_package_report_bytes(tmp_path, capsys, case, fmt):
+    kind, family = case.split("-")
+    name, p, h = PACKAGE_FAMILIES[family]
+    construct_text, construct_machine, package_digest, verify_text, \
+        verify_machine = PACKAGE_DIGESTS[case]
+    text = fmt == "text"
+    package = tmp_path / "package.json"
+    code, out = _report(capsys, [
+        "construct", "--kind", kind, "--family", name, "--p", p, "--h", h,
+        "--format", fmt, "--emit", str(package),
+    ])
+    assert code == 0
+    assert _digest(out) == (construct_text if text else construct_machine)
+    assert _digest(package.read_text(encoding="utf-8")) == package_digest
+    code, out = _report(
+        capsys, ["verify", "--in", str(package), "--format", fmt]
+    )
+    assert code == 0
+    assert _digest(out) == (verify_text if text else verify_machine)
+
+
 # -- refusal bytes ------------------------------------------------------------
 #
 # Each case is an argv and the request document behind its ``{doc}``

@@ -443,6 +443,22 @@ def test_sweep_command_loads_no_rational_arithmetic(fmt, tmp_path, capsys):
     assert loaded & _RATIONAL_MODULES == set()
 
 
+@pytest.mark.parametrize("fmt", ("text", "machine"))
+@pytest.mark.parametrize("kind", ("kv", "kollar", "semipos"))
+def test_package_commands_load_no_rational_arithmetic(kind, fmt, tmp_path):
+    # a p >= 5 family, where semipos joins its member branch: construct
+    # with and without --emit, then verify of what it emitted, each carry
+    # every coefficient as an integer pair and decide klt without a walk
+    emitted = str(tmp_path / "package.json")
+    construct = ["construct", "--kind", kind, "--family", "hyperelliptic",
+                 "--p", "5", "--h", "3", "--format", fmt]
+    for argv in (construct, construct + ["--emit", emitted],
+                 ["verify", "--in", emitted, "--format", fmt]):
+        loaded = _imported("-m", "svlab", *argv)
+        assert "svlab.construct" in loaded
+        assert loaded & (_RATIONAL_MODULES | {"svlab.kltcalc"}) == set()
+
+
 def test_classify_command_does_not_load_the_fibered_layer(tmp_path):
     doc = tmp_path / "classify.json"
     doc.write_text(json.dumps({
