@@ -11,14 +11,12 @@ builds the certificate from what the check compared.  The exceptions
 the check raises are ``svlab.lattice``'s.
 
 The check runs on integers: c arrives as an int numerator over a
-positive int denominator, and a refusal prints its ratios through
-``svlab.ratio.ratio_text``.  Only the ``c`` property builds a
-``fractions.Fraction``, so the sweep loads no ``fractions``.
+positive int denominator, G's coefficients are ints, and a refusal
+prints its ratios through ``svlab.ratio.ratio_text``, so the check
+builds no ``fractions.Fraction`` and the sweep loads no ``fractions``.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from .lattice import (
     InconsistentScenario,
@@ -31,11 +29,6 @@ from .lattice import (
 from .ratio import ratio_text
 from .record import record
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    from .lattice import Rational
-
 
 @record
 class ChiProduct:
@@ -45,23 +38,24 @@ class ChiProduct:
 
     ``model`` is the caller's pure model; g and e are read from it.  c
     is ``c_num / c_den``, an int over a positive int, and x and y are
-    ints or Fractions.  What does not depend on D is settled once, at construction: the
-    preconditions on e, g and c (``refusal``), whether G can be a curve
+    ints; anything else raises LatticeError at construction.  What does
+    not depend on D is settled once, at construction: the preconditions
+    on e, g and c (``refusal``), whether G can be a curve
     (``curve_refusal``; a refusal is an exception type with its
     arguments, or None), and the constants of the inequalities, cleared
-    to integers over the common denominator ``scale``.  ``check(a, b)``
-    takes the integers a, b of an integral D, runs the checks that
-    depend on D, raising the refusals at their place in the order of
-    checks, and returns chi(D) as an int, which is all a sweep entry
-    reads, then what the certificate of case C_M reports.  Nothing
-    mutates the record, so one instance serves a whole sweep.
+    to integers over ``c_den``.  ``check(a, b)`` takes the integers a, b
+    of an integral D, runs the checks that depend on D, raising the
+    refusals at their place in the order of checks, and returns chi(D)
+    as an int, which is all a sweep entry reads, then what the
+    certificate of case C_M reports.  Nothing mutates the record, so one
+    instance serves a whole sweep.
     """
 
     model: RuledModel
     c_num: int
     c_den: int
-    x: Rational
-    y: Rational
+    x: int
+    y: int
 
     def __post_init__(self) -> None:
         model = self.model
@@ -74,6 +68,8 @@ class ChiProduct:
                 "the boundary coefficient takes an int numerator over a"
                 " positive int denominator"
             )
+        if type(x) is not int or type(y) is not int:
+            raise LatticeError("the negative curve takes int coefficients")
         refusal = curve_refusal = None
         if e >= 0:
             refusal = (PreconditionError,
@@ -96,13 +92,10 @@ class ChiProduct:
                         f"{x}E + {y}F cannot be a curve on this model",
                     ))
         # D - K - cG = (a + 2 - cx)E + (b + kf)F with kf = 2 - 2g + e - cy;
-        # cx and kf are kept times ``scale``
-        xd, yd = x.denominator, y.denominator
-        scale = cd * xd * yd
+        # cx and kf are kept times ``c_den``
         for name, value in (
             ("refusal", refusal), ("curve_refusal", curve_refusal),
-            ("scale", scale), ("cx", cn * x.numerator * yd),
-            ("kf", (2 - 2 * g + e) * scale - cn * y.numerator * xd),
+            ("cx", cn * x), ("kf", (2 - 2 * g + e) * cd - cn * y),
         ):
             object.__setattr__(self, name, value)
 
@@ -111,7 +104,7 @@ class ChiProduct:
         ampleness inequalities of H = D - K - cG, and agreement with the
         generic Riemann-Roch oracle.  Returns chi(D), the int on which
         the product and the oracle agree, then, for the certificate, the
-        two ampleness values times ``scale`` and s = 2b - ae.  The slack
+        two ampleness values times ``c_den`` and s = 2b - ae.  The slack
         chain and chi > 0 follow: 2H_b > H_a e is s > 4(g-1) + c(2y - xe),
         a curve G meets a branch 2y - xe >= c' of ``model.curve_cone``,
         each c' >= 2(1-g) for g >= 1, so s > 2(2-c)(g-1) > 2(g-1) for
@@ -119,21 +112,22 @@ class ChiProduct:
         a >= 0.
 
         The oracle's numerator and denominator are compared with the
-        product as integers, and a disagreement prints both from them.  Twice the product is even (a + 1 and s = 2b - ae
-        are not both odd), so agreement makes chi(D) an int."""
+        product as integers, and a disagreement prints both from them.
+        Twice the product is even (a + 1 and s = 2b - ae are not both
+        odd), so agreement makes chi(D) an int."""
         if self.refusal is not None:
             kind, args = self.refusal
             raise kind(*args)
-        model, scale = self.model, self.scale
+        model, cd = self.model, self.c_den
         g, e = model.genus, model.invariant_e
         if a < 0 or 2 * b < a * e:
             raise PreconditionError("the divisor is not nef")
         if self.curve_refusal is not None:
             kind, args = self.curve_refusal
             raise kind(*args)
-        # both sides scaled by ``scale``
-        ample_e = (a + 2) * scale - self.cx
-        ample_f = b * scale + self.kf
+        # both sides scaled by ``c_den``
+        ample_e = (a + 2) * cd - self.cx
+        ample_f = b * cd + self.kf
         if not (ample_e > 0 and 2 * ample_f > ample_e * e):
             raise PreconditionError(
                 "the polarization fails its ampleness inequalities"
@@ -147,10 +141,3 @@ class ChiProduct:
                 f" {ratio_text(num, den)}"
             )
         return chi // 2, ample_e, ample_f, slope
-
-    @property
-    def c(self) -> Fraction:
-        """The boundary coefficient."""
-        from fractions import Fraction
-
-        return Fraction(self.c_num, self.c_den)

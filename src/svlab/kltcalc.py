@@ -11,21 +11,16 @@ All coefficients are exact rationals, kept as integers.  A declared
 branch holds its coefficient as an int numerator over a positive int
 denominator, the walk puts the declared ones over their least common
 denominator and carries integer numerators, and a blow-up record keeps
-the reduced numerator of its sum and one positive denominator.  A
-``fractions.Fraction`` is built, and ``fractions`` imported, only when
-a branch's or a record's value is read as one, through a property that
-returns it.
+the reduced numerator of its sum and one positive denominator.  Those
+integers are all that a branch or a record exposes: the module builds
+no ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import TYPE_CHECKING
 
 from .record import record
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 ORIGINAL = "original"
 EXCEPTIONAL = "exceptional"
@@ -63,12 +58,6 @@ class WeightedBranch:
             raise ArrangementError(
                 f"original branch {self.id!r} needs coefficient in [0, 1)"
             )
-
-    @property
-    def coefficient(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.numerator, self.denominator)
 
 
 @record
@@ -116,19 +105,6 @@ class BlowupRecord:
     node: str
     numerator: int
     denominator: int
-
-    @property
-    def sigma(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.numerator, self.denominator)
-
-    @property
-    def coefficient(self) -> Fraction:
-        """The exceptional curve's coefficient: sigma - 1."""
-        from fractions import Fraction
-
-        return Fraction(self.numerator - self.denominator, self.denominator)
 
 
 @record

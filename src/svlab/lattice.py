@@ -43,10 +43,11 @@ pairings and the positivity rules run on ints, and a note or
 ``(numerator, denominator)`` pairs, ``boundary_sum`` takes its
 coefficients as such pairs, and ``_pairing`` and ``riemann_roch_nums``
 give an intersection number and chi as a numerator over a positive
-denominator.  A ``fractions.Fraction`` is built, and ``fractions``
-imported, only where a coefficient or an intersection number leaves the
-module, in the accessors that return one, so the sweep and the package
-layer, which read none, load no ``fractions``.
+denominator.  A class's coefficients leave the module only as those
+integers.  A ``fractions.Fraction`` is built, and ``fractions``
+imported, only where an intersection number or a non-integral chi
+leaves it, through ``dot`` and ``riemann_roch_chi``, so the sweep and
+the package layer, which read neither, load no ``fractions``.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ class RuledModel:
     @cached_property
     def _canonical(self) -> "DivisorClass":
         k = len(self.exceptionals)
-        cs: list[Rational] = [0] * k
+        cs: list[int] = [0] * k
         for i, pt in enumerate(self.exceptionals):
             cs[i] = 1 + sum(cs[j] for j in pt)
         return self.divisor(
@@ -237,8 +238,8 @@ _INT_ONLY = {int}
 @record
 class DivisorClass:
     """A rational class in the model's basis: the coefficients are
-    ``nums[i] / den``.  ``a`` and ``b`` are the E and F coefficients;
-    exceptional coefficients follow.  The numerators and the denominator
+    ``nums[i] / den``.  ``nums`` starts with the E and F numerators;
+    exceptional ones follow.  The numerators and the denominator
     must be plain ints (``model.divisor`` takes Fractions); anything
     else raises LatticeError.
 
@@ -271,24 +272,6 @@ class DivisorClass:
                 self, "nums", tuple(n // common for n in self.nums)
             )
             object.__setattr__(self, "den", den // common)
-
-    @cached_property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        from fractions import Fraction
-
-        return tuple(Fraction(n, self.den) for n in self.nums)
-
-    @property
-    def a(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.nums[0], self.den)
-
-    @property
-    def b(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.nums[1], self.den)
 
     def is_integral(self) -> bool:
         return self.den == 1

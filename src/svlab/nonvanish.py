@@ -26,7 +26,6 @@ never reaches C_M does not load it.  The scenario exceptions are
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 from typing import TYPE_CHECKING
 
 from .lattice import (
@@ -428,7 +427,7 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
     from .chiproduct import ChiProduct
 
     (g_cls, c) = s.negative_boundary[0]
-    product = ChiProduct(model, c.numerator, c.denominator, g_cls.a, g_cls.b)
+    product = ChiProduct(model, c.numerator, c.denominator, *g_cls.nums)
     return certify_chi_product(product, *s.divisor.nums)
 
 
@@ -436,7 +435,8 @@ def certify_chi_product(product: ChiProduct, a: int, b: int) -> Verdict:
     """``product.check(a, b)``, with what it compared as the certificate
     of case C_M."""
     chi, ample_e, ample_f, slope = product.check(a, b)
-    scale, g = product.scale, product.model.genus
+    cd, g = product.c_den, product.model.genus
+    c = Fraction(product.c_num, cd)
     return Verdict(
         CASE_C_M,
         GUARANTEED_M1,
@@ -444,20 +444,20 @@ def certify_chi_product(product: ChiProduct, a: int, b: int) -> Verdict:
             "rule": RULE_CHI_PRODUCT,
             "chi": Fraction(chi),
             "ample_inequalities": (
-                Fraction(ample_e, scale), Fraction(ample_f, scale),
+                Fraction(ample_e, cd), Fraction(ample_f, cd),
             ),
             "slack_chain": (
-                Fraction(slope, 2), (2 - product.c) * (g - 1),
+                Fraction(slope, 2), (2 - c) * (g - 1),
                 Fraction(g - 1),
             ),
             "negative_component": (product.x, product.y),
-            "coefficient": product.c,
+            "coefficient": c,
         },
     )
 
 
 def doubling_bound(
-    a: Rational, d_squared: Rational, d_dot_hb: Rational
+    a: int | Fraction, d_squared: int | Fraction, d_dot_hb: int | Fraction
 ) -> Fraction:
     """Lower bound for chi(2D) at fiber degree a:
     ((2a+1)/2a) * ((1 - 1/a) D^2 + D.(H+B))."""

@@ -105,10 +105,10 @@ class TestGram:
                 Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
                 for _ in range(m.rank)
             )) for _ in range(2))
-            want = sum(
-                x.coeffs[i] * gram[i][j] * y.coeffs[j]
+            want = Fraction(sum(
+                x.nums[i] * gram[i][j] * y.nums[j]
                 for i in range(m.rank) for j in range(m.rank)
-            )
+            ), x.den * y.den)
             assert x.dot(y) == want
 
     def test_proximity_must_be_earlier(self):
@@ -135,7 +135,7 @@ class TestGram:
 class TestCanonical:
     def test_pure_canonical(self):
         k = MODEL_342.canonical_class()
-        assert k.coeffs == (Fraction(-2), Fraction(8))
+        assert (k.nums, k.den) == ((-2, 8), 1)
         assert k.dot(MODEL_342.fiber_class()) == -2
         assert k.self_intersection() == 8 * (1 - 4)
 
@@ -150,7 +150,7 @@ class TestCanonical:
     def test_proximity_canonical_coefficients(self):
         m = RuledModel(5, 1, 1).blow_up().blow_up([0]).blow_up([0, 1])
         k = m.canonical_class()
-        assert k.coeffs[2:] == (Fraction(1), Fraction(2), Fraction(4))
+        assert (k.nums[2:], k.den) == ((1, 2, 4), 1)
 
     def test_k_dot_strict_exceptional_counts_children(self):
         m = RuledModel(5, 1, 1).blow_up().blow_up([0]).blow_up([0, 1])
@@ -365,7 +365,7 @@ class TestPositivity:
                 y = rng.randrange(-12, 13)
                 c = m.divisor(x, y)
                 if candidate_curve_constraints(m, c):
-                    assert d.dot(c) >= 0, (m, d.coeffs, c.coeffs)
+                    assert d.dot(c) >= 0, (m, d.nums, d.den, c.nums)
 
 
 class TestTransforms:
@@ -374,7 +374,7 @@ class TestTransforms:
         m1 = m0.blow_up()
         d = m0.divisor(3, -6)
         du = pullback_blowup(m1, d)
-        assert du.coeffs[2] == 0
+        assert (du.nums[2], du.den) == (0, 1)
         assert du.self_intersection() == d.self_intersection()
 
     def test_pullback_proximate_point_appends_sum(self):
@@ -382,7 +382,7 @@ class TestTransforms:
         d = m0.divisor(1, 2, -1)
         m1 = m0.blow_up([0])
         du = pullback_blowup(m1, d)
-        assert du.coeffs == (1, 2, -1, -1)
+        assert (du.nums, du.den) == ((1, 2, -1, -1), 1)
         assert du.self_intersection() == d.self_intersection()
 
     def test_pullback_projection_formula(self):
@@ -404,7 +404,7 @@ class TestTransforms:
         ku = pullback_blowup(m1, m0.canonical_class())
         k1 = m1.canonical_class()
         diff = k1 - ku
-        assert diff.coeffs == (0, 0, 1)
+        assert (diff.nums, diff.den) == ((0, 0, 1), 1)
 
 
 class TestModelValidation:

@@ -613,6 +613,14 @@ class TestChiProduct:
                            " positive int denominator"):
             ChiProduct(KV_MODEL, num, den, 3, -6)
 
+    @pytest.mark.parametrize("x, y", (
+        (Fraction(3), -6), (3, Fraction(-6)), (3.0, -6), (True, -6),
+    ))
+    def test_curve_coefficients_are_ints(self, x, y):
+        # refused at construction, so the inequalities run on ints
+        with pytest.raises(LatticeError, match="int coefficients"):
+            ChiProduct(KV_MODEL, 1, 2, x, y)
+
     def test_refusals_keep_their_place_in_the_order(self):
         # G = E - 6F is no curve, but a divisor that is not nef is
         # refused as such first
@@ -1112,7 +1120,7 @@ class TestDecideDigest:
         assert refusals == set(_REFUSALS)
         text = "\n".join(outcome_text(o) for o in outcomes)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "01bcc06ec6f36efda5d874ac765ba3e44c8e5e5df8b8935b30e249be35d3f0bc"
+            "3a26675d1d26b481e8dcc13b33455446ba6e6b3d4c9ff06be75381f85dfb4edf"
         )
 
 
@@ -1128,6 +1136,12 @@ class TestDecideDigest:
 #   other       the rest.
 # Intersection numbers and chi come from a Gram matrix and a canonical
 # class built here, not from the lattice's form or riemann_roch_chi.
+
+
+def _coefficients(cls):
+    """A class's coefficients as Fractions: its numerators over its
+    denominator."""
+    return [Fraction(n, cls.den) for n in cls.nums]
 
 
 def _gram(model):
@@ -1186,14 +1200,15 @@ def census_entry(s, verdict):
     def chi(x):
         return dot(x, [a - b for a, b in zip(x, k)]) / 2 + 1 - g
 
-    d = list(s.divisor.coeffs)
+    d = _coefficients(s.divisor)
     multiples = [d]
     if verdict.result == GUARANTEED_M2:
         multiples.append([2 * x for x in d])
     fiber = [0, 1] + [0] * (n - 2)
     if any(dot(x, fiber) >= -1 and chi(x) > 0 for x in multiples):
         return "chi", ()
-    b = [sum((c * cls.coeffs[i] for cls, c in s.boundary), Fraction(0))
+    boundary = [(c, _coefficients(cls)) for cls, c in s.boundary]
+    b = [sum((c * x[i] for c, x in boundary), Fraction(0))
          for i in range(n)]
     h = [x - y - z for x, y, z in zip(d, k, b)]
     pure = RuledModel(model.characteristic, g, e)
@@ -1265,4 +1280,4 @@ class TestSoundnessCensus:
             g, e = model.genus, model.invariant_e
             k = _solve(gram, [2 * g - 2 + e, -2, *(-2 - gram[i][i]
                                                    for i in range(2, n))])
-            assert tuple(k) == model.canonical_class().coeffs
+            assert k == _coefficients(model.canonical_class())

@@ -58,6 +58,31 @@ def test_no_forbidden_import(forbidden):
     assert found == []
 
 
+def test_fractions_is_imported_by_three_modules_only():
+    # the kernels carry a rational as an int numerator over an int
+    # denominator; a Fraction is built only where a lattice value leaves
+    # as one, for the decision engine and the classify reader.  The walk
+    # sees imports at the top, under TYPE_CHECKING and inside functions
+    found = {"fractions": set(), "numbers": set()}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for name in modules:
+                root = name.split(".")[0]
+                if root in found:
+                    found[root].add(path.relative_to(SRC).as_posix())
+    assert found == {
+        "fractions": {"lattice.py", "nonvanish.py", "cli/scenario.py"},
+        "numbers": set(),
+    }
+
+
 def test_argparse_is_imported_only_inside_a_function():
     # a well-formed command line is read without argparse, which loads
     # only for --help and for a command line the flag reader declines
