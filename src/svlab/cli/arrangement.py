@@ -1,8 +1,9 @@
 """The klt command and its document's reader: weighted branches and a
 cluster forest.
 
-Every branch and cluster item is read through ``_object``, so a
-refusal has the generic reader's text and comes in document order.
+Every branch and cluster item is read through ``_object``, against one
+key table each, so a refusal has the generic reader's text and comes in
+document order.
 Converters take the value alone, and a refusal carries its path: the
 cluster walk puts a node's ``.children[j]`` steps on it from the
 parent indices that it keeps, and only when it refuses.  A document
@@ -32,13 +33,11 @@ from ..ratio import ratio_text
 from . import main, schema
 from .rational import parse_ratio
 from .report import PASS, Report
-from .schema import SchemaError, _at, _list_of, _object, _top, _value
+from .schema import SchemaError, _list_of, _object, _top
 
 # the item readers' key tables; a branch without a kind is ORIGINAL
-_BRANCH = {"id": str, "coefficient": parse_ratio}
-_BRANCH_KIND = {"kind": (str, ORIGINAL)}
-_CLUSTER = {"branches": _list_of(str)}
-_CLUSTER_CHILDREN = {"children": (list, ())}
+_BRANCH = {"id": str, "coefficient": parse_ratio, "kind": (str, ORIGINAL)}
+_CLUSTER = {"branches": _list_of(str), "children": (list, ())}
 _KINDS = (ORIGINAL, EXCEPTIONAL)
 
 
@@ -61,7 +60,7 @@ def _branches(value):
     out = []
     try:
         for item in value:
-            fields = _object(item, table, _BRANCH_KIND)
+            fields = _object(item, table)
             kind = fields["kind"]
             if kind not in _KINDS:
                 raise SchemaError(
@@ -103,7 +102,7 @@ def _clusters(value):
     while stack:
         item, siblings, parent = stack.pop()
         try:
-            fields = _object(item, _CLUSTER, _CLUSTER_CHILDREN)
+            fields = _object(item, _CLUSTER)
         except SchemaError as ex:
             ex.within(*_node_steps(parsed, roots, siblings, parent))
             raise
@@ -122,13 +121,17 @@ def _clusters(value):
     return [nodes[i] for i in roots]
 
 
+_ARRANGEMENT = {"branches": _branches, "clusters": (_clusters, [])}
+
+
+def _arrangement(value):
+    return _object(value, _ARRANGEMENT)
+
+
 def arrangement_from_document(data: dict) -> ClusterArrangement:
-    top = _top(data, "klt", {"arrangement": _value})
-    fields = _at("arrangement", _object, top["arrangement"], {
-        "branches": _branches,
-    }, {
-        "clusters": (_clusters, []),
-    })
+    """The arrangement of a klt document, which ``_top`` reads whole:
+    the branches, then the cluster forest."""
+    fields = _top(data, "klt", {"arrangement": _arrangement})["arrangement"]
     return ClusterArrangement(tuple(fields["branches"]),
                               tuple(fields["clusters"]))
 

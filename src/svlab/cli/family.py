@@ -51,27 +51,29 @@ def family_from_fields(kind: str, p: int, h):
     return family
 
 
-_FAMILY = {"kind": str, "p": schema.characteristic}
-_FAMILY_OPTIONAL = {"h": (schema._nullable(int), None)}
+_FAMILY = {"kind": str, "p": schema.characteristic,
+           "h": (schema._nullable(int), None)}
 
 
 def _family(value):
-    fields = schema._object(value, _FAMILY, _FAMILY_OPTIONAL)
+    fields = schema._object(value, _FAMILY)
     return schema.family_from_fields(fields["kind"], fields["p"], fields["h"])
 
 
 def family_from_document(data: dict):
+    """The family of a tango document, which ``_top`` reads whole."""
     return schema._top(data, "tango", {"family": _family})["family"]
 
 
-_CONSTRUCT = {"kind": str, "family": _family}
-_CONSTRUCT_OPTIONAL = {"allow_asserted": (bool, False)}
+_CONSTRUCT = {"kind": str, "family": _family, "allow_asserted": (bool, False)}
 
 
 def construct_from_document(data: dict):
+    """The kind, family and allow_asserted flag of a construct document,
+    which ``_top`` reads whole."""
     from ..construct import KINDS
 
-    top = schema._top(data, "construct", _CONSTRUCT, _CONSTRUCT_OPTIONAL)
+    top = schema._top(data, "construct", _CONSTRUCT)
     if top["kind"] not in KINDS:
         raise SchemaError(
             f"kind: expected one of {', '.join(KINDS)}, got {top['kind']!r}"

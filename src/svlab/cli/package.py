@@ -39,15 +39,7 @@ from .rational import (
     parse_ratio,
 )
 from .report import FORMAT_VERSION, Report
-from .schema import (
-    SchemaError,
-    _at,
-    _list_of,
-    _nullable,
-    _object,
-    _top,
-    _value,
-)
+from .schema import SchemaError, _list_of, _nullable, _object, _top
 
 
 def fmt_rational(q: tuple[int, int]) -> str:
@@ -83,6 +75,14 @@ _PACKAGE_KEYS = {
 }
 
 
+_PACKAGE = {"kind": str, "family": _family,
+            **{name: spec[0] for name, spec in _PACKAGE_KEYS.items()}}
+
+
+def _package(value):
+    return _object(value, _PACKAGE)
+
+
 def package_to_document(pkg: CounterexamplePackage) -> dict:
     return {
         "format": FORMAT_VERSION,
@@ -97,14 +97,10 @@ def package_to_document(pkg: CounterexamplePackage) -> dict:
 
 
 def package_from_document(data: dict) -> CounterexamplePackage:
-    """The package a document describes: its kind and family, then the
-    certificate and surface of the family, then the class data on that
-    surface, in field order."""
-    top = _top(data, "verify-package", {"package": _value})
-    fields = _at("package", _object, top["package"], {
-        "kind": str, "family": _family,
-        **{name: spec[0] for name, spec in _PACKAGE_KEYS.items()},
-    })
+    """The package of a verify document, which ``_top`` reads whole: its
+    kind and family, then the certificate and surface of the family,
+    then the class data on that surface, in field order."""
+    fields = _top(data, "verify-package", {"package": _package})["package"]
     kind = fields.pop("kind")
     if kind not in KINDS:
         raise SchemaError(

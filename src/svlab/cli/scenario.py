@@ -22,12 +22,10 @@ from .report import PASS, Report
 from .schema import (
     _PURE_MODEL,
     SchemaError,
-    _at,
     _list_of,
     _nullable,
     _object,
     _top,
-    _value,
 )
 
 
@@ -40,7 +38,11 @@ def _kodaira(value):
 
 
 def _model_fields(value):
-    return _object(value, _PURE_MODEL, _MODEL_OPTIONAL)
+    return _object(value, _MODEL)
+
+
+def _scenario(value):
+    return _object(value, _SCENARIO)
 
 
 def _build_model(fields) -> RuledModel:
@@ -51,9 +53,9 @@ def _build_model(fields) -> RuledModel:
 
 
 def scenario_from_document(data: dict) -> Scenario:
-    top = _top(data, "classify", {"scenario": _value})
-    fields = _at("scenario", _object, top["scenario"], _SCENARIO,
-                 _SCENARIO_OPTIONAL)
+    """The scenario of a classify document, which ``_top`` reads whole;
+    the divisor and the boundary are then put on the model it builds."""
+    fields = _top(data, "classify", {"scenario": _scenario})["scenario"]
     model = fields["model"] = _build_model(fields["model"])
     fields["divisor"] = _class_on(model, fields["divisor"],
                                   "scenario.divisor")
@@ -96,11 +98,7 @@ _SCENARIO = {
     "q": int,
     "relatively_minimal": bool,
     "divisor": _coeffs,
-}
-_SCENARIO_OPTIONAL = {
     "boundary": (_list_of(_boundary_entry), []),
     "kappa_minus_k_nonneg": (_nullable(bool), None),
 }
-_MODEL_OPTIONAL = {
-    "exceptionals": (_list_of(_list_of(int)), []),
-}
+_MODEL = {**_PURE_MODEL, "exceptionals": (_list_of(_list_of(int)), [])}

@@ -6,20 +6,24 @@ so a typo never silently changes meaning.  Exact rationals, and the
 classes and boundaries made of them, are read by ``cli/rational``.
 
 ``load_document`` checks the format and the request name, and ``_top``
-is the one envelope check: each request kind's reader passes its
-document through it, which refuses a document of another kind and
-reads format, request and the kind's own top-level keys.
+is the one read of a whole document: each request kind's reader passes
+its document through it, which refuses a document of another kind and
+reads format, request and the kind's own top-level keys, bodies
+included.
 
-Every object of every document is read by ``_object``, against key
-tables that map each key to a converter or to a plain JSON type
-(``str``, ``int``, ``bool``, ``list``, ``dict``).  A plain type is
-tested inline with ``type(value) is T``, so a bool is never an integer.
-A converter takes the value alone and returns what it reads.  Its
+Every object of every document is read by ``_object``, against one key
+table per object that maps each key to a converter or to a plain JSON
+type (``str``, ``int``, ``bool``, ``list``, ``dict``), and each
+optional key to such a reader and its default.  A plain type is tested
+inline with ``type(value) is T``, so a bool is never an integer.  A
+converter takes the value alone and returns what it reads.  Its
 refusal, a ``SchemaError`` raised with an empty path, collects the
-path to the value as it propagates: ``.key`` from ``_object``, ``[i]``
-from ``_list_of``, and the document's root name from ``_at``.  The
-path is formatted only when the refusal is printed, so a document that
-reads cleanly formats none.
+path to the value as it propagates: ``.key`` from ``_object`` and
+``[i]`` from ``_list_of``.  ``_top`` gives every document one path
+rule: a refusal under a top-level key reads from that key, as in
+``model.p`` or ``scenario.model.genus``, and a refusal of the document
+itself reads ``document``.  The path is formatted only when the
+refusal is printed, so a document that reads cleanly formats none.
 
 This module keeps what several document kinds share: the envelope, the
 converters, the caps and the pure model reader.  Each kind's reader is
@@ -91,42 +95,29 @@ _PLAIN = {
 }
 
 
-def _object(data, required: dict, optional: dict = {}) -> dict:
-    """The fields of the JSON object ``data``.  ``required`` maps each
-    key that it must have to its converter or plain type, ``optional``
-    each key that it may have to (converter or plain type, default).
-    A refusal comes in key-table order, after any unknown key."""
+def _object(data, table: dict) -> dict:
+    """The fields of the JSON object ``data``.  ``table`` maps each key
+    that it must have to its converter or plain type, and each key that
+    it may have to a (converter or plain type, default) pair; the
+    required keys come first.  A refusal comes in table order, after
+    any unknown key."""
     if type(data) is not dict:
         raise SchemaError("expected an object", [])
     for key in data:
-        if key not in required and key not in optional:
-            unknown = sorted(
-                k for k in data if k not in required and k not in optional
-            )
+        if key not in table:
+            unknown = sorted(k for k in data if k not in table)
             raise SchemaError(
                 f"unknown keys {unknown}; this schema is strict", [],
             )
-    # the two loops differ only in how an absent key is met
     out = {}
-    for key, convert in required.items():
-        try:
-            value = data[key]
-        except KeyError:
-            raise SchemaError(f"missing key {key!r}", []) from None
-        if type(convert) is type:
-            if type(value) is not convert:
-                raise SchemaError(_PLAIN[convert], ["." + key])
-        else:
-            try:
-                value = convert(value)
-            except SchemaError as ex:
-                ex.within("." + key)
-                raise
-        out[key] = value
-    for key, (convert, default) in optional.items():
-        if key not in data:
-            out[key] = default
-            continue
+    for key, convert in table.items():
+        if type(convert) is tuple:
+            convert, default = convert
+            if key not in data:
+                out[key] = default
+                continue
+        elif key not in data:
+            raise SchemaError(f"missing key {key!r}", [])
         value = data[key]
         if type(convert) is type:
             if type(value) is not convert:
@@ -141,19 +132,14 @@ def _object(data, required: dict, optional: dict = {}) -> dict:
     return out
 
 
-def _at(where: str, convert, value, *tables):
-    """``convert(value, *tables)`` at the root of its refusals' paths:
-    a refusal of it reads ``where`` first."""
+def _at(where: str, convert, value):
+    """``convert(value)`` for a value that no document holds, such as a
+    flag's: a refusal of it reads ``where`` first."""
     try:
-        return convert(value, *tables)
+        return convert(value)
     except SchemaError as ex:
         ex.within(where)
         raise
-
-
-def _value(value):
-    """The value as it stands, for a key whose body is read apart."""
-    return value
 
 
 # Primality is settled by trial division, so the cap keeps a huge p from
@@ -254,16 +240,25 @@ def read_document(path: str | None) -> dict:
         return load_document(fh.read())
 
 
-def _top(data: dict, request: str, keys: dict, optional: dict = {}):
+def _top(data: dict, request: str, keys: dict):
     """The top-level keys of a ``request`` document that
-    ``load_document`` returned: format, request, then ``keys``."""
+    ``load_document`` returned: format, request, then ``keys``, a key
+    table as ``_object`` takes it.  A refusal under a top-level key
+    reads from that key, and a refusal of the document itself reads
+    ``document``."""
     if data["request"] != request:
         raise SchemaError(
             f"document is a {data['request']} request, not {request}"
         )
-    return _at("document", _object, data, {
-        "format": str, "request": str, **keys,
-    }, optional)
+    try:
+        return _object(data, {"format": str, "request": str, **keys})
+    except SchemaError as ex:
+        if ex.path:
+            # the outermost step is ".key"; the path starts at the key
+            ex.path[-1] = ex.path[-1][1:]
+        else:
+            ex.within("document")
+        raise
 
 
 _PURE_MODEL = {"p": characteristic, "genus": int, "e": int}

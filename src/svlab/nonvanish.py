@@ -536,7 +536,7 @@ HYPOTHESES = {
               "a vanishing nef divisor with ample polarization forces"
               " irregularity 0"),
     "chi(O) = 1": (lambda s, f: s.chi_o == 1, InconsistentScenario,
-                   "irregularity 0 with negative Kodaira dimension forces"
+                   "a vanishing nef divisor with ample polarization forces"
                    " chi(O) = 1"),
     "nef(D)": (lambda s, f: f.nef is None or f.nef.status != VIOLATED,
                PreconditionError, "the divisor is not nef: {f.nef.note}"),

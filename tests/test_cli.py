@@ -29,22 +29,12 @@ from hypothesis import strategies as st
 from svlab.charpcurve.families import certify_tango, genus
 from svlab.chiproduct import ChiProduct
 from svlab.cli import rational, schema
-from svlab.cli.arrangement import (
-    _BRANCH,
-    _BRANCH_KIND,
-    _CLUSTER,
-    _CLUSTER_CHILDREN,
-)
-from svlab.cli.family import (
-    _CONSTRUCT,
-    _CONSTRUCT_OPTIONAL,
-    _FAMILY,
-    _FAMILY_OPTIONAL,
-)
+from svlab.cli.arrangement import _BRANCH, _CLUSTER
+from svlab.cli.family import _CONSTRUCT, _FAMILY
 from svlab.cli.main import build_parser, main
-from svlab.cli.package import _PACKAGE_KEYS
+from svlab.cli.package import _PACKAGE, _PACKAGE_KEYS
 from svlab.cli.report import PASS, Report, check, render_machine
-from svlab.cli.scenario import _MODEL_OPTIONAL, _SCENARIO, _SCENARIO_OPTIONAL
+from svlab.cli.scenario import _MODEL, _SCENARIO
 from svlab.cli.sweep import _BOX, _SWEEP, SweepRequest, run_sweep
 from svlab.construct import KINDS, PackageError, build_package
 from svlab.kltcalc import ClusterArrangement, ClusterNode, WeightedBranch
@@ -260,6 +250,105 @@ class TestSchemaRejection:
         )
 
 
+_MISSING = object()
+_NOT_A_RATIONAL = "expected an exact rational like \"3\" or \"-9/2\""
+
+
+def _package_document():
+    cert = certify_tango(schema.family_from_fields("hyperelliptic", 3, 3))
+    return schema.package_to_document(build_package("kv", cert))
+
+
+# per kind: its command, a document it reads, then edits, each a key
+# path into the document, the value put there (_MISSING drops the key)
+# and the refusal.  The first edits sit under a top-level key, a generic
+# refusal first and then, where the kind has one, a hand-written one;
+# the last edit is of the document itself.
+_PATH_RULE = {
+    "classify": ("classify", lambda: KV_SCENARIO, (
+        (("scenario", "model", "genus"), "4",
+         "scenario.model.genus: expected an integer"),
+        (("scenario", "divisor"), ["0", "6", "0"],
+         "scenario.divisor: expected 2 coefficients, got 3"),
+        (("scenario",), _MISSING, "document: missing key 'scenario'"),
+    )),
+    "klt": ("klt", lambda: TRIPLE_DOC, (
+        (("arrangement", "branches", 1, "coefficient"), "0.5",
+         f"arrangement.branches[1].coefficient: {_NOT_A_RATIONAL},"
+         " got '0.5'"),
+        (("arrangement", "branches", 2, "kind"), "other",
+         "arrangement.branches[2].kind: expected 'original' or"
+         " 'exceptional'"),
+        (("extra",), 1,
+         "document: unknown keys ['extra']; this schema is strict"),
+    )),
+    "sweep": ("sweep", lambda: SWEEP_DOC, (
+        (("model", "p"), 2 ** 16,
+         "model.p: expected a characteristic below 65536"),
+        (("model", "e"), 0, "model.e: the sweep runs on e < 0 models"),
+        (("box",), _MISSING, "document: missing key 'box'"),
+    )),
+    "tango": ("tango", lambda: {
+        "format": "svlab/1", "request": "tango",
+        "family": {"kind": "hyperelliptic", "p": 3, "h": 3},
+    }, (
+        (("family", "h"), "3", "family.h: expected an integer"),
+        (("extra",), 1,
+         "document: unknown keys ['extra']; this schema is strict"),
+    )),
+    "construct": ("construct", lambda: {
+        "format": "svlab/1", "request": "construct", "kind": "kv",
+        "family": {"kind": "hyperelliptic", "p": 3, "h": 3},
+    }, (
+        (("allow_asserted",), 1, "allow_asserted: expected true or false"),
+        (("kind",), "other",
+         f"kind: expected one of {', '.join(KINDS)}, got 'other'"),
+        (("family",), _MISSING, "document: missing key 'family'"),
+    )),
+    "verify-package": ("verify", _package_document, (
+        (("package", "family", "p"), True,
+         "package.family.p: expected an integer"),
+        (("package", "kind"), "other",
+         f"package.kind: expected one of {', '.join(KINDS)}"),
+        (("extra",), 1,
+         "document: unknown keys ['extra']; this schema is strict"),
+    )),
+}
+
+
+class TestPathRule:
+    """A refusal's path starts at the top-level key it sits under, a
+    generic refusal's and a hand-written one's alike, and a refusal of
+    the document itself reads ``document``: one document never names a
+    field two ways."""
+
+    def test_every_kind_is_covered(self):
+        assert set(_PATH_RULE) == set(schema.REQUESTS)
+
+    @pytest.mark.parametrize("kind", sorted(_PATH_RULE))
+    def test_refusal_paths(self, kind, tmp_path, capsys):
+        command, document, edits = _PATH_RULE[kind]
+        *under_keys, itself = edits
+        for steps, value, refusal in edits:
+            doc = json.loads(json.dumps(document()))
+            *inner, last = steps
+            target = doc
+            for step in inner:
+                target = target[step]
+            if value is _MISSING:
+                del target[last]
+            else:
+                target[last] = value
+            assert run(
+                capsys, command, "--in", write_doc(tmp_path, "d.json", doc),
+            ) == (2, "", f"error: {refusal}\n")
+        for steps, _, refusal in under_keys:
+            key = steps[0]
+            assert refusal.startswith(key)
+            assert refusal[len(key)] in ".[:"
+        assert itself[2].startswith("document: ")
+
+
 class TestClassify:
     def test_boundary_scenario(self, tmp_path, capsys):
         code, out, _ = run(
@@ -429,13 +518,10 @@ class TestClassify:
 _JUNK = (None, True, 1.5, -1, "x", "1.5", [], {}, [1])
 
 
-def _drawn(rng, required, optional, values):
-    """An object with every key of a reader's tables, each value drawn
+def _drawn(rng, table, values):
+    """An object with every key of a reader's table, each value drawn
     from the first pool of ``values``."""
-    return {
-        key: rng.choice(values[key][0])(rng)
-        for key in (*required, *optional)
-    }
+    return {key: rng.choice(values[key][0])(rng) for key in table}
 
 
 def _fixed(*options):
@@ -477,21 +563,17 @@ def classify_document(rng):
         "coefficient": (_fixed("1/2", "3/4", "1/3"),
                         _fixed("1", "0", "-1/2", "3/2")),
         "kappa_minus_k_nonneg": (_fixed(None, True, False), _fixed(1)),
-        "model": ((lambda rng: _drawn(
-            rng, schema._PURE_MODEL, _MODEL_OPTIONAL, values,
-        ),), _fixed([])),
+        "model": ((lambda rng: _drawn(rng, _MODEL, values),), _fixed([])),
         "boundary": ((lambda rng: [
-            _drawn(rng, rational._BOUNDARY_ENTRY, {}, values)
+            _drawn(rng, rational._BOUNDARY_ENTRY, values)
             for _ in range(rng.randint(0, 2))
         ],), _fixed({})),
     }
-    scenario = _drawn(rng, _SCENARIO, _SCENARIO_OPTIONAL, values)
-    objects = [(scenario, _SCENARIO, _SCENARIO_OPTIONAL)]
+    scenario = _drawn(rng, _SCENARIO, values)
+    objects = [(scenario, _SCENARIO)]
     if isinstance(scenario["model"], dict):
-        objects.append(
-            (scenario["model"], schema._PURE_MODEL, _MODEL_OPTIONAL)
-        )
-    objects += [(entry, rational._BOUNDARY_ENTRY, {})
+        objects.append((scenario["model"], _MODEL))
+    objects += [(entry, rational._BOUNDARY_ENTRY)
                 for entry in scenario.get("boundary", ())]
     _one_fault_or_none(rng, objects, values)
     return {"format": "svlab/1", "request": "classify",
@@ -505,11 +587,11 @@ def _one_fault_or_none(rng, objects, values):
 
 
 def _one_fault(rng, objects, values):
-    """One fault in one of ``objects``, each an (object, required keys,
-    optional keys) triple: a key left out, a junk or odd value, or a key
-    that no table lists."""
-    obj, required, optional = rng.choice(objects)
-    key = rng.choice((*required, *optional))
+    """One fault in one of ``objects``, each an (object, key table)
+    pair: a key left out, a junk or odd value, or a key that no table
+    lists."""
+    obj, table = rng.choice(objects)
+    key = rng.choice((*table,))
     fault = rng.randrange(4)
     if fault == 0:
         obj.pop(key, None)
@@ -551,7 +633,7 @@ def klt_document(rng):
         "branches": (None, _fixed(["b0"], ["b0", "b0"], ["b0", "zz"], [])),
         "children": (None, _fixed([{}], [{"branches": ["b0"]}], "x")),
     }
-    branches = [_drawn(rng, _BRANCH, _BRANCH_KIND, values)
+    branches = [_drawn(rng, _BRANCH, values)
                 for _ in range(rng.randint(1, 5))]
     for i, branch in enumerate(branches):
         branch["id"] = f"b{i}"
@@ -565,11 +647,11 @@ def klt_document(rng):
             i, j = rng.sample(range(len(ids)), 2)
             branches[j]["id"] = ids[i]
         else:
-            objects = [(branch, _BRANCH, _BRANCH_KIND) for branch in branches]
+            objects = [(branch, _BRANCH) for branch in branches]
             stack = list(clusters)
             while stack:
                 node = stack.pop()
-                objects.append((node, _CLUSTER, _CLUSTER_CHILDREN))
+                objects.append((node, _CLUSTER))
                 stack.extend(node.get("children", ()))
             _one_fault(rng, objects, values)
     return {"format": "svlab/1", "request": "klt",
@@ -598,15 +680,15 @@ def sweep_document(rng):
         "b": (_span(-2, 14, 9), _fixed([True, 2], [0, 1.5], [-(10 ** 6), 0])),
         "boundary_coefficient": (_fixed("1/2", "1/3", "3/4", "2/5"),
                                  _fixed("1", "0", "-1/2", "3/2", "0.5")),
-        "model": ((lambda rng: _drawn(rng, schema._PURE_MODEL, {}, values),),
+        "model": ((lambda rng: _drawn(rng, schema._PURE_MODEL, values),),
                   _fixed([], "x")),
-        "box": ((lambda rng: _drawn(rng, _BOX, {}, values),),
+        "box": ((lambda rng: _drawn(rng, _BOX, values),),
                 _fixed([[0, 1], [0, 1]])),
     }
     doc = {"format": "svlab/1", "request": "sweep",
-           **_drawn(rng, _SWEEP, {}, values)}
-    objects = [(doc, _SWEEP, {})]
-    objects += [(doc[key], table, {}) for key, table in (
+           **_drawn(rng, _SWEEP, values)}
+    objects = [(doc, _SWEEP)]
+    objects += [(doc[key], table) for key, table in (
         ("model", schema._PURE_MODEL), ("box", _BOX),
     ) if isinstance(doc[key], dict)]
     _one_fault_or_none(rng, objects, values)
@@ -652,10 +734,10 @@ def _reference_arrangement(data):
     pieces: the reference for the reader's iterative cluster walk and
     the paths it gives each child."""
     def branch(value):
-        fields = schema._object(
-            value, {"id": str, "coefficient": rational.parse_ratio},
-            {"kind": (str, None)},
-        )
+        fields = schema._object(value, {
+            "id": str, "coefficient": rational.parse_ratio,
+            "kind": (str, None),
+        })
         kind = "original" if fields["kind"] is None else fields["kind"]
         if kind not in ("original", "exceptional"):
             raise schema.SchemaError(
@@ -664,22 +746,25 @@ def _reference_arrangement(data):
         return WeightedBranch(fields["id"], *fields["coefficient"], kind)
 
     def cluster(value):
-        fields = schema._object(value, {"branches": schema._list_of(str)},
-                                {"children": (schema._list_of(cluster), ())})
+        fields = schema._object(value, {
+            "branches": schema._list_of(str),
+            "children": (schema._list_of(cluster), ()),
+        })
         return ClusterNode(tuple(fields["branches"]),
                            tuple(fields["children"]))
 
-    top = schema._top(data, "klt", {"arrangement": schema._value})
-    fields = schema._at("arrangement", schema._object, top["arrangement"], {
-        "branches": schema._list_of(branch),
-    }, {
-        "clusters": (schema._list_of(cluster), []),
-    })
+    def arrangement(value):
+        return schema._object(value, {
+            "branches": schema._list_of(branch),
+            "clusters": (schema._list_of(cluster), []),
+        })
+
+    fields = schema._top(data, "klt", {"arrangement": arrangement})[
+        "arrangement"]
     return ClusterArrangement(tuple(fields["branches"]),
                               tuple(fields["clusters"]))
 
 
-_MISSING = object()
 # (key, value) edits of one item; _MISSING drops the key
 _BRANCH_EDITS = (
     ("id", _MISSING), ("id", 3), ("id", None), ("id", ["b0"]), ("id", ""),
@@ -795,9 +880,6 @@ class TestSweepFuzz:
         _exit_code_contract(["sweep", "--in", path])
 
 
-_NOT_A_RATIONAL = "expected an exact rational like \"3\" or \"-9/2\""
-
-
 class TestCoefficientBoundaries:
     """The klt and sweep layers take a coefficient as an int numerator
     over a positive int denominator.  A document cannot give them a
@@ -822,10 +904,8 @@ class TestCoefficientBoundaries:
         ) == (2, "", f"error: {error}\n")
 
     @pytest.mark.parametrize("text, error", (
-        ("1/0", f"document.boundary_coefficient: {_NOT_A_RATIONAL},"
-                " got '1/0'"),
-        ("1/-2", f"document.boundary_coefficient: {_NOT_A_RATIONAL},"
-                 " got '1/-2'"),
+        ("1/0", f"boundary_coefficient: {_NOT_A_RATIONAL}, got '1/0'"),
+        ("1/-2", f"boundary_coefficient: {_NOT_A_RATIONAL}, got '1/-2'"),
         *((text, "boundary_coefficient: expected a value strictly between"
                  " 0 and 1") for text in ("0", "0/3", "2/2", "6/4", "-1/2")),
     ))
@@ -921,22 +1001,23 @@ def family_document_request(rng):
             pkg = build_package("kv", cert, allow_asserted=True)
         doc = schema.package_to_document(pkg)
         package, family = doc["package"], doc["package"]["family"]
-        objects = [(package, ("kind", "family", *_PACKAGE_KEYS), {})]
-        objects += [(entry, rational._BOUNDARY_ENTRY, {})
+        objects = [(package, _PACKAGE)]
+        objects += [(entry, rational._BOUNDARY_ENTRY)
                     for entry in package["boundary"]]
     else:
-        family = _drawn(rng, _FAMILY, _FAMILY_OPTIONAL, {
+        family = _drawn(rng, _FAMILY, {
             **values, "kind": (_fixed(*schema.FAMILY_KINDS),),
         })
         if family["kind"] == "tangoplane" and rng.random() < 0.8:
             del family["h"]
         doc = {"format": "svlab/1", "request": command, "family": family}
-        tables = (("family",), {})
+        table = ("family",)
         if command == "construct":
-            tables = (_CONSTRUCT, _CONSTRUCT_OPTIONAL)
-            doc.update(_drawn(rng, ("kind",), tables[1], values))
-        objects = [(doc, *tables)]
-    objects.append((family, _FAMILY, _FAMILY_OPTIONAL))
+            table = _CONSTRUCT
+            doc.update(_drawn(rng, [k for k in table if k != "family"],
+                              values))
+        objects = [(doc, table)]
+    objects.append((family, _FAMILY))
     _one_fault_or_none(rng, objects, values)
     return [command, "--in"], doc
 
@@ -1022,7 +1103,7 @@ class TestCharacteristicCap:
     def test_sweep_model(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SWEEP_DOC))
         doc["model"]["p"] = self.HUGE
-        self.refused(capsys, "document.model.p", "sweep",
+        self.refused(capsys, "model.p", "sweep",
                      "--in", write_doc(tmp_path, "d.json", doc))
 
     def test_family_document(self, tmp_path, capsys):
@@ -1031,7 +1112,7 @@ class TestCharacteristicCap:
             "request": "tango",
             "family": {"kind": "hyperelliptic", "p": self.HUGE, "h": 3},
         }
-        self.refused(capsys, "document.family.p", "tango",
+        self.refused(capsys, "family.p", "tango",
                      "--in", write_doc(tmp_path, "d.json", doc))
 
     def test_family_flag(self, capsys):

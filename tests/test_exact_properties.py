@@ -32,7 +32,7 @@ from svlab.chiproduct import ChiProduct
 from svlab.cli.main import cmd_klt
 from svlab.cli.rational import _RATIONAL, parse_ratio
 from svlab.cli.report import _quoted
-from svlab.cli.schema import SchemaError, _at
+from svlab.cli.schema import SchemaError, _at, _object
 from svlab.cli.sweep import (
     CERTIFIED_ENTRY,
     DISAGREEMENT,
@@ -579,6 +579,123 @@ def test_parse_ratio_refuses_the_rest(value):
         f"x: expected an exact rational like \"3\" or \"-9/2\","
         f" got {value!r}"
     )
+
+
+# -- the generic object reader ------------------------------------------------
+
+def _even(value):
+    """A converter: an even integer, halved."""
+    if type(value) is not int or value % 2:
+        raise SchemaError("expected an even integer", [])
+    return value // 2
+
+
+def _second(value):
+    """A converter whose refusal may carry a step of its own: the second
+    item, a string, of an array."""
+    if type(value) is not list or len(value) < 2:
+        raise SchemaError("expected two items or more", [])
+    if type(value[1]) is not str:
+        raise SchemaError("expected a string", ["[1]"])
+    return value[1]
+
+
+_PLAIN_REFUSALS = {
+    str: "expected a string", int: "expected an integer",
+    bool: "expected true or false", list: "expected an array",
+    dict: "expected an object",
+}
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("ab", max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
+# per reader, values that it mostly accepts
+_FITTING = {
+    str: st.text("ab", max_size=2), int: st.integers(-3, 3),
+    bool: st.booleans(), list: st.lists(json_values, max_size=2),
+    dict: st.dictionaries(st.text("ab", max_size=2), json_values,
+                          max_size=2),
+    _even: st.integers(-3, 3).map(lambda n: 2 * n),
+    _second: st.lists(st.text("ab", max_size=2) | st.none(), min_size=2,
+                      max_size=3),
+}
+_readers = st.sampled_from(tuple(_FITTING))
+
+
+def reference_object(data, table):
+    """``_object`` written plainly: the unknown keys, then each key of
+    the table in order, a required one refused when it is absent."""
+    if type(data) is not dict:
+        raise SchemaError("expected an object", [])
+    unknown = sorted(set(data) - set(table))
+    if unknown:
+        raise SchemaError(f"unknown keys {unknown}; this schema is strict", [])
+    out = {}
+    for key, spec in table.items():
+        optional = type(spec) is tuple
+        reader = spec[0] if optional else spec
+        if key not in data:
+            if not optional:
+                raise SchemaError(f"missing key {key!r}", [])
+            out[key] = spec[1]
+            continue
+        value = data[key]
+        try:
+            if reader in _PLAIN_REFUSALS:
+                if type(value) is not reader:
+                    raise SchemaError(_PLAIN_REFUSALS[reader], [])
+            else:
+                value = reader(value)
+        except SchemaError as ex:
+            ex.within("." + key)
+            raise
+        out[key] = value
+    return out
+
+
+@st.composite
+def tables_and_objects(draw):
+    """A key table of plain types and converters, some keys optional
+    with a default, and a JSON value to read against it: mostly an
+    object whose values mostly fit, with keys left out and keys that the
+    table does not list."""
+    table = draw(st.dictionaries(
+        st.sampled_from("abcde"),
+        _readers | st.tuples(_readers, json_values), max_size=5,
+    ))
+    # hypothesis leans to small draws, so the first choices are the
+    # common ones
+    if draw(st.integers(0, 9)) == 9:
+        return table, draw(json_values)
+    items = []
+    for key, spec in table.items():
+        reader = spec[0] if type(spec) is tuple else spec
+        fit = draw(st.integers(0, 5))
+        if fit < 5:
+            items.append((key, draw(
+                _FITTING[reader] if fit < 4 else json_values)))
+    if draw(st.integers(0, 4)) == 4:
+        items.append((draw(st.sampled_from("xy")), draw(json_values)))
+    return table, dict(draw(st.permutations(items)))
+
+
+def _reading(reader, data, table):
+    """The fields that ``reader`` reads, in order, or its refusal's text
+    and path."""
+    try:
+        return list(reader(data, table).items())
+    except SchemaError as ex:
+        return str(ex), ex.path
+
+
+@SETTINGS
+@given(tables_and_objects())
+def test_object_matches_the_plain_reader(case):
+    table, data = case
+    assert _reading(_object, data, table) == _reading(
+        reference_object, data, table)
 
 
 # -- the texts of ratios and of report values ---------------------------------

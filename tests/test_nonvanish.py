@@ -335,14 +335,16 @@ class TestCaseA:
 
     def test_chi_o_one_hypothesis_refuses_by_its_message(self):
         # case A's row checks q = 0, which holds, then chi(O) = 1, which
-        # fails: chi(O) = 1 - g = -1 on a genus-2 base
+        # fails: chi(O) = 1 - g = -1 on a genus-2 base.  The refusal
+        # names case A's argument: D = 0 with H = -(K + B) ample makes
+        # -K big, so the surface is rational, whatever kodaira declares
         m = RuledModel(3, 2, -1)
         s = ruled_scenario(m, m.zero_class(), kodaira=0, q=0,
                            relatively_minimal=True)
         with pytest.raises(InconsistentScenario) as ex:
             decide(s)
         assert str(ex.value) == (
-            "irregularity 0 with negative Kodaira dimension forces"
+            "a vanishing nef divisor with ample polarization forces"
             " chi(O) = 1"
         )
         assert str(ex.value) == nonvanish.HYPOTHESES["chi(O) = 1"][2]
@@ -1070,8 +1072,10 @@ def outcome_text(outcome):
 # the refusals decide can raise, each as a pattern of its message; the
 # others are unreachable (CHANGES.md gives the arguments)
 _REFUSALS = (
-    r"InconsistentScenario: a vanishing nef divisor with ample polarization",
-    r"InconsistentScenario: irregularity 0 with negative Kodaira dimension",
+    r"InconsistentScenario: a vanishing nef divisor with ample polarization"
+    r" forces irregularity 0",
+    r"InconsistentScenario: a vanishing nef divisor with ample polarization"
+    r" forces chi\(O\) = 1",
     r"PreconditionError: the polarization fails ampleness: ",
     r"PreconditionError: the divisor is not nef: ",
     r"InconsistentScenario: chi = -?\d+ cannot be nonpositive",
@@ -1120,7 +1124,7 @@ class TestDecideDigest:
         assert refusals == set(_REFUSALS)
         text = "\n".join(outcome_text(o) for o in outcomes)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "3a26675d1d26b481e8dcc13b33455446ba6e6b3d4c9ff06be75381f85dfb4edf"
+            "20fd04c0c38f696fa1c7042ad62921b095ce712e2be8c65acddb0baddc3881ec"
         )
 
 

@@ -549,7 +549,7 @@ REFUSALS = {
         "error: scenario.model: unknown keys ['chi']; this schema is"
         " strict\n",
     "construct:family-p-is-a-bool":
-        "error: document.family.p: expected an integer\n",
+        "error: family.p: expected an integer\n",
     "construct:flags-without-kind": "error: this command needs --kind\n",
     "construct:kind-contradicts-document":
         "error: --kind contradicts the request document\n",
@@ -591,18 +591,18 @@ REFUSALS = {
         "error: not valid JSON: Expecting property name enclosed in double "
         "quotes: line 1 column 2 (char 1)\n",
     "sweep:box-bound-not-an-integer":
-        "error: document.box.b[1]: expected an integer\n",
+        "error: box.b[1]: expected an integer\n",
     "sweep:missing-body":
         "error: document: missing key 'boundary_coefficient'\n",
     "sweep:other-request":
         "error: document is a classify request, not sweep\n",
     "sweep:model-p-over-the-cap":
-        "error: document.model.p: expected a characteristic below 65536\n",
+        "error: model.p: expected a characteristic below 65536\n",
     "sweep:unknown-key":
         "error: document: unknown keys ['extra']; this schema is strict\n",
     "sweep:wrong-format": "error: format: expected 'svlab/1', got 'svlab/0'\n",
     "tango:family-h-not-an-integer":
-        "error: document.family.h: expected an integer\n",
+        "error: family.h: expected an integer\n",
     "tango:family-without-p": "error: family flags need --p\n",
     "tango:in-and-family":
         "error: give either --in or the family flags, not both\n",

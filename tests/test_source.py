@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -129,21 +130,38 @@ def test_package_inits_bind_no_name():
     assert bound == {"__init__.py": ["__version__"]}
 
 
-# names that only the acceptance gates or bench/fiber_worker.py use
+# names that only the acceptance gates or bench/fiber_worker.py use;
+# DivisorClass.scaled is read only as ``__mul__``, which only the tests
+# call
 _NO_PRODUCTION_CALLER = {
     "intersect", "pullback_blowup", "FiberTree.self_degree",
     "RuledModel.exceptional_class", "RuledModel.blow_up",
     "blow_up_on_component", "blow_up_on_edge", "reduce_model",
     "minimality_audit", "contract_component", "FiberTree.neighbors",
+    "DivisorClass.scaled",
 }
+
+
+def _format_attributes(text: str) -> set:
+    """The attribute names that the ``str.format`` replacement fields of
+    ``text`` read, as ``nef`` and ``note`` in ``"{f.nef.note}"``."""
+    try:
+        fields = [field for _, field, _, _ in string.Formatter().parse(text)
+                  if field]
+    except ValueError:  # not a format template
+        return set()
+    return {name for field in fields
+            for name in re.findall(r"\.(\w+)", field)}
 
 
 def test_every_public_name_has_a_production_caller():
     # a public function, class or method of the package must be read
-    # somewhere in the package; an import or an export list entry does
-    # not count.  A method is matched by its bare name, so any attribute
-    # read of that name counts for it.
-    defined, read = set(), set()
+    # somewhere in the package; an import, an export list entry or an
+    # assignment does not count.  A function or class is read by a
+    # loaded name or an attribute read of its name, and a method, which
+    # is matched by its bare name, only by an attribute read or a
+    # ``str.format`` replacement field that reads it.
+    defined, names, attributes = set(), set(), set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in tree.body:
@@ -156,18 +174,23 @@ def test_every_public_name_has_a_production_caller():
                     if isinstance(item, ast.FunctionDef)
                 )
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Constant) and type(node.value) is str:
+                attributes |= _format_attributes(node.value)
     # each command's handler is read by name, from cli/main's table
     from svlab.cli.main import _COMMANDS
 
-    read.update(handler for handler, _, _ in _COMMANDS.values())
+    names.update(handler for handler, _, _ in _COMMANDS.values())
     uncalled = {
         name for name in defined
         if not name.rsplit(".", 1)[-1].startswith("_")
-        and name.rsplit(".", 1)[-1] not in read
+        and name.rsplit(".", 1)[-1] not in (
+            attributes if "." in name else names | attributes
+        )
     }
     assert uncalled == _NO_PRODUCTION_CALLER
 
@@ -212,29 +235,36 @@ def test_per_item_converters_import_nothing():
 
 
 def test_one_document_envelope():
-    # every request kind reads format, request and its top-level keys
-    # through one check in cli/schema, which also refuses a document of
-    # another kind, so cli/main checks no request name itself; the check
-    # is the one ``_object`` read whose refusals' paths start at
-    # "document"
-    cli = SRC / "cli"
-    envelopes = [
-        path.name for path in sorted(cli.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "_at"
-        and len(node.args) > 1 and isinstance(node.args[0], ast.Constant)
-        and node.args[0].value == "document"
-        and getattr(node.args[1], "id", None) == "_object"
-    ]
-    assert envelopes == ["schema.py"]
-    main_tree = ast.parse((cli / "main.py").read_text(encoding="utf-8"))
-    assert [
-        node.lineno for node in ast.walk(main_tree)
-        if isinstance(node, ast.Call) and "require_request" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    # every request kind's reader reads its whole document, format,
+    # request and each top-level key with its body, through one call of
+    # ``_top`` in cli/schema, which also refuses a document of another
+    # kind, so cli/main checks no request name itself.  No reader roots
+    # a path by hand: ``_at`` serves the --p flag alone
+    def called(node):
+        return getattr(node.func, "id", None) or getattr(
+            node.func, "attr", None)
+
+    tops, ats = {}, []
+    for path in sorted((SRC / "cli").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        ats += [(path.name, node.args[0].value) for node in calls
+                if called(node) == "_at"]
+        assert "require_request" not in map(called, calls)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name.endswith("_from_document"):
+                tops[node.name] = sum(
+                    called(call) == "_top" for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                )
+    assert tops == {
+        f"{name}_from_document": 1 for name in (
+            "scenario", "arrangement", "family", "construct", "sweep",
+            "package",
         )
-    ] == []
+    }
+    assert ats == [("family.py", "--p")]
 
 
 def test_decide_walks_one_table_of_hypotheses():
