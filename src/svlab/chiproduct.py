@@ -12,8 +12,7 @@ the check raises are ``svlab.lattice``'s.
 
 The check runs on integers: c arrives as an int numerator over a
 positive int denominator, G's coefficients are ints, and a refusal
-prints its ratios through ``svlab.ratio.ratio_text``, so the check
-builds no ``fractions.Fraction`` and the sweep loads no ``fractions``.
+prints its ratios through ``svlab.ratio.ratio_text``.
 """
 
 from __future__ import annotations

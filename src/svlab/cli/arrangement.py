@@ -9,8 +9,7 @@ cluster walk puts a node's ``.children[j]`` steps on it from the
 parent indices that it keeps, and only when it refuses.  A document
 parses each distinct coefficient text once, to its reduced integer
 pair, and the report prints every ratio from integers through
-``svlab.ratio.ratio_text``, so a klt request builds no ``Fraction``
-and loads no ``fractions``.
+``svlab.ratio.ratio_text``.
 
 Only klt requests load this module, so it imports the kltcalc names
 that its readers build at its top: their loops run once per array item,

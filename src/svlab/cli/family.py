@@ -4,7 +4,9 @@ A family travels as its kind, its p, and its h where its class has one:
 in a tango, construct or package document, or as the family flags.
 Verify reuses ``_package_lines``, a package's check lines, from here;
 they print each coefficient pair of the package and each class through
-``svlab.ratio.ratio_text``, so no line builds a ``fractions.Fraction``.
+``svlab.ratio.ratio_text``.  ``family_from_fields`` refuses without a
+path, as a refusal of the family flags reads, and the document reader
+``_family`` puts the path of the family on each of its refusals.
 Only tango, construct and verify load this module, and it imports each
 layer where it uses it, so tango loads no lattice and construct without
 --emit no ``cli/package``.  The handlers call the readers through
@@ -28,14 +30,11 @@ def _family_classes() -> dict:
 
 
 def family_from_fields(kind: str, p: int, h):
+    """The family of ``kind``, one of ``schema.FAMILY_KINDS``, at p and
+    h; a refusal carries no path."""
     from ..charpcurve.families import genus
 
-    cls = _family_classes().get(kind)
-    if cls is None:
-        raise SchemaError(
-            f"family kind: expected one of {', '.join(schema.FAMILY_KINDS)},"
-            f" got {kind!r}"
-        )
+    cls = _family_classes()[kind]
     if "h" not in cls.__annotations__:
         if h is not None:
             raise SchemaError(f"{kind} takes no h")
@@ -56,8 +55,19 @@ _FAMILY = {"kind": str, "p": schema.characteristic,
 
 
 def _family(value):
+    from ..charpcurve.families import FamilyParameterError
+
     fields = schema._object(value, _FAMILY)
-    return schema.family_from_fields(fields["kind"], fields["p"], fields["h"])
+    kind = fields["kind"]
+    if kind not in schema.FAMILY_KINDS:
+        raise SchemaError(
+            f"expected one of {', '.join(schema.FAMILY_KINDS)}, got {kind!r}",
+            [".kind"],
+        )
+    try:
+        return schema.family_from_fields(kind, fields["p"], fields["h"])
+    except (SchemaError, FamilyParameterError) as ex:
+        raise SchemaError(str(ex), []) from None
 
 
 def family_from_document(data: dict):

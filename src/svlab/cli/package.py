@@ -13,7 +13,7 @@ Every rational of a package is a reduced ``(numerator, positive
 denominator)`` int pair: the reader keeps the pairs that
 ``cli/rational`` reads, and the writer prints each one, and each class
 coefficient from the class's numerators over its denominator, through
-``svlab.ratio.ratio_text``, so neither builds a ``fractions.Fraction``.
+``svlab.ratio.ratio_text``.
 
 Both commands build the package layer anyway, so this module imports
 it at its top.  ``svlab.cli.schema`` binds ``package_to_document``,

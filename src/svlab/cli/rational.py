@@ -10,10 +10,8 @@ reader keeps that pair: ``_coeffs`` reads a class's coefficients and
 
 Only the readers that take rationals import this module: those of
 classify, klt, sweep and verify, and the package writer behind
-``construct --emit``.  It imports neither ``fractions`` nor the
-lattice, so a klt request loads neither; the classify reader turns its
-boundary coefficients into ``Fraction``s itself.  A tango request does
-not load this module at all.
+``construct --emit``.  It imports no lattice, so a klt request loads
+none.  A tango request does not load this module at all.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ diffing; the text form is the same data laid out for reading.  Both are
 deterministic byte for byte: detail ordering is fixed at the call site
 and nothing ever passes through a set or a hash-ordered iteration.
 
-Rendering loads neither ``fractions`` nor ``json``: a ``Fraction``
-prints through ``str``, and the machine form quotes a value of
+Rendering loads no ``json``: the machine form quotes a value of
 printable ASCII itself, importing ``json`` only to quote any other
 value that needs quoting.
 """
@@ -40,8 +39,7 @@ def check(name: str, status: str, *pairs) -> tuple:
 
 def render_value(value) -> str:
     # exact types, most common first; a bool's type is bool, not int;
-    # a Fraction, and the ruled marker, the only float, fall through to
-    # str: "-9/2", "-inf"
+    # the ruled marker, the only float, falls through to str: "-inf"
     kind = type(value)
     if kind is str:
         return value

@@ -2,17 +2,14 @@
 ruled model.
 
 Only classify requests load this module, so it imports the decision
-engine and the lattice at its top, and ``fractions``, which the engine
-loads anyway: a scenario's boundary coefficients are ``Fraction``s,
-made here from the pairs that ``cli/rational`` reads.
+engine and the lattice at its top.  A scenario's boundary coefficients
+are the pairs that ``cli/rational`` reads.
 ``svlab.cli.schema`` binds ``scenario_from_document`` lazily, and the
 handler calls it there, and ``decide`` and ``check`` through
 ``svlab.cli.main``, so a rebinding of any of them sees every call.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ..lattice import RuledModel
 from ..nonvanish import RULED, Scenario
@@ -59,10 +56,8 @@ def scenario_from_document(data: dict) -> Scenario:
     model = fields["model"] = _build_model(fields["model"])
     fields["divisor"] = _class_on(model, fields["divisor"],
                                   "scenario.divisor")
-    fields["boundary"] = tuple(
-        (cls, Fraction(*c)) for cls, c in
-        _boundary_on(model, fields["boundary"], "scenario.boundary")
-    )
+    fields["boundary"] = _boundary_on(model, fields["boundary"],
+                                      "scenario.boundary")
     return Scenario(**fields)
 
 

@@ -33,8 +33,8 @@ construct, and the family that a package carries), ``cli/sweep``
 (sweep) and ``cli/package`` (verify and ``construct --emit``).  This
 module binds their public functions lazily, so a command compiles only
 its own reader and callers still reach every reader as
-``schema.<name>``.  It imports neither ``fractions`` nor ``json``,
-which ``load_document`` imports when it runs.
+``schema.<name>``.  It imports no ``json``, which ``load_document``
+imports when it runs.
 """
 
 from __future__ import annotations

@@ -19,8 +19,7 @@ calling process.
 
 The boundary coefficient c is read as its reduced integer numerator
 and denominator, K + cC' is built from numerators and the product
-check takes c as those two ints, so a sweep request builds no
-``Fraction`` and loads no ``fractions``.
+check takes c as those two ints.
 
 The sweep command and its document's reader, ``sweep_from_document``,
 are here too; ``svlab.cli.schema`` binds the reader lazily, and the

@@ -21,16 +21,12 @@ to a bookkeeping chain of line-bundle degrees whose final term is 0.
 Every rational is held as integers.  A boundary coefficient, the base twist
 degree and the member coefficient are reduced ``(numerator, positive
 denominator)`` int pairs, the classes are ``DivisorClass``es, which keep
-integer numerators over one denominator, and an intersection number is
-read as a numerator over a positive denominator from
-``DivisorClass._pairing``.  A comparison cross-multiplies, and a
-witness prints each ratio through ``svlab.ratio.ratio_text``.  chi(D)
-comes from ``riemann_roch_chi``, an int for an integral D, so a package
-is built and verified without a ``fractions.Fraction``; only a D that
-fails ``divisor-integral`` can have a chi that is one.
+integer numerators over one denominator, and an intersection number and
+chi(D) are read as a numerator over a positive denominator from
+``DivisorClass.dot`` and ``riemann_roch_chi``.  A comparison
+cross-multiplies, and a witness prints each ratio through
+``svlab.ratio.ratio_text``.
 """
-
-from math import gcd
 
 from .charpcurve.families import ASSERTED, TangoCertificate
 from .lattice import (
@@ -45,7 +41,7 @@ from .lattice import (
     format_class,
     riemann_roch_chi,
 )
-from .ratio import ratio_text
+from .ratio import is_ratio, ratio_text
 from .record import record
 
 KIND_KV = "kv"
@@ -127,11 +123,7 @@ class CounterexamplePackage:
             ("base_twist_degree", self.base_twist_degree),
             ("member_coefficient", self.member_coefficient),
         ):
-            if value is not None and not (
-                type(value) is tuple and len(value) == 2
-                and {type(value[0]), type(value[1])} == {int}
-                and value[1] > 0 and gcd(*value) == 1
-            ):
+            if value is not None and not is_ratio(value):
                 raise PackageError(
                     f"{name}: expected a reduced (numerator, positive"
                     f" denominator) int pair, got {value!r}"
@@ -433,8 +425,8 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
         ))
 
     c_prime = pkg.section_curve
-    e_dot, e_den = model.section_class()._pairing(c_prime)
-    sq, sq_den = c_prime._pairing(c_prime)
+    e_dot, e_den = model.section_class().dot(c_prime)
+    sq, sq_den = c_prime.dot(c_prime)
     results.append(CheckResult(
         "section-curve",
         (candidate_curve_constraints(model, c_prime)
@@ -451,7 +443,7 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
         ))
 
     if pkg.kind == KIND_KV:
-        h2_pairing, h2_den = (k - pkg.divisor)._pairing(pkg.h_class)
+        h2_pairing, h2_den = (k - pkg.divisor).dot(pkg.h_class)
         results.append(CheckResult(
             "h2-vanishing",
             h2_pairing < 0,
@@ -470,7 +462,7 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
 
     if pkg.kind == KIND_SEMIPOS:
         expected_shift = pkg.divisor - model.divisor(0, 2 * g - 2)
-        fiber_deg, fiber_den = pkg.shifted_divisor._pairing(
+        fiber_deg, fiber_den = pkg.shifted_divisor.dot(
             model.fiber_class()
         )
         results.append(CheckResult(
@@ -480,7 +472,7 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
             f" {format_class(pkg.shifted_divisor)},"
             f" fiber degree {ratio_text(fiber_deg, fiber_den)} >= 0",
         ))
-        value, den = pkg.shifted_divisor._pairing(c_prime)
+        value, den = pkg.shifted_divisor.dot(c_prime)
         if p >= 5:
             expected, expected_den = (3 - p) * p * n, 2
         elif p == 3:
@@ -495,11 +487,12 @@ def verify_package(pkg: CounterexamplePackage) -> PackageVerification:
             " (surjectivity onto the fiberwise quotient taken as given)",
         ))
 
-    chi = riemann_roch_chi(model, pkg.divisor)
+    chi, chi_den = riemann_roch_chi(model, pkg.divisor)
     results.append(CheckResult(
         "euler-positive",
         chi > 0,
-        f"chi(D) = {chi} > 0, so sections exist below h2 = 0",
+        f"chi(D) = {ratio_text(chi, chi_den)} > 0, so sections exist below"
+        " h2 = 0",
     ))
 
     return PackageVerification(tuple(results))
@@ -527,7 +520,7 @@ def _klt_item(pkg: CounterexamplePackage) -> CheckResult:
             )
     note = "smooth branches"
     if pkg.kind == KIND_KOLLAR:
-        meets, den = pkg.boundary[0][0]._pairing(pkg.boundary[1][0])
+        meets, den = pkg.boundary[0][0].dot(pkg.boundary[1][0])
         if meets != 0:
             return CheckResult(
                 "boundary-klt", False,

@@ -12,8 +12,7 @@ branch holds its coefficient as an int numerator over a positive int
 denominator, the walk puts the declared ones over their least common
 denominator and carries integer numerators, and a blow-up record keeps
 the reduced numerator of its sum and one positive denominator.  Those
-integers are all that a branch or a record exposes: the module builds
-no ``fractions.Fraction``.
+integers are all that a branch or a record exposes.
 """
 
 from __future__ import annotations

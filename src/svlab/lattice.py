@@ -39,31 +39,23 @@ Everything is exact and no floating point appears anywhere.  A class
 is kept as integer numerators over one positive denominator, so sums,
 pairings and the positivity rules run on ints, and a note or
 ``format_class`` prints a value from integers through
-``svlab.ratio.ratio_text``.  ``RuledModel.class_of`` builds a class from
+``svlab.ratio.ratio_text``.  ``RuledModel.divisor`` builds an integral
+class from ints and ``RuledModel.class_of`` a rational one from
 ``(numerator, denominator)`` pairs, ``boundary_sum`` takes its
-coefficients as such pairs, and ``_pairing`` and ``riemann_roch_nums``
-give an intersection number and chi as a numerator over a positive
-denominator.  A class's coefficients leave the module only as those
-integers.  A ``fractions.Fraction`` is built, and ``fractions``
-imported, only where an intersection number or a non-integral chi
-leaves it, through ``dot`` and ``riemann_roch_chi``, so the sweep and
-the package layer, which read neither, load no ``fractions``.
+coefficients as such pairs, and ``DivisorClass.dot`` and
+``riemann_roch_chi`` give an intersection number and chi as a numerator
+over a positive denominator.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .primes import is_prime
 from .ratio import ratio_text
 from .record import record
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    Rational = int | Fraction
 
 
 class LatticeError(ValueError):
@@ -143,16 +135,13 @@ class RuledModel:
 
     # -- class constructors -------------------------------------------
 
-    def divisor(self, *coeffs: Rational) -> "DivisorClass":
-        """The class with these coefficients, zero-padded to the rank.
-        Each coefficient is an int or a Fraction."""
-        try:
-            ratios = [(c.numerator, c.denominator) for c in coeffs]
-        except AttributeError:
-            raise LatticeError(
-                "coefficients must be exact rationals"
-            ) from None
-        return self.class_of(ratios)
+    def divisor(self, *coeffs: int) -> "DivisorClass":
+        """The integral class with these int coefficients, zero-padded
+        to the rank; ``class_of`` builds a rational one."""
+        padding = self.rank - len(coeffs)
+        if padding < 0:
+            raise LatticeError("too many coefficients for this model")
+        return DivisorClass(self, coeffs + (0,) * padding)
 
     def class_of(self, ratios) -> "DivisorClass":
         """The class whose coefficients are the ``(numerator,
@@ -240,8 +229,7 @@ class DivisorClass:
     """A rational class in the model's basis: the coefficients are
     ``nums[i] / den``.  ``nums`` starts with the E and F numerators;
     exceptional ones follow.  The numerators and the denominator
-    must be plain ints (``model.divisor`` takes Fractions); anything
-    else raises LatticeError.
+    must be plain ints; anything else raises LatticeError.
 
     The record is normalised at construction, so that ``den > 0`` and
     ``gcd(den, *nums) == 1``; two classes are then equal exactly when
@@ -283,19 +271,11 @@ class DivisorClass:
         if other.model is not self.model and other.model != self.model:
             raise ModelMismatch("classes live on different models")
 
-    def _pairing(self, other: "DivisorClass") -> tuple[int, int]:
+    def dot(self, other: "DivisorClass") -> tuple[int, int]:
         """The intersection number as an integer numerator over the
-        product of the two denominators."""
+        product of the two denominators, which is positive."""
         self._same_model(other)
         return _form(self.model, self.nums, other.nums), self.den * other.den
-
-    def dot(self, other: "DivisorClass") -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(*self._pairing(other))
-
-    def self_intersection(self) -> Fraction:
-        return self.dot(self)
 
     def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
         """self + sign * other, over the product of the denominators."""
@@ -311,22 +291,11 @@ class DivisorClass:
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return self._combine(other, -1)
 
-    def scaled(self, factor: Rational) -> "DivisorClass":
-        """The class times ``factor``, an int or a Fraction."""
-        try:
-            num, den = factor.numerator, factor.denominator
-        except AttributeError:
-            raise LatticeError("a factor must be an exact rational") from None
-        return self.times(num, den)
-
     def times(self, num: int, den: int = 1) -> "DivisorClass":
         """The class times ``num / den``, two ints with ``den != 0``."""
         return DivisorClass(
             self.model, tuple(num * x for x in self.nums), den * self.den
         )
-
-    __mul__ = scaled
-    __rmul__ = scaled
 
 
 def format_class(cls: DivisorClass) -> str:
@@ -360,10 +329,6 @@ def _check_on(model: RuledModel, cls: DivisorClass) -> None:
         raise ModelMismatch("class does not live on this model")
 
 
-def intersect(d1: DivisorClass, d2: DivisorClass) -> Fraction:
-    return d1.dot(d2)
-
-
 def adjunction_pa(model: RuledModel, c: DivisorClass) -> int:
     """Arithmetic genus 1 + C.(C+K)/2 of an integral class, an int:
     C and K are integral, and C.(C+K) = C.(C-K) + 2C.K is even (see
@@ -371,7 +336,7 @@ def adjunction_pa(model: RuledModel, c: DivisorClass) -> int:
     _check_on(model, c)
     if not c.is_integral():
         raise LatticeError("adjunction needs an integral class")
-    total, _ = c._pairing(c + model.canonical_class())  # over 1
+    total, _ = c.dot(c + model.canonical_class())  # over 1
     return 1 + total // 2
 
 
@@ -390,18 +355,12 @@ def riemann_roch_nums(model: RuledModel, nums, den: int) -> tuple[int, int]:
     return total + over * model.chi_structure, over
 
 
-def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> Rational:
-    """chi(D) = D.(D-K)/2 + chi(O) of a class on ``model``, through
-    ``riemann_roch_nums``: an int when it is an integer, as it is for
-    every integral D, and otherwise a Fraction, the one case that
-    imports ``fractions``."""
+def riemann_roch_chi(model: RuledModel, d: DivisorClass) -> tuple[int, int]:
+    """chi(D) = D.(D-K)/2 + chi(O) of a class on ``model``, as
+    ``riemann_roch_nums`` gives it, once the class is checked to live on
+    the model."""
     _check_on(model, d)
-    num, den = riemann_roch_nums(model, d.nums, d.den)
-    if num % den == 0:
-        return num // den
-    from fractions import Fraction
-
-    return Fraction(num, den)
+    return riemann_roch_nums(model, d.nums, d.den)
 
 
 def candidate_curve_constraints(model: RuledModel, cls: DivisorClass) -> bool:

@@ -25,7 +25,6 @@ never reaches C_M does not load it.  The scenario exceptions are
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .lattice import (
@@ -40,6 +39,7 @@ from .lattice import (
     certify_positivity,
     riemann_roch_chi,
 )
+from .ratio import is_ratio, ratio_text
 from .record import record
 
 if TYPE_CHECKING:
@@ -92,8 +92,9 @@ class Scenario:
     ``kodaira`` is float('-inf') (use the RULED constant) or an int 0, 1,
     2; ``chi_o`` and ``q`` are ints and ``relatively_minimal`` a bool,
     each checked for its exact type.
-    Boundary entries are (curve class, coefficient) with coefficients in
-    (0,1); fibered models carry their divisor data inside the trees and
+    Boundary entries are (curve class, coefficient), each coefficient a
+    reduced (numerator, positive denominator) int pair in (0,1); fibered
+    models carry their divisor data inside the trees and
     take divisor=None, boundary=().  ``kappa_minus_k_nonneg`` is a
     declared hypothesis, not a computed fact; None means undeclared.
     ``negative_boundary`` (entries of negative square) is set at construction.
@@ -123,19 +124,18 @@ class Scenario:
             )
         if self.q < 0:
             raise InvalidScenario("irregularity cannot be negative")
-        norm = []
-        for cls, coeff in self.boundary:
-            if type(coeff) not in (int, Fraction):
+        boundary = tuple((cls, c) for cls, c in self.boundary)
+        for _, c in boundary:
+            if not is_ratio(c):
                 raise InvalidScenario(
-                    f"boundary coefficient {coeff!r} is not an int or Fraction"
+                    f"boundary coefficient {c!r} is not a reduced"
+                    " (numerator, positive denominator) int pair"
                 )
-            c = Fraction(coeff)
-            if not 0 < c < 1:
+            if not 0 < c[0] < c[1]:
                 raise InvalidScenario(
-                    f"boundary coefficient {c} outside (0,1)"
+                    f"boundary coefficient {ratio_text(*c)} outside (0,1)"
                 )
-            norm.append((cls, c))
-        object.__setattr__(self, "boundary", tuple(norm))
+        object.__setattr__(self, "boundary", boundary)
         if isinstance(self.model, RuledModel):
             self._check_lattice()
         else:
@@ -146,7 +146,7 @@ class Scenario:
                 raise InvalidScenario("model must be a lattice or fiber data")
             self._check_fibered()
         object.__setattr__(self, "negative_boundary", tuple(
-            (cls, c) for cls, c in norm if cls.self_intersection() < 0
+            (cls, c) for cls, c in boundary if cls.dot(cls)[0] < 0
         ))
 
     def _check_fibered(self):
@@ -212,16 +212,14 @@ class Scenario:
         return self.model.characteristic
 
     def boundary_class(self) -> DivisorClass:
-        return boundary_sum(self.model, [
-            (cls, (c.numerator, c.denominator)) for cls, c in self.boundary
-        ])
+        return boundary_sum(self.model, self.boundary)
 
 
 def nu(d: DivisorClass) -> int:
     """Numerical dimension of a nef class: 0, 1 or 2."""
     if d.is_zero():
         return 0
-    sq = d.self_intersection()
+    sq, _ = d.dot(d)  # over a positive denominator
     if sq == 0:
         return 1
     if sq > 0:
@@ -264,7 +262,7 @@ def _classify_irregular_ruled(s: Scenario) -> str:
         not s.relatively_minimal
         and s.is_lattice
         and s.kappa_minus_k_nonneg is False
-        and s.divisor.self_intersection() > 0
+        and s.divisor.dot(s.divisor)[0] > 0
     ):
         return CASE_CR
     return CASE_C
@@ -274,14 +272,14 @@ def _classify_irregular_ruled(s: Scenario) -> str:
 class Facts:
     """What the routes read, derived once per ``decide`` call.
 
-    ``d_dot_f`` is the divisor's fiber degree.  The classes K, B and
+    ``d_dot_f`` is the divisor's fiber degree, an int.  The classes K, B and
     H = D - K - B and the nef(D) and ample(H) certificates exist on
     lattice scenarios only; the certificates are None on blown-up
     lattices, where no positivity rule applies.
     """
 
     label: str
-    d_dot_f: Fraction
+    d_dot_f: int
     k: DivisorClass | None = None
     b: DivisorClass | None = None
     h: DivisorClass | None = None
@@ -291,14 +289,14 @@ class Facts:
 
 def derive(s: Scenario, label: str) -> Facts:
     if not s.is_lattice:
-        return Facts(label, Fraction(s.model.fiber_degree()))
+        return Facts(label, s.model.fiber_degree())
     model = s.model
     k = model.canonical_class()
     b = s.boundary_class()
     h = s.divisor - k - b
     return Facts(
         label,
-        s.divisor.dot(model.fiber_class()),
+        s.divisor.dot(model.fiber_class())[0],  # D and F are integral
         k,
         b,
         h,
@@ -321,7 +319,7 @@ def case_a_decide(s: Scenario, f: Facts) -> Verdict:
     return Verdict(
         CASE_A,
         GUARANTEED_M1,
-        {"rule": RULE_STRUCTURE_CHI, "chi": Fraction(1)},
+        {"rule": RULE_STRUCTURE_CHI, "chi": 1},
     )
 
 
@@ -329,24 +327,26 @@ def case_b_decide(s: Scenario, f: Facts) -> Verdict:
     """chi(D) = D.(H+B)/2 + chi(O) on the low-irregularity cases;
     sections exist once chi > 0 and nothing survives above.  The value
     is cross-checked against the generic Riemann-Roch oracle."""
-    chi = Fraction(1, 2) * s.divisor.dot(f.h + f.b) + s.chi_o
+    dhb, den = s.divisor.dot(f.h + f.b)
+    chi, chi_den = dhb + 2 * den * s.chi_o, 2 * den
+    text = ratio_text(chi, chi_den)
     if chi <= 0:
         raise InconsistentScenario(
-            f"chi = {chi} cannot be nonpositive with these invariants"
+            f"chi = {text} cannot be nonpositive with these invariants"
         )
     h2_vanishes(f.k, s.divisor, f.h)
-    oracle = riemann_roch_chi(s.model, s.divisor)
-    if oracle != chi:
+    oracle, oracle_den = riemann_roch_chi(s.model, s.divisor)
+    if oracle * chi_den != chi * oracle_den:
         raise InconsistentScenario(
-            f"the intersection formula gives chi = {chi}, riemann-roch"
-            f" gives {oracle}"
+            f"the intersection formula gives chi = {text}, riemann-roch"
+            f" gives {ratio_text(oracle, oracle_den)}"
         )
     return Verdict(
         f.label,
         GUARANTEED_M1,
         {
             "rule": RULE_EULER_POSITIVE,
-            "chi": chi,
+            "chi": text,
             "h2": "(K-D).H < 0",
         },
     )
@@ -355,10 +355,11 @@ def case_b_decide(s: Scenario, f: Facts) -> Verdict:
 def h2_vanishes(k: DivisorClass, d: DivisorClass, h: DivisorClass) -> bool:
     """Vanishing above the divisor, certified by (K-D).H < 0 against the
     ample polarization."""
-    value = (k - d).dot(h)
+    value, den = (k - d).dot(h)
     if value >= 0:
         raise InconsistentScenario(
-            f"(K-D).H = {value} must be negative when H is ample"
+            f"(K-D).H = {ratio_text(value, den)} must be negative when H is"
+            " ample"
         )
     return True
 
@@ -369,14 +370,14 @@ def fiber_threshold(s: Scenario, f: Facts) -> Verdict | None:
     boundary is empty; components refuse negative divisor degrees, so
     D.F >= 0 and every fiber-tree scenario passes here."""
     if s.is_lattice:
-        hf = f.h.dot(s.model.fiber_class())
+        hf, den = f.h.dot(s.model.fiber_class())
     else:
-        hf = f.d_dot_f + 2
-    if hf > 1:
+        hf, den = f.d_dot_f + 2, 1
+    if hf > den:
         return Verdict(
             f.label,
             GUARANTEED_M1,
-            {"rule": RULE_FIBER_THRESHOLD, "h_dot_f": hf},
+            {"rule": RULE_FIBER_THRESHOLD, "h_dot_f": ratio_text(hf, den)},
         )
     return None
 
@@ -391,18 +392,20 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
     """
     model = s.model
     if model.invariant_e >= 0:
-        a = sum(
-            (c for cls, c in s.boundary if cls == model.section_class()),
-            Fraction(0),
-        )
-        value = f.d_dot_f + 2 - a
-        if value > 1:
+        # a / den, the sum of the section's coefficients in the boundary
+        section = model.section_class()
+        a, den = 0, 1
+        for cls, (num, c_den) in s.boundary:
+            if cls == section:
+                a, den = a * c_den + num * den, den * c_den
+        value = (f.d_dot_f + 2) * den - a
+        if value > den:
             return Verdict(
                 f.label,
                 GUARANTEED_M1,
                 {
                     "rule": RULE_FIBER_THRESHOLD,
-                    "h_dot_f": value,
+                    "h_dot_f": ratio_text(value, den),
                     "stripped": "section multiples of the boundary",
                 },
             )
@@ -419,7 +422,7 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
             GUARANTEED_M1,
             {
                 "rule": RULE_FIBER_THRESHOLD,
-                "h_dot_f": f.d_dot_f + 2,
+                "h_dot_f": str(f.d_dot_f + 2),
                 "stripped": "entire boundary (no negative component)",
             },
         )
@@ -427,7 +430,7 @@ def relatively_minimal_decide(s: Scenario, f: Facts) -> Verdict | None:
     from .chiproduct import ChiProduct
 
     (g_cls, c) = s.negative_boundary[0]
-    product = ChiProduct(model, c.numerator, c.denominator, *g_cls.nums)
+    product = ChiProduct(model, *c, *g_cls.nums)
     return certify_chi_product(product, *s.divisor.nums)
 
 
@@ -435,38 +438,43 @@ def certify_chi_product(product: ChiProduct, a: int, b: int) -> Verdict:
     """``product.check(a, b)``, with what it compared as the certificate
     of case C_M."""
     chi, ample_e, ample_f, slope = product.check(a, b)
-    cd, g = product.c_den, product.model.genus
-    c = Fraction(product.c_num, cd)
+    cn, cd, g = product.c_num, product.c_den, product.model.genus
     return Verdict(
         CASE_C_M,
         GUARANTEED_M1,
         {
             "rule": RULE_CHI_PRODUCT,
-            "chi": Fraction(chi),
+            "chi": chi,
             "ample_inequalities": (
-                Fraction(ample_e, cd), Fraction(ample_f, cd),
+                ratio_text(ample_e, cd), ratio_text(ample_f, cd),
             ),
             "slack_chain": (
-                Fraction(slope, 2), (2 - c) * (g - 1),
-                Fraction(g - 1),
+                ratio_text(slope, 2), ratio_text((2 * cd - cn) * (g - 1), cd),
+                g - 1,
             ),
             "negative_component": (product.x, product.y),
-            "coefficient": c,
+            "coefficient": ratio_text(cn, cd),
         },
     )
 
 
-def doubling_bound(
-    a: int | Fraction, d_squared: int | Fraction, d_dot_hb: int | Fraction
-) -> Fraction:
-    """Lower bound for chi(2D) at fiber degree a:
-    ((2a+1)/2a) * ((1 - 1/a) D^2 + D.(H+B))."""
-    a = Fraction(a)
+def doubling_bound(a: int, d_squared: int, d_dot_hb: int) -> tuple[int, int]:
+    """Lower bound for chi(2D) at fiber degree a, from the integers a,
+    D^2 and D.(H+B): ((2a+1)/2a) * ((1 - 1/a) D^2 + D.(H+B)), as the
+    numerator (2a+1)((a-1) D^2 + a D.(H+B)) over 2a^2."""
     if a < 2:
         raise PreconditionError("the bound holds from fiber degree 2 on")
-    return Fraction(2 * a + 1, 2 * a) * (
-        (1 - 1 / a) * Fraction(d_squared) + Fraction(d_dot_hb)
-    )
+    return (2 * a + 1) * ((a - 1) * d_squared + a * d_dot_hb), 2 * a * a
+
+
+def canonical_sign_bound(
+    a: int, d_dot_hb: int, d_dot_k: int
+) -> tuple[int, int]:
+    """Lower bound for chi(D) at fiber degree a once D.K <= 0, from the
+    integers a, D.(H+B) and D.K:
+    ((a^2-1)/2a^2) D.(H+B) - ((a+1)/2a^2) D.K, as a numerator over
+    2a^2."""
+    return (a * a - 1) * d_dot_hb - (a + 1) * d_dot_k, 2 * a * a
 
 
 def euler_bound_decide(s: Scenario, f: Facts) -> Verdict:
@@ -477,24 +485,23 @@ def euler_bound_decide(s: Scenario, f: Facts) -> Verdict:
     D^2 = 0 would make the bound nonpositive."""
     a = f.d_dot_f
     dvr = s.divisor
-    d_sq = dvr.self_intersection()
-    dhb = dvr.dot(f.h + f.b)
-    bound = doubling_bound(a, d_sq, dhb)
-    if bound <= 0:
+    # D, K and H + B = D - K are integral, so each number is over 1
+    d_sq, _ = dvr.dot(dvr)
+    dhb, _ = dvr.dot(f.h + f.b)
+    num, den = doubling_bound(a, d_sq, dhb)
+    bound = ratio_text(num, den)
+    if num <= 0:
         raise InconsistentScenario(
             f"the doubling bound {bound} must be positive for nef data"
         )
     if s.kappa_minus_k_nonneg:
-        dk = dvr.dot(f.k)
+        dk, _ = dvr.dot(f.k)
         if dk > 0:
             raise InconsistentScenario(
                 "the declared canonical hypothesis forces D.K <= 0,"
                 f" got {dk}"
             )
-        value = (
-            Fraction(a * a - 1, 2 * a * a) * dhb
-            - Fraction(a + 1, 2 * a * a) * dk
-        )
+        value = ratio_text(*canonical_sign_bound(a, dhb, dk))
         return Verdict(
             f.label,
             GUARANTEED_M1,

@@ -262,8 +262,13 @@ def _package_document():
 # per kind: its command, a document it reads, then edits, each a key
 # path into the document, the value put there (_MISSING drops the key)
 # and the refusal.  The first edits sit under a top-level key, a generic
-# refusal first and then, where the kind has one, a hand-written one;
-# the last edit is of the document itself.
+# refusal first and then, where the kind has one, a hand-written one,
+# and where it reads a family, the family's own refusals: its kind, its
+# h present or missing, its p and the genus cap.  The last edit is of
+# the document itself.
+_NOT_A_FAMILY_KIND = (
+    f"expected one of {', '.join(schema.FAMILY_KINDS)}, got 'other'"
+)
 _PATH_RULE = {
     "classify": ("classify", lambda: KV_SCENARIO, (
         (("scenario", "model", "genus"), "4",
@@ -293,6 +298,12 @@ _PATH_RULE = {
         "family": {"kind": "hyperelliptic", "p": 3, "h": 3},
     }, (
         (("family", "h"), "3", "family.h: expected an integer"),
+        (("family", "kind"), "other", f"family.kind: {_NOT_A_FAMILY_KIND}"),
+        (("family", "h"), _MISSING, "family: hyperelliptic needs h"),
+        (("family", "p"), 4, "family: 4 is not prime"),
+        (("family", "h"), 99999999999,
+         "family: Hyperelliptic(p=3, h=99999999999) has genus 149999999998;"
+         " expected a genus of at most 20000"),
         (("extra",), 1,
          "document: unknown keys ['extra']; this schema is strict"),
     )),
@@ -303,6 +314,8 @@ _PATH_RULE = {
         (("allow_asserted",), 1, "allow_asserted: expected true or false"),
         (("kind",), "other",
          f"kind: expected one of {', '.join(KINDS)}, got 'other'"),
+        (("family", "kind"), "tangoplane", "family: tangoplane takes no h"),
+        (("family", "kind"), 1, "family.kind: expected a string"),
         (("family",), _MISSING, "document: missing key 'family'"),
     )),
     "verify-package": ("verify", _package_document, (
@@ -310,6 +323,11 @@ _PATH_RULE = {
          "package.family.p: expected an integer"),
         (("package", "kind"), "other",
          f"package.kind: expected one of {', '.join(KINDS)}"),
+        (("package", "family", "kind"), "other",
+         f"package.family.kind: {_NOT_A_FAMILY_KIND}"),
+        (("package", "family", "h"), _MISSING,
+         "package.family: hyperelliptic needs h"),
+        (("package", "family", "p"), 9, "package.family: 9 is not prime"),
         (("extra",), 1,
          "document: unknown keys ['extra']; this schema is strict"),
     )),
@@ -1157,12 +1175,13 @@ class TestGenusCap:
     the genus of every family a request names is capped; h = 99999999999
     would otherwise exhaust memory."""
 
-    def refused(self, capsys, family, g, *argv):
+    def refused(self, capsys, family, g, *argv, path=""):
+        # a refusal of a family in a document reads from its path
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == (
-            f"error: {family} has genus {g}; expected a genus of at"
+            f"error: {path}{family} has genus {g}; expected a genus of at"
             f" most {schema.MAX_GENUS}\n"
         )
 
@@ -1193,7 +1212,8 @@ class TestGenusCap:
             "family": {"kind": "artinschreier", "p": 65521, "h": 3},
         }
         self.refused(capsys, "ArtinSchreier(p=65521, h=3)", 6439338360,
-                     "construct", "--in", write_doc(tmp_path, "d.json", doc))
+                     "construct", "--in", write_doc(tmp_path, "d.json", doc),
+                     path="family: ")
 
     def test_package_certificate(self, tmp_path, capsys):
         emitted = tmp_path / "kv.json"
@@ -1207,7 +1227,8 @@ class TestGenusCap:
         doc["package"]["family"]["h"] = 99999999999
         self.refused(capsys, "Hyperelliptic(p=3, h=99999999999)",
                      149999999998,
-                     "verify", "--in", write_doc(tmp_path, "d.json", doc))
+                     "verify", "--in", write_doc(tmp_path, "d.json", doc),
+                     path="package.family: ")
 
 
 class TestKlt:
@@ -2154,7 +2175,7 @@ def _fresh_entry(request, a, b):
     model = RuledModel(p, g, e)
     c = Fraction(*request.coefficient)
     h = (model.divisor(a, b) - model.canonical_class()
-         - model.divisor(p, p * e).scaled(c))
+         - model.divisor(p, p * e).times(c.numerator, c.denominator))
     ample = certify_positivity(model, h, strict=True)
     if ample.status != CERTIFIED:
         reason = f"polarization {ample.status} under {ample.rule_used}"

@@ -11,11 +11,13 @@ difference, then a fresh product certificate read for chi.  Two more
 properties pin, as claims on outputs, facts that earlier checks decide
 and so are not tested again: a certified class meets every candidate
 curve nonnegatively, and a product certificate's slack chain falls to
-a positive chi.  The texts that reports print from integers are
-compared with their plain forms: ``ratio_text`` with ``str`` of a
-Fraction, the rational reader's pair with ``Fraction.as_integer_ratio``
-and the report quoter with ``json.dumps``.  Example generation is
-derandomized, so every run checks the same cases.
+a positive chi.  The euler route's two bounds, numerators over 2a^2,
+are compared with their Fraction formulas.  The texts that reports
+print from integers are compared with their plain forms: ``ratio_text``
+with ``str`` of a Fraction, the rational reader's pair with
+``Fraction.as_integer_ratio`` and the report quoter with
+``json.dumps``.  Example generation is derandomized, so every run
+checks the same cases.
 """
 
 import json
@@ -68,7 +70,11 @@ from svlab.lattice import (
     riemann_roch_chi,
     riemann_roch_nums,
 )
-from svlab.nonvanish import certify_chi_product
+from svlab.nonvanish import (
+    canonical_sign_bound,
+    certify_chi_product,
+    doubling_bound,
+)
 from svlab.ratio import ratio_text
 
 SETTINGS = settings(
@@ -108,6 +114,12 @@ def fractions_of(cls):
     return tuple(Fraction(n, cls.den) for n in cls.nums)
 
 
+def class_of_fractions(model, coeffs):
+    """The class whose coefficients are the Fractions or ints
+    ``coeffs``."""
+    return model.class_of([c.as_integer_ratio() for c in coeffs])
+
+
 def reference_dot(model, x, y):
     """The diagonal form on Fraction coefficients: total transforms of
     the exceptionals are orthogonal with square -1."""
@@ -128,7 +140,9 @@ def test_class_operations_match_fractions(data):
     x = data.draw(coefficient_lists(model))
     y = data.draw(coefficient_lists(model))
     factor = data.draw(st.one_of(rationals, st.integers(-5, 5)))
-    cx, cy = model.divisor(*x), model.divisor(*y)
+    cx, cy = class_of_fractions(model, x), class_of_fractions(model, y)
+    num, den = factor.as_integer_ratio()
+    k = data.draw(st.integers(1, 5)) * data.draw(st.sampled_from((1, -1)))
 
     for cls, ref in ((cx, x), (cy, y)):
         assert cls.den > 0 and gcd(cls.den, *cls.nums) == 1
@@ -136,12 +150,13 @@ def test_class_operations_match_fractions(data):
         assert cls.is_integral() == all(c.denominator == 1 for c in ref)
         assert cls.is_zero() == all(c == 0 for c in ref)
 
-    assert cx.dot(cy) == reference_dot(model, x, y)
-    assert type(cx.dot(cy)) is Fraction
+    assert Fraction(*cx.dot(cy)) == reference_dot(model, x, y)
+    pairing, over = cx.dot(cy)
+    assert type(pairing) is int and over == cx.den * cy.den
     assert fractions_of(cx + cy) == tuple(p + q for p, q in zip(x, y))
     assert fractions_of(cx - cy) == tuple(p - q for p, q in zip(x, y))
-    assert fractions_of(cx.scaled(factor)) == tuple(factor * p for p in x)
-    assert (factor * cx) == (cx * factor) == cx.scaled(factor)
+    assert fractions_of(cx.times(num, den)) == tuple(factor * p for p in x)
+    assert cx.times(k * num, k * den) == cx.times(num, den)
     assert (cx - cx).is_zero()
 
 
@@ -154,11 +169,11 @@ def test_equality_and_hash_follow_the_coefficients(data):
     # the same class written over a multiple of its denominator, with
     # either sign
     k = data.draw(st.integers(1, 30)) * data.draw(st.sampled_from((1, -1)))
-    cls = model.divisor(*x)
+    cls = class_of_fractions(model, x)
     spread = DivisorClass(model, tuple(k * n for n in cls.nums), k * cls.den)
     assert spread == cls and hash(spread) == hash(cls)
     assert (spread.nums, spread.den) == (cls.nums, cls.den)
-    other = model.divisor(*y)
+    other = class_of_fractions(model, y)
     assert (other == cls) == (tuple(y) == tuple(x))
     if other == cls:
         assert hash(other) == hash(cls)
@@ -225,7 +240,8 @@ def positivity_cases(draw):
 @given(positivity_cases(), st.booleans())
 def test_positivity_matches_fractions(case, strict):
     model, a, b = case
-    got = certify_positivity(model, model.divisor(a, b), strict=strict)
+    got = certify_positivity(model, class_of_fractions(model, (a, b)),
+                             strict=strict)
     assert (got.status, got.rule_used, got.note) == (
         reference_positivity(model, a, b, strict)
     )
@@ -246,8 +262,7 @@ kernel_dens = st.sampled_from((1, 2))
 @example((RuledModel(3, 2, -2), Fraction(2), Fraction(-1)), True, 2, 2)
 def test_positivity_kernel_matches_its_class_wrapper(case, strict, den, k):
     model, a, b = case
-    a, b = a / den, b / den
-    d = model.divisor(a, b)
+    d = class_of_fractions(model, (a / den, b / den))
     got = certify_positivity_nums(
         model, d.nums[0] * k, d.nums[1] * k, d.den * k, strict
     )
@@ -294,13 +309,16 @@ def reference_chi(model, coeffs):
 def test_riemann_roch_kernel_matches_its_class_wrapper(data, den, k):
     model = data.draw(models())
     coeffs = [c / den for c in data.draw(coefficient_lists(model))]
-    d = model.divisor(*coeffs)
+    d = class_of_fractions(model, coeffs)
     num, over = riemann_roch_nums(
         model, [n * k for n in d.nums], d.den * k
     )
     assert type(num) is int and type(over) is int and over > 0
     chi = Fraction(num, over)
-    assert chi == riemann_roch_chi(model, d) == reference_chi(model, coeffs)
+    assert riemann_roch_chi(model, d) == riemann_roch_nums(
+        model, d.nums, d.den)
+    assert chi == Fraction(*riemann_roch_chi(model, d)) \
+        == reference_chi(model, coeffs)
     if d.is_integral():
         assert chi.denominator == 1
 
@@ -350,7 +368,7 @@ def test_certified_positivity_meets_every_candidate_curve(d, strict):
         for y in range(x * e // 2 - g, 7):
             curve = model.divisor(x, y)
             if candidate_curve_constraints(model, curve):
-                value = d.dot(curve)
+                value, _ = d.dot(curve)  # over a positive denominator
                 assert value > 0 if strict else value >= 0, (x, y)
 
 
@@ -376,9 +394,29 @@ def test_product_certificates_chain_down_to_a_positive_chi(
                 cert = certify_chi_product(product, a, b).certificate
             except PreconditionError:
                 continue
-            high, mid, low = cert["slack_chain"]
+            high, mid, low = map(Fraction, cert["slack_chain"])
             assert high > mid > low
             assert cert["chi"] > 0
+
+
+@SETTINGS
+@given(st.integers(2, 60), st.integers(-500, 500), st.integers(-500, 500),
+       st.integers(-500, 500))
+@example(2, 4, 1, 0)
+@example(3, 0, -7, 5)
+def test_euler_bounds_match_their_fraction_formulas(a, d_sq, dhb, dk):
+    # the doubling bound and the canonical-sign bound of the euler route,
+    # from the integers a >= 2, D^2, D.(H+B) and D.K
+    a_q = Fraction(a)
+    num, den = doubling_bound(a, d_sq, dhb)
+    assert type(num) is int and type(den) is int and den > 0
+    assert Fraction(num, den) == (2 * a_q + 1) / (2 * a_q) * (
+        (1 - 1 / a_q) * d_sq + dhb)
+    num, den = canonical_sign_bound(a, dhb, dk)
+    assert type(num) is int and type(den) is int and den > 0
+    assert Fraction(num, den) == (
+        Fraction(a * a - 1, 2 * a * a) * dhb - Fraction(a + 1, 2 * a * a) * dk
+    )
 
 
 # -- sweep entries ------------------------------------------------------------
@@ -422,7 +460,8 @@ def reference_entry(model, shift, c, a, b):
 def test_sweep_entries_match_the_reference(p, g, e, c, a0, b0):
     # p = 0 reaches the product's refusal that escapes the entry
     model = RuledModel(p, g, e)
-    shift = model.canonical_class() + disjoint_multisection(model) * c
+    shift = model.canonical_class() + disjoint_multisection(model).times(
+        c.numerator, c.denominator)
     c_prime = disjoint_multisection(model)
     product = ChiProduct(model, c.numerator, c.denominator, *c_prime.nums)
     for a in range(a0, a0 + 3):

@@ -44,33 +44,34 @@ class TestGram:
     def test_pure_products(self):
         m = MODEL_342
         e_cls, f_cls = m.section_class(), m.fiber_class()
-        assert e_cls.dot(e_cls) == 2
-        assert e_cls.dot(f_cls) == 1
-        assert f_cls.dot(f_cls) == 0
+        assert e_cls.dot(e_cls) == (2, 1)
+        assert e_cls.dot(f_cls) == (1, 1)
+        assert f_cls.dot(f_cls) == (0, 1)
 
     def test_free_points_are_orthogonal_minus_ones(self):
         m = RuledModel(5, 1, 1).blow_up().blow_up()
         e0, e1 = m.exceptional_class(0), m.exceptional_class(1)
-        assert e0.dot(e0) == e1.dot(e1) == -1
-        assert e0.dot(e1) == 0
+        assert e0.dot(e0) == e1.dot(e1) == (-1, 1)
+        assert e0.dot(e1) == (0, 1)
 
     def test_proximity_chain_block(self):
         m = RuledModel(5, 1, 1).blow_up().blow_up([0])
         e0, e1 = m.exceptional_class(0), m.exceptional_class(1)
-        assert e0.dot(e0) == -2
-        assert e1.dot(e1) == -1
-        assert e0.dot(e1) == e1.dot(e0) == 1
+        assert e0.dot(e0) == (-2, 1)
+        assert e1.dot(e1) == (-1, 1)
+        assert e0.dot(e1) == e1.dot(e0) == (1, 1)
 
     def test_satellite_point(self):
         # third point proximate to both earlier ones
         m = RuledModel(5, 1, 1).blow_up().blow_up([0]).blow_up([0, 1])
         e0, e1, e2 = (m.exceptional_class(i) for i in range(3))
-        assert e0.dot(e0) == -3
-        assert e1.dot(e1) == -2
-        assert e2.dot(e2) == -1
-        assert e0.dot(e1) == 0  # the satellite separates the two transforms
-        assert e0.dot(e2) == 1
-        assert e1.dot(e2) == 1
+        assert e0.dot(e0) == (-3, 1)
+        assert e1.dot(e1) == (-2, 1)
+        assert e2.dot(e2) == (-1, 1)
+        # the satellite separates the two transforms
+        assert e0.dot(e1) == (0, 1)
+        assert e0.dot(e2) == (1, 1)
+        assert e1.dot(e2) == (1, 1)
 
     def test_dot_matches_the_gram_matrix(self):
         # reference: Gram block -(M M^T), M unit upper triangular with
@@ -101,14 +102,14 @@ class TestGram:
                     gram[2 + i][2 + j] = -sum(
                         mm[i][l] * mm[j][l] for l in range(k)
                     )
-            x, y = (m.divisor(*(
-                Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
+            x, y = (m.class_of([
+                (rng.randrange(-6, 7), rng.choice([1, 2, 3]))
                 for _ in range(m.rank)
-            )) for _ in range(2))
-            want = Fraction(sum(
+            ]) for _ in range(2))
+            want = sum(
                 x.nums[i] * gram[i][j] * y.nums[j]
                 for i in range(m.rank) for j in range(m.rank)
-            ), x.den * y.den)
+            ), x.den * y.den
             assert x.dot(y) == want
 
     def test_proximity_must_be_earlier(self):
@@ -123,8 +124,10 @@ class TestGram:
             y = random_integral_class(rng, m)
             z = random_integral_class(rng, m)
             assert x.dot(y) == y.dot(x)
-            assert (x + y).dot(z) == x.dot(z) + y.dot(z)
-            assert x.scaled(Fraction(3, 2)).dot(y) == Fraction(3, 2) * x.dot(y)
+            assert Fraction(*(x + y).dot(z)) \
+                == Fraction(*x.dot(z)) + Fraction(*y.dot(z))
+            assert Fraction(*x.times(3, 2).dot(y)) \
+                == Fraction(3, 2) * Fraction(*x.dot(y))
 
     def test_cross_model_dot_rejected(self):
         other = RuledModel(3, 4, -2, ((),))
@@ -136,8 +139,8 @@ class TestCanonical:
     def test_pure_canonical(self):
         k = MODEL_342.canonical_class()
         assert (k.nums, k.den) == ((-2, 8), 1)
-        assert k.dot(MODEL_342.fiber_class()) == -2
-        assert k.self_intersection() == 8 * (1 - 4)
+        assert k.dot(MODEL_342.fiber_class()) == (-2, 1)
+        assert k.dot(k) == (8 * (1 - 4), 1)
 
     def test_canonical_square_pure(self):
         rng = random.Random(20260803)
@@ -145,7 +148,8 @@ class TestCanonical:
             g = rng.randrange(0, 6)
             e = rng.randrange(-4, 5)
             m = RuledModel(2, g, e)
-            assert m.canonical_class().self_intersection() == 8 * (1 - g)
+            k = m.canonical_class()
+            assert k.dot(k) == (8 * (1 - g), 1)
 
     def test_proximity_canonical_coefficients(self):
         m = RuledModel(5, 1, 1).blow_up().blow_up([0]).blow_up([0, 1])
@@ -156,24 +160,24 @@ class TestCanonical:
         m = RuledModel(5, 1, 1).blow_up().blow_up([0]).blow_up([0, 1])
         k = m.canonical_class()
         # e_0 supports two later points, e_1 one, e_2 none
-        assert k.dot(m.exceptional_class(0)) == 1
-        assert k.dot(m.exceptional_class(1)) == 0
-        assert k.dot(m.exceptional_class(2)) == -1
+        assert k.dot(m.exceptional_class(0)) == (1, 1)
+        assert k.dot(m.exceptional_class(1)) == (0, 1)
+        assert k.dot(m.exceptional_class(2)) == (-1, 1)
 
     def test_k_square_drops_by_one_per_point(self):
         rng = random.Random(20260804)
         for _ in range(60):
             m = random_model(rng)
-            k2 = m.canonical_class().self_intersection()
-            assert k2 == 8 * (1 - m.genus) - len(m.exceptionals)
+            k = m.canonical_class()
+            assert k.dot(k) == (8 * (1 - m.genus) - len(m.exceptionals), 1)
 
 
 class TestRiemannRoch:
     def test_frozen_values(self):
         m = MODEL_342
-        assert riemann_roch_chi(m, m.divisor(0, 6)) == 3
-        assert riemann_roch_chi(m, m.zero_class()) == -3
-        assert riemann_roch_chi(m, m.fiber_class()) == -2
+        assert Fraction(*riemann_roch_chi(m, m.divisor(0, 6))) == 3
+        assert Fraction(*riemann_roch_chi(m, m.zero_class())) == -3
+        assert Fraction(*riemann_roch_chi(m, m.fiber_class())) == -2
 
     def test_product_form_on_pure_models(self):
         rng = random.Random(20260805)
@@ -183,7 +187,7 @@ class TestRiemannRoch:
             m = RuledModel(0, g, e)
             a = rng.randrange(-5, 6)
             b = rng.randrange(-8, 9)
-            chi = riemann_roch_chi(m, m.divisor(a, b))
+            chi = Fraction(*riemann_roch_chi(m, m.divisor(a, b)))
             assert chi == (a + 1) * (b - Fraction(a * e, 2) + 1 - g)
 
     def test_integrality_on_blown_models(self):
@@ -191,7 +195,7 @@ class TestRiemannRoch:
         for _ in range(200):
             m = random_model(rng)
             d = random_integral_class(rng, m)
-            assert riemann_roch_chi(m, d).denominator == 1
+            assert Fraction(*riemann_roch_chi(m, d)).denominator == 1
 
 
 class TestAdjunction:
@@ -201,7 +205,7 @@ class TestAdjunction:
 
     def test_frobenius_like_class(self):
         c = MODEL_342.divisor(3, -6)
-        assert c.self_intersection() == -18
+        assert c.dot(c) == (-18, 1)
         assert adjunction_pa(MODEL_342, c) == 4
 
     def test_parity(self):
@@ -214,7 +218,7 @@ class TestAdjunction:
 
     def test_rejects_fractional(self):
         with pytest.raises(LatticeError):
-            adjunction_pa(MODEL_342, MODEL_342.divisor(Fraction(1, 2)))
+            adjunction_pa(MODEL_342, MODEL_342.class_of([(1, 2)]))
 
 
 class TestCurveConstraints:
@@ -289,7 +293,7 @@ class TestPositivity:
 
     def test_fractional_decomposition(self):
         m = MODEL_342
-        h = m.divisor(Fraction(1, 2), 1)
+        h = m.class_of([(1, 2), (1, 1)])
         nef = certify_positivity(m, h)
         assert nef.status == "certified"
         assert nef.rule_used == "positivity.section-fiber-decomposition"
@@ -354,8 +358,8 @@ class TestPositivity:
             g = rng.randrange(0, 5)
             e = rng.randrange(-4, 0)
             m = RuledModel(p, g, e)
-            d = m.divisor(Fraction(rng.randrange(0, 9), rng.choice([1, 2, 3])),
-                          Fraction(rng.randrange(-4, 13), rng.choice([1, 2])))
+            d = m.class_of([(rng.randrange(0, 9), rng.choice([1, 2, 3])),
+                            (rng.randrange(-4, 13), rng.choice([1, 2]))])
             v = certify_positivity(m, d)
             if v.status != "certified":
                 continue
@@ -365,7 +369,7 @@ class TestPositivity:
                 y = rng.randrange(-12, 13)
                 c = m.divisor(x, y)
                 if candidate_curve_constraints(m, c):
-                    assert d.dot(c) >= 0, (m, d.nums, d.den, c.nums)
+                    assert d.dot(c)[0] >= 0, (m, d.nums, d.den, c.nums)
 
 
 class TestTransforms:
@@ -375,7 +379,7 @@ class TestTransforms:
         d = m0.divisor(3, -6)
         du = pullback_blowup(m1, d)
         assert (du.nums[2], du.den) == (0, 1)
-        assert du.self_intersection() == d.self_intersection()
+        assert du.dot(du) == d.dot(d)
 
     def test_pullback_proximate_point_appends_sum(self):
         m0 = RuledModel(5, 1, 1).blow_up()
@@ -383,7 +387,7 @@ class TestTransforms:
         m1 = m0.blow_up([0])
         du = pullback_blowup(m1, d)
         assert (du.nums, du.den) == ((1, 2, -1, -1), 1)
-        assert du.self_intersection() == d.self_intersection()
+        assert du.dot(du) == d.dot(d)
 
     def test_pullback_projection_formula(self):
         rng = random.Random(20260809)
@@ -426,7 +430,7 @@ class TestModelValidation:
         with pytest.raises(LatticeError):
             DivisorClass(MODEL_342, (1.0, 0))
         assert DivisorClass(MODEL_342, (1, 0), 2) \
-            == MODEL_342.divisor(Fraction(1, 2))
+            == MODEL_342.class_of([(1, 2)])
 
     @pytest.mark.parametrize("numbers", (
         (3, True, -2),
@@ -474,7 +478,7 @@ BLOWN_UP_342 = MODEL_342.blow_up()
         BLOWN_UP_342, BLOWN_UP_342.fiber_class()),
         (LatticeError, "pure models"), id="curve-on-blown-up"),
     pytest.param(lambda: candidate_curve_constraints(
-        MODEL_342, MODEL_342.divisor(Fraction(1, 2))),
+        MODEL_342, MODEL_342.class_of([(1, 2)])),
         (LatticeError, "integral"), id="curve-not-integral"),
     pytest.param(lambda: certify_positivity(
         BLOWN_UP_342, BLOWN_UP_342.fiber_class()),
@@ -482,15 +486,15 @@ BLOWN_UP_342 = MODEL_342.blow_up()
     pytest.param(lambda: MODEL_342.divisor(1, 2, 3),
                  (LatticeError, "too many"), id="divisor-too-long"),
     pytest.param(lambda: MODEL_342.divisor(0.5),
-                 (LatticeError, "exact rationals"), id="divisor-float"),
+                 (LatticeError, "int numerators"), id="divisor-float"),
     pytest.param(lambda: DivisorClass(MODEL_342, (1, 2, 3)),
                  (LatticeError, "count"), id="class-rank-mismatch"),
     pytest.param(lambda: DivisorClass(MODEL_342, (1, 2), 0),
                  (LatticeError, "nonzero denominator"), id="class-den-zero"),
     pytest.param(lambda: BLOWN_UP_342.exceptional_class(1),
                  (LatticeError, "no such exceptional"), id="no-exceptional"),
-    pytest.param(lambda: MODEL_342.fiber_class().scaled(0.5),
-                 (LatticeError, "exact rational"), id="scaled-float"),
+    pytest.param(lambda: MODEL_342.fiber_class().times(0.5),
+                 (LatticeError, "int numerators"), id="scaled-float"),
     pytest.param(lambda: adjunction_pa(MODEL_342, RuledModel(
         3, 4, -1).fiber_class()), (ModelMismatch, "this model"),
         id="class-off-model"),

@@ -59,13 +59,15 @@ def test_no_forbidden_import(forbidden):
     assert found == []
 
 
-def test_fractions_is_imported_by_three_modules_only():
-    # the kernels carry a rational as an int numerator over an int
-    # denominator; a Fraction is built only where a lattice value leaves
-    # as one, for the decision engine and the classify reader.  The walk
-    # sees imports at the top, under TYPE_CHECKING and inside functions
-    found = {"fractions": set(), "numbers": set()}
-    for path in sorted(SRC.rglob("*.py")):
+def test_no_module_imports_rational_arithmetic():
+    # every rational is an int numerator over an int denominator, from
+    # the document to the report.  The walk sees imports at the top,
+    # under TYPE_CHECKING and inside functions; a relative import names
+    # one of the package's own modules
+    found = {"fractions": set(), "numbers": set(), "decimal": set()}
+    paths = sorted(SRC.rglob("*.py"))
+    assert {SRC / "lattice.py", SRC / "nonvanish.py"} <= set(paths)
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -78,10 +80,7 @@ def test_fractions_is_imported_by_three_modules_only():
                 root = name.split(".")[0]
                 if root in found:
                     found[root].add(path.relative_to(SRC).as_posix())
-    assert found == {
-        "fractions": {"lattice.py", "nonvanish.py", "cli/scenario.py"},
-        "numbers": set(),
-    }
+    assert found == {"fractions": set(), "numbers": set(), "decimal": set()}
 
 
 def test_argparse_is_imported_only_inside_a_function():
@@ -130,15 +129,12 @@ def test_package_inits_bind_no_name():
     assert bound == {"__init__.py": ["__version__"]}
 
 
-# names that only the acceptance gates or bench/fiber_worker.py use;
-# DivisorClass.scaled is read only as ``__mul__``, which only the tests
-# call
+# names that only the acceptance gates or bench/fiber_worker.py use
 _NO_PRODUCTION_CALLER = {
-    "intersect", "pullback_blowup", "FiberTree.self_degree",
+    "pullback_blowup", "FiberTree.self_degree",
     "RuledModel.exceptional_class", "RuledModel.blow_up",
     "blow_up_on_component", "blow_up_on_edge", "reduce_model",
     "minimality_audit", "contract_component", "FiberTree.neighbors",
-    "DivisorClass.scaled",
 }
 
 
@@ -512,6 +508,54 @@ def test_package_commands_load_no_rational_arithmetic(kind, fmt, tmp_path):
         loaded = _imported("-m", "svlab", *argv)
         assert "svlab.construct" in loaded
         assert loaded & (_RATIONAL_MODULES | {"svlab.kltcalc"}) == set()
+
+
+# classify scenarios whose certificates print fractional values: the
+# README's case C_M, decided by the chi product with c = 1/2; a half
+# section in the boundary, where the fiber threshold reads H.F = 3/2;
+# and a blown-up model whose boundary of coefficient 3/4 sends D to the
+# doubling bound
+_FRACTIONAL_SCENARIOS = {
+    "chi-product": ({"p": 3, "genus": 4, "e": -2}, ["0", "6"],
+                    [{"class": ["3", "-6"], "coefficient": "1/2"}],
+                    "coefficient", "1/2"),
+    "fiber-threshold": ({"p": 3, "genus": 4, "e": -2}, ["0", "6"],
+                        [{"class": ["1", "0"], "coefficient": "1/2"}],
+                        "h_dot_f", "3/2"),
+    "doubling-bound": ({"p": 3, "genus": 2, "e": 0, "exceptionals": [[]]},
+                       ["2", "3", "-2"],
+                       [{"class": ["4", "0", "0"], "coefficient": "3/4"}],
+                       "bound", "15"),
+}
+
+
+@pytest.mark.parametrize("fmt", ("text", "machine"))
+@pytest.mark.parametrize("name", sorted(_FRACTIONAL_SCENARIOS))
+def test_classify_command_loads_no_rational_arithmetic(name, fmt, tmp_path,
+                                                        capsys):
+    # the boundary coefficients stay integer pairs from the document to
+    # the certificate, and each certificate value prints from integers
+    model, divisor, boundary, key, value = _FRACTIONAL_SCENARIOS[name]
+    argv = ["classify", "--in", _write(tmp_path / "c.json", {
+        "format": "svlab/1",
+        "request": "classify",
+        "scenario": {
+            "model": model,
+            "kodaira": "-inf",
+            "chi_o": -1 if model["genus"] == 2 else -3,
+            "q": model["genus"],
+            "relatively_minimal": "exceptionals" not in model,
+            "divisor": divisor,
+            "boundary": boundary,
+        },
+    }), "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert (f"{key}={value}" if fmt == "machine"
+            else f"    {key}: {value}\n") in out
+    loaded = _imported("-m", "svlab", *argv)
+    assert "svlab.nonvanish" in loaded
+    assert loaded & _RATIONAL_MODULES == set()
 
 
 def test_classify_command_does_not_load_the_fibered_layer(tmp_path):
