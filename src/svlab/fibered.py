@@ -354,10 +354,9 @@ def blow_up_on_edge(tree: FiberTree, i: int, j: int) -> FiberTree:
 class MinimalityAudit:
     """Bookkeeping proof that a configuration with a divisor-positive
     (-1)-component and otherwise contraction-free components cannot be a
-    fiber: its K-degree sum misses -2."""
+    fiber: its K-degree sum misses the -2 that every fiber has."""
 
     k_degree_sum: int
-    required: int
     contradiction: bool
     detail: str
 
@@ -382,7 +381,7 @@ def minimality_audit(components) -> MinimalityAudit:
         )
     else:
         detail = "K-degree sum is -2; no obstruction from this audit"
-    return MinimalityAudit(total, -2, contradiction, detail)
+    return MinimalityAudit(total, contradiction, detail)
 
 
 @record

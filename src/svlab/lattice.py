@@ -33,7 +33,8 @@ For e < 0, x = 1 needs y >= 0, and in characteristic 0 x >= 2 needs
 x <= p - 1, where C maps separably onto the base as V.2.21's proof
 needs.  For x >= p it takes 2y >= xe + 2(1 - g), for which no source is
 cited; it is adjunction, 2p_a(C) - 2 = (x - 1)(2y - xe) + x(2g - 2),
-with p_a(C) >= g.
+with p_a(C) >= g.  No positivity rule applies on a blown-up model,
+where ``certify_positivity`` answers unknown.
 
 Everything is exact and no floating point appears anywhere.  A class
 is kept as integer numerators over one positive denominator, so sums,
@@ -398,15 +399,17 @@ RULE_NECESSARY = "positivity.necessary"
 RULE_NONNEG_CONE = "positivity.nonnegative-invariant-cone"
 RULE_DECOMPOSITION = "positivity.section-fiber-decomposition"
 RULE_CURVE_CONE = "positivity.curve-cone-bounds"
+RULE_BLOWN_UP = "positivity.blown-up-model"
 
 
 @record
 class PositivityVerdict:
-    """A status, the rule that settled it and, for a verdict that does
-    not certify, the ``detail`` of its note: a template and the value
-    ``num / den`` that it prints, as ``(template, num, den)``.  The note
-    is written only when it is read, so a caller that reads the status
-    and the rule alone, as the sweep does, formats none."""
+    """A status, the rule that settled it and, for a verdict that an
+    inequality did not certify, the ``detail`` of its note: a template
+    and the value ``num / den`` that it prints, as
+    ``(template, num, den)``.  The note is written only when it is read,
+    so a caller that reads the status and the rule alone, as the sweep
+    does, formats none."""
 
     status: str
     rule_used: str
@@ -421,21 +424,26 @@ class PositivityVerdict:
 
 
 # a certified verdict carries no note, so one record per rule serves
-# every call; records are immutable
+# every call, as one unknown record serves every blown-up model; records
+# are immutable
 _CERTIFIED_BY = {
     rule: PositivityVerdict(CERTIFIED, rule)
     for rule in (RULE_NONNEG_CONE, RULE_DECOMPOSITION, RULE_CURVE_CONE)
 }
+_BLOWN_UP = PositivityVerdict(UNKNOWN, RULE_BLOWN_UP)
 
 
 def certify_positivity(
     model: RuledModel, d: DivisorClass, strict: bool = False
 ) -> PositivityVerdict:
-    """Three-valued nef (strict: ample) certification of a class on a
-    pure model, through ``certify_positivity_nums`` on its numerators."""
-    if not model.is_pure:
-        raise LatticeError("positivity rules apply to pure models")
+    """Three-valued nef (strict: ample) certification of a class on
+    ``model``.  A class from another model raises ``ModelMismatch``.  On
+    a pure model the rules of ``certify_positivity_nums`` decide on the
+    class's numerators; on a blown-up model no rule applies, and the
+    answer is one shared unknown verdict under ``RULE_BLOWN_UP``."""
     _check_on(model, d)
+    if not model.is_pure:
+        return _BLOWN_UP
     return certify_positivity_nums(model, *d.nums, d.den, strict)
 
 

@@ -274,8 +274,8 @@ class Facts:
 
     ``d_dot_f`` is the divisor's fiber degree, an int.  The classes K, B and
     H = D - K - B and the nef(D) and ample(H) certificates exist on
-    lattice scenarios only; the certificates are None on blown-up
-    lattices, where no positivity rule applies.
+    lattice scenarios only, and are None on fiber trees.  On a blown-up
+    lattice both certificates are ``certify_positivity``'s unknown.
     """
 
     label: str
@@ -300,18 +300,9 @@ def derive(s: Scenario, label: str) -> Facts:
         k,
         b,
         h,
-        _positivity_status(model, s.divisor, strict=False),
-        _positivity_status(model, h, strict=True),
+        certify_positivity(model, s.divisor),
+        certify_positivity(model, h, strict=True),
     )
-
-
-def _positivity_status(model: RuledModel, cls: DivisorClass, strict: bool):
-    """Positivity certificate (ample when ``strict``, nef otherwise)
-    where the rules can decide; None on blown-up lattices, where no rule
-    applies."""
-    if not model.is_pure:
-        return None
-    return certify_positivity(model, cls, strict=strict)
 
 
 def case_a_decide(s: Scenario, f: Facts) -> Verdict:
@@ -537,7 +528,7 @@ def euler_bound_decide(s: Scenario, f: Facts) -> Verdict:
 # message, whose fields read the facts as ``f``; None declines the route,
 # with the message as the reason of an unknown verdict.  A positivity
 # hypothesis fails only where its rule says VIOLATED: an UNKNOWN status,
-# or None on a blown-up lattice, passes.
+# as on every blown-up lattice, or None on a fiber tree, passes.
 HYPOTHESES = {
     "q = 0": (lambda s, f: s.q == 0, InconsistentScenario,
               "a vanishing nef divisor with ample polarization forces"

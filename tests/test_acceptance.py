@@ -27,7 +27,6 @@ from svlab.construct import (
     build_package,
     build_surface,
     disjoint_multisection,
-    h1_lower_bound_audit,
     verify_package,
 )
 from svlab.fibered import (
@@ -190,6 +189,21 @@ def expected_shift_pairing(p: int, n: int) -> Fraction:
     return Fraction(-2 * n, 3)
 
 
+def expected_degree_audit(p: int, n: int) -> str:
+    """The kv h1 >= 1 chain: for p >= 3 the degrees 0, n, ..., mn with
+    m = (p - 3)/2, a subsheaf of degree -(p - 1)n/2 and the twist that
+    brings it back to degree 0; for p = 2 the dualizing sheaf gives
+    degree 0 at once."""
+    if p == 2:
+        return ("relative-dualizing: degrees (0,), subsheaf 0, twist 0,"
+                " final 0, h1 >= 1")
+    degrees = tuple(i * n for i in range((p - 3) // 2 + 1))
+    sub = Fraction(-(p - 1) * n, 2)
+    assert sub.denominator == 1  # p is odd
+    return (f"symmetric-power-filtration: degrees {degrees}, subsheaf"
+            f" {sub}, twist {-sub}, final 0, h1 >= 1")
+
+
 def test_criterion_3_counterexample_grid():
     for family in GRID:
         cert = certify_tango(family)
@@ -222,9 +236,10 @@ def test_criterion_3_counterexample_grid():
                 assert certify_positivity(
                     pkg.model, pkg.h_class, strict=True
                 ).status == CERTIFIED
-                audit = h1_lower_bound_audit(pkg)
-                assert audit.final_degree == 0
-                assert audit.lower_bound == 1
+                audits = [r for r in verification.results
+                          if r.name == "degree-audit"]
+                assert len(audits) == 1 and audits[0].passed
+                assert audits[0].witness == expected_degree_audit(p, n)
             if pkg.shifted_divisor is not None:
                 assert intersect(
                     pkg.shifted_divisor, pkg.section_curve

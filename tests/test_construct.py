@@ -23,16 +23,12 @@ from svlab.construct import (
     KIND_KOLLAR,
     KIND_KV,
     KIND_SEMIPOS,
-    ROUTE_DUALIZING,
-    ROUTE_FILTRATION,
     CounterexamplePackage,
-    DegreeAudit,
     PackageError,
     KINDS,
     build_package,
     build_surface,
     disjoint_multisection,
-    h1_lower_bound_audit,
     verify_package,
 )
 from svlab.kltcalc import (
@@ -356,46 +352,63 @@ class TestSemipos:
             )
 
 
+def degree_chain(p, n):
+    """The h1 >= 1 witness of a kv package, from p and n: the
+    symmetric-power filtration for p >= 3, the relative dualizing sheaf
+    for p = 2."""
+    if p == 2:
+        route, degrees, sub = "relative-dualizing", (0,), Fraction(0)
+    else:
+        route = "symmetric-power-filtration"
+        degrees = tuple(i * n for i in range((p - 3) // 2 + 1))
+        sub = Fraction(-(p - 1) * n, 2)
+    assert sub.denominator == 1
+    return (f"{route}: degrees {degrees}, subsheaf {sub}, twist {-sub},"
+            " final 0, h1 >= 1")
+
+
 class TestDegreeAudit:
     def test_smallest_odd_p(self):
         pkg = build_package(KIND_KV, cert_of(Hyperelliptic(3, 3)))
-        audit = h1_lower_bound_audit(pkg)
-        assert audit == DegreeAudit(
-            route=ROUTE_FILTRATION,
-            filtration_degrees=(0,),
-            subsheaf_degree=-2,
-            twist_degree=2,
-            final_degree=0,
-            lower_bound=1,
-        )
+        audit = item(pkg, "degree-audit")
+        assert audit.passed
+        assert audit.witness == (
+            "symmetric-power-filtration: degrees (0,), subsheaf -2, twist 2,"
+            " final 0, h1 >= 1"
+        ) == degree_chain(3, pkg.degree_n())
 
     def test_p_five_filtration_widens(self):
         pkg = build_package(KIND_KV, cert_of(Hyperelliptic(5, 3)))
-        audit = h1_lower_bound_audit(pkg)
-        assert audit.filtration_degrees == (0, 2)
-        assert audit.subsheaf_degree == -4
-        assert audit.final_degree == 0
+        audit = item(pkg, "degree-audit")
+        assert audit.passed
+        assert audit.witness == (
+            "symmetric-power-filtration: degrees (0, 2), subsheaf -4,"
+            " twist 4, final 0, h1 >= 1"
+        ) == degree_chain(5, pkg.degree_n())
 
     def test_char_two_route(self):
         pkg = build_package(KIND_KV, cert_of(ArtinSchreier(2, 5)))
-        audit = h1_lower_bound_audit(pkg)
-        assert audit.route == ROUTE_DUALIZING
-        assert audit.final_degree == 0
-        assert audit.lower_bound == 1
+        audit = item(pkg, "degree-audit")
+        assert audit.passed
+        assert audit.witness == (
+            "relative-dualizing: degrees (0,), subsheaf 0, twist 0,"
+            " final 0, h1 >= 1"
+        ) == degree_chain(2, pkg.degree_n())
 
     def test_only_reads_kv_packages(self):
-        with pytest.raises(PackageError, match="kv"):
-            h1_lower_bound_audit(
-                build_package(KIND_KOLLAR, cert_of(Hyperelliptic(3, 3)))
-            )
+        for fam in GRID_FAMILIES:
+            for kind in (KIND_KOLLAR, KIND_SEMIPOS):
+                pkg = build_package(kind, cert_of(fam))
+                assert "degree-audit" not in names(pkg)
 
     def test_chain_closes_on_the_grid(self):
         for fam in GRID_FAMILIES:
             pkg = build_package(KIND_KV, cert_of(fam))
-            audit = h1_lower_bound_audit(pkg)
-            assert audit.subsheaf_degree + audit.twist_degree == 0
-            assert audit.final_degree == 0
-            assert audit.lower_bound == 1
+            audit = item(pkg, "degree-audit")
+            assert audit.passed
+            assert audit.witness == degree_chain(
+                pkg.model.characteristic, pkg.degree_n()
+            )
 
 
 def _bent(pkg, **changes):

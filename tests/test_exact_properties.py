@@ -5,7 +5,8 @@ numerators over one denominator.  Each property below recomputes the
 same quantity the plain way, on ``fractions.Fraction`` values, in the
 test itself, and requires the two to agree exactly.  The positivity and
 Riemann-Roch kernels, which take numerators that need not be reduced,
-are compared with their class wrappers.  A sweep entry is
+are compared with their class wrappers, and on a blown-up model the
+positivity answer is one shared unknown record.  A sweep entry is
 compared with the plain composition: the polarization as a class
 difference, then a fresh product certificate read for chi.  Two more
 properties pin, as claims on outputs, facts that earlier checks decide
@@ -52,6 +53,7 @@ from svlab.kltcalc import (
 )
 from svlab.lattice import (
     CERTIFIED,
+    RULE_BLOWN_UP,
     RULE_CURVE_CONE,
     RULE_DECOMPOSITION,
     RULE_NECESSARY,
@@ -60,6 +62,7 @@ from svlab.lattice import (
     VIOLATED,
     DivisorClass,
     InconsistentScenario,
+    ModelMismatch,
     PositivityVerdict,
     PreconditionError,
     RuledModel,
@@ -87,7 +90,7 @@ rationals = st.builds(
 
 
 @st.composite
-def models(draw, max_points=6):
+def models(draw, max_points=6, min_points=0):
     """A pure model, or one blown up in chains, satellite points and
     free points."""
     model = RuledModel(
@@ -95,7 +98,7 @@ def models(draw, max_points=6):
         draw(st.integers(0, 5)),
         draw(st.integers(-4, 4)),
     )
-    for k in range(draw(st.integers(0, max_points))):
+    for k in range(draw(st.integers(min_points, max_points))):
         prox = draw(st.lists(st.integers(0, k - 1), unique=True,
                              max_size=2)) if k else []
         model = model.blow_up(sorted(prox))
@@ -276,6 +279,26 @@ def test_positivity_kernel_matches_its_class_wrapper(case, strict, den, k):
         fresh = PositivityVerdict(CERTIFIED, got.rule_used)
         assert got == fresh and hash(got) == hash(fresh)
         assert got.note == ""
+
+
+@SETTINGS
+@given(st.data())
+def test_positivity_on_a_blown_up_model_is_one_unknown(data):
+    model = data.draw(models(min_points=1))
+    d = class_of_fractions(model, data.draw(coefficient_lists(model)))
+    nef = certify_positivity(model, d)
+    assert certify_positivity(model, d, strict=True) is nef
+    fresh = PositivityVerdict(UNKNOWN, RULE_BLOWN_UP)
+    assert nef == fresh and hash(nef) == hash(fresh)
+    assert nef.note == ""
+    # a class on the pure model below, or on one more blow-up, is from
+    # another model, and is refused before any answer
+    base = RuledModel(model.characteristic, model.genus, model.invariant_e)
+    other = data.draw(st.sampled_from((base, model.blow_up())))
+    stray = class_of_fractions(other, data.draw(coefficient_lists(other)))
+    for strict in (False, True):
+        with pytest.raises(ModelMismatch, match="this model"):
+            certify_positivity(model, stray, strict=strict)
 
 
 def test_certified_verdicts_are_shared_per_rule():

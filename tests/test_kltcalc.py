@@ -238,9 +238,8 @@ class TestValidation:
                 Fraction(num, den))
 
     @pytest.mark.parametrize("coefficient", (0.1, 0.5, "1/3", True, None))
-    def test_coefficient_is_an_int_or_fraction(self, coefficient):
-        # the coefficient is an int numerator over an int denominator: a
-        # float would arrive as its binary expansion and a string would
+    def test_numerator_must_be_an_int(self, coefficient):
+        # a float would arrive as its binary expansion and a string would
         # be parsed, so neither is a numerator, and a bool is no int
         with pytest.raises(ArrangementError, match="int numerator"):
             WeightedBranch("a", coefficient)

@@ -480,9 +480,6 @@ BLOWN_UP_342 = MODEL_342.blow_up()
     pytest.param(lambda: candidate_curve_constraints(
         MODEL_342, MODEL_342.class_of([(1, 2)])),
         (LatticeError, "integral"), id="curve-not-integral"),
-    pytest.param(lambda: certify_positivity(
-        BLOWN_UP_342, BLOWN_UP_342.fiber_class()),
-        (LatticeError, "pure models"), id="positivity-on-blown-up"),
     pytest.param(lambda: MODEL_342.divisor(1, 2, 3),
                  (LatticeError, "too many"), id="divisor-too-long"),
     pytest.param(lambda: MODEL_342.divisor(0.5),

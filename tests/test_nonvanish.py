@@ -130,9 +130,7 @@ class TestScenarioValidation:
         0.5, "1/2", True, Fraction(1, 2), (2, 4), (-1, -2), (1, 2.0),
         (True, 2), (1, 2, 1),
     ), ids=lambda v: v if isinstance(v, str) else repr(v))
-    def test_boundary_coefficient_is_an_int_or_fraction(self, bad):
-        # the coefficient is a reduced (numerator, positive denominator)
-        # int pair; neither an int nor a Fraction is one
+    def test_coefficient_must_be_a_reduced_pair(self, bad):
         with pytest.raises(InvalidScenario, match="reduced"):
             kv_scenario(boundary=((KV_MODEL.divisor(3, -6), bad),))
 
