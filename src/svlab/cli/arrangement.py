@@ -123,14 +123,10 @@ def _clusters(value):
 _ARRANGEMENT = {"branches": _branches, "clusters": (_clusters, [])}
 
 
-def _arrangement(value):
-    return _object(value, _ARRANGEMENT)
-
-
 def arrangement_from_document(data: dict) -> ClusterArrangement:
     """The arrangement of a klt document, which ``_top`` reads whole:
     the branches, then the cluster forest."""
-    fields = _top(data, "klt", {"arrangement": _arrangement})["arrangement"]
+    fields = _top(data, "klt", {"arrangement": _ARRANGEMENT})["arrangement"]
     return ClusterArrangement(tuple(fields["branches"]),
                               tuple(fields["clusters"]))
 

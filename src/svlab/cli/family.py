@@ -7,34 +7,36 @@ they print each coefficient pair of the package and each class through
 ``svlab.ratio.ratio_text``.  ``family_from_fields`` refuses without a
 path, as a refusal of the family flags reads, and the document reader
 ``_family`` puts the path of the family on each of its refusals.
-Only tango, construct and verify load this module, and it imports each
-layer where it uses it, so tango loads no lattice and construct without
---emit no ``cli/package``.  The handlers call the readers through
-``svlab.cli.schema``, which binds them lazily, and the layer entry
-points and ``check`` through ``svlab.cli.main``, so a tracer or a test
-that rebinds one of those names sees every call.
+Only tango, construct and verify load this module, and each of them
+certifies a family, so it reads the family classes at import.  It
+imports every other layer where it uses it, so tango loads no lattice
+and construct without --emit no ``cli/package``.  The handlers call
+the readers through ``svlab.cli.schema``, which binds them lazily, and
+the layer entry points and ``check`` through ``svlab.cli.main``, so a
+tracer or a test that rebinds one of those names sees every call.
 """
 
+from ..charpcurve.families import (
+    ArtinSchreier,
+    FamilyParameterError,
+    Hyperelliptic,
+    TangoPlane,
+    genus,
+)
 from . import main, schema
 from .report import FAIL, PASS, Report
 from .schema import SchemaError
 
-
-def _family_classes() -> dict:
-    """The class of each family kind.  A family's document carries the
-    fields of its record class: p, and h where the class has one."""
-    from ..charpcurve.families import ArtinSchreier, Hyperelliptic, TangoPlane
-
-    return {"hyperelliptic": Hyperelliptic, "artinschreier": ArtinSchreier,
-            "tangoplane": TangoPlane}
+# The class of each family kind.  A family's document carries the fields
+# of its record class: p, and h where the class has one.
+_FAMILY_CLASSES = {"hyperelliptic": Hyperelliptic,
+                   "artinschreier": ArtinSchreier, "tangoplane": TangoPlane}
 
 
 def family_from_fields(kind: str, p: int, h):
     """The family of ``kind``, one of ``schema.FAMILY_KINDS``, at p and
     h; a refusal carries no path."""
-    from ..charpcurve.families import genus
-
-    cls = _family_classes()[kind]
+    cls = _FAMILY_CLASSES[kind]
     if "h" not in cls.__annotations__:
         if h is not None:
             raise SchemaError(f"{kind} takes no h")
@@ -55,8 +57,6 @@ _FAMILY = {"kind": str, "p": schema.characteristic,
 
 
 def _family(value):
-    from ..charpcurve.families import FamilyParameterError
-
     fields = schema._object(value, _FAMILY)
     kind = fields["kind"]
     if kind not in schema.FAMILY_KINDS:
@@ -93,7 +93,7 @@ def construct_from_document(data: dict):
 
 def family_document(family) -> dict:
     cls = type(family)
-    kind = next(k for k, c in _family_classes().items() if c is cls)
+    kind = next(k for k, c in _FAMILY_CLASSES.items() if c is cls)
     return {"kind": kind,
             **{name: getattr(family, name) for name in cls.__annotations__}}
 

@@ -32,14 +32,14 @@ from ..ratio import ratio_text
 from . import schema
 from .family import _family, _package_lines, family_document
 from .rational import (
-    _boundary_entry,
+    _BOUNDARY_ENTRY,
     _boundary_on,
     _class_on,
     _coeffs,
     parse_ratio,
 )
 from .report import FORMAT_VERSION, Report
-from .schema import SchemaError, _list_of, _nullable, _object, _top
+from .schema import SchemaError, _list_of, _nullable, _top
 
 
 def fmt_rational(q: tuple[int, int]) -> str:
@@ -65,7 +65,7 @@ _MAYBE_RATIONAL = (_nullable(parse_ratio), _nullable(fmt_rational), None)
 # in order: (reader, writer, builder on the model or None)
 _PACKAGE_KEYS = {
     "section_curve": _CLASS,
-    "boundary": (_list_of(_boundary_entry), _boundary_doc, _boundary_on),
+    "boundary": (_list_of(_BOUNDARY_ENTRY), _boundary_doc, _boundary_on),
     "divisor": _CLASS,
     "h_class": _CLASS,
     "base_twist_degree": _MAYBE_RATIONAL,
@@ -77,10 +77,6 @@ _PACKAGE_KEYS = {
 
 _PACKAGE = {"kind": str, "family": _family,
             **{name: spec[0] for name, spec in _PACKAGE_KEYS.items()}}
-
-
-def _package(value):
-    return _object(value, _PACKAGE)
 
 
 def package_to_document(pkg: CounterexamplePackage) -> dict:
@@ -100,7 +96,7 @@ def package_from_document(data: dict) -> CounterexamplePackage:
     """The package of a verify document, which ``_top`` reads whole: its
     kind and family, then the certificate and surface of the family,
     then the class data on that surface, in field order."""
-    fields = _top(data, "verify-package", {"package": _package})["package"]
+    fields = _top(data, "verify-package", {"package": _PACKAGE})["package"]
     kind = fields.pop("kind")
     if kind not in KINDS:
         raise SchemaError(

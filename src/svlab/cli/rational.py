@@ -5,8 +5,9 @@ A rational travels as a "num/den" string (or a bare integer string) of
 ASCII digits; a decimal literal is refused outright.  ``parse_ratio``
 reads one as its reduced numerator and positive denominator, and every
 reader keeps that pair: ``_coeffs`` reads a class's coefficients and
-``_boundary_entry`` one boundary entry, and ``_class_on`` and
-``_boundary_on`` put what they read on a model once it is built.
+``_BOUNDARY_ENTRY`` is the key table of one boundary entry, and
+``_class_on`` and ``_boundary_on`` put what they read on a model once
+it is built.
 
 Only the readers that take rationals import this module: those of
 classify, klt, sweep and verify, and the package writer behind
@@ -20,7 +21,7 @@ import re
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .schema import SchemaError, _list_of, _object
+from .schema import SchemaError, _list_of
 
 if TYPE_CHECKING:
     from ..lattice import DivisorClass, RuledModel
@@ -57,10 +58,6 @@ def _class_on(model: RuledModel, coeffs, where) -> DivisorClass:
 
 
 _BOUNDARY_ENTRY = {"class": _coeffs, "coefficient": parse_ratio}
-
-
-def _boundary_entry(value):
-    return _object(value, _BOUNDARY_ENTRY)
 
 
 def _boundary_on(model: RuledModel, entries, where) -> tuple:

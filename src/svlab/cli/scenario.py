@@ -14,16 +14,9 @@ from __future__ import annotations
 from ..lattice import RuledModel
 from ..nonvanish import RULED, Scenario
 from . import main, schema
-from .rational import _boundary_entry, _boundary_on, _class_on, _coeffs
+from .rational import _BOUNDARY_ENTRY, _boundary_on, _class_on, _coeffs
 from .report import PASS, Report
-from .schema import (
-    _PURE_MODEL,
-    SchemaError,
-    _list_of,
-    _nullable,
-    _object,
-    _top,
-)
+from .schema import _PURE_MODEL, SchemaError, _list_of, _nullable, _top
 
 
 def _kodaira(value):
@@ -32,14 +25,6 @@ def _kodaira(value):
     if type(value) is not int:
         raise SchemaError('expected "-inf" or an integer', [])
     return value
-
-
-def _model_fields(value):
-    return _object(value, _MODEL)
-
-
-def _scenario(value):
-    return _object(value, _SCENARIO)
 
 
 def _build_model(fields) -> RuledModel:
@@ -52,7 +37,7 @@ def _build_model(fields) -> RuledModel:
 def scenario_from_document(data: dict) -> Scenario:
     """The scenario of a classify document, which ``_top`` reads whole;
     the divisor and the boundary are then put on the model it builds."""
-    fields = _top(data, "classify", {"scenario": _scenario})["scenario"]
+    fields = _top(data, "classify", {"scenario": _SCENARIO})["scenario"]
     model = fields["model"] = _build_model(fields["model"])
     fields["divisor"] = _class_on(model, fields["divisor"],
                                   "scenario.divisor")
@@ -86,14 +71,14 @@ def cmd_classify(args) -> Report:
 
 
 # the scenario reader's key tables
+_MODEL = {**_PURE_MODEL, "exceptionals": (_list_of(_list_of(int)), [])}
 _SCENARIO = {
-    "model": _model_fields,
+    "model": _MODEL,
     "kodaira": _kodaira,
     "chi_o": int,
     "q": int,
     "relatively_minimal": bool,
     "divisor": _coeffs,
-    "boundary": (_list_of(_boundary_entry), []),
+    "boundary": (_list_of(_BOUNDARY_ENTRY), []),
     "kappa_minus_k_nonneg": (_nullable(bool), None),
 }
-_MODEL = {**_PURE_MODEL, "exceptionals": (_list_of(_list_of(int)), [])}

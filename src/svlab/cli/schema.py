@@ -12,25 +12,30 @@ reads format, request and the kind's own top-level keys, bodies
 included.
 
 Every object of every document is read by ``_object``, against one key
-table per object that maps each key to a converter or to a plain JSON
-type (``str``, ``int``, ``bool``, ``list``, ``dict``), and each
-optional key to such a reader and its default.  A plain type is tested
-inline with ``type(value) is T``, so a bool is never an integer.  A
-converter takes the value alone and returns what it reads.  Its
-refusal, a ``SchemaError`` raised with an empty path, collects the
-path to the value as it propagates: ``.key`` from ``_object`` and
-``[i]`` from ``_list_of``.  ``_top`` gives every document one path
-rule: a refusal under a top-level key reads from that key, as in
-``model.p`` or ``scenario.model.genus``, and a refusal of the document
-itself reads ``document``.  The path is formatted only when the
-refusal is printed, so a document that reads cleanly formats none.
+table per object that maps each key to a converter, to a plain JSON
+type (``str``, ``int``, ``bool``, ``list``, ``dict``) or to the key
+table of a nested object, which ``_object`` reads itself, and each
+optional key to such a reader and its default.  A key table is a
+``dict`` instance, and the ``dict`` type means any JSON object.
+``_list_of`` takes a converter, a plain type or a key table for the
+items of an array.  A plain type is tested inline with
+``type(value) is T``, so a bool is never an integer.  A converter
+takes the value alone and returns what it reads.  Its refusal, a
+``SchemaError`` raised with an empty path, collects the path to the
+value as it propagates: ``.key`` from ``_object`` and ``[i]`` from
+``_list_of``.  ``_top`` gives every document one path rule: a refusal
+under a top-level key reads from that key, as in ``model.p`` or
+``scenario.model.genus``, and a refusal of the document itself reads
+``document``.  The path is formatted only when the refusal is printed,
+so a document that reads cleanly formats none.
 
 This module keeps what several document kinds share: the envelope, the
-converters, the caps and the pure model reader.  Each kind's reader is
-a module of its own, beside its command's handler: ``cli/scenario``
-(classify), ``cli/arrangement`` (klt), ``cli/family`` (tango and
-construct, and the family that a package carries), ``cli/sweep``
-(sweep) and ``cli/package`` (verify and ``construct --emit``).  This
+converters, the caps and the pure model's key table.  Each kind's
+reader is a module of its own, beside its command's handler:
+``cli/scenario`` (classify), ``cli/arrangement`` (klt), ``cli/family``
+(tango and construct, and the family that a package carries),
+``cli/sweep`` (sweep) and ``cli/package`` (verify and ``construct
+--emit``).  This
 module binds their public functions lazily, so a command compiles only
 its own reader and callers still reach every reader as
 ``schema.<name>``.  It imports no ``json``, which ``load_document``
@@ -97,10 +102,10 @@ _PLAIN = {
 
 def _object(data, table: dict) -> dict:
     """The fields of the JSON object ``data``.  ``table`` maps each key
-    that it must have to its converter or plain type, and each key that
-    it may have to a (converter or plain type, default) pair; the
-    required keys come first.  A refusal comes in table order, after
-    any unknown key."""
+    that it must have to its converter, plain type or key table, and
+    each key that it may have to a (reader, default) pair; the required
+    keys come first.  A refusal comes in table order, after any unknown
+    key."""
     if type(data) is not dict:
         raise SchemaError("expected an object", [])
     for key in data:
@@ -124,7 +129,8 @@ def _object(data, table: dict) -> dict:
                 raise SchemaError(_PLAIN[convert], ["." + key])
         else:
             try:
-                value = convert(value)
+                value = (_object(value, convert) if type(convert) is dict
+                         else convert(value))
             except SchemaError as ex:
                 ex.within("." + key)
                 raise
@@ -153,12 +159,18 @@ MAX_SWEEP_ENTRIES = 100_000
 
 
 def characteristic(value) -> int:
+    """A characteristic: 0 or a prime below the cap."""
     if type(value) is not int:
         raise SchemaError(_PLAIN[int], [])
     if value >= MAX_CHARACTERISTIC:
         raise SchemaError(
             f"expected a characteristic below {MAX_CHARACTERISTIC}", [],
         )
+    # a leaf module, imported here so that klt and --help load none
+    from ..primes import is_prime
+
+    if value != 0 and not is_prime(value):
+        raise SchemaError(f"expected 0 or a prime, got {value}", [])
     return value
 
 
@@ -178,8 +190,8 @@ def _nullable(convert):
 
 def _list_of(convert):
     """The converter of a JSON array whose items ``convert``, a
-    converter or a plain type, reads; an array of a plain type is
-    returned as it stands."""
+    converter, a plain type or a key table, reads; an array of a plain
+    type is returned as it stands."""
     if type(convert) is type:
         def plain(value):
             if type(value) is not list:
@@ -191,6 +203,8 @@ def _list_of(convert):
                     raise SchemaError(_PLAIN[convert], [f"[{i}]"])
             return value
         return plain
+    if type(convert) is dict:
+        return _list_of(lambda item: _object(item, convert))
 
     def inner(value):
         if type(value) is not list:
@@ -261,12 +275,8 @@ def _top(data: dict, request: str, keys: dict):
         raise
 
 
+# the p, genus, e of a ruled model with no blow-ups
 _PURE_MODEL = {"p": characteristic, "genus": int, "e": int}
-
-
-def _pure_model(value):
-    """The p, genus, e of a ruled model with no blow-ups."""
-    return _object(value, _PURE_MODEL)
 
 
 # the family kinds, which cli/main's --family flag offers

@@ -44,14 +44,7 @@ from ..record import record
 from . import main, schema
 from .rational import parse_ratio
 from .report import FAIL, PASS, SKIP, Report
-from .schema import (
-    MAX_SWEEP_ENTRIES,
-    SchemaError,
-    _list_of,
-    _object,
-    _pure_model,
-    _top,
-)
+from .schema import _PURE_MODEL, MAX_SWEEP_ENTRIES, SchemaError, _list_of, _top
 
 CERTIFIED_ENTRY = "certified"
 SKIPPED_ENTRY = "skipped"
@@ -84,17 +77,13 @@ def _range(value):
     return (pair[0], pair[1])
 
 
-def _box(value):
-    return _object(value, _BOX)
-
-
 # the sweep reader's key tables
+_BOX = {"a": _range, "b": _range}
 _SWEEP = {
-    "model": _pure_model,
-    "box": _box,
+    "model": _PURE_MODEL,
+    "box": _BOX,
     "boundary_coefficient": parse_ratio,
 }
-_BOX = {"a": _range, "b": _range}
 
 
 def sweep_from_document(data: dict) -> SweepRequest:

@@ -264,8 +264,9 @@ def _package_document():
 # and the refusal.  The first edits sit under a top-level key, a generic
 # refusal first and then, where the kind has one, a hand-written one,
 # and where it reads a family, the family's own refusals: its kind, its
-# h present or missing, its p and the genus cap.  The last edit is of
-# the document itself.
+# h present or missing, its p and the genus cap.  A p that is neither 0
+# nor a prime is the reader's refusal, and 0 the family's.  The last
+# edit is of the document itself.
 _NOT_A_FAMILY_KIND = (
     f"expected one of {', '.join(schema.FAMILY_KINDS)}, got 'other'"
 )
@@ -275,6 +276,8 @@ _PATH_RULE = {
          "scenario.model.genus: expected an integer"),
         (("scenario", "divisor"), ["0", "6", "0"],
          "scenario.divisor: expected 2 coefficients, got 3"),
+        (("scenario", "model", "p"), 4,
+         "scenario.model.p: expected 0 or a prime, got 4"),
         (("scenario",), _MISSING, "document: missing key 'scenario'"),
     )),
     "klt": ("klt", lambda: TRIPLE_DOC, (
@@ -290,6 +293,7 @@ _PATH_RULE = {
     "sweep": ("sweep", lambda: SWEEP_DOC, (
         (("model", "p"), 2 ** 16,
          "model.p: expected a characteristic below 65536"),
+        (("model", "p"), -3, "model.p: expected 0 or a prime, got -3"),
         (("model", "e"), 0, "model.e: the sweep runs on e < 0 models"),
         (("box",), _MISSING, "document: missing key 'box'"),
     )),
@@ -300,7 +304,8 @@ _PATH_RULE = {
         (("family", "h"), "3", "family.h: expected an integer"),
         (("family", "kind"), "other", f"family.kind: {_NOT_A_FAMILY_KIND}"),
         (("family", "h"), _MISSING, "family: hyperelliptic needs h"),
-        (("family", "p"), 4, "family: 4 is not prime"),
+        (("family", "p"), 4, "family.p: expected 0 or a prime, got 4"),
+        (("family", "p"), 0, "family: 0 is not prime"),
         (("family", "h"), 99999999999,
          "family: Hyperelliptic(p=3, h=99999999999) has genus 149999999998;"
          " expected a genus of at most 20000"),
@@ -327,7 +332,8 @@ _PATH_RULE = {
          f"package.family.kind: {_NOT_A_FAMILY_KIND}"),
         (("package", "family", "h"), _MISSING,
          "package.family: hyperelliptic needs h"),
-        (("package", "family", "p"), 9, "package.family: 9 is not prime"),
+        (("package", "family", "p"), 9,
+         "package.family.p: expected 0 or a prime, got 9"),
         (("extra",), 1,
          "document: unknown keys ['extra']; this schema is strict"),
     )),
@@ -1168,6 +1174,58 @@ class TestCharacteristicCap:
             "--in", write_doc(tmp_path, "d.json", doc),
         )
         assert code == 0
+
+
+class TestCharacteristicIsZeroOrPrime:
+    """The reader refuses a characteristic that is neither 0 nor a
+    prime, naming its path, wherever a model or a family carries one;
+    a family refuses 0 itself.  ``TestPathRule`` holds one such value
+    under each document kind."""
+
+    def refused(self, capsys, where, p, *argv):
+        assert run(capsys, *argv) == (
+            2, "", f"error: {where}: expected 0 or a prime, got {p}\n",
+        )
+
+    @pytest.mark.parametrize("p", [-3, 1, 65535])
+    def test_scenario_model(self, p, tmp_path, capsys):
+        doc = json.loads(json.dumps(KV_SCENARIO))
+        doc["scenario"]["model"]["p"] = p
+        self.refused(capsys, "scenario.model.p", p, "classify",
+                     "--in", write_doc(tmp_path, "d.json", doc))
+
+    @pytest.mark.parametrize("p", [4, 1])
+    def test_sweep_model(self, p, tmp_path, capsys):
+        doc = json.loads(json.dumps(SWEEP_DOC))
+        doc["model"]["p"] = p
+        self.refused(capsys, "model.p", p, "sweep",
+                     "--in", write_doc(tmp_path, "d.json", doc))
+
+    @pytest.mark.parametrize("p", [4, -3, 9])
+    def test_family_flag(self, p, capsys):
+        self.refused(capsys, "--p", p, "tango", "--family", "hyperelliptic",
+                     "--p", str(p), "--h", "3")
+
+    def test_construct_document(self, tmp_path, capsys):
+        doc = {
+            "format": "svlab/1", "request": "construct", "kind": "kv",
+            "family": {"kind": "tangoplane", "p": 25},
+        }
+        self.refused(capsys, "family.p", 25, "construct",
+                     "--in", write_doc(tmp_path, "d.json", doc))
+
+    def test_zero_passes_the_reader(self, tmp_path, capsys):
+        assert schema.characteristic(0) == 0
+        doc = json.loads(json.dumps(SWEEP_DOC))
+        doc["model"]["p"] = 0
+        assert run(
+            capsys, "sweep", "--in", write_doc(tmp_path, "d.json", doc),
+        ) == (2, "", "error: model.p: the sweep runs in positive"
+                     " characteristic\n")
+        assert run(
+            capsys, "tango", "--family", "hyperelliptic", "--p", "0",
+            "--h", "3",
+        ) == (2, "", "error: 0 is not prime\n")
 
 
 class TestGenusCap:

@@ -35,7 +35,7 @@ from svlab.chiproduct import ChiProduct
 from svlab.cli.main import cmd_klt
 from svlab.cli.rational import _RATIONAL, parse_ratio
 from svlab.cli.report import _quoted
-from svlab.cli.schema import SchemaError, _at, _object
+from svlab.cli.schema import SchemaError, _at, _list_of, _object
 from svlab.cli.sweep import (
     CERTIFIED_ENTRY,
     DISAGREEMENT,
@@ -686,9 +686,19 @@ _FITTING = {
 _readers = st.sampled_from(tuple(_FITTING))
 
 
+def _array_of(table):
+    """``_list_of`` over the key table ``table``, which the reader keeps
+    for ``reference_object``."""
+    reader = _list_of(table)
+    reader.item_table = table
+    return reader
+
+
 def reference_object(data, table):
     """``_object`` written plainly: the unknown keys, then each key of
-    the table in order, a required one refused when it is absent."""
+    the table in order, a required one refused when it is absent.  A
+    nested table is read by recursing, and an array of objects item by
+    item, each refusal under its ``[i]``."""
     if type(data) is not dict:
         raise SchemaError("expected an object", [])
     unknown = sorted(set(data) - set(table))
@@ -705,7 +715,20 @@ def reference_object(data, table):
             continue
         value = data[key]
         try:
-            if reader in _PLAIN_REFUSALS:
+            if type(reader) is dict:
+                value = reference_object(value, reader)
+            elif hasattr(reader, "item_table"):
+                if type(value) is not list:
+                    raise SchemaError("expected an array", [])
+                items = []
+                for i, item in enumerate(value):
+                    try:
+                        items.append(reference_object(item, reader.item_table))
+                    except SchemaError as ex:
+                        ex.within(f"[{i}]")
+                        raise
+                value = items
+            elif reader in _PLAIN_REFUSALS:
                 if type(value) is not reader:
                     raise SchemaError(_PLAIN_REFUSALS[reader], [])
             else:
@@ -717,30 +740,58 @@ def reference_object(data, table):
     return out
 
 
-@st.composite
-def tables_and_objects(draw):
-    """A key table of plain types and converters, some keys optional
-    with a default, and a JSON value to read against it: mostly an
-    object whose values mostly fit, with keys left out and keys that the
-    table does not list."""
-    table = draw(st.dictionaries(
+def key_tables(depth, max_size=5):
+    """A key table of plain types and converters, and ``depth`` levels
+    of nested key tables and arrays of them below it, some keys
+    optional with a default."""
+    readers = _readers
+    if depth:
+        inner = key_tables(depth - 1, max_size=3)
+        readers = _readers | inner | inner.map(_array_of)
+    return st.dictionaries(
         st.sampled_from("abcde"),
-        _readers | st.tuples(_readers, json_values), max_size=5,
-    ))
-    # hypothesis leans to small draws, so the first choices are the
-    # common ones
-    if draw(st.integers(0, 9)) == 9:
-        return table, draw(json_values)
+        readers | st.tuples(readers, json_values), max_size=max_size,
+    )
+
+
+_KEY_TABLES = key_tables(2)
+
+
+def _fitting(draw, reader):
+    """A value that ``reader`` mostly accepts."""
+    if type(reader) is dict:
+        return _object_of(draw, reader)
+    if hasattr(reader, "item_table"):
+        return [_object_of(draw, reader.item_table)
+                for _ in range(draw(st.integers(0, 2)))]
+    return draw(_FITTING[reader])
+
+
+def _object_of(draw, table):
+    """An object whose values mostly fit ``table``, with keys left out
+    and keys that the table does not list."""
     items = []
     for key, spec in table.items():
         reader = spec[0] if type(spec) is tuple else spec
         fit = draw(st.integers(0, 5))
         if fit < 5:
-            items.append((key, draw(
-                _FITTING[reader] if fit < 4 else json_values)))
+            items.append((key, _fitting(draw, reader) if fit < 4
+                          else draw(json_values)))
     if draw(st.integers(0, 4)) == 4:
         items.append((draw(st.sampled_from("xy")), draw(json_values)))
-    return table, dict(draw(st.permutations(items)))
+    return dict(draw(st.permutations(items)))
+
+
+@st.composite
+def tables_and_objects(draw):
+    """A key table, nested at most two levels, and a JSON value to read
+    against it: mostly an object whose values mostly fit."""
+    table = draw(_KEY_TABLES)
+    # hypothesis leans to small draws, so the first choices are the
+    # common ones
+    if draw(st.integers(0, 9)) == 9:
+        return table, draw(json_values)
+    return table, _object_of(draw, table)
 
 
 def _reading(reader, data, table):

@@ -506,6 +506,10 @@ def _nested_value_cases():
             "sweep", BODIES["sweep"], ("box", "b", 1), 20.0),
         "sweep:model-p-over-the-cap": _edited(
             "sweep", BODIES["sweep"], ("model", "p"), 2 ** 16),
+        "sweep:model-p-not-a-prime": _edited(
+            "sweep", BODIES["sweep"], ("model", "p"), 4),
+        "tango:family-p-not-a-prime": _edited(
+            "tango", BODIES["tango"], ("family", "p"), 9),
         "tango:family-h-not-an-integer": _edited(
             "tango", BODIES["tango"], ("family", "h"), "3"),
         "construct:family-p-is-a-bool": _edited(
@@ -598,11 +602,15 @@ REFUSALS = {
         "error: document is a classify request, not sweep\n",
     "sweep:model-p-over-the-cap":
         "error: model.p: expected a characteristic below 65536\n",
+    "sweep:model-p-not-a-prime":
+        "error: model.p: expected 0 or a prime, got 4\n",
     "sweep:unknown-key":
         "error: document: unknown keys ['extra']; this schema is strict\n",
     "sweep:wrong-format": "error: format: expected 'svlab/1', got 'svlab/0'\n",
     "tango:family-h-not-an-integer":
         "error: family.h: expected an integer\n",
+    "tango:family-p-not-a-prime":
+        "error: family.p: expected 0 or a prime, got 9\n",
     "tango:family-without-p": "error: family flags need --p\n",
     "tango:in-and-family":
         "error: give either --in or the family flags, not both\n",

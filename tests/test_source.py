@@ -263,6 +263,43 @@ def test_one_document_envelope():
     assert ats == [("family.py", "--p")]
 
 
+def test_no_reader_only_names_a_key_table():
+    # a key table is read by ``_object`` where it is named, as an entry
+    # of another table, an item of ``_list_of`` or a body of ``_top``,
+    # so no function of the command line stands between a table and its
+    # readers as ``return _object(<its parameter>, <a module table>)``
+    found = []
+    paths = sorted((SRC / "cli").glob("*.py"))
+    assert SRC / "cli" / "schema.py" in paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tables = {
+            target.id
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) \
+                    and isinstance(body[0].value, ast.Constant):
+                body = body[1:]  # the docstring
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            params = {arg.arg for arg in node.args.args}
+            if isinstance(call, ast.Call) and len(call.args) == 2 \
+                    and (getattr(call.func, "id", None)
+                         or getattr(call.func, "attr", None)) == "_object" \
+                    and isinstance(call.args[0], ast.Name) \
+                    and call.args[0].id in params \
+                    and isinstance(call.args[1], ast.Name) \
+                    and call.args[1].id in tables:
+                found.append(f"{path.name}:{node.name}")
+    assert found == []
+
+
 def test_decide_walks_one_table_of_hypotheses():
     # every hypothesis a route row names is in the table and every entry
     # of the table is named by a row; the rows hold route functions, so
@@ -377,11 +414,13 @@ def test_cli_import_loads_no_layer_but_the_lattice():
         "svlab.charpcurve", "svlab.construct", "svlab.fibered",
         "svlab.kltcalc", "svlab.nonvanish", "svlab.chiproduct",
         "concurrent.futures", "dataclasses", "inspect", *_READERS,
-        "svlab.cli.family", "svlab.cli.rational",
+        "svlab.cli.family", "svlab.cli.rational", "svlab.primes",
         "argparse", "gettext", "locale",
         "json", "fractions", "decimal",
     }
     assert loaded & unwanted == set()
+    # the characteristic reader imports the primality test when it runs
+    assert "svlab.primes" not in _imported("-m", "svlab", "--help")
 
 
 def test_klt_command_loads_only_its_layer(tmp_path):
@@ -395,7 +434,7 @@ def test_klt_command_loads_only_its_layer(tmp_path):
     assert "svlab.kltcalc" in loaded
     assert loaded & {
         "svlab.charpcurve", "svlab.construct", "svlab.nonvanish",
-        "svlab.lattice",
+        "svlab.lattice", "svlab.primes",
     } == set()
 
 
