@@ -20,8 +20,6 @@ itself.
 
 from __future__ import annotations
 
-from typing import Union
-
 from ..primes import is_prime
 from ..record import record
 from .series import LaurentSeries, PrecisionError, SeriesError
@@ -92,7 +90,7 @@ class TangoPlane:
         )
 
 
-CurveFamily = Union[Hyperelliptic, ArtinSchreier, TangoPlane]
+CurveFamily = (Hyperelliptic, ArtinSchreier, TangoPlane)
 
 
 def _require_prime(p: int) -> None:

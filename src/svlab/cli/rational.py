@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import re
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .schema import SchemaError, _list_of
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from ..lattice import DivisorClass, RuledModel
 

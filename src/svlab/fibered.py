@@ -11,11 +11,12 @@ Contractions here are the D-trivial kind only: a (-1)-component with
 D-degree 0.  Contracting anything else changes sections of D and is the
 business of the scenario layer, not this calculus.
 
-Every blow-up builds a new ``FiberTree``, and every tree is validated
-when built.  Validation walks the edge list a fixed number of times
-(range and duplicates, connectivity, fiber degrees), so apart from one
-sort of the edges it costs O(n) for n components, and a blow-up
-sequence through n moves costs O(n^2).
+A blow-up copies its parent's components, replaces the one or two it
+shifts, and builds a new ``FiberTree``; every tree is validated in full
+when built.  Validation makes one pass over the edges (shape, range,
+duplicates, adjacency and fiber degrees) and one connectivity walk, so
+apart from one sort of the edges it costs O(n) for n components, and a
+blow-up sequence through n moves costs O(n^2).
 
 A reduction contracts a working copy of the fiber in place - the list
 of components and one adjacency set per component - and validates one
@@ -62,8 +63,8 @@ class FiberComponent:
 
     def __post_init__(self):
         # a fractional degree is no Cartier divisor, and a bool no number
-        if {type(self.self_intersection), type(self.multiplicity),
-                type(self.d_degree)} != {int}:
+        if not (type(self.self_intersection) is type(self.multiplicity)
+                is type(self.d_degree) is int):
             raise FiberTreeError(
                 "self-intersection, multiplicity and degree must be integers"
             )
@@ -88,24 +89,30 @@ class FiberTree:
     def __post_init__(self):
         # the record is hashed and compared by its fields, and edges are
         # normalised below, but the components are stored as given
-        if type(self.components) is not tuple:
+        comps = self.components
+        if type(comps) is not tuple:
             raise FiberTreeError(
                 "fiber components must be a tuple of FiberComponent records"
             )
-        n = len(self.components)
+        n = len(comps)
         if n == 0:
             raise FiberTreeError("a fiber has at least one component")
-        for c in self.components:
-            if type(c) is not FiberComponent:
-                raise FiberTreeError(
-                    "fiber components must be FiberComponent records"
-                )
+        if set(map(type, comps)) != {FiberComponent}:
+            raise FiberTreeError(
+                "fiber components must be FiberComponent records"
+            )
         try:
             edges = iter(self.edges)
         except TypeError:
             raise FiberTreeError(
                 "edges must be pairs of component indices"
             ) from None
+        # one pass checks each edge and fills the adjacency and each
+        # component's degree against the fiber: m*C^2 plus its
+        # neighbours' multiplicities
+        mult = [c.multiplicity for c in comps]
+        degrees = [c.multiplicity * c.self_intersection for c in comps]
+        adjacent = [[] for _ in comps]
         norm = []
         seen = set()
         for edge in edges:
@@ -121,18 +128,29 @@ class FiberTree:
                 raise FiberTreeError("edge endpoints must be integers")
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise FiberTreeError("edge endpoints out of range")
-            key = (min(i, j), max(i, j))
+            key = (i, j) if i < j else (j, i)
             if key in seen:
                 raise FiberTreeError("duplicate edge")
             seen.add(key)
             norm.append(key)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        if len(self.edges) != n - 1:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+            degrees[i] += mult[j]
+            degrees[j] += mult[i]
+        norm.sort()
+        object.__setattr__(self, "edges", tuple(norm))
+        if len(norm) != n - 1:
             raise FiberTreeError("component graph must be a tree")
-        if n > 1 and len(self._reachable(0)) != n:
+        stack, reached = [0], {0}
+        while stack:
+            for w in adjacent[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) != n:
             raise FiberTreeError("component graph must be connected")
         # each component meets the full fiber class trivially
-        for i, against in enumerate(self._fiber_degrees()):
+        for i, against in enumerate(degrees):
             if against != 0:
                 raise FiberTreeError(
                     f"component {i} meets the fiber with degree {against}"
@@ -141,19 +159,6 @@ class FiberTree:
             raise FiberTreeError(
                 f"fiber has K-degree {self.k_degree()}, needs -2"
             )
-
-    def _reachable(self, start: int) -> set[int]:
-        adjacent = [[] for _ in self.components]
-        for a, b in self.edges:
-            adjacent[a].append(b)
-            adjacent[b].append(a)
-        stack, seen = [start], {start}
-        while stack:
-            for w in adjacent[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
 
     def neighbors(self, i: int) -> list[int]:
         out = []
@@ -164,22 +169,14 @@ class FiberTree:
                 out.append(a)
         return out
 
-    def _fiber_degrees(self) -> list[int]:
-        """Each component against the full fiber class, in order: m*C^2
-        plus the multiplicity of every neighbor, in one edge pass."""
+    def self_degree(self) -> int:
+        """F.F, recomputed from components; zero for valid trees."""
         comps = self.components
         degrees = [c.multiplicity * c.self_intersection for c in comps]
         for a, b in self.edges:
             degrees[a] += comps[b].multiplicity
             degrees[b] += comps[a].multiplicity
-        return degrees
-
-    def self_degree(self) -> int:
-        """F.F, recomputed from components; zero for valid trees."""
-        return sum(
-            c.multiplicity * against
-            for c, against in zip(self.components, self._fiber_degrees())
-        )
+        return sum(c.multiplicity * d for c, d in zip(comps, degrees))
 
     def k_degree(self) -> int:
         return sum(c.multiplicity * c.k_degree for c in self.components)
@@ -200,16 +197,6 @@ class FiberTree:
 
 def _contractible(c: FiberComponent) -> bool:
     return c.self_intersection == -1 and c.d_degree == 0
-
-
-def _shifted(tree: FiberTree, chosen, by: int) -> list[FiberComponent]:
-    """The components of ``tree``, each one indexed in ``chosen`` with its
-    self-intersection moved by ``by``."""
-    return [
-        FiberComponent(c.self_intersection + by, c.multiplicity, c.d_degree)
-        if j in chosen else c
-        for j, c in enumerate(tree.components)
-    ]
 
 
 def _working_copy(tree: FiberTree):
@@ -324,8 +311,11 @@ def blow_up_on_component(tree: FiberTree, i: int) -> FiberTree:
     """
     if type(i) is not int or not 0 <= i < len(tree.components):
         raise FiberTreeError("no such component")
-    comps = _shifted(tree, (i,), -1)
-    comps.append(FiberComponent(-1, tree.components[i].multiplicity))
+    comps = list(tree.components)
+    c = comps[i]
+    comps[i] = FiberComponent(c.self_intersection - 1, c.multiplicity,
+                              c.d_degree)
+    comps.append(FiberComponent(-1, c.multiplicity))
     return FiberTree(tuple(comps), tree.edges + ((i, len(comps) - 1),))
 
 
@@ -336,18 +326,21 @@ def blow_up_on_edge(tree: FiberTree, i: int, j: int) -> FiberTree:
     m_i + m_j."""
     if type(i) is not int or type(j) is not int:
         raise FiberTreeError("no such component")
-    key = (min(i, j), max(i, j))
-    if key not in tree.edges:
-        raise FiberTreeError("components do not meet")
-    comps = _shifted(tree, key, -1)
+    edges = list(tree.edges)
+    try:
+        edges.remove((min(i, j), max(i, j)))
+    except ValueError:
+        raise FiberTreeError("components do not meet") from None
+    comps = list(tree.components)
+    for k in (i, j):
+        c = comps[k]
+        comps[k] = FiberComponent(c.self_intersection - 1, c.multiplicity,
+                                  c.d_degree)
     new = len(comps)
-    m = (
-        tree.components[i].multiplicity
-        + tree.components[j].multiplicity
-    )
-    comps.append(FiberComponent(-1, m))
-    edges = tuple(e for e in tree.edges if e != key)
-    return FiberTree(tuple(comps), edges + ((i, new), (j, new)))
+    comps.append(FiberComponent(-1, comps[i].multiplicity
+                                + comps[j].multiplicity))
+    edges += (i, new), (j, new)
+    return FiberTree(tuple(comps), edges)
 
 
 @record

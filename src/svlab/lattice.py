@@ -31,10 +31,14 @@ and E.C = y - xe >= 0, which is all for e >= 0 (Hartshorne, V.2.20).
 For e < 0, x = 1 needs y >= 0, and in characteristic 0 x >= 2 needs
 2y >= xe (V.2.21).  In characteristic p the table keeps 2y >= xe for
 x <= p - 1, where C maps separably onto the base as V.2.21's proof
-needs.  For x >= p it takes 2y >= xe + 2(1 - g), for which no source is
-cited; it is adjunction, 2p_a(C) - 2 = (x - 1)(2y - xe) + x(2g - 2),
-with p_a(C) >= g.  No positivity rule applies on a blown-up model,
-where ``certify_positivity`` answers unknown.
+needs.  For x >= p it takes 2y >= xe + 2(1 - g), by adjunction,
+2p_a(C) - 2 = (x - 1)(2y - xe) + x(2g - 2), with p_a(C) >= g.  The
+normalisation of C maps finitely onto the base curve, and the target
+of a finite map of smooth curves has genus at most the source's:
+Hurwitz's formula bounds a separable map (IV.2.4), and a purely
+inseparable one keeps the genus (IV.2.5).  And p_a(C) is at least the
+genus of its normalisation (IV Ex. 1.8).  No positivity rule applies on
+a blown-up model, where ``certify_positivity`` answers unknown.
 
 Everything is exact and no floating point appears anywhere.  A class
 is kept as integer numerators over one positive denominator, so sums,
@@ -50,9 +54,9 @@ over a positive denominator.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable
 
 from .primes import is_prime
 from .ratio import ratio_text

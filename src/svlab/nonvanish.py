@@ -25,8 +25,6 @@ never reaches C_M does not load it.  The scenario exceptions are
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .lattice import (
     VIOLATED,
     DivisorClass,
@@ -42,6 +40,7 @@ from .lattice import (
 from .ratio import is_ratio, ratio_text
 from .record import record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .chiproduct import ChiProduct
     from .fibered import FiberedModel

@@ -1,5 +1,6 @@
 """Fiber-tree bookkeeping: validation, contraction, blow-up corpus."""
 
+import operator
 import random
 import re
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from svlab.fibered import (
+    FiberComponent,
     FiberedModel,
     FiberTree,
     FiberTreeError,
@@ -240,6 +242,26 @@ class TestContraction:
         assert reduced.is_reduced_to_section_fiber()
         assert len(validated) == 1 and validated[0] is reduced
 
+    def test_one_validated_tree_per_blow_up(self, monkeypatch):
+        t = smooth_fiber()
+        validated = []
+        post_init = FiberTree.__post_init__
+
+        def counted(tree):
+            validated.append(tree)
+            post_init(tree)
+
+        monkeypatch.setattr(FiberTree, "__post_init__", counted)
+        rng = random.Random(20261022)
+        returned = []
+        for _ in range(150):
+            t = random_move(rng, t)
+            returned.append(t)
+        assert len(t.components) == 151
+        # each move validates the tree it returns, and no other
+        assert len(validated) == 150
+        assert all(map(operator.is_, validated, returned))
+
     def test_divisor_degree_survives_reduction(self):
         t = blow_up_on_component(once_blown(d_degree=1), 0)
         assert t.d_degree() == 1
@@ -247,14 +269,19 @@ class TestContraction:
         assert reduced.d_degree() == 1
 
 
+def random_move(rng, t):
+    """One blow-up of ``t``, on an edge or a component, as every random
+    degeneration draws it."""
+    if t.edges and rng.random() < 0.5:
+        a, b = t.edges[rng.randrange(len(t.edges))]
+        return blow_up_on_edge(t, a, b)
+    return blow_up_on_component(t, rng.randrange(len(t.components)))
+
+
 def random_degeneration(rng, d_degree, rounds):
     t = smooth_fiber(d_degree)
     for _ in range(rounds):
-        if t.edges and rng.random() < 0.5:
-            a, b = t.edges[rng.randrange(len(t.edges))]
-            t = blow_up_on_edge(t, a, b)
-        else:
-            t = blow_up_on_component(t, rng.randrange(len(t.components)))
+        t = random_move(rng, t)
     return t
 
 
@@ -400,12 +427,27 @@ def reference_fiber_degrees(comps, edges):
 
 def reference_validate(comps, edges):
     """The normalised edges of a valid tree, or the refusal message."""
+    if type(comps) is not tuple:
+        return "fiber components must be a tuple of FiberComponent records"
     n = len(comps)
     if n == 0:
         return "a fiber has at least one component"
+    for c in comps:
+        if type(c) is not FiberComponent:
+            return "fiber components must be FiberComponent records"
+    try:
+        edges = iter(edges)
+    except TypeError:
+        return "edges must be pairs of component indices"
     norm = []
     seen = set()
-    for i, j in edges:
+    for edge in edges:
+        try:
+            i, j = edge
+        except (TypeError, ValueError):
+            return "edges must be pairs of component indices"
+        if type(i) is not int or type(j) is not int:
+            return "edge endpoints must be integers"
         if not (0 <= i < n and 0 <= j < n) or i == j:
             return "edge endpoints out of range"
         key = (min(i, j), max(i, j))
@@ -428,41 +470,62 @@ def reference_validate(comps, edges):
 
 
 def corrupted(rng, tree):
-    """The raw components and edges of ``tree`` with one corruption."""
+    """The raw components and edges of ``tree`` with one or two
+    corruptions, so that the first refusal of two is pinned too."""
     comps, edges = list(tree.components), list(tree.edges)
     n = len(comps)
-    kinds = ["self", "mult", "none"]
+    kinds = ["self", "mult", "none", "list", "raw", "opaque"]
     if edges:
-        kinds += ["drop", "duplicate", "retarget", "shuffle"]
-    kind = rng.choice(kinds)
-    if kind == "drop":
-        del edges[rng.randrange(len(edges))]
-    elif kind == "duplicate":
-        a, b = rng.choice(edges)
-        edges.insert(rng.randrange(len(edges) + 1), (b, a))
-    elif kind == "retarget":
-        k = rng.randrange(len(edges))
-        a, b = edges[k]
-        other = rng.randrange(-1, n + 1)
-        edges[k] = (other, b) if rng.random() < 0.5 else (a, other)
-    elif kind == "shuffle":
-        rng.shuffle(edges)
-        edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
-    elif kind in ("self", "mult"):
-        k = rng.randrange(n)
-        c = comps[k]
-        step = rng.choice((-1, 1))
-        if kind == "self":
-            comps[k] = component(c.self_intersection + step, c.multiplicity,
-                                 c.d_degree)
-        else:
-            comps[k] = component(c.self_intersection,
-                                 max(1, c.multiplicity + step), c.d_degree)
-    return tuple(comps), tuple(edges)
+        kinds += ["duplicate", "retarget", "shuffle", "float", "unpaired",
+                  "drop"]
+    drawn = rng.sample(kinds, rng.choice((1, 1, 2)))
+    # applied in the order of ``kinds``, so that each finds what it
+    # edits: a record before ``raw`` makes it a tuple, a pair before
+    # ``unpaired`` breaks it, and an edge before ``drop`` removes it
+    for kind in sorted(drawn, key=kinds.index):
+        if kind == "drop":
+            del edges[rng.randrange(len(edges))]
+        elif kind == "duplicate":
+            a, b = rng.choice(edges)
+            edges.insert(rng.randrange(len(edges) + 1), (b, a))
+        elif kind == "retarget":
+            k = rng.randrange(len(edges))
+            a, b = edges[k]
+            other = rng.randrange(-1, n + 1)
+            edges[k] = (other, b) if rng.random() < 0.5 else (a, other)
+        elif kind == "shuffle":
+            rng.shuffle(edges)
+            edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+        elif kind == "unpaired":
+            k = rng.randrange(len(edges))
+            edges[k] = rng.choice((edges[k][:1], edges[k] + (0,), None))
+        elif kind == "float":
+            k = rng.randrange(len(edges))
+            a, b = edges[k]
+            edges[k] = rng.choice(((float(a), b), (a, float(b)),
+                                   (a, bool(b))))
+        elif kind in ("self", "mult"):
+            k = rng.randrange(n)
+            c = comps[k]
+            step = rng.choice((-1, 1))
+            if kind == "self":
+                comps[k] = component(c.self_intersection + step,
+                                     c.multiplicity, c.d_degree)
+            else:
+                comps[k] = component(c.self_intersection,
+                                     max(1, c.multiplicity + step),
+                                     c.d_degree)
+        elif kind == "raw":
+            k = rng.randrange(n)
+            c = comps[k]
+            comps[k] = (c.self_intersection, c.multiplicity, c.d_degree)
+    comps = comps if "list" in drawn else tuple(comps)
+    edges = rng.choice((None, 5)) if "opaque" in drawn else tuple(edges)
+    return comps, edges
 
 
 class TestEdgePassMatchesReference:
-    def test_blow_up_trees_with_one_corruption(self):
+    def test_blow_up_trees_with_corruptions(self):
         rng = random.Random(20261018)
         outcomes = set()
         for _ in range(1500):
@@ -488,6 +551,10 @@ class TestEdgePassMatchesReference:
         # every check fired at least once, and some trees passed them all
         assert outcomes == {
             "accepted",
+            "fiber components must be a tuple of FiberComponent records",
+            "fiber components must be FiberComponent records",
+            "edges must be pairs of component indices",
+            "edge endpoints must be integers",
             "edge endpoints out of range",
             "duplicate edge",
             "component graph must be a tree",
@@ -498,8 +565,10 @@ class TestEdgePassMatchesReference:
 
 
 # The reduction as it stood when it built and validated a new tree at
-# every contraction; kept as the reference the in-place reduction must
-# match tree for tree, step for step and message for message.
+# every contraction, and the blow-ups as they stood when they rebuilt
+# every component; kept as the references the in-place reduction and
+# the copying blow-ups must match tree for tree, step for step and
+# message for message.
 
 
 def reference_contract(tree, i):
@@ -524,6 +593,36 @@ def reference_contract(tree, i):
         edges.append(nbrs)
     edges = [(a - (a > i), b - (b > i)) for a, b in edges]
     return FiberTree(tuple(comps), tuple(edges))
+
+
+def reference_shifted(tree, chosen, by):
+    return [
+        component(c.self_intersection + by, c.multiplicity, c.d_degree)
+        if j in chosen else c
+        for j, c in enumerate(tree.components)
+    ]
+
+
+def reference_blow_up_on_component(tree, i):
+    if type(i) is not int or not 0 <= i < len(tree.components):
+        raise FiberTreeError("no such component")
+    comps = reference_shifted(tree, (i,), -1)
+    comps.append(component(-1, tree.components[i].multiplicity))
+    return FiberTree(tuple(comps), tree.edges + ((i, len(comps) - 1),))
+
+
+def reference_blow_up_on_edge(tree, i, j):
+    if type(i) is not int or type(j) is not int:
+        raise FiberTreeError("no such component")
+    key = (min(i, j), max(i, j))
+    if key not in tree.edges:
+        raise FiberTreeError("components do not meet")
+    comps = reference_shifted(tree, key, -1)
+    new = len(comps)
+    m = tree.components[i].multiplicity + tree.components[j].multiplicity
+    comps.append(component(-1, m))
+    edges = tuple(e for e in tree.edges if e != key)
+    return FiberTree(tuple(comps), edges + ((i, new), (j, new)))
 
 
 def reference_reduce(tree, choose=None):
@@ -574,3 +673,37 @@ class TestReductionMatchesReference:
             "only (-1)-components contract",
             "contraction must not meet the divisor",
         }
+
+
+class TestBlowUpMatchesReference:
+    def test_random_blow_up_sequences(self):
+        rng = random.Random(20261022)
+        refused = set()
+        for _ in range(60):
+            tree = smooth_fiber(rng.randrange(2))
+            for _ in range(rng.randrange(0, 41)):
+                n = len(tree.components)
+                a, b = rng.randrange(n), rng.randrange(n)
+                # a random pair meets or not; a bool, a float and an
+                # index out of range are refused
+                calls = [
+                    (blow_up_on_component, reference_blow_up_on_component,
+                     args)
+                    for args in ((a,), (True,), (float(a),), (n,), (-1,))
+                ] + [
+                    (blow_up_on_edge, reference_blow_up_on_edge, args)
+                    for args in ((a, b), (True, b), (a, float(b)), (a, n))
+                ]
+                if tree.edges:
+                    i, j = rng.choice(tree.edges)
+                    calls += [
+                        (blow_up_on_edge, reference_blow_up_on_edge, args)
+                        for args in ((i, j), (j, i), (bool(i), j))
+                    ]
+                for move, reference, args in calls:
+                    got = outcome(move, tree, *args)
+                    assert got == outcome(reference, tree, *args)
+                    if isinstance(got, str):
+                        refused.add(got)
+                tree = random_move(rng, tree)
+        assert refused == {"no such component", "components do not meet"}
